@@ -11,6 +11,9 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> mddbench self-tests (every SimResult field pinned to mddbench/pins/sim.txt)"
+cargo test --release --offline --manifest-path mddbench/Cargo.toml
+
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

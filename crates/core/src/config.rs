@@ -75,8 +75,8 @@ pub struct SimConfig {
     /// Only active while the global `mdd-obs` layer is installed; event
     /// tracing and monotonic counters are unaffected by it.
     pub obs_sample_every: u64,
-    /// Execution shards for the network phase of each cycle (default 1 =
-    /// fully sequential). Results are bit-identical at any shard count —
+    /// Execution shards for the network phase of each cycle (default 1:
+    /// the whole step on the calling thread). Results are bit-identical at any shard count —
     /// sharding is an execution strategy, not a model parameter — so this
     /// field is deliberately *excluded* from
     /// [`SimConfig::canonical_string`] and the result-cache key.

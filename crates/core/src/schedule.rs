@@ -105,39 +105,6 @@ impl NicSchedule {
         }
     }
 
-    /// Collect every NIC in `[lo, hi)` due at or before `cycle`,
-    /// ascending, *appending* to `out` (the caller clears). Concatenating
-    /// the results over a partition of `[0, len)` in range order yields
-    /// exactly [`NicSchedule::due_into`]'s list: both walk the same bitmap
-    /// in ascending NIC order, this one clipped to a range. The sharded
-    /// step uses this to assemble the due list per shard's NIC range.
-    pub fn due_into_range(&self, cycle: u64, lo: u32, hi: u32, out: &mut Vec<u32>) {
-        let (lo, hi) = (lo as usize, hi as usize);
-        if lo >= hi {
-            return;
-        }
-        // Walk only the bitmap words overlapping the range; mask off the
-        // out-of-range bits of the boundary words.
-        let w_lo = lo / 64;
-        let w_hi = (hi - 1) / 64;
-        for w in w_lo..=w_hi {
-            let mut word = self.bits[w];
-            if w == w_lo {
-                word &= u64::MAX << (lo % 64);
-            }
-            if w == w_hi && !hi.is_multiple_of(64) {
-                word &= (1u64 << (hi % 64)) - 1;
-            }
-            while word != 0 {
-                let i = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                if self.next[i] <= cycle {
-                    out.push(i as u32);
-                }
-            }
-        }
-    }
-
     /// Minimum due cycle over all scheduled NICs (`u64::MAX` when every
     /// NIC is inert). Unscheduled entries are `u64::MAX` and cannot be the
     /// minimum, so walking only set bits is exact.
@@ -193,31 +160,6 @@ mod tests {
         assert_eq!(s.min_next(), 7);
         s.set(3, u64::MAX);
         assert_eq!(s.min_next(), 42);
-    }
-
-    #[test]
-    fn range_concatenation_matches_full_walk() {
-        let n = 200;
-        let mut s = NicSchedule::new(n);
-        for i in 0..n {
-            s.set(i, u64::MAX);
-        }
-        for i in [0, 1, 63, 64, 65, 127, 128, 137, 199] {
-            s.set(i, (i as u64) % 3);
-        }
-        let mut full = Vec::new();
-        s.due_into(2, &mut full);
-        for bounds in [vec![0, 200], vec![0, 100, 200], vec![0, 64, 128, 150, 200]] {
-            let mut cat = Vec::new();
-            for pair in bounds.windows(2) {
-                s.due_into_range(2, pair[0], pair[1], &mut cat);
-            }
-            assert_eq!(cat, full);
-        }
-        // Empty and boundary-degenerate ranges contribute nothing.
-        let mut none = Vec::new();
-        s.due_into_range(2, 50, 50, &mut none);
-        assert!(none.is_empty());
     }
 
     #[test]

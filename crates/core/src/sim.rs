@@ -1,7 +1,7 @@
 //! The cycle-accurate simulator.
 
 use crate::config::{SimConfig, SimResult};
-use crate::endpoint::{NicArray, NicShard};
+use crate::endpoint::NicShard;
 use crate::recovery::PrRecovery;
 use crate::schedule::NicSchedule;
 use mdd_nic::{Nic, NicConfig, NicStats};
@@ -34,11 +34,14 @@ pub struct Simulator {
     /// bit-exact. A two-level occupancy bitmap over the scheduled entries
     /// keeps per-cycle walks O(scheduled NICs), not O(all NICs).
     nic_sched: NicSchedule,
-    /// Router-range partition for the sharded network phase; `None` when
-    /// `cfg.shards <= 1` (the fully sequential path). Results are
-    /// bit-identical either way — the plan only changes which thread
-    /// executes each router.
-    shard_plan: Option<ShardPlan>,
+    /// Router-range partition for the network phase (`cfg.shards`
+    /// shards; one runs on the calling thread). Results are bit-identical
+    /// at any count — the plan only changes which thread executes each
+    /// router.
+    shard_plan: ShardPlan,
+    /// Per shard: NICs whose idle-skip entry a packet delivery zeroed
+    /// during the network phase, applied after it in shard order.
+    shard_wakes: Vec<Vec<u32>>,
     /// Scratch for draining the schedule's due set without holding a
     /// borrow across the tick calls.
     due_scratch: Vec<u32>,
@@ -165,8 +168,8 @@ impl Simulator {
             _ => None,
         };
         let num_nics = nics.len();
-        let shard_plan =
-            (cfg.shards > 1).then(|| ShardPlan::new(topo.num_routers(), cfg.shards));
+        let shard_plan = ShardPlan::new(topo.num_routers(), cfg.shards);
+        let shard_wakes = vec![Vec::new(); shard_plan.shards()];
         Simulator {
             cfg,
             topo,
@@ -181,6 +184,7 @@ impl Simulator {
             generation: true,
             nic_sched: NicSchedule::new(num_nics),
             shard_plan,
+            shard_wakes,
             due_scratch: Vec::new(),
             src_scratch: Vec::new(),
             cwg_checks: 0,
@@ -309,22 +313,7 @@ impl Simulator {
             0
         } else {
             let mut due = std::mem::take(&mut self.due_scratch);
-            // With a shard plan, assemble the due list from each shard's
-            // NIC range (the ticks themselves still run sequentially
-            // here: the message store and ID allocator have a single
-            // owner). Range concatenation in shard order reproduces
-            // `due_into`'s ascending list exactly, so the two collection
-            // modes are bit-identical.
-            if let Some(plan) = &self.shard_plan {
-                due.clear();
-                let b = self.cfg.bristle;
-                for s in 0..plan.shards() {
-                    let (lo, hi) = plan.range(s);
-                    self.nic_sched.due_into_range(c, lo * b, hi * b, &mut due);
-                }
-            } else {
-                self.nic_sched.due_into(c, &mut due);
-            }
+            self.nic_sched.due_into(c, &mut due);
             for &i in &due {
                 self.nics[i as usize].tick(c, &mut self.ids, &mut self.store);
             }
@@ -372,41 +361,23 @@ impl Simulator {
             self.nic_sched.set(i, self.nics[i].next_tick_cycle(c + 1));
         }
         self.due_scratch = due;
-        // 6. Network cycle. With a shard plan, each shard gets exclusive
-        // ownership of its router range's NICs; schedule wakes from
-        // packet deliveries are deferred into per-shard lists and applied
-        // here in shard order (nothing reads the schedule during the
-        // network phase and `set(i, 0)` is order-insensitive across
-        // distinct NICs, so this matches the sequential path exactly).
-        if let Some(plan) = self.shard_plan.as_ref() {
-            let bristle = self.cfg.bristle;
-            let mut shards: Vec<NicShard> = Vec::with_capacity(plan.shards());
-            let mut rest: &mut [Nic] = &mut self.nics;
-            for s in 0..plan.shards() {
-                let (lo, hi) = plan.range(s);
-                let cnt = ((hi - lo) * bristle) as usize;
-                let (mine, next) = std::mem::take(&mut rest).split_at_mut(cnt);
-                rest = next;
-                shards.push(NicShard {
-                    store: &self.store,
-                    nics: mine,
-                    base: lo * bristle,
-                    sched_sets: Vec::new(),
-                });
+        // 6. Network cycle. Each shard gets exclusive ownership of its
+        // router range's NICs; schedule wakes from packet deliveries are
+        // deferred into per-shard lists and applied here in shard order
+        // (nothing reads the schedule during the network phase and
+        // `set(i, 0)` is order-insensitive across distinct NICs).
+        let ejs = NicShard::split(
+            &self.store,
+            &mut self.nics,
+            &self.shard_plan,
+            self.cfg.bristle,
+            &mut self.shard_wakes,
+        );
+        self.net.step_sharded(c, &self.routing, &self.shard_plan, ejs);
+        for wakes in &mut self.shard_wakes {
+            for i in wakes.drain(..) {
+                self.nic_sched.set(i as usize, 0);
             }
-            self.net.step_sharded(c, &self.routing, plan, &mut shards);
-            for sh in &shards {
-                for &i in &sh.sched_sets {
-                    self.nic_sched.set(i as usize, 0);
-                }
-            }
-        } else {
-            let mut ej = NicArray {
-                store: &self.store,
-                nics: &mut self.nics,
-                sched: &mut self.nic_sched,
-            };
-            self.net.step(c, &self.routing, &mut ej);
         }
         self.cycle += 1;
         // Periodic observability gauges (cheap: one enabled check per
@@ -482,10 +453,7 @@ impl Simulator {
         if let Some(rec) = &self.recovery {
             mdd_obs::gauge_set(CounterId::DbLaneOccupancy, rec.lane_busy() as u64);
         }
-        mdd_obs::gauge_set(
-            CounterId::ShardsActive,
-            self.shard_plan.as_ref().map_or(1, |p| p.shards() as u64),
-        );
+        mdd_obs::gauge_set(CounterId::ShardsActive, self.shard_plan.shards() as u64);
     }
 
     /// Run `n` cycles, fast-forwarding the clock over fully quiescent

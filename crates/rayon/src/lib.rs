@@ -251,11 +251,17 @@ impl ThreadPool {
 }
 
 impl Drop for ThreadPool {
+    /// Graceful shutdown. The last handle may be dropped by one of the
+    /// pool's own tasks; that worker cannot join itself, so it is left
+    /// detached and exits once the queues drain, like its siblings.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.queues.work_cv.notify_all();
+        let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            let _unused = w.join();
+            if w.thread().id() != me {
+                let _unused = w.join();
+            }
         }
     }
 }
@@ -470,18 +476,28 @@ impl<'a, T: Sync, F> ParMap<'a, T, F> {
 /// one: the first item runs on the calling thread), with no stealing or
 /// splitting — the shape wanted by gang-scheduled phases such as the
 /// sharded network cycle, where each item *is* one shard and the caller
-/// provides the partition. Items may borrow from the caller's stack
+/// provides the partition. A single item runs inline with no thread
+/// scope at all, and `work` is consumed lazily on the calling thread, so
+/// that case allocates nothing. Items may borrow from the caller's stack
 /// (`std::thread::scope` underneath). A panic in any task propagates to
 /// the caller after the scope joins.
-pub fn scope_map<C: Send, T: Send>(work: Vec<C>, f: impl Fn(C) -> T + Sync) -> Vec<T> {
-    let mut work = work;
-    if work.len() <= 1 {
-        return work.into_iter().map(f).collect();
-    }
-    let first = work.remove(0);
+pub fn scope_map<C: Send, T: Send>(
+    work: impl IntoIterator<Item = C>,
+    f: impl Fn(C) -> T + Sync,
+) -> Vec<T> {
+    let mut work = work.into_iter();
+    let Some(first) = work.next() else {
+        return Vec::new();
+    };
+    let Some(second) = work.next() else {
+        return vec![f(first)];
+    };
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = work.into_iter().map(|c| scope.spawn(move || f(c))).collect();
+        let handles: Vec<_> = std::iter::once(second)
+            .chain(work)
+            .map(|c| scope.spawn(move || f(c)))
+            .collect();
         let mut out = Vec::with_capacity(handles.len() + 1);
         out.push(f(first));
         for h in handles {
@@ -625,6 +641,27 @@ mod tests {
         }
         drop(pool);
         assert_eq!(hits.load(Ordering::Relaxed), 12);
+    }
+
+    #[test]
+    fn pool_dropped_from_its_own_task() {
+        let pool = Arc::new(crate::ThreadPoolBuilder::new().num_threads(2).build().unwrap());
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let last = Arc::clone(&pool);
+        pool.spawn(move || {
+            go_rx.recv().unwrap();
+            // `last` is now the only handle: dropping it runs the pool's
+            // drop on one of its own workers.
+            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(last)));
+            done_tx.send(dropped.is_ok()).unwrap();
+        });
+        drop(pool);
+        go_tx.send(()).unwrap();
+        let ok = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the dropping task finished");
+        assert!(ok, "dropping the last handle inside a pool task panicked");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! start-of-cycle state, so a flit advances at most one hop per cycle.
 //!
 //! Mechanically, phases 1, 2 and 4 are *fused* into one pass over each
-//! woken router's occupancy bitmask ([`Network::fused_router_pass`]), and
+//! woken router's occupancy bitmask (`ShardTask::router_pass`), and
 //! phase 3 applies the granted moves afterwards. The fusion is exact
 //! because phase-1/2 mutations are router-local (routes, output-VC
 //! ownership), credits are only mutated in phase 3, and switch grants pick
@@ -24,9 +24,17 @@
 //! the order requests were gathered in. The blocked-timer outcome of the
 //! trailing sweep is reproduced by marking occupied slots before moves and
 //! patching the moved/arrived slots during phase 3 (see
-//! [`Network::apply_moves`]). In debug builds every cycle is re-executed
+//! `ShardTask::apply_moves`). In debug builds every cycle is re-executed
 //! by a literal four-phase reference implementation on a snapshot and the
 //! two end states are compared field by field.
+//!
+//! ## One pipeline, any number of shards
+//!
+//! There is one implementation of that pass. [`Network::step_sharded`]
+//! runs it over the router ranges of a [`ShardPlan`], one shard per
+//! worker thread; [`Network::step`] is the one-shard case on the calling
+//! thread, where every credit, arrival and wake lands inside the shard
+//! and the cross-shard mailboxes stay empty.
 
 use crate::flit::{Flit, PacketState, PacketTable};
 use crate::router::{Router, NOT_BLOCKED, NO_ROUTE};
@@ -34,6 +42,7 @@ use crate::traits::{EjectControl, RouteCandidate, Routing};
 use mdd_obs::CounterId;
 use mdd_protocol::{Message, MsgHandle};
 use mdd_topology::{NicId, NodeId, PortId, Topology};
+use std::sync::Arc;
 
 /// Aggregate transport counters.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -151,31 +160,27 @@ fn mat_mut(routers: &mut [Option<Box<Router>>], r: usize) -> &mut Router {
         .expect("touched router must be materialized")
 }
 
-/// Materialize router slot `slot` if needed: recycle a chunk from the
-/// free pool (resetting it to pristine state) or clone the template.
-/// Returns the (now guaranteed) chunk.
+/// Materialize router slot `slot` if needed by cloning the pristine
+/// template, counting the new chunk in `materialized`. Returns the (now
+/// guaranteed) chunk.
 #[inline]
-// Boxed on purpose: chunks move between `routers` slots and the pool as
-// pointers, never copying the multi-kilobyte `Router` by value.
-#[allow(clippy::vec_box)]
 fn materialize<'a>(
     slot: &'a mut Option<Box<Router>>,
-    pool: &mut Vec<Box<Router>>,
     materialized: &mut u32,
     template: &Router,
 ) -> &'a mut Router {
-    if slot.is_none() {
+    slot.get_or_insert_with(|| {
         *materialized += 1;
-        let chunk = match pool.pop() {
-            Some(mut chunk) => {
-                chunk.reset();
-                chunk
-            }
-            None => Box::new(template.clone()),
-        };
-        *slot = Some(chunk);
-    }
-    slot.as_deref_mut().expect("just materialized")
+        Box::new(template.clone())
+    })
+}
+
+/// Put router `r` on a wake-set: its bit in `bits` (whose first word is
+/// global word `word_base`) and its group's bit in `summary`.
+#[inline]
+fn set_wake(bits: &mut [u64], word_base: usize, summary: &mut [u64], r: usize) {
+    bits[(r >> 6) - word_base] |= 1 << (r & 63);
+    summary[r >> 12] |= 1 << ((r >> 6) & 63);
 }
 
 /// The full network of wormhole routers.
@@ -193,13 +198,6 @@ pub struct Network {
     /// eagerly-allocated router would hold). A quiescent region of a
     /// large torus therefore costs no memory and no per-cycle traffic.
     routers: Vec<Option<Box<Router>>>,
-    /// Recycle pool fed by [`Network::hard_reset`]: chunks are reset on
-    /// their way back out of the pool, so re-materialization after a
-    /// measurement-window reset allocates nothing. Boxed on purpose —
-    /// chunks move between here and [`Network::routers`] as pointers,
-    /// never copying the multi-kilobyte [`Router`] by value.
-    #[allow(clippy::vec_box)]
-    free_pool: Vec<Box<Router>>,
     /// Number of `Some` entries in [`Network::routers`] — the
     /// `routers_materialized` observability gauge.
     materialized: u32,
@@ -207,13 +205,11 @@ pub struct Network {
     /// `router_state_bytes` gauge.
     chunk_bytes: u64,
     /// The never-mutated pristine router template: read-only access to an
-    /// unmaterialized router ([`Network::router`]) resolves here, and new
-    /// chunks are cloned from it when the free pool is empty.
+    /// unmaterialized router ([`Network::router`]) resolves here, and every
+    /// new chunk is a clone of it.
     pristine: Box<Router>,
     packets: PacketTable,
     counters: NetworkCounters,
-    cand_buf: Vec<RouteCandidate>,
-    move_buf: Vec<Move>,
     /// Per-port flag: true for network (inter-router) ports, false for
     /// local (NIC) ports — a lookup for the hot loops, identical for
     /// every router.
@@ -254,37 +250,16 @@ pub struct Network {
     /// quiescence check and the blocked-head sweep's empty-router
     /// early-out.
     router_flits: Vec<u32>,
-    /// Per router: true when its latest fused pass proved the router fully
-    /// stalled — no grant emitted, no route allocated, and every waiting
-    /// head memo-stalled away from its destination router. Such a router
-    /// is frozen (nothing it can do changes its own state), so instead of
-    /// re-arming it sleeps until an external event wakes it. Destination
-    /// heads disqualify: their stall is an ejection refusal that must be
-    /// re-asked every cycle (endpoint queues drain without waking us).
-    sleep_ok: Vec<bool>,
-    /// Per router: cycle of its last executed fused pass, paired with
-    /// [`Network::sleep_stalls`] to reconstruct the allocation-stall count
-    /// a permanently-rearming scheduler would have accumulated across the
-    /// slept gap.
-    last_pass: Vec<u64>,
-    /// Per router: number of memo-stalled waiting heads when it went to
-    /// sleep — the per-cycle `vc_stalls` contribution its frozen state
-    /// would re-count every slept cycle.
-    sleep_stalls: Vec<u32>,
-    /// Persistent switch-allocation scratch: per-port request-chain heads
-    /// (`u16::MAX` = empty) and per-slot next links. An entry packs the
-    /// requester's input port in its high byte and slot index in the low
-    /// byte. Chain heads are restored to empty by the grant loop (every
-    /// gathered port is processed exactly once), and next links are always
-    /// written before they are read within a pass, so neither needs
-    /// per-pass clearing.
-    sw_req_head: [u16; 64],
-    sw_req_next: [u16; 128],
-    /// Per-shard scratch for [`Network::step_sharded`] (empty until the
-    /// first sharded step): candidate/move buffers, switch-request
-    /// chains and outgoing mailboxes, kept across cycles so the sharded
+    /// Per router: the sleep bookkeeping of its fused pass.
+    sleep: Vec<Sleep>,
+    /// Per-shard scratch for [`Network::step_sharded`] (sized to the
+    /// plan on first use): candidate/move buffers, switch-request chains,
+    /// outgoing mailboxes and per-cycle deltas, kept across cycles so the
     /// steady state allocates nothing.
     shard_scratch: Vec<ShardScratch>,
+    /// The one-shard plan [`Network::step`] runs under (shared, so the
+    /// step can borrow it alongside `&mut self`).
+    unit_plan: Arc<ShardPlan>,
     #[cfg(debug_assertions)]
     shadow: shadow::Scratch,
 }
@@ -320,14 +295,11 @@ impl Network {
             vcs,
             buf_depth,
             routers,
-            free_pool: Vec::new(),
             materialized: 0,
             chunk_bytes,
             pristine,
             packets: PacketTable::new(),
             counters: NetworkCounters::default(),
-            cand_buf: Vec::with_capacity(64),
-            move_buf: Vec::with_capacity(256),
             net_port,
             links,
             nic_slot,
@@ -337,12 +309,9 @@ impl Network {
             cur_mask: vec![0; n.div_ceil(64)],
             cur_words: Vec::new(),
             router_flits: vec![0; n],
-            sleep_ok: vec![false; n],
-            last_pass: vec![0; n],
-            sleep_stalls: vec![0; n],
-            sw_req_head: [u16::MAX; 64],
-            sw_req_next: [u16::MAX; 128],
+            sleep: vec![Sleep::default(); n],
             shard_scratch: Vec::new(),
+            unit_plan: Arc::new(ShardPlan::new(n as u32, 1)),
             #[cfg(debug_assertions)]
             shadow: shadow::Scratch::default(),
         }
@@ -351,15 +320,14 @@ impl Network {
     /// Put router `r` on the wake-set for the next step (both levels).
     #[inline]
     fn wake(&mut self, r: usize) {
-        self.active_bits[r >> 6] |= 1 << (r & 63);
-        self.active_summary[r >> 12] |= 1 << ((r >> 6) & 63);
+        set_wake(&mut self.active_bits, 0, &mut self.active_summary, r);
     }
 
     /// True while router `r` holds flits — the precondition for re-arming.
     /// A flit-less router is a no-op for every phase even mid-packet
     /// (owned or under-credited output VCs included). A flit-holding
     /// router re-arms unless its pass proved it fully stalled (see
-    /// [`Network::sleep_ok`]); every event that could unfreeze either kind
+    /// [`Sleep::ok`]); every event that could unfreeze either kind
     /// (flit arrival, credit return, injection, ownership release by
     /// rescue) wakes it explicitly.
     #[inline]
@@ -501,43 +469,67 @@ impl Network {
     /// injection precedes [`Network::step`] within a cycle, so the flit is
     /// routable this very cycle, exactly as under the dense scan. This is
     /// one of the two points that materialize a router chunk (the other is
-    /// flit arrival in `Network::apply_moves`).
+    /// flit arrival, in `ShardTask::apply_moves` or at the barrier).
     pub fn inject_flit(&mut self, nic: NicId, vc: u8, flit: Flit) -> bool {
         let (r, base) = self.nic_slot[nic.index()];
         let ri = r as usize;
         let slot = base as usize + vc as usize;
-        let buf_depth = self.buf_depth;
-        {
-            let Network {
-                routers,
-                free_pool,
-                materialized,
-                pristine,
-                ..
-            } = self;
-            let router = materialize(&mut routers[ri], free_pool, materialized, pristine);
-            if router.len[slot] as u32 >= buf_depth {
-                return false;
-            }
-            router.push_flit(slot, flit);
+        let router = materialize(&mut self.routers[ri], &mut self.materialized, &self.pristine);
+        if router.len[slot] as u32 >= self.buf_depth {
+            return false;
         }
+        router.push_flit(slot, flit);
         self.router_flits[ri] += 1;
         self.counters.flits_injected += 1;
         self.wake(ri);
         true
     }
 
-    /// Advance the network one cycle.
+    /// Advance the network one cycle on the calling thread, with `ej` as
+    /// the endpoint controller: [`Network::step_sharded`] over a one-shard
+    /// plan.
+    pub fn step<E>(&mut self, cycle: u64, routing: &(dyn Routing + Sync), ej: &mut E)
+    where
+        E: EjectControl + Send + ?Sized,
+    {
+        let plan = Arc::clone(&self.unit_plan);
+        self.step_sharded(cycle, routing, &plan, std::iter::once(ej));
+    }
+
+    /// Advance the network one cycle with the per-cycle work partitioned
+    /// across `plan.shards()` scoped worker threads — bit-identical at
+    /// any shard count.
     ///
     /// Only routers on the wake-list are processed; the rest are provably
     /// inert (no flits, no owned or under-credited output VCs — checked by
     /// a dense shadow sweep in debug builds) and every phase is a no-op on
     /// them, so skipping changes nothing observable. The worklist is
-    /// sorted ascending so grant and move ordering match the dense 0..N
-    /// scan bit-exactly. Debug builds additionally re-execute the cycle
-    /// with a reference four-phase implementation on a snapshot and
-    /// compare the end states.
-    pub fn step(&mut self, cycle: u64, routing: &dyn Routing, ej: &mut dyn EjectControl) {
+    /// ascending so grant and move ordering match the dense 0..N scan
+    /// bit-exactly.
+    ///
+    /// Each shard runs the fused pass over its slice of the worklist,
+    /// then applies its own moves; effects landing in another shard's
+    /// router range (credit returns, flit arrivals, wakes) are buffered
+    /// into per-(src, dst) mailboxes and drained at the cycle barrier in
+    /// fixed (src, dst) order, and packet-table mutations are deferred
+    /// the same way. `ejs` yields one endpoint controller per shard, in
+    /// shard order; ejection for a router always lands in its owning
+    /// shard's controller, so controllers never race. Debug builds
+    /// re-execute the cycle with the phased reference pipeline on a
+    /// snapshot and compare the end states, with the per-shard endpoint
+    /// logs merged in the reference's call order.
+    pub fn step_sharded<E: EjectControl + Send>(
+        &mut self,
+        cycle: u64,
+        routing: &(dyn Routing + Sync),
+        plan: &ShardPlan,
+        ejs: impl IntoIterator<Item = E>,
+    ) {
+        assert_eq!(
+            plan.num_routers() as usize,
+            self.routers.len(),
+            "shard plan covers a different network"
+        );
         self.drain_wake_set();
         mdd_obs::counter_add(
             CounterId::RouterTicksSkipped,
@@ -545,18 +537,27 @@ impl Network {
         );
         mdd_obs::counter_add(CounterId::FusedPassRouters, self.worklist.len() as u64);
         #[cfg(not(debug_assertions))]
-        self.step_inner(cycle, routing, ej);
+        self.run_shards(cycle, routing, plan, ejs);
         #[cfg(debug_assertions)]
         {
             self.skipped_router_check(cycle);
             let mut scratch = std::mem::take(&mut self.shadow);
             scratch.snapshot(self);
-            let mut rec = shadow::RecordEj {
-                inner: ej,
-                log: std::mem::take(&mut scratch.ej_log),
-            };
-            self.step_inner(cycle, routing, &mut rec);
-            scratch.ej_log = rec.log;
+            let mut recs: Vec<shadow::ShardRecordEj<E>> =
+                ejs.into_iter().map(shadow::ShardRecordEj::new).collect();
+            self.run_shards(cycle, routing, plan, recs.iter_mut());
+            // Merge the per-shard endpoint logs into the reference's
+            // order: every allocation pass precedes every traversal in
+            // the reference, and shards are ascending contiguous router
+            // ranges — so all accepts in shard order, then all
+            // deliveries in shard order, is exactly its call sequence.
+            scratch.ej_log.clear();
+            for rec in &recs {
+                scratch.ej_log.extend_from_slice(&rec.accepts);
+            }
+            for rec in &recs {
+                scratch.ej_log.extend_from_slice(&rec.delivers);
+            }
             scratch.run_reference_and_compare(self, cycle, routing);
             self.shadow = scratch;
         }
@@ -564,11 +565,11 @@ impl Network {
         // next cycle — unless its pass just proved it fully stalled, in
         // which case it sleeps until an external event (credit return,
         // flit arrival, ownership release, injection, extraction) wakes
-        // it. Every one of those events calls [`Network::wake`] at the
-        // point it mutates the router, so a sleeping router is frozen.
+        // it. Every one of those events sets its wake bit at the point it
+        // mutates the router, so a sleeping router is frozen.
         for wi in 0..self.worklist.len() {
             let r = self.worklist[wi] as usize;
-            if self.router_busy(r) && !self.sleep_ok[r] {
+            if self.router_busy(r) && !self.sleep[r].ok {
                 self.wake(r);
             }
         }
@@ -578,8 +579,7 @@ impl Network {
     /// it actually wrote), then drain the two-level wake set: summary
     /// words ascending, group words within each ascending, bits within
     /// each word ascending — the dense 0..N router order, touching only
-    /// populated words. Shared by [`Network::step`] and
-    /// [`Network::step_sharded`], so both execute the same worklist.
+    /// populated words.
     fn drain_wake_set(&mut self) {
         self.worklist.clear();
         for &wi in &self.cur_words {
@@ -605,449 +605,164 @@ impl Network {
         }
     }
 
-    /// The fused pipeline: one pass per woken router (phases 1, 2 and the
-    /// blocked-timer marking), then the traversal phase.
-    fn step_inner(&mut self, cycle: u64, routing: &dyn Routing, ej: &mut dyn EjectControl) {
-        // Obs deltas are accumulated locally (plain u64 adds) and
-        // published once per cycle, so the hot loop stays free of atomics.
-        let mut obs = ObsDeltas::default();
-        self.move_buf.clear();
-        for wi in 0..self.worklist.len() {
-            let r = self.worklist[wi] as usize;
-            self.fused_router_pass(r, cycle, routing, ej, &mut obs);
+    /// The parallel phase plus barrier drain of one cycle.
+    fn run_shards<E: EjectControl + Send>(
+        &mut self,
+        cycle: u64,
+        routing: &(dyn Routing + Sync),
+        plan: &ShardPlan,
+        ejs: impl IntoIterator<Item = E>,
+    ) {
+        let nshards = plan.shards();
+        if self.shard_scratch.len() != nshards {
+            let groups = self.active_summary.len();
+            self.shard_scratch = (0..nshards)
+                .map(|_| ShardScratch::new(nshards, groups))
+                .collect();
         }
-        self.apply_moves(cycle, ej);
+        let Network {
+            topo,
+            vcs,
+            buf_depth,
+            net_port,
+            links,
+            pristine,
+            packets,
+            counters,
+            cur_mask,
+            routers,
+            materialized,
+            router_flits,
+            sleep,
+            active_bits,
+            active_summary,
+            worklist,
+            shard_scratch,
+            ..
+        } = self;
+        {
+            let shared = StepShared {
+                topo,
+                vcs: *vcs,
+                buf_depth: *buf_depth,
+                net_port,
+                links,
+                pristine,
+                packets,
+                cur_mask,
+                plan,
+            };
+            // Split every per-router array into the shards' disjoint
+            // ranges, lazily: the one-shard case runs inline on this
+            // thread without collecting anything.
+            let mut routers: &mut [Option<Box<Router>>] = routers;
+            let mut router_flits: &mut [u32] = router_flits;
+            let mut sleep: &mut [Sleep] = sleep;
+            let mut bits: &mut [u64] = active_bits;
+            let mut worklist: &[u32] = worklist;
+            let mut ejs = ejs.into_iter();
+            let total_words = bits.len();
+            let mut word_lo = 0usize;
+            let tasks = shard_scratch.iter_mut().enumerate().map(|(s, sc)| {
+                let (lo, hi) = plan.range(s);
+                let cnt = (hi - lo) as usize;
+                // Interior bounds are either stride-aligned (whole words)
+                // or clamped to `num_routers` mid-word; in the clamped
+                // case every later shard is empty, so the covering word
+                // belongs to this shard and rounding *up* is safe.
+                let word_hi = if s + 1 == nshards {
+                    total_words
+                } else {
+                    (hi as usize).div_ceil(64).min(total_words)
+                };
+                let words = word_hi - word_lo;
+                let split = worklist.partition_point(|&r| r < hi);
+                let (wl, rest) = worklist.split_at(split);
+                worklist = rest;
+                let task = ShardTask {
+                    lo,
+                    hi,
+                    word_base: word_lo,
+                    routers: split_off(&mut routers, cnt),
+                    router_flits: split_off(&mut router_flits, cnt),
+                    sleep: split_off(&mut sleep, cnt),
+                    active_bits: split_off(&mut bits, words),
+                    worklist: wl,
+                    ej: ejs.next().expect("one endpoint controller per shard"),
+                    sc,
+                };
+                word_lo = word_hi;
+                task
+            });
+            rayon::scope_map(tasks, |t| t.run(&shared, cycle, routing));
+        }
+        // Barrier. Mailboxes drain in fixed (src, dst) order; every
+        // effect touches a distinct (router, slot) cell this cycle, so
+        // the order is belt-and-braces determinism, not a correctness
+        // requirement. Packet-table events follow in (shard, move) order
+        // — the traversal's own mutation order.
+        let mut obs = ObsDeltas::default();
+        let mut mailbox_effects = 0u64;
+        for sc in shard_scratch.iter_mut() {
+            for mail in &mut sc.mail {
+                mailbox_effects += mail.len() as u64;
+                for eff in mail.drain(..) {
+                    match eff {
+                        CrossEffect::Credit { router, slot } => {
+                            let r = router as usize;
+                            let up_router = mat_mut(routers, r);
+                            up_router.out_credits[slot as usize] += 1;
+                            debug_assert!(up_router.out_credits[slot as usize] <= *buf_depth);
+                            set_wake(active_bits, 0, active_summary, r);
+                        }
+                        CrossEffect::Arrival { router, slot, flit } => {
+                            let (r, slot) = (router as usize, slot as usize);
+                            let down_router = materialize(&mut routers[r], materialized, pristine);
+                            down_router.push_flit(slot, flit);
+                            if cur_mask[r >> 6] >> (r & 63) & 1 == 1
+                                && down_router.blocked[slot] == NOT_BLOCKED
+                            {
+                                down_router.blocked[slot] = cycle;
+                            }
+                            router_flits[r] += 1;
+                            set_wake(active_bits, 0, active_summary, r);
+                        }
+                    }
+                }
+            }
+            for ev in sc.pk.drain(..) {
+                match ev {
+                    PkEvent::Dateline { msg, mask } => match packets.get_mut(msg) {
+                        Some(st) => st.crossed_dateline |= mask,
+                        None => debug_assert!(false, "dateline hop by unregistered packet"),
+                    },
+                    PkEvent::Delivered { msg } => {
+                        let st = packets.remove(msg);
+                        debug_assert!(st.is_some(), "delivered packet must be registered");
+                    }
+                }
+            }
+            // Per-shard deltas merge here, published once — the hot
+            // loops stay free of shared-counter traffic.
+            let c = std::mem::take(&mut sc.counters);
+            counters.flits_moved += c.flits_moved;
+            counters.flits_delivered += c.flits_delivered;
+            counters.packets_delivered += c.packets_delivered;
+            *materialized += std::mem::take(&mut sc.materialized);
+            obs.merge(std::mem::take(&mut sc.obs));
+            for (g, s) in active_summary.iter_mut().zip(&mut sc.summary) {
+                *g |= std::mem::take(s);
+            }
+        }
+        mdd_obs::counter_add(CounterId::FlitsRouted, obs.routed);
         mdd_obs::counter_add(CounterId::VcAllocs, obs.allocs);
         mdd_obs::counter_add(CounterId::VcStalls, obs.stalls);
         mdd_obs::counter_add(CounterId::LinkBurstFlits, obs.burst_flits);
-    }
-
-    /// One router's fused pass: a single rotated walk over its occupancy
-    /// bitmask performs route computation / VC allocation for waiting
-    /// heads, blocked-timer pre-marking, and switch-request gathering;
-    /// per-port round-robin grants follow.
-    ///
-    /// ### Ordering contract (why this equals the phased pipeline)
-    ///
-    /// * Allocation mutations are router-local (this router's routes and
-    ///   output-VC owners) except [`EjectControl::can_accept`], whose call
-    ///   sequence is router-ascending, rotated-slot order — identical to
-    ///   the phased allocation sweep.
-    /// * Grants select the *minimum round-robin rank* among a port's
-    ///   eligible requesters; the rank depends only on the requester's
-    ///   slot index and the port's `rr_out` pointer, so the gather order
-    ///   (rotated here, ascending in the phased reference) is immaterial.
-    /// * Credits are only mutated by the traversal phase, which runs after
-    ///   every router's fused pass — all grant decisions see
-    ///   start-of-cycle credits.
-    /// * Moves are emitted per router in ascending-output-port order, so
-    ///   the global move list matches the phased switch sweep exactly.
-    fn fused_router_pass(
-        &mut self,
-        r: usize,
-        cycle: u64,
-        routing: &dyn Routing,
-        ej: &mut dyn EjectControl,
-        obs: &mut ObsDeltas,
-    ) {
-        let node = NodeId(r as u32);
-        let nvcs = self.vcs as usize;
-        // Stall-counter compensation for a slept gap: a scheduler that
-        // re-armed this fully-stalled router every cycle would have
-        // re-counted each memo-stalled head once per cycle. The router's
-        // state was frozen while it slept (sleeping implies no external
-        // event touched it), so the count per skipped cycle is exactly
-        // what it was at sleep time.
-        let gap = cycle.saturating_sub(self.last_pass[r]);
-        if gap > 1 {
-            obs.stalls += (gap - 1) * self.sleep_stalls[r] as u64;
-        }
-        self.last_pass[r] = cycle;
-        let mut pass_stalls = 0u32;
-        let mut dst_head = false;
-        let moves_before = self.move_buf.len();
-        // Per-port singly linked request chains, in the persistent scratch
-        // (see the `sw_req_head` field docs; both `< 128`, so `u16::MAX`
-        // stays a safe sentinel).
-        let mut port_mask = 0u64;
-        // Waiting heads that need a full allocation attempt, in scan order.
-        let mut pend = [0u8; 128];
-        let mut npend = 0usize;
-        let total;
-        {
-            // Scan under a single router borrow: the occupancy walk touches
-            // several parallel arrays per slot, and hoisting the borrow
-            // keeps their base pointers live across the whole walk.
-            let Network {
-                routers,
-                sw_req_head: req_head,
-                sw_req_next: req_next,
-                ..
-            } = self;
-            let router = mat_mut(routers, r);
-            router.sync_rr_alloc(cycle);
-            let nports = router.ports();
-            total = nports * nvcs;
-            debug_assert!(nports <= 64);
-            let start = router.rr_alloc as usize % total;
-            // Visit occupied slots in the dense scan's rotated order
-            // (`start..total` then `0..start`, ascending within each half).
-            // Slots the dense scan would have acted on all hold a flit, so
-            // restricting to the occupancy mask is exact.
-            let occ = router.in_occ;
-            let low = occ & ((1u128 << start) - 1);
-            let mut high = occ ^ low;
-            let mut rest = low;
-            loop {
-                let idx = if high != 0 {
-                    let i = high.trailing_zeros() as usize;
-                    high &= high - 1;
-                    i
-                } else if rest != 0 {
-                    let i = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    i
-                } else {
-                    break;
-                };
-                // Blocked-timer pre-mark (fused phase 4): every occupied
-                // slot not already blocked starts its timer this cycle; the
-                // traversal phase re-derives the mark for slots that move.
-                if router.blocked[idx] == NOT_BLOCKED {
-                    router.blocked[idx] = cycle;
-                }
-                // Phase 2 (gather): a routed slot with a buffered flit
-                // stands as a switch requester for its output port.
-                let q = router.route_port[idx];
-                if q != NO_ROUTE {
-                    port_mask |= 1 << q;
-                    req_next[idx] = req_head[q as usize];
-                    req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
-                } else if router.front_flit(idx).expect("occupied slot").is_head() {
-                    // Phase 1: route computation & VC allocation.
-                    if router.stall_epoch[idx] == router.alloc_epoch {
-                        // Memoized stall: no output VC on this router has
-                        // been released since the last full attempt, and
-                        // the candidate set of a waiting packet is fixed,
-                        // so every candidate is still owner-busy.
-                        obs.stalls += 1;
-                        pass_stalls += 1;
-                    } else {
-                        pend[npend] = idx as u8;
-                        npend += 1;
-                    }
-                }
-            }
-            router.rr_alloc = router.rr_alloc.wrapping_add(1);
-            router.rr_cycle = cycle + 1;
-        }
-        // Phase 1, deferred: full allocation attempts for the (rare)
-        // non-memoized waiting heads. Deferral is exact: allocation only
-        // mutates output-VC ownership, ejection earmarks, and the
-        // attempting slot's own route — none of which the scan above reads
-        // for *other* slots — and processing `pend` in scan order preserves
-        // both the intra-router claim order (an earlier head can take an
-        // output VC a later head wanted) and the `can_accept` call
-        // sequence of the dense reference.
-        for &slot in &pend[..npend] {
-            let idx = slot as usize;
-            let h = mat(&self.routers, r)
-                .front_flit(idx)
-                .expect("occupied slot")
-                .msg;
-            match self.alloc_slot(r, node, idx, h, cycle, routing, ej, obs) {
-                AllocOutcome::Granted => {
-                    // A freshly routed head is a switch requester this
-                    // same cycle. Chain position is immaterial: grants
-                    // minimize rank over the set.
-                    let q = mat(&self.routers, r).route_port[idx];
-                    debug_assert_ne!(q, NO_ROUTE);
-                    port_mask |= 1 << q;
-                    self.sw_req_next[idx] = self.sw_req_head[q as usize];
-                    self.sw_req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
-                }
-                AllocOutcome::StalledTransit => pass_stalls += 1,
-                AllocOutcome::StalledAtDst => {
-                    pass_stalls += 1;
-                    dst_head = true;
-                }
-            }
-        }
-        // Phase 2 (grant): each requested output port (ascending) grants
-        // the eligible requester closest after its round-robin pointer.
-        {
-            let Network {
-                routers,
-                move_buf,
-                net_port,
-                sw_req_head: req_head,
-                sw_req_next: req_next,
-                ..
-            } = self;
-            let router = mat_mut(routers, r);
-            let mut in_used = 0u64; // input ports granted this cycle
-            while port_mask != 0 {
-                let q = port_mask.trailing_zeros() as usize;
-                port_mask &= port_mask - 1;
-                let rr = router.rr_out[q] as usize % total;
-                let is_net = net_port[q];
-                let mut best: Option<(usize, usize, usize)> = None;
-                let mut contenders = 0u32;
-                let mut cur = req_head[q];
-                req_head[q] = u16::MAX; // restore the empty-chain invariant
-                while cur != u16::MAX {
-                    let idx = (cur & 0xff) as usize;
-                    let p = (cur >> 8) as usize;
-                    cur = req_next[idx];
-                    if in_used & (1 << p) != 0 {
-                        continue;
-                    }
-                    // Network outputs need a credit; local outputs were
-                    // reserved at acceptance time.
-                    if is_net
-                        && router.out_credits[q * nvcs + router.route_vc[idx] as usize] == 0
-                    {
-                        continue;
-                    }
-                    contenders += 1;
-                    let mut rank = idx + total - rr;
-                    if rank >= total {
-                        rank -= total;
-                    }
-                    if best.is_none_or(|(b, _, _)| rank < b) {
-                        best = Some((rank, idx, p));
-                    }
-                }
-                if let Some((_, idx, p)) = best {
-                    in_used |= 1 << p;
-                    router.rr_out[q] = if idx + 1 == total { 0 } else { (idx + 1) as u32 };
-                    // Burst streaming: an uncontended port granting a
-                    // packet-body flit is a wormhole stream in flight — the
-                    // continuation of a multi-flit block transfer that
-                    // needed no arbitration this cycle.
-                    if contenders == 1
-                        && !router.front_flit(idx).expect("requester has a flit").is_head()
-                    {
-                        obs.burst_flits += 1;
-                    }
-                    move_buf.push(Move {
-                        router: r as u32,
-                        in_port: p as u8,
-                        in_vc: (idx - p * nvcs) as u8,
-                        out_port: q as u8,
-                        out_vc: router.route_vc[idx],
-                    });
-                }
-            }
-        }
-        // Sleep decision. No grant anywhere implies every routed slot is
-        // credit-blocked (a port with a creditable requester always grants
-        // someone, and local routes never need credits), and with every
-        // waiting head memo-stalled away from its destination, re-running
-        // this pass is a state no-op until an external event arrives. A
-        // head stalled at its destination router keeps the router awake:
-        // ejection admission must be re-asked as endpoint queues drain.
-        let stalled = !dst_head && self.move_buf.len() == moves_before;
-        self.sleep_ok[r] = stalled;
-        self.sleep_stalls[r] = if stalled { pass_stalls } else { 0 };
-    }
-
-    /// Full route-computation + VC-allocation attempt for the head at
-    /// `(r, idx)` — the non-memoized path.
-    #[allow(clippy::too_many_arguments)]
-    fn alloc_slot(
-        &mut self,
-        r: usize,
-        node: NodeId,
-        idx: usize,
-        h: MsgHandle,
-        cycle: u64,
-        routing: &dyn Routing,
-        ej: &mut dyn EjectControl,
-        obs: &mut ObsDeltas,
-    ) -> AllocOutcome {
-        let nvcs = self.vcs as usize;
-        let Some(pkt) = self.packets.get(h).copied() else {
-            debug_assert!(false, "flit in network without a registered packet");
-            return AllocOutcome::Granted;
-        };
-        self.cand_buf.clear();
-        let hint = cycle
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add((r as u64) << 8)
-            .wrapping_add(idx as u64);
-        routing.candidates(&self.topo, node, &pkt, hint, &mut self.cand_buf);
-        debug_assert!(
-            !self.cand_buf.is_empty(),
-            "routing function returned no candidates for {h:?} at {node}"
+        mdd_obs::counter_add(CounterId::ShardMailboxFlits, mailbox_effects);
+        mdd_obs::counter_add(
+            CounterId::ShardBarrierWaits,
+            (nshards as u64).saturating_sub(1),
         );
-        let mut granted = false;
-        for ci in 0..self.cand_buf.len() {
-            let c = self.cand_buf[ci];
-            if let Some(local) = self.topo.port_local_index(c.port) {
-                debug_assert_eq!(
-                    node, pkt.dst_router,
-                    "local candidate away from destination router"
-                );
-                let nic = self.topo.nic_at(node, local);
-                if ej.can_accept(nic, h, cycle) {
-                    let router = mat_mut(&mut self.routers, r);
-                    router.route_port[idx] = c.port.0;
-                    router.route_vc[idx] = 0;
-                    granted = true;
-                    break;
-                }
-            } else {
-                let out_slot = c.port.index() * nvcs + c.vc as usize;
-                let router = mat_mut(&mut self.routers, r);
-                if router.out_free(out_slot) {
-                    router.own_out(out_slot, h);
-                    router.route_port[idx] = c.port.0;
-                    router.route_vc[idx] = c.vc;
-                    granted = true;
-                    break;
-                }
-            }
-        }
-        if granted {
-            obs.allocs += 1;
-            AllocOutcome::Granted
-        } else {
-            obs.stalls += 1;
-            if pkt.dst_router != node {
-                // All candidates are output VCs of this router and all are
-                // owner-busy; memoize until one is released. Destination
-                // heads are exempt: their stall is an ejection refusal,
-                // and `can_accept` both has side effects and depends on
-                // NIC state this router cannot version.
-                let router = mat_mut(&mut self.routers, r);
-                router.stall_epoch[idx] = router.alloc_epoch;
-                AllocOutcome::StalledTransit
-            } else {
-                AllocOutcome::StalledAtDst
-            }
-        }
-    }
-
-    /// Phase 3: apply granted moves (link traversal), table-driven.
-    ///
-    /// Also re-derives the blocked-timer marks the fused pre-marking could
-    /// not know yet: a popped slot restarts (still occupied) or clears
-    /// (emptied) its timer, and a flit arriving at a router covered by
-    /// this cycle's worklist starts one — exactly the state the phased
-    /// pipeline's trailing sweep would have left.
-    fn apply_moves(&mut self, cycle: u64, ej: &mut dyn EjectControl) {
-        mdd_obs::counter_add(CounterId::FlitsRouted, self.move_buf.len() as u64);
-        let nvcs = self.vcs as usize;
-        let ports = self.links.ports;
-        // Disjoint field borrows so the per-move work indexes each array
-        // directly instead of re-deriving `&mut self.routers[..]` per
-        // access; `wake` is inlined as the bit-set it is.
-        let Network {
-            routers,
-            packets,
-            counters,
-            move_buf,
-            links,
-            net_port,
-            active_bits,
-            active_summary,
-            cur_mask,
-            router_flits,
-            buf_depth,
-            free_pool,
-            materialized,
-            pristine,
-            ..
-        } = self;
-        let _ = buf_depth; // release-build: only the debug assert reads it
-        for mv in move_buf.iter() {
-            let Move {
-                router: r,
-                in_port,
-                in_vc,
-                out_port,
-                out_vc,
-            } = *mv;
-            let r = r as usize;
-            let in_slot = in_port as usize * nvcs + in_vc as usize;
-            let router = mat_mut(routers, r);
-            let flit = router.pop_flit(in_slot);
-            router.blocked[in_slot] = if router.len[in_slot] > 0 {
-                cycle
-            } else {
-                NOT_BLOCKED
-            };
-            if flit.is_tail {
-                router.route_port[in_slot] = NO_ROUTE;
-            }
-            router_flits[r] -= 1;
-            // Return a credit upstream (network inputs only; NICs poll
-            // injection space directly). The credit is an event for the
-            // upstream router: wake it so it can use the freed slot. The
-            // upstream router sent this flit, so it is materialized.
-            let up = links.nbr[r * ports + in_port as usize];
-            if up != u32::MAX {
-                let up = up as usize;
-                let up_slot = links.opp[in_port as usize] as usize * nvcs + in_vc as usize;
-                let up_router = mat_mut(routers, up);
-                up_router.out_credits[up_slot] += 1;
-                debug_assert!(up_router.out_credits[up_slot] <= *buf_depth);
-                active_bits[up >> 6] |= 1 << (up & 63);
-                active_summary[up >> 12] |= 1 << ((up >> 6) & 63);
-            }
-            if net_port[out_port as usize] {
-                let out_slot = out_port as usize * nvcs + out_vc as usize;
-                let router = mat_mut(routers, r);
-                router.vc_busy[out_slot] += 1;
-                debug_assert!(router.out_credits[out_slot] > 0);
-                router.out_credits[out_slot] -= 1;
-                if flit.is_tail {
-                    router.release_out(out_slot);
-                }
-                let dl = links.dateline[r * ports + out_port as usize];
-                if dl != 0 && flit.is_head() {
-                    match packets.get_mut(flit.msg) {
-                        Some(st) => st.crossed_dateline |= dl,
-                        None => debug_assert!(false, "dateline hop by unregistered packet"),
-                    }
-                }
-                let down = links.nbr[r * ports + out_port as usize] as usize;
-                debug_assert!(down != u32::MAX as usize, "allocated output implies the link exists");
-                let down_slot = links.opp[out_port as usize] as usize * nvcs + out_vc as usize;
-                // Flit arrival: the second (and only other) router
-                // materialization point.
-                let down_router =
-                    materialize(&mut routers[down], free_pool, materialized, pristine);
-                down_router.push_flit(down_slot, flit);
-                // Arrival mark: the trailing sweep of the phased pipeline
-                // would see this flit (post-move occupancy) at any router
-                // it covers this cycle.
-                if cur_mask[down >> 6] >> (down & 63) & 1 == 1
-                    && down_router.blocked[down_slot] == NOT_BLOCKED
-                {
-                    down_router.blocked[down_slot] = cycle;
-                }
-                router_flits[down] += 1;
-                active_bits[down >> 6] |= 1 << (down & 63);
-                active_summary[down >> 12] |= 1 << ((down >> 6) & 63);
-            } else {
-                let nic = NicId(links.nic[r * ports + out_port as usize]);
-                debug_assert!(nic.0 != u32::MAX, "output is network or local");
-                if flit.is_tail {
-                    let st = packets
-                        .remove(flit.msg)
-                        .expect("delivered packet must be registered");
-                    counters.packets_delivered += 1;
-                    ej.deliver_packet(nic, st.msg, st.injected_at, cycle);
-                } else {
-                    ej.deliver_flit(nic, flit.msg, cycle);
-                }
-                counters.flits_delivered += 1;
-            }
-            counters.flits_moved += 1;
-        }
-        self.move_buf.clear();
     }
 
     /// Debug-only: every router the activity scheduler is about to skip
@@ -1358,19 +1073,10 @@ impl Network {
 
     /// Drop every in-flight packet and clear all buffers (used when
     /// resetting between measurement runs; not part of the modelled
-    /// hardware).
+    /// hardware). Router chunks are freed; later flits materialize fresh
+    /// clones of the pristine template.
     pub fn hard_reset(&mut self) {
-        // Return every materialized chunk to the free pool (reset happens
-        // on the way back out, in [`materialize`]): the next measurement
-        // window re-materializes from the pool without allocating.
-        let Network {
-            routers, free_pool, ..
-        } = self;
-        for slot in routers.iter_mut() {
-            if let Some(chunk) = slot.take() {
-                free_pool.push(chunk);
-            }
-        }
+        self.routers.iter_mut().for_each(|slot| *slot = None);
         self.materialized = 0;
         self.packets = PacketTable::new();
         self.active_bits.iter_mut().for_each(|w| *w = 0);
@@ -1379,11 +1085,30 @@ impl Network {
         self.cur_words.clear();
         self.worklist.clear();
         self.router_flits.iter_mut().for_each(|c| *c = 0);
-        self.sleep_ok.iter_mut().for_each(|b| *b = false);
-        self.last_pass.iter_mut().for_each(|c| *c = 0);
-        self.sleep_stalls.iter_mut().for_each(|c| *c = 0);
-        self.sw_req_head = [u16::MAX; 64];
+        self.sleep.fill(Sleep::default());
     }
+}
+
+/// One router's sleep bookkeeping, kept together because every fused
+/// pass reads and writes all of it.
+#[derive(Clone, Copy, Default, Debug)]
+struct Sleep {
+    /// True when the router's latest fused pass proved it fully stalled —
+    /// no grant emitted, no route allocated, and every waiting head
+    /// memo-stalled away from its destination router. Such a router is
+    /// frozen (nothing it can do changes its own state), so instead of
+    /// re-arming it sleeps until an external event wakes it. Destination
+    /// heads disqualify: their stall is an ejection refusal that must be
+    /// re-asked every cycle (endpoint queues drain without waking us).
+    ok: bool,
+    /// Number of memo-stalled waiting heads when it went to sleep — the
+    /// per-cycle `vc_stalls` contribution its frozen state would re-count
+    /// every slept cycle.
+    stalls: u32,
+    /// Cycle of its last executed fused pass, paired with `stalls` to
+    /// reconstruct the allocation-stall count a permanently-rearming
+    /// scheduler would have accumulated across the slept gap.
+    last_pass: u64,
 }
 
 /// Per-cycle observability deltas, published in one batch.
@@ -1392,6 +1117,17 @@ struct ObsDeltas {
     allocs: u64,
     stalls: u64,
     burst_flits: u64,
+    /// Moves granted (the `flits_routed` counter).
+    routed: u64,
+}
+
+impl ObsDeltas {
+    fn merge(&mut self, o: ObsDeltas) {
+        self.allocs += o.allocs;
+        self.stalls += o.stalls;
+        self.burst_flits += o.burst_flits;
+        self.routed += o.routed;
+    }
 }
 
 /// Partition of the router index space into contiguous shard ranges for
@@ -1460,7 +1196,7 @@ impl ShardPlan {
 /// receives at most one credit and at most one arrival per cycle (one
 /// grant per output port, 1:1 link wiring), so in-cycle effects touch
 /// disjoint state and deferred application converges to the same
-/// physical representation the sequential interleaving produces; the
+/// physical representation a single shard produces; the
 /// fixed (src, dst) drain order makes the schedule deterministic
 /// independent of worker timing.
 #[derive(Clone, Copy, Debug)]
@@ -1475,7 +1211,7 @@ enum CrossEffect {
     },
     /// Flit arrival at a downstream router owned by another shard (plus
     /// the implied wake, arrival-side blocked mark and, if needed,
-    /// chunk materialization from the coordinator's pool).
+    /// chunk materialization).
     Arrival {
         /// Downstream router (global index).
         router: u32,
@@ -1489,10 +1225,10 @@ enum CrossEffect {
 /// Deferred [`PacketTable`] mutation recorded by a shard (the table is
 /// shared read-only during the parallel phase so every shard's
 /// allocation pass observes start-of-cycle routing state, exactly as
-/// the sequential schedule's all-passes-before-all-applies does).
+/// the phased reference's all-passes-before-all-applies does).
 /// Applied at the barrier in (shard, move) order — which, because
 /// shards are ascending contiguous ranges and each shard's move list is
-/// router-ascending, is the sequential traversal's own order.
+/// router-ascending, is a single shard's traversal order.
 #[derive(Clone, Copy, Debug)]
 enum PkEvent {
     /// A head flit crossed a dateline link: OR `mask` into the packet's
@@ -1502,14 +1238,12 @@ enum PkEvent {
     Delivered { msg: MsgHandle },
 }
 
-/// Per-shard reusable scratch plus the per-cycle outputs a shard hands
+/// Per-shard reusable scratch plus the per-cycle deltas a shard hands
 /// back to the coordinator at the barrier.
 #[derive(Debug)]
 struct ShardScratch {
     cand: Vec<RouteCandidate>,
     moves: Vec<Move>,
-    req_head: [u16; 64],
-    req_next: [u16; 128],
     /// Outgoing mailboxes, indexed by destination shard.
     mail: Vec<Vec<CrossEffect>>,
     /// Deferred packet-table events, in move order.
@@ -1518,27 +1252,43 @@ struct ShardScratch {
     counters: NetworkCounters,
     /// This cycle's observability delta.
     obs: ObsDeltas,
-    /// Moves granted this cycle (the `flits_routed` contribution).
-    moves_routed: u64,
     /// Router chunks materialized by intra-shard arrivals this cycle.
     materialized: u32,
+    /// Wake-set summary bits (global positions) this shard set this
+    /// cycle. A summary word spans up to 4096 routers and may straddle
+    /// shard bounds, so shards keep their own and the barrier ORs them in.
+    summary: Vec<u64>,
 }
 
-impl Default for ShardScratch {
-    fn default() -> Self {
+impl ShardScratch {
+    fn new(shards: usize, summary_words: usize) -> Self {
         ShardScratch {
             cand: Vec::with_capacity(64),
             moves: Vec::with_capacity(256),
-            req_head: [u16::MAX; 64],
-            req_next: [u16::MAX; 128],
-            mail: Vec::new(),
+            mail: (0..shards).map(|_| Vec::new()).collect(),
             pk: Vec::new(),
             counters: NetworkCounters::default(),
             obs: ObsDeltas::default(),
-            moves_routed: 0,
             materialized: 0,
+            summary: vec![0; summary_words],
         }
     }
+}
+
+/// Scratch of one shard's fused passes, on the stack of
+/// [`ShardTask::run`] so the hot loops see it as unaliased by router
+/// state: the switch-allocation request chains and the observability
+/// deltas.
+struct PassScratch {
+    /// Per-port request-chain heads (`u16::MAX` = empty) and per-slot
+    /// next links. An entry packs the requester's input port in its high
+    /// byte and slot index in the low byte. Chain heads are restored to
+    /// empty by the grant loop (every gathered port is processed exactly
+    /// once), and next links are always written before they are read
+    /// within a pass, so neither needs clearing between routers.
+    req_head: [u16; 64],
+    req_next: [u16; 128],
+    obs: ObsDeltas,
 }
 
 /// Read-only network state shared by every shard during the parallel
@@ -1557,6 +1307,13 @@ struct StepShared<'a> {
     plan: &'a ShardPlan,
 }
 
+/// Split the first `n` elements off `rest`, advancing it past them.
+fn split_off<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    head
+}
+
 /// One shard's mutable view of the network: disjoint slices of every
 /// per-router array (router indices offset by `lo`, wake words by
 /// `word_base`), its slice of the ascending worklist, its endpoint
@@ -1567,670 +1324,493 @@ struct ShardTask<'a, E> {
     word_base: usize,
     routers: &'a mut [Option<Box<Router>>],
     router_flits: &'a mut [u32],
-    sleep_ok: &'a mut [bool],
-    last_pass: &'a mut [u64],
-    sleep_stalls: &'a mut [u32],
+    sleep: &'a mut [Sleep],
     active_bits: &'a mut [u64],
     worklist: &'a [u32],
-    ej: &'a mut E,
-    sc: ShardScratch,
+    ej: E,
+    sc: &'a mut ShardScratch,
 }
 
-/// One shard's whole cycle: fused passes over its worklist slice, then
-/// application of its own moves ([`shard_apply_moves`]). Mirrors
-/// [`Network::step_inner`] restricted to the shard's router range.
-fn run_shard<E: EjectControl>(
-    mut t: ShardTask<'_, E>,
-    sh: &StepShared<'_>,
-    cycle: u64,
-    routing: &dyn Routing,
-) -> ShardScratch {
-    for wi in 0..t.worklist.len() {
-        let r = t.worklist[wi] as usize;
-        shard_router_pass(&mut t, sh, r, cycle, routing);
+impl<E: EjectControl> ShardTask<'_, E> {
+    /// One shard's whole cycle: a fused pass per woken router (phases 1,
+    /// 2 and the blocked-timer marking), then the traversal phase over
+    /// the shard's moves.
+    fn run(mut self, sh: &StepShared<'_>, cycle: u64, routing: &dyn Routing) {
+        let mut ps = PassScratch {
+            req_head: [u16::MAX; 64],
+            req_next: [u16::MAX; 128],
+            obs: ObsDeltas::default(),
+        };
+        for wi in 0..self.worklist.len() {
+            let r = self.worklist[wi] as usize;
+            self.router_pass(sh, r, cycle, routing, &mut ps);
+        }
+        self.apply_moves(sh, cycle, &mut ps.obs);
+        self.sc.obs = ps.obs;
     }
-    t.sc.moves_routed = t.sc.moves.len() as u64;
-    shard_apply_moves(&mut t, sh, cycle);
-    t.sc
-}
 
-/// The shard-local port of [`Network::fused_router_pass`]: identical
-/// decision logic over the shard's slices (`li = r - lo` addresses
-/// them; the rr hint and the emitted moves keep global coordinates, so
-/// every pseudo-random and round-robin decision matches the sequential
-/// pass bit for bit).
-fn shard_router_pass<E: EjectControl>(
-    t: &mut ShardTask<'_, E>,
-    sh: &StepShared<'_>,
-    r: usize,
-    cycle: u64,
-    routing: &dyn Routing,
-) {
-    let li = r - t.lo as usize;
-    let node = NodeId(r as u32);
-    let nvcs = sh.vcs as usize;
-    let gap = cycle.saturating_sub(t.last_pass[li]);
-    if gap > 1 {
-        t.sc.obs.stalls += (gap - 1) * t.sleep_stalls[li] as u64;
-    }
-    t.last_pass[li] = cycle;
-    let mut pass_stalls = 0u32;
-    let mut dst_head = false;
-    let moves_before = t.sc.moves.len();
-    let mut port_mask = 0u64;
-    let mut pend = [0u8; 128];
-    let mut npend = 0usize;
-    let total;
-    {
-        let router = mat_mut(t.routers, li);
-        router.sync_rr_alloc(cycle);
-        let nports = router.ports();
-        total = nports * nvcs;
-        debug_assert!(nports <= 64);
-        let start = router.rr_alloc as usize % total;
-        let occ = router.in_occ;
-        let low = occ & ((1u128 << start) - 1);
-        let mut high = occ ^ low;
-        let mut rest = low;
-        loop {
-            let idx = if high != 0 {
-                let i = high.trailing_zeros() as usize;
-                high &= high - 1;
-                i
-            } else if rest != 0 {
-                let i = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                i
-            } else {
-                break;
-            };
-            if router.blocked[idx] == NOT_BLOCKED {
-                router.blocked[idx] = cycle;
-            }
-            let q = router.route_port[idx];
-            if q != NO_ROUTE {
-                port_mask |= 1 << q;
-                t.sc.req_next[idx] = t.sc.req_head[q as usize];
-                t.sc.req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
-            } else if router.front_flit(idx).expect("occupied slot").is_head() {
-                if router.stall_epoch[idx] == router.alloc_epoch {
-                    t.sc.obs.stalls += 1;
-                    pass_stalls += 1;
+    /// One router's fused pass: a single rotated walk over its occupancy
+    /// bitmask performs route computation / VC allocation for waiting
+    /// heads, blocked-timer pre-marking, and switch-request gathering;
+    /// per-port round-robin grants follow. Slices are addressed by
+    /// `li = r - lo`; the rr hint and the emitted moves keep global
+    /// coordinates, so no decision depends on the shard layout.
+    ///
+    /// ### Ordering contract (why this equals the phased pipeline)
+    ///
+    /// * Allocation mutations are router-local (this router's routes and
+    ///   output-VC owners) except [`EjectControl::can_accept`], whose call
+    ///   sequence is router-ascending, rotated-slot order — identical to
+    ///   the phased allocation sweep.
+    /// * Grants select the *minimum round-robin rank* among a port's
+    ///   eligible requesters; the rank depends only on the requester's
+    ///   slot index and the port's `rr_out` pointer, so the gather order
+    ///   (rotated here, ascending in the phased reference) is immaterial.
+    /// * Credits are only mutated by the traversal phase, which runs after
+    ///   every router's fused pass — all grant decisions see
+    ///   start-of-cycle credits. Cross-shard credits land at the barrier,
+    ///   after every shard's pass.
+    /// * Moves are emitted per router in ascending-output-port order, so
+    ///   the global move list (shards are ascending ranges) matches the
+    ///   phased switch sweep exactly.
+    fn router_pass(
+        &mut self,
+        sh: &StepShared<'_>,
+        r: usize,
+        cycle: u64,
+        routing: &dyn Routing,
+        ps: &mut PassScratch,
+    ) {
+        let li = r - self.lo as usize;
+        let nvcs = sh.vcs as usize;
+        // Stall-counter compensation for a slept gap: a scheduler that
+        // re-armed this fully-stalled router every cycle would have
+        // re-counted each memo-stalled head once per cycle. The router's
+        // state was frozen while it slept (sleeping implies no external
+        // event touched it), so the count per skipped cycle is exactly
+        // what it was at sleep time.
+        let gap = cycle.saturating_sub(self.sleep[li].last_pass);
+        if gap > 1 {
+            ps.obs.stalls += (gap - 1) * self.sleep[li].stalls as u64;
+        }
+        self.sleep[li].last_pass = cycle;
+        let mut pass_stalls = 0u32;
+        let mut dst_head = false;
+        let moves_before = self.sc.moves.len();
+        // Per-port singly linked request chains (see
+        // [`PassScratch::req_head`]; both `< 128`, so `u16::MAX` stays a
+        // safe sentinel).
+        let mut port_mask = 0u64;
+        // Waiting heads that need a full allocation attempt, in scan order.
+        let mut pend = [0u8; 128];
+        let mut npend = 0usize;
+        let total;
+        {
+            // Scan under a single router borrow: the occupancy walk touches
+            // several parallel arrays per slot, and hoisting the borrow
+            // keeps their base pointers live across the whole walk.
+            let PassScratch {
+                req_head,
+                req_next,
+                obs,
+            } = ps;
+            let router = mat_mut(self.routers, li);
+            router.sync_rr_alloc(cycle);
+            let nports = router.ports();
+            total = nports * nvcs;
+            debug_assert!(nports <= 64);
+            let start = router.rr_alloc as usize % total;
+            // Visit occupied slots in the dense scan's rotated order
+            // (`start..total` then `0..start`, ascending within each half).
+            // Slots the dense scan would have acted on all hold a flit, so
+            // restricting to the occupancy mask is exact.
+            let occ = router.in_occ;
+            let low = occ & ((1u128 << start) - 1);
+            let mut high = occ ^ low;
+            let mut rest = low;
+            loop {
+                let idx = if high != 0 {
+                    let i = high.trailing_zeros() as usize;
+                    high &= high - 1;
+                    i
+                } else if rest != 0 {
+                    let i = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i
                 } else {
-                    pend[npend] = idx as u8;
-                    npend += 1;
+                    break;
+                };
+                // Blocked-timer pre-mark (fused phase 4): every occupied
+                // slot not already blocked starts its timer this cycle; the
+                // traversal phase re-derives the mark for slots that move.
+                if router.blocked[idx] == NOT_BLOCKED {
+                    router.blocked[idx] = cycle;
+                }
+                // Phase 2 (gather): a routed slot with a buffered flit
+                // stands as a switch requester for its output port.
+                let q = router.route_port[idx];
+                if q != NO_ROUTE {
+                    port_mask |= 1 << q;
+                    req_next[idx] = req_head[q as usize];
+                    req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
+                } else if router.front_flit(idx).expect("occupied slot").is_head() {
+                    // Phase 1: route computation & VC allocation.
+                    if router.stall_epoch[idx] == router.alloc_epoch {
+                        // Memoized stall: no output VC on this router has
+                        // been released since the last full attempt, and
+                        // the candidate set of a waiting packet is fixed,
+                        // so every candidate is still owner-busy.
+                        obs.stalls += 1;
+                        pass_stalls += 1;
+                    } else {
+                        pend[npend] = idx as u8;
+                        npend += 1;
+                    }
+                }
+            }
+            router.rr_alloc = router.rr_alloc.wrapping_add(1);
+            router.rr_cycle = cycle + 1;
+        }
+        // Phase 1, deferred: full allocation attempts for the (rare)
+        // non-memoized waiting heads. Deferral is exact: allocation only
+        // mutates output-VC ownership, ejection earmarks, and the
+        // attempting slot's own route — none of which the scan above reads
+        // for *other* slots — and processing `pend` in scan order preserves
+        // both the intra-router claim order (an earlier head can take an
+        // output VC a later head wanted) and the `can_accept` call
+        // sequence of the dense reference.
+        for &slot in &pend[..npend] {
+            let idx = slot as usize;
+            let h = mat(self.routers, li)
+                .front_flit(idx)
+                .expect("occupied slot")
+                .msg;
+            match self.alloc_slot(sh, r, idx, h, cycle, routing) {
+                AllocOutcome::Granted => {
+                    ps.obs.allocs += 1;
+                    // A freshly routed head is a switch requester this
+                    // same cycle. Chain position is immaterial: grants
+                    // minimize rank over the set.
+                    let q = mat(self.routers, li).route_port[idx];
+                    debug_assert_ne!(q, NO_ROUTE);
+                    port_mask |= 1 << q;
+                    ps.req_next[idx] = ps.req_head[q as usize];
+                    ps.req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
+                }
+                AllocOutcome::StalledTransit => {
+                    ps.obs.stalls += 1;
+                    pass_stalls += 1;
+                }
+                AllocOutcome::StalledAtDst => {
+                    ps.obs.stalls += 1;
+                    pass_stalls += 1;
+                    dst_head = true;
                 }
             }
         }
-        router.rr_alloc = router.rr_alloc.wrapping_add(1);
-        router.rr_cycle = cycle + 1;
-    }
-    for &slot in &pend[..npend] {
-        let idx = slot as usize;
-        let h = mat(t.routers, li)
-            .front_flit(idx)
-            .expect("occupied slot")
-            .msg;
-        match shard_alloc_slot(t, sh, r, node, idx, h, cycle, routing) {
-            AllocOutcome::Granted => {
-                let q = mat(t.routers, li).route_port[idx];
-                debug_assert_ne!(q, NO_ROUTE);
-                port_mask |= 1 << q;
-                t.sc.req_next[idx] = t.sc.req_head[q as usize];
-                t.sc.req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
-            }
-            AllocOutcome::StalledTransit => pass_stalls += 1,
-            AllocOutcome::StalledAtDst => {
-                pass_stalls += 1;
-                dst_head = true;
-            }
-        }
-    }
-    {
-        let router = mat_mut(t.routers, li);
-        let mut in_used = 0u64;
-        while port_mask != 0 {
-            let q = port_mask.trailing_zeros() as usize;
-            port_mask &= port_mask - 1;
-            let rr = router.rr_out[q] as usize % total;
-            let is_net = sh.net_port[q];
-            let mut best: Option<(usize, usize, usize)> = None;
-            let mut contenders = 0u32;
-            let mut cur = t.sc.req_head[q];
-            t.sc.req_head[q] = u16::MAX;
-            while cur != u16::MAX {
-                let idx = (cur & 0xff) as usize;
-                let p = (cur >> 8) as usize;
-                cur = t.sc.req_next[idx];
-                if in_used & (1 << p) != 0 {
-                    continue;
+        // Phase 2 (grant): each requested output port (ascending) grants
+        // the eligible requester closest after its round-robin pointer.
+        {
+            let PassScratch {
+                req_head,
+                req_next,
+                obs,
+            } = ps;
+            let moves = &mut self.sc.moves;
+            let router = mat_mut(self.routers, li);
+            let mut in_used = 0u64; // input ports granted this cycle
+            while port_mask != 0 {
+                let q = port_mask.trailing_zeros() as usize;
+                port_mask &= port_mask - 1;
+                let rr = router.rr_out[q] as usize % total;
+                let is_net = sh.net_port[q];
+                let mut best: Option<(usize, usize, usize)> = None;
+                let mut contenders = 0u32;
+                let mut cur = req_head[q];
+                req_head[q] = u16::MAX; // restore the empty-chain invariant
+                while cur != u16::MAX {
+                    let idx = (cur & 0xff) as usize;
+                    let p = (cur >> 8) as usize;
+                    cur = req_next[idx];
+                    if in_used & (1 << p) != 0 {
+                        continue;
+                    }
+                    // Network outputs need a credit; local outputs were
+                    // reserved at acceptance time.
+                    if is_net
+                        && router.out_credits[q * nvcs + router.route_vc[idx] as usize] == 0
+                    {
+                        continue;
+                    }
+                    contenders += 1;
+                    let mut rank = idx + total - rr;
+                    if rank >= total {
+                        rank -= total;
+                    }
+                    if best.is_none_or(|(b, _, _)| rank < b) {
+                        best = Some((rank, idx, p));
+                    }
                 }
-                if is_net
-                    && router.out_credits[q * nvcs + router.route_vc[idx] as usize] == 0
-                {
-                    continue;
+                if let Some((_, idx, p)) = best {
+                    in_used |= 1 << p;
+                    router.rr_out[q] = if idx + 1 == total { 0 } else { (idx + 1) as u32 };
+                    // Burst streaming: an uncontended port granting a
+                    // packet-body flit is a wormhole stream in flight — the
+                    // continuation of a multi-flit block transfer that
+                    // needed no arbitration this cycle.
+                    if contenders == 1
+                        && !router.front_flit(idx).expect("requester has a flit").is_head()
+                    {
+                        obs.burst_flits += 1;
+                    }
+                    moves.push(Move {
+                        router: r as u32,
+                        in_port: p as u8,
+                        in_vc: (idx - p * nvcs) as u8,
+                        out_port: q as u8,
+                        out_vc: router.route_vc[idx],
+                    });
                 }
-                contenders += 1;
-                let mut rank = idx + total - rr;
-                if rank >= total {
-                    rank -= total;
-                }
-                if best.is_none_or(|(b, _, _)| rank < b) {
-                    best = Some((rank, idx, p));
-                }
-            }
-            if let Some((_, idx, p)) = best {
-                in_used |= 1 << p;
-                router.rr_out[q] = if idx + 1 == total { 0 } else { (idx + 1) as u32 };
-                if contenders == 1
-                    && !router.front_flit(idx).expect("requester has a flit").is_head()
-                {
-                    t.sc.obs.burst_flits += 1;
-                }
-                t.sc.moves.push(Move {
-                    router: r as u32,
-                    in_port: p as u8,
-                    in_vc: (idx - p * nvcs) as u8,
-                    out_port: q as u8,
-                    out_vc: router.route_vc[idx],
-                });
             }
         }
+        // Sleep decision. No grant anywhere implies every routed slot is
+        // credit-blocked (a port with a creditable requester always grants
+        // someone, and local routes never need credits), and with every
+        // waiting head memo-stalled away from its destination, re-running
+        // this pass is a state no-op until an external event arrives. A
+        // head stalled at its destination router keeps the router awake:
+        // ejection admission must be re-asked as endpoint queues drain.
+        let stalled = !dst_head && self.sc.moves.len() == moves_before;
+        self.sleep[li].ok = stalled;
+        self.sleep[li].stalls = if stalled { pass_stalls } else { 0 };
     }
-    let stalled = !dst_head && t.sc.moves.len() == moves_before;
-    t.sleep_ok[li] = stalled;
-    t.sleep_stalls[li] = if stalled { pass_stalls } else { 0 };
-}
 
-/// The shard-local port of [`Network::alloc_slot`]. Reads the shared
-/// start-of-cycle packet table; all mutations stay within the shard's
-/// router slice (a head's candidates are output VCs of the router it
-/// waits at).
-#[allow(clippy::too_many_arguments)]
-fn shard_alloc_slot<E: EjectControl>(
-    t: &mut ShardTask<'_, E>,
-    sh: &StepShared<'_>,
-    r: usize,
-    node: NodeId,
-    idx: usize,
-    h: MsgHandle,
-    cycle: u64,
-    routing: &dyn Routing,
-) -> AllocOutcome {
-    let li = r - t.lo as usize;
-    let nvcs = sh.vcs as usize;
-    let Some(pkt) = sh.packets.get(h).copied() else {
-        debug_assert!(false, "flit in network without a registered packet");
-        return AllocOutcome::Granted;
-    };
-    t.sc.cand.clear();
-    let hint = cycle
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add((r as u64) << 8)
-        .wrapping_add(idx as u64);
-    routing.candidates(sh.topo, node, &pkt, hint, &mut t.sc.cand);
-    debug_assert!(
-        !t.sc.cand.is_empty(),
-        "routing function returned no candidates for {h:?} at {node}"
-    );
-    let mut granted = false;
-    for ci in 0..t.sc.cand.len() {
-        let c = t.sc.cand[ci];
-        if let Some(local) = sh.topo.port_local_index(c.port) {
-            debug_assert_eq!(
-                node, pkt.dst_router,
-                "local candidate away from destination router"
-            );
-            let nic = sh.topo.nic_at(node, local);
-            if t.ej.can_accept(nic, h, cycle) {
-                let router = mat_mut(t.routers, li);
-                router.route_port[idx] = c.port.0;
-                router.route_vc[idx] = 0;
-                granted = true;
-                break;
-            }
-        } else {
-            let out_slot = c.port.index() * nvcs + c.vc as usize;
-            let router = mat_mut(t.routers, li);
-            if router.out_free(out_slot) {
-                router.own_out(out_slot, h);
-                router.route_port[idx] = c.port.0;
-                router.route_vc[idx] = c.vc;
-                granted = true;
-                break;
+    /// Full route-computation + VC-allocation attempt for the head `h` at
+    /// `(r, idx)` — the non-memoized path. Reads the shared
+    /// start-of-cycle packet table; every mutation stays on router `r`
+    /// (a head's candidates are output VCs of the router it waits at).
+    fn alloc_slot(
+        &mut self,
+        sh: &StepShared<'_>,
+        r: usize,
+        idx: usize,
+        h: MsgHandle,
+        cycle: u64,
+        routing: &dyn Routing,
+    ) -> AllocOutcome {
+        let li = r - self.lo as usize;
+        let node = NodeId(r as u32);
+        let nvcs = sh.vcs as usize;
+        let Some(pkt) = sh.packets.get(h).copied() else {
+            debug_assert!(false, "flit in network without a registered packet");
+            return AllocOutcome::Granted;
+        };
+        self.sc.cand.clear();
+        let hint = cycle
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add((r as u64) << 8)
+            .wrapping_add(idx as u64);
+        routing.candidates(sh.topo, node, &pkt, hint, &mut self.sc.cand);
+        debug_assert!(
+            !self.sc.cand.is_empty(),
+            "routing function returned no candidates for {h:?} at {node}"
+        );
+        let mut granted = false;
+        for ci in 0..self.sc.cand.len() {
+            let c = self.sc.cand[ci];
+            if let Some(local) = sh.topo.port_local_index(c.port) {
+                debug_assert_eq!(
+                    node, pkt.dst_router,
+                    "local candidate away from destination router"
+                );
+                let nic = sh.topo.nic_at(node, local);
+                if self.ej.can_accept(nic, h, cycle) {
+                    let router = mat_mut(self.routers, li);
+                    router.route_port[idx] = c.port.0;
+                    router.route_vc[idx] = 0;
+                    granted = true;
+                    break;
+                }
+            } else {
+                let out_slot = c.port.index() * nvcs + c.vc as usize;
+                let router = mat_mut(self.routers, li);
+                if router.out_free(out_slot) {
+                    router.own_out(out_slot, h);
+                    router.route_port[idx] = c.port.0;
+                    router.route_vc[idx] = c.vc;
+                    granted = true;
+                    break;
+                }
             }
         }
-    }
-    if granted {
-        t.sc.obs.allocs += 1;
-        AllocOutcome::Granted
-    } else {
-        t.sc.obs.stalls += 1;
-        if pkt.dst_router != node {
-            let router = mat_mut(t.routers, li);
+        if granted {
+            AllocOutcome::Granted
+        } else if pkt.dst_router != node {
+            // All candidates are output VCs of this router and all are
+            // owner-busy; memoize until one is released. Destination heads
+            // are exempt: their stall is an ejection refusal, and
+            // `can_accept` both has side effects and depends on NIC state
+            // this router cannot version.
+            let router = mat_mut(self.routers, li);
             router.stall_epoch[idx] = router.alloc_epoch;
             AllocOutcome::StalledTransit
         } else {
             AllocOutcome::StalledAtDst
         }
     }
-}
 
-/// The shard-local port of [`Network::apply_moves`]: in-range effects
-/// apply directly (identical to the sequential traversal phase);
-/// out-of-range credit returns and flit arrivals go to the destination
-/// shard's mailbox, and packet-table mutations are recorded as
-/// [`PkEvent`]s — both applied by the coordinator at the barrier.
-fn shard_apply_moves<E: EjectControl>(
-    t: &mut ShardTask<'_, E>,
-    sh: &StepShared<'_>,
-    cycle: u64,
-) {
-    let nvcs = sh.vcs as usize;
-    let ports = sh.links.ports;
-    let lo = t.lo as usize;
-    let hi = t.hi as usize;
-    for mi in 0..t.sc.moves.len() {
-        let Move {
-            router: r,
-            in_port,
-            in_vc,
-            out_port,
-            out_vc,
-        } = t.sc.moves[mi];
-        let r = r as usize;
-        let li = r - lo;
-        let in_slot = in_port as usize * nvcs + in_vc as usize;
-        let router = mat_mut(t.routers, li);
-        let flit = router.pop_flit(in_slot);
-        router.blocked[in_slot] = if router.len[in_slot] > 0 {
-            cycle
-        } else {
-            NOT_BLOCKED
-        };
-        if flit.is_tail {
-            router.route_port[in_slot] = NO_ROUTE;
-        }
-        t.router_flits[li] -= 1;
-        let up = sh.links.nbr[r * ports + in_port as usize];
-        if up != u32::MAX {
-            let upu = up as usize;
-            let up_slot = sh.links.opp[in_port as usize] as usize * nvcs + in_vc as usize;
-            if (lo..hi).contains(&upu) {
-                let up_router = mat_mut(t.routers, upu - lo);
-                up_router.out_credits[up_slot] += 1;
-                debug_assert!(up_router.out_credits[up_slot] <= sh.buf_depth);
-                t.active_bits[(upu >> 6) - t.word_base] |= 1 << (upu & 63);
-            } else {
-                t.sc.mail[sh.plan.shard_of(up)].push(CrossEffect::Credit {
-                    router: up,
-                    slot: up_slot as u16,
-                });
-            }
-        }
-        if sh.net_port[out_port as usize] {
-            let out_slot = out_port as usize * nvcs + out_vc as usize;
-            let router = mat_mut(t.routers, li);
-            router.vc_busy[out_slot] += 1;
-            debug_assert!(router.out_credits[out_slot] > 0);
-            router.out_credits[out_slot] -= 1;
-            if flit.is_tail {
-                router.release_out(out_slot);
-            }
-            let dl = sh.links.dateline[r * ports + out_port as usize];
-            if dl != 0 && flit.is_head() {
-                t.sc.pk.push(PkEvent::Dateline {
-                    msg: flit.msg,
-                    mask: dl,
-                });
-            }
-            let down = sh.links.nbr[r * ports + out_port as usize] as usize;
-            debug_assert!(
-                down != u32::MAX as usize,
-                "allocated output implies the link exists"
-            );
-            let down_slot = sh.links.opp[out_port as usize] as usize * nvcs + out_vc as usize;
-            if (lo..hi).contains(&down) {
-                // Intra-shard arrival: materialize by cloning the
-                // pristine template. The recycle pool stays with the
-                // coordinator — a fresh clone is state-identical to a
-                // reset pool chunk, so only the allocation cost differs
-                // (a deliberate concession; the frontier itself matches
-                // the sequential schedule exactly).
-                let slot = &mut t.routers[down - lo];
-                if slot.is_none() {
-                    t.sc.materialized += 1;
-                    *slot = Some(Box::new(sh.pristine.clone()));
-                }
-                let down_router = slot.as_deref_mut().expect("just materialized");
-                down_router.push_flit(down_slot, flit);
-                if sh.cur_mask[down >> 6] >> (down & 63) & 1 == 1
-                    && down_router.blocked[down_slot] == NOT_BLOCKED
-                {
-                    down_router.blocked[down_slot] = cycle;
-                }
-                t.router_flits[down - lo] += 1;
-                t.active_bits[(down >> 6) - t.word_base] |= 1 << (down & 63);
-            } else {
-                t.sc.mail[sh.plan.shard_of(down as u32)].push(CrossEffect::Arrival {
-                    router: down as u32,
-                    slot: down_slot as u16,
-                    flit,
-                });
-            }
-        } else {
-            let nic = NicId(sh.links.nic[r * ports + out_port as usize]);
-            debug_assert!(nic.0 != u32::MAX, "output is network or local");
-            if flit.is_tail {
-                let st = sh
-                    .packets
-                    .get(flit.msg)
-                    .expect("delivered packet must be registered");
-                t.sc.counters.packets_delivered += 1;
-                t.ej.deliver_packet(nic, st.msg, st.injected_at, cycle);
-                t.sc.pk.push(PkEvent::Delivered { msg: flit.msg });
-            } else {
-                t.ej.deliver_flit(nic, flit.msg, cycle);
-            }
-            t.sc.counters.flits_delivered += 1;
-        }
-        t.sc.counters.flits_moved += 1;
-    }
-    t.sc.moves.clear();
-}
-
-impl Network {
-    /// Advance the network one cycle with the per-cycle work partitioned
-    /// across `plan.shards()` scoped worker threads — bit-identical to
-    /// [`Network::step`] at any shard count.
+    /// Phase 3: apply the shard's granted moves (link traversal),
+    /// table-driven. Effects inside the shard's router range apply
+    /// directly; credit returns and flit arrivals for another shard's
+    /// routers go to that shard's mailbox, and packet-table mutations are
+    /// recorded as [`PkEvent`]s — both applied at the barrier.
     ///
-    /// Each shard runs the fused pass over its slice of the worklist,
-    /// then applies its own moves; effects landing in another shard's
-    /// router range (credit returns, flit arrivals, wakes) are buffered
-    /// into per-(src, dst) mailboxes and drained at the cycle barrier in
-    /// fixed (src, dst) order, and packet-table mutations are deferred
-    /// the same way. `ejs[s]` is shard `s`'s endpoint controller;
-    /// ejection for a router always lands in its owning shard's
-    /// controller, so controllers never race. In debug builds the cycle
-    /// is validated against the phased reference pipeline exactly like
-    /// the sequential step, with the per-shard endpoint logs merged in
-    /// the sequential schedule's order.
-    pub fn step_sharded<E: EjectControl + Send>(
-        &mut self,
-        cycle: u64,
-        routing: &(dyn Routing + Sync),
-        plan: &ShardPlan,
-        ejs: &mut [E],
-    ) {
-        assert_eq!(ejs.len(), plan.shards(), "one endpoint controller per shard");
-        assert_eq!(
-            plan.num_routers() as usize,
-            self.routers.len(),
-            "shard plan covers a different network"
-        );
-        self.drain_wake_set();
-        mdd_obs::counter_add(
-            CounterId::RouterTicksSkipped,
-            (self.routers.len() - self.worklist.len()) as u64,
-        );
-        mdd_obs::counter_add(CounterId::FusedPassRouters, self.worklist.len() as u64);
-        #[cfg(not(debug_assertions))]
-        self.run_shards(cycle, routing, plan, ejs);
-        #[cfg(debug_assertions)]
-        {
-            self.skipped_router_check(cycle);
-            let mut scratch = std::mem::take(&mut self.shadow);
-            scratch.snapshot(self);
-            let mut recs: Vec<shadow::ShardRecordEj<&mut E>> =
-                ejs.iter_mut().map(shadow::ShardRecordEj::new).collect();
-            self.run_shards(cycle, routing, plan, &mut recs);
-            // Merge the per-shard endpoint logs into the sequential
-            // schedule's order: every shard's allocation pass precedes
-            // every shard's traversal in the reference, and shards are
-            // ascending contiguous router ranges — so all accepts in
-            // shard order, then all deliveries in shard order, is
-            // exactly the reference's call sequence.
-            scratch.ej_log.clear();
-            for rec in &recs {
-                scratch.ej_log.extend_from_slice(&rec.accepts);
-            }
-            for rec in &recs {
-                scratch.ej_log.extend_from_slice(&rec.delivers);
-            }
-            scratch.run_reference_and_compare(self, cycle, routing);
-            self.shadow = scratch;
-        }
-        // Re-arm, identical to the sequential step.
-        for wi in 0..self.worklist.len() {
-            let r = self.worklist[wi] as usize;
-            if self.router_busy(r) && !self.sleep_ok[r] {
-                self.wake(r);
-            }
-        }
-        // Shard passes set their own `active_bits` words directly without
-        // touching the shared summary level (a summary word spans up to
-        // 4096 routers and may straddle shard bounds). Rebuild it from
-        // the words — exact, because in both schedules a summary bit is
-        // set iff one of its covered words is nonzero.
-        for sw in &mut self.active_summary {
-            *sw = 0;
-        }
-        for (wi, &w) in self.active_bits.iter().enumerate() {
-            if w != 0 {
-                self.active_summary[wi >> 6] |= 1 << (wi & 63);
-            }
-        }
-    }
-
-    /// The parallel phase plus barrier drain of one sharded cycle.
-    fn run_shards<E: EjectControl + Send>(
-        &mut self,
-        cycle: u64,
-        routing: &(dyn Routing + Sync),
-        plan: &ShardPlan,
-        ejs: &mut [E],
-    ) {
-        let nshards = plan.shards();
-        let total_words = self.active_bits.len();
-        let mut scratch = std::mem::take(&mut self.shard_scratch);
-        scratch.resize_with(nshards, ShardScratch::default);
-        for sc in &mut scratch {
-            sc.mail.resize_with(nshards, Vec::new);
-            sc.counters = NetworkCounters::default();
-            sc.obs = ObsDeltas::default();
-            sc.moves_routed = 0;
-            sc.materialized = 0;
-        }
-        let mut outs;
-        {
-            let Network {
-                topo,
-                vcs,
-                buf_depth,
-                net_port,
-                links,
-                pristine,
-                packets,
-                cur_mask,
-                routers,
-                router_flits,
-                sleep_ok,
-                last_pass,
-                sleep_stalls,
-                active_bits,
-                worklist,
-                ..
-            } = &mut *self;
-            let shared = StepShared {
-                topo: &*topo,
-                vcs: *vcs,
-                buf_depth: *buf_depth,
-                net_port: &*net_port,
-                links: &*links,
-                pristine,
-                packets: &*packets,
-                cur_mask: &*cur_mask,
-                plan,
+    /// Also re-derives the blocked-timer marks the fused pre-marking could
+    /// not know yet: a popped slot restarts (still occupied) or clears
+    /// (emptied) its timer, and a flit arriving at a router covered by
+    /// this cycle's worklist starts one — exactly the state the phased
+    /// pipeline's trailing sweep would have left.
+    fn apply_moves(&mut self, sh: &StepShared<'_>, cycle: u64, obs: &mut ObsDeltas) {
+        let nvcs = sh.vcs as usize;
+        let (lo, hi) = (self.lo as usize, self.hi as usize);
+        // Disjoint borrows, rebound as plain slices, so the per-move work
+        // indexes each array directly with no header reloads; wakes are
+        // inlined as the bit-sets they are.
+        let links = sh.links;
+        let ports = links.ports;
+        let (nbr, opp) = (&links.nbr[..], &links.opp[..]);
+        let (dateline, nic_of) = (&links.dateline[..], &links.nic[..]);
+        let ShardTask {
+            routers,
+            router_flits,
+            active_bits,
+            word_base,
+            ej,
+            sc,
+            ..
+        } = self;
+        let ShardScratch {
+            moves,
+            mail,
+            pk,
+            materialized,
+            summary,
+            ..
+        } = &mut **sc;
+        let routers: &mut [Option<Box<Router>>] = routers;
+        let router_flits: &mut [u32] = router_flits;
+        let active_bits: &mut [u64] = active_bits;
+        let summary: &mut [u64] = summary;
+        let word_base = *word_base;
+        let mut counters = NetworkCounters::default();
+        obs.routed += moves.len() as u64;
+        for mv in moves.iter() {
+            let Move {
+                router: r,
+                in_port,
+                in_vc,
+                out_port,
+                out_vc,
+            } = *mv;
+            let r = r as usize;
+            let li = r - lo;
+            let in_slot = in_port as usize * nvcs + in_vc as usize;
+            let router = mat_mut(routers, li);
+            let flit = router.pop_flit(in_slot);
+            router.blocked[in_slot] = if router.len[in_slot] > 0 {
+                cycle
+            } else {
+                NOT_BLOCKED
             };
-            let mut tasks: Vec<ShardTask<'_, E>> = Vec::with_capacity(nshards);
-            let mut routers_rest: &mut [Option<Box<Router>>] = routers;
-            let mut flits_rest: &mut [u32] = router_flits;
-            let mut sleep_rest: &mut [bool] = sleep_ok;
-            let mut pass_rest: &mut [u64] = last_pass;
-            let mut stall_rest: &mut [u32] = sleep_stalls;
-            let mut bits_rest: &mut [u64] = active_bits;
-            let mut wl_rest: &[u32] = worklist;
-            let mut ejs_rest: &mut [E] = ejs;
-            let mut sc_it = scratch.into_iter();
-            let mut word_lo = 0usize;
-            for s in 0..nshards {
-                let (lo, hi) = plan.range(s);
-                let cnt = (hi - lo) as usize;
-                // Interior bounds are either stride-aligned (whole words)
-                // or clamped to `num_routers` mid-word; in the clamped
-                // case every later shard is empty, so the covering word
-                // belongs to this shard and rounding *up* is safe.
-                let word_hi = if s + 1 == nshards {
-                    total_words
+            if flit.is_tail {
+                router.route_port[in_slot] = NO_ROUTE;
+            }
+            router_flits[li] -= 1;
+            // Return a credit upstream (network inputs only; NICs poll
+            // injection space directly). The credit is an event for the
+            // upstream router: wake it so it can use the freed slot. The
+            // upstream router sent this flit, so it is materialized.
+            let up = nbr[r * ports + in_port as usize];
+            if up != u32::MAX {
+                let upu = up as usize;
+                let up_slot = opp[in_port as usize] as usize * nvcs + in_vc as usize;
+                if (lo..hi).contains(&upu) {
+                    let up_router = mat_mut(routers, upu - lo);
+                    up_router.out_credits[up_slot] += 1;
+                    debug_assert!(up_router.out_credits[up_slot] <= sh.buf_depth);
+                    set_wake(active_bits, word_base, summary, upu);
                 } else {
-                    (hi as usize).div_ceil(64).min(total_words)
-                };
-                let (a, b) = std::mem::take(&mut routers_rest).split_at_mut(cnt);
-                routers_rest = b;
-                let (f, b) = std::mem::take(&mut flits_rest).split_at_mut(cnt);
-                flits_rest = b;
-                let (so, b) = std::mem::take(&mut sleep_rest).split_at_mut(cnt);
-                sleep_rest = b;
-                let (lp, b) = std::mem::take(&mut pass_rest).split_at_mut(cnt);
-                pass_rest = b;
-                let (ss, b) = std::mem::take(&mut stall_rest).split_at_mut(cnt);
-                stall_rest = b;
-                let (bits, b) =
-                    std::mem::take(&mut bits_rest).split_at_mut(word_hi - word_lo);
-                bits_rest = b;
-                let (ej, b) = std::mem::take(&mut ejs_rest)
-                    .split_first_mut()
-                    .expect("one endpoint controller per shard");
-                ejs_rest = b;
-                let split = wl_rest.partition_point(|&r| r < hi);
-                let (wl, b) = wl_rest.split_at(split);
-                wl_rest = b;
-                tasks.push(ShardTask {
-                    lo,
-                    hi,
-                    word_base: word_lo,
-                    routers: a,
-                    router_flits: f,
-                    sleep_ok: so,
-                    last_pass: lp,
-                    sleep_stalls: ss,
-                    active_bits: bits,
-                    worklist: wl,
-                    ej,
-                    sc: sc_it.next().expect("scratch sized to shard count"),
-                });
-                word_lo = word_hi;
-            }
-            outs = rayon::scope_map(tasks, |t| run_shard(t, &shared, cycle, routing));
-        }
-        // Barrier. Mailboxes drain in fixed (src, dst) order; every
-        // effect touches a distinct (router, slot) cell this cycle, so
-        // the order is belt-and-braces determinism, not a correctness
-        // requirement.
-        let buf_depth = self.buf_depth;
-        let mut mailbox_effects = 0u64;
-        for out in &mut outs {
-            for dst in 0..nshards {
-                let mut effects = std::mem::take(&mut out.mail[dst]);
-                mailbox_effects += effects.len() as u64;
-                for eff in &effects {
-                    match *eff {
-                        CrossEffect::Credit { router, slot } => {
-                            let r = router as usize;
-                            let up_router = mat_mut(&mut self.routers, r);
-                            up_router.out_credits[slot as usize] += 1;
-                            debug_assert!(up_router.out_credits[slot as usize] <= buf_depth);
-                            self.wake(r);
-                        }
-                        CrossEffect::Arrival { router, slot, flit } => {
-                            let r = router as usize;
-                            let slot = slot as usize;
-                            {
-                                let Network {
-                                    routers,
-                                    free_pool,
-                                    materialized,
-                                    pristine,
-                                    cur_mask,
-                                    ..
-                                } = &mut *self;
-                                let down_router = materialize(
-                                    &mut routers[r],
-                                    free_pool,
-                                    materialized,
-                                    pristine,
-                                );
-                                down_router.push_flit(slot, flit);
-                                if cur_mask[r >> 6] >> (r & 63) & 1 == 1
-                                    && down_router.blocked[slot] == NOT_BLOCKED
-                                {
-                                    down_router.blocked[slot] = cycle;
-                                }
-                            }
-                            self.router_flits[r] += 1;
-                            self.wake(r);
-                        }
-                    }
-                }
-                effects.clear();
-                out.mail[dst] = effects;
-            }
-        }
-        // Deferred packet-table events, (shard, move) order — the
-        // sequential traversal's own mutation order.
-        for out in &mut outs {
-            let mut pk = std::mem::take(&mut out.pk);
-            for ev in &pk {
-                match *ev {
-                    PkEvent::Dateline { msg, mask } => match self.packets.get_mut(msg) {
-                        Some(st) => st.crossed_dateline |= mask,
-                        None => debug_assert!(false, "dateline hop by unregistered packet"),
-                    },
-                    PkEvent::Delivered { msg } => {
-                        let st = self.packets.remove(msg);
-                        debug_assert!(st.is_some(), "delivered packet must be registered");
-                    }
+                    mail[sh.plan.shard_of(up)].push(CrossEffect::Credit {
+                        router: up,
+                        slot: up_slot as u16,
+                    });
                 }
             }
-            pk.clear();
-            out.pk = pk;
+            if sh.net_port[out_port as usize] {
+                let out_slot = out_port as usize * nvcs + out_vc as usize;
+                let router = mat_mut(routers, li);
+                router.vc_busy[out_slot] += 1;
+                debug_assert!(router.out_credits[out_slot] > 0);
+                router.out_credits[out_slot] -= 1;
+                if flit.is_tail {
+                    router.release_out(out_slot);
+                }
+                let dl = dateline[r * ports + out_port as usize];
+                if dl != 0 && flit.is_head() {
+                    pk.push(PkEvent::Dateline {
+                        msg: flit.msg,
+                        mask: dl,
+                    });
+                }
+                let down = nbr[r * ports + out_port as usize] as usize;
+                debug_assert!(
+                    down != u32::MAX as usize,
+                    "allocated output implies the link exists"
+                );
+                let down_slot = opp[out_port as usize] as usize * nvcs + out_vc as usize;
+                if (lo..hi).contains(&down) {
+                    // Flit arrival: the second (and only other) router
+                    // materialization point.
+                    let down_router =
+                        materialize(&mut routers[down - lo], materialized, sh.pristine);
+                    down_router.push_flit(down_slot, flit);
+                    // Arrival mark: the trailing sweep of the phased
+                    // pipeline would see this flit (post-move occupancy)
+                    // at any router it covers this cycle.
+                    if sh.cur_mask[down >> 6] >> (down & 63) & 1 == 1
+                        && down_router.blocked[down_slot] == NOT_BLOCKED
+                    {
+                        down_router.blocked[down_slot] = cycle;
+                    }
+                    router_flits[down - lo] += 1;
+                    set_wake(active_bits, word_base, summary, down);
+                } else {
+                    mail[sh.plan.shard_of(down as u32)].push(CrossEffect::Arrival {
+                        router: down as u32,
+                        slot: down_slot as u16,
+                        flit,
+                    });
+                }
+            } else {
+                let nic = NicId(nic_of[r * ports + out_port as usize]);
+                debug_assert!(nic.0 != u32::MAX, "output is network or local");
+                if flit.is_tail {
+                    let st = sh
+                        .packets
+                        .get(flit.msg)
+                        .expect("delivered packet must be registered");
+                    counters.packets_delivered += 1;
+                    ej.deliver_packet(nic, st.msg, st.injected_at, cycle);
+                    pk.push(PkEvent::Delivered { msg: flit.msg });
+                } else {
+                    ej.deliver_flit(nic, flit.msg, cycle);
+                }
+                counters.flits_delivered += 1;
+            }
+            counters.flits_moved += 1;
         }
-        // Merge per-shard counter and observability deltas, published
-        // once — the hot loops stay free of shared-counter traffic.
-        let mut obs = ObsDeltas::default();
-        let mut moves_routed = 0u64;
-        for out in &outs {
-            self.counters.flits_moved += out.counters.flits_moved;
-            self.counters.flits_delivered += out.counters.flits_delivered;
-            self.counters.packets_delivered += out.counters.packets_delivered;
-            self.counters.packets_injected += out.counters.packets_injected;
-            self.counters.flits_injected += out.counters.flits_injected;
-            self.materialized += out.materialized;
-            obs.allocs += out.obs.allocs;
-            obs.stalls += out.obs.stalls;
-            obs.burst_flits += out.obs.burst_flits;
-            moves_routed += out.moves_routed;
-        }
-        mdd_obs::counter_add(CounterId::FlitsRouted, moves_routed);
-        mdd_obs::counter_add(CounterId::VcAllocs, obs.allocs);
-        mdd_obs::counter_add(CounterId::VcStalls, obs.stalls);
-        mdd_obs::counter_add(CounterId::LinkBurstFlits, obs.burst_flits);
-        mdd_obs::counter_add(CounterId::ShardMailboxFlits, mailbox_effects);
-        mdd_obs::counter_add(
-            CounterId::ShardBarrierWaits,
-            (nshards as u64).saturating_sub(1),
-        );
-        self.shard_scratch = outs;
+        moves.clear();
+        sc.counters = counters;
     }
 }
 
@@ -2246,11 +1826,11 @@ enum AllocOutcome {
     StalledAtDst,
 }
 
-/// Debug-build shadow machinery: every [`Network::step`] is re-executed by
-/// a literal four-phase reference pipeline on a pre-cycle snapshot, with
-/// endpoint interactions recorded during the real (fused) pass and
-/// replayed to the reference; the two end states must match field by
-/// field. This checks the fused pass, the stall memo, the blocked-timer
+/// Debug-build shadow machinery: every [`Network::step_sharded`] cycle is
+/// re-executed by a literal four-phase reference pipeline on a pre-cycle
+/// snapshot, with endpoint interactions recorded during the real (fused)
+/// pass and replayed to the reference; the two end states must match
+/// field by field. This checks the fused pass, the stall memo, the blocked-timer
 /// patch rules and the link tables against the phased semantics every
 /// single cycle of every debug run.
 #[cfg(debug_assertions)]
@@ -2265,35 +1845,13 @@ mod shadow {
         Packet { nic: NicId, msg: MsgHandle, injected_at: u64 },
     }
 
-    /// Wraps the real [`EjectControl`], recording the interaction log.
-    pub(super) struct RecordEj<'a> {
-        pub(super) inner: &'a mut dyn EjectControl,
-        pub(super) log: Vec<EjEvent>,
-    }
-
-    impl EjectControl for RecordEj<'_> {
-        fn can_accept(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) -> bool {
-            let ok = self.inner.can_accept(nic, msg, cycle);
-            self.log.push(EjEvent::Accept { nic, msg, ok });
-            ok
-        }
-        fn deliver_flit(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) {
-            self.log.push(EjEvent::Flit { nic, msg });
-            self.inner.deliver_flit(nic, msg, cycle);
-        }
-        fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, injected_at: u64, cycle: u64) {
-            self.log.push(EjEvent::Packet { nic, msg, injected_at });
-            self.inner.deliver_packet(nic, msg, injected_at, cycle);
-        }
-    }
-
-    /// Per-shard endpoint recorder for [`Network::step_sharded`].
+    /// Per-shard endpoint recorder wrapping the real [`EjectControl`].
     /// `can_accept` events and delivery events are kept in separate
-    /// logs: the sharded schedule runs each shard's allocation pass
-    /// before its traversal, so the global reference order is all
-    /// accepts (shard order == router-ascending) followed by all
-    /// deliveries (same) — [`Network::step_sharded`] concatenates the
-    /// logs accordingly before replaying the reference.
+    /// logs: each shard runs its allocation passes before its traversal,
+    /// so the global reference order is all accepts (shard order ==
+    /// router-ascending) followed by all deliveries (same) —
+    /// [`Network::step_sharded`] concatenates the logs accordingly before
+    /// replaying the reference.
     pub(super) struct ShardRecordEj<E> {
         inner: E,
         pub(super) accepts: Vec<EjEvent>,

@@ -139,35 +139,6 @@ impl Router {
         }
     }
 
-    /// Restore every field to the freshly-constructed state without
-    /// releasing any allocation — the free-pool recycle path of the lazily
-    /// materialized network. A recycled chunk must be indistinguishable
-    /// from [`Router::new`]'s output (the debug shadow checker compares
-    /// whole arrays, dead buffer entries included), so the flit store is
-    /// refilled with the same placeholder pattern.
-    pub(crate) fn reset(&mut self) {
-        self.bufs.fill(Flit {
-            msg: MsgHandle::dangling(),
-            seq: 0,
-            is_tail: false,
-        });
-        self.head.fill(0);
-        self.len.fill(0);
-        self.route_port.fill(NO_ROUTE);
-        self.route_vc.fill(0);
-        self.blocked.fill(NOT_BLOCKED);
-        self.stall_epoch.fill(EPOCH_NONE);
-        self.out_owner.fill(MsgHandle::dangling());
-        self.out_credits.fill(self.depth as u32);
-        self.out_owned = 0;
-        self.rr_out.fill(0);
-        self.rr_alloc = 0;
-        self.rr_cycle = 0;
-        self.in_occ = 0;
-        self.alloc_epoch = 0;
-        self.vc_busy.fill(0);
-    }
-
     /// Heap + inline bytes held by this router's state chunk — the unit
     /// behind the `router_state_bytes` observability gauge.
     pub fn state_bytes(&self) -> u64 {

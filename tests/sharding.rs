@@ -1,5 +1,5 @@
 //! Sharded-execution twins: a run with `shards = N` must reproduce the
-//! sequential run bit-for-bit — every `SimResult` field, float fields
+//! one-shard run bit-for-bit — every `SimResult` field, float fields
 //! compared via `f64::to_bits`, at every shard count.
 //!
 //! Sharding partitions the per-cycle network phase across scoped worker
@@ -12,8 +12,16 @@
 //! mid-run divergence panics at the offending cycle rather than
 //! surfacing as a result diff here.
 
+use mdd_sim::obs;
 use mdd_sim::prelude::*;
 use proptest::prelude::*;
+use std::sync::{PoisonError, RwLock};
+
+/// The obs counters are process-wide. The counter test below holds the
+/// write side while its layer is installed and every simulation here
+/// holds the read side, so no other run's shard traffic leaks into its
+/// counts.
+static OBS_LAYER: RwLock<()> = RwLock::new(());
 
 const SA: Scheme = Scheme::StrictAvoidance {
     shared_adaptive: false,
@@ -46,6 +54,7 @@ fn fingerprint(r: &SimResult) -> [u64; 19] {
 }
 
 fn run_at(mut cfg: SimConfig, shards: u32) -> SimResult {
+    let _layer = OBS_LAYER.read().unwrap_or_else(PoisonError::into_inner);
     cfg.shards = shards;
     Simulator::new(cfg).expect("feasible configuration").run()
 }
@@ -132,7 +141,7 @@ fn awkward_shard_counts_are_bit_identical() {
 /// token's starting stop drives both endpoint detections and a
 /// router-capture recovery episode on the biggest ladder rung, and the
 /// recovery capture schedule (detections, router captures, endpoint
-/// rescues) must match the sequential run exactly — episodes run on the
+/// rescues) must match the one-shard run exactly — episodes run on the
 /// coordinating thread between sharded network cycles, so their NIC
 /// mutations, lane transfers and wake-alls interleave identically.
 #[test]
@@ -178,4 +187,41 @@ fn shard_twin_64x64_pr_episode() {
             "recovery capture schedule diverged at shards={shards}"
         );
     }
+}
+
+/// The twins are not vacuous. On 16×16 a one-shard run keeps every
+/// credit, arrival and wake inside its shard — no mailbox traffic and no
+/// barrier joins — while two shards exchange effects across the cut.
+#[test]
+fn shard_counters_separate_one_and_two_shards() {
+    let _layer = OBS_LAYER.write().unwrap_or_else(PoisonError::into_inner);
+    let mut cfg = SimConfig::paper_default(
+        Scheme::ProgressiveRecovery,
+        PatternSpec::pat271(),
+        4,
+        0.25,
+    );
+    cfg.radix = vec![16, 16];
+    cfg.warmup = 100;
+    cfg.measure = 300;
+    cfg.service_time = 10;
+    let shard_counters = |shards: u32| {
+        let mut cfg = cfg.clone();
+        cfg.shards = shards;
+        obs::install(16);
+        Simulator::new(cfg).expect("feasible configuration").run();
+        let report = obs::uninstall().expect("layer was installed");
+        (
+            report.get(CounterId::ShardMailboxFlits),
+            report.get(CounterId::ShardBarrierWaits),
+        )
+    };
+    assert_eq!(
+        shard_counters(1),
+        (0, 0),
+        "one shard must see no mailbox flits and no barrier waits"
+    );
+    let (mailbox, waits) = shard_counters(2);
+    assert!(mailbox > 0, "two shards on 16x16 must exchange mailbox flits");
+    assert!(waits > 0, "two shards must join at the cycle barrier");
 }
