@@ -167,31 +167,3 @@ pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
 }
-
-/// `HOTPATH_QUICK` — CI smoke mode for the hotpath benchmark: unset or
-/// `0` selects the full runs, `1` the short ones. Any other value is a
-/// hard error (status 2): a typo like `HOTPATH_QUICK=ture` silently
-/// running the full benchmark wastes a CI hour, and silently running the
-/// quick one publishes numbers measured at the wrong scale.
-pub fn hotpath_quick() -> bool {
-    match std::env::var("HOTPATH_QUICK") {
-        Err(std::env::VarError::NotPresent) => false,
-        Err(e) => die(&format!("HOTPATH_QUICK: {e}")),
-        Ok(v) if v == "0" => false,
-        Ok(v) if v == "1" => true,
-        Ok(v) => die(&format!("bad HOTPATH_QUICK (want 0 or 1): {v:?}")),
-    }
-}
-
-/// `HOTPATH_OUT` — where the hotpath benchmark writes its JSON (default
-/// `BENCH_hotpath.json` in the current directory). Present-but-empty or
-/// non-unicode values are hard errors rather than a silently misplaced
-/// results file.
-pub fn hotpath_out() -> PathBuf {
-    match std::env::var("HOTPATH_OUT") {
-        Err(std::env::VarError::NotPresent) => PathBuf::from("BENCH_hotpath.json"),
-        Err(e) => die(&format!("HOTPATH_OUT: {e}")),
-        Ok(v) if v.is_empty() => die("HOTPATH_OUT is set but empty"),
-        Ok(v) => PathBuf::from(v),
-    }
-}

@@ -8,7 +8,7 @@ use mdd_traffic::AppModel;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Scale knob so Criterion benches can run the same experiments quickly.
+/// Scale knob so smoke runs can execute the same experiments quickly.
 #[derive(Clone, Copy, Debug)]
 pub struct RunScale {
     /// Warm-up cycles per simulation.
@@ -40,7 +40,7 @@ impl RunScale {
         }
     }
 
-    /// Small scale for Criterion benches and smoke tests.
+    /// Small scale for `--smoke` runs and tests.
     pub fn smoke() -> Self {
         RunScale {
             warmup: 1_000,

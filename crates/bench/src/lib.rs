@@ -1,10 +1,11 @@
 //! # mdd-bench
 //!
 //! The experiment harness: one module per paper table/figure, shared by
-//! the full-scale binaries in `src/bin/` and the scaled-down Criterion
-//! benches in `benches/`. Every function is deterministic given its
-//! configuration, prints the same rows/series the paper reports, and
-//! returns structured results so benches and tests can assert on them.
+//! the binaries in `src/bin/` (full scale, or `--fast` / `--smoke`).
+//! Every function is deterministic given its configuration, prints the
+//! same rows/series the paper reports, and returns structured results so
+//! tests can assert on them. Performance is measured by the repository
+//! benchmark, `mddbench/`, not here.
 
 #![warn(missing_docs)]
 

@@ -284,7 +284,7 @@ impl SimConfig {
         Ok(radix)
     }
 
-    /// The scale-ladder rungs exercised end-to-end by the benches and CI:
+    /// The scale-ladder rungs exercised end-to-end by the tests and CI:
     /// the paper's 8×8 baseline, 16×16, 64×64, and a 3D 8×8×8 torus.
     pub fn scale_ladder() -> [&'static [u32]; 4] {
         [&[8, 8], &[16, 16], &[64, 64], &[8, 8, 8]]

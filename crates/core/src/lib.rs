@@ -47,7 +47,8 @@ pub use validate::{build_waitfor_graph, deadlock_witness};
 pub use mdd_verify::{CycleWitness, Verdict};
 
 // Re-export the pieces callers need to assemble configurations, so that
-// downstream crates (examples, benches) can depend on `mdd-core` alone.
+// downstream crates (examples, experiment binaries) can depend on
+// `mdd-core` alone.
 pub use mdd_protocol::{PatternSpec, ProtocolSpec, QueueOrg};
 pub use mdd_routing::{Scheme, SchemeConfigError};
 pub use mdd_stats::{BnfCurve, BnfPoint};

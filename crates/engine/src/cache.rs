@@ -2,12 +2,11 @@
 //!
 //! Layout: sixteen append-only JSON Lines files, `shard-0.jsonl` …
 //! `shard-f.jsonl`, in the cache directory (`results/cache/` by
-//! convention), plus read-only support for the pre-shard single-file
-//! layout (`points.jsonl`). Each line is one completed simulation point
-//! keyed by the canonical hash of its full
-//! [`SimConfig`](mdd_core::SimConfig) (see `SimConfig::canonical_string`
-//! for exactly what the key covers); the first hex digit of the key picks
-//! the shard. Properties that fall out of this design:
+//! convention). Each line is one completed simulation point keyed by the
+//! canonical hash of its full [`SimConfig`](mdd_core::SimConfig) (see
+//! `SimConfig::canonical_string` for exactly what the key covers); the
+//! first hex digit of the key picks the shard. Properties that fall out
+//! of this design:
 //!
 //! * **Invalidation is automatic and per-point.** Change any semantic
 //!   field — scheme, pattern, load, seed, windows, topology — and the key
@@ -43,11 +42,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Name of the legacy single-file JSONL cache inside the cache directory.
-/// Still *read* (so pre-shard caches keep hitting) but never written;
-/// new points go to their [`ResultCache::shard_file`].
-pub const CACHE_FILE: &str = "points.jsonl";
-
 /// Number of key-prefix shards (one hex digit).
 pub const CACHE_SHARDS: usize = 16;
 
@@ -79,31 +73,17 @@ fn shard_index(key: &str) -> usize {
 
 impl ResultCache {
     /// Open (creating on demand) the cache rooted at `dir`, loading every
-    /// decodable line of each `shard-*.jsonl` (and of a legacy
-    /// `points.jsonl`, read-only). Corrupt or truncated lines and lines
-    /// of other format versions are skipped silently. A final line left
-    /// unterminated by a crashed writer is repaired (newline-terminated)
-    /// before this handle appends anything.
+    /// decodable line of each `shard-*.jsonl`. Corrupt or truncated lines
+    /// and lines of other format versions are skipped silently. A final
+    /// line left unterminated by a crashed writer is repaired
+    /// (newline-terminated) before this handle appends anything.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        // Pre-shard caches: single read-only file, entries routed to the
-        // shard their key belongs to.
-        let mut legacy: Vec<HashMap<String, SimResult>> =
-            (0..CACHE_SHARDS).map(|_| HashMap::new()).collect();
-        match File::open(dir.join(CACHE_FILE)) {
-            Ok(f) => {
-                let mut unterminated = false;
-                read_entries(f, &mut unterminated, |key, result| {
-                    legacy[shard_index(&key)].insert(key, result);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
         let mut shards = Vec::with_capacity(CACHE_SHARDS);
-        for (s, mut entries) in legacy.into_iter().enumerate() {
+        for s in 0..CACHE_SHARDS {
             let path = dir.join(format!("shard-{s:x}.jsonl"));
+            let mut entries = HashMap::new();
             let mut unterminated = false;
             match File::open(&path) {
                 Ok(f) => read_entries(f, &mut unterminated, |key, result| {

@@ -64,7 +64,7 @@ mod job;
 mod json;
 pub mod proto;
 
-pub use cache::{ResultCache, CACHE_FILE, CACHE_SHARDS};
+pub use cache::{ResultCache, CACHE_SHARDS};
 pub use codec::{decode_line, encode_line, CACHE_LINE_VERSION};
 pub use engine::{Canceller, Engine, EngineBuilder, JobHandle, PointOutcome, SweepReport};
 pub use error::{PointError, PointFailure};

@@ -30,7 +30,7 @@
 //! asserts full verdict *and witness* equality (the same guardrail
 //! pattern as the orbit quotient's cross-check).
 //!
-//! Note the honest failure mode of this criterion: on meshes and
+//! Note the honest failure mode of this cleanness rule: on meshes and
 //! even-radix tori every link is minimally productive toward every
 //! destination in one of its two directions (on a mesh trivially; on an
 //! even torus because wrap distances never tie strictly), so a link fault

@@ -263,8 +263,9 @@ fn twin_schedules_agree_at_16x16() {
 
 /// The sparse geometric arrival mode is reproducible and schedule-
 /// independent too: with `sparse_arrivals` set, the fast and dense
-/// clocks still agree bit-for-bit (the ladder benches run exactly this
-/// mode), and the generated-count matches the Bernoulli expectation.
+/// clocks still agree bit-for-bit (`tests/ladder_work.rs` and the
+/// `sparse64` benchmark workload run exactly this mode), and the
+/// generated-count matches the Bernoulli expectation.
 #[test]
 fn sparse_arrivals_twin_agrees_and_hits_rate() {
     let mut cfg = cfg16(Scheme::ProgressiveRecovery, PatternSpec::pat100(), 0.10);
