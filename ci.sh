@@ -166,18 +166,24 @@ diff -u results/verdicts.json "$GOLDEN_DIR/verdicts.json" || {
     echo "rerun ./target/release/mdd-analyze --verdicts --out results and commit"
     exit 1; }
 
-echo "==> fault-frontier smoke (full 16x16 single-link sweep, engine pool)"
-frontier_out=$(./target/release/mdd-analyze --frontier --topo 16x16 --out "$GOLDEN_DIR")
+echo "==> golden fault frontier (mdd-analyze --frontier is bit-for-bit reproducible)"
+# The committed command: every single-link fault plus 32 sampled
+# double-link faults, SA/DR/PR on 8x8 and 16x16, through the engine pool.
+frontier_out=$(./target/release/mdd-analyze --frontier --doubles 32 --out "$GOLDEN_DIR")
 echo "$frontier_out" | grep '^frontier: ' | sed 's/^/    /'
+diff -u results/fault_frontier.json "$GOLDEN_DIR/fault_frontier.json" || {
+    echo "golden frontier: results/fault_frontier.json drifted from the analyzer;"
+    echo "rerun ./target/release/mdd-analyze --frontier --doubles 32 --out results and commit"
+    exit 1; }
 # SA is the crippled-by-fault case: fault-free it is ProvenFree at 8 VCs,
 # and at least one single-link fault must degrade that verdict.
 echo "$frontier_out" | grep "^frontier: sa " | grep -Eq "[1-9][0-9]* degrading" || {
-    echo "frontier smoke: no verdict-degrading fault on the SA line"; exit 1; }
-# Every 512-fault scheme sweep must stay interactive: <10s per scheme.
+    echo "golden frontier: no verdict-degrading fault on an SA line"; exit 1; }
+# Every scheme sweep (544 faults at 16x16) must stay interactive: <10s.
 slow=$(echo "$frontier_out" | grep '^frontier: ' |
     sed -E 's/.*\(([0-9.]+)s\)$/\1/' | awk '$1 >= 10.0')
 [ -z "$slow" ] || {
-    echo "frontier smoke: a scheme sweep blew the 10s budget: ${slow}s"; exit 1; }
+    echo "golden frontier: a scheme sweep blew the 10s budget: ${slow}s"; exit 1; }
 
 echo "==> scaling smoke (orbit-quotiented verifier at 64x64, ladder sweep point)"
 # The orbit quotient must classify a 4096-router torus interactively:

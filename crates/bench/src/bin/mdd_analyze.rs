@@ -39,9 +39,9 @@
 
 use mdd_bench::cli::{die, BenchCli};
 use mdd_core::{PatternSpec, Scheme, SimConfig};
+use mdd_obs::Json;
 use mdd_stats::Table;
-use mdd_verify::{sampled_double_link_faults, single_link_faults, FaultClass};
-use std::fmt::Write as _;
+use mdd_verify::{sampled_double_link_faults, single_link_faults};
 use std::time::Instant;
 
 fn scheme_of(label: &str) -> Scheme {
@@ -69,6 +69,24 @@ fn pattern_of(label: &str) -> PatternSpec {
     }
 }
 
+/// The identifying fields of one analysed configuration, the leading
+/// fields of every row in both artifacts.
+fn cfg_fields(scheme: &str, pattern: &str, vcs: u8, topo: &str) -> Vec<(String, Json)> {
+    let text = |s: &str| Json::Str(s.to_string());
+    vec![
+        ("scheme".to_string(), text(scheme)),
+        ("pattern".to_string(), text(pattern)),
+        ("vcs".to_string(), Json::Int(vcs.into())),
+        ("topo".to_string(), text(topo)),
+    ]
+}
+
+/// Write `{"<key>": rows}` as a committed artifact, in the pretty layout.
+fn write_artifact(cli: &BenchCli, file: &str, key: &str, rows: Vec<Json>) {
+    let doc = Json::Obj(vec![(key.to_string(), Json::Arr(rows))]);
+    cli.write_reported(file, &(doc.render_pretty() + "\n"));
+}
+
 fn sim_cfg(scheme: &str, pattern: &str, vcs: u8, topo: &str) -> SimConfig {
     let radix =
         SimConfig::parse_topo(topo).unwrap_or_else(|e| die(&format!("bad topology spec: {e}")));
@@ -85,9 +103,8 @@ fn sim_cfg(scheme: &str, pattern: &str, vcs: u8, topo: &str) -> SimConfig {
 /// pattern. Infeasible budgets classify via the degraded map they would
 /// force, exactly like `mddsim --verify`.
 fn verdicts(cli: &BenchCli) {
-    let mut json = String::from("{\n  \"verdicts\": [\n");
+    let mut rows = Vec::new();
     let mut table = Table::new(vec!["scheme", "pattern", "vcs", "topo", "verdict"]);
-    let mut first = true;
     for topo in ["4x4", "8x8", "16x16"] {
         for scheme in ["sa", "sa+", "dr", "pr"] {
             for pattern in ["pat100", "pat271"] {
@@ -102,23 +119,15 @@ fn verdicts(cli: &BenchCli) {
                         topo.into(),
                         verdict.name().into(),
                     ]);
-                    if !first {
-                        json.push_str(",\n");
-                    }
-                    first = false;
-                    let _ = write!(
-                        json,
-                        "    {{\"scheme\": \"{scheme}\", \"pattern\": \"{pattern}\", \
-                         \"vcs\": {vcs}, \"topo\": \"{topo}\", \"verdict\": \"{}\"}}",
-                        verdict.name()
-                    );
+                    let mut row = cfg_fields(scheme, pattern, vcs, topo);
+                    row.push(("verdict".to_string(), Json::Str(verdict.name().into())));
+                    rows.push(Json::Obj(row));
                 }
             }
         }
     }
-    json.push_str("\n  ]\n}\n");
     print!("{}", table.render());
-    cli.write_reported("verdicts.json", &json);
+    write_artifact(cli, "verdicts.json", "verdicts", rows);
 }
 
 /// The frontier configurations: each scheme at the cheapest budget that
@@ -134,8 +143,7 @@ fn frontier(cli: &BenchCli) {
         Some(t) => vec![t],
         None => vec!["8x8", "16x16"],
     };
-    let mut json = String::from("{\n  \"configs\": [\n");
-    let mut first_cfg = true;
+    let mut rows = Vec::new();
     for topo in topos {
         for &(scheme, vcs) in FRONTIER_CONFIGS {
             let cfg = sim_cfg(scheme, "pat271", vcs, topo);
@@ -156,37 +164,10 @@ fn frontier(cli: &BenchCli) {
                 report.preserving,
                 report.degrading,
             );
-            if !first_cfg {
-                json.push_str(",\n");
-            }
-            first_cfg = false;
-            let _ = write!(
-                json,
-                "    {{\"scheme\": \"{scheme}\", \"pattern\": \"pat271\", \"vcs\": {vcs}, \
-                 \"topo\": \"{topo}\",\n     \"base_verdict\": \"{}\", \"base_rank\": {}, \
-                 \"preserving\": {}, \"degrading\": {},\n     \"points\": [\n",
-                report.base_verdict, report.base_rank, report.preserving, report.degrading,
-            );
-            for (i, p) in report.points.iter().enumerate() {
-                let sep = if i + 1 == report.points.len() { "" } else { "," };
-                let _ = writeln!(
-                    json,
-                    "      {{\"fault\": \"{}\", \"verdict\": \"{}\", \"rank\": {}, \
-                     \"class\": \"{}\"}}{sep}",
-                    p.label,
-                    p.verdict,
-                    p.rank,
-                    match p.class {
-                        FaultClass::Preserving => "preserving",
-                        FaultClass::Degrading => "degrading",
-                    },
-                );
-            }
-            json.push_str("     ]}");
+            rows.push(report.to_json(cfg_fields(scheme, "pat271", vcs, topo)));
         }
     }
-    json.push_str("\n  ]\n}\n");
-    cli.write_reported("fault_frontier.json", &json);
+    write_artifact(cli, "fault_frontier.json", "configs", rows);
 }
 
 fn min_vc(cli: &BenchCli) {

@@ -60,10 +60,8 @@
 //! Observability (either flag installs the global mdd-obs layer):
 //!
 //! ```text
-//! --counters-out PATH          final counter snapshot; `.csv` writes
-//!                              CSV, anything else one JSON object
-//! --trace-out PATH             cycle-level event trace; `.csv` writes
-//!                              CSV, anything else JSON Lines
+//! --counters-out PATH          final counter snapshot as one JSON object
+//! --trace-out PATH             cycle-level event trace as JSON Lines
 //! --trace-cap N                [1048576] ring-buffer capacity; once
 //!                              full the oldest events are dropped
 //! ```
@@ -77,42 +75,30 @@
 use mdd_bench::cli::BenchCli;
 use mdd_core::{default_loads, PatternSpec, QueueOrg, Scheme, SimConfig};
 use mdd_stats::{render_bnf, Table};
-use std::io::Write;
 
 fn die(msg: &str) -> ! {
     eprintln!("mddsim: {msg}\nsee the module docs (--help is this header)");
     std::process::exit(2)
 }
 
+/// Write `write`'s output to `path`, or exit on an I/O error.
+fn write_file(path: &str, write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) {
+    let mut buf = Vec::new();
+    write(&mut buf).expect("in-memory write cannot fail");
+    std::fs::write(path, buf).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+}
+
 /// Write the final counter snapshot and/or event trace to the requested
-/// paths, picking the format from each file extension.
+/// paths.
 fn write_obs_outputs(counters_out: Option<&str>, trace_out: Option<&str>) {
     if let Some(path) = counters_out {
         let snap = mdd_obs::counters_snapshot();
-        let mut buf = Vec::new();
-        if path.ends_with(".csv") {
-            mdd_obs::sink::write_counters_csv(&mut buf, &snap)
-        } else {
-            mdd_obs::sink::write_counters_json(&mut buf, &snap)
-        }
-        .expect("in-memory write cannot fail");
-        std::fs::File::create(path)
-            .and_then(|mut f| f.write_all(&buf))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        write_file(path, |buf| mdd_obs::sink::write_counters_json(buf, &snap));
     }
     if let Some(path) = trace_out {
         let (events, recorded, dropped) =
             mdd_obs::trace_snapshot().expect("obs layer installed");
-        let mut buf = Vec::new();
-        if path.ends_with(".csv") {
-            mdd_obs::sink::write_trace_csv(&mut buf, &events)
-        } else {
-            mdd_obs::sink::write_trace_jsonl(&mut buf, &events)
-        }
-        .expect("in-memory write cannot fail");
-        std::fs::File::create(path)
-            .and_then(|mut f| f.write_all(&buf))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        write_file(path, |buf| mdd_obs::sink::write_trace_jsonl(buf, &events));
         if dropped > 0 {
             eprintln!(
                 "mddsim: trace ring filled — kept the newest {} of {recorded} events \

@@ -10,7 +10,7 @@
 //! outside the run that produced them — so cache-served results carry
 //! `obs: None`.
 
-use crate::json::Json;
+use mdd_obs::Json;
 use mdd_core::SimResult;
 
 /// Format version written into every line; lines with any other version

@@ -61,7 +61,6 @@ mod codec;
 mod engine;
 mod error;
 mod job;
-mod json;
 pub mod proto;
 
 pub use cache::{ResultCache, CACHE_SHARDS};
@@ -69,7 +68,7 @@ pub use codec::{decode_line, encode_line, CACHE_LINE_VERSION};
 pub use engine::{Canceller, Engine, EngineBuilder, JobHandle, PointOutcome, SweepReport};
 pub use error::{PointError, PointFailure};
 pub use job::Job;
-pub use json::Json;
+pub use mdd_obs::Json;
 
 /// The conventional cache directory used by the bench binaries.
 pub const DEFAULT_CACHE_DIR: &str = "results/cache";

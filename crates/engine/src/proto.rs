@@ -9,40 +9,19 @@
 //! streamed. A client speaking this protocol sees exactly what a caller
 //! of `JobHandle::recv` sees, one JSON object per line.
 //!
-//! ## Transcript
+//! ## Lines on the wire
 //!
-//! Client lines (requests) and server lines (events) on one connection:
+//! A client writes one request per line: `submit` (a [`SweepSpec`]
+//! plus `"op"`), `status`, `cancel` or `shutdown`. For a submit the
+//! server streams `accepted`, then one `point` per point in *completion*
+//! order (each carrying the full result object, or its failure), then
+//! `done` with the batch's tallies. Control requests are usually issued
+//! on their own connections and get a single reply: `status`,
+//! `cancelled` or `shutting_down`. A full transcript is in DESIGN.md
+//! §14.3; every line is built and read through [`mdd_obs::Json`].
 //!
-//! ```text
-//! C: {"op":"submit","label":"PR","scheme":"pr","pattern":"pat271","vcs":4,
-//!     "radix":[4,4],"warmup":100,"measure":300,"loads":[0.05,0.1,0.15]}
-//! S: {"event":"accepted","job":1,"points":3}
-//! S: {"event":"point","job":1,"id":0,"label":"PR","load":0.05,"cached":false,
-//!     "wall_micros":5301,"verdict":"RecoverableCycles","ok":true,
-//!     "result":{"applied_load":0.05,"throughput":0.0497, …}}
-//! S: {"event":"point","job":1,"id":2, … }        (completion order!)
-//! S: {"event":"point","job":1,"id":1, … }
-//! S: {"event":"done","job":1,"points":3,"simulated":3,"cached":0,
-//!     "failed":0,"cancelled":0}
-//! ```
-//!
-//! Control requests (usually issued on their own connections):
-//!
-//! ```text
-//! C: {"op":"status"}
-//! S: {"event":"status","jobs":[{"job":1,"label":"PR","state":"running",
-//!     "done":2,"total":3}],"pool":{"threads":4,"busy":2,"queued":7,
-//!     "steals":12,"executed":940},"cache_points":120}
-//!
-//! C: {"op":"cancel","job":1}
-//! S: {"event":"cancelled","job":1}
-//!
-//! C: {"op":"shutdown"}
-//! S: {"event":"shutting_down"}
-//! ```
-//!
-//! Malformed or unserviceable requests produce
-//! `{"event":"error","message":"…"}` and leave the connection open.
+//! Malformed or unserviceable requests produce an `error` event carrying
+//! a `message`, and leave the connection open.
 //!
 //! Numbers ride as JSON numbers; integers above 2^53 are not
 //! representable by every peer, so keys (which would overflow) ride as
@@ -52,8 +31,7 @@ use crate::engine::PointOutcome;
 use crate::error::PointFailure;
 use crate::job::Job;
 use mdd_core::{PatternSpec, QueueOrg, Scheme, SimConfig, SimResult};
-
-pub use crate::json::Json;
+use mdd_obs::Json;
 
 // ---------------------------------------------------------------------------
 // Requests (client → server)
@@ -81,12 +59,16 @@ pub enum Request {
 impl Request {
     /// Encode as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
+        let op = |name: &str| ("op".to_string(), Json::Str(name.to_string()));
         match self {
-            Request::Submit(spec) => spec.to_json().render(),
-            Request::Status => r#"{"op":"status"}"#.to_string(),
-            Request::Cancel { job } => format!(r#"{{"op":"cancel","job":{job}}}"#),
-            Request::Shutdown => r#"{"op":"shutdown"}"#.to_string(),
+            Request::Submit(spec) => spec.to_json(),
+            Request::Status => Json::Obj(vec![op("status")]),
+            Request::Cancel { job } => {
+                Json::Obj(vec![op("cancel"), ("job".to_string(), Json::Int(*job))])
+            }
+            Request::Shutdown => Json::Obj(vec![op("shutdown")]),
         }
+        .render()
     }
 
     /// Decode one line. `Err` carries a human-readable reason suitable
@@ -251,45 +233,54 @@ impl SweepSpec {
         Json::Obj(fields)
     }
 
+    /// Read a submit request. A missing field takes its default; a
+    /// present one of the wrong type, or an integer out of its field's
+    /// range, is an error rather than a silently coerced value.
     fn from_json(j: &Json) -> Result<SweepSpec, String> {
         let d = SweepSpec::default();
-        let text = |k: &str, dflt: &str| -> String {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map_or_else(|| dflt.to_string(), str::to_string)
-        };
-        let int = |k: &str, dflt: u64| j.get(k).and_then(Json::as_u64).unwrap_or(dflt);
-        let radix = match j.get("radix") {
-            None => d.radix.clone(),
-            Some(v) => v
-                .as_arr()
-                .map(|xs| xs.iter().filter_map(Json::as_u64).map(|r| r as u32).collect())
-                .filter(|xs: &Vec<u32>| !xs.is_empty())
-                .ok_or_else(|| "submit: bad radix".to_string())?,
-        };
-        let loads = match j.get("loads") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_arr()
-                .map(|xs| xs.iter().filter_map(Json::as_f64).collect::<Vec<f64>>())
-                .filter(|xs| xs.iter().all(|l| l.is_finite()))
-                .ok_or_else(|| "submit: bad loads".to_string())?,
-        };
+        let radix: Vec<u32> = list(j, "radix", Json::as_int)?.unwrap_or(d.radix);
+        if radix.is_empty() {
+            return Err(bad("radix"));
+        }
+        let loads: Vec<f64> = list(j, "loads", Json::as_f64)?.unwrap_or_default();
+        if !loads.iter().all(|l| l.is_finite()) {
+            return Err(bad("loads"));
+        }
         Ok(SweepSpec {
-            label: text("label", &d.label),
-            scheme: text("scheme", &d.scheme),
-            pattern: text("pattern", &d.pattern),
-            vcs: int("vcs", u64::from(d.vcs)) as u8,
+            label: field(j, "label", Json::as_str)?.map_or(d.label, str::to_string),
+            scheme: field(j, "scheme", Json::as_str)?.map_or(d.scheme, str::to_string),
+            pattern: field(j, "pattern", Json::as_str)?.map_or(d.pattern, str::to_string),
+            vcs: field(j, "vcs", Json::as_int)?.unwrap_or(d.vcs),
             radix,
-            bristle: int("bristle", u64::from(d.bristle)) as u32,
-            queue_org: j.get("queue_org").and_then(Json::as_str).map(str::to_string),
-            warmup: int("warmup", d.warmup),
-            measure: int("measure", d.measure),
-            seed: int("seed", d.seed),
-            shards: int("shards", u64::from(d.shards)) as u32,
+            bristle: field(j, "bristle", Json::as_int)?.unwrap_or(d.bristle),
+            queue_org: field(j, "queue_org", Json::as_str)?.map(str::to_string),
+            warmup: field(j, "warmup", Json::as_int)?.unwrap_or(d.warmup),
+            measure: field(j, "measure", Json::as_int)?.unwrap_or(d.measure),
+            seed: field(j, "seed", Json::as_int)?.unwrap_or(d.seed),
+            shards: field(j, "shards", Json::as_int)?.unwrap_or(d.shards),
             loads,
         })
     }
+}
+
+/// Submit field `k` converted by `read`: `None` when absent, an error
+/// when present but not convertible (wrong type, or an integer out of
+/// range for its field).
+fn field<'a, T>(
+    j: &'a Json,
+    k: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    j.get(k).map(|v| read(v).ok_or_else(|| bad(k))).transpose()
+}
+
+/// Array field `k` whose every item converts by `read`.
+fn list<T>(j: &Json, k: &str, read: impl Fn(&Json) -> Option<T>) -> Result<Option<Vec<T>>, String> {
+    field(j, k, |v| v.as_arr()?.iter().map(read).collect())
+}
+
+fn bad(k: &str) -> String {
+    format!("submit: bad {k}")
 }
 
 // ---------------------------------------------------------------------------

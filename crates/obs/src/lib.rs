@@ -15,8 +15,9 @@
 //!   deadlocks detected/recovered, messages rescued;
 //! * a bounded ring-buffer trace of typed events ([`EventTrace`],
 //!   [`Event`]) with cycle timestamps, fed through the [`trace!`] macro;
-//! * snapshot sinks exporting JSON/JSONL and CSV (the [`sink`] module),
-//!   matching the `results/` CSV conventions.
+//! * snapshot sinks writing counters and the trace as JSON (the [`sink`]
+//!   module) through [`Json`], the workspace's one JSON codec, kept in
+//!   this dependency-free crate so every other crate can use it.
 //!
 //! ## Gating and cost
 //!
@@ -47,11 +48,13 @@
 
 mod counters;
 mod event;
+mod json;
 pub mod sink;
 mod trace;
 
 pub use counters::{CounterEntry, CounterId, CounterSnapshot, Counters, NUM_COUNTERS};
 pub use event::Event;
+pub use json::Json;
 pub use trace::EventTrace;
 
 use std::sync::atomic::{AtomicBool, Ordering};

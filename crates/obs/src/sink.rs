@@ -1,139 +1,80 @@
-//! Snapshot sinks: JSON/JSONL and CSV writers (plus parsers for the same
-//! formats, used by round-trip tests and offline tooling).
-//!
-//! The CSV shapes match the repo's `results/` convention (a header row of
-//! snake_case column names, one record per line, no quoting — every field
-//! is numeric or a fixed identifier).
+//! Snapshot sinks: a counter snapshot as one JSON object and an event
+//! trace as JSON Lines, both written and read back through [`Json`].
 
 use crate::counters::CounterSnapshot;
 use crate::event::Event;
+use crate::json::Json;
 use std::io::{self, Write};
 
 // ---------------------------------------------------------------------
 // Counter snapshots.
 // ---------------------------------------------------------------------
 
-/// Write a snapshot as one flat JSON object, keys in registry order:
-/// `{"flits_routed":12,"vc_allocs":34,...}`.
+/// Write a snapshot as one flat JSON object, keys in registry order
+/// (counter name to integer value), plus a trailing newline.
 pub fn write_counters_json<W: Write>(w: &mut W, snap: &CounterSnapshot) -> io::Result<()> {
-    w.write_all(b"{")?;
-    for (i, e) in snap.entries.iter().enumerate() {
-        if i > 0 {
-            w.write_all(b",")?;
-        }
-        write!(w, "\"{}\":{}", e.name(), e.value)?;
-    }
-    w.write_all(b"}\n")
-}
-
-/// Write a snapshot as CSV with a `counter,value` header.
-pub fn write_counters_csv<W: Write>(w: &mut W, snap: &CounterSnapshot) -> io::Result<()> {
-    writeln!(w, "counter,value")?;
-    for e in &snap.entries {
-        writeln!(w, "{},{}", e.name(), e.value)?;
-    }
-    Ok(())
-}
-
-/// Parse the CSV produced by [`write_counters_csv`] back into
-/// `(name, value)` pairs.
-pub fn parse_counters_csv(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some("counter,value") => {}
-        other => return Err(format!("bad counters header: {other:?}")),
-    }
-    lines
-        .filter(|l| !l.is_empty())
-        .map(|l| {
-            let (name, value) = l
-                .split_once(',')
-                .ok_or_else(|| format!("bad counters row: {l:?}"))?;
-            let value = value.parse().map_err(|e| format!("bad value in {l:?}: {e}"))?;
-            Ok((name.to_string(), value))
-        })
-        .collect()
+    let fields = snap
+        .entries
+        .iter()
+        .map(|e| (e.name().to_string(), Json::Int(e.value)))
+        .collect();
+    writeln!(w, "{}", Json::Obj(fields).render())
 }
 
 // ---------------------------------------------------------------------
 // Event traces.
 // ---------------------------------------------------------------------
 
-/// Write events as JSON Lines: one object per event, e.g.
-/// `{"type":"recovery_start","cycle":812,"episode":1,"msg":4711,"at":9,"at_nic":true}`.
+/// Write events as JSON Lines: one object per event, its `type` name
+/// first, then `cycle`, then the event's own fields in declaration order.
 pub fn write_trace_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
+    let mut line = String::new();
     for ev in events {
-        match *ev {
-            Event::Inject { cycle, nic, msg, mtype } => writeln!(
-                w,
-                "{{\"type\":\"inject\",\"cycle\":{cycle},\"nic\":{nic},\"msg\":{msg},\"mtype\":{mtype}}}"
-            )?,
-            Event::Consume { cycle, nic, msg, mtype } => writeln!(
-                w,
-                "{{\"type\":\"consume\",\"cycle\":{cycle},\"nic\":{nic},\"msg\":{msg},\"mtype\":{mtype}}}"
-            )?,
-            Event::TokenPass { cycle, at, at_nic } => writeln!(
-                w,
-                "{{\"type\":\"token_pass\",\"cycle\":{cycle},\"at\":{at},\"at_nic\":{at_nic}}}"
-            )?,
-            Event::DeadlockDetected { cycle, nic, msg } => writeln!(
-                w,
-                "{{\"type\":\"deadlock_detected\",\"cycle\":{cycle},\"nic\":{nic},\"msg\":{msg}}}"
-            )?,
-            Event::RecoveryStart { cycle, episode, msg, at, at_nic } => writeln!(
-                w,
-                "{{\"type\":\"recovery_start\",\"cycle\":{cycle},\"episode\":{episode},\"msg\":{msg},\"at\":{at},\"at_nic\":{at_nic}}}"
-            )?,
-            Event::RecoveryEnd { cycle, episode, msg, moved, depth } => writeln!(
-                w,
-                "{{\"type\":\"recovery_end\",\"cycle\":{cycle},\"episode\":{episode},\"msg\":{msg},\"moved\":{moved},\"depth\":{depth}}}"
-            )?,
-            Event::BackoffReply { cycle, nic, msg, deflected } => writeln!(
-                w,
-                "{{\"type\":\"backoff_reply\",\"cycle\":{cycle},\"nic\":{nic},\"msg\":{msg},\"deflected\":{deflected}}}"
-            )?,
-        }
+        line.clear();
+        Json::render_fields_into(&mut line, &event_fields(ev));
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
 }
 
-/// Columns of the trace CSV, in order. Fields not applicable to an event
-/// kind are left empty.
-pub const TRACE_CSV_HEADER: &str = "cycle,kind,nic,at,at_nic,msg,mtype,episode,moved,depth,deflected";
-
-/// Write events as CSV under [`TRACE_CSV_HEADER`].
-pub fn write_trace_csv<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
-    writeln!(w, "{TRACE_CSV_HEADER}")?;
-    for ev in events {
-        match *ev {
-            Event::Inject { cycle, nic, msg, mtype } => {
-                writeln!(w, "{cycle},inject,{nic},,,{msg},{mtype},,,,")?;
-            }
-            Event::Consume { cycle, nic, msg, mtype } => {
-                writeln!(w, "{cycle},consume,{nic},,,{msg},{mtype},,,,")?;
-            }
-            Event::TokenPass { cycle, at, at_nic } => {
-                writeln!(w, "{cycle},token_pass,,{at},{at_nic},,,,,,")?;
-            }
-            Event::DeadlockDetected { cycle, nic, msg } => {
-                writeln!(w, "{cycle},deadlock_detected,{nic},,,{msg},,,,,")?;
-            }
-            Event::RecoveryStart { cycle, episode, msg, at, at_nic } => {
-                writeln!(w, "{cycle},recovery_start,,{at},{at_nic},{msg},,{episode},,,")?;
-            }
-            Event::RecoveryEnd { cycle, episode, msg, moved, depth } => {
-                writeln!(w, "{cycle},recovery_end,,,,{msg},,{episode},{moved},{depth},")?;
-            }
-            Event::BackoffReply { cycle, nic, msg, deflected } => {
-                writeln!(w, "{cycle},backoff_reply,{nic},,,{msg},,,,,{deflected}")?;
-            }
+fn event_fields(ev: &Event) -> Vec<(&'static str, Json)> {
+    let int = |k, v: u64| (k, Json::Int(v));
+    let flag = |k, v: bool| (k, Json::Bool(v));
+    let mut fields = Vec::with_capacity(6);
+    fields.extend([("type", Json::Str(ev.kind().to_string())), int("cycle", ev.cycle())]);
+    match *ev {
+        Event::Inject { nic, msg, mtype, .. } | Event::Consume { nic, msg, mtype, .. } => {
+            fields.extend([int("nic", nic.into()), int("msg", msg), int("mtype", mtype.into())]);
+        }
+        Event::TokenPass { at, at_nic, .. } => {
+            fields.extend([int("at", at.into()), flag("at_nic", at_nic)]);
+        }
+        Event::DeadlockDetected { nic, msg, .. } => {
+            fields.extend([int("nic", nic.into()), int("msg", msg)]);
+        }
+        Event::RecoveryStart { episode, msg, at, at_nic, .. } => fields.extend([
+            int("episode", episode),
+            int("msg", msg),
+            int("at", at.into()),
+            flag("at_nic", at_nic),
+        ]),
+        Event::RecoveryEnd { episode, msg, moved, depth, .. } => fields.extend([
+            int("episode", episode),
+            int("msg", msg),
+            int("moved", moved.into()),
+            int("depth", depth.into()),
+        ]),
+        Event::BackoffReply { nic, msg, deflected, .. } => {
+            fields.extend([int("nic", nic.into()), int("msg", msg), int("deflected", deflected)]);
         }
     }
-    Ok(())
+    fields
 }
 
 /// Parse JSON Lines produced by [`write_trace_jsonl`] back into events.
-/// This is a reader for *this crate's* output, not a general JSON parser.
+/// A malformed line, a missing field, or an integer that does not fit
+/// its event field is an error naming the line.
 pub fn parse_trace_jsonl(text: &str) -> Result<Vec<Event>, String> {
     text.lines()
         .filter(|l| !l.trim().is_empty())
@@ -141,151 +82,72 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<Event>, String> {
         .collect()
 }
 
-fn json_field(line: &str, key: &str) -> Result<u64, String> {
-    json_field_raw(line, key)?
-        .parse()
-        .map_err(|e| format!("bad {key} in {line:?}: {e}"))
+/// One parsed trace line, with typed field access for error reporting.
+struct TraceLine<'a> {
+    json: Json,
+    text: &'a str,
 }
 
-fn json_bool_field(line: &str, key: &str) -> Result<bool, String> {
-    match json_field_raw(line, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("bad bool {key}: {other:?}")),
+impl TraceLine<'_> {
+    fn bad(&self, key: &str) -> String {
+        format!("missing or invalid {key} in {:?}", self.text)
+    }
+
+    /// An integer field narrowed to the event field's own type: a value
+    /// out of that type's range is an error, never truncated.
+    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.json.get(key).and_then(Json::as_int).ok_or_else(|| self.bad(key))
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, String> {
+        self.json.get(key).and_then(Json::as_bool).ok_or_else(|| self.bad(key))
     }
 }
 
-fn json_field_raw<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing {key} in {line:?}"))?
-        + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated {key} in {line:?}"))?;
-    Ok(rest[..end].trim().trim_matches('"'))
-}
-
-fn parse_jsonl_line(line: &str) -> Result<Event, String> {
-    let kind = json_field_raw(line, "type")?;
-    let cycle = json_field(line, "cycle")?;
-    Ok(match kind {
+fn parse_jsonl_line(text: &str) -> Result<Event, String> {
+    let json = Json::parse(text).ok_or_else(|| format!("malformed JSON: {text:?}"))?;
+    let l = TraceLine { json, text };
+    let cycle = l.int("cycle")?;
+    Ok(match l.json.get("type").and_then(Json::as_str).ok_or_else(|| l.bad("type"))? {
         "inject" => Event::Inject {
             cycle,
-            nic: json_field(line, "nic")? as u32,
-            msg: json_field(line, "msg")?,
-            mtype: json_field(line, "mtype")? as u8,
+            nic: l.int("nic")?,
+            msg: l.int("msg")?,
+            mtype: l.int("mtype")?,
         },
         "consume" => Event::Consume {
             cycle,
-            nic: json_field(line, "nic")? as u32,
-            msg: json_field(line, "msg")?,
-            mtype: json_field(line, "mtype")? as u8,
+            nic: l.int("nic")?,
+            msg: l.int("msg")?,
+            mtype: l.int("mtype")?,
         },
-        "token_pass" => Event::TokenPass {
-            cycle,
-            at: json_field(line, "at")? as u32,
-            at_nic: json_bool_field(line, "at_nic")?,
-        },
+        "token_pass" => Event::TokenPass { cycle, at: l.int("at")?, at_nic: l.flag("at_nic")? },
         "deadlock_detected" => Event::DeadlockDetected {
             cycle,
-            nic: json_field(line, "nic")? as u32,
-            msg: json_field(line, "msg")?,
+            nic: l.int("nic")?,
+            msg: l.int("msg")?,
         },
         "recovery_start" => Event::RecoveryStart {
             cycle,
-            episode: json_field(line, "episode")?,
-            msg: json_field(line, "msg")?,
-            at: json_field(line, "at")? as u32,
-            at_nic: json_bool_field(line, "at_nic")?,
+            episode: l.int("episode")?,
+            msg: l.int("msg")?,
+            at: l.int("at")?,
+            at_nic: l.flag("at_nic")?,
         },
         "recovery_end" => Event::RecoveryEnd {
             cycle,
-            episode: json_field(line, "episode")?,
-            msg: json_field(line, "msg")?,
-            moved: json_field(line, "moved")? as u32,
-            depth: json_field(line, "depth")? as u32,
+            episode: l.int("episode")?,
+            msg: l.int("msg")?,
+            moved: l.int("moved")?,
+            depth: l.int("depth")?,
         },
         "backoff_reply" => Event::BackoffReply {
             cycle,
-            nic: json_field(line, "nic")? as u32,
-            msg: json_field(line, "msg")?,
-            deflected: json_field(line, "deflected")?,
+            nic: l.int("nic")?,
+            msg: l.int("msg")?,
+            deflected: l.int("deflected")?,
         },
         other => return Err(format!("unknown event type {other:?}")),
-    })
-}
-
-/// Parse CSV produced by [`write_trace_csv`] back into events.
-pub fn parse_trace_csv(text: &str) -> Result<Vec<Event>, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(h) if h == TRACE_CSV_HEADER => {}
-        other => return Err(format!("bad trace header: {other:?}")),
-    }
-    lines
-        .filter(|l| !l.is_empty())
-        .map(parse_csv_row)
-        .collect()
-}
-
-fn parse_csv_row(line: &str) -> Result<Event, String> {
-    let cols: Vec<&str> = line.split(',').collect();
-    if cols.len() != 11 {
-        return Err(format!("bad trace row (want 11 columns): {line:?}"));
-    }
-    let num = |i: usize, what: &str| -> Result<u64, String> {
-        cols[i]
-            .parse()
-            .map_err(|e| format!("bad {what} in {line:?}: {e}"))
-    };
-    let cycle = num(0, "cycle")?;
-    Ok(match cols[1] {
-        "inject" => Event::Inject {
-            cycle,
-            nic: num(2, "nic")? as u32,
-            msg: num(5, "msg")?,
-            mtype: num(6, "mtype")? as u8,
-        },
-        "consume" => Event::Consume {
-            cycle,
-            nic: num(2, "nic")? as u32,
-            msg: num(5, "msg")?,
-            mtype: num(6, "mtype")? as u8,
-        },
-        "token_pass" => Event::TokenPass {
-            cycle,
-            at: num(3, "at")? as u32,
-            at_nic: cols[4] == "true",
-        },
-        "deadlock_detected" => Event::DeadlockDetected {
-            cycle,
-            nic: num(2, "nic")? as u32,
-            msg: num(5, "msg")?,
-        },
-        "recovery_start" => Event::RecoveryStart {
-            cycle,
-            episode: num(7, "episode")?,
-            msg: num(5, "msg")?,
-            at: num(3, "at")? as u32,
-            at_nic: cols[4] == "true",
-        },
-        "recovery_end" => Event::RecoveryEnd {
-            cycle,
-            episode: num(7, "episode")?,
-            msg: num(5, "msg")?,
-            moved: num(8, "moved")? as u32,
-            depth: num(9, "depth")? as u32,
-        },
-        "backoff_reply" => Event::BackoffReply {
-            cycle,
-            nic: num(2, "nic")? as u32,
-            msg: num(5, "msg")?,
-            deflected: num(10, "deflected")?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
     })
 }
 
@@ -322,29 +184,76 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_preserves_events() {
-        let events = sample_events();
+    fn jsonl_lines_keep_their_field_order() {
         let mut buf = Vec::new();
-        write_trace_csv(&mut buf, &events).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let parsed = parse_trace_csv(&text).unwrap();
-        assert_eq!(parsed, events);
+        write_trace_jsonl(&mut buf, &sample_events()[4..5]).unwrap();
+        let line = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
+        let Json::Obj(fields) = line else { panic!("not an object") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["type", "cycle", "episode", "msg", "at", "at_nic"]);
+    }
+
+    /// Write `ev` as a trace line with field `key` replaced by the JSON
+    /// text `value`, and parse it back.
+    fn parse_with(ev: Event, key: &str, value: &str) -> Result<Vec<Event>, String> {
+        let mut buf = Vec::new();
+        write_trace_jsonl(&mut buf, &[ev]).unwrap();
+        let line = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
+        let Json::Obj(mut fields) = line else { unreachable!() };
+        fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = Json::parse(value).unwrap();
+        parse_trace_jsonl(&Json::Obj(fields).render())
     }
 
     #[test]
-    fn counters_csv_roundtrip() {
-        let c = Counters::new();
-        c.add(CounterId::DeadlocksDetected, 5);
-        c.set(CounterId::NetFlitsInFlight, 321);
-        let snap = c.snapshot();
-        let mut buf = Vec::new();
-        write_counters_csv(&mut buf, &snap).unwrap();
-        let rows = parse_counters_csv(&String::from_utf8(buf).unwrap()).unwrap();
-        assert_eq!(rows.len(), snap.entries.len());
-        for (row, entry) in rows.iter().zip(&snap.entries) {
-            assert_eq!(row.0, entry.name());
-            assert_eq!(row.1, entry.value);
+    fn out_of_range_nic_is_rejected_not_truncated() {
+        let ev = Event::Inject { cycle: 1, nic: 3, msg: 100, mtype: 0 };
+        assert!(parse_with(ev, "nic", "4294967295").is_ok());
+        let err = parse_with(ev, "nic", "4294967296").unwrap_err();
+        assert!(err.contains("nic"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_mtype_is_rejected_not_truncated() {
+        let ev = Event::Consume { cycle: 1, nic: 3, msg: 100, mtype: 0 };
+        assert!(parse_with(ev, "mtype", "255").is_ok());
+        assert!(parse_with(ev, "mtype", "256").unwrap_err().contains("mtype"));
+    }
+
+    #[test]
+    fn out_of_range_at_is_rejected_not_truncated() {
+        let ev = Event::TokenPass { cycle: 2, at: 7, at_nic: false };
+        assert!(parse_with(ev, "at", "4294967296").unwrap_err().contains("at"));
+    }
+
+    #[test]
+    fn out_of_range_moved_is_rejected_not_truncated() {
+        let ev = Event::RecoveryEnd { cycle: 90, episode: 1, msg: 100, moved: 2, depth: 1 };
+        assert!(parse_with(ev, "moved", "4294967296").unwrap_err().contains("moved"));
+    }
+
+    #[test]
+    fn out_of_range_depth_is_rejected_not_truncated() {
+        let ev = Event::RecoveryEnd { cycle: 90, episode: 1, msg: 100, moved: 2, depth: 1 };
+        assert!(parse_with(ev, "depth", "4294967296").unwrap_err().contains("depth"));
+    }
+
+    #[test]
+    fn u64_fields_past_u64_max_are_rejected_not_saturated() {
+        let ev = Event::BackoffReply { cycle: 95, nic: 2, msg: 200, deflected: 150 };
+        for key in ["cycle", "msg", "deflected"] {
+            assert!(parse_with(ev, key, "18446744073709551615").is_ok(), "{key}");
+            let err = parse_with(ev, key, "18446744073709551616").unwrap_err();
+            assert!(err.contains(key), "{err}");
         }
+    }
+
+    #[test]
+    fn wrongly_typed_fields_are_rejected() {
+        let ev = Event::TokenPass { cycle: 2, at: 7, at_nic: false };
+        assert!(parse_with(ev, "at", "\"7\"").is_err());
+        assert!(parse_with(ev, "at", "-1").is_err());
+        assert!(parse_with(ev, "at_nic", "1").is_err());
+        assert!(parse_with(ev, "type", "\"teleport\"").is_err());
     }
 
     #[test]
@@ -354,8 +263,13 @@ mod tests {
         let mut buf = Vec::new();
         write_counters_json(&mut buf, &c.snapshot()).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
+        assert!(text.starts_with('{') && text.ends_with("}\n"));
+        // `--counters-out` keeps the compact layout byte for byte.
         assert!(text.contains("\"token_hops\":9"));
         assert!(text.contains("\"deadlocks_detected\":0"));
+        assert!(!text.contains(' '));
+        let obj = Json::parse(&text).unwrap();
+        assert_eq!(obj.get("token_hops"), Some(&Json::Int(9)));
+        assert_eq!(obj.get("deadlocks_detected"), Some(&Json::Int(0)));
     }
 }

@@ -32,7 +32,7 @@
 //! every cross-checked build.
 
 use crate::incremental::{BaseAnalysis, FaultOutcome};
-use mdd_obs::{counter_add, CounterId};
+use mdd_obs::{counter_add, CounterId, Json};
 use mdd_routing::Scheme;
 use mdd_topology::{Direction, FaultSet, NodeId, Topology, TopologyKind};
 
@@ -153,30 +153,31 @@ impl FrontierReport {
         report
     }
 
-    /// Render the report as JSON (stable key order, no external deps).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"base_verdict\": \"{}\",\n", self.base_verdict));
-        s.push_str(&format!("  \"base_rank\": {},\n", self.base_rank));
-        s.push_str(&format!("  \"preserving\": {},\n", self.preserving));
-        s.push_str(&format!("  \"degrading\": {},\n", self.degrading));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let sep = if i + 1 == self.points.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    {{\"fault\": \"{}\", \"verdict\": \"{}\", \"rank\": {}, \"class\": \"{}\"}}{sep}\n",
-                p.label,
-                p.verdict,
-                p.rank,
-                match p.class {
-                    FaultClass::Preserving => "preserving",
-                    FaultClass::Degrading => "degrading",
-                },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The report as one JSON object: the caller's `head` fields (e.g.
+    /// the configuration), the base verdict and rank, the class counts,
+    /// then every point in enumeration order.
+    pub fn to_json(&self, mut head: Vec<(String, Json)>) -> Json {
+        let text = |s: &str| Json::Str(s.to_string());
+        let points = self.points.iter().map(|p| {
+            let class = match p.class {
+                FaultClass::Preserving => "preserving",
+                FaultClass::Degrading => "degrading",
+            };
+            Json::Obj(vec![
+                ("fault".to_string(), text(&p.label)),
+                ("verdict".to_string(), text(p.verdict)),
+                ("rank".to_string(), Json::Int(p.rank.into())),
+                ("class".to_string(), text(class)),
+            ])
+        });
+        head.extend([
+            ("base_verdict".to_string(), text(self.base_verdict)),
+            ("base_rank".to_string(), Json::Int(self.base_rank.into())),
+            ("preserving".to_string(), Json::Int(self.preserving as u64)),
+            ("degrading".to_string(), Json::Int(self.degrading as u64)),
+            ("points".to_string(), Json::Arr(points.collect())),
+        ]);
+        Json::Obj(head)
     }
 }
 

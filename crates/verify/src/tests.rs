@@ -390,8 +390,11 @@ fn sa_frontier_finds_degrading_faults() {
         "crippling a ProvenFree SA config must degrade somewhere"
     );
     assert_eq!(report.preserving + report.degrading, report.points.len());
-    let json = report.to_json();
-    assert!(json.contains("\"points\""), "json: {json}");
+    let json = report.to_json(Vec::new());
+    let points = json.get("points").and_then(mdd_obs::Json::as_arr).unwrap();
+    assert_eq!(points.len(), report.points.len());
+    let degrading = json.get("degrading").and_then(mdd_obs::Json::as_u64);
+    assert_eq!(degrading, Some(report.degrading as u64));
 }
 
 #[test]
