@@ -185,6 +185,20 @@ slow=$(echo "$frontier_out" | grep '^frontier: ' |
 [ -z "$slow" ] || {
     echo "golden frontier: a scheme sweep blew the 10s budget: ${slow}s"; exit 1; }
 
+echo "==> golden smoke figures (mdd-figures all --smoke is bit-for-bit reproducible at any --jobs)"
+# --jobs 1 and the default worker count must both reproduce the committed
+# results/smoke/ byte for byte.
+./target/release/mdd-figures all --smoke --no-cache --jobs 1 \
+    --out "$GOLDEN_DIR/jobs1" >/dev/null
+./target/release/mdd-figures all --smoke --no-cache \
+    --out "$GOLDEN_DIR/jobsN" >/dev/null
+for run in jobs1 jobsN; do
+    diff -ru results/smoke "$GOLDEN_DIR/$run/smoke" || {
+        echo "golden smoke figures: results/smoke/ drifted from mdd-figures ($run);"
+        echo "rerun ./target/release/mdd-figures all --smoke --no-cache --out results and commit"
+        exit 1; }
+done
+
 echo "==> scaling smoke (orbit-quotiented verifier at 64x64, ladder sweep point)"
 # The orbit quotient must classify a 4096-router torus interactively:
 # three verdicts in <1s each. The release binary is invoked directly

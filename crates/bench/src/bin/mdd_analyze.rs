@@ -37,7 +37,7 @@
 //! debug builds every replicated point is cross-checked against a full
 //! incremental re-verdict on topologies small enough to afford it.
 
-use mdd_bench::cli::{die, BenchCli};
+use mdd_bench::cli::{die, usage, BenchCli};
 use mdd_core::{PatternSpec, Scheme, SimConfig};
 use mdd_obs::Json;
 use mdd_stats::Table;
@@ -81,12 +81,6 @@ fn cfg_fields(scheme: &str, pattern: &str, vcs: u8, topo: &str) -> Vec<(String, 
     ]
 }
 
-/// Write `{"<key>": rows}` as a committed artifact, in the pretty layout.
-fn write_artifact(cli: &BenchCli, file: &str, key: &str, rows: Vec<Json>) {
-    let doc = Json::Obj(vec![(key.to_string(), Json::Arr(rows))]);
-    cli.write_reported(file, &(doc.render_pretty() + "\n"));
-}
-
 fn sim_cfg(scheme: &str, pattern: &str, vcs: u8, topo: &str) -> SimConfig {
     let radix =
         SimConfig::parse_topo(topo).unwrap_or_else(|e| die(&format!("bad topology spec: {e}")));
@@ -127,7 +121,7 @@ fn verdicts(cli: &BenchCli) {
         }
     }
     print!("{}", table.render());
-    write_artifact(cli, "verdicts.json", "verdicts", rows);
+    cli.write_artifact("verdicts.json", vec![("verdicts".to_string(), Json::Arr(rows))]);
 }
 
 /// The frontier configurations: each scheme at the cheapest budget that
@@ -167,7 +161,7 @@ fn frontier(cli: &BenchCli) {
             rows.push(report.to_json(cfg_fields(scheme, "pat271", vcs, topo)));
         }
     }
-    write_artifact(cli, "fault_frontier.json", "configs", rows);
+    cli.write_artifact("fault_frontier.json", vec![("configs".to_string(), Json::Arr(rows))]);
 }
 
 fn min_vc(cli: &BenchCli) {
@@ -203,16 +197,7 @@ fn min_vc(cli: &BenchCli) {
 fn main() {
     let cli = BenchCli::parse();
     if cli.flag("--help") || cli.flag("-h") {
-        println!(
-            "{}",
-            include_str!("mdd_analyze.rs")
-                .lines()
-                .take_while(|l| l.starts_with("//!"))
-                .map(|l| l.trim_start_matches("//!").trim_start())
-                .filter(|l| !l.starts_with("```"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+        println!("{}", usage(include_str!("mdd_analyze.rs")));
         return;
     }
     let modes =

@@ -72,7 +72,7 @@
 //! points_completed, points_cached, points_failed, point_wall_micros)
 //! appear in the same snapshot.
 
-use mdd_bench::cli::BenchCli;
+use mdd_bench::cli::{usage, BenchCli};
 use mdd_core::{default_loads, PatternSpec, QueueOrg, Scheme, SimConfig};
 use mdd_stats::{render_bnf, Table};
 
@@ -112,7 +112,7 @@ fn write_obs_outputs(counters_out: Option<&str>, trace_out: Option<&str>) {
 fn main() {
     let cli = BenchCli::parse();
     if cli.flag("--help") || cli.flag("-h") {
-        println!("{}", include_str!("mddsim.rs").lines().take_while(|l| l.starts_with("//!")).map(|l| l.trim_start_matches("//!").trim_start()).filter(|l| !l.starts_with("```")).collect::<Vec<_>>().join("\n"));
+        println!("{}", usage(include_str!("mddsim.rs")));
         return;
     }
     let scheme = match cli.value("--scheme").unwrap_or("pr") {

@@ -1,10 +1,12 @@
-//! Shared command-line handling for the experiment binaries.
+//! Shared command-line handling for the binaries in `src/bin/`.
 //!
-//! Every binary in `src/bin/` accepts the same base flags:
+//! Every binary accepts the same base flags:
 //!
 //! ```text
-//! --smoke            smallest scale (smoke-test windows, 3 load points)
-//! --fast             reduced scale for constrained machines
+//! --smoke            smallest scale (smoke-test windows, 3 load points);
+//!                    artifacts go to <out>/smoke/
+//! --fast             reduced scale for constrained machines;
+//!                    artifacts go to <out>/fast/
 //! --out DIR          results directory [results]
 //! --jobs N           simulation worker threads, N >= 1
 //!                    [default: machine parallelism]
@@ -18,9 +20,13 @@
 //! [`BenchCli::value`] / [`BenchCli::parse_value`]. [`BenchCli::engine`]
 //! turns the cache/jobs flags into a configured [`Engine`].
 
-use crate::experiments::{write_results_in, RunScale};
+use crate::experiments::RunScale;
 use mdd_engine::Engine;
+use mdd_obs::Json;
 use std::path::PathBuf;
+
+/// The `schema` tag that leads every committed `results/` artifact.
+pub const ARTIFACT_SCHEMA: &str = "mdd-artifact/1";
 
 /// Parsed common flags plus the raw argument list for per-binary extras.
 #[derive(Clone, Debug)]
@@ -28,9 +34,6 @@ pub struct BenchCli {
     args: Vec<String>,
     /// Experiment scale selected by `--smoke` / `--fast` (full otherwise).
     pub scale: RunScale,
-    /// True when `--smoke` was given (some characterization binaries use
-    /// a horizon rather than a [`RunScale`]).
-    pub smoke: bool,
     /// Results directory (`--out`, default `results`).
     pub out_dir: PathBuf,
     /// Worker-thread count (`--jobs`; `None` = machine parallelism).
@@ -65,8 +68,7 @@ impl BenchCli {
                 .and_then(|i| args.get(i + 1))
                 .cloned()
         };
-        let smoke = flag("--smoke");
-        let scale = if smoke {
+        let scale = if flag("--smoke") {
             RunScale::smoke()
         } else if flag("--fast") {
             RunScale::fast()
@@ -86,7 +88,6 @@ impl BenchCli {
         });
         let cache_dir = value("--cache-dir").map_or_else(|| out_dir.join("cache"), PathBuf::from);
         BenchCli {
-            smoke,
             scale,
             out_dir,
             jobs,
@@ -146,20 +147,39 @@ impl BenchCli {
             .expect("an uncached engine with a positive worker count cannot fail")
     }
 
-    /// Write `contents` under the selected results directory, returning
-    /// the path written.
-    pub fn write(&self, name: &str, contents: &str) -> std::io::Result<String> {
-        write_results_in(&self.out_dir, name, contents)
-    }
-
-    /// Write a result file and report it on stdout/stderr (the shared
-    /// tail of every binary's `main`).
-    pub fn write_reported(&self, name: &str, contents: &str) {
-        match self.write(name, contents) {
-            Ok(p) => println!("\nwrote {p}"),
-            Err(e) => eprintln!("could not write results: {e}"),
+    /// Write `{"schema": ARTIFACT_SCHEMA, <fields>}` as `file` in the
+    /// codec's pretty layout and report the path. Full-scale artifacts
+    /// go to `--out`; `--smoke` and `--fast` ones to its `smoke/` and
+    /// `fast/` subdirectories, so they never overwrite the committed
+    /// full-scale files.
+    pub fn write_artifact(&self, file: &str, fields: Vec<(String, Json)>) {
+        let dir = match self.scale.name {
+            "full" => self.out_dir.clone(),
+            scale => self.out_dir.join(scale),
+        };
+        let path = dir.join(file);
+        let mut doc = vec![("schema".to_string(), ARTIFACT_SCHEMA.into())];
+        doc.extend(fields);
+        let text = Json::Obj(doc).render_pretty() + "\n";
+        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, text)) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("error: could not write {}: {e}", path.display());
+                std::process::exit(1)
+            }
         }
     }
+}
+
+/// The `//!` header of a binary's source, as its `--help` text.
+pub fn usage(source: &str) -> String {
+    source
+        .lines()
+        .take_while(|l| l.starts_with("//!"))
+        .map(|l| l.trim_start_matches("//!").trim_start())
+        .filter(|l| !l.starts_with("```"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 /// Exit with an argument-error message (status 2, like the classic CLIs).

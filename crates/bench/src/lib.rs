@@ -1,11 +1,11 @@
 //! # mdd-bench
 //!
-//! The experiment harness: one module per paper table/figure, shared by
-//! the binaries in `src/bin/` (full scale, or `--fast` / `--smoke`).
-//! Every function is deterministic given its configuration, prints the
-//! same rows/series the paper reports, and returns structured results so
-//! tests can assert on them. Performance is measured by the repository
-//! benchmark, `mddbench/`, not here.
+//! The experiment harness: every paper table/figure as a function that
+//! returns its rows ([`experiments::figure`]), driven by `mdd-figures`
+//! (full scale, or `--fast` / `--smoke`), plus the shared CLI of the
+//! binaries in `src/bin/`. Every figure is deterministic given its
+//! scale, so tests can assert on its rows. Performance is measured by
+//! the repository benchmark, `mddbench/`, not here.
 
 #![warn(missing_docs)]
 

@@ -1,23 +1,28 @@
 //! Integration tests of the experiment harness itself: every figure
-//! driver runs at tiny scale, produces the expected panels/curves/CSV
+//! driver runs at tiny scale, produces the expected panels/curves/rows
 //! structure, and respects the feasibility gating the paper's figures
 //! encode.
 
-use mdd_bench::{characterize_app, figure11, figure8, RunScale};
+use mdd_bench::{characterize_app, figure, Figure, RunScale};
+use mdd_engine::Engine;
 use mdd_traffic::AppModel;
 
-fn tiny() -> RunScale {
-    RunScale {
+fn tiny(name: &str) -> Figure {
+    let scale = RunScale {
+        name: "tiny",
         warmup: 200,
         measure: 600,
         load_points: 2,
-    }
+        horizon: 3_000,
+        bristle_horizon: 3_000,
+    };
+    figure(name, &Engine::new(), scale).expect("a known figure")
 }
 
 #[test]
 fn figure8_structure_and_gating() {
-    let fig = figure8(tiny());
-    assert_eq!(fig.id, "fig8");
+    let fig = tiny("fig8");
+    assert_eq!(fig.name, "fig8");
     assert_eq!(fig.panels.len(), 5, "one panel per pattern");
     let by_name: std::collections::HashMap<_, _> = fig
         .panels
@@ -41,17 +46,17 @@ fn figure8_structure_and_gating() {
     // Render paths.
     let table = fig.render();
     assert!(table.contains("PAT721"));
-    let csv = fig.to_csv();
-    assert_eq!(csv.lines().count(), 1 + 5 * 2 * 2, "header + rows");
+    assert_eq!(fig.rows.len(), 5 * 2 * 2, "a row per pattern, scheme and load");
     assert!(fig.render_plots().contains("latency"));
     assert!(fig.render_summary().contains("saturation"));
 }
 
 #[test]
 fn figure11_has_qa_variants() {
-    let fig = figure11(tiny());
+    let fig = tiny("fig11");
     let labels: Vec<&str> = fig.panels[0].1.iter().map(|c| c.label.as_str()).collect();
     assert_eq!(labels, vec!["SA", "DR", "DR-QA", "PR", "PR-QA"]);
+    assert!(figure("fig7", &Engine::new(), RunScale::smoke()).is_none());
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The one JSON value type of the workspace: the cache codec, the
-//! daemon wire protocol, the obs counter/trace sinks and the analyser's
-//! committed artifacts all serialize through it.
+//! daemon wire protocol, the obs counter/trace sinks and the committed
+//! figure and analysis artifacts all serialize through it.
 //!
 //! Scope is exactly what those need and nothing more:
 //!
@@ -155,6 +155,24 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Int(n)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Num(x)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
     }
 }
 

@@ -1,4 +1,4 @@
-//! Plain-text table and CSV rendering for the experiment harness.
+//! Plain-text table rendering for the experiment harness.
 
 use std::fmt::Write as _;
 
@@ -23,16 +23,6 @@ impl Table {
         let mut r: Vec<String> = cells.into_iter().map(Into::into).collect();
         r.resize(self.header.len(), String::new());
         self.rows.push(r);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render with aligned columns, a header rule, and trailing newline.
@@ -66,41 +56,4 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (RFC-4180-ish: fields containing commas or quotes are
-    /// quoted).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        csv_line(&mut out, &self.header);
-        for row in &self.rows {
-            csv_line(&mut out, row);
-        }
-        out
-    }
-}
-
-fn csv_line(out: &mut String, cells: &[String]) {
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if c.contains(',') || c.contains('"') || c.contains('\n') {
-            out.push('"');
-            out.push_str(&c.replace('"', "\"\""));
-            out.push('"');
-        } else {
-            out.push_str(c);
-        }
-    }
-    out.push('\n');
-}
-
-/// Render rows of `f64` values as CSV with a header, formatting with
-/// `precision` decimal places.
-pub fn render_csv(header: &[&str], rows: &[Vec<f64>], precision: usize) -> String {
-    let mut t = Table::new(header.to_vec());
-    for r in rows {
-        t.row(r.iter().map(|v| format!("{v:.precision$}")).collect());
-    }
-    t.to_csv()
 }

@@ -123,7 +123,7 @@ fn normalized_deadlocks() {
 }
 
 #[test]
-fn table_render_and_csv() {
+fn table_render() {
     let mut t = Table::new(vec!["scheme", "load", "latency"]);
     t.row(vec!["PR", "0.10", "52.1"]);
     t.row(vec!["DR", "0.10", "61.9"]);
@@ -132,24 +132,6 @@ fn table_render_and_csv() {
     assert!(s.lines().count() == 4);
     // Columns right-aligned, separator present.
     assert!(s.lines().nth(1).unwrap().starts_with('-'));
-    let csv = t.to_csv();
-    assert_eq!(csv.lines().next().unwrap(), "scheme,load,latency");
-    assert_eq!(csv.lines().count(), 3);
-}
-
-#[test]
-fn csv_quoting() {
-    let mut t = Table::new(vec!["a", "b"]);
-    t.row(vec!["x,y", "he said \"hi\""]);
-    let csv = t.to_csv();
-    assert!(csv.contains("\"x,y\""));
-    assert!(csv.contains("\"he said \"\"hi\"\"\""));
-}
-
-#[test]
-fn render_csv_precision() {
-    let s = render_csv(&["x", "y"], &[vec![1.23456, 2.0]], 2);
-    assert!(s.contains("1.23,2.00"));
 }
 
 mod properties {

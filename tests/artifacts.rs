@@ -1,7 +1,8 @@
-//! The committed static-analysis artifacts are exactly what the one JSON
-//! codec writes: parsing each file and re-rendering it in the pretty
-//! layout reproduces it byte for byte, so the analyser, the files and
-//! any reader agree on one format.
+//! The committed artifacts (the static-analysis files and the figure
+//! files at full and smoke scale) are exactly what the one JSON codec
+//! writes: parsing each file and re-rendering it in the pretty layout
+//! reproduces it byte for byte, so the writers, the files and any reader
+//! agree on one format.
 
 use mdd_sim::obs::Json;
 
@@ -16,9 +17,54 @@ fn assert_round_trips(name: &str) -> Json {
     let (text, json) = load(name);
     assert!(
         json.render_pretty() + "\n" == text,
-        "results/{name} is not in the codec's pretty layout; regenerate it with mdd-analyze"
+        "results/{name} is not in the codec's pretty layout; regenerate it"
     );
+    assert_eq!(json.get("schema").and_then(Json::as_str), Some("mdd-artifact/1"), "{name}");
     json
+}
+
+/// Every `mdd-figures` name; the figures simulated outside the result
+/// cache (application traffic) are the ones without a `config` per row.
+const FIGURES: [(&str, bool); 12] = [
+    ("fig6", false),
+    ("table1", false),
+    ("fig8", true),
+    ("fig9", true),
+    ("fig10", true),
+    ("fig11", true),
+    ("ablation_sa_shared", true),
+    ("ablation_threshold", true),
+    ("ablation_token", true),
+    ("utilization", true),
+    ("deadlock_freq_trace", false),
+    ("deadlock_freq_synthetic", true),
+];
+
+#[test]
+fn figure_artifacts_round_trip_and_name_their_configs() {
+    for (dir, scale) in [("", "full"), ("smoke/", "smoke")] {
+        for (name, cached) in FIGURES {
+            let file = format!("{dir}{name}.json");
+            let json = assert_round_trips(&file);
+            assert_eq!(json.get("figure").and_then(Json::as_str), Some(name), "{file}");
+            let header = json.get("scale").unwrap();
+            assert_eq!(header.get("name").and_then(Json::as_str), Some(scale), "{file}");
+            let rows = json.get("rows").and_then(Json::as_arr).unwrap();
+            assert!(!rows.is_empty(), "{file}");
+            for row in rows {
+                let config = row.get("config").and_then(Json::as_str);
+                if cached {
+                    let hex = config.unwrap_or_else(|| panic!("{file}: row without config"));
+                    assert!(
+                        hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()),
+                        "{file}: config {hex} is not 16 hex digits"
+                    );
+                } else {
+                    assert_eq!(config, None, "{file}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
