@@ -50,8 +50,7 @@ pub struct SimConfig {
     /// Sparse event-driven traffic arrivals (default false): per-node
     /// inter-arrival gaps are sampled geometrically instead of one
     /// Bernoulli draw per node per cycle, so generation costs
-    /// O(arrivals) and quiescent stretches can be fast-forwarded even
-    /// while generation is on — the scale-ladder regime. Same arrival
+    /// O(arrivals) — the scale-ladder regime. Same arrival
     /// distribution, different RNG stream: results are reproducible per
     /// mode, and the golden-pinned configurations keep the dense
     /// default.

@@ -194,19 +194,6 @@ impl PrRecovery {
         self.episode.is_some()
     }
 
-    /// The next cycle [`PrRecovery::step`] has scheduled work — the
-    /// pending token hop or watchdog regeneration — or `None` while an
-    /// episode owns the token (episodes advance every cycle). Steps
-    /// strictly before this cycle are no-ops on an otherwise quiescent
-    /// system, bounding how far the simulator may fast-forward.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        if self.episode.is_some() {
-            None
-        } else {
-            self.token.next_event()
-        }
-    }
-
     /// Rescued messages carried over the lane so far.
     pub fn lane_transfers(&self) -> u64 {
         self.lane.transfers

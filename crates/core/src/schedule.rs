@@ -1,49 +1,37 @@
-//! Hierarchical idle-skip schedule over the NIC array.
+//! Idle-skip schedule over the NIC array.
 //!
 //! The simulator keeps, per NIC, the next cycle its endpoint/injection
 //! ticks must execute (`u64::MAX` = fully inert). The original flat
-//! `Vec<u64>` scan made every cycle cost O(num_nics) even on a quiescent
-//! machine — the exact idle-structure tax the scale ladder measures. This
-//! structure pairs the deadline array with a two-level occupancy bitmap
-//! (one bit per *scheduled* NIC, a summary word per 64 bitmap words, the
-//! same shape as the router wake set in `mdd-router`), so per-cycle walks
-//! touch only NICs that have any future event at all.
+//! `Vec<u64>` scan made every cycle compare every deadline even on a
+//! quiescent machine. This structure pairs the deadline array with an
+//! occupancy bitmap (one bit per *scheduled* NIC, the same shape as the
+//! router wake set in `mdd-router`), so per-cycle walks read one word per
+//! 64 NICs and compare only the deadlines of NICs that have any future
+//! event at all.
 //!
 //! Exactness: a NIC without its bit set has deadline `u64::MAX`, which the
 //! dense scan would also skip at every cycle, and bitmap iteration yields
 //! ascending NIC order — the dense scan's order — so tick and injection
 //! sequences are bit-identical to the flat scan.
 
-/// Per-NIC next-due-cycle schedule with a two-level occupancy bitmap.
+/// Per-NIC next-due-cycle schedule with an occupancy bitmap.
 pub(crate) struct NicSchedule {
     /// Next cycle NIC `i` must tick; `u64::MAX` marks a fully inert NIC.
     next: Vec<u64>,
     /// Bit `i` set ⟺ `next[i] != u64::MAX`.
     bits: Vec<u64>,
-    /// Bit `w` of word `s` set ⟺ `bits[s * 64 + w] != 0`.
-    summary: Vec<u64>,
 }
 
 impl NicSchedule {
     /// A schedule over `n` NICs, all due at cycle 0 (everything awake —
     /// the state the dense scan starts from).
     pub fn new(n: usize) -> Self {
-        let words = n.div_ceil(64);
-        let mut bits = vec![u64::MAX; words];
-        if !n.is_multiple_of(64) {
-            bits[words - 1] = (1u64 << (n % 64)) - 1;
-        }
-        let mut summary = vec![0u64; words.div_ceil(64).max(1)];
-        for (w, &word) in bits.iter().enumerate() {
-            if word != 0 {
-                summary[w / 64] |= 1 << (w % 64);
-            }
-        }
-        NicSchedule {
+        let mut s = NicSchedule {
             next: vec![0; n],
-            bits,
-            summary,
-        }
+            bits: vec![0; n.div_ceil(64)],
+        };
+        s.wake_all(0);
+        s
     }
 
     /// NICs covered by the schedule.
@@ -55,15 +43,10 @@ impl NicSchedule {
     #[inline]
     pub fn set(&mut self, i: usize, cycle: u64) {
         self.next[i] = cycle;
-        let w = i / 64;
         if cycle == u64::MAX {
-            self.bits[w] &= !(1 << (i % 64));
-            if self.bits[w] == 0 {
-                self.summary[w / 64] &= !(1 << (w % 64));
-            }
+            self.bits[i / 64] &= !(1 << (i % 64));
         } else {
-            self.bits[w] |= 1 << (i % 64);
-            self.summary[w / 64] |= 1 << (w % 64);
+            self.bits[i / 64] |= 1 << (i % 64);
         }
     }
 
@@ -77,53 +60,22 @@ impl NicSchedule {
             let w = self.bits.len() - 1;
             self.bits[w] = (1u64 << (n % 64)) - 1;
         }
-        for (w, &word) in self.bits.iter().enumerate() {
-            if word != 0 {
-                self.summary[w / 64] |= 1 << (w % 64);
-            }
-        }
     }
 
     /// Collect every NIC due at or before `cycle`, ascending, into `out`
-    /// (cleared first). O(scheduled NICs), not O(all NICs).
+    /// (cleared first). Compares only scheduled NICs' deadlines.
     pub fn due_into(&self, cycle: u64, out: &mut Vec<u32>) {
         out.clear();
-        for (s, &sw) in self.summary.iter().enumerate() {
-            let mut sw = sw;
-            while sw != 0 {
-                let w = s * 64 + sw.trailing_zeros() as usize;
-                sw &= sw - 1;
-                let mut word = self.bits[w];
-                while word != 0 {
-                    let i = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    if self.next[i] <= cycle {
-                        out.push(i as u32);
-                    }
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if self.next[i] <= cycle {
+                    out.push(i as u32);
                 }
             }
         }
-    }
-
-    /// Minimum due cycle over all scheduled NICs (`u64::MAX` when every
-    /// NIC is inert). Unscheduled entries are `u64::MAX` and cannot be the
-    /// minimum, so walking only set bits is exact.
-    pub fn min_next(&self) -> u64 {
-        let mut min = u64::MAX;
-        for (s, &sw) in self.summary.iter().enumerate() {
-            let mut sw = sw;
-            while sw != 0 {
-                let w = s * 64 + sw.trailing_zeros() as usize;
-                sw &= sw - 1;
-                let mut word = self.bits[w];
-                while word != 0 {
-                    let i = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    min = min.min(self.next[i]);
-                }
-            }
-        }
-        min
     }
 }
 
@@ -136,9 +88,7 @@ mod tests {
         let s = NicSchedule::new(130);
         let mut due = Vec::new();
         s.due_into(0, &mut due);
-        assert_eq!(due.len(), 130);
         assert_eq!(due, (0..130).collect::<Vec<_>>());
-        assert_eq!(s.min_next(), 0);
     }
 
     #[test]
@@ -148,18 +98,21 @@ mod tests {
         for i in 0..n {
             s.set(i, u64::MAX);
         }
-        assert_eq!(s.min_next(), u64::MAX);
+        let mut due = Vec::new();
+        s.due_into(u64::MAX - 1, &mut due);
+        assert!(due.is_empty(), "inert NICs are never due");
         s.set(137, 42);
         s.set(3, 7);
         s.set(199, 42);
-        let mut due = Vec::new();
+        s.due_into(6, &mut due);
+        assert!(due.is_empty());
+        s.due_into(7, &mut due);
+        assert_eq!(due, vec![3]);
         s.due_into(42, &mut due);
         assert_eq!(due, vec![3, 137, 199]);
-        s.due_into(41, &mut due);
-        assert_eq!(due, vec![3]);
-        assert_eq!(s.min_next(), 7);
         s.set(3, u64::MAX);
-        assert_eq!(s.min_next(), 42);
+        s.due_into(u64::MAX - 1, &mut due);
+        assert_eq!(due, vec![137, 199]);
     }
 
     #[test]
@@ -170,8 +123,9 @@ mod tests {
         }
         s.wake_all(9);
         let mut due = Vec::new();
+        s.due_into(8, &mut due);
+        assert!(due.is_empty(), "woken NICs are due at 9, not before");
         s.due_into(9, &mut due);
-        assert_eq!(due.len(), 70);
-        assert_eq!(s.min_next(), 9);
+        assert_eq!(due, (0..70).collect::<Vec<_>>());
     }
 }

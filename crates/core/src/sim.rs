@@ -31,8 +31,9 @@ pub struct Simulator {
     /// issue, packet delivery and recovery activity rewind the entry so
     /// the NIC resumes ticking. While an entry exceeds the current cycle,
     /// both of that NIC's ticks are provably no-ops, so skipping them is
-    /// bit-exact. A two-level occupancy bitmap over the scheduled entries
-    /// keeps per-cycle walks O(scheduled NICs), not O(all NICs).
+    /// bit-exact. An occupancy bitmap over the scheduled entries keeps
+    /// the per-cycle walk to one word per 64 NICs plus the scheduled
+    /// NICs' deadlines.
     nic_sched: NicSchedule,
     /// Router-range partition for the network phase (`cfg.shards`
     /// shards; one runs on the calling thread). Results are bit-identical
@@ -456,67 +457,11 @@ impl Simulator {
         mdd_obs::gauge_set(CounterId::ShardsActive, self.shard_plan.shards() as u64);
     }
 
-    /// Run `n` cycles, fast-forwarding the clock over fully quiescent
-    /// stretches (no router work, no NIC due, no traffic arrival, no
-    /// recovery event): the executed steps and every piece of observable
-    /// state are bit-identical to stepping through the skipped cycles one
-    /// by one.
+    /// Run `n` cycles.
     pub fn run_cycles(&mut self, n: u64) {
-        let end = self.cycle.saturating_add(n);
-        while self.cycle < end {
-            if let Some(target) = self.fast_forward_target(end) {
-                let jumped = target - self.cycle;
-                // On a quiescent system the periodic gauge samples are
-                // identical at every skipped sampling point; take at most
-                // one to keep the last-sampled values what the dense
-                // schedule would have left.
-                let sample = mdd_obs::enabled() && {
-                    let p = self.cfg.obs_sample_every.max(1);
-                    target / p > self.cycle / p
-                };
-                self.cycle = target;
-                mdd_obs::counter_add(mdd_obs::CounterId::CyclesFastForwarded, jumped);
-                if sample {
-                    self.sample_obs_gauges();
-                }
-                continue;
-            }
+        for _ in 0..n {
             self.step();
         }
-    }
-
-    /// The cycle the clock may jump to right now (exclusive of any work),
-    /// capped at `end`, or `None` if some component needs the very next
-    /// cycle. Jumping is legal only when every per-cycle phase is a
-    /// provable no-op for each skipped cycle: the network wake-list is
-    /// empty, source queues are empty with no arrival due (a rate-zero or
-    /// disabled source), every NIC sleeps past the target, and the
-    /// recovery token's next hop is not skipped over. The CWG oracle
-    /// cadence additionally caps the jump so scheduled oracle checks
-    /// still execute on schedule.
-    fn fast_forward_target(&self, end: u64) -> Option<u64> {
-        let c = self.cycle;
-        if !self.net.is_idle() || self.traffic.backlog() != 0 {
-            return None;
-        }
-        let mut target = end;
-        if self.generation {
-            target = target.min(self.traffic.next_arrival_cycle(c));
-        }
-        target = target.min(self.nic_sched.min_next());
-        if let Some(rec) = &self.recovery {
-            // An active episode needs every cycle; otherwise the token's
-            // next hop (or watchdog firing) bounds the jump.
-            target = target.min(rec.next_event_cycle()?);
-        }
-        if let Some(k) = self.cfg.cwg_interval {
-            // The oracle runs when the clock *reaches* a multiple of k;
-            // jump at most to the cycle before the next one so that step
-            // still executes.
-            let k = k.max(1);
-            target = target.min((c / k + 1) * k - 1);
-        }
-        (target > c).then_some(target)
     }
 
     /// Run the configured warm-up then measurement window and collect the

@@ -113,20 +113,6 @@ impl CirculatingToken {
         Some(ring.tour_stop(self.pos))
     }
 
-    /// The next cycle at which [`CirculatingToken::advance`] can have any
-    /// effect: the pending hop while circulating, the watchdog firing
-    /// while lost, or `None` while captured (the owning episode drives
-    /// every cycle itself). Calls to `advance` strictly before this cycle
-    /// are no-ops, which is what lets a quiescent simulator fast-forward
-    /// to it.
-    pub fn next_event(&self) -> Option<u64> {
-        match self.state {
-            TokenState::Circulating => Some(self.next_move),
-            TokenState::Lost => Some(self.lost_at + self.regen_timeout),
-            TokenState::Captured => None,
-        }
-    }
-
     /// Capture the token at its current stop.
     pub fn capture(&mut self) {
         debug_assert_eq!(self.state, TokenState::Circulating);

@@ -81,8 +81,8 @@ pub enum CounterId {
     /// NIC ticks elided by idle-skip (an endpoint with no queued work and
     /// no due memory-controller event, skipped for one cycle).
     NicTicksSkipped,
-    /// Cycles the simulator fast-forwarded over in one jump because the
-    /// whole system was quiescent (no executed per-component work at all).
+    /// Always 0: the simulator steps every cycle and has no quiescent
+    /// fast-forward. Kept because the frozen benchmark reads it.
     CyclesFastForwarded,
     /// Flits moved by block (burst) transfers instead of per-flit walks: a
     /// sole-requester streaming grant of a packet-body flit, a contiguous

@@ -175,12 +175,11 @@ fn materialize<'a>(
     })
 }
 
-/// Put router `r` on a wake-set: its bit in `bits` (whose first word is
-/// global word `word_base`) and its group's bit in `summary`.
+/// Put router `r` on a wake-set: its bit in `bits`, whose first word is
+/// global word `word_base`.
 #[inline]
-fn set_wake(bits: &mut [u64], word_base: usize, summary: &mut [u64], r: usize) {
+fn set_wake(bits: &mut [u64], word_base: usize, r: usize) {
     bits[(r >> 6) - word_base] |= 1 << (r & 63);
-    summary[r >> 12] |= 1 << ((r >> 6) & 63);
 }
 
 /// The full network of wormhole routers.
@@ -223,18 +222,9 @@ pub struct Network {
     /// return, local injection, or a recovery-lane extraction, and
     /// re-arms itself while it holds flits; everything else is skipped by
     /// the whole pipeline. Bits deduplicate for free, and draining
-    /// the words in order yields routers ascending — the dense 0..N
-    /// sweep order — without a sort.
+    /// the words in ascending order yields routers ascending — the dense
+    /// 0..N sweep order — without a sort.
     active_bits: Vec<u64>,
-    /// Second level of the wake set: bit `g` of word `s` summarizes
-    /// `active_bits[s*64 + g]` — set iff that word is nonzero. Waking sets
-    /// both levels; the drain clears both. The per-cycle drain walks only
-    /// the set summary bits, so its cost is O(active groups), not
-    /// O(routers/64): one summary word covers 4096 routers, making the
-    /// whole wake-set scan a single word load for any torus up to 64×64.
-    /// Draining summary words ascending, then bits within each word
-    /// ascending, preserves the dense 0..N router order exactly.
-    active_summary: Vec<u64>,
     /// This step's worklist (previous cycle's wake-set, ascending so the
     /// scan order matches the dense 0..N sweep bit-exactly).
     worklist: Vec<u32>,
@@ -242,10 +232,6 @@ pub struct Network {
     /// whether an arriving flit lands at a router the blocked-timer sweep
     /// of this cycle would have covered.
     cur_mask: Vec<u64>,
-    /// Indices of the `cur_mask` words written this cycle, so the next
-    /// drain clears only those instead of sweeping the whole mask — the
-    /// wake-set bookkeeping stays O(activity) end to end.
-    cur_words: Vec<u32>,
     /// Buffered flits per router — O(1) occupancy queries for the
     /// quiescence check and the blocked-head sweep's empty-router
     /// early-out.
@@ -304,10 +290,8 @@ impl Network {
             links,
             nic_slot,
             active_bits: vec![0; n.div_ceil(64)],
-            active_summary: vec![0; n.div_ceil(64).div_ceil(64)],
             worklist: Vec::with_capacity(n),
             cur_mask: vec![0; n.div_ceil(64)],
-            cur_words: Vec::new(),
             router_flits: vec![0; n],
             sleep: vec![Sleep::default(); n],
             shard_scratch: Vec::new(),
@@ -317,10 +301,10 @@ impl Network {
         }
     }
 
-    /// Put router `r` on the wake-set for the next step (both levels).
+    /// Put router `r` on the wake-set for the next step.
     #[inline]
     fn wake(&mut self, r: usize) {
-        set_wake(&mut self.active_bits, 0, &mut self.active_summary, r);
+        set_wake(&mut self.active_bits, 0, r);
     }
 
     /// True while router `r` holds flits — the precondition for re-arming.
@@ -336,28 +320,10 @@ impl Network {
     }
 
     /// Routers currently on the wake-set (the ones the next step will
-    /// process) — the `active_routers` observability gauge. Walks only the
-    /// wake-set's populated words via the summary level.
+    /// process) — the `active_routers` observability gauge.
     #[inline]
     pub fn active_routers(&self) -> usize {
-        let mut n = 0;
-        for (si, &sw) in self.active_summary.iter().enumerate() {
-            let mut sw = sw;
-            while sw != 0 {
-                let wi = si * 64 + sw.trailing_zeros() as usize;
-                sw &= sw - 1;
-                n += self.active_bits[wi].count_ones() as usize;
-            }
-        }
-        n
-    }
-
-    /// True when no router has any scheduled work: the wake-set is empty.
-    /// Implies zero buffered flits. O(routers/4096): only the summary
-    /// level is scanned (a set summary bit always covers a nonzero word).
-    #[inline]
-    pub fn is_idle(&self) -> bool {
-        self.active_summary.iter().all(|&w| w == 0)
+        self.active_bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of routers whose state chunk is materialized — the
@@ -575,32 +541,19 @@ impl Network {
         }
     }
 
-    /// Clear the previous cycle's arrival mask sparsely (only the words
-    /// it actually wrote), then drain the two-level wake set: summary
-    /// words ascending, group words within each ascending, bits within
-    /// each word ascending — the dense 0..N router order, touching only
-    /// populated words.
+    /// Drain the wake set into this cycle's worklist and arrival mask:
+    /// words ascending, bits within each word ascending — the dense 0..N
+    /// router order.
     fn drain_wake_set(&mut self) {
         self.worklist.clear();
-        for &wi in &self.cur_words {
-            self.cur_mask[wi as usize] = 0;
-        }
-        self.cur_words.clear();
-        for si in 0..self.active_summary.len() {
-            let mut sw = std::mem::take(&mut self.active_summary[si]);
-            while sw != 0 {
-                let wi = si * 64 + sw.trailing_zeros() as usize;
-                sw &= sw - 1;
-                let w = std::mem::take(&mut self.active_bits[wi]);
-                debug_assert_ne!(w, 0, "summary bit over an empty wake word");
-                self.cur_mask[wi] = w;
-                self.cur_words.push(wi as u32);
-                let base = (wi * 64) as u32;
-                let mut bits = w;
-                while bits != 0 {
-                    self.worklist.push(base + bits.trailing_zeros());
-                    bits &= bits - 1;
-                }
+        let words = self.cur_mask.iter_mut().zip(&mut self.active_bits);
+        for (wi, (cur, bits)) in words.enumerate() {
+            let mut w = std::mem::take(bits);
+            *cur = w;
+            let base = (wi * 64) as u32;
+            while w != 0 {
+                self.worklist.push(base + w.trailing_zeros());
+                w &= w - 1;
             }
         }
     }
@@ -615,10 +568,7 @@ impl Network {
     ) {
         let nshards = plan.shards();
         if self.shard_scratch.len() != nshards {
-            let groups = self.active_summary.len();
-            self.shard_scratch = (0..nshards)
-                .map(|_| ShardScratch::new(nshards, groups))
-                .collect();
+            self.shard_scratch = (0..nshards).map(|_| ShardScratch::new(nshards)).collect();
         }
         let Network {
             topo,
@@ -635,7 +585,6 @@ impl Network {
             router_flits,
             sleep,
             active_bits,
-            active_summary,
             worklist,
             shard_scratch,
             ..
@@ -713,7 +662,7 @@ impl Network {
                             let up_router = mat_mut(routers, r);
                             up_router.out_credits[slot as usize] += 1;
                             debug_assert!(up_router.out_credits[slot as usize] <= *buf_depth);
-                            set_wake(active_bits, 0, active_summary, r);
+                            set_wake(active_bits, 0, r);
                         }
                         CrossEffect::Arrival { router, slot, flit } => {
                             let (r, slot) = (router as usize, slot as usize);
@@ -725,7 +674,7 @@ impl Network {
                                 down_router.blocked[slot] = cycle;
                             }
                             router_flits[r] += 1;
-                            set_wake(active_bits, 0, active_summary, r);
+                            set_wake(active_bits, 0, r);
                         }
                     }
                 }
@@ -750,9 +699,6 @@ impl Network {
             counters.packets_delivered += c.packets_delivered;
             *materialized += std::mem::take(&mut sc.materialized);
             obs.merge(std::mem::take(&mut sc.obs));
-            for (g, s) in active_summary.iter_mut().zip(&mut sc.summary) {
-                *g |= std::mem::take(s);
-            }
         }
         mdd_obs::counter_add(CounterId::FlitsRouted, obs.routed);
         mdd_obs::counter_add(CounterId::VcAllocs, obs.allocs);
@@ -770,18 +716,10 @@ impl Network {
     /// and the per-router flit counters must agree with the buffers.
     #[cfg(debug_assertions)]
     fn skipped_router_check(&self, cycle: u64) {
-        // Wake-set invariant: a nonzero word is always covered by its
-        // summary bit (the drain relies on walking summary bits only).
-        for (wi, &w) in self.active_bits.iter().enumerate() {
-            debug_assert!(
-                w == 0 || self.active_summary[wi >> 6] >> (wi & 63) & 1 == 1,
-                "wake word {wi} set without its summary bit at cycle {cycle}"
-            );
-        }
         for (r, chunk) in self.routers.iter().enumerate() {
             let Some(router) = chunk.as_deref() else {
-                // An unmaterialized router has never held a flit (or was
-                // reset); it must be indistinguishable from pristine.
+                // An unmaterialized router has never held a flit; it must
+                // be indistinguishable from pristine.
                 debug_assert_eq!(
                     self.router_flits[r], 0,
                     "router {r}: flits counted on an unmaterialized router at cycle {cycle}"
@@ -853,16 +791,21 @@ impl Network {
         }
     }
 
-    /// Append the packets whose head flit has been blocked at router
-    /// `node` for at least `threshold` cycles as of `now` — slot-ascending,
-    /// the same order the full-network sweep produces within one router.
-    fn blocked_heads_router(
+    /// Collect into `out` the packets whose head flit has been blocked at
+    /// router `node` for at least `threshold` cycles as of `now`,
+    /// slot-ascending — the candidates for Disha router-side token capture
+    /// at a token stop. `out` is cleared first; callers keep a scratch
+    /// vector so the periodic detector sweep allocates nothing in steady
+    /// state.
+    pub fn blocked_heads_at(
         &self,
-        r: usize,
+        node: NodeId,
         threshold: u64,
         now: u64,
         out: &mut Vec<(NodeId, MsgHandle)>,
     ) {
+        out.clear();
+        let r = node.index();
         if threshold == 0 || self.router_flits[r] == 0 {
             return;
         }
@@ -876,41 +819,9 @@ impl Network {
                 && router.blocked[slot] != NOT_BLOCKED
                 && now.saturating_sub(router.blocked[slot]) >= threshold
             {
-                out.push((NodeId(r as u32), f.msg));
+                out.push((node, f.msg));
             }
         }
-    }
-
-    /// Collect into `out` the packets whose head flit has been blocked at
-    /// a router for at least `threshold` cycles as of `now` — the
-    /// candidates for Disha router-side token capture. `out` is cleared
-    /// first; callers keep a scratch vector so the periodic detector sweep
-    /// allocates nothing in steady state.
-    pub fn blocked_heads_into(
-        &self,
-        threshold: u64,
-        now: u64,
-        out: &mut Vec<(NodeId, MsgHandle)>,
-    ) {
-        out.clear();
-        for r in 0..self.routers.len() {
-            self.blocked_heads_router(r, threshold, now, out);
-        }
-    }
-
-    /// [`Network::blocked_heads_into`] restricted to one router — what a
-    /// token stop at `node` actually needs. Identical victim order to
-    /// filtering the full sweep down to `node`, without walking the other
-    /// `N - 1` routers.
-    pub fn blocked_heads_at(
-        &self,
-        node: NodeId,
-        threshold: u64,
-        now: u64,
-        out: &mut Vec<(NodeId, MsgHandle)>,
-    ) {
-        out.clear();
-        self.blocked_heads_router(node.index(), threshold, now, out);
     }
 
     /// Remove every buffered flit of packet `id` from the network,
@@ -1069,23 +980,6 @@ impl Network {
         let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
         let cv = if mean > 1e-12 { var.sqrt() / mean } else { 0.0 };
         (mean, max, cv)
-    }
-
-    /// Drop every in-flight packet and clear all buffers (used when
-    /// resetting between measurement runs; not part of the modelled
-    /// hardware). Router chunks are freed; later flits materialize fresh
-    /// clones of the pristine template.
-    pub fn hard_reset(&mut self) {
-        self.routers.iter_mut().for_each(|slot| *slot = None);
-        self.materialized = 0;
-        self.packets = PacketTable::new();
-        self.active_bits.iter_mut().for_each(|w| *w = 0);
-        self.active_summary.iter_mut().for_each(|w| *w = 0);
-        self.cur_mask.iter_mut().for_each(|w| *w = 0);
-        self.cur_words.clear();
-        self.worklist.clear();
-        self.router_flits.iter_mut().for_each(|c| *c = 0);
-        self.sleep.fill(Sleep::default());
     }
 }
 
@@ -1254,14 +1148,10 @@ struct ShardScratch {
     obs: ObsDeltas,
     /// Router chunks materialized by intra-shard arrivals this cycle.
     materialized: u32,
-    /// Wake-set summary bits (global positions) this shard set this
-    /// cycle. A summary word spans up to 4096 routers and may straddle
-    /// shard bounds, so shards keep their own and the barrier ORs them in.
-    summary: Vec<u64>,
 }
 
 impl ShardScratch {
-    fn new(shards: usize, summary_words: usize) -> Self {
+    fn new(shards: usize) -> Self {
         ShardScratch {
             cand: Vec::with_capacity(64),
             moves: Vec::with_capacity(256),
@@ -1270,7 +1160,6 @@ impl ShardScratch {
             counters: NetworkCounters::default(),
             obs: ObsDeltas::default(),
             materialized: 0,
-            summary: vec![0; summary_words],
         }
     }
 }
@@ -1694,13 +1583,11 @@ impl<E: EjectControl> ShardTask<'_, E> {
             mail,
             pk,
             materialized,
-            summary,
             ..
         } = &mut **sc;
         let routers: &mut [Option<Box<Router>>] = routers;
         let router_flits: &mut [u32] = router_flits;
         let active_bits: &mut [u64] = active_bits;
-        let summary: &mut [u64] = summary;
         let word_base = *word_base;
         let mut counters = NetworkCounters::default();
         obs.routed += moves.len() as u64;
@@ -1738,7 +1625,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                     let up_router = mat_mut(routers, upu - lo);
                     up_router.out_credits[up_slot] += 1;
                     debug_assert!(up_router.out_credits[up_slot] <= sh.buf_depth);
-                    set_wake(active_bits, word_base, summary, upu);
+                    set_wake(active_bits, word_base, upu);
                 } else {
                     mail[sh.plan.shard_of(up)].push(CrossEffect::Credit {
                         router: up,
@@ -1783,7 +1670,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                         down_router.blocked[down_slot] = cycle;
                     }
                     router_flits[down - lo] += 1;
-                    set_wake(active_bits, word_base, summary, down);
+                    set_wake(active_bits, word_base, down);
                 } else {
                     mail[sh.plan.shard_of(down as u32)].push(CrossEffect::Arrival {
                         router: down as u32,

@@ -236,16 +236,24 @@ fn blocked_heads_flagged_after_threshold() {
         }
         net.step(cycle, &TestDor, &mut ej);
     }
+    // The head waits at the destination router for an ejection the gate
+    // never grants.
+    let dst = net.topo().nic_router(NicId(5));
     let mut flagged = Vec::new();
-    net.blocked_heads_into(25, 100, &mut flagged);
+    net.blocked_heads_at(dst, 25, 100, &mut flagged);
     assert_eq!(flagged.len(), 1, "the head must be flagged as blocked");
     let (node, fh) = flagged[0];
+    assert_eq!(node, dst);
     assert_eq!(fh, h);
     assert_eq!(store.get(fh).id, MessageId(1));
-    // Head should be blocked at the destination router awaiting ejection.
-    assert_eq!(node, net.topo().nic_router(NicId(5)));
-    // Short threshold check is monotone (scratch vector is reusable).
-    net.blocked_heads_into(1000, 100, &mut flagged);
+    // No other router flags anything: the body flits behind the head are
+    // not heads.
+    for r in 0..net.topo().num_routers() {
+        net.blocked_heads_at(NodeId(r), 25, 100, &mut flagged);
+        assert_eq!(flagged.len(), usize::from(NodeId(r) == dst), "router {r}");
+    }
+    // A longer threshold flags nothing (scratch vector is reusable).
+    net.blocked_heads_at(dst, 1000, 100, &mut flagged);
     assert_eq!(flagged.len(), 0);
 }
 
@@ -386,44 +394,6 @@ fn dateline_bits_set_on_wrap() {
     assert_eq!(ej.delivered.len(), 1);
     assert!(saw_crossed, "wraparound traversal must set the dateline bit");
 }
-
-#[test]
-fn hard_reset_clears_everything() {
-    let mut net = torus44();
-    let mut store = MessageStore::new();
-    let mut ej = GateUntil {
-        open_at: u64::MAX,
-        inner: AcceptAll::default(),
-    };
-    let h = store.insert(msg(1, 0, 5, 8));
-    net.begin_packet(h, store.get(h), 0);
-    for cycle in 0..30 {
-        if net.injection_free(NicId(0), 0) > 0 {
-            let seq = net.counters().flits_injected as u32;
-            if seq < 8 {
-                net.inject_flit(
-                    NicId(0),
-                    0,
-                    Flit {
-                        msg: h,
-                        seq,
-                        is_tail: seq == 7,
-                    },
-                );
-            }
-        }
-        net.step(cycle, &TestDor, &mut ej);
-    }
-    assert!(net.flits_in_network() > 0);
-    net.hard_reset();
-    assert_eq!(net.flits_in_network(), 0);
-    assert!(net.packets().is_empty());
-    // Reusable after reset.
-    let mut ej2 = AcceptAll::default();
-    run(&mut net, &mut store, vec![msg(9, 1, 2, 4)], &mut ej2, 200);
-    assert_eq!(ej2.delivered.len(), 1);
-}
-
 
 // ---------------------------------------------------------------------
 // Randomized stress properties.

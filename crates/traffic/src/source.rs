@@ -42,13 +42,9 @@ pub trait TrafficSource: Send {
     fn generated(&self) -> u64;
 
     /// Earliest cycle `>= from` at which [`TrafficSource::tick`] might
-    /// generate a request or otherwise needs to run. The default returns
-    /// `from` (the source must be ticked every cycle). A source may
-    /// return a later cycle **only** when skipping its ticks over
-    /// `from..answer` leaves all observable state — including any RNG
-    /// stream whose draws could ever influence later output —
-    /// bit-identical; the simulator uses this to fast-forward fully
-    /// quiescent stretches.
+    /// generate a request. Unused by the simulator, which ticks the
+    /// source every cycle while generation is on; kept, with its default of `from`, because the
+    /// frozen benchmark's timing wrappers forward it.
     fn next_arrival_cycle(&self, from: u64) -> u64 {
         from
     }

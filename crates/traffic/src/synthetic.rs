@@ -111,13 +111,10 @@ impl SyntheticTraffic {
     /// Switch to sparse event-driven arrivals: per-node inter-arrival
     /// gaps are sampled geometrically (the same Bernoulli process, drawn
     /// as waiting times), so generation costs O(arrivals) per cycle
-    /// instead of one RNG draw per node per cycle, and
-    /// [`next_arrival_cycle`](TrafficSource::next_arrival_cycle) becomes
-    /// exact — a quiescent stretch can be fast-forwarded even while
-    /// generation is on. The realized arrival *process* has the same
-    /// distribution as the dense mode but a different RNG stream, so
-    /// results are reproducible per mode, not across modes; golden-pinned
-    /// configurations keep the dense default.
+    /// instead of one RNG draw per node per cycle. The realized arrival
+    /// *process* has the same distribution as the dense mode but a
+    /// different RNG stream, so results are reproducible per mode, not
+    /// across modes; golden-pinned configurations keep the dense default.
     pub fn sparse_arrivals(mut self) -> Self {
         let mut heap = std::collections::BinaryHeap::with_capacity(self.num_nics as usize);
         for src in 0..self.num_nics {
@@ -306,26 +303,5 @@ impl TrafficSource for SyntheticTraffic {
 
     fn generated(&self) -> u64 {
         self.generated
-    }
-
-    /// In dense mode with a positive rate the per-node Bernoulli draws
-    /// happen every cycle and their order is load-bearing (skipping a
-    /// tick would shift the RNG stream for every later draw), so the
-    /// source must run at `from`. At rate zero no draw can ever fire or
-    /// influence anything, so ticks may be skipped wholesale. Sparse mode
-    /// ([`SyntheticTraffic::sparse_arrivals`]) knows its next arrival
-    /// exactly.
-    fn next_arrival_cycle(&self, from: u64) -> u64 {
-        if self.txn_rate <= 0.0 {
-            return u64::MAX;
-        }
-        match &self.arrivals {
-            // Sparse mode schedules arrivals ahead of time, so the next
-            // one is known exactly and idle stretches can be jumped.
-            Some(heap) => heap
-                .peek()
-                .map_or(u64::MAX, |&std::cmp::Reverse((due, _))| due.max(from)),
-            None => from,
-        }
     }
 }

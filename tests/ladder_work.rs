@@ -5,7 +5,7 @@
 //! sparse geometric arrivals at a fixed per-node load on every
 //! [`SimConfig::scale_ladder`] rung, so the hop count — and with it the
 //! activity per node — is the same on every rung. Lazily-materialized
-//! router state and the two-level wake set must then keep the number of
+//! router state and the wake set must then keep the number of
 //! routers the pass visits per router-cycle flat: a dense per-router
 //! term (a walk over every router, materialized or not) shows up as a
 //! visit rate near one instead of the sparse rate measured at 8×8.
