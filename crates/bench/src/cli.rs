@@ -22,11 +22,8 @@
 
 use crate::experiments::RunScale;
 use mdd_engine::Engine;
-use mdd_obs::Json;
+use mdd_obs::{Json, ARTIFACT_SCHEMA};
 use std::path::PathBuf;
-
-/// The `schema` tag that leads every committed `results/` artifact.
-pub const ARTIFACT_SCHEMA: &str = "mdd-artifact/1";
 
 /// Parsed common flags plus the raw argument list for per-binary extras.
 #[derive(Clone, Debug)]

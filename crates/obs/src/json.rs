@@ -27,6 +27,10 @@ use std::fmt::Write;
 /// the workspace writes nests at most four levels.
 const MAX_DEPTH: usize = 64;
 
+/// The `schema` tag that leads every JSON artifact the workspace writes:
+/// the committed `results/` files and the `--counters-out` snapshot.
+pub const ARTIFACT_SCHEMA: &str = "mdd-artifact/1";
+
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {

@@ -54,7 +54,7 @@ mod trace;
 
 pub use counters::{CounterEntry, CounterId, CounterSnapshot, Counters, NUM_COUNTERS};
 pub use event::Event;
-pub use json::Json;
+pub use json::{Json, ARTIFACT_SCHEMA};
 pub use trace::EventTrace;
 
 use std::sync::atomic::{AtomicBool, Ordering};

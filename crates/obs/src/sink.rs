@@ -3,21 +3,23 @@
 
 use crate::counters::CounterSnapshot;
 use crate::event::Event;
-use crate::json::Json;
+use crate::json::{Json, ARTIFACT_SCHEMA};
 use std::io::{self, Write};
 
 // ---------------------------------------------------------------------
 // Counter snapshots.
 // ---------------------------------------------------------------------
 
-/// Write a snapshot as one flat JSON object, keys in registry order
-/// (counter name to integer value), plus a trailing newline.
+/// Write a snapshot as one flat JSON object in the compact layout, plus
+/// a trailing newline: the [`ARTIFACT_SCHEMA`] tag as `schema`, then the
+/// counters in registry order (counter name to integer value).
 pub fn write_counters_json<W: Write>(w: &mut W, snap: &CounterSnapshot) -> io::Result<()> {
-    let fields = snap
+    let schema = ("schema".to_string(), ARTIFACT_SCHEMA.into());
+    let counters = snap
         .entries
         .iter()
-        .map(|e| (e.name().to_string(), Json::Int(e.value)))
-        .collect();
+        .map(|e| (e.name().to_string(), Json::Int(e.value)));
+    let fields = std::iter::once(schema).chain(counters).collect();
     writeln!(w, "{}", Json::Obj(fields).render())
 }
 
@@ -263,7 +265,7 @@ mod tests {
         let mut buf = Vec::new();
         write_counters_json(&mut buf, &c.snapshot()).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with('{') && text.ends_with("}\n"));
+        assert!(text.starts_with("{\"schema\":\"mdd-artifact/1\",") && text.ends_with("}\n"));
         // `--counters-out` keeps the compact layout byte for byte.
         assert!(text.contains("\"token_hops\":9"));
         assert!(text.contains("\"deadlocks_detected\":0"));

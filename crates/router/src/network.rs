@@ -236,8 +236,6 @@ pub struct Network {
     /// quiescence check and the blocked-head sweep's empty-router
     /// early-out.
     router_flits: Vec<u32>,
-    /// Per router: the sleep bookkeeping of its fused pass.
-    sleep: Vec<Sleep>,
     /// Per-shard scratch for [`Network::step_sharded`] (sized to the
     /// plan on first use): candidate/move buffers, switch-request chains,
     /// outgoing mailboxes and per-cycle deltas, kept across cycles so the
@@ -293,7 +291,6 @@ impl Network {
             worklist: Vec::with_capacity(n),
             cur_mask: vec![0; n.div_ceil(64)],
             router_flits: vec![0; n],
-            sleep: vec![Sleep::default(); n],
             shard_scratch: Vec::new(),
             unit_plan: Arc::new(ShardPlan::new(n as u32, 1)),
             #[cfg(debug_assertions)]
@@ -305,18 +302,6 @@ impl Network {
     #[inline]
     fn wake(&mut self, r: usize) {
         set_wake(&mut self.active_bits, 0, r);
-    }
-
-    /// True while router `r` holds flits — the precondition for re-arming.
-    /// A flit-less router is a no-op for every phase even mid-packet
-    /// (owned or under-credited output VCs included). A flit-holding
-    /// router re-arms unless its pass proved it fully stalled (see
-    /// [`Sleep::ok`]); every event that could unfreeze either kind
-    /// (flit arrival, credit return, injection, ownership release by
-    /// rescue) wakes it explicitly.
-    #[inline]
-    fn router_busy(&self, r: usize) -> bool {
-        self.router_flits[r] > 0
     }
 
     /// Routers currently on the wake-set (the ones the next step will
@@ -466,10 +451,9 @@ impl Network {
     /// across `plan.shards()` scoped worker threads — bit-identical at
     /// any shard count.
     ///
-    /// Only routers on the wake-list are processed; the rest are provably
-    /// inert (no flits, no owned or under-credited output VCs — checked by
-    /// a dense shadow sweep in debug builds) and every phase is a no-op on
-    /// them, so skipping changes nothing observable. The worklist is
+    /// Only routers on the wake-list are processed; the rest hold no
+    /// flits (checked by a dense sweep in debug builds), every phase is a
+    /// no-op on them, and skipping changes nothing observable. The worklist is
     /// ascending so grant and move ordering match the dense 0..N scan
     /// bit-exactly.
     ///
@@ -527,15 +511,15 @@ impl Network {
             scratch.run_reference_and_compare(self, cycle, routing);
             self.shadow = scratch;
         }
-        // Re-arm: a router still holding work schedules itself for the
-        // next cycle — unless its pass just proved it fully stalled, in
-        // which case it sleeps until an external event (credit return,
-        // flit arrival, ownership release, injection, extraction) wakes
-        // it. Every one of those events sets its wake bit at the point it
-        // mutates the router, so a sleeping router is frozen.
+        // Re-arm: a router still holding flits schedules itself for the
+        // next cycle, so it stays on the wake set exactly while it holds
+        // flits. A flit-less router is a no-op for every phase even
+        // mid-packet (owned or under-credited output VCs included); every
+        // event that gives it work (flit arrival, credit return,
+        // injection, ownership release by rescue) wakes it explicitly.
         for wi in 0..self.worklist.len() {
             let r = self.worklist[wi] as usize;
-            if self.router_busy(r) && !self.sleep[r].ok {
+            if self.router_flits[r] > 0 {
                 self.wake(r);
             }
         }
@@ -583,7 +567,6 @@ impl Network {
             routers,
             materialized,
             router_flits,
-            sleep,
             active_bits,
             worklist,
             shard_scratch,
@@ -606,7 +589,6 @@ impl Network {
             // thread without collecting anything.
             let mut routers: &mut [Option<Box<Router>>] = routers;
             let mut router_flits: &mut [u32] = router_flits;
-            let mut sleep: &mut [Sleep] = sleep;
             let mut bits: &mut [u64] = active_bits;
             let mut worklist: &[u32] = worklist;
             let mut ejs = ejs.into_iter();
@@ -634,7 +616,6 @@ impl Network {
                     word_base: word_lo,
                     routers: split_off(&mut routers, cnt),
                     router_flits: split_off(&mut router_flits, cnt),
-                    sleep: split_off(&mut sleep, cnt),
                     active_bits: split_off(&mut bits, words),
                     worklist: wl,
                     ej: ejs.next().expect("one endpoint controller per shard"),
@@ -712,8 +693,9 @@ impl Network {
     }
 
     /// Debug-only: every router the activity scheduler is about to skip
-    /// must be in the exact state on which the whole pipeline is a no-op,
-    /// and the per-router flit counters must agree with the buffers.
+    /// must hold no flits — the state on which the whole pipeline is a
+    /// no-op — and the per-router flit counters and occupancy masks must
+    /// agree with the buffers.
     #[cfg(debug_assertions)]
     fn skipped_router_check(&self, cycle: u64) {
         for (r, chunk) in self.routers.iter().enumerate() {
@@ -741,52 +723,16 @@ impl Network {
             if self.worklist.binary_search(&(r as u32)).is_ok() {
                 continue;
             }
-            let nvcs = self.vcs as usize;
+            // A skipped router holds no flits: a flit-holding router
+            // re-arms every cycle, and every event that hands a router a
+            // flit wakes it. An empty VC may keep its route mid-packet
+            // (the flits seen so far moved on, the rest are still upstream
+            // or at the source NIC), but no timer runs on it.
             for s in 0..router.len.len() {
-                if router.len[s] == 0 {
-                    // An empty VC may keep its route mid-packet (the flits
-                    // seen so far moved on, the rest are still upstream or
-                    // at the source NIC); no phase acts on it until the
-                    // next flit arrival re-wakes the router.
-                    debug_assert_eq!(
-                        router.blocked[s], NOT_BLOCKED,
-                        "router {r}: empty VC {s} with a blocked timer at {cycle}"
-                    );
-                    continue;
-                }
-                // A skipped occupied slot must be provably inert: its
-                // blocked timer already runs, and it is either a
-                // memo-stalled transit head (no release since the last
-                // full attempt) or a routed-but-credit-starved requester.
-                // Anything else would have re-armed or been woken.
                 debug_assert!(
-                    router.blocked[s] != NOT_BLOCKED,
-                    "router {r} slept with an unmarked occupied VC {s} at {cycle}"
+                    router.len[s] == 0 && router.blocked[s] == NOT_BLOCKED,
+                    "router {r}: skipped with VC {s} occupied or timed at cycle {cycle}"
                 );
-                if router.route_port[s] == NO_ROUTE {
-                    debug_assert!(
-                        router
-                            .front_flit(s)
-                            .is_some_and(|f| f.is_head()),
-                        "router {r} slept with an unrouted body flit at VC {s}, cycle {cycle}"
-                    );
-                    debug_assert_eq!(
-                        router.stall_epoch[s], router.alloc_epoch,
-                        "router {r} slept with a non-memoized waiting head at VC {s}, \
-                         cycle {cycle}"
-                    );
-                } else {
-                    let q = router.route_port[s] as usize;
-                    debug_assert!(
-                        self.net_port[q],
-                        "router {r} slept with an eject-routed flit at VC {s}, cycle {cycle}"
-                    );
-                    debug_assert_eq!(
-                        router.out_credits[q * nvcs + router.route_vc[s] as usize],
-                        0,
-                        "router {r} slept with a creditable requester at VC {s}, cycle {cycle}"
-                    );
-                }
             }
         }
     }
@@ -981,28 +927,6 @@ impl Network {
         let cv = if mean > 1e-12 { var.sqrt() / mean } else { 0.0 };
         (mean, max, cv)
     }
-}
-
-/// One router's sleep bookkeeping, kept together because every fused
-/// pass reads and writes all of it.
-#[derive(Clone, Copy, Default, Debug)]
-struct Sleep {
-    /// True when the router's latest fused pass proved it fully stalled —
-    /// no grant emitted, no route allocated, and every waiting head
-    /// memo-stalled away from its destination router. Such a router is
-    /// frozen (nothing it can do changes its own state), so instead of
-    /// re-arming it sleeps until an external event wakes it. Destination
-    /// heads disqualify: their stall is an ejection refusal that must be
-    /// re-asked every cycle (endpoint queues drain without waking us).
-    ok: bool,
-    /// Number of memo-stalled waiting heads when it went to sleep — the
-    /// per-cycle `vc_stalls` contribution its frozen state would re-count
-    /// every slept cycle.
-    stalls: u32,
-    /// Cycle of its last executed fused pass, paired with `stalls` to
-    /// reconstruct the allocation-stall count a permanently-rearming
-    /// scheduler would have accumulated across the slept gap.
-    last_pass: u64,
 }
 
 /// Per-cycle observability deltas, published in one batch.
@@ -1213,7 +1137,6 @@ struct ShardTask<'a, E> {
     word_base: usize,
     routers: &'a mut [Option<Box<Router>>],
     router_flits: &'a mut [u32],
-    sleep: &'a mut [Sleep],
     active_bits: &'a mut [u64],
     worklist: &'a [u32],
     ej: E,
@@ -1272,20 +1195,6 @@ impl<E: EjectControl> ShardTask<'_, E> {
     ) {
         let li = r - self.lo as usize;
         let nvcs = sh.vcs as usize;
-        // Stall-counter compensation for a slept gap: a scheduler that
-        // re-armed this fully-stalled router every cycle would have
-        // re-counted each memo-stalled head once per cycle. The router's
-        // state was frozen while it slept (sleeping implies no external
-        // event touched it), so the count per skipped cycle is exactly
-        // what it was at sleep time.
-        let gap = cycle.saturating_sub(self.sleep[li].last_pass);
-        if gap > 1 {
-            ps.obs.stalls += (gap - 1) * self.sleep[li].stalls as u64;
-        }
-        self.sleep[li].last_pass = cycle;
-        let mut pass_stalls = 0u32;
-        let mut dst_head = false;
-        let moves_before = self.sc.moves.len();
         // Per-port singly linked request chains (see
         // [`PassScratch::req_head`]; both `< 128`, so `u16::MAX` stays a
         // safe sentinel).
@@ -1350,7 +1259,6 @@ impl<E: EjectControl> ShardTask<'_, E> {
                         // the candidate set of a waiting packet is fixed,
                         // so every candidate is still owner-busy.
                         obs.stalls += 1;
-                        pass_stalls += 1;
                     } else {
                         pend[npend] = idx as u8;
                         npend += 1;
@@ -1374,27 +1282,18 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 .front_flit(idx)
                 .expect("occupied slot")
                 .msg;
-            match self.alloc_slot(sh, r, idx, h, cycle, routing) {
-                AllocOutcome::Granted => {
-                    ps.obs.allocs += 1;
-                    // A freshly routed head is a switch requester this
-                    // same cycle. Chain position is immaterial: grants
-                    // minimize rank over the set.
-                    let q = mat(self.routers, li).route_port[idx];
-                    debug_assert_ne!(q, NO_ROUTE);
-                    port_mask |= 1 << q;
-                    ps.req_next[idx] = ps.req_head[q as usize];
-                    ps.req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
-                }
-                AllocOutcome::StalledTransit => {
-                    ps.obs.stalls += 1;
-                    pass_stalls += 1;
-                }
-                AllocOutcome::StalledAtDst => {
-                    ps.obs.stalls += 1;
-                    pass_stalls += 1;
-                    dst_head = true;
-                }
+            if self.alloc_slot(sh, r, idx, h, cycle, routing) {
+                ps.obs.allocs += 1;
+                // A freshly routed head is a switch requester this same
+                // cycle. Chain position is immaterial: grants minimize
+                // rank over the set.
+                let q = mat(self.routers, li).route_port[idx];
+                debug_assert_ne!(q, NO_ROUTE);
+                port_mask |= 1 << q;
+                ps.req_next[idx] = ps.req_head[q as usize];
+                ps.req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
+            } else {
+                ps.obs.stalls += 1;
             }
         }
         // Phase 2 (grant): each requested output port (ascending) grants
@@ -1443,10 +1342,10 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 if let Some((_, idx, p)) = best {
                     in_used |= 1 << p;
                     router.rr_out[q] = if idx + 1 == total { 0 } else { (idx + 1) as u32 };
-                    // Burst streaming: an uncontended port granting a
-                    // packet-body flit is a wormhole stream in flight — the
-                    // continuation of a multi-flit block transfer that
-                    // needed no arbitration this cycle.
+                    // Burst count: a packet-body flit granted at a port
+                    // with one contender continues a wormhole stream. It
+                    // was arbitrated like any other requester; the
+                    // counter only classifies the grant.
                     if contenders == 1
                         && !router.front_flit(idx).expect("requester has a flit").is_head()
                     {
@@ -1462,22 +1361,13 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 }
             }
         }
-        // Sleep decision. No grant anywhere implies every routed slot is
-        // credit-blocked (a port with a creditable requester always grants
-        // someone, and local routes never need credits), and with every
-        // waiting head memo-stalled away from its destination, re-running
-        // this pass is a state no-op until an external event arrives. A
-        // head stalled at its destination router keeps the router awake:
-        // ejection admission must be re-asked as endpoint queues drain.
-        let stalled = !dst_head && self.sc.moves.len() == moves_before;
-        self.sleep[li].ok = stalled;
-        self.sleep[li].stalls = if stalled { pass_stalls } else { 0 };
     }
 
     /// Full route-computation + VC-allocation attempt for the head `h` at
     /// `(r, idx)` — the non-memoized path. Reads the shared
     /// start-of-cycle packet table; every mutation stays on router `r`
     /// (a head's candidates are output VCs of the router it waits at).
+    /// Returns whether a route was granted.
     fn alloc_slot(
         &mut self,
         sh: &StepShared<'_>,
@@ -1486,13 +1376,13 @@ impl<E: EjectControl> ShardTask<'_, E> {
         h: MsgHandle,
         cycle: u64,
         routing: &dyn Routing,
-    ) -> AllocOutcome {
+    ) -> bool {
         let li = r - self.lo as usize;
         let node = NodeId(r as u32);
         let nvcs = sh.vcs as usize;
         let Some(pkt) = sh.packets.get(h).copied() else {
             debug_assert!(false, "flit in network without a registered packet");
-            return AllocOutcome::Granted;
+            return true;
         };
         self.sc.cand.clear();
         let hint = cycle
@@ -1504,7 +1394,6 @@ impl<E: EjectControl> ShardTask<'_, E> {
             !self.sc.cand.is_empty(),
             "routing function returned no candidates for {h:?} at {node}"
         );
-        let mut granted = false;
         for ci in 0..self.sc.cand.len() {
             let c = self.sc.cand[ci];
             if let Some(local) = sh.topo.port_local_index(c.port) {
@@ -1517,8 +1406,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                     let router = mat_mut(self.routers, li);
                     router.route_port[idx] = c.port.0;
                     router.route_vc[idx] = 0;
-                    granted = true;
-                    break;
+                    return true;
                 }
             } else {
                 let out_slot = c.port.index() * nvcs + c.vc as usize;
@@ -1527,14 +1415,11 @@ impl<E: EjectControl> ShardTask<'_, E> {
                     router.own_out(out_slot, h);
                     router.route_port[idx] = c.port.0;
                     router.route_vc[idx] = c.vc;
-                    granted = true;
-                    break;
+                    return true;
                 }
             }
         }
-        if granted {
-            AllocOutcome::Granted
-        } else if pkt.dst_router != node {
+        if pkt.dst_router != node {
             // All candidates are output VCs of this router and all are
             // owner-busy; memoize until one is released. Destination heads
             // are exempt: their stall is an ejection refusal, and
@@ -1542,10 +1427,8 @@ impl<E: EjectControl> ShardTask<'_, E> {
             // this router cannot version.
             let router = mat_mut(self.routers, li);
             router.stall_epoch[idx] = router.alloc_epoch;
-            AllocOutcome::StalledTransit
-        } else {
-            AllocOutcome::StalledAtDst
         }
+        false
     }
 
     /// Phase 3: apply the shard's granted moves (link traversal),
@@ -1699,18 +1582,6 @@ impl<E: EjectControl> ShardTask<'_, E> {
         moves.clear();
         sc.counters = counters;
     }
-}
-
-/// What one full allocation attempt did — feeds the router's sleep
-/// decision.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AllocOutcome {
-    /// A route (network output VC or ejection reservation) was granted.
-    Granted,
-    /// Every candidate output VC is owner-busy; the stall is memoized.
-    StalledTransit,
-    /// The destination NIC refused admission; must be re-asked each cycle.
-    StalledAtDst,
 }
 
 /// Debug-build shadow machinery: every [`Network::step_sharded`] cycle is

@@ -8,7 +8,7 @@
 //! `#[test]` (the other integration-test binaries are separate processes
 //! and cannot interfere).
 
-use mdd_sim::obs::{self, sink, Event};
+use mdd_sim::obs::{self, sink, Event, Json};
 use mdd_sim::prelude::*;
 use std::collections::HashMap;
 
@@ -107,6 +107,19 @@ fn deadlocking_run_traces_detection_and_paired_recovery() {
     sink::write_trace_jsonl(&mut jsonl, &events).unwrap();
     let parsed = sink::parse_trace_jsonl(std::str::from_utf8(&jsonl).unwrap()).unwrap();
     assert_eq!(parsed, events);
+
+    // The bytes `--counters-out` writes parse as one object that leads
+    // with the artifact schema header and carries every counter.
+    let mut buf = Vec::new();
+    sink::write_counters_json(&mut buf, &obs::counters_snapshot()).unwrap();
+    let text = String::from_utf8(buf).unwrap();
+    let Some(Json::Obj(members)) = Json::parse(&text) else {
+        panic!("counters file is not one JSON object: {text}");
+    };
+    assert_eq!(members[0], ("schema".to_string(), Json::from("mdd-artifact/1")));
+    assert_eq!(members.len(), 1 + obs::NUM_COUNTERS);
+    let hops = members.iter().find(|(k, _)| k == "token_hops").map(|(_, v)| v);
+    assert_eq!(hops.and_then(Json::as_u64), Some(report.get(CounterId::TokenHops)));
 
     // Tear-down returns the layer to its inert state.
     obs::uninstall().expect("was installed");
