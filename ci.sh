@@ -14,6 +14,17 @@ cargo test --workspace -q
 echo "==> mddbench self-tests (every SimResult field pinned to mddbench/pins/sim.txt)"
 cargo test --release --offline --manifest-path mddbench/Cargo.toml
 
+echo "==> benchmark freeze (mddbench/ and BENCHMARK.json unchanged)"
+# A workspace dependency edit can make cargo quietly rewrite the frozen
+# mddbench/Cargo.lock during the build above; fail here if anything did.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git diff --quiet -- mddbench/ BENCHMARK.json || {
+        echo "benchmark freeze: mddbench/ or BENCHMARK.json changed:"
+        git diff --stat -- mddbench/ BENCHMARK.json; exit 1; }
+else
+    echo "    not a git checkout; skipping"
+fi
+
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
@@ -86,7 +97,7 @@ set -e
 [ "$shards0_status" -eq 2 ] || {
     echo "shards equivalence: --shards 0 should exit 2, got $shards0_status"; exit 1; }
 
-echo "==> pool scaling perf gate (self-skips below 4 cores)"
+echo "==> pool scaling perf gate (2-3 cores: jobs=2 >= 1.3x jobs=1; 4+ cores: jobs=4 <= 0.5x; skips on 1 core)"
 cargo test -q -p mdd-engine --release --test perf -- --ignored
 
 echo "==> shard scaling perf gate (self-skips below 4 cores)"

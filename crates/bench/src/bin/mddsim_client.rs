@@ -123,8 +123,8 @@ fn main() {
                 cache_points,
             } => {
                 println!(
-                    "pool: {} threads, {} busy, {} queued, {} steals, {} executed",
-                    pool.threads, pool.busy, pool.queued, pool.steals, pool.executed
+                    "pool: {} threads, {} busy, {} queued, {} executed",
+                    pool.threads, pool.busy, pool.queued, pool.executed
                 );
                 match cache_points {
                     Some(n) => println!("cache: {n} points"),

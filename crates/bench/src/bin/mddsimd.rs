@@ -2,7 +2,7 @@
 //!
 //! Listens on a Unix domain socket and serves the line-delimited JSON
 //! protocol of [`mdd_engine::proto`]: clients `submit` load sweeps, the
-//! daemon schedules them on one shared work-stealing pool (and one
+//! daemon schedules them on one shared FIFO worker pool (and one
 //! shared result cache), and each completed point streams back on the
 //! submitting connection the moment it finishes — the socket protocol
 //! is a serialization of the same streaming `Engine::submit` /

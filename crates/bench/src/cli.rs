@@ -121,10 +121,10 @@ impl BenchCli {
     }
 
     /// An [`Engine`] honoring `--jobs`, `--no-cache` and `--cache-dir`.
-    /// With `--jobs N` the engine runs on its own pool of exactly `N`
-    /// workers; otherwise it shares the process-global pool sized to the
-    /// machine. A cache that cannot be opened degrades to uncached with
-    /// a warning rather than aborting the experiment.
+    /// With `--jobs N` the engine runs on a pool of exactly `N`
+    /// workers; otherwise on one worker per available core. A cache
+    /// that cannot be opened degrades to uncached with a warning rather
+    /// than aborting the experiment.
     pub fn engine(&self) -> Engine {
         let with_jobs = |b: mdd_engine::EngineBuilder| match self.jobs {
             Some(n) => b.jobs(n),

@@ -38,7 +38,7 @@ pub use config::{SimConfig, SimResult};
 pub use preflight::{analysis_config, min_safe_vcs, verify_config, verify_config_degraded};
 pub use recovery::{EpisodeOrigin, EpisodeRecord, PrRecovery};
 pub use sim::Simulator;
-pub use sweep::{default_loads, run_curve_checked, run_point};
+pub use sweep::{default_loads, run_point};
 pub use validate::{build_waitfor_graph, deadlock_witness};
 
 // Static verification verdicts surface through the builder's strict mode

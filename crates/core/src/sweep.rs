@@ -1,21 +1,12 @@
-//! Load sweeps producing Burton-Normal-Form curves.
-//!
-//! Each sweep point is an independent simulation, so points run in
-//! parallel with rayon (the justification recorded in DESIGN.md §7).
-//!
-//! Two entry points remain here for direct library use:
-//! [`run_point`] for one configuration at one load, and
-//! [`run_curve_checked`] for a sweep with per-point error propagation
-//! (the old panicking `run_curve` wrapper is gone).
-//! Figure harnesses should prefer the `mdd-engine` crate, which adds
-//! per-point panic isolation, a persistent result cache and progress
-//! counters on top of the same primitives.
+//! Load-sweep primitives: the default load schedule and one simulation
+//! point. A whole sweep runs through the `mdd-engine` crate
+//! (`Engine::submit_sweep`), which schedules these points in parallel
+//! with per-point panic isolation, a persistent result cache and
+//! progress counters.
 
 use crate::config::{SimConfig, SimResult};
 use crate::sim::Simulator;
 use mdd_routing::SchemeConfigError;
-use mdd_stats::BnfCurve;
-use rayon::prelude::*;
 
 /// The default applied-load schedule used by the figure harnesses:
 /// `n` points from `lo` to `hi` flits/node/cycle.
@@ -31,25 +22,4 @@ pub fn default_loads(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 pub fn run_point(base: &SimConfig, load: f64) -> Result<SimResult, SchemeConfigError> {
     let mut sim = Simulator::new(base.at_load(load))?;
     Ok(sim.run())
-}
-
-/// Sweep `loads` in parallel, propagating every point's outcome: the
-/// returned vector has one `Result` per requested load, in load order,
-/// and the curve is assembled from the successful points only. A point
-/// that fails (an infeasible scheme configuration) does not disturb the
-/// others — callers decide whether a partial curve is acceptable.
-pub fn run_curve_checked(
-    base: &SimConfig,
-    loads: &[f64],
-    label: &str,
-) -> (BnfCurve, Vec<Result<SimResult, SchemeConfigError>>) {
-    let results: Vec<Result<SimResult, SchemeConfigError>> =
-        loads.par_iter().map(|&l| run_point(base, l)).collect();
-    let curve = BnfCurve::assemble(
-        label,
-        results
-            .iter()
-            .filter_map(|r| r.as_ref().ok().map(SimResult::bnf_point)),
-    );
-    (curve, results)
 }

@@ -1,5 +1,5 @@
-//! The streaming scheduler: cache lookup, work-stealing parallel
-//! execution, panic isolation, progress counters.
+//! The streaming scheduler: cache lookup, parallel execution on one
+//! FIFO pool, panic isolation, progress counters.
 
 use crate::cache::ResultCache;
 use crate::error::{PointError, PointFailure};
@@ -19,7 +19,7 @@ use std::time::Instant;
 
 /// The experiment engine. Construction picks the cache policy and the
 /// worker pool; [`Engine::submit`] then schedules any number of batches
-/// onto the pool's work-stealing workers and hands back a [`JobHandle`]
+/// onto the pool's workers and hands back a [`JobHandle`]
 /// that streams each [`PointOutcome`] as it completes. Each point is
 /// isolated by `catch_unwind`, so one poisoned point becomes a
 /// [`PointError`] in the stream instead of killing the sweep.
@@ -32,8 +32,7 @@ use std::time::Instant;
 /// Progress is reported through the global `mdd-obs` counters when that
 /// layer is installed: `points_started`, `points_completed`,
 /// `points_cached`, `points_failed`, `point_wall_micros`, plus the pool
-/// gauges `pool_workers_busy`, `pool_queue_depth`, `pool_steals` and
-/// `jobs_in_flight`.
+/// gauges `pool_workers_busy`, `pool_queue_depth` and `jobs_in_flight`.
 ///
 /// Do not call [`JobHandle::wait`] (or blocking [`JobHandle::recv`])
 /// from inside a task running *on* this engine's pool: a worker blocked
@@ -48,7 +47,7 @@ pub struct Engine {
 #[derive(Debug)]
 struct EngineInner {
     cache: Option<ResultCache>,
-    pool: Arc<rayon::ThreadPool>,
+    pool: rayon::ThreadPool,
 }
 
 impl Default for Engine {
@@ -58,21 +57,23 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine without a persistent cache, on the shared global pool:
-    /// every point simulates.
+    /// An engine without a persistent cache, on its own pool of one
+    /// worker per available core: every point simulates.
     pub fn new() -> Self {
-        Engine::builder().build().expect("uncached engine on the global pool cannot fail")
+        Engine::builder()
+            .build()
+            .expect("uncached engine with default workers cannot fail")
     }
 
     /// An engine backed by the cache directory `dir` (created on demand;
     /// `results/cache/` by convention — see [`ResultCache::open`]), on
-    /// the shared global pool.
+    /// its own pool of one worker per available core.
     pub fn with_cache_dir(dir: impl AsRef<Path>) -> io::Result<Self> {
         Engine::builder().cache_dir(dir).build()
     }
 
-    /// An engine around an already opened cache, on the shared global
-    /// pool.
+    /// An engine around an already opened cache, on its own pool of one
+    /// worker per available core.
     pub fn with_cache(cache: ResultCache) -> Self {
         Engine::builder()
             .cache(cache)
@@ -239,8 +240,8 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Run this engine on its own pool of exactly `n` workers instead of
-    /// the shared global pool. The bench binaries' `--jobs` flag ends up
+    /// Run this engine on a pool of exactly `n` workers instead of one
+    /// per available core. The bench binaries' `--jobs` flag ends up
     /// here. `n` must be positive; [`EngineBuilder::build`] rejects `0`
     /// (there is no pool to run on) — flag parsers should treat an
     /// absent flag as "use the machine default", not as `0`.
@@ -270,21 +271,17 @@ impl EngineBuilder {
             (None, Some(dir)) => Some(ResultCache::open(dir)?),
             (None, None) => None,
         };
-        let pool = match self.jobs {
-            None => rayon::global_pool(),
+        let workers = match self.jobs {
+            None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             Some(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     "engine needs at least one worker (jobs = 0)",
                 ))
             }
-            Some(n) => Arc::new(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build()
-                    .map_err(io::Error::other)?,
-            ),
+            Some(n) => n,
         };
+        let pool = rayon::ThreadPool::new(workers);
         Ok(Engine {
             inner: Arc::new(EngineInner { cache, pool }),
         })
@@ -491,7 +488,6 @@ fn sample_pool_gauges(pool: &rayon::ThreadPool) {
     let s = pool.stats();
     mdd_obs::gauge_set(CounterId::PoolWorkersBusy, s.busy as u64);
     mdd_obs::gauge_set(CounterId::PoolQueueDepth, s.queued as u64);
-    mdd_obs::gauge_set(CounterId::PoolSteals, s.steals);
 }
 
 /// The projection of a configuration that the static verifier reads:
@@ -611,8 +607,7 @@ impl SweepReport {
     }
 
     /// The successful results by value, in job order (for call sites
-    /// migrating from `run_curve_checked` without inspecting per-point
-    /// errors).
+    /// that do not inspect per-point errors).
     pub fn into_results(self) -> Vec<SimResult> {
         self.outcomes
             .into_iter()

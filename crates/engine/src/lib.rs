@@ -10,7 +10,7 @@
 //!    load vector into a batch, applying the same per-point seed
 //!    decorrelation the classic sweep used.
 //! 2. **Streaming submission.** [`Engine::submit`] schedules a batch
-//!    onto a work-stealing thread pool and returns a [`JobHandle`]
+//!    onto one FIFO thread pool and returns a [`JobHandle`]
 //!    immediately; each [`PointOutcome`] streams back as it completes
 //!    ([`JobHandle::recv`] / [`JobHandle::try_recv`]), and
 //!    [`JobHandle::wait`] assembles the drained stream into a

@@ -312,14 +312,12 @@ pub struct PointEvent {
 /// Pool gauges as they ride the status event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolStatus {
-    /// Worker threads in the shared pool.
+    /// Worker threads in the daemon's pool.
     pub threads: u64,
     /// Workers busy at sample time.
     pub busy: u64,
-    /// Tasks queued (injector + deques) at sample time.
+    /// Tasks waiting in the pool's queue at sample time.
     pub queued: u64,
-    /// Cumulative deque steals.
-    pub steals: u64,
     /// Cumulative tasks executed.
     pub executed: u64,
 }
@@ -330,7 +328,6 @@ impl From<rayon::PoolStats> for PoolStatus {
             threads: s.threads as u64,
             busy: s.busy as u64,
             queued: s.queued as u64,
-            steals: s.steals,
             executed: s.executed,
         }
     }
@@ -362,7 +359,7 @@ pub enum Event {
         points: u64,
     },
     /// One point completed (streamed in completion order).
-    Point(PointEvent),
+    Point(Box<PointEvent>),
     /// Every point of `job` has streamed.
     Done {
         /// Server-assigned job id.
@@ -406,7 +403,7 @@ impl Event {
     /// The wire form of one streamed `PointOutcome` — the serialization
     /// of what `JobHandle::recv` yields locally.
     pub fn point(job: u64, o: &PointOutcome) -> Event {
-        Event::Point(PointEvent {
+        Event::Point(Box::new(PointEvent {
             job,
             id: o.job.id,
             label: o.job.label.clone(),
@@ -422,7 +419,7 @@ impl Event {
                     PointFailure::Cancelled => "cancelled".to_string(),
                 }),
             },
-        })
+        }))
     }
 
     /// Encode as one JSON line (no trailing newline).
@@ -502,7 +499,6 @@ impl Event {
                         ("threads".to_string(), Json::Int(pool.threads)),
                         ("busy".to_string(), Json::Int(pool.busy)),
                         ("queued".to_string(), Json::Int(pool.queued)),
-                        ("steals".to_string(), Json::Int(pool.steals)),
                         ("executed".to_string(), Json::Int(pool.executed)),
                     ]),
                 ),
@@ -550,7 +546,7 @@ impl Event {
                         .unwrap_or("unknown failure")
                         .to_string())
                 };
-                Ok(Event::Point(PointEvent {
+                Ok(Event::Point(Box::new(PointEvent {
                     job: int("job")?,
                     id: int("id")? as usize,
                     label: j
@@ -566,7 +562,7 @@ impl Event {
                     wall_micros: j.get("wall_micros").and_then(Json::as_u64).unwrap_or(0),
                     verdict: j.get("verdict").and_then(Json::as_str).map(str::to_string),
                     result,
-                }))
+                })))
             }
             Some("done") => Ok(Event::Done {
                 job: int("job")?,
@@ -602,7 +598,6 @@ impl Event {
                         threads: pool_int("threads"),
                         busy: pool_int("busy"),
                         queued: pool_int("queued"),
-                        steals: pool_int("steals"),
                         executed: pool_int("executed"),
                     },
                     cache_points: j.get("cache_points").and_then(Json::as_u64),

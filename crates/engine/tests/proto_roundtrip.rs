@@ -6,7 +6,7 @@
 mod common;
 
 use common::fake_result;
-use mdd_engine::proto::{Event, PointEvent, Request, SweepSpec};
+use mdd_engine::proto::{Event, Request, SweepSpec};
 use mdd_engine::{Job, PointError, PointFailure, PointOutcome};
 
 #[test]
@@ -99,7 +99,7 @@ fn failed_and_cancelled_points_keep_their_kind() {
     for (outcome, want) in cases {
         let line = Event::point(1, &outcome).encode();
         match Event::decode(&line).expect("decodes") {
-            Event::Point(PointEvent { result: Err(msg), .. }) => assert_eq!(msg, want),
+            Event::Point(p) => assert_eq!(p.result.expect_err("failed point"), want),
             other => panic!("expected failed point, got {other:?}"),
         }
     }
@@ -170,7 +170,6 @@ fn control_events_round_trip() {
                 threads: 4,
                 busy: 2,
                 queued: 9,
-                steals: 13,
                 executed: 101,
             },
             cache_points: None,

@@ -96,12 +96,9 @@ pub enum CounterId {
     FusedPassRouters,
     /// Gauge: experiment-pool workers executing a task at the last sample.
     PoolWorkersBusy,
-    /// Gauge: tasks waiting in the experiment pool (global injector plus
-    /// worker deques) at the last sample.
+    /// Gauge: tasks waiting in the experiment pool's queue at the last
+    /// sample.
     PoolQueueDepth,
-    /// Gauge: cumulative tasks stolen from sibling worker deques over the
-    /// pool's lifetime, at the last sample.
-    PoolSteals,
     /// Gauge: engine sweep jobs submitted but not yet fully streamed at
     /// the last sample (each job is a batch of points).
     JobsInFlight,
@@ -136,7 +133,7 @@ pub enum CounterId {
 }
 
 /// Number of registered counters and gauges.
-pub const NUM_COUNTERS: usize = 43;
+pub const NUM_COUNTERS: usize = 42;
 
 impl CounterId {
     /// Every counter and gauge, in index order.
@@ -174,7 +171,6 @@ impl CounterId {
         CounterId::FusedPassRouters,
         CounterId::PoolWorkersBusy,
         CounterId::PoolQueueDepth,
-        CounterId::PoolSteals,
         CounterId::JobsInFlight,
         CounterId::RoutersMaterialized,
         CounterId::RouterStateBytes,
@@ -222,7 +218,6 @@ impl CounterId {
             CounterId::FusedPassRouters => "fused_pass_routers",
             CounterId::PoolWorkersBusy => "pool_workers_busy",
             CounterId::PoolQueueDepth => "pool_queue_depth",
-            CounterId::PoolSteals => "pool_steals",
             CounterId::JobsInFlight => "jobs_in_flight",
             CounterId::RoutersMaterialized => "routers_materialized",
             CounterId::RouterStateBytes => "router_state_bytes",
@@ -247,7 +242,6 @@ impl CounterId {
                 | CounterId::ActiveRouters
                 | CounterId::PoolWorkersBusy
                 | CounterId::PoolQueueDepth
-                | CounterId::PoolSteals
                 | CounterId::JobsInFlight
                 | CounterId::RoutersMaterialized
                 | CounterId::RouterStateBytes

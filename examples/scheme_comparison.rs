@@ -35,8 +35,10 @@ fn main() {
             .build()
         {
             Ok(cfg) => {
-                let (curve, _) = run_curve_checked(&cfg, &loads, scheme.label());
-                curves.push(curve);
+                let report = Engine::new()
+                    .submit_sweep(&cfg, &loads, scheme.label())
+                    .wait();
+                curves.push(report.curve(scheme.label()));
             }
             Err(e) => println!(
                 "{}: not configurable at {vcs} VCs ({e}) — exactly as the \

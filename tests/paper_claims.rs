@@ -27,9 +27,9 @@ fn curve(
         .expect("feasible");
     let loads = default_loads(0.10, max_load, 4);
     let label = org.map_or_else(|| scheme.label().to_string(), |_| format!("{}-QA", scheme.label()));
-    let (curve, results) = run_curve_checked(&cfg, &loads, &label);
-    assert!(results.iter().all(Result::is_ok), "all points feasible");
-    curve
+    let report = Engine::new().submit_sweep(&cfg, &loads, &label).wait();
+    assert!(report.complete(), "all points feasible");
+    report.curve(&label)
 }
 
 /// Figure 8 claim: with 4 VCs, PR clearly outperforms SA on PAT100 (the
