@@ -238,26 +238,26 @@ echo "$scale_out" | grep -q "throughput" || {
     echo "scaling smoke: 64x64 sweep point produced no result:"
     echo "$scale_out"; exit 1; }
 
-echo "==> mddbench perf floors (ladder8 and sparse64 work_per_s, host-calibrated)"
+echo "==> mddbench perf floors (ladder8, big64 and sparse64 work_per_s, host-calibrated)"
 # The repository benchmark's times are scaled to a reference host speed,
 # so one floor per workload serves every host: 0.75x the recorded median
 # in EXPERIMENTS.md, i.e. the 0.25 regression bound BENCHMARK.json fixes
 # for this metric. Every simulated result is checked against
-# mddbench/pins/ as well.
+# mddbench/pins/ as well; mdd-benchcmp reads the summary line and fails
+# on an incorrect run or a rate under the floor.
 bench_floor() { # workload floor
-    local out summary work
+    local out
     out=$(cargo run --release --offline --quiet --manifest-path mddbench/Cargo.toml -- \
         --workload "$1" --seconds 10 --trace 0)
-    summary=$(echo "$out" | tail -n 1)
-    echo "$summary" | grep -q '"correct":true' && echo "$summary" | grep -q '"failed":0,' || {
-        echo "mddbench floor: $1 run was not correct:"; echo "$out"; exit 1; }
-    work=$(echo "$summary" | sed -E 's/.*"work_per_s":\{"value":([0-9.eE+-]+).*/\1/')
-    awk -v w="$work" -v f="$2" 'BEGIN { exit !(w >= f) }' || {
-        echo "mddbench floor: $1 ran at $work cycles/sec, floor is $2"; exit 1; }
-    echo "    $1: $work cycles/sec (floor $2)"
+    echo -n "    $1: "
+    echo "$out" | ./target/release/mdd-benchcmp floor - work_per_s "$2" || {
+        echo "mddbench floor: $1 failed its floor or its pins:"; echo "$out"; exit 1; }
 }
 # ladder8: the figure-sweep shape, 9 SA/DR/PR points on 8x8 (~90k median).
 bench_floor ladder8 68000
+# big64: the busy 64x64 rung, where the fused router pass carries the cost
+# (1,774 median since the flat router state).
+bench_floor big64 1330
 # sparse64: the 64x64 size-ladder rung, where the wake sets and traffic
 # carry the cost (117.6k median).
 bench_floor sparse64 88000

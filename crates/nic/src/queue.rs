@@ -24,11 +24,12 @@ pub struct MsgQueue {
 }
 
 impl MsgQueue {
-    /// An empty queue of `cap` messages.
+    /// An empty queue of `cap` messages. Storage grows on first use, so
+    /// building a NIC whose queues stay empty allocates nothing here.
     pub fn new(cap: u32) -> Self {
         assert!(cap >= 1);
         MsgQueue {
-            q: VecDeque::with_capacity(cap as usize),
+            q: VecDeque::new(),
             cap,
             inflight: 0,
             earmarked: 0,

@@ -26,7 +26,7 @@
 //! patching the moved/arrived slots during phase 3 (see
 //! `ShardTask::apply_moves`). In debug builds every cycle is re-executed
 //! by a literal four-phase reference implementation on a snapshot and the
-//! two end states are compared field by field.
+//! two end states are compared array by array.
 //!
 //! ## One pipeline, any number of shards
 //!
@@ -37,7 +37,7 @@
 //! and the cross-shard mailboxes stay empty.
 
 use crate::flit::{Flit, PacketState, PacketTable};
-use crate::router::{Router, NOT_BLOCKED, NO_ROUTE};
+use crate::router::{split_off, Router, RouterState, StateMut, NOT_BLOCKED, NO_ROUTE};
 use crate::traits::{EjectControl, RouteCandidate, Routing};
 use mdd_obs::CounterId;
 use mdd_protocol::{Message, MsgHandle};
@@ -143,38 +143,6 @@ impl Links {
     }
 }
 
-/// Borrow router `r`'s materialized chunk. Every router a pipeline phase
-/// mutates is materialized by construction: chunks materialize on first
-/// flit, and all wake/mutation paths (injection, arrival, credit return,
-/// extraction) act on routers that hold or held flits.
-#[inline]
-fn mat(routers: &[Option<Box<Router>>], r: usize) -> &Router {
-    routers[r].as_deref().expect("touched router must be materialized")
-}
-
-/// Mutable counterpart of [`mat`].
-#[inline]
-fn mat_mut(routers: &mut [Option<Box<Router>>], r: usize) -> &mut Router {
-    routers[r]
-        .as_deref_mut()
-        .expect("touched router must be materialized")
-}
-
-/// Materialize router slot `slot` if needed by cloning the pristine
-/// template, counting the new chunk in `materialized`. Returns the (now
-/// guaranteed) chunk.
-#[inline]
-fn materialize<'a>(
-    slot: &'a mut Option<Box<Router>>,
-    materialized: &mut u32,
-    template: &Router,
-) -> &'a mut Router {
-    slot.get_or_insert_with(|| {
-        *materialized += 1;
-        Box::new(template.clone())
-    })
-}
-
 /// Put router `r` on a wake-set: its bit in `bits`, whose first word is
 /// global word `word_base`.
 #[inline]
@@ -188,25 +156,9 @@ pub struct Network {
     topo: Topology,
     vcs: u8,
     buf_depth: u32,
-    /// Per-router state chunks, lazily materialized: `None` until the
-    /// router first receives a flit (injection or arrival). A `None`
-    /// router is semantically identical to a pristine [`Router`] — empty
-    /// buffers, full credits, zeroed round-robin state (`rr_alloc` is a
-    /// pure function of the cycle via [`Router::sync_rr_alloc`], so a
-    /// chunk materialized at cycle `c` catches up to exactly the state an
-    /// eagerly-allocated router would hold). A quiescent region of a
-    /// large torus therefore costs no memory and no per-cycle traffic.
-    routers: Vec<Option<Box<Router>>>,
-    /// Number of `Some` entries in [`Network::routers`] — the
-    /// `routers_materialized` observability gauge.
-    materialized: u32,
-    /// Bytes per materialized chunk (constant across routers), for the
-    /// `router_state_bytes` gauge.
-    chunk_bytes: u64,
-    /// The never-mutated pristine router template: read-only access to an
-    /// unmaterialized router ([`Network::router`]) resolves here, and every
-    /// new chunk is a clone of it.
-    pristine: Box<Router>,
+    /// Every router's state, flat: one network-wide array per per-VC
+    /// field, indexed `router * slots + slot`, built pristine up front.
+    state: RouterState,
     packets: PacketTable,
     counters: NetworkCounters,
     /// Per-port flag: true for network (inter-router) ports, false for
@@ -255,12 +207,8 @@ impl Network {
         assert!(vcs >= 1, "need at least one virtual channel");
         assert!(buf_depth >= 1, "need at least one flit buffer per VC");
         let ports = topo.ports_per_router();
-        // No per-router allocation here: state chunks materialize on first
-        // flit. Only the pristine template is built eagerly.
-        let pristine = Box::new(Router::new(ports, vcs, buf_depth));
-        let chunk_bytes = pristine.state_bytes();
-        let routers: Vec<Option<Box<Router>>> =
-            (0..topo.num_routers()).map(|_| None).collect();
+        let n = topo.num_routers() as usize;
+        let state = RouterState::new(n, ports, vcs, buf_depth);
         let net_port = (0..ports)
             .map(|p| topo.port_dim_dir(PortId(p as u8)).is_some())
             .collect();
@@ -273,15 +221,11 @@ impl Network {
                 (router.0, (port.index() * vcs as usize) as u16)
             })
             .collect();
-        let n = topo.num_routers() as usize;
         Network {
             topo,
             vcs,
             buf_depth,
-            routers,
-            materialized: 0,
-            chunk_bytes,
-            pristine,
+            state,
             packets: PacketTable::new(),
             counters: NetworkCounters::default(),
             net_port,
@@ -311,18 +255,19 @@ impl Network {
         self.active_bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Number of routers whose state chunk is materialized — the
-    /// `routers_materialized` observability gauge.
+    /// Number of routers whose state is resident — the
+    /// `routers_materialized` observability gauge. Router state is built
+    /// for the whole network up front, so this is every router.
     #[inline]
     pub fn routers_materialized(&self) -> u64 {
-        u64::from(self.materialized)
+        self.router_flits.len() as u64
     }
 
-    /// Bytes held by materialized router state chunks — the
-    /// `router_state_bytes` observability gauge.
+    /// Bytes held by the flat router state arrays — the
+    /// `router_state_bytes` observability gauge. Fixed at construction.
     #[inline]
     pub fn router_state_bytes(&self) -> u64 {
-        u64::from(self.materialized) * self.chunk_bytes
+        self.state.bytes()
     }
 
     /// The topology.
@@ -349,14 +294,12 @@ impl Network {
         self.counters
     }
 
-    /// Read access to a router. An unmaterialized router resolves to the
-    /// shared pristine template — semantically identical state (empty
-    /// buffers, full credits, nothing routed or owned).
+    /// Read view of a router.
     #[inline]
-    pub fn router(&self, node: NodeId) -> &Router {
-        self.routers[node.index()]
-            .as_deref()
-            .unwrap_or(&self.pristine)
+    pub fn router(&self, node: NodeId) -> Router<'_> {
+        let r = node.index();
+        assert!(r < self.router_flits.len(), "router {node} out of range");
+        Router { st: &self.state, r }
     }
 
     /// The in-flight packet table.
@@ -392,44 +335,38 @@ impl Network {
     /// `nic`'s router).
     #[inline]
     pub fn injection_free(&self, nic: NicId, vc: u8) -> u32 {
+        let g = self.injection_slot(nic, vc);
+        self.buf_depth - self.state.len[g] as u32
+    }
+
+    /// Global slot index of injection VC `vc` of `nic`.
+    #[inline]
+    fn injection_slot(&self, nic: NicId, vc: u8) -> usize {
         let (r, base) = self.nic_slot[nic.index()];
-        let slot = base as usize + vc as usize;
-        match self.routers[r as usize].as_deref() {
-            Some(router) => self.buf_depth - router.len[slot] as u32,
-            None => self.buf_depth, // pristine: entirely free
-        }
+        r as usize * self.state.slots + base as usize + vc as usize
     }
 
     /// True if injection VC `vc` of `nic` is between packets (its last
     /// buffered flit, if any, is a tail) — a new packet's head may enter.
     #[inline]
     pub fn injection_vc_idle(&self, nic: NicId, vc: u8) -> bool {
-        let (r, base) = self.nic_slot[nic.index()];
-        let slot = base as usize + vc as usize;
-        match self.routers[r as usize].as_deref() {
-            Some(router) => {
-                let len = router.len[slot] as usize;
-                len == 0 || router.flit_at(slot, len - 1).is_tail
-            }
-            None => true, // pristine: empty, so idle
-        }
+        let g = self.injection_slot(nic, vc);
+        let len = self.state.len[g] as usize;
+        len == 0 || self.state.flit_at(g, len - 1).is_tail
     }
 
     /// Push one flit from `nic` into injection VC `vc`. Returns false
     /// (without effect) when the buffer is full. Wakes the router: local
     /// injection precedes [`Network::step`] within a cycle, so the flit is
-    /// routable this very cycle, exactly as under the dense scan. This is
-    /// one of the two points that materialize a router chunk (the other is
-    /// flit arrival, in `ShardTask::apply_moves` or at the barrier).
+    /// routable this very cycle, exactly as under the dense scan.
     pub fn inject_flit(&mut self, nic: NicId, vc: u8, flit: Flit) -> bool {
         let (r, base) = self.nic_slot[nic.index()];
         let ri = r as usize;
         let slot = base as usize + vc as usize;
-        let router = materialize(&mut self.routers[ri], &mut self.materialized, &self.pristine);
-        if router.len[slot] as u32 >= self.buf_depth {
+        if self.state.len[ri * self.state.slots + slot] as u32 >= self.buf_depth {
             return false;
         }
-        router.push_flit(slot, flit);
+        self.state.view().push_flit(ri, slot, flit);
         self.router_flits[ri] += 1;
         self.counters.flits_injected += 1;
         self.wake(ri);
@@ -475,16 +412,10 @@ impl Network {
         plan: &ShardPlan,
         ejs: impl IntoIterator<Item = E>,
     ) {
-        assert_eq!(
-            plan.num_routers() as usize,
-            self.routers.len(),
-            "shard plan covers a different network"
-        );
+        let n = self.router_flits.len();
+        assert_eq!(plan.num_routers() as usize, n, "shard plan covers a different network");
         self.drain_wake_set();
-        mdd_obs::counter_add(
-            CounterId::RouterTicksSkipped,
-            (self.routers.len() - self.worklist.len()) as u64,
-        );
+        mdd_obs::counter_add(CounterId::RouterTicksSkipped, (n - self.worklist.len()) as u64);
         mdd_obs::counter_add(CounterId::FusedPassRouters, self.worklist.len() as u64);
         #[cfg(not(debug_assertions))]
         self.run_shards(cycle, routing, plan, ejs);
@@ -560,12 +491,10 @@ impl Network {
             buf_depth,
             net_port,
             links,
-            pristine,
             packets,
             counters,
             cur_mask,
-            routers,
-            materialized,
+            state,
             router_flits,
             active_bits,
             worklist,
@@ -579,7 +508,6 @@ impl Network {
                 buf_depth: *buf_depth,
                 net_port,
                 links,
-                pristine,
                 packets,
                 cur_mask,
                 plan,
@@ -587,7 +515,7 @@ impl Network {
             // Split every per-router array into the shards' disjoint
             // ranges, lazily: the one-shard case runs inline on this
             // thread without collecting anything.
-            let mut routers: &mut [Option<Box<Router>>] = routers;
+            let mut st = state.view();
             let mut router_flits: &mut [u32] = router_flits;
             let mut bits: &mut [u64] = active_bits;
             let mut worklist: &[u32] = worklist;
@@ -614,7 +542,7 @@ impl Network {
                     lo,
                     hi,
                     word_base: word_lo,
-                    routers: split_off(&mut routers, cnt),
+                    st: st.split_off(cnt),
                     router_flits: split_off(&mut router_flits, cnt),
                     active_bits: split_off(&mut bits, words),
                     worklist: wl,
@@ -633,6 +561,7 @@ impl Network {
         // — the traversal's own mutation order.
         let mut obs = ObsDeltas::default();
         let mut mailbox_effects = 0u64;
+        let mut st = state.view();
         for sc in shard_scratch.iter_mut() {
             for mail in &mut sc.mail {
                 mailbox_effects += mail.len() as u64;
@@ -640,19 +569,18 @@ impl Network {
                     match eff {
                         CrossEffect::Credit { router, slot } => {
                             let r = router as usize;
-                            let up_router = mat_mut(routers, r);
-                            up_router.out_credits[slot as usize] += 1;
-                            debug_assert!(up_router.out_credits[slot as usize] <= *buf_depth);
+                            let g = r * st.slots + slot as usize;
+                            st.out_credits[g] += 1;
+                            debug_assert!(st.out_credits[g] <= *buf_depth);
                             set_wake(active_bits, 0, r);
                         }
                         CrossEffect::Arrival { router, slot, flit } => {
                             let (r, slot) = (router as usize, slot as usize);
-                            let down_router = materialize(&mut routers[r], materialized, pristine);
-                            down_router.push_flit(slot, flit);
-                            if cur_mask[r >> 6] >> (r & 63) & 1 == 1
-                                && down_router.blocked[slot] == NOT_BLOCKED
+                            st.push_flit(r, slot, flit);
+                            let g = r * st.slots + slot;
+                            if cur_mask[r >> 6] >> (r & 63) & 1 == 1 && st.blocked[g] == NOT_BLOCKED
                             {
-                                down_router.blocked[slot] = cycle;
+                                st.blocked[g] = cycle;
                             }
                             router_flits[r] += 1;
                             set_wake(active_bits, 0, r);
@@ -678,7 +606,6 @@ impl Network {
             counters.flits_moved += c.flits_moved;
             counters.flits_delivered += c.flits_delivered;
             counters.packets_delivered += c.packets_delivered;
-            *materialized += std::mem::take(&mut sc.materialized);
             obs.merge(std::mem::take(&mut sc.obs));
         }
         mdd_obs::counter_add(CounterId::FlitsRouted, obs.routed);
@@ -698,25 +625,20 @@ impl Network {
     /// agree with the buffers.
     #[cfg(debug_assertions)]
     fn skipped_router_check(&self, cycle: u64) {
-        for (r, chunk) in self.routers.iter().enumerate() {
-            let Some(router) = chunk.as_deref() else {
-                // An unmaterialized router has never held a flit; it must
-                // be indistinguishable from pristine.
-                debug_assert_eq!(
-                    self.router_flits[r], 0,
-                    "router {r}: flits counted on an unmaterialized router at cycle {cycle}"
-                );
-                continue;
-            };
+        let st = &self.state;
+        for r in 0..self.router_flits.len() {
+            let base = r * st.slots;
+            let len = &st.len[base..base + st.slots];
+            let blocked = &st.blocked[base..base + st.slots];
             debug_assert_eq!(
                 self.router_flits[r],
-                router.buffered_flits(),
+                len.iter().map(|&l| u32::from(l)).sum::<u32>(),
                 "router {r}: flit counter out of sync at cycle {cycle}"
             );
-            for s in 0..router.len.len() {
+            for (s, &l) in len.iter().enumerate() {
                 debug_assert_eq!(
-                    router.in_occ >> s & 1 == 1,
-                    router.len[s] > 0,
+                    st.hdr[r].in_occ >> s & 1 == 1,
+                    l > 0,
                     "router {r}: occupancy bit {s} out of sync at cycle {cycle}"
                 );
             }
@@ -728,9 +650,9 @@ impl Network {
             // flit wakes it. An empty VC may keep its route mid-packet
             // (the flits seen so far moved on, the rest are still upstream
             // or at the source NIC), but no timer runs on it.
-            for s in 0..router.len.len() {
+            for s in 0..st.slots {
                 debug_assert!(
-                    router.len[s] == 0 && router.blocked[s] == NOT_BLOCKED,
+                    len[s] == 0 && blocked[s] == NOT_BLOCKED,
                     "router {r}: skipped with VC {s} occupied or timed at cycle {cycle}"
                 );
             }
@@ -755,15 +677,15 @@ impl Network {
         if threshold == 0 || self.router_flits[r] == 0 {
             return;
         }
-        let router = mat(&self.routers, r);
-        let mut occ = router.in_occ;
+        let st = &self.state;
+        let mut occ = st.hdr[r].in_occ;
         while occ != 0 {
-            let slot = occ.trailing_zeros() as usize;
+            let g = r * st.slots + occ.trailing_zeros() as usize;
             occ &= occ - 1;
-            let f = router.front_flit(slot).expect("occupied slot");
+            let f = st.flit_at(g, 0);
             if f.is_head()
-                && router.blocked[slot] != NOT_BLOCKED
-                && now.saturating_sub(router.blocked[slot]) >= threshold
+                && st.blocked[g] != NOT_BLOCKED
+                && now.saturating_sub(st.blocked[g]) >= threshold
             {
                 out.push((node, f.msg));
             }
@@ -786,89 +708,88 @@ impl Network {
         let mut burst_flits = 0u64;
         let mut head_router = None;
         let nvcs = self.vcs as usize;
-        let ports = self.links.ports;
-        for r in 0..self.routers.len() {
-            // An unmaterialized router holds no flits and owns no output
-            // VCs — nothing to reclaim, nothing to release.
-            if self.routers[r].is_none() {
-                debug_assert_eq!(self.router_flits[r], 0);
-                continue;
-            }
+        let Network {
+            state,
+            links,
+            net_port,
+            router_flits,
+            active_bits,
+            buf_depth,
+            ..
+        } = self;
+        let ports = links.ports;
+        let mut s = state.view();
+        for (r, flits) in router_flits.iter_mut().enumerate() {
+            let base = r * s.slots;
             let mut removed_here = 0u32;
-            if self.router_flits[r] > 0 {
-                let mut occ = mat(&self.routers, r).in_occ;
-                while occ != 0 {
-                    let slot = occ.trailing_zeros() as usize;
-                    occ &= occ - 1;
-                    // Locate the packet's contiguous run in this buffer.
-                    let len = mat(&self.routers, r).len[slot] as usize;
-                    let mut run_start = len;
-                    let mut run_len = 0usize;
-                    let mut had_head = false;
-                    for k in 0..len {
-                        let f = mat(&self.routers, r).flit_at(slot, k);
-                        if f.msg == h {
-                            if run_len == 0 {
-                                run_start = k;
-                            }
-                            debug_assert_eq!(
-                                run_start + run_len,
-                                k,
-                                "a packet's flits must be contiguous within a VC"
-                            );
-                            run_len += 1;
-                            had_head |= f.is_head();
+            let mut occ = if *flits > 0 { s.hdr[r].in_occ } else { 0 };
+            while occ != 0 {
+                let slot = occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                let g = base + slot;
+                // Locate the packet's contiguous run in this buffer.
+                let len = s.len[g] as usize;
+                let mut run_start = len;
+                let mut run_len = 0usize;
+                let mut had_head = false;
+                for k in 0..len {
+                    let f = s.flit_at(g, k);
+                    if f.msg == h {
+                        if run_len == 0 {
+                            run_start = k;
                         }
-                    }
-                    if run_len == 0 {
-                        continue;
-                    }
-                    let front_was = run_start == 0;
-                    let router = mat_mut(&mut self.routers, r);
-                    router.remove_run(slot, run_start, run_len);
-                    if front_was {
-                        router.route_port[slot] = NO_ROUTE;
-                        router.blocked[slot] = NOT_BLOCKED;
-                    }
-                    flits_removed += run_len as u32;
-                    removed_here += run_len as u32;
-                    burst_flits += run_len as u64;
-                    if had_head {
-                        head_router = Some(NodeId(r as u32));
-                    }
-                    // Restore upstream credits for the freed slots in one
-                    // batch.
-                    let p = slot / nvcs;
-                    let up = self.links.nbr[r * ports + p];
-                    if self.net_port[p] {
-                        let up = up as usize;
-                        let up_slot = self.links.opp[p] as usize * nvcs + slot % nvcs;
-                        let up_router = mat_mut(&mut self.routers, up);
-                        up_router.out_credits[up_slot] += run_len as u32;
-                        debug_assert!(up_router.out_credits[up_slot] <= self.buf_depth);
-                        self.wake(up);
+                        debug_assert_eq!(
+                            run_start + run_len,
+                            k,
+                            "a packet's flits must be contiguous within a VC"
+                        );
+                        run_len += 1;
+                        had_head |= f.is_head();
                     }
                 }
-                self.router_flits[r] -= removed_here;
+                if run_len == 0 {
+                    continue;
+                }
+                s.remove_run(r, slot, run_start, run_len);
+                if run_start == 0 {
+                    s.route_port[g] = NO_ROUTE;
+                    s.blocked[g] = NOT_BLOCKED;
+                }
+                flits_removed += run_len as u32;
+                removed_here += run_len as u32;
+                burst_flits += run_len as u64;
+                if had_head {
+                    head_router = Some(NodeId(r as u32));
+                }
+                // Restore upstream credits for the freed slots in one
+                // batch.
+                let p = slot / nvcs;
+                if net_port[p] {
+                    let up = links.nbr[r * ports + p] as usize;
+                    let up_g = up * s.slots + links.opp[p] as usize * nvcs + slot % nvcs;
+                    s.out_credits[up_g] += run_len as u32;
+                    debug_assert!(s.out_credits[up_g] <= *buf_depth);
+                    set_wake(active_bits, 0, up);
+                }
             }
+            *flits -= removed_here;
             // Release any output VCs the packet held (it can hold one at a
             // router it no longer buffers flits in — the wormhole spans
             // routers head to tail).
             let mut released = false;
-            let mut owned = mat(&self.routers, r).out_owned;
+            let mut owned = s.hdr[r].out_owned;
             while owned != 0 {
-                let s = owned.trailing_zeros() as usize;
+                let slot = owned.trailing_zeros() as usize;
                 owned &= owned - 1;
-                let router = mat_mut(&mut self.routers, r);
-                if router.out_owner[s] == h {
-                    router.release_out(s);
+                if s.out_owner[base + slot] == h {
+                    s.release_out(r, slot);
                     released = true;
                 }
             }
             // A rescue mutates router state out of band; wake everything
             // it touched so remaining traffic reschedules.
             if removed_here > 0 || released {
-                self.wake(r);
+                set_wake(active_bits, 0, r);
             }
         }
         mdd_obs::counter_add(CounterId::LinkBurstFlits, burst_flits);
@@ -882,12 +803,9 @@ impl Network {
     }
 
     /// Busy-cycle counter of one output virtual channel (network ports).
-    /// Unmaterialized routers never moved a flit: zero.
     pub fn vc_busy(&self, node: NodeId, port: PortId, vc: u8) -> u64 {
-        match self.routers[node.index()].as_deref() {
-            Some(router) => router.vc_busy[port.index() * self.vcs as usize + vc as usize],
-            None => 0,
-        }
+        self.state.vc_busy
+            [node.index() * self.state.slots + port.index() * self.vcs as usize + vc as usize]
     }
 
     /// Utilization statistics over all *network* virtual channels after
@@ -898,25 +816,15 @@ impl Network {
         if cycles == 0 {
             return (0.0, 0.0, 0.0);
         }
-        let ports = self.topo.ports_per_router();
-        let mut vals = Vec::new();
-        for node in self.topo.routers() {
-            for p in 0..ports {
-                if self.topo.port_dim_dir(PortId(p as u8)).is_none() {
-                    continue; // local ports excluded
-                }
-                // On meshes, skip nonexistent boundary links.
-                let (d, dir) = self.topo.port_dim_dir(PortId(p as u8)).unwrap();
-                if self.topo.neighbor(node, d, dir).is_none() {
-                    continue;
-                }
-                for v in 0..self.vcs {
-                    vals.push(
-                        self.vc_busy(node, PortId(p as u8), v) as f64 / cycles as f64,
-                    );
-                }
-            }
-        }
+        // One scan of the flat busy array in (router, port, vc) order,
+        // over the links that exist: local ports and a mesh's missing
+        // boundary links have no neighbour.
+        let nvcs = self.vcs as usize;
+        let vals: Vec<f64> = (0..self.links.nbr.len())
+            .filter(|&rp| self.links.nbr[rp] != u32::MAX)
+            .flat_map(|rp| &self.state.vc_busy[rp * nvcs..(rp + 1) * nvcs])
+            .map(|&busy| busy as f64 / cycles as f64)
+            .collect();
         if vals.is_empty() {
             return (0.0, 0.0, 0.0);
         }
@@ -1028,8 +936,7 @@ enum CrossEffect {
         slot: u16,
     },
     /// Flit arrival at a downstream router owned by another shard (plus
-    /// the implied wake, arrival-side blocked mark and, if needed,
-    /// chunk materialization).
+    /// the implied wake and arrival-side blocked mark).
     Arrival {
         /// Downstream router (global index).
         router: u32,
@@ -1070,8 +977,6 @@ struct ShardScratch {
     counters: NetworkCounters,
     /// This cycle's observability delta.
     obs: ObsDeltas,
-    /// Router chunks materialized by intra-shard arrivals this cycle.
-    materialized: u32,
 }
 
 impl ShardScratch {
@@ -1083,7 +988,6 @@ impl ShardScratch {
             pk: Vec::new(),
             counters: NetworkCounters::default(),
             obs: ObsDeltas::default(),
-            materialized: 0,
         }
     }
 }
@@ -1114,17 +1018,9 @@ struct StepShared<'a> {
     buf_depth: u32,
     net_port: &'a [bool],
     links: &'a Links,
-    pristine: &'a Router,
     packets: &'a PacketTable,
     cur_mask: &'a [u64],
     plan: &'a ShardPlan,
-}
-
-/// Split the first `n` elements off `rest`, advancing it past them.
-fn split_off<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-    let (head, tail) = std::mem::take(rest).split_at_mut(n);
-    *rest = tail;
-    head
 }
 
 /// One shard's mutable view of the network: disjoint slices of every
@@ -1135,7 +1031,7 @@ struct ShardTask<'a, E> {
     lo: u32,
     hi: u32,
     word_base: usize,
-    routers: &'a mut [Option<Box<Router>>],
+    st: StateMut<'a>,
     router_flits: &'a mut [u32],
     active_bits: &'a mut [u64],
     worklist: &'a [u32],
@@ -1195,6 +1091,11 @@ impl<E: EjectControl> ShardTask<'_, E> {
     ) {
         let li = r - self.lo as usize;
         let nvcs = sh.vcs as usize;
+        let total = self.st.slots;
+        let depth = self.st.depth;
+        // This router's window of every per-slot array.
+        let base = li * total;
+        let slots = base..base + total;
         // Per-port singly linked request chains (see
         // [`PassScratch::req_head`]; both `< 128`, so `u16::MAX` stays a
         // safe sentinel).
@@ -1202,27 +1103,29 @@ impl<E: EjectControl> ShardTask<'_, E> {
         // Waiting heads that need a full allocation attempt, in scan order.
         let mut pend = [0u8; 128];
         let mut npend = 0usize;
-        let total;
         {
-            // Scan under a single router borrow: the occupancy walk touches
-            // several parallel arrays per slot, and hoisting the borrow
-            // keeps their base pointers live across the whole walk.
+            // Borrow each array the occupancy walk reads once, as this
+            // router's sub-slice, so the walk indexes by slot directly.
             let PassScratch {
                 req_head,
                 req_next,
                 obs,
             } = ps;
-            let router = mat_mut(self.routers, li);
-            router.sync_rr_alloc(cycle);
-            let nports = router.ports();
-            total = nports * nvcs;
-            debug_assert!(nports <= 64);
-            let start = router.rr_alloc as usize % total;
+            let st = &mut self.st;
+            let hdr = &mut st.hdr[li];
+            let blocked = &mut st.blocked[slots.clone()];
+            let route_port = &st.route_port[slots.clone()];
+            let stall_epoch = &st.stall_epoch[slots.clone()];
+            let head = &st.head[slots.clone()];
+            let bufs = &st.bufs[base * depth..(base + total) * depth];
+            hdr.sync_rr_alloc(cycle);
+            debug_assert!(st.ports <= 64);
+            let start = hdr.rr_alloc as usize % total;
             // Visit occupied slots in the dense scan's rotated order
             // (`start..total` then `0..start`, ascending within each half).
             // Slots the dense scan would have acted on all hold a flit, so
             // restricting to the occupancy mask is exact.
-            let occ = router.in_occ;
+            let occ = hdr.in_occ;
             let low = occ & ((1u128 << start) - 1);
             let mut high = occ ^ low;
             let mut rest = low;
@@ -1241,19 +1144,19 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 // Blocked-timer pre-mark (fused phase 4): every occupied
                 // slot not already blocked starts its timer this cycle; the
                 // traversal phase re-derives the mark for slots that move.
-                if router.blocked[idx] == NOT_BLOCKED {
-                    router.blocked[idx] = cycle;
+                if blocked[idx] == NOT_BLOCKED {
+                    blocked[idx] = cycle;
                 }
                 // Phase 2 (gather): a routed slot with a buffered flit
                 // stands as a switch requester for its output port.
-                let q = router.route_port[idx];
+                let q = route_port[idx];
                 if q != NO_ROUTE {
                     port_mask |= 1 << q;
                     req_next[idx] = req_head[q as usize];
                     req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
-                } else if router.front_flit(idx).expect("occupied slot").is_head() {
+                } else if bufs[idx * depth + head[idx] as usize].is_head() {
                     // Phase 1: route computation & VC allocation.
-                    if router.stall_epoch[idx] == router.alloc_epoch {
+                    if stall_epoch[idx] == hdr.alloc_epoch {
                         // Memoized stall: no output VC on this router has
                         // been released since the last full attempt, and
                         // the candidate set of a waiting packet is fixed,
@@ -1265,8 +1168,8 @@ impl<E: EjectControl> ShardTask<'_, E> {
                     }
                 }
             }
-            router.rr_alloc = router.rr_alloc.wrapping_add(1);
-            router.rr_cycle = cycle + 1;
+            hdr.rr_alloc = hdr.rr_alloc.wrapping_add(1);
+            hdr.rr_cycle = cycle + 1;
         }
         // Phase 1, deferred: full allocation attempts for the (rare)
         // non-memoized waiting heads. Deferral is exact: allocation only
@@ -1278,16 +1181,13 @@ impl<E: EjectControl> ShardTask<'_, E> {
         // sequence of the dense reference.
         for &slot in &pend[..npend] {
             let idx = slot as usize;
-            let h = mat(self.routers, li)
-                .front_flit(idx)
-                .expect("occupied slot")
-                .msg;
+            let h = self.st.flit_at(base + idx, 0).msg;
             if self.alloc_slot(sh, r, idx, h, cycle, routing) {
                 ps.obs.allocs += 1;
                 // A freshly routed head is a switch requester this same
                 // cycle. Chain position is immaterial: grants minimize
                 // rank over the set.
-                let q = mat(self.routers, li).route_port[idx];
+                let q = self.st.route_port[base + idx];
                 debug_assert_ne!(q, NO_ROUTE);
                 port_mask |= 1 << q;
                 ps.req_next[idx] = ps.req_head[q as usize];
@@ -1305,12 +1205,18 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 obs,
             } = ps;
             let moves = &mut self.sc.moves;
-            let router = mat_mut(self.routers, li);
+            let st = &mut self.st;
+            let ports = st.ports;
+            let rr_out = &mut st.rr_out[li * ports..(li + 1) * ports];
+            let out_credits = &st.out_credits[slots.clone()];
+            let route_vc = &st.route_vc[slots.clone()];
+            let head = &st.head[slots];
+            let bufs = &st.bufs[base * depth..(base + total) * depth];
             let mut in_used = 0u64; // input ports granted this cycle
             while port_mask != 0 {
                 let q = port_mask.trailing_zeros() as usize;
                 port_mask &= port_mask - 1;
-                let rr = router.rr_out[q] as usize % total;
+                let rr = rr_out[q] as usize % total;
                 let is_net = sh.net_port[q];
                 let mut best: Option<(usize, usize, usize)> = None;
                 let mut contenders = 0u32;
@@ -1325,9 +1231,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                     }
                     // Network outputs need a credit; local outputs were
                     // reserved at acceptance time.
-                    if is_net
-                        && router.out_credits[q * nvcs + router.route_vc[idx] as usize] == 0
-                    {
+                    if is_net && out_credits[q * nvcs + route_vc[idx] as usize] == 0 {
                         continue;
                     }
                     contenders += 1;
@@ -1341,14 +1245,12 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 }
                 if let Some((_, idx, p)) = best {
                     in_used |= 1 << p;
-                    router.rr_out[q] = if idx + 1 == total { 0 } else { (idx + 1) as u32 };
+                    rr_out[q] = if idx + 1 == total { 0 } else { (idx + 1) as u32 };
                     // Burst count: a packet-body flit granted at a port
                     // with one contender continues a wormhole stream. It
                     // was arbitrated like any other requester; the
                     // counter only classifies the grant.
-                    if contenders == 1
-                        && !router.front_flit(idx).expect("requester has a flit").is_head()
-                    {
+                    if contenders == 1 && !bufs[idx * depth + head[idx] as usize].is_head() {
                         obs.burst_flits += 1;
                     }
                     moves.push(Move {
@@ -1356,7 +1258,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                         in_port: p as u8,
                         in_vc: (idx - p * nvcs) as u8,
                         out_port: q as u8,
-                        out_vc: router.route_vc[idx],
+                        out_vc: route_vc[idx],
                     });
                 }
             }
@@ -1378,6 +1280,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
         routing: &dyn Routing,
     ) -> bool {
         let li = r - self.lo as usize;
+        let g = li * self.st.slots + idx;
         let node = NodeId(r as u32);
         let nvcs = sh.vcs as usize;
         let Some(pkt) = sh.packets.get(h).copied() else {
@@ -1403,18 +1306,16 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 );
                 let nic = sh.topo.nic_at(node, local);
                 if self.ej.can_accept(nic, h, cycle) {
-                    let router = mat_mut(self.routers, li);
-                    router.route_port[idx] = c.port.0;
-                    router.route_vc[idx] = 0;
+                    self.st.route_port[g] = c.port.0;
+                    self.st.route_vc[g] = 0;
                     return true;
                 }
             } else {
                 let out_slot = c.port.index() * nvcs + c.vc as usize;
-                let router = mat_mut(self.routers, li);
-                if router.out_free(out_slot) {
-                    router.own_out(out_slot, h);
-                    router.route_port[idx] = c.port.0;
-                    router.route_vc[idx] = c.vc;
+                if self.st.out_free(li, out_slot) {
+                    self.st.own_out(li, out_slot, h);
+                    self.st.route_port[g] = c.port.0;
+                    self.st.route_vc[g] = c.vc;
                     return true;
                 }
             }
@@ -1425,8 +1326,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
             // are exempt: their stall is an ejection refusal, and
             // `can_accept` both has side effects and depends on NIC state
             // this router cannot version.
-            let router = mat_mut(self.routers, li);
-            router.stall_epoch[idx] = router.alloc_epoch;
+            self.st.stall_epoch[g] = self.st.hdr[li].alloc_epoch;
         }
         false
     }
@@ -1453,7 +1353,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
         let (nbr, opp) = (&links.nbr[..], &links.opp[..]);
         let (dateline, nic_of) = (&links.dateline[..], &links.nic[..]);
         let ShardTask {
-            routers,
+            st,
             router_flits,
             active_bits,
             word_base,
@@ -1461,17 +1361,11 @@ impl<E: EjectControl> ShardTask<'_, E> {
             sc,
             ..
         } = self;
-        let ShardScratch {
-            moves,
-            mail,
-            pk,
-            materialized,
-            ..
-        } = &mut **sc;
-        let routers: &mut [Option<Box<Router>>] = routers;
+        let ShardScratch { moves, mail, pk, .. } = &mut **sc;
         let router_flits: &mut [u32] = router_flits;
         let active_bits: &mut [u64] = active_bits;
         let word_base = *word_base;
+        let slots = st.slots;
         let mut counters = NetworkCounters::default();
         obs.routed += moves.len() as u64;
         for mv in moves.iter() {
@@ -1485,29 +1379,24 @@ impl<E: EjectControl> ShardTask<'_, E> {
             let r = r as usize;
             let li = r - lo;
             let in_slot = in_port as usize * nvcs + in_vc as usize;
-            let router = mat_mut(routers, li);
-            let flit = router.pop_flit(in_slot);
-            router.blocked[in_slot] = if router.len[in_slot] > 0 {
-                cycle
-            } else {
-                NOT_BLOCKED
-            };
+            let in_g = li * slots + in_slot;
+            let flit = st.pop_flit(li, in_slot);
+            st.blocked[in_g] = if st.len[in_g] > 0 { cycle } else { NOT_BLOCKED };
             if flit.is_tail {
-                router.route_port[in_slot] = NO_ROUTE;
+                st.route_port[in_g] = NO_ROUTE;
             }
             router_flits[li] -= 1;
             // Return a credit upstream (network inputs only; NICs poll
             // injection space directly). The credit is an event for the
-            // upstream router: wake it so it can use the freed slot. The
-            // upstream router sent this flit, so it is materialized.
+            // upstream router: wake it so it can use the freed slot.
             let up = nbr[r * ports + in_port as usize];
             if up != u32::MAX {
                 let upu = up as usize;
                 let up_slot = opp[in_port as usize] as usize * nvcs + in_vc as usize;
                 if (lo..hi).contains(&upu) {
-                    let up_router = mat_mut(routers, upu - lo);
-                    up_router.out_credits[up_slot] += 1;
-                    debug_assert!(up_router.out_credits[up_slot] <= sh.buf_depth);
+                    let up_g = (upu - lo) * slots + up_slot;
+                    st.out_credits[up_g] += 1;
+                    debug_assert!(st.out_credits[up_g] <= sh.buf_depth);
                     set_wake(active_bits, word_base, upu);
                 } else {
                     mail[sh.plan.shard_of(up)].push(CrossEffect::Credit {
@@ -1518,12 +1407,12 @@ impl<E: EjectControl> ShardTask<'_, E> {
             }
             if sh.net_port[out_port as usize] {
                 let out_slot = out_port as usize * nvcs + out_vc as usize;
-                let router = mat_mut(routers, li);
-                router.vc_busy[out_slot] += 1;
-                debug_assert!(router.out_credits[out_slot] > 0);
-                router.out_credits[out_slot] -= 1;
+                let out_g = li * slots + out_slot;
+                st.vc_busy[out_g] += 1;
+                debug_assert!(st.out_credits[out_g] > 0);
+                st.out_credits[out_g] -= 1;
                 if flit.is_tail {
-                    router.release_out(out_slot);
+                    st.release_out(li, out_slot);
                 }
                 let dl = dateline[r * ports + out_port as usize];
                 if dl != 0 && flit.is_head() {
@@ -1539,18 +1428,15 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 );
                 let down_slot = opp[out_port as usize] as usize * nvcs + out_vc as usize;
                 if (lo..hi).contains(&down) {
-                    // Flit arrival: the second (and only other) router
-                    // materialization point.
-                    let down_router =
-                        materialize(&mut routers[down - lo], materialized, sh.pristine);
-                    down_router.push_flit(down_slot, flit);
+                    st.push_flit(down - lo, down_slot, flit);
                     // Arrival mark: the trailing sweep of the phased
                     // pipeline would see this flit (post-move occupancy)
                     // at any router it covers this cycle.
+                    let down_g = (down - lo) * slots + down_slot;
                     if sh.cur_mask[down >> 6] >> (down & 63) & 1 == 1
-                        && down_router.blocked[down_slot] == NOT_BLOCKED
+                        && st.blocked[down_g] == NOT_BLOCKED
                     {
-                        down_router.blocked[down_slot] = cycle;
+                        st.blocked[down_g] = cycle;
                     }
                     router_flits[down - lo] += 1;
                     set_wake(active_bits, word_base, down);
@@ -1588,7 +1474,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
 /// re-executed by a literal four-phase reference pipeline on a pre-cycle
 /// snapshot, with endpoint interactions recorded during the real (fused)
 /// pass and replayed to the reference; the two end states must match
-/// field by field. This checks the fused pass, the stall memo, the blocked-timer
+/// array by array. This checks the fused pass, the stall memo, the blocked-timer
 /// patch rules and the link tables against the phased semantics every
 /// single cycle of every debug run.
 #[cfg(debug_assertions)]
@@ -1685,7 +1571,7 @@ mod shadow {
     /// are reused across cycles via `clone_from`).
     #[derive(Default, Debug)]
     pub(super) struct Scratch {
-        routers: Vec<Option<Box<Router>>>,
+        state: RouterState,
         packets: PacketTable,
         counters: NetworkCounters,
         router_flits: Vec<u32>,
@@ -1697,26 +1583,15 @@ mod shadow {
 
     impl Scratch {
         /// Capture the pre-cycle state of every worklist-relevant field.
-        /// (`Option<Box<Router>>::clone_from` reuses the chunk allocation
-        /// when both sides are materialized, so steady state stays
-        /// allocation-free.)
+        /// (`clone_from` reuses every array's allocation, so steady state
+        /// stays allocation-free.)
         pub(super) fn snapshot(&mut self, net: &Network) {
-            self.routers.clone_from(&net.routers);
+            self.state.clone_from(&net.state);
             self.packets.clone_from(&net.packets);
             self.counters = net.counters;
             self.router_flits.clone_from(&net.router_flits);
             self.active_bits.clone_from(&net.active_bits);
             self.ej_log.clear();
-        }
-
-        /// Reference-side router access: the reference pipeline only
-        /// touches woken routers and their link neighbors, all of which
-        /// the snapshot holds materialized (or materializes on arrival in
-        /// [`Scratch::ref_apply_moves`], mirroring the real pass).
-        fn router_mut(&mut self, r: usize) -> &mut Router {
-            self.routers[r]
-                .as_deref_mut()
-                .expect("reference touched an unmaterialized router")
         }
 
         /// Run the phased reference pipeline on the snapshot and compare
@@ -1754,14 +1629,14 @@ mod shadow {
             ej: &mut dyn EjectControl,
         ) {
             let nvcs = net.vcs as usize;
+            let mut st = self.state.view();
+            let total = st.slots;
             for &r in &net.worklist {
                 let r = r as usize;
                 let node = NodeId(r as u32);
-                let router = self.router_mut(r);
-                router.sync_rr_alloc(cycle);
-                let total = router.ports() * nvcs;
-                let start = router.rr_alloc as usize % total;
-                let occ = router.in_occ;
+                st.hdr[r].sync_rr_alloc(cycle);
+                let start = st.hdr[r].rr_alloc as usize % total;
+                let occ = st.hdr[r].in_occ;
                 let low = occ & ((1u128 << start) - 1);
                 let mut high = occ ^ low;
                 let mut pending = low;
@@ -1777,11 +1652,11 @@ mod shadow {
                     } else {
                         break;
                     };
-                    let router = self.routers[r].as_deref().expect("woken router");
-                    if router.route_port[idx] != NO_ROUTE {
+                    let g = r * total + idx;
+                    if st.route_port[g] != NO_ROUTE {
                         continue;
                     }
-                    let front = router.front_flit(idx).expect("occupied slot");
+                    let front = st.flit_at(g, 0);
                     if !front.is_head() {
                         continue;
                     }
@@ -1800,26 +1675,24 @@ mod shadow {
                         if let Some(local) = net.topo.port_local_index(c.port) {
                             let nic = net.topo.nic_at(node, local);
                             if ej.can_accept(nic, h, cycle) {
-                                let router = self.router_mut(r);
-                                router.route_port[idx] = c.port.0;
-                                router.route_vc[idx] = 0;
+                                st.route_port[g] = c.port.0;
+                                st.route_vc[g] = 0;
                                 break;
                             }
                         } else {
                             let out_slot = c.port.index() * nvcs + c.vc as usize;
-                            let router = self.router_mut(r);
-                            if router.out_free(out_slot) {
-                                router.own_out(out_slot, h);
-                                router.route_port[idx] = c.port.0;
-                                router.route_vc[idx] = c.vc;
+                            if st.out_free(r, out_slot) {
+                                st.own_out(r, out_slot, h);
+                                st.route_port[g] = c.port.0;
+                                st.route_vc[g] = c.vc;
                                 break;
                             }
                         }
                     }
                 }
-                let router = self.router_mut(r);
-                router.rr_alloc = router.rr_alloc.wrapping_add(1);
-                router.rr_cycle = cycle + 1;
+                let hdr = &mut st.hdr[r];
+                hdr.rr_alloc = hdr.rr_alloc.wrapping_add(1);
+                hdr.rr_cycle = cycle + 1;
             }
         }
 
@@ -1828,32 +1701,34 @@ mod shadow {
         fn ref_switch_phase(&mut self, net: &Network) {
             self.moves.clear();
             let nvcs = net.vcs as usize;
+            let st = self.state.view();
+            let (total, ports) = (st.slots, st.ports);
             for &r in &net.worklist {
                 let r = r as usize;
-                let router = self.routers[r].as_deref_mut().expect("woken router");
-                let total = router.ports() * nvcs;
+                let base = r * total;
                 let mut reqs: Vec<(usize, u8, u8)> = Vec::new();
                 let mut port_mask = 0u64;
-                let mut occ = router.in_occ;
+                let mut occ = st.hdr[r].in_occ;
                 while occ != 0 {
                     let idx = occ.trailing_zeros() as usize;
                     occ &= occ - 1;
-                    if router.route_port[idx] != NO_ROUTE {
-                        port_mask |= 1 << router.route_port[idx];
-                        reqs.push((idx, router.route_port[idx], router.route_vc[idx]));
+                    let q = st.route_port[base + idx];
+                    if q != NO_ROUTE {
+                        port_mask |= 1 << q;
+                        reqs.push((idx, q, st.route_vc[base + idx]));
                     }
                 }
                 let mut in_used = [false; 64];
                 while port_mask != 0 {
                     let q = port_mask.trailing_zeros() as usize;
                     port_mask &= port_mask - 1;
-                    let rr = router.rr_out[q] as usize % total;
+                    let rr = st.rr_out[r * ports + q] as usize % total;
                     let mut best: Option<(usize, usize, u8)> = None;
                     for &(idx, op, ov) in &reqs {
                         if op as usize != q || in_used[idx / nvcs] {
                             continue;
                         }
-                        if net.net_port[q] && router.out_credits[q * nvcs + ov as usize] == 0 {
+                        if net.net_port[q] && st.out_credits[base + q * nvcs + ov as usize] == 0 {
                             continue;
                         }
                         let rank = (idx + total - rr) % total;
@@ -1863,7 +1738,7 @@ mod shadow {
                     }
                     if let Some((_, idx, ov)) = best {
                         in_used[idx / nvcs] = true;
-                        router.rr_out[q] = ((idx + 1) % total) as u32;
+                        st.rr_out[r * ports + q] = ((idx + 1) % total) as u32;
                         self.moves.push(Move {
                             router: r as u32,
                             in_port: (idx / nvcs) as u8,
@@ -1880,33 +1755,33 @@ mod shadow {
         /// (independently validating the link tables).
         fn ref_apply_moves(&mut self, net: &Network, cycle: u64, ej: &mut dyn EjectControl) {
             let nvcs = net.vcs as usize;
+            let mut st = self.state.view();
+            let total = st.slots;
             for mi in 0..self.moves.len() {
                 let Move { router: r, in_port, in_vc, out_port, out_vc } = self.moves[mi];
                 let r = r as usize;
                 let node = NodeId(r as u32);
                 let in_slot = in_port as usize * nvcs + in_vc as usize;
-                let router = self.router_mut(r);
-                let flit = router.pop_flit(in_slot);
-                router.blocked[in_slot] = NOT_BLOCKED;
+                let flit = st.pop_flit(r, in_slot);
+                st.blocked[r * total + in_slot] = NOT_BLOCKED;
                 if flit.is_tail {
-                    router.route_port[in_slot] = NO_ROUTE;
+                    st.route_port[r * total + in_slot] = NO_ROUTE;
                 }
                 self.router_flits[r] -= 1;
                 if let Some((d, dir)) = net.topo.port_dim_dir(PortId(in_port)) {
                     let up = net.topo.neighbor(node, d, dir).expect("input link exists");
                     let upport = net.topo.port(d, dir.opposite());
                     let up_slot = upport.index() * nvcs + in_vc as usize;
-                    self.router_mut(up.index()).out_credits[up_slot] += 1;
+                    st.out_credits[up.index() * total + up_slot] += 1;
                     self.active_bits[up.index() >> 6] |= 1 << (up.index() & 63);
                 }
                 let out = PortId(out_port);
                 if let Some((d2, dir2)) = net.topo.port_dim_dir(out) {
                     let out_slot = out_port as usize * nvcs + out_vc as usize;
-                    let router = self.router_mut(r);
-                    router.vc_busy[out_slot] += 1;
-                    router.out_credits[out_slot] -= 1;
+                    st.vc_busy[r * total + out_slot] += 1;
+                    st.out_credits[r * total + out_slot] -= 1;
                     if flit.is_tail {
-                        router.release_out(out_slot);
+                        st.release_out(r, out_slot);
                     }
                     if flit.is_head() && net.topo.crosses_dateline(node, d2, dir2) {
                         if let Some(st) = self.packets.get_mut(flit.msg) {
@@ -1916,12 +1791,7 @@ mod shadow {
                     let down = net.topo.neighbor(node, d2, dir2).expect("output link exists");
                     let dport = net.topo.port(d2, dir2.opposite());
                     let down_slot = dport.index() * nvcs + out_vc as usize;
-                    // Mirror the real pass's arrival materialization: a
-                    // fresh chunk is pristine-identical whichever side
-                    // creates it.
-                    let down_router = self.routers[down.index()]
-                        .get_or_insert_with(|| Box::new(net.pristine.as_ref().clone()));
-                    down_router.push_flit(down_slot, flit);
+                    st.push_flit(down.index(), down_slot, flit);
                     self.router_flits[down.index()] += 1;
                     self.active_bits[down.index() >> 6] |= 1 << (down.index() & 63);
                 } else {
@@ -1942,14 +1812,15 @@ mod shadow {
 
         /// Reference phase 4: the trailing blocked-timer sweep.
         fn ref_blocked_sweep(&mut self, net: &Network, cycle: u64) {
+            let st = &mut self.state;
             for &r in &net.worklist {
-                let router = self.router_mut(r as usize);
-                let mut occ = router.in_occ;
+                let r = r as usize;
+                let mut occ = st.hdr[r].in_occ;
                 while occ != 0 {
-                    let idx = occ.trailing_zeros() as usize;
+                    let g = r * st.slots + occ.trailing_zeros() as usize;
                     occ &= occ - 1;
-                    if router.blocked[idx] == NOT_BLOCKED {
-                        router.blocked[idx] = cycle;
+                    if st.blocked[g] == NOT_BLOCKED {
+                        st.blocked[g] = cycle;
                     }
                 }
             }
@@ -1973,51 +1844,54 @@ mod shadow {
                 self.packets == net.packets,
                 "shadow: packet tables diverged at {cycle}"
             );
-            for (r, (sa, sb)) in self.routers.iter().zip(&net.routers).enumerate() {
-                let (a, b) = match (sa.as_deref(), sb.as_deref()) {
-                    (Some(a), Some(b)) => (a, b),
-                    (None, None) => continue,
-                    (a, b) => panic!(
-                        "shadow: router {r} materialization diverged at {cycle} \
-                         (reference {:?}, fused {:?})",
-                        a.map(|_| "materialized"),
-                        b.map(|_| "materialized"),
-                    ),
-                };
-                assert_eq!(a.in_occ, b.in_occ, "shadow: router {r} occupancy at {cycle}");
-                assert_eq!(a.head, b.head, "shadow: router {r} ring heads at {cycle}");
-                assert_eq!(a.len, b.len, "shadow: router {r} buffer lengths at {cycle}");
-                assert_eq!(a.bufs, b.bufs, "shadow: router {r} flit buffers at {cycle}");
-                assert_eq!(
-                    a.route_port, b.route_port,
-                    "shadow: router {r} route ports at {cycle}"
-                );
+            let (a, b) = (&self.state, &net.state);
+            let (slots, ports) = (a.slots, a.ports);
+            same(&a.head, &b.head, slots, "ring heads", cycle);
+            same(&a.len, &b.len, slots, "buffer lengths", cycle);
+            same(&a.bufs, &b.bufs, slots * a.depth, "flit buffers", cycle);
+            same(&a.route_port, &b.route_port, slots, "route ports", cycle);
+            same(&a.blocked, &b.blocked, slots, "blocked timers", cycle);
+            same(&a.out_credits, &b.out_credits, slots, "credits", cycle);
+            same(&a.vc_busy, &b.vc_busy, slots, "vc_busy", cycle);
+            same(&a.rr_out, &b.rr_out, ports, "rr_out", cycle);
+            for (r, (ha, hb)) in a.hdr.iter().zip(&b.hdr).enumerate() {
+                assert_eq!(ha.in_occ, hb.in_occ, "shadow: router {r} occupancy at {cycle}");
+                assert_eq!(ha.out_owned, hb.out_owned, "shadow: router {r} ownership at {cycle}");
+                assert_eq!(ha.rr_alloc, hb.rr_alloc, "shadow: router {r} rr_alloc at {cycle}");
+                assert_eq!(ha.rr_cycle, hb.rr_cycle, "shadow: router {r} rr_cycle at {cycle}");
+                let mut owned = ha.out_owned;
+                while owned != 0 {
+                    let g = r * slots + owned.trailing_zeros() as usize;
+                    owned &= owned - 1;
+                    assert_eq!(
+                        a.out_owner[g], b.out_owner[g],
+                        "shadow: router {r} out-VC {} owner at {cycle}", g - r * slots
+                    );
+                }
                 // route_vc is only meaningful where a route is set.
-                for s in 0..a.route_vc.len() {
-                    if a.route_port[s] != NO_ROUTE {
+                for g in r * slots..(r + 1) * slots {
+                    if a.route_port[g] != NO_ROUTE {
                         assert_eq!(
-                            a.route_vc[s], b.route_vc[s],
-                            "shadow: router {r} route vc slot {s} at {cycle}"
+                            a.route_vc[g], b.route_vc[g],
+                            "shadow: router {r} route vc slot {} at {cycle}", g - r * slots
                         );
                     }
                 }
-                assert_eq!(a.blocked, b.blocked, "shadow: router {r} blocked timers at {cycle}");
-                assert_eq!(a.out_owned, b.out_owned, "shadow: router {r} ownership at {cycle}");
-                let mut owned = a.out_owned;
-                while owned != 0 {
-                    let s = owned.trailing_zeros() as usize;
-                    owned &= owned - 1;
-                    assert_eq!(
-                        a.out_owner[s], b.out_owner[s],
-                        "shadow: router {r} out-VC {s} owner at {cycle}"
-                    );
-                }
-                assert_eq!(a.out_credits, b.out_credits, "shadow: router {r} credits at {cycle}");
-                assert_eq!(a.vc_busy, b.vc_busy, "shadow: router {r} vc_busy at {cycle}");
-                assert_eq!(a.rr_out, b.rr_out, "shadow: router {r} rr_out at {cycle}");
-                assert_eq!(a.rr_alloc, b.rr_alloc, "shadow: router {r} rr_alloc at {cycle}");
-                assert_eq!(a.rr_cycle, b.rr_cycle, "shadow: router {r} rr_cycle at {cycle}");
             }
+        }
+    }
+
+    /// Assert two whole per-router arrays equal (`per` entries per
+    /// router), naming the first differing router on failure.
+    fn same<T: PartialEq + std::fmt::Debug>(a: &[T], b: &[T], per: usize, what: &str, cycle: u64) {
+        assert_eq!(a.len(), b.len(), "shadow: {what} arrays differ in length at {cycle}");
+        if let Some(i) = a.iter().zip(b).position(|(x, y)| x != y) {
+            panic!(
+                "shadow: router {} {what} at {cycle}: reference {:?}, fused {:?}",
+                i / per,
+                &a[i - i % per..i - i % per + per],
+                &b[i - i % per..i - i % per + per],
+            );
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Virtual-channel views over the router's structure-of-arrays state.
 //!
-//! The SoA rewrite removed the per-VC structs; external readers (the CWG
-//! validator, the deadlock-witness formatter, tests) observe a VC through
-//! the borrowing [`VcRef`] view and the [`OutVc`] snapshot instead. Both
-//! are zero-cost facades over the flat arrays in [`crate::Router`].
+//! There are no per-VC structs; external readers (the CWG validator, the
+//! deadlock-witness formatter, tests) observe a VC through the borrowing
+//! [`VcRef`] view and the [`OutVc`] snapshot instead. Both are zero-cost
+//! facades over the network-wide flat arrays behind [`crate::Router`].
 
 use crate::flit::Flit;
-use crate::router::{Router, NOT_BLOCKED};
+use crate::router::{Router, NOT_BLOCKED, NO_ROUTE};
 use mdd_protocol::MsgHandle;
 use mdd_topology::PortId;
 
@@ -14,23 +14,24 @@ use mdd_topology::PortId;
 /// wormhole routing state of the packet currently at its front.
 ///
 /// ```
-/// use mdd_router::Router;
-/// use mdd_topology::PortId;
-/// let r = Router::new(3, 4, 2);
-/// let vc = r.vc(PortId(1), 2);
+/// use mdd_router::Network;
+/// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
+/// let net = Network::new(Topology::new(TopologyKind::Torus, &[4], 1), 4, 2);
+/// let vc = net.router(NodeId(2)).vc(PortId(1), 2);
 /// assert!(vc.is_empty());
 /// assert!(!vc.awaiting_route()); // empty: nothing to route
 /// assert_eq!(vc.free_slots(), vc.capacity());
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct VcRef<'a> {
-    router: &'a Router,
+    router: Router<'a>,
+    /// Global slot index into the network-wide per-slot arrays.
     slot: usize,
 }
 
 impl<'a> VcRef<'a> {
     #[inline]
-    pub(crate) fn new(router: &'a Router, slot: usize) -> Self {
+    pub(crate) fn new(router: Router<'a>, slot: usize) -> Self {
         VcRef { router, slot }
     }
 
@@ -43,13 +44,13 @@ impl<'a> VcRef<'a> {
     /// Buffered flits.
     #[inline]
     pub fn len(&self) -> u32 {
-        self.router.len[self.slot] as u32
+        self.router.st.len[self.slot] as u32
     }
 
     /// True when no flit is buffered.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.router.len[self.slot] == 0
+        self.router.st.len[self.slot] == 0
     }
 
     /// Free buffer slots.
@@ -61,17 +62,17 @@ impl<'a> VcRef<'a> {
     /// The flit at the front, if any.
     #[inline]
     pub fn front(&self) -> Option<Flit> {
-        self.router.front_flit(self.slot)
+        self.get(0)
     }
 
     /// The most recently buffered flit, if any.
     #[inline]
     pub fn back(&self) -> Option<Flit> {
-        let len = self.router.len[self.slot] as usize;
+        let len = self.router.st.len[self.slot] as usize;
         if len == 0 {
             None
         } else {
-            Some(self.router.flit_at(self.slot, len - 1))
+            Some(self.router.st.flit_at(self.slot, len - 1))
         }
     }
 
@@ -79,7 +80,7 @@ impl<'a> VcRef<'a> {
     #[inline]
     pub fn get(&self, k: usize) -> Option<Flit> {
         if k < self.len() as usize {
-            Some(self.router.flit_at(self.slot, k))
+            Some(self.router.st.flit_at(self.slot, k))
         } else {
             None
         }
@@ -89,7 +90,10 @@ impl<'a> VcRef<'a> {
     /// `None` while the head flit awaits route computation / VC allocation.
     #[inline]
     pub fn route(&self) -> Option<(PortId, u8)> {
-        self.router.route_of(self.slot)
+        match self.router.st.route_port[self.slot] {
+            NO_ROUTE => None,
+            p => Some((PortId(p), self.router.st.route_vc[self.slot])),
+        }
     }
 
     /// True if the front flit is a head awaiting VC allocation.
@@ -108,7 +112,7 @@ impl<'a> VcRef<'a> {
     /// it is making progress.
     #[inline]
     pub fn blocked_since(&self) -> Option<u64> {
-        match self.router.blocked[self.slot] {
+        match self.router.st.blocked[self.slot] {
             NOT_BLOCKED => None,
             t => Some(t),
         }

@@ -21,9 +21,10 @@ pub struct P2Quantile {
     want: [f64; 5],
     /// Desired position increments per observation.
     inc: [f64; 5],
+    /// Observations seen. The first five are buffered in `heights`
+    /// (in arrival order) and sorted into the initial markers at the
+    /// fifth.
     n: u64,
-    /// First five observations, buffered until initialization.
-    boot: Vec<f64>,
 }
 
 impl P2Quantile {
@@ -37,7 +38,6 @@ impl P2Quantile {
             want: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
             inc: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
             n: 0,
-            boot: Vec::with_capacity(5),
         }
     }
 
@@ -54,11 +54,10 @@ impl P2Quantile {
     /// Add one observation.
     pub fn add(&mut self, x: f64) {
         self.n += 1;
-        if self.boot.len() < 5 {
-            self.boot.push(x);
-            if self.boot.len() == 5 {
-                self.boot.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                self.heights.copy_from_slice(&self.boot);
+        if self.n <= 5 {
+            self.heights[self.n as usize - 1] = x;
+            if self.n == 5 {
+                self.heights.sort_by(|a, b| a.partial_cmp(b).unwrap());
             }
             return;
         }
@@ -118,8 +117,9 @@ impl P2Quantile {
         if self.n == 0 {
             return 0.0;
         }
-        if self.boot.len() < 5 {
-            let mut v = self.boot.clone();
+        if self.n < 5 {
+            let mut v = self.heights;
+            let v = &mut v[..self.n as usize];
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let idx = ((self.q * (v.len() as f64 - 1.0)).round() as usize).min(v.len() - 1);
             return v[idx];

@@ -225,6 +225,15 @@ fn p2_quantile_small_samples_exact() {
     q.add(20.0);
     q.add(30.0);
     assert_eq!(q.estimate(), 20.0, "exact median of 3");
+    // Out of arrival order, up to the fifth sample, which seeds the
+    // markers with the five sorted values.
+    let mut q = P2Quantile::new(0.5);
+    for x in [50.0, 10.0, 40.0, 20.0] {
+        q.add(x);
+    }
+    assert_eq!(q.estimate(), 40.0, "exact upper median of 4");
+    q.add(30.0);
+    assert_eq!(q.estimate(), 30.0, "middle marker of the first five");
 }
 
 #[test]

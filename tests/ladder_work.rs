@@ -4,11 +4,11 @@
 //! PR runs PAT100 (pure request-reply) with `Neighbor` destinations and
 //! sparse geometric arrivals at a fixed per-node load on every
 //! [`SimConfig::scale_ladder`] rung, so the hop count — and with it the
-//! activity per node — is the same on every rung. Lazily-materialized
-//! router state and the wake set must then keep the number of
-//! routers the pass visits per router-cycle flat: a dense per-router
-//! term (a walk over every router, materialized or not) shows up as a
-//! visit rate near one instead of the sparse rate measured at 8×8.
+//! activity per node — is the same on every rung. The wake set must
+//! then keep the number of routers the pass visits per router-cycle
+//! flat: a dense per-router term (a walk over every router, busy or
+//! not) shows up as a visit rate near one instead of the sparse rate
+//! measured at 8×8.
 //!
 //! The counts are deterministic, unlike the wall-clock cost this check
 //! replaces. The obs counters are process-global, so this file holds a
@@ -19,7 +19,7 @@ use mdd_sim::obs;
 use mdd_sim::prelude::*;
 
 /// Per-node offered load (flits/node/cycle): big but sparse, the regime
-/// the lazy state and wake sets exist for.
+/// the wake sets exist for.
 const LOAD: f64 = 0.005;
 const WARMUP: u64 = 500;
 const CYCLES: u64 = 1_500;

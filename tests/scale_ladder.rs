@@ -1,13 +1,11 @@
-//! Scale-ladder correctness: the lazily-materialized router state,
-//! wake sets and sparse arrival machinery must change nothing
-//! observable — pinned 16×16 results, scheduled runs beyond the 4×4/8×8
-//! sizes the older suites cover, and the typed validation that guards
-//! the ladder presets.
+//! Scale-ladder correctness: the flat router state, wake sets and
+//! sparse arrival machinery must change nothing observable — pinned
+//! 16×16 results, scheduled runs beyond the 4×4/8×8 sizes the older
+//! suites cover, and the typed validation that guards the ladder presets.
 //!
 //! Debug builds run the dense shadow check inside every `Network::step`,
-//! so each run here also proof-checks the activity schedule and the lazy
-//! chunk lifecycle against the phased reference pass (a materialization
-//! divergence between the two panics immediately).
+//! so each run here also proof-checks the activity schedule against the
+//! phased reference pass, whole state arrays at a time.
 
 use mdd_sim::prelude::*;
 
@@ -29,8 +27,8 @@ fn cfg16(scheme: Scheme, pattern: PatternSpec, load: f64) -> SimConfig {
 // Ladder presets and typed validation.
 // ---------------------------------------------------------------------
 
-/// Every ladder rung builds through the spec-string path (construction
-/// is lazy, so even the 64×64 rung is cheap to assemble).
+/// Every ladder rung builds through the spec-string path, with every
+/// router's state resident from the start.
 #[test]
 fn ladder_presets_build() {
     for rung in SimConfig::scale_ladder() {
@@ -49,9 +47,8 @@ fn ladder_presets_build() {
             .unwrap_or_else(|e| panic!("{spec}: {e}"));
         assert_eq!(cfg.radix, rung);
         let sim = Simulator::new(cfg).expect("ladder rung is feasible");
-        // Lazy materialization: a freshly built network holds no router
-        // chunks at all, whatever its nominal size.
-        assert_eq!(sim.network().routers_materialized(), 0);
+        let routers: u64 = rung.iter().map(|&k| u64::from(k)).product();
+        assert_eq!(sim.network().routers_materialized(), routers);
     }
 }
 
@@ -108,8 +105,8 @@ fn vc_budget_is_validated_against_mask_width() {
 // ---------------------------------------------------------------------
 
 /// One pinned 16×16 outcome per scheme (floats as `to_bits`, compared
-/// exactly). Captured from this tree at the introduction of the lazy
-/// router state; any future refactor must reproduce these bit-for-bit.
+/// exactly). Captured from this tree at the introduction of the
+/// 16×16 rung; any future refactor must reproduce these bit-for-bit.
 /// To re-capture after an *intentional* behaviour change, run
 /// `GOLDEN_PRINT=1 cargo test --test scale_ladder -- --nocapture`.
 struct Golden16 {
@@ -214,8 +211,8 @@ fn golden_16x16_results_are_bit_identical() {
 
 /// Run `cfg` for `cycles` cycles under the activity scheduler; in debug
 /// builds every cycle passes the dense shadow check (same contract as
-/// `tests/activity.rs`, here at 16×16 where the lazy chunks and the wake
-/// set span several words).
+/// `tests/activity.rs`, here at 16×16 where the shard-sized state slices
+/// and the wake set span several words).
 fn run_scheduled(mut cfg: SimConfig, cycles: u64) -> Simulator {
     cfg.warmup = 0;
     cfg.measure = 0;
@@ -261,31 +258,61 @@ fn sparse_arrivals_twin_agrees_and_hits_rate() {
     );
 }
 
-/// 64×64 smoke: the biggest rung constructs lazily, runs, and only
-/// materializes the routers traffic actually touched.
+/// 64×64 smoke: the biggest rung's flat router state has exactly the
+/// closed-form footprint, keeps it under load, and every router starts
+/// pristine — empty VCs, full credits, no owner, not blocked. The last
+/// check pins the initial encodings of the state arrays.
 #[test]
-fn lazy_materialization_stays_sparse_at_64x64() {
-    let mut cfg = SimConfig::paper_default(
-        Scheme::ProgressiveRecovery,
-        PatternSpec::pat100(),
-        4,
-        0.002,
-    );
+fn flat_router_state_is_resident_and_pristine_at_64x64() {
+    use mdd_sim::protocol::MsgHandle;
+    use mdd_sim::router::Flit;
+    use std::mem::size_of;
+
+    let mut cfg =
+        SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat100(), 4, 0.002);
     cfg.radix = vec![64, 64];
     cfg.dest = DestPattern::Neighbor;
     cfg.sparse_arrivals = true;
     cfg.warmup = 0;
     cfg.measure = 0;
     let mut sim = Simulator::new(cfg).expect("feasible config");
+    let net = sim.network();
+    let routers = 4_096usize;
+    let (ports, vcs, depth) = (
+        net.topo().ports_per_router(),
+        net.vcs() as usize,
+        net.buf_depth() as usize,
+    );
+    let slots = ports * vcs;
+    // Per slot: `depth` flits, head and len (u16), route port and VC
+    // (u8), blocked and stall epoch (u64), owner handle, credits (u32),
+    // busy counter (u64); per port a u32 round-robin pointer; per router
+    // one 64-byte header.
+    let per_slot =
+        depth * size_of::<Flit>() + 2 + 2 + 1 + 1 + 8 + 8 + size_of::<MsgHandle>() + 4 + 8;
+    let closed_form = (routers * (slots * per_slot + ports * 4 + 64)) as u64;
+    assert_eq!(net.routers_materialized(), routers as u64);
+    assert_eq!(net.router_state_bytes(), closed_form);
+    for node in net.topo().routers() {
+        let router = net.router(node);
+        assert_eq!(router.buffered_flits(), 0);
+        for (port, vc, view) in router.iter_vcs() {
+            assert!(
+                view.is_empty() && view.front().is_none(),
+                "{node} {port:?}/{vc}"
+            );
+            assert_eq!(view.route(), None, "{node} {port:?}/{vc} routed");
+            assert_eq!(view.blocked_since(), None, "{node} {port:?}/{vc} blocked");
+            let out = router.out_vc(port, vc);
+            assert!(out.is_free(), "{node} {port:?}/{vc} owned");
+            assert_eq!(out.credits, depth as u32, "{node} {port:?}/{vc} credits");
+        }
+    }
     sim.run_cycles(200);
-    let mat = sim.network().routers_materialized();
-    assert!(mat > 0, "some routers must have materialized under traffic");
     assert!(
-        mat < 4_096 / 2,
-        "200 near-idle cycles must not densify the torus ({mat}/4096 materialized)"
+        sim.network().counters().flits_injected > 0,
+        "the 200 cycles must carry traffic"
     );
-    assert!(
-        sim.network().router_state_bytes() > 0,
-        "state-bytes gauge tracks materialization"
-    );
+    assert_eq!(sim.network().router_state_bytes(), closed_form);
+    assert_eq!(sim.network().routers_materialized(), routers as u64);
 }
