@@ -21,7 +21,11 @@ fn main() {
         let f = std::fs::File::create(&path).expect("create trace file");
         let mut w = std::io::BufWriter::new(f);
         log.save(&mut w).expect("write trace");
-        println!("{}: {} accesses over {horizon} cycles", path.display(), log.len());
+        println!(
+            "{}: {} accesses over {horizon} cycles",
+            path.display(),
+            log.len()
+        );
     }
     println!("\nReplay with TraceReplayTraffic (see crates/coherence/src/replay.rs).");
 }

@@ -64,7 +64,9 @@ fn main() {
         eprintln!("error: cannot reach mddsimd at {socket}: {e}");
         std::process::exit(3)
     });
-    let mut writer = stream.try_clone().unwrap_or_else(|e| die(&format!("clone failed: {e}")));
+    let mut writer = stream
+        .try_clone()
+        .unwrap_or_else(|e| die(&format!("clone failed: {e}")));
     let mut line = request.encode();
     line.push('\n');
     writer

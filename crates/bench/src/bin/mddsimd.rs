@@ -70,10 +70,7 @@ struct Daemon {
 
 fn main() {
     let cli = BenchCli::parse();
-    let socket = PathBuf::from(
-        cli.value("--socket")
-            .unwrap_or(mdd_engine::DEFAULT_SOCKET),
-    );
+    let socket = PathBuf::from(cli.value("--socket").unwrap_or(mdd_engine::DEFAULT_SOCKET));
     remove_stale_socket(&socket);
     let engine = cli.engine();
     let listener = UnixListener::bind(&socket)
@@ -222,19 +219,35 @@ fn run_submit(
     let mut handle = daemon.engine.submit(jobs);
     let done = Arc::new(AtomicU64::new(0));
     let finished = Arc::new(AtomicBool::new(false));
-    daemon.jobs.lock().expect("job registry poisoned").push(JobRecord {
-        id,
-        label: label.to_string(),
-        total,
-        done: Arc::clone(&done),
-        canceller: handle.canceller(),
-        finished: Arc::clone(&finished),
-    });
-    let mut alive = send(writer, &Event::Accepted { job: id, points: total });
+    daemon
+        .jobs
+        .lock()
+        .expect("job registry poisoned")
+        .push(JobRecord {
+            id,
+            label: label.to_string(),
+            total,
+            done: Arc::clone(&done),
+            canceller: handle.canceller(),
+            finished: Arc::clone(&finished),
+        });
+    let mut alive = send(
+        writer,
+        &Event::Accepted {
+            job: id,
+            points: total,
+        },
+    );
     let (mut simulated, mut cached, mut failed, mut cancelled) = (0, 0, 0, 0);
     while let Some(outcome) = handle.recv() {
         done.fetch_add(1, Ordering::SeqCst);
-        tally(&outcome, &mut simulated, &mut cached, &mut failed, &mut cancelled);
+        tally(
+            &outcome,
+            &mut simulated,
+            &mut cached,
+            &mut failed,
+            &mut cancelled,
+        );
         if alive && !send(writer, &Event::point(id, &outcome)) {
             alive = false;
             handle.cancel();
@@ -255,7 +268,13 @@ fn run_submit(
         )
 }
 
-fn tally(o: &PointOutcome, simulated: &mut u64, cached: &mut u64, failed: &mut u64, cancelled: &mut u64) {
+fn tally(
+    o: &PointOutcome,
+    simulated: &mut u64,
+    cached: &mut u64,
+    failed: &mut u64,
+    cancelled: &mut u64,
+) {
     if o.cancelled() {
         *cancelled += 1;
     } else if o.result.is_err() {

@@ -74,7 +74,9 @@ impl BenchCli {
         };
         let out_dir = PathBuf::from(value("--out").unwrap_or_else(|| "results".into()));
         let jobs = value("--jobs").map(|v| match v.parse() {
-            Ok(0) => die("--jobs needs at least one worker (got 0); omit the flag for the machine default"),
+            Ok(0) => die(
+                "--jobs needs at least one worker (got 0); omit the flag for the machine default",
+            ),
             Ok(n) => n,
             Err(_) => die(&format!("bad --jobs: {v}")),
         });

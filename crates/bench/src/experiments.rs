@@ -99,7 +99,12 @@ impl RunScale {
 
 /// One JSON row from borrowed keys.
 fn row<const N: usize>(fields: [(&str, Json); N]) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// One figure's output.
@@ -165,8 +170,11 @@ impl Figure {
         let Some(Json::Obj(first)) = self.rows.first() else {
             return String::new();
         };
-        let keys: Vec<&str> =
-            first.iter().map(|(k, _)| k.as_str()).filter(|&k| k != "config").collect();
+        let keys: Vec<&str> = first
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .filter(|&k| k != "config")
+            .collect();
         let mut t = Table::new(keys.clone());
         for r in &self.rows {
             t.row(
@@ -237,7 +245,9 @@ impl Figure {
 /// Run the figure `name` through `engine`; `None` if `name` is not one
 /// of [`FIGURES`].
 pub fn figure(name: &str, engine: &Engine, scale: RunScale) -> Option<Figure> {
-    FIGURES.contains(&name).then(|| run(name, engine, scale, &mut None))
+    FIGURES
+        .contains(&name)
+        .then(|| run(name, engine, scale, &mut None))
 }
 
 /// Run each of `names` (all from [`FIGURES`]) in order, lazily.
@@ -249,7 +259,9 @@ pub fn figures<'a>(
     scale: RunScale,
 ) -> impl Iterator<Item = Figure> + 'a {
     let mut apps = None;
-    names.iter().map(move |name| run(name, engine, scale, &mut apps))
+    names
+        .iter()
+        .map(move |name| run(name, engine, scale, &mut apps))
 }
 
 fn run(
@@ -321,7 +333,11 @@ fn bnf_figure(
             {
                 Ok(cfg) => cfg,
                 Err(err) => {
-                    eprintln!("{}: skipping {label} on {}: {err}", fig.name, pattern.name());
+                    eprintln!(
+                        "{}: skipping {label} on {}: {err}",
+                        fig.name,
+                        pattern.name()
+                    );
                     continue;
                 }
             };
@@ -413,7 +429,13 @@ fn fig11(engine: &Engine, scale: RunScale) -> Figure {
          above SA.",
     );
     let labels = &["SA", "DR", "DR-QA", "PR", "PR-QA"][..];
-    bnf_figure(fig, engine, scale, 16, vec![(PatternSpec::pat271(), labels, 0.50)])
+    bnf_figure(
+        fig,
+        engine,
+        scale,
+        16,
+        vec![(PatternSpec::pat271(), labels, 0.50)],
+    )
 }
 
 /// Ablation A1: the Martinez-Torrellas-Duato shared-adaptive variant of
@@ -472,8 +494,14 @@ fn pr_ablation(
                 .pattern(PatternSpec::pat271())
                 .vcs(4)
                 .windows(scale.warmup, scale.measure);
-            let cfg = knob(builder, setting).build().expect("PR always configurable");
-            jobs.push(Job::new(jobs.len(), format!("{key}={setting}"), cfg.at_load(load)));
+            let cfg = knob(builder, setting)
+                .build()
+                .expect("PR always configurable");
+            jobs.push(Job::new(
+                jobs.len(),
+                format!("{key}={setting}"),
+                cfg.at_load(load),
+            ));
         }
     }
     let report = engine.submit(jobs).wait();
@@ -501,9 +529,14 @@ fn ablation_threshold(engine: &Engine, scale: RunScale) -> Figure {
         "Ablation A2 — PR detection time-out sensitivity (PAT271, 4 VCs)",
         "Paper §4.1: T = 25, the typical CWG detection time.",
     );
-    pr_ablation(fig, engine, scale, "threshold", &[10, 25, 50, 100, 200], |b, t| {
-        b.detect_threshold(t)
-    })
+    pr_ablation(
+        fig,
+        engine,
+        scale,
+        "threshold",
+        &[10, 25, 50, 100, 200],
+        mdd_core::SimConfigBuilder::detect_threshold,
+    )
 }
 
 /// Ablation A3: cost of the token/recovery-lane path. The paper notes the
@@ -646,7 +679,10 @@ fn table1(apps: &[AppCharacterization]) -> Figure {
     ];
     for a in apps {
         let (d, i, f) = a.table1;
-        let p = paper.iter().find(|(n, ..)| *n == a.app).expect("a paper app");
+        let p = paper
+            .iter()
+            .find(|(n, ..)| *n == a.app)
+            .expect("a paper app");
         fig.rows.push(row([
             ("app", a.app.into()),
             ("direct", d.into()),
@@ -734,8 +770,7 @@ pub fn characterize_app(
     cfg.bristle = bristle;
     cfg.warmup = 0;
     cfg.measure = horizon;
-    let mut sim =
-        Simulator::with_traffic(cfg, Box::new(traffic)).expect("PR always configurable");
+    let mut sim = Simulator::with_traffic(cfg, Box::new(traffic)).expect("PR always configurable");
     sim.set_measuring(true);
     sim.run_cycles(horizon);
     let agg = sim.aggregate_stats();

@@ -24,11 +24,8 @@ fn figure8_structure_and_gating() {
     let fig = tiny("fig8");
     assert_eq!(fig.name, "fig8");
     assert_eq!(fig.panels.len(), 5, "one panel per pattern");
-    let by_name: std::collections::HashMap<_, _> = fig
-        .panels
-        .iter()
-        .map(|(n, c)| (n.as_str(), c))
-        .collect();
+    let by_name: std::collections::HashMap<_, _> =
+        fig.panels.iter().map(|(n, c)| (n.as_str(), c)).collect();
     // PAT100: SA + PR (no DR); multi-type patterns: DR + PR (no SA at 4 VCs).
     let p100: Vec<&str> = by_name["PAT100"].iter().map(|c| c.label.as_str()).collect();
     assert_eq!(p100, vec!["SA", "PR"]);
@@ -46,7 +43,11 @@ fn figure8_structure_and_gating() {
     // Render paths.
     let table = fig.render();
     assert!(table.contains("PAT721"));
-    assert_eq!(fig.rows.len(), 5 * 2 * 2, "a row per pattern, scheme and load");
+    assert_eq!(
+        fig.rows.len(),
+        5 * 2 * 2,
+        "a row per pattern, scheme and load"
+    );
     assert!(fig.render_plots().contains("latency"));
     assert!(fig.render_summary().contains("saturation"));
 }

@@ -28,14 +28,32 @@ fn stdout(out: &Output) -> String {
 
 #[test]
 fn safe_configurations_verify_with_exit_zero() {
-    for (scheme, vcs, expected) in
-        [("sa", "8", "verdict: ProvenFree"), ("pr", "4", "verdict: RecoverableCycles")]
-    {
+    for (scheme, vcs, expected) in [
+        ("sa", "8", "verdict: ProvenFree"),
+        ("pr", "4", "verdict: RecoverableCycles"),
+    ] {
         let out = mddsim(&[
-            "--verify", "--scheme", scheme, "--pattern", "pat271", "--vcs", vcs, "--radix", "4x4",
+            "--verify",
+            "--scheme",
+            scheme,
+            "--pattern",
+            "pat271",
+            "--vcs",
+            vcs,
+            "--radix",
+            "4x4",
         ]);
-        assert_eq!(out.status.code(), Some(0), "{scheme} vcs {vcs}: {}", stdout(&out));
-        assert!(stdout(&out).contains(expected), "{scheme} vcs {vcs}: {}", stdout(&out));
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{scheme} vcs {vcs}: {}",
+            stdout(&out)
+        );
+        assert!(
+            stdout(&out).contains(expected),
+            "{scheme} vcs {vcs}: {}",
+            stdout(&out)
+        );
     }
 }
 
@@ -45,7 +63,15 @@ fn crippled_sa_exits_three_via_the_degraded_vc_fallback() {
     // infeasible, so --verify explains the degraded map it would force
     // (stderr notice) and reports it Unsafe (exit 3).
     let out = mddsim(&[
-        "--verify", "--scheme", "sa", "--pattern", "pat271", "--vcs", "7", "--radix", "4x4",
+        "--verify",
+        "--scheme",
+        "sa",
+        "--pattern",
+        "pat271",
+        "--vcs",
+        "7",
+        "--radix",
+        "4x4",
     ]);
     assert_eq!(out.status.code(), Some(3), "{}", stdout(&out));
     assert!(stdout(&out).contains("verdict: Unsafe"), "{}", stdout(&out));
@@ -57,7 +83,15 @@ fn crippled_sa_exits_three_via_the_degraded_vc_fallback() {
 #[test]
 fn analyze_reports_the_minimal_safe_budget_with_the_same_exit_contract() {
     let out = mddsim(&[
-        "--analyze", "--scheme", "sa", "--pattern", "pat271", "--vcs", "7", "--radix", "4x4",
+        "--analyze",
+        "--scheme",
+        "sa",
+        "--pattern",
+        "pat271",
+        "--vcs",
+        "7",
+        "--radix",
+        "4x4",
     ]);
     assert_eq!(out.status.code(), Some(3), "{}", stdout(&out));
     // 4 partition types x 2 dateline classes: 8 VCs is SA's floor here.
@@ -65,7 +99,15 @@ fn analyze_reports_the_minimal_safe_budget_with_the_same_exit_contract() {
     assert!(stdout(&out).contains("probes: "), "{}", stdout(&out));
 
     let out = mddsim(&[
-        "--analyze", "--scheme", "pr", "--pattern", "pat271", "--vcs", "4", "--radix", "4x4",
+        "--analyze",
+        "--scheme",
+        "pr",
+        "--pattern",
+        "pat271",
+        "--vcs",
+        "4",
+        "--radix",
+        "4x4",
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
     assert!(stdout(&out).contains("min safe VCs: 1"), "{}", stdout(&out));

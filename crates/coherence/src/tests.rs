@@ -158,8 +158,14 @@ fn eviction_model_regenerates_traffic() {
             cold_txns += 1;
         }
     }
-    assert!(hot_txns > 100, "evictions must regenerate misses: {hot_txns}");
-    assert_eq!(cold_txns, 1, "no eviction: single cold miss then silent hits");
+    assert!(
+        hot_txns > 100,
+        "evictions must regenerate misses: {hot_txns}"
+    );
+    assert_eq!(
+        cold_txns, 1,
+        "no eviction: single cold miss then silent hits"
+    );
 }
 
 #[test]
@@ -169,10 +175,7 @@ fn trace_record_and_replay_is_deterministic() {
     let log = record_app_trace(&app, 16, 5_000, 11);
     assert!(log.len() > 100, "radix generates plenty of accesses");
     // Events are time-ordered within the horizon.
-    assert!(log
-        .events()
-        .windows(2)
-        .all(|w| w[0].cycle <= w[1].cycle));
+    assert!(log.events().windows(2).all(|w| w[0].cycle <= w[1].cycle));
     assert!(log.events().iter().all(|e| e.cycle < 5_000 && e.proc < 16));
 
     // Two replays of the same trace produce identical transaction streams.

@@ -49,7 +49,11 @@ impl SimConfig {
         let _ = writeln!(s, "vcs={}", self.vcs);
         let _ = writeln!(s, "flit_buf={}", self.flit_buf);
         let _ = writeln!(s, "scheme={}", canon_scheme(self.scheme));
-        let _ = writeln!(s, "queue_org={}", canon_queue_org(self.effective_queue_org()));
+        let _ = writeln!(
+            s,
+            "queue_org={}",
+            canon_queue_org(self.effective_queue_org())
+        );
         let _ = writeln!(s, "pattern={}", canon_pattern(&self.pattern));
         let _ = writeln!(s, "queue_capacity={}", self.queue_capacity);
         let _ = writeln!(s, "service_time={}", self.service_time);
@@ -161,7 +165,12 @@ fn canon_protocol(p: &ProtocolSpec) -> String {
 
 fn canon_pattern(pat: &PatternSpec) -> String {
     let mut s = String::new();
-    let _ = write!(s, "{}{{proto={};shapes=[", pat.name(), canon_protocol(pat.protocol()));
+    let _ = write!(
+        s,
+        "{}{{proto={};shapes=[",
+        pat.name(),
+        canon_protocol(pat.protocol())
+    );
     for i in 0..pat.num_shapes() {
         let id = mdd_protocol::ShapeId(i as u16);
         let shape = pat.shape(id);
@@ -185,7 +194,11 @@ fn canon_pattern(pat: &PatternSpec) -> String {
             None => "_".to_string(),
             Some(pos) => pos.to_string(),
         };
-        let _ = write!(s, "(w={:?},chain={chain},targets={targets},mc={mc})", pat.weight(id));
+        let _ = write!(
+            s,
+            "(w={:?},chain={chain},targets={targets},mc={mc})",
+            pat.weight(id)
+        );
     }
     s.push_str("]}");
     s

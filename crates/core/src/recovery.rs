@@ -279,12 +279,16 @@ impl PrRecovery {
                 // A token stop only ever inspects its own router: the
                 // single-router sweep yields the same victims, in the same
                 // order, as filtering a full-network sweep down to `r`.
-                net.blocked_heads_at(r, self.router_block_threshold, cycle, &mut self.blocked_scratch);
-                let victim = self.blocked_scratch.iter().find(|(_, h)| {
-                    net.packets()
-                        .get(*h)
-                        .is_some_and(|p| p.dst_router != r)
-                });
+                net.blocked_heads_at(
+                    r,
+                    self.router_block_threshold,
+                    cycle,
+                    &mut self.blocked_scratch,
+                );
+                let victim = self
+                    .blocked_scratch
+                    .iter()
+                    .find(|(_, h)| net.packets().get(*h).is_some_and(|p| p.dst_router != r));
                 if let Some(&(_, h)) = victim {
                     let ex = net.extract_packet(h).expect("blocked packet is in flight");
                     let (head_id, src) = {
@@ -367,7 +371,10 @@ impl PrRecovery {
         store: &mut MessageStore,
     ) {
         loop {
-            let ep = self.episode.as_mut().expect("episode_step requires episode");
+            let ep = self
+                .episode
+                .as_mut()
+                .expect("episode_step requires episode");
             match &ep.phase {
                 Phase::WaitMc => {
                     let top = ep.stack.last_mut().expect("WaitMc frame");
@@ -381,12 +388,10 @@ impl PrRecovery {
                         None => return,
                     }
                 }
-                Phase::Transfer => {
-                    match self.lane.poll(cycle) {
-                        Some(delivery) => ep.phase = Phase::Deposit(delivery.msg),
-                        None => return,
-                    }
-                }
+                Phase::Transfer => match self.lane.poll(cycle) {
+                    Some(delivery) => ep.phase = Phase::Deposit(delivery.msg),
+                    None => return,
+                },
                 Phase::Deposit(_) => {
                     let Phase::Deposit(msg) = std::mem::replace(&mut ep.phase, Phase::Dispatch)
                     else {
@@ -477,10 +482,7 @@ impl PrRecovery {
                                     mdd_obs::counter_add(CounterId::LaneTransfers, 1);
                                     // Block move over the lane (see the
                                     // router-capture site).
-                                    mdd_obs::counter_add(
-                                        CounterId::LinkBurstFlits,
-                                        m_len as u64,
-                                    );
+                                    mdd_obs::counter_add(CounterId::LinkBurstFlits, m_len as u64);
                                     self.lane.send(m, m_len, top.router, dst_router, cycle);
                                     ep.phase = Phase::Transfer;
                                     return;

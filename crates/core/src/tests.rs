@@ -17,7 +17,11 @@ fn small(scheme: Scheme, pattern: PatternSpec, vcs: u8, load: f64) -> SimConfig 
 fn sa_delivers_at_light_load() {
     let mut sim = Simulator::new(small(SA, PatternSpec::pat100(), 4, 0.05)).unwrap();
     let r = sim.run();
-    assert!(r.transactions > 50, "transactions completed: {}", r.transactions);
+    assert!(
+        r.transactions > 50,
+        "transactions completed: {}",
+        r.transactions
+    );
     assert!(r.throughput > 0.02, "throughput {}", r.throughput);
     assert!(r.avg_latency > 0.0);
     assert_eq!(r.deflections, 0, "SA never deflects");
@@ -26,9 +30,13 @@ fn sa_delivers_at_light_load() {
 
 #[test]
 fn dr_delivers_at_light_load() {
-    let mut sim =
-        Simulator::new(small(Scheme::DeflectiveRecovery, PatternSpec::pat271(), 4, 0.05))
-            .unwrap();
+    let mut sim = Simulator::new(small(
+        Scheme::DeflectiveRecovery,
+        PatternSpec::pat271(),
+        4,
+        0.05,
+    ))
+    .unwrap();
     let r = sim.run();
     assert!(r.transactions > 50);
     assert!(r.throughput > 0.02);
@@ -36,9 +44,13 @@ fn dr_delivers_at_light_load() {
 
 #[test]
 fn pr_delivers_at_light_load() {
-    let mut sim =
-        Simulator::new(small(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.05))
-            .unwrap();
+    let mut sim = Simulator::new(small(
+        Scheme::ProgressiveRecovery,
+        PatternSpec::pat271(),
+        4,
+        0.05,
+    ))
+    .unwrap();
     let r = sim.run();
     assert!(r.transactions > 50);
     assert!(r.throughput > 0.02);
@@ -287,9 +299,13 @@ fn mesh_topology_runs() {
 
 #[test]
 fn mc_utilization_bounded() {
-    let mut sim =
-        Simulator::new(small(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.4))
-            .unwrap();
+    let mut sim = Simulator::new(small(
+        Scheme::ProgressiveRecovery,
+        PatternSpec::pat271(),
+        4,
+        0.4,
+    ))
+    .unwrap();
     let r = sim.run();
     assert!(r.mc_utilization > 0.0 && r.mc_utilization <= 1.0);
 }
@@ -364,12 +380,8 @@ fn cwg_oracle_counts_checks() {
 fn sa_partitioning_is_less_balanced_than_pr() {
     let load = 0.25;
     let mut sa = SimConfig::paper_default(SA, PatternSpec::pat721(), 8, load);
-    let mut pr = SimConfig::paper_default(
-        Scheme::ProgressiveRecovery,
-        PatternSpec::pat721(),
-        8,
-        load,
-    );
+    let mut pr =
+        SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat721(), 8, load);
     for cfg in [&mut sa, &mut pr] {
         cfg.warmup = 2_000;
         cfg.measure = 5_000;

@@ -116,9 +116,8 @@ pub fn build_waitfor_graph(sim: &Simulator) -> WaitForGraph {
                 // output-queue space (conservatively treated as escapes;
                 // the final branch of a join does need space, so this can
                 // only under-approximate — never a false deadlock).
-                let sinkable = proto.is_terminating(head.mtype)
-                    || head.is_backoff
-                    || shape.is_join_reply(pos);
+                let sinkable =
+                    proto.is_terminating(head.mtype) || head.is_backoff || shape.is_join_reply(pos);
                 if !sinkable && !shape.is_last(pos) {
                     let sub = shape.mtype(pos + 1);
                     let oq = org.queue_index(proto, sub);
@@ -189,11 +188,9 @@ pub fn deadlock_witness(sim: &Simulator) -> Option<String> {
         .iter()
         .map(|&v| {
             let head = match layout.resource(v) {
-                Resource::ChannelVc { router, port, vc } => net
-                    .router(router)
-                    .vc(port, vc)
-                    .front()
-                    .map(|f| f.msg),
+                Resource::ChannelVc { router, port, vc } => {
+                    net.router(router).vc(port, vc).front().map(|f| f.msg)
+                }
                 Resource::InputQueue { nic, queue } => {
                     sim.nics()[nic.index()].in_queue(queue).front().copied()
                 }
@@ -202,13 +199,7 @@ pub fn deadlock_witness(sim: &Simulator) -> Option<String> {
                 }
             };
             head.and_then(|h| store.try_get(h))
-                .map(|m| {
-                    format!(
-                        "{} to nic {}",
-                        proto.spec(m.mtype).name,
-                        m.dst.index()
-                    )
-                })
+                .map(|m| format!("{} to nic {}", proto.spec(m.mtype).name, m.dst.index()))
                 .unwrap_or_default()
         })
         .collect();

@@ -62,7 +62,14 @@ impl RecoveryLane {
     /// Launch a transfer of `length_flits` flits from `src` to `dst` at
     /// cycle `now`; returns the arrival cycle. Panics if the lane is busy
     /// (the token excludes concurrent rescues).
-    pub fn send(&mut self, msg: MsgHandle, length_flits: u32, src: NodeId, dst: NodeId, now: u64) -> u64 {
+    pub fn send(
+        &mut self,
+        msg: MsgHandle,
+        length_flits: u32,
+        src: NodeId,
+        dst: NodeId,
+        now: u64,
+    ) -> u64 {
         assert!(self.active.is_none(), "recovery lane is exclusive");
         let d = self.ring.ring_distance(src, dst) as u64;
         let arrive = now + d * self.hop_latency + length_flits as u64;

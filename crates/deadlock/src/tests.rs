@@ -226,7 +226,10 @@ fn captured_token_does_not_circulate() {
     // Released at the same stop; circulation resumes afterwards.
     token.release(10);
     assert_eq!(token.current_stop(&ring), stop);
-    assert!(token.advance(&ring, 10).is_none(), "one hop delay after release");
+    assert!(
+        token.advance(&ring, 10).is_none(),
+        "one hop delay after release"
+    );
     assert!(token.advance(&ring, 11).is_some());
     assert_eq!(token.captures, 1);
 }

@@ -10,8 +10,8 @@
 //! outside the run that produced them — so cache-served results carry
 //! `obs: None`.
 
-use mdd_obs::Json;
 use mdd_core::SimResult;
+use mdd_obs::Json;
 
 /// Format version written into every line; lines with any other version
 /// are ignored on load (bulk invalidation when the schema changes).

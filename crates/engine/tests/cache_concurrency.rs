@@ -71,21 +71,27 @@ fn tail_repair_under_concurrent_appends_keeps_complete_points() {
             .append(true)
             .open(&shard)
             .expect("open shard for torn write");
-        f.write_all(b"{\"v\":1,\"key\":\"a002\",\"la").expect("torn write");
+        f.write_all(b"{\"v\":1,\"key\":\"a002\",\"la")
+            .expect("torn write");
     }
 
     // A new handle repairs the tail at open, then both handles append.
     let late = ResultCache::open(tmp.path()).expect("open after crash");
     assert_eq!(late.len(), 1, "torn line is absent, complete line kept");
     late.put("a003", "PR", &fake_result(0.3)).expect("late put");
-    survivor.put("a004", "PR", &fake_result(0.4)).expect("survivor put");
+    survivor
+        .put("a004", "PR", &fake_result(0.4))
+        .expect("survivor put");
 
     let reopened = ResultCache::open(tmp.path()).expect("reopen");
     assert_eq!(reopened.len(), 3);
     for key in ["a001", "a003", "a004"] {
         assert!(reopened.get(key).is_some(), "lost {key}");
     }
-    assert!(reopened.get("a002").is_none(), "torn line must not resurrect");
+    assert!(
+        reopened.get("a002").is_none(),
+        "torn line must not resurrect"
+    );
 }
 
 /// The same guarantee one level up: two *engines* sharing a cache

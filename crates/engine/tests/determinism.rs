@@ -18,15 +18,12 @@ use proptest::prelude::*;
 fn sweep_at(workers: usize, loads: &[f64], panic_id: Option<usize>) -> SweepReport {
     let engine = Engine::builder().jobs(workers).build().expect("engine");
     engine
-        .submit_with(
-            Job::points(&small_cfg(), loads, "PR"),
-            move |job: &Job| {
-                if Some(job.id) == panic_id {
-                    panic!("injected failure at point {}", job.id);
-                }
-                mdd_core::Simulator::new(job.cfg.clone()).map(|mut sim| sim.run())
-            },
-        )
+        .submit_with(Job::points(&small_cfg(), loads, "PR"), move |job: &Job| {
+            if Some(job.id) == panic_id {
+                panic!("injected failure at point {}", job.id);
+            }
+            mdd_core::Simulator::new(job.cfg.clone()).map(|mut sim| sim.run())
+        })
         .wait()
 }
 
@@ -102,7 +99,13 @@ fn cached_and_simulated_points_interleave_without_reordering_the_curve() {
         .cache_dir(tmp.path())
         .build()
         .expect("open cache");
-    assert_eq!(engine.submit_sweep(&small_cfg(), &warm, "PR").wait().simulated(), 3);
+    assert_eq!(
+        engine
+            .submit_sweep(&small_cfg(), &warm, "PR")
+            .wait()
+            .simulated(),
+        3
+    );
 
     let report = engine.submit_sweep(&small_cfg(), &loads, "PR").wait();
     assert_eq!(report.cached(), 3);
@@ -137,7 +140,10 @@ fn fault_frontier_matches_sequential_classification() {
         assert_eq!(pooled.degrading, sequential.degrading);
         assert_eq!(pooled.points.len(), sequential.points.len());
         for (p, s) in pooled.points.iter().zip(&sequential.points) {
-            assert_eq!((p.label.as_str(), p.verdict, p.rank), (s.label.as_str(), s.verdict, s.rank));
+            assert_eq!(
+                (p.label.as_str(), p.verdict, p.rank),
+                (s.label.as_str(), s.verdict, s.rank)
+            );
         }
     }
 }

@@ -49,7 +49,13 @@ fn timed_sweep(workers: usize) -> (f64, Vec<u64>) {
         .curve("PR")
         .points
         .iter()
-        .flat_map(|p| [p.applied_load.to_bits(), p.throughput.to_bits(), p.latency.to_bits()])
+        .flat_map(|p| {
+            [
+                p.applied_load.to_bits(),
+                p.throughput.to_bits(),
+                p.latency.to_bits(),
+            ]
+        })
         .collect();
     (secs, bits)
 }

@@ -93,7 +93,10 @@ fn failed_and_cancelled_points_keep_their_kind() {
         verdict: None,
     };
     let cases = [
-        (failure_of(PointFailure::Panic("boom".to_string())), "panic: boom"),
+        (
+            failure_of(PointFailure::Panic("boom".to_string())),
+            "panic: boom",
+        ),
         (failure_of(PointFailure::Cancelled), "cancelled"),
     ];
     for (outcome, want) in cases {
@@ -135,7 +138,12 @@ fn submit_spec_expands_to_the_local_job_batch() {
         assert_eq!(remote.label, local.label);
     }
     // Infeasible and empty specs are typed errors, not panics.
-    assert!(SweepSpec { loads: vec![], ..SweepSpec::default() }.jobs().is_err());
+    assert!(SweepSpec {
+        loads: vec![],
+        ..SweepSpec::default()
+    }
+    .jobs()
+    .is_err());
     let bad = SweepSpec {
         scheme: "sa".to_string(),
         vcs: 1,

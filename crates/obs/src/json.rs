@@ -71,7 +71,13 @@ impl Json {
     /// Append the compact rendering of an object with borrowed keys to
     /// `out`, without building a [`Json::Obj`] (a trace writes millions).
     pub fn render_fields_into(out: &mut String, fields: &[(&str, Json)]) {
-        render_members(out, None, '{', '}', fields.iter().map(|(k, v)| (Some(*k), v)));
+        render_members(
+            out,
+            None,
+            '{',
+            '}',
+            fields.iter().map(|(k, v)| (Some(*k), v)),
+        );
     }
 
     /// Render for a human-read artifact (no trailing newline): a
@@ -195,7 +201,11 @@ fn render_members<'a>(
         _ => false,
     };
     let block = pretty.filter(|_| members.clone().any(|m| nested(&m)));
-    let sep = if pretty.is_some() && block.is_none() { ", " } else { "," };
+    let sep = if pretty.is_some() && block.is_none() {
+        ", "
+    } else {
+        ","
+    };
     let colon = if pretty.is_some() { ": " } else { ":" };
     out.push(open);
     for (i, (key, value)) in members.enumerate() {

@@ -201,7 +201,11 @@ mod tests {
         let mut evaluated = false;
         trace!({
             evaluated = true;
-            Event::TokenPass { cycle: 0, at: 0, at_nic: false }
+            Event::TokenPass {
+                cycle: 0,
+                at: 0,
+                at_nic: false,
+            }
         });
         assert!(!evaluated, "trace! must not evaluate its event when off");
         assert_eq!(counters_snapshot().get(CounterId::VcStalls), 0);
@@ -212,7 +216,11 @@ mod tests {
         counter_add(CounterId::VcStalls, 5);
         gauge_set(CounterId::DmbOccupancy, 3);
         for c in 0..12u64 {
-            trace!(Event::TokenPass { cycle: c, at: 1, at_nic: true });
+            trace!(Event::TokenPass {
+                cycle: c,
+                at: 1,
+                at_nic: true
+            });
         }
         let (events, recorded, dropped) = trace_snapshot().unwrap();
         assert_eq!((events.len(), recorded, dropped), (8, 12, 4));

@@ -44,10 +44,22 @@ fn event_fields(ev: &Event) -> Vec<(&'static str, Json)> {
     let int = |k, v: u64| (k, Json::Int(v));
     let flag = |k, v: bool| (k, Json::Bool(v));
     let mut fields = Vec::with_capacity(6);
-    fields.extend([("type", Json::Str(ev.kind().to_string())), int("cycle", ev.cycle())]);
+    fields.extend([
+        ("type", Json::Str(ev.kind().to_string())),
+        int("cycle", ev.cycle()),
+    ]);
     match *ev {
-        Event::Inject { nic, msg, mtype, .. } | Event::Consume { nic, msg, mtype, .. } => {
-            fields.extend([int("nic", nic.into()), int("msg", msg), int("mtype", mtype.into())]);
+        Event::Inject {
+            nic, msg, mtype, ..
+        }
+        | Event::Consume {
+            nic, msg, mtype, ..
+        } => {
+            fields.extend([
+                int("nic", nic.into()),
+                int("msg", msg),
+                int("mtype", mtype.into()),
+            ]);
         }
         Event::TokenPass { at, at_nic, .. } => {
             fields.extend([int("at", at.into()), flag("at_nic", at_nic)]);
@@ -55,20 +67,41 @@ fn event_fields(ev: &Event) -> Vec<(&'static str, Json)> {
         Event::DeadlockDetected { nic, msg, .. } => {
             fields.extend([int("nic", nic.into()), int("msg", msg)]);
         }
-        Event::RecoveryStart { episode, msg, at, at_nic, .. } => fields.extend([
+        Event::RecoveryStart {
+            episode,
+            msg,
+            at,
+            at_nic,
+            ..
+        } => fields.extend([
             int("episode", episode),
             int("msg", msg),
             int("at", at.into()),
             flag("at_nic", at_nic),
         ]),
-        Event::RecoveryEnd { episode, msg, moved, depth, .. } => fields.extend([
+        Event::RecoveryEnd {
+            episode,
+            msg,
+            moved,
+            depth,
+            ..
+        } => fields.extend([
             int("episode", episode),
             int("msg", msg),
             int("moved", moved.into()),
             int("depth", depth.into()),
         ]),
-        Event::BackoffReply { nic, msg, deflected, .. } => {
-            fields.extend([int("nic", nic.into()), int("msg", msg), int("deflected", deflected)]);
+        Event::BackoffReply {
+            nic,
+            msg,
+            deflected,
+            ..
+        } => {
+            fields.extend([
+                int("nic", nic.into()),
+                int("msg", msg),
+                int("deflected", deflected),
+            ]);
         }
     }
     fields
@@ -98,11 +131,17 @@ impl TraceLine<'_> {
     /// An integer field narrowed to the event field's own type: a value
     /// out of that type's range is an error, never truncated.
     fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
-        self.json.get(key).and_then(Json::as_int).ok_or_else(|| self.bad(key))
+        self.json
+            .get(key)
+            .and_then(Json::as_int)
+            .ok_or_else(|| self.bad(key))
     }
 
     fn flag(&self, key: &str) -> Result<bool, String> {
-        self.json.get(key).and_then(Json::as_bool).ok_or_else(|| self.bad(key))
+        self.json
+            .get(key)
+            .and_then(Json::as_bool)
+            .ok_or_else(|| self.bad(key))
     }
 }
 
@@ -110,47 +149,58 @@ fn parse_jsonl_line(text: &str) -> Result<Event, String> {
     let json = Json::parse(text).ok_or_else(|| format!("malformed JSON: {text:?}"))?;
     let l = TraceLine { json, text };
     let cycle = l.int("cycle")?;
-    Ok(match l.json.get("type").and_then(Json::as_str).ok_or_else(|| l.bad("type"))? {
-        "inject" => Event::Inject {
-            cycle,
-            nic: l.int("nic")?,
-            msg: l.int("msg")?,
-            mtype: l.int("mtype")?,
+    Ok(
+        match l
+            .json
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or_else(|| l.bad("type"))?
+        {
+            "inject" => Event::Inject {
+                cycle,
+                nic: l.int("nic")?,
+                msg: l.int("msg")?,
+                mtype: l.int("mtype")?,
+            },
+            "consume" => Event::Consume {
+                cycle,
+                nic: l.int("nic")?,
+                msg: l.int("msg")?,
+                mtype: l.int("mtype")?,
+            },
+            "token_pass" => Event::TokenPass {
+                cycle,
+                at: l.int("at")?,
+                at_nic: l.flag("at_nic")?,
+            },
+            "deadlock_detected" => Event::DeadlockDetected {
+                cycle,
+                nic: l.int("nic")?,
+                msg: l.int("msg")?,
+            },
+            "recovery_start" => Event::RecoveryStart {
+                cycle,
+                episode: l.int("episode")?,
+                msg: l.int("msg")?,
+                at: l.int("at")?,
+                at_nic: l.flag("at_nic")?,
+            },
+            "recovery_end" => Event::RecoveryEnd {
+                cycle,
+                episode: l.int("episode")?,
+                msg: l.int("msg")?,
+                moved: l.int("moved")?,
+                depth: l.int("depth")?,
+            },
+            "backoff_reply" => Event::BackoffReply {
+                cycle,
+                nic: l.int("nic")?,
+                msg: l.int("msg")?,
+                deflected: l.int("deflected")?,
+            },
+            other => return Err(format!("unknown event type {other:?}")),
         },
-        "consume" => Event::Consume {
-            cycle,
-            nic: l.int("nic")?,
-            msg: l.int("msg")?,
-            mtype: l.int("mtype")?,
-        },
-        "token_pass" => Event::TokenPass { cycle, at: l.int("at")?, at_nic: l.flag("at_nic")? },
-        "deadlock_detected" => Event::DeadlockDetected {
-            cycle,
-            nic: l.int("nic")?,
-            msg: l.int("msg")?,
-        },
-        "recovery_start" => Event::RecoveryStart {
-            cycle,
-            episode: l.int("episode")?,
-            msg: l.int("msg")?,
-            at: l.int("at")?,
-            at_nic: l.flag("at_nic")?,
-        },
-        "recovery_end" => Event::RecoveryEnd {
-            cycle,
-            episode: l.int("episode")?,
-            msg: l.int("msg")?,
-            moved: l.int("moved")?,
-            depth: l.int("depth")?,
-        },
-        "backoff_reply" => Event::BackoffReply {
-            cycle,
-            nic: l.int("nic")?,
-            msg: l.int("msg")?,
-            deflected: l.int("deflected")?,
-        },
-        other => return Err(format!("unknown event type {other:?}")),
-    })
+    )
 }
 
 #[cfg(test)]
@@ -160,14 +210,53 @@ mod tests {
 
     fn sample_events() -> Vec<Event> {
         vec![
-            Event::Inject { cycle: 1, nic: 3, msg: 100, mtype: 0 },
-            Event::TokenPass { cycle: 2, at: 7, at_nic: false },
-            Event::TokenPass { cycle: 3, at: 7, at_nic: true },
-            Event::DeadlockDetected { cycle: 40, nic: 7, msg: 100 },
-            Event::RecoveryStart { cycle: 41, episode: 1, msg: 100, at: 7, at_nic: true },
-            Event::RecoveryEnd { cycle: 90, episode: 1, msg: 100, moved: 2, depth: 1 },
-            Event::BackoffReply { cycle: 95, nic: 2, msg: 200, deflected: 150 },
-            Event::Consume { cycle: 99, nic: 0, msg: 100, mtype: 2 },
+            Event::Inject {
+                cycle: 1,
+                nic: 3,
+                msg: 100,
+                mtype: 0,
+            },
+            Event::TokenPass {
+                cycle: 2,
+                at: 7,
+                at_nic: false,
+            },
+            Event::TokenPass {
+                cycle: 3,
+                at: 7,
+                at_nic: true,
+            },
+            Event::DeadlockDetected {
+                cycle: 40,
+                nic: 7,
+                msg: 100,
+            },
+            Event::RecoveryStart {
+                cycle: 41,
+                episode: 1,
+                msg: 100,
+                at: 7,
+                at_nic: true,
+            },
+            Event::RecoveryEnd {
+                cycle: 90,
+                episode: 1,
+                msg: 100,
+                moved: 2,
+                depth: 1,
+            },
+            Event::BackoffReply {
+                cycle: 95,
+                nic: 2,
+                msg: 200,
+                deflected: 150,
+            },
+            Event::Consume {
+                cycle: 99,
+                nic: 0,
+                msg: 100,
+                mtype: 2,
+            },
         ]
     }
 
@@ -190,7 +279,9 @@ mod tests {
         let mut buf = Vec::new();
         write_trace_jsonl(&mut buf, &sample_events()[4..5]).unwrap();
         let line = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        let Json::Obj(fields) = line else { panic!("not an object") };
+        let Json::Obj(fields) = line else {
+            panic!("not an object")
+        };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["type", "cycle", "episode", "msg", "at", "at_nic"]);
     }
@@ -201,14 +292,21 @@ mod tests {
         let mut buf = Vec::new();
         write_trace_jsonl(&mut buf, &[ev]).unwrap();
         let line = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        let Json::Obj(mut fields) = line else { unreachable!() };
+        let Json::Obj(mut fields) = line else {
+            unreachable!()
+        };
         fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = Json::parse(value).unwrap();
         parse_trace_jsonl(&Json::Obj(fields).render())
     }
 
     #[test]
     fn out_of_range_nic_is_rejected_not_truncated() {
-        let ev = Event::Inject { cycle: 1, nic: 3, msg: 100, mtype: 0 };
+        let ev = Event::Inject {
+            cycle: 1,
+            nic: 3,
+            msg: 100,
+            mtype: 0,
+        };
         assert!(parse_with(ev, "nic", "4294967295").is_ok());
         let err = parse_with(ev, "nic", "4294967296").unwrap_err();
         assert!(err.contains("nic"), "{err}");
@@ -216,32 +314,66 @@ mod tests {
 
     #[test]
     fn out_of_range_mtype_is_rejected_not_truncated() {
-        let ev = Event::Consume { cycle: 1, nic: 3, msg: 100, mtype: 0 };
+        let ev = Event::Consume {
+            cycle: 1,
+            nic: 3,
+            msg: 100,
+            mtype: 0,
+        };
         assert!(parse_with(ev, "mtype", "255").is_ok());
-        assert!(parse_with(ev, "mtype", "256").unwrap_err().contains("mtype"));
+        assert!(parse_with(ev, "mtype", "256")
+            .unwrap_err()
+            .contains("mtype"));
     }
 
     #[test]
     fn out_of_range_at_is_rejected_not_truncated() {
-        let ev = Event::TokenPass { cycle: 2, at: 7, at_nic: false };
-        assert!(parse_with(ev, "at", "4294967296").unwrap_err().contains("at"));
+        let ev = Event::TokenPass {
+            cycle: 2,
+            at: 7,
+            at_nic: false,
+        };
+        assert!(parse_with(ev, "at", "4294967296")
+            .unwrap_err()
+            .contains("at"));
     }
 
     #[test]
     fn out_of_range_moved_is_rejected_not_truncated() {
-        let ev = Event::RecoveryEnd { cycle: 90, episode: 1, msg: 100, moved: 2, depth: 1 };
-        assert!(parse_with(ev, "moved", "4294967296").unwrap_err().contains("moved"));
+        let ev = Event::RecoveryEnd {
+            cycle: 90,
+            episode: 1,
+            msg: 100,
+            moved: 2,
+            depth: 1,
+        };
+        assert!(parse_with(ev, "moved", "4294967296")
+            .unwrap_err()
+            .contains("moved"));
     }
 
     #[test]
     fn out_of_range_depth_is_rejected_not_truncated() {
-        let ev = Event::RecoveryEnd { cycle: 90, episode: 1, msg: 100, moved: 2, depth: 1 };
-        assert!(parse_with(ev, "depth", "4294967296").unwrap_err().contains("depth"));
+        let ev = Event::RecoveryEnd {
+            cycle: 90,
+            episode: 1,
+            msg: 100,
+            moved: 2,
+            depth: 1,
+        };
+        assert!(parse_with(ev, "depth", "4294967296")
+            .unwrap_err()
+            .contains("depth"));
     }
 
     #[test]
     fn u64_fields_past_u64_max_are_rejected_not_saturated() {
-        let ev = Event::BackoffReply { cycle: 95, nic: 2, msg: 200, deflected: 150 };
+        let ev = Event::BackoffReply {
+            cycle: 95,
+            nic: 2,
+            msg: 200,
+            deflected: 150,
+        };
         for key in ["cycle", "msg", "deflected"] {
             assert!(parse_with(ev, key, "18446744073709551615").is_ok(), "{key}");
             let err = parse_with(ev, key, "18446744073709551616").unwrap_err();
@@ -251,7 +383,11 @@ mod tests {
 
     #[test]
     fn wrongly_typed_fields_are_rejected() {
-        let ev = Event::TokenPass { cycle: 2, at: 7, at_nic: false };
+        let ev = Event::TokenPass {
+            cycle: 2,
+            at: 7,
+            at_nic: false,
+        };
         assert!(parse_with(ev, "at", "\"7\"").is_err());
         assert!(parse_with(ev, "at", "-1").is_err());
         assert!(parse_with(ev, "at_nic", "1").is_err());

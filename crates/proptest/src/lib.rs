@@ -249,7 +249,9 @@ pub struct OneOf<T> {
 
 impl<T> core::fmt::Debug for OneOf<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("OneOf").field("options", &self.options.len()).finish()
+        f.debug_struct("OneOf")
+            .field("options", &self.options.len())
+            .finish()
     }
 }
 

@@ -111,12 +111,7 @@ impl ProtocolSpec {
         }
         for t in self.msg_types() {
             for &sub in self.subordinates(t) {
-                let _ = writeln!(
-                    s,
-                    "  {} -> {};",
-                    self.spec(t).name,
-                    self.spec(sub).name
-                );
+                let _ = writeln!(s, "  {} -> {};", self.spec(t).name, self.spec(sub).name);
             }
         }
         s.push_str("}\n");

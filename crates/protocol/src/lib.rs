@@ -27,11 +27,11 @@ mod store;
 mod types;
 
 pub use message::{IdAlloc, Message, MessageId, TransactionId};
-pub use store::{MessageStore, MsgHandle};
-pub use queue_org::QueueOrg;
 pub use pattern::{PatternSpec, ShapeId};
+pub use queue_org::QueueOrg;
 pub use shape::{HopTarget, TransactionShape};
 pub use spec::ProtocolSpec;
+pub use store::{MessageStore, MsgHandle};
 pub use types::{MsgKind, MsgType, MsgTypeSpec};
 
 #[cfg(test)]

@@ -362,7 +362,10 @@ impl ProtocolSpec {
                 return Err("backoff type must be a reply".into());
             }
             if self.is_terminating(b) {
-                return Err("backoff type must be non-terminating (it generates the deflected request)".into());
+                return Err(
+                    "backoff type must be non-terminating (it generates the deflected request)"
+                        .into(),
+                );
             }
         }
         Ok(())

@@ -25,7 +25,11 @@ fn s1_generic_chain_length_is_four() {
     let p = ProtocolSpec::s1_generic();
     assert_eq!(p.chain_length(), 4, "RQ ≺ FRQ ≺ FRP ≺ RP");
     assert_eq!(p.num_types(), 5, "four chain types plus the backoff type");
-    assert_eq!(p.num_partition_types(), 4, "backoff shares the reply partition");
+    assert_eq!(
+        p.num_partition_types(),
+        4,
+        "backoff shares the reply partition"
+    );
     // Closure: everything is subordinate to RQ.
     assert_eq!(
         p.subordinate_closure(MsgType(0)),
@@ -337,5 +341,8 @@ fn dot_export_well_formed() {
         // Terminating type rendered distinctly.
         assert!(dot.contains("doublecircle"));
     }
-    assert!(ProtocolSpec::origin2000().to_dot().contains("diamond"), "backoff marked");
+    assert!(
+        ProtocolSpec::origin2000().to_dot().contains("diamond"),
+        "backoff marked"
+    );
 }

@@ -286,7 +286,7 @@ mod tests {
             });
         }
         gate.wait(); // all three workers are simultaneously busy here
-        // Post-barrier the tasks finish immediately; wait for the drain.
+                     // Post-barrier the tasks finish immediately; wait for the drain.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while pool.stats().executed < 3 {
             assert!(std::time::Instant::now() < deadline, "pool never drained");

@@ -92,7 +92,11 @@ impl PacketTable {
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
         }
-        debug_assert!(self.slots[i].is_none(), "packet {:?} registered twice", state.msg);
+        debug_assert!(
+            self.slots[i].is_none(),
+            "packet {:?} registered twice",
+            state.msg
+        );
         self.slots[i] = Some(state);
         self.live += 1;
     }

@@ -132,7 +132,9 @@ impl Links {
                     }
                 }
                 None => {
-                    let local = topo.port_local_index(pid).expect("port is network or local");
+                    let local = topo
+                        .port_local_index(pid)
+                        .expect("port is network or local");
                     for r in 0..n {
                         links.nic[r * ports + p] = topo.nic_at(NodeId(r as u32), local).0;
                     }
@@ -252,7 +254,10 @@ impl Network {
     /// process) — the `active_routers` observability gauge.
     #[inline]
     pub fn active_routers(&self) -> usize {
-        self.active_bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.active_bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Number of routers whose state is resident — the
@@ -413,9 +418,16 @@ impl Network {
         ejs: impl IntoIterator<Item = E>,
     ) {
         let n = self.router_flits.len();
-        assert_eq!(plan.num_routers() as usize, n, "shard plan covers a different network");
+        assert_eq!(
+            plan.num_routers() as usize,
+            n,
+            "shard plan covers a different network"
+        );
         self.drain_wake_set();
-        mdd_obs::counter_add(CounterId::RouterTicksSkipped, (n - self.worklist.len()) as u64);
+        mdd_obs::counter_add(
+            CounterId::RouterTicksSkipped,
+            (n - self.worklist.len()) as u64,
+        );
         mdd_obs::counter_add(CounterId::FusedPassRouters, self.worklist.len() as u64);
         #[cfg(not(debug_assertions))]
         self.run_shards(cycle, routing, plan, ejs);
@@ -1245,7 +1257,11 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 }
                 if let Some((_, idx, p)) = best {
                     in_used |= 1 << p;
-                    rr_out[q] = if idx + 1 == total { 0 } else { (idx + 1) as u32 };
+                    rr_out[q] = if idx + 1 == total {
+                        0
+                    } else {
+                        (idx + 1) as u32
+                    };
                     // Burst count: a packet-body flit granted at a port
                     // with one contender continues a wormhole stream. It
                     // was arbitrated like any other requester; the
@@ -1361,7 +1377,9 @@ impl<E: EjectControl> ShardTask<'_, E> {
             sc,
             ..
         } = self;
-        let ShardScratch { moves, mail, pk, .. } = &mut **sc;
+        let ShardScratch {
+            moves, mail, pk, ..
+        } = &mut **sc;
         let router_flits: &mut [u32] = router_flits;
         let active_bits: &mut [u64] = active_bits;
         let word_base = *word_base;
@@ -1484,9 +1502,20 @@ mod shadow {
     /// One recorded endpoint interaction of the real pass.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub(super) enum EjEvent {
-        Accept { nic: NicId, msg: MsgHandle, ok: bool },
-        Flit { nic: NicId, msg: MsgHandle },
-        Packet { nic: NicId, msg: MsgHandle, injected_at: u64 },
+        Accept {
+            nic: NicId,
+            msg: MsgHandle,
+            ok: bool,
+        },
+        Flit {
+            nic: NicId,
+            msg: MsgHandle,
+        },
+        Packet {
+            nic: NicId,
+            msg: MsgHandle,
+            injected_at: u64,
+        },
     }
 
     /// Per-shard endpoint recorder wrapping the real [`EjectControl`].
@@ -1523,7 +1552,11 @@ mod shadow {
             self.inner.deliver_flit(nic, msg, cycle);
         }
         fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, injected_at: u64, cycle: u64) {
-            self.delivers.push(EjEvent::Packet { nic, msg, injected_at });
+            self.delivers.push(EjEvent::Packet {
+                nic,
+                msg,
+                injected_at,
+            });
             self.inner.deliver_packet(nic, msg, injected_at, cycle);
         }
     }
@@ -1561,7 +1594,11 @@ mod shadow {
             self.pos += 1;
             assert_eq!(
                 ev,
-                Some(EjEvent::Packet { nic, msg, injected_at }),
+                Some(EjEvent::Packet {
+                    nic,
+                    msg,
+                    injected_at
+                }),
                 "shadow: packet delivery sequences diverged"
             );
         }
@@ -1758,7 +1795,13 @@ mod shadow {
             let mut st = self.state.view();
             let total = st.slots;
             for mi in 0..self.moves.len() {
-                let Move { router: r, in_port, in_vc, out_port, out_vc } = self.moves[mi];
+                let Move {
+                    router: r,
+                    in_port,
+                    in_vc,
+                    out_port,
+                    out_vc,
+                } = self.moves[mi];
                 let r = r as usize;
                 let node = NodeId(r as u32);
                 let in_slot = in_port as usize * nvcs + in_vc as usize;
@@ -1788,7 +1831,10 @@ mod shadow {
                             st.crossed_dateline |= 1 << d2;
                         }
                     }
-                    let down = net.topo.neighbor(node, d2, dir2).expect("output link exists");
+                    let down = net
+                        .topo
+                        .neighbor(node, d2, dir2)
+                        .expect("output link exists");
                     let dport = net.topo.port(d2, dir2.opposite());
                     let down_slot = dport.index() * nvcs + out_vc as usize;
                     st.push_flit(down.index(), down_slot, flit);
@@ -1831,7 +1877,10 @@ mod shadow {
         /// excluded: they are fused-pass bookkeeping with no phased
         /// counterpart.
         fn compare(&self, net: &Network, cycle: u64) {
-            assert_eq!(self.counters, net.counters, "shadow: counters diverged at {cycle}");
+            assert_eq!(
+                self.counters, net.counters,
+                "shadow: counters diverged at {cycle}"
+            );
             assert_eq!(
                 self.router_flits, net.router_flits,
                 "shadow: per-router flit counts diverged at {cycle}"
@@ -1855,25 +1904,41 @@ mod shadow {
             same(&a.vc_busy, &b.vc_busy, slots, "vc_busy", cycle);
             same(&a.rr_out, &b.rr_out, ports, "rr_out", cycle);
             for (r, (ha, hb)) in a.hdr.iter().zip(&b.hdr).enumerate() {
-                assert_eq!(ha.in_occ, hb.in_occ, "shadow: router {r} occupancy at {cycle}");
-                assert_eq!(ha.out_owned, hb.out_owned, "shadow: router {r} ownership at {cycle}");
-                assert_eq!(ha.rr_alloc, hb.rr_alloc, "shadow: router {r} rr_alloc at {cycle}");
-                assert_eq!(ha.rr_cycle, hb.rr_cycle, "shadow: router {r} rr_cycle at {cycle}");
+                assert_eq!(
+                    ha.in_occ, hb.in_occ,
+                    "shadow: router {r} occupancy at {cycle}"
+                );
+                assert_eq!(
+                    ha.out_owned, hb.out_owned,
+                    "shadow: router {r} ownership at {cycle}"
+                );
+                assert_eq!(
+                    ha.rr_alloc, hb.rr_alloc,
+                    "shadow: router {r} rr_alloc at {cycle}"
+                );
+                assert_eq!(
+                    ha.rr_cycle, hb.rr_cycle,
+                    "shadow: router {r} rr_cycle at {cycle}"
+                );
                 let mut owned = ha.out_owned;
                 while owned != 0 {
                     let g = r * slots + owned.trailing_zeros() as usize;
                     owned &= owned - 1;
                     assert_eq!(
-                        a.out_owner[g], b.out_owner[g],
-                        "shadow: router {r} out-VC {} owner at {cycle}", g - r * slots
+                        a.out_owner[g],
+                        b.out_owner[g],
+                        "shadow: router {r} out-VC {} owner at {cycle}",
+                        g - r * slots
                     );
                 }
                 // route_vc is only meaningful where a route is set.
                 for g in r * slots..(r + 1) * slots {
                     if a.route_port[g] != NO_ROUTE {
                         assert_eq!(
-                            a.route_vc[g], b.route_vc[g],
-                            "shadow: router {r} route vc slot {} at {cycle}", g - r * slots
+                            a.route_vc[g],
+                            b.route_vc[g],
+                            "shadow: router {r} route vc slot {} at {cycle}",
+                            g - r * slots
                         );
                     }
                 }
@@ -1884,7 +1949,11 @@ mod shadow {
     /// Assert two whole per-router arrays equal (`per` entries per
     /// router), naming the first differing router on failure.
     fn same<T: PartialEq + std::fmt::Debug>(a: &[T], b: &[T], per: usize, what: &str, cycle: u64) {
-        assert_eq!(a.len(), b.len(), "shadow: {what} arrays differ in length at {cycle}");
+        assert_eq!(
+            a.len(),
+            b.len(),
+            "shadow: {what} arrays differ in length at {cycle}"
+        );
         if let Some(i) = a.iter().zip(b).position(|(x, y)| x != y) {
             panic!(
                 "shadow: router {} {what} at {cycle}: reference {:?}, fused {:?}",

@@ -138,8 +138,14 @@ impl RouterState {
     /// nothing routed, owned or blocked.
     pub(crate) fn new(routers: usize, ports: usize, vcs: u8, buf_depth: u32) -> Self {
         let slots = ports * vcs as usize;
-        assert!(slots <= 128, "occupancy bitmask supports at most 128 VC slots per router");
-        assert!(buf_depth <= u16::MAX as u32, "flit buffers deeper than 65535 are unsupported");
+        assert!(
+            slots <= 128,
+            "occupancy bitmask supports at most 128 VC slots per router"
+        );
+        assert!(
+            buf_depth <= u16::MAX as u32,
+            "flit buffers deeper than 65535 are unsupported"
+        );
         let depth = buf_depth as usize;
         let n = routers * slots;
         let empty = Flit {
@@ -275,7 +281,10 @@ impl<'a> StateMut<'a> {
         let g = r * self.slots + s;
         let depth = self.depth;
         let len = self.len[g] as usize;
-        assert!(len < depth, "VC buffer overflow: credit accounting violated");
+        assert!(
+            len < depth,
+            "VC buffer overflow: credit accounting violated"
+        );
         self.bufs[g * depth + wrap(self.head[g] as usize + len, depth)] = flit;
         self.len[g] = (len + 1) as u16;
         if len == 0 {

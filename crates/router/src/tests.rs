@@ -128,7 +128,10 @@ fn single_packet_delivered_to_correct_nic() {
     let (nic, h, _) = ej.delivered[0];
     assert_eq!(nic, NicId(5));
     assert_eq!(store.get(h).id, MessageId(1));
-    assert!(cycles < 60, "short packet should arrive quickly, took {cycles}");
+    assert!(
+        cycles < 60,
+        "short packet should arrive quickly, took {cycles}"
+    );
     assert_eq!(net.counters().packets_delivered, 1);
     assert_eq!(net.counters().flits_delivered, 4);
     assert!(net.packets().is_empty());
@@ -155,7 +158,14 @@ fn many_packets_conserved_and_delivered() {
     let mut store = MessageStore::new();
     let mut ej = AcceptAll::default();
     let msgs: Vec<Message> = (0..32)
-        .map(|i| msg(i, (i % 16) as u32, ((i * 7 + 3) % 16) as u32, 4 + (i as u32 % 3) * 8))
+        .map(|i| {
+            msg(
+                i,
+                (i % 16) as u32,
+                ((i * 7 + 3) % 16) as u32,
+                4 + (i as u32 % 3) * 8,
+            )
+        })
         .collect();
     let total_flits: u64 = msgs.iter().map(|m| m.length_flits as u64).sum();
     run(&mut net, &mut store, msgs, &mut ej, 5_000);
@@ -305,7 +315,11 @@ fn extraction_reclaims_buffers_and_restores_credits() {
         &mut ej2,
         500,
     );
-    assert_eq!(ej2.delivered.len(), 2, "network must be clean after extraction");
+    assert_eq!(
+        ej2.delivered.len(),
+        2,
+        "network must be clean after extraction"
+    );
 }
 
 #[test]
@@ -357,7 +371,10 @@ fn injection_vc_idle_tracks_tails() {
             is_tail: true,
         },
     );
-    assert!(net.injection_vc_idle(NicId(0), 0), "tail buffered: idle again");
+    assert!(
+        net.injection_vc_idle(NicId(0), 0),
+        "tail buffered: idle again"
+    );
 }
 
 #[test]
@@ -392,7 +409,10 @@ fn dateline_bits_set_on_wrap() {
         }
     }
     assert_eq!(ej.delivered.len(), 1);
-    assert!(saw_crossed, "wraparound traversal must set the dateline bit");
+    assert!(
+        saw_crossed,
+        "wraparound traversal must set the dateline bit"
+    );
 }
 
 // ---------------------------------------------------------------------

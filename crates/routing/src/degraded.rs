@@ -49,7 +49,11 @@ impl<'a> DegradedRouting<'a> {
     /// Wrap `base` with `faults` and its distance fields. `fields` must
     /// come from [`FaultSet::distance_fields`] on the same topology.
     pub fn new(base: &'a SchemeRouting, faults: &'a FaultSet, fields: &'a [Vec<u32>]) -> Self {
-        DegradedRouting { base, faults, fields }
+        DegradedRouting {
+            base,
+            faults,
+            fields,
+        }
     }
 
     /// The wrapped base routing.
@@ -111,7 +115,10 @@ impl Routing for DegradedRouting<'_> {
             }
         }
         let dirs = &dirs[..ndirs];
-        debug_assert!(!dirs.is_empty(), "reachable node must have a productive hop");
+        debug_assert!(
+            !dirs.is_empty(),
+            "reachable node must have a productive hop"
+        );
 
         let tv = self.base.map().for_type(pkt.mtype);
         if !tv.adaptive.is_empty() && !dirs.is_empty() {

@@ -142,7 +142,10 @@ fn shared_adaptive_pool_is_common() {
         assert_eq!(&map.for_type(t).adaptive, pool, "pool shared by all types");
     }
     // Escape pairs remain disjoint per partition.
-    assert_ne!(map.for_type(MsgType(0)).escape, map.for_type(MsgType(1)).escape);
+    assert_ne!(
+        map.for_type(MsgType(0)).escape,
+        map.for_type(MsgType(1)).escape
+    );
 }
 
 #[test]
@@ -151,7 +154,9 @@ fn dr_split_rejects_single_kind_protocols() {
         "all-req",
         vec![
             mdd_protocol::MsgTypeSpec::request("A"),
-            mdd_protocol::MsgTypeSpec::request("T").terminating().with_length(4),
+            mdd_protocol::MsgTypeSpec::request("T")
+                .terminating()
+                .with_length(4),
         ],
         &[(0, 1)],
         None,
@@ -275,7 +280,10 @@ fn injection_vcs_respect_partitions() {
     let tv = map.for_type(MsgType(1));
     assert_eq!(vcs.len(), tv.adaptive.len() + 1);
     assert!(vcs.contains(&tv.escape[0]));
-    assert!(!vcs.contains(&tv.escape[1]), "class-1 escape not for injection");
+    assert!(
+        !vcs.contains(&tv.escape[1]),
+        "class-1 escape not for injection"
+    );
     for v in &vcs {
         assert!(tv.all().contains(v));
     }
@@ -316,7 +324,6 @@ fn min_vcs_matches_paper_formulas() {
     let o = ProtocolSpec::origin2000();
     assert_eq!(SA.min_vcs(&o, 2), 6);
 }
-
 
 // ---------------------------------------------------------------------
 // Mesh configurations (E_r = 1: no datelines needed).

@@ -86,10 +86,7 @@ impl BnfCurve {
     /// Peak delivered throughput over the curve — the saturation
     /// throughput, the paper's primary comparison metric.
     pub fn saturation_throughput(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.throughput)
-            .fold(0.0, f64::max)
+        self.points.iter().map(|p| p.throughput).fold(0.0, f64::max)
     }
 
     /// The lowest-load point whose latency exceeds `threshold` cycles, as a

@@ -18,11 +18,7 @@ pub fn render_bnf(curves: &[BnfCurve], width: usize, height: usize) -> String {
     let pts: Vec<(f64, f64, usize)> = curves
         .iter()
         .enumerate()
-        .flat_map(|(ci, c)| {
-            c.points
-                .iter()
-                .map(move |p| (p.throughput, p.latency, ci))
-        })
+        .flat_map(|(ci, c)| c.points.iter().map(move |p| (p.throughput, p.latency, ci)))
         .collect();
     if pts.is_empty() {
         return String::from("(no data)\n");

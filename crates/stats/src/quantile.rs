@@ -108,8 +108,7 @@ impl P2Quantile {
 
     fn linear(&self, i: usize, s: f64) -> f64 {
         let j = (i as f64 + s) as usize;
-        self.heights[i]
-            + s * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
+        self.heights[i] + s * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
     }
 
     /// Current estimate (exact for fewer than five observations).

@@ -206,13 +206,23 @@ fn p2_quantile_tracks_uniform_stream() {
     let mut q50 = P2Quantile::new(0.5);
     let mut q95 = P2Quantile::new(0.95);
     for _ in 0..50_000 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let v = (x >> 33) as f64 % 1000.0;
         q50.add(v);
         q95.add(v);
     }
-    assert!((q50.estimate() - 500.0).abs() < 25.0, "p50 = {}", q50.estimate());
-    assert!((q95.estimate() - 950.0).abs() < 25.0, "p95 = {}", q95.estimate());
+    assert!(
+        (q50.estimate() - 500.0).abs() < 25.0,
+        "p50 = {}",
+        q50.estimate()
+    );
+    assert!(
+        (q95.estimate() - 950.0).abs() < 25.0,
+        "p95 = {}",
+        q95.estimate()
+    );
     assert_eq!(q50.count(), 50_000);
 }
 

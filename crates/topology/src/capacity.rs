@@ -40,9 +40,7 @@ impl Topology {
                 // self (k^2 pairs) is k/4 for even k; use the exact sum.
                 TopologyKind::Torus => {
                     let k_int = self.radix(d);
-                    let sum: u32 = (0..k_int)
-                        .map(|delta| delta.min(k_int - delta))
-                        .sum();
+                    let sum: u32 = (0..k_int).map(|delta| delta.min(k_int - delta)).sum();
                     sum as f64 / k
                 }
                 // Path of k nodes: mean |i-j| over ordered pairs incl. self.

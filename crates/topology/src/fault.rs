@@ -214,7 +214,9 @@ impl FaultSet {
     /// Distance fields to every destination router, indexed by router id
     /// (entry `r` is [`FaultSet::distance_field`] for `NodeId(r)`).
     pub fn distance_fields(&self, topo: &Topology) -> Vec<Vec<u32>> {
-        topo.routers().map(|r| self.distance_field(topo, r)).collect()
+        topo.routers()
+            .map(|r| self.distance_field(topo, r))
+            .collect()
     }
 }
 

@@ -358,7 +358,5 @@ fn bristling_divides_per_node_capacity() {
     assert_eq!(flat.num_nics(), bristled.num_nics());
     // Same endpoints, quarter the routers: per-node capacity drops, which
     // is why Section 4.2.2 bristles the network to raise relative load.
-    assert!(
-        bristled.capacity().throughput_bound() < flat.capacity().throughput_bound()
-    );
+    assert!(bristled.capacity().throughput_bound() < flat.capacity().throughput_bound());
 }

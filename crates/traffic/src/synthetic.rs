@@ -230,13 +230,21 @@ impl SyntheticTraffic {
             DestPattern::BitComplement => {
                 let bits = 32 - (n - 1).leading_zeros();
                 let d = (!src.0) & ((1 << bits) - 1);
-                NicId(if d == src.0 || d >= n { (src.0 + 1) % n } else { d })
+                NicId(if d == src.0 || d >= n {
+                    (src.0 + 1) % n
+                } else {
+                    d
+                })
             }
             DestPattern::Transpose => {
                 let k = (n as f64).sqrt() as u32;
                 let (x, y) = (src.0 % k, src.0 / k);
                 let d = x * k + y;
-                NicId(if d == src.0 || d >= n { (src.0 + 1) % n } else { d })
+                NicId(if d == src.0 || d >= n {
+                    (src.0 + 1) % n
+                } else {
+                    d
+                })
             }
             DestPattern::Neighbor => NicId((src.0 + 1) % n),
             DestPattern::Hotspot { node, permille } => {
@@ -265,7 +273,6 @@ impl SyntheticTraffic {
             }
         }
     }
-
 }
 
 impl TrafficSource for SyntheticTraffic {

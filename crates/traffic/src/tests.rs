@@ -115,8 +115,16 @@ fn hotspot_concentrates_traffic() {
 fn app_models_match_published_characteristics() {
     for app in AppModel::all() {
         let total: f64 = app.phases.iter().map(|p| p.time_fraction).sum();
-        assert!((total - 1.0).abs() < 1e-9, "{}: phases must sum to 1", app.name);
-        assert!(app.avg_load() < 0.35, "{}: all apps stay below saturation", app.name);
+        assert!(
+            (total - 1.0).abs() < 1e-9,
+            "{}: phases must sum to 1",
+            app.name
+        );
+        assert!(
+            app.avg_load() < 0.35,
+            "{}: all apps stay below saturation",
+            app.name
+        );
     }
     // FFT/LU/Water stay under 5% of capacity for >= 92% of time (Fig. 6).
     for app in [AppModel::fft(), AppModel::lu(), AppModel::water()] {
@@ -130,7 +138,10 @@ fn app_models_match_published_characteristics() {
     }
     // Radix is the only one approaching saturation loads.
     assert!(AppModel::radix().avg_load() > 0.15);
-    assert!(AppModel::radix().phases.iter().any(|p| p.load_fraction >= 0.30));
+    assert!(AppModel::radix()
+        .phases
+        .iter()
+        .any(|p| p.load_fraction >= 0.30));
     // Water is sharing-heavy; the others are private-heavy.
     assert!(AppModel::water().p_private < 0.2);
     assert!(AppModel::fft().p_private > 0.9);
@@ -151,7 +162,10 @@ fn app_access_streams_are_deterministic_and_partitioned() {
     let mut r1 = app.rng(9);
     let mut r2 = app.rng(9);
     for _ in 0..100 {
-        assert_eq!(app.sample_access(3, 16, &mut r1), app.sample_access(3, 16, &mut r2));
+        assert_eq!(
+            app.sample_access(3, 16, &mut r1),
+            app.sample_access(3, 16, &mut r2)
+        );
     }
     // Private regions are disjoint across processors.
     let mut rng = app.rng(1);
@@ -188,5 +202,8 @@ fn trace_parser_rejects_garbage() {
     let short = b"12 3\n" as &[u8];
     assert!(TraceLog::load(std::io::BufReader::new(short)).is_err());
     let ok = b"# comment\n\n12 3 4 w\n" as &[u8];
-    assert_eq!(TraceLog::load(std::io::BufReader::new(ok)).unwrap().len(), 1);
+    assert_eq!(
+        TraceLog::load(std::io::BufReader::new(ok)).unwrap().len(),
+        1
+    );
 }

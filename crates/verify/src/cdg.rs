@@ -168,13 +168,19 @@ impl StaticCdg<'_> {
 
     /// OR-wait candidate vertices of `class`.
     pub fn cands(&self, class: u32) -> &[u32] {
-        let (a, b) = (self.cands_off[class as usize], self.cands_off[class as usize + 1]);
+        let (a, b) = (
+            self.cands_off[class as usize],
+            self.cands_off[class as usize + 1],
+        );
         &self.cands[a as usize..b as usize]
     }
 
     /// Vertices `class` can occupy.
     pub fn members(&self, class: u32) -> &[u32] {
-        let (a, b) = (self.members_off[class as usize], self.members_off[class as usize + 1]);
+        let (a, b) = (
+            self.members_off[class as usize],
+            self.members_off[class as usize + 1],
+        );
         &self.members[a as usize..b as usize]
     }
 
@@ -476,8 +482,7 @@ pub(crate) fn endpoint_segment(
     let bkf = proto.backoff_type();
     let mut seg = Segment::default();
     let mut cand_pairs: Vec<(u32, u32)> = Vec::new();
-    let nic_down =
-        |nic: NicId| faults.is_some_and(|f| f.router_down(topo.nic_router(nic)));
+    let nic_down = |nic: NicId| faults.is_some_and(|f| f.router_down(topo.nic_router(nic)));
 
     // --- Endpoint input-queue classes. A non-terminating, non-final head
     // --- waits on its subordinate's output queue; terminating heads sink

@@ -70,7 +70,13 @@ impl AnalysisConfig {
         pattern: PatternSpec,
         queue_org: QueueOrg,
     ) -> Self {
-        AnalysisConfig { topo, scheme, routing, pattern, queue_org }
+        AnalysisConfig {
+            topo,
+            scheme,
+            routing,
+            pattern,
+            queue_org,
+        }
     }
 
     /// The borrowed [`VerifyInput`] view of this configuration.
@@ -250,7 +256,6 @@ impl BaseAnalysis {
         cdg::assemble(input, all)
     }
 
-
     /// Re-classify the configuration with `faults` applied, reusing every
     /// base segment the fault set provably cannot have changed. In debug
     /// builds (≤ 256 routers) the result is cross-checked for full
@@ -367,7 +372,12 @@ fn eject_patch(
     let proto = input.pattern.protocol();
     let q0 = input.queue_org.queue_index(proto, t0);
     let q1 = input.queue_org.queue_index(proto, t);
-    (q0 != q1).then(|| (layout.in_queue_vertex(dst, q0), layout.in_queue_vertex(dst, q1)))
+    (q0 != q1).then(|| {
+        (
+            layout.in_queue_vertex(dst, q0),
+            layout.in_queue_vertex(dst, q1),
+        )
+    })
 }
 
 /// Is destination router `r` provably unaffected by `faults`? See the
@@ -377,7 +387,10 @@ fn dst_clean(topo: &Topology, faults: &FaultSet, field: &[u32], r: NodeId) -> bo
     if faults.num_failed_routers() > 0 {
         return false;
     }
-    if topo.routers().any(|n| field[n.index()] != topo.distance(n, r)) {
+    if topo
+        .routers()
+        .any(|n| field[n.index()] != topo.distance(n, r))
+    {
         return false;
     }
     // A directed link (a -> b) participates in minimal routing toward `r`
@@ -390,7 +403,9 @@ fn dst_clean(topo: &Topology, faults: &FaultSet, field: &[u32], r: NodeId) -> bo
         }
     };
     !faults.failed_links().iter().any(|&(u, d, dir)| {
-        let v = topo.neighbor(u, d, dir).expect("failed links exist in the topology");
+        let v = topo
+            .neighbor(u, d, dir)
+            .expect("failed links exist in the topology");
         productive_toward(u, d, dir) || productive_toward(v, d, dir.opposite())
     })
 }

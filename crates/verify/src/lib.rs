@@ -55,8 +55,7 @@ use mdd_topology::{Direction, RecoveryRing, Topology, TopologyKind, UNREACHABLE}
 
 pub use frontier::{
     classify_fault_points, fault_orbit_key, fault_rank, sampled_double_link_faults, FaultClass,
-    FaultPoint,
-    FrontierReport,
+    FaultPoint, FrontierReport,
 };
 pub use incremental::{verify_faulted, AnalysisConfig, BaseAnalysis, FaultOutcome};
 pub use synthesis::{min_safe_vcs, MinVcReport};
@@ -141,9 +140,7 @@ impl Verdict {
     pub fn witness(&self) -> Option<&CycleWitness> {
         match self {
             Verdict::ProvenFree => None,
-            Verdict::RecoverableCycles { witness } | Verdict::Unsafe { witness } => {
-                Some(witness)
-            }
+            Verdict::RecoverableCycles { witness } | Verdict::Unsafe { witness } => Some(witness),
         }
     }
 
@@ -214,7 +211,9 @@ pub fn verify(input: &VerifyInput<'_>) -> Verdict {
 /// enumeration unchanged.
 pub fn verify_quotiented(input: &VerifyInput<'_>) -> Verdict {
     let topo = input.topo;
-    let folded_radix: Vec<u32> = (0..topo.dims()).map(|d| fold_radix(topo.radix(d))).collect();
+    let folded_radix: Vec<u32> = (0..topo.dims())
+        .map(|d| fold_radix(topo.radix(d)))
+        .collect();
     let already_small = topo.kind() != TopologyKind::Torus
         || (0..topo.dims()).all(|d| folded_radix[d] == topo.radix(d));
     if already_small {
@@ -225,7 +224,10 @@ pub fn verify_quotiented(input: &VerifyInput<'_>) -> Verdict {
         CounterId::VerifyOrbitReduction,
         u64::from(topo.num_routers() - folded.num_routers()),
     );
-    let folded_input = VerifyInput { topo: &folded, ..*input };
+    let folded_input = VerifyInput {
+        topo: &folded,
+        ..*input
+    };
     // Ring coverage (the PR branch) stays on the full topology.
     let verdict = classify(&folded_input, topo);
     #[cfg(debug_assertions)]
@@ -268,7 +270,11 @@ fn classify(input: &VerifyInput<'_>, ring_topo: &Topology) -> Verdict {
     let packet: Vec<cdg::Segment> = cdg::net_types(input)
         .into_iter()
         .flat_map(|t| {
-            input.topo.nics().map(move |dst| (t, dst)).collect::<Vec<_>>()
+            input
+                .topo
+                .nics()
+                .map(move |dst| (t, dst))
+                .collect::<Vec<_>>()
         })
         .map(|(t, dst)| {
             cdg::packet_segment(
@@ -366,15 +372,19 @@ fn classify_graph(
 /// OR-wait candidate set (the degraded routing offered no admissible
 /// hop). Rendered as a single-resource witness rather than a cycle.
 fn strand_witness(graph: &cdg::StaticCdg<'_>) -> Option<CycleWitness> {
-    let c = (0..graph.num_classes() as u32)
-        .find(|&c| !graph.sink[c as usize] && graph.cands(c).is_empty() && !graph.members(c).is_empty())?;
+    let c = (0..graph.num_classes() as u32).find(|&c| {
+        !graph.sink[c as usize] && graph.cands(c).is_empty() && !graph.members(c).is_empty()
+    })?;
     let v = graph.members(c)[0];
     let rendered = format!(
         "  {} [{}]\n  (stranded: no live route to its destination over the degraded topology)\n",
         graph.layout.describe(v),
         graph.note(c),
     );
-    Some(CycleWitness { vertices: vec![v], rendered })
+    Some(CycleWitness {
+        vertices: vec![v],
+        rendered,
+    })
 }
 
 /// Progressive recovery's lane check, fault-aware. The recovery ring must

@@ -41,7 +41,11 @@ fn probe(
     queue_org: QueueOrg,
     vcs: u8,
 ) -> Verdict {
-    let escape = if topo.kind() == TopologyKind::Mesh { 1 } else { 2 };
+    let escape = if topo.kind() == TopologyKind::Mesh {
+        1
+    } else {
+        2
+    };
     let map = VcMap::build_degraded(scheme, pattern.protocol(), vcs, escape);
     let routing = SchemeRouting::new(map);
     let input = VerifyInput {

@@ -114,7 +114,12 @@ fn sa_with_merged_partitions_is_unsafe() {
 fn dr_forwarding_protocol_has_recoverable_cycles() {
     // Request-network cycles through forwarded requests remain, but every
     // blocked request head is convertible into a backoff reply.
-    let fx = Fixture::torus(&[4, 4], Scheme::DeflectiveRecovery, PatternSpec::pat271(), 4);
+    let fx = Fixture::torus(
+        &[4, 4],
+        Scheme::DeflectiveRecovery,
+        PatternSpec::pat271(),
+        4,
+    );
     let v = verify(&fx.input());
     assert_eq!(v.name(), "RecoverableCycles", "got {v}");
     assert!(v.witness().is_some());
@@ -124,7 +129,12 @@ fn dr_forwarding_protocol_has_recoverable_cycles() {
 fn dr_preallocated_two_type_protocol_is_proven_free() {
     // With reply preallocation and no forwarding, the 1-0-0 protocol's
     // extended CDG has no cycle at all under DR's two-network split.
-    let fx = Fixture::torus(&[4, 4], Scheme::DeflectiveRecovery, PatternSpec::pat100(), 4);
+    let fx = Fixture::torus(
+        &[4, 4],
+        Scheme::DeflectiveRecovery,
+        PatternSpec::pat100(),
+        4,
+    );
     assert!(verify(&fx.input()).is_proven_free());
 }
 
@@ -132,7 +142,12 @@ fn dr_preallocated_two_type_protocol_is_proven_free() {
 fn pr_relies_on_token_recovery() {
     // True fully adaptive routing cycles on a torus by design; the
     // recovery ring tours every router and NIC, so cycles are drainable.
-    let fx = Fixture::torus(&[4, 4], Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4);
+    let fx = Fixture::torus(
+        &[4, 4],
+        Scheme::ProgressiveRecovery,
+        PatternSpec::pat271(),
+        4,
+    );
     let v = verify(&fx.input());
     assert_eq!(v.name(), "RecoverableCycles", "got {v}");
 }
@@ -184,9 +199,19 @@ fn quotiented_verifier_classifies_64x64_fast() {
     let t0 = std::time::Instant::now();
     let fx = Fixture::torus(&[64, 64], SA, PatternSpec::pat271(), 8);
     assert!(verify_quotiented(&fx.input()).is_proven_free());
-    let fx = Fixture::torus(&[64, 64], Scheme::DeflectiveRecovery, PatternSpec::pat271(), 8);
+    let fx = Fixture::torus(
+        &[64, 64],
+        Scheme::DeflectiveRecovery,
+        PatternSpec::pat271(),
+        8,
+    );
     assert_eq!(verify_quotiented(&fx.input()).name(), "RecoverableCycles");
-    let fx = Fixture::torus(&[64, 64], Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4);
+    let fx = Fixture::torus(
+        &[64, 64],
+        Scheme::ProgressiveRecovery,
+        PatternSpec::pat271(),
+        4,
+    );
     assert_eq!(verify_quotiented(&fx.input()).name(), "RecoverableCycles");
     assert!(
         t0.elapsed() < std::time::Duration::from_secs(1),
@@ -222,14 +247,31 @@ fn verdict_accessors_are_consistent() {
 #[test]
 #[ignore]
 fn timing_full_16x16() {
-    for (scheme, vcs) in [(Scheme::StrictAvoidance { shared_adaptive: false }, 8), (Scheme::DeflectiveRecovery, 8), (Scheme::ProgressiveRecovery, 4)] {
+    for (scheme, vcs) in [
+        (
+            Scheme::StrictAvoidance {
+                shared_adaptive: false,
+            },
+            8,
+        ),
+        (Scheme::DeflectiveRecovery, 8),
+        (Scheme::ProgressiveRecovery, 4),
+    ] {
         let fx = Fixture::torus(&[16, 16], scheme, PatternSpec::pat271(), vcs);
         let t0 = std::time::Instant::now();
         let v = verify(&fx.input());
-        println!("{scheme:?} vcs{vcs} 16x16 full: {:?} -> {}", t0.elapsed(), v.name());
+        println!(
+            "{scheme:?} vcs{vcs} 16x16 full: {:?} -> {}",
+            t0.elapsed(),
+            v.name()
+        );
         let t0 = std::time::Instant::now();
         let v = verify(&fx.input());
-        println!("{scheme:?} vcs{vcs} 16x16 full(2): {:?} -> {}", t0.elapsed(), v.name());
+        println!(
+            "{scheme:?} vcs{vcs} 16x16 full(2): {:?} -> {}",
+            t0.elapsed(),
+            v.name()
+        );
     }
 }
 
@@ -239,8 +281,18 @@ fn orbit_invariance_experiment() {
     use crate::{fault_orbit_key, AnalysisConfig, BaseAnalysis};
     use mdd_topology::single_link_faults;
     for (scheme, vcs) in [
-        (Scheme::StrictAvoidance { shared_adaptive: false }, 8),
-        (Scheme::StrictAvoidance { shared_adaptive: false }, 7),
+        (
+            Scheme::StrictAvoidance {
+                shared_adaptive: false,
+            },
+            8,
+        ),
+        (
+            Scheme::StrictAvoidance {
+                shared_adaptive: false,
+            },
+            7,
+        ),
         (Scheme::DeflectiveRecovery, 8),
         (Scheme::DeflectiveRecovery, 4),
         (Scheme::ProgressiveRecovery, 4),
@@ -288,8 +340,11 @@ fn reverify_matches_from_scratch_on_torus_faults() {
     // from-scratch degraded build internally; this test exercises it
     // across schemes and fault shapes.
     use mdd_topology::{Direction, FaultSet};
-    for (scheme, vcs) in [(SA, 8), (Scheme::DeflectiveRecovery, 4), (Scheme::ProgressiveRecovery, 4)]
-    {
+    for (scheme, vcs) in [
+        (SA, 8),
+        (Scheme::DeflectiveRecovery, 4),
+        (Scheme::ProgressiveRecovery, 4),
+    ] {
         let fx = Fixture::torus(&[4, 4], scheme, PatternSpec::pat271(), vcs);
         let base = fx.base();
         // Single link, double link, router fault.
@@ -339,15 +394,21 @@ fn isolated_router_strands_all_schemes() {
     // undeliverable, which is Unsafe under every scheme (no drain
     // mechanism can conjure a live route).
     use mdd_topology::{Direction, FaultSet, NodeId};
-    for (scheme, vcs) in [(SA, 8), (Scheme::DeflectiveRecovery, 4), (Scheme::ProgressiveRecovery, 4)]
-    {
+    for (scheme, vcs) in [
+        (SA, 8),
+        (Scheme::DeflectiveRecovery, 4),
+        (Scheme::ProgressiveRecovery, 4),
+    ] {
         let fx = Fixture::mesh(&[2, 2], scheme, PatternSpec::pat100(), vcs);
         let base = fx.base();
         let mut f = FaultSet::new(&fx.topo);
         f.fail_link(&fx.topo, NodeId(0), 0, Direction::Plus);
         f.fail_link(&fx.topo, NodeId(0), 1, Direction::Plus);
         let v = base.reverify(&f);
-        assert!(v.is_unsafe(), "{scheme:?}: stranded endpoint must be Unsafe, got {v}");
+        assert!(
+            v.is_unsafe(),
+            "{scheme:?}: stranded endpoint must be Unsafe, got {v}"
+        );
         let w = v.witness().expect("strand verdict carries a witness");
         assert!(w.rendered.contains("stranded"), "witness: {}", w.rendered);
     }
@@ -405,7 +466,12 @@ fn pr_frontier_ring_faults_are_position_dependent() {
     // memoization must therefore split on ring liveness — this is what
     // the debug cross-check in FrontierReport::assemble enforces.
     use mdd_topology::single_link_faults;
-    let fx = Fixture::torus(&[4, 4], Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4);
+    let fx = Fixture::torus(
+        &[4, 4],
+        Scheme::ProgressiveRecovery,
+        PatternSpec::pat271(),
+        4,
+    );
     let base = fx.base();
     let report = crate::classify_fault_points(&base, single_link_faults(&fx.topo));
     assert!(report.degrading >= 1);
@@ -423,8 +489,12 @@ fn double_link_sampling_is_deterministic_and_classifiable() {
     let b = crate::sampled_double_link_faults(&fx.topo, 5, 42);
     assert_eq!(a.len(), 5);
     assert_eq!(
-        a.iter().map(mdd_topology::FaultSet::label).collect::<Vec<_>>(),
-        b.iter().map(mdd_topology::FaultSet::label).collect::<Vec<_>>(),
+        a.iter()
+            .map(mdd_topology::FaultSet::label)
+            .collect::<Vec<_>>(),
+        b.iter()
+            .map(mdd_topology::FaultSet::label)
+            .collect::<Vec<_>>(),
     );
     assert!(a.iter().all(|f| f.num_failed_links() == 2));
     let report = crate::classify_fault_points(&base, a);
@@ -468,7 +538,11 @@ fn min_safe_vcs_schemes_are_cheaper_than_sa() {
         Scheme::ProgressiveRecovery.default_queue_org(),
         8,
     );
-    let (sa_min, dr_min, pr_min) = (sa.min_vcs.unwrap(), dr.min_vcs.unwrap(), pr.min_vcs.unwrap());
+    let (sa_min, dr_min, pr_min) = (
+        sa.min_vcs.unwrap(),
+        dr.min_vcs.unwrap(),
+        pr.min_vcs.unwrap(),
+    );
     assert!(dr_min <= sa_min, "DR {dr_min} vs SA {sa_min}");
     assert!(pr_min <= sa_min, "PR {pr_min} vs SA {sa_min}");
 }
@@ -477,7 +551,11 @@ fn min_safe_vcs_schemes_are_cheaper_than_sa() {
 #[ignore]
 fn fault_experiment_4x4() {
     use mdd_topology::single_link_faults;
-    for (scheme, vcs) in [(SA, 8u8), (Scheme::DeflectiveRecovery, 4), (Scheme::ProgressiveRecovery, 4)] {
+    for (scheme, vcs) in [
+        (SA, 8u8),
+        (Scheme::DeflectiveRecovery, 4),
+        (Scheme::ProgressiveRecovery, 4),
+    ] {
         let fx = Fixture::torus(&[4, 4], scheme, PatternSpec::pat271(), vcs);
         let base = fx.base();
         println!("== {scheme:?} base {}", base.base_verdict().name());
@@ -494,7 +572,11 @@ fn fault_experiment_4x4() {
 fn timing_outcomes_16x16() {
     use mdd_topology::{Direction, FaultSet, NodeId};
     use std::time::Instant;
-    for (scheme, vcs) in [(SA, 8u8), (Scheme::DeflectiveRecovery, 8), (Scheme::ProgressiveRecovery, 4)] {
+    for (scheme, vcs) in [
+        (SA, 8u8),
+        (Scheme::DeflectiveRecovery, 8),
+        (Scheme::ProgressiveRecovery, 4),
+    ] {
         let fx = Fixture::torus(&[16, 16], scheme, PatternSpec::pat271(), vcs);
         let t0 = Instant::now();
         let base = fx.base();
@@ -504,7 +586,9 @@ fn timing_outcomes_16x16() {
         let t1 = Instant::now();
         let o = base.reverify_outcome(&f);
         let t_out = t1.elapsed();
-        println!("{scheme:?} vcs{vcs}: base {:?} in {t_base:?}; outcome {o:?} in {t_out:?}", base.base_verdict().name());
+        println!(
+            "{scheme:?} vcs{vcs}: base {:?} in {t_base:?}; outcome {o:?} in {t_out:?}",
+            base.base_verdict().name()
+        );
     }
 }
-

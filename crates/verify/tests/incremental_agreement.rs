@@ -20,8 +20,12 @@ use mdd_verify::{verify_faulted, AnalysisConfig, BaseAnalysis};
 use proptest::prelude::*;
 
 const SCHEMES: [Scheme; 4] = [
-    Scheme::StrictAvoidance { shared_adaptive: false },
-    Scheme::StrictAvoidance { shared_adaptive: true },
+    Scheme::StrictAvoidance {
+        shared_adaptive: false,
+    },
+    Scheme::StrictAvoidance {
+        shared_adaptive: true,
+    },
     Scheme::DeflectiveRecovery,
     Scheme::ProgressiveRecovery,
 ];
@@ -40,23 +44,47 @@ fn topology(idx: usize) -> Topology {
     }
 }
 
-fn config(topo_idx: usize, scheme_idx: usize, vcs: u8, pat_idx: usize, org_idx: usize) -> AnalysisConfig {
+fn config(
+    topo_idx: usize,
+    scheme_idx: usize,
+    vcs: u8,
+    pat_idx: usize,
+    org_idx: usize,
+) -> AnalysisConfig {
     let topo = topology(topo_idx);
     let scheme = SCHEMES[scheme_idx];
-    let pattern = if pat_idx == 0 { PatternSpec::pat100() } else { PatternSpec::pat271() };
-    let escape = if topo.kind() == TopologyKind::Mesh { 1 } else { 2 };
+    let pattern = if pat_idx == 0 {
+        PatternSpec::pat100()
+    } else {
+        PatternSpec::pat271()
+    };
+    let escape = if topo.kind() == TopologyKind::Mesh {
+        1
+    } else {
+        2
+    };
     // build_degraded never fails for vcs > 0: infeasible budgets get the
     // best map the budget allows, which is exactly what --verify falls
     // back to and what the fault frontier sweeps.
     let map = VcMap::build_degraded(scheme, pattern.protocol(), vcs, escape);
-    AnalysisConfig::new(topo, scheme, SchemeRouting::new(map), pattern, QUEUE_ORGS[org_idx])
+    AnalysisConfig::new(
+        topo,
+        scheme,
+        SchemeRouting::new(map),
+        pattern,
+        QUEUE_ORGS[org_idx],
+    )
 }
 
 fn fault_set(topo: &Topology, links: &[(usize, usize, usize)], router: Option<usize>) -> FaultSet {
     let nr = topo.num_routers() as usize;
     let mut f = FaultSet::new(topo);
     for &(node, d, dir_bit) in links {
-        let dir = if dir_bit == 0 { Direction::Plus } else { Direction::Minus };
+        let dir = if dir_bit == 0 {
+            Direction::Plus
+        } else {
+            Direction::Minus
+        };
         f.fail_link(topo, NodeId((node % nr) as u32), d % topo.dims(), dir);
     }
     if let Some(r) = router {
@@ -65,7 +93,11 @@ fn fault_set(topo: &Topology, links: &[(usize, usize, usize)], router: Option<us
     f
 }
 
-fn assert_agreement(cfg: &AnalysisConfig, base: &BaseAnalysis, faults: &FaultSet) -> Result<(), TestCaseError> {
+fn assert_agreement(
+    cfg: &AnalysisConfig,
+    base: &BaseAnalysis,
+    faults: &FaultSet,
+) -> Result<(), TestCaseError> {
     let incremental = base.reverify(faults);
     let scratch = verify_faulted(&cfg.input(), faults);
     let label = format!(
@@ -77,7 +109,12 @@ fn assert_agreement(cfg: &AnalysisConfig, base: &BaseAnalysis, faults: &FaultSet
         cfg.input().routing.map().num_vcs(),
         faults.label(),
     );
-    prop_assert_eq!(incremental.name(), scratch.name(), "verdict diverged: {}", label);
+    prop_assert_eq!(
+        incremental.name(),
+        scratch.name(),
+        "verdict diverged: {}",
+        label
+    );
     prop_assert_eq!(
         incremental.witness().map(|w| w.rendered.clone()),
         scratch.witness().map(|w| w.rendered.clone()),
@@ -116,11 +153,18 @@ proptest! {
 #[test]
 fn sixteen_by_sixteen_reverify_matches_from_scratch() {
     let topo = Topology::new(TopologyKind::Torus, &[16, 16], 1);
-    let scheme = Scheme::StrictAvoidance { shared_adaptive: false };
+    let scheme = Scheme::StrictAvoidance {
+        shared_adaptive: false,
+    };
     let pattern = PatternSpec::pat271();
     let map = VcMap::build_degraded(scheme, pattern.protocol(), 8, 2);
-    let cfg =
-        AnalysisConfig::new(topo, scheme, SchemeRouting::new(map), pattern, QueueOrg::PerType);
+    let cfg = AnalysisConfig::new(
+        topo,
+        scheme,
+        SchemeRouting::new(map),
+        pattern,
+        QueueOrg::PerType,
+    );
     let base = BaseAnalysis::analyze(cfg.clone());
 
     let mut link = FaultSet::new(cfg.topo());
@@ -134,7 +178,12 @@ fn sixteen_by_sixteen_reverify_matches_from_scratch() {
     for faults in [&link, &router, &compound] {
         let incremental = base.reverify(faults);
         let scratch = verify_faulted(&cfg.input(), faults);
-        assert_eq!(incremental.name(), scratch.name(), "faults [{}]", faults.label());
+        assert_eq!(
+            incremental.name(),
+            scratch.name(),
+            "faults [{}]",
+            faults.label()
+        );
         assert_eq!(
             incremental.witness().map(|w| &w.rendered),
             scratch.witness().map(|w| &w.rendered),

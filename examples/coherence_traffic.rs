@@ -43,7 +43,10 @@ fn main() {
         // The traffic source is owned by the simulator; recompute the
         // characterization from a fresh engine run with identical seed.
         let mut probe = CoherentTraffic::new(
-            AppModel::all().into_iter().find(|a| a.name == name).unwrap(),
+            AppModel::all()
+                .into_iter()
+                .find(|a| a.name == name)
+                .unwrap(),
             16,
             horizon,
             42,

@@ -35,10 +35,7 @@ fn custom_pattern() -> Pat {
             // 40% fast path: home acknowledges directly.
             (
                 0.4,
-                TransactionShape::new(
-                    vec![req, ack],
-                    vec![HopTarget::Home, HopTarget::Requester],
-                ),
+                TransactionShape::new(vec![req, ack], vec![HopTarget::Home, HopTarget::Requester]),
             ),
             // 60% forwarded update, acknowledged by the updater.
             (
@@ -96,7 +93,9 @@ fn main() {
                 .windows(3_000, 8_000)
                 .build()
                 .expect("8 VCs suffice");
-            let r = Simulator::new(cfg).expect("builder already validated").run();
+            let r = Simulator::new(cfg)
+                .expect("builder already validated")
+                .run();
             table.row(vec![
                 scheme.label().to_string(),
                 format!("{load:.2}"),

@@ -9,9 +9,7 @@ use mdd_sim::prelude::*;
 fn main() {
     let load = 0.20; // flits/node/cycle of applied traffic
     let vcs = 8;
-    println!(
-        "8x8 torus | {vcs} VCs | PAT271 | applied load {load} flits/node/cycle\n"
-    );
+    println!("8x8 torus | {vcs} VCs | PAT271 | applied load {load} flits/node/cycle\n");
 
     let mut table = Table::new(vec![
         "scheme",

@@ -12,7 +12,10 @@ use mdd_sim::traffic::TraceLog;
 fn main() {
     let horizon = 30_000u64;
     let app = AppModel::radix();
-    println!("recording {} for {horizon} cycles on 16 processors...", app.name);
+    println!(
+        "recording {} for {horizon} cycles on 16 processors...",
+        app.name
+    );
     let log = mdd_sim::coherence::record_app_trace(&app, 16, horizon, 7);
     println!("  {} accesses recorded", log.len());
 

@@ -81,13 +81,14 @@ fn router_and_nic_skip_counters() {
 
     // Low load: most routers and NICs sit out most cycles.
     let before = ObsReport::capture();
-    let r = Simulator::new(cfg_with(SA, 0.05, 12)).expect("feasible config").run();
+    let r = Simulator::new(cfg_with(SA, 0.05, 12))
+        .expect("feasible config")
+        .run();
     let after = ObsReport::capture();
     assert!(r.messages_delivered > 0, "traffic must actually flow");
-    let router_skips = after.get(CounterId::RouterTicksSkipped)
-        - before.get(CounterId::RouterTicksSkipped);
-    let nic_skips =
-        after.get(CounterId::NicTicksSkipped) - before.get(CounterId::NicTicksSkipped);
+    let router_skips =
+        after.get(CounterId::RouterTicksSkipped) - before.get(CounterId::RouterTicksSkipped);
+    let nic_skips = after.get(CounterId::NicTicksSkipped) - before.get(CounterId::NicTicksSkipped);
     assert!(router_skips > 0, "low load must skip router ticks");
     assert!(nic_skips > 0, "low load must skip NIC ticks");
 }

@@ -19,7 +19,11 @@ fn assert_round_trips(name: &str) -> Json {
         json.render_pretty() + "\n" == text,
         "results/{name} is not in the codec's pretty layout; regenerate it"
     );
-    assert_eq!(json.get("schema").and_then(Json::as_str), Some("mdd-artifact/1"), "{name}");
+    assert_eq!(
+        json.get("schema").and_then(Json::as_str),
+        Some("mdd-artifact/1"),
+        "{name}"
+    );
     json
 }
 
@@ -46,9 +50,17 @@ fn figure_artifacts_round_trip_and_name_their_configs() {
         for (name, cached) in FIGURES {
             let file = format!("{dir}{name}.json");
             let json = assert_round_trips(&file);
-            assert_eq!(json.get("figure").and_then(Json::as_str), Some(name), "{file}");
+            assert_eq!(
+                json.get("figure").and_then(Json::as_str),
+                Some(name),
+                "{file}"
+            );
             let header = json.get("scale").unwrap();
-            assert_eq!(header.get("name").and_then(Json::as_str), Some(scale), "{file}");
+            assert_eq!(
+                header.get("name").and_then(Json::as_str),
+                Some(scale),
+                "{file}"
+            );
             let rows = json.get("rows").and_then(Json::as_arr).unwrap();
             assert!(!rows.is_empty(), "{file}");
             for row in rows {

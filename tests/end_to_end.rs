@@ -145,7 +145,10 @@ fn token_statistics_exposed() {
     sim.run_cycles(2_000);
     let rec = sim.recovery().expect("PR exposes its recovery machinery");
     let (laps, captures) = rec.token_stats();
-    assert!(laps >= 10, "token circulates freely at light load: {laps} laps");
+    assert!(
+        laps >= 10,
+        "token circulates freely at light load: {laps} laps"
+    );
     assert_eq!(captures, 0, "nothing to rescue at light load");
     assert!(!rec.episode_active());
 }
@@ -204,7 +207,10 @@ fn multicast_invalidations_flow_and_drain() {
     sim.run_cycles(horizon);
     let agg = sim.aggregate_stats();
     assert!(agg.transactions_completed > 50);
-    assert!(sim.drain(400_000), "multicast joins must not wedge the drain");
+    assert!(
+        sim.drain(400_000),
+        "multicast joins must not wedge the drain"
+    );
     let agg = sim.aggregate_stats();
     assert_eq!(agg.transactions_completed, sim.generated());
     // Water is invalidation-heavy: more messages than 2x transactions

@@ -192,21 +192,30 @@ fn golden_sim_results_are_bit_identical() {
             ("p50", p50.to_bits(), g.p50),
             ("p95", p95.to_bits(), g.p95),
             ("p99", p99.to_bits(), g.p99),
-            ("messages_delivered", r.messages_delivered, g.messages_delivered),
+            (
+                "messages_delivered",
+                r.messages_delivered,
+                g.messages_delivered,
+            ),
             ("transactions", r.transactions, g.transactions),
             ("deadlocks", r.deadlocks, g.deadlocks),
             ("router_rescues", r.router_rescues, g.router_rescues),
             ("deflections", r.deflections, g.deflections),
             ("rescues", r.rescues, g.rescues),
             ("generated", r.generated, g.generated),
-            ("mc_utilization", r.mc_utilization.to_bits(), g.mc_utilization),
+            (
+                "mc_utilization",
+                r.mc_utilization.to_bits(),
+                g.mc_utilization,
+            ),
             ("vc_util_mean", r.vc_util_mean.to_bits(), g.vc_util_mean),
             ("vc_util_max", r.vc_util_max.to_bits(), g.vc_util_max),
             ("vc_util_cv", r.vc_util_cv.to_bits(), g.vc_util_cv),
         ];
         for (field, actual, expect) in checks {
             assert_eq!(
-                actual, expect,
+                actual,
+                expect,
                 "{name}.{field}: got {actual:#018x}, golden {expect:#018x} \
                  (as f64: {} vs {})",
                 f64::from_bits(*actual),

@@ -15,12 +15,7 @@ use std::collections::HashMap;
 fn deadlocking_config() -> SimConfig {
     // The same shape core's episode-log test uses: a small torus driven
     // far past saturation deadlocks quickly and recovers repeatedly.
-    let mut cfg = SimConfig::small_test(
-        Scheme::ProgressiveRecovery,
-        PatternSpec::pat271(),
-        4,
-        0.8,
-    );
+    let mut cfg = SimConfig::small_test(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.8);
     cfg.warmup = 0;
     cfg.measure = 8_000;
     cfg
@@ -48,8 +43,14 @@ fn deadlocking_run_traces_detection_and_paired_recovery() {
     assert!(report.get(CounterId::MsgsInjected) > 0);
     assert!(report.get(CounterId::MsgsConsumed) > 0);
     assert!(report.get(CounterId::FlitsRouted) > 0);
-    assert!(report.get(CounterId::VcStalls) > 0, "saturated networks stall");
-    assert_eq!(report.events_dropped, 0, "capacity chosen to keep everything");
+    assert!(
+        report.get(CounterId::VcStalls) > 0,
+        "saturated networks stall"
+    );
+    assert_eq!(
+        report.events_dropped, 0,
+        "capacity chosen to keep everything"
+    );
 
     let (events, recorded, _) = obs::trace_snapshot().unwrap();
     assert_eq!(recorded, report.events_recorded);
@@ -81,15 +82,28 @@ fn deadlocking_run_traces_detection_and_paired_recovery() {
     let mut pairs = 0u64;
     for e in &events {
         match *e {
-            Event::RecoveryStart { cycle, episode, msg, .. } => {
+            Event::RecoveryStart {
+                cycle,
+                episode,
+                msg,
+                ..
+            } => {
                 let prev = starts.insert(episode, (msg, cycle));
                 assert!(prev.is_none(), "episode {episode} started twice");
             }
-            Event::RecoveryEnd { cycle, episode, msg, .. } => {
+            Event::RecoveryEnd {
+                cycle,
+                episode,
+                msg,
+                ..
+            } => {
                 let (start_msg, start_cycle) = starts
                     .remove(&episode)
                     .unwrap_or_else(|| panic!("episode {episode} ended without starting"));
-                assert_eq!(start_msg, msg, "episode {episode} changed its rescued message");
+                assert_eq!(
+                    start_msg, msg,
+                    "episode {episode} changed its rescued message"
+                );
                 assert!(start_cycle <= cycle);
                 pairs += 1;
             }
@@ -116,10 +130,19 @@ fn deadlocking_run_traces_detection_and_paired_recovery() {
     let Some(Json::Obj(members)) = Json::parse(&text) else {
         panic!("counters file is not one JSON object: {text}");
     };
-    assert_eq!(members[0], ("schema".to_string(), Json::from("mdd-artifact/1")));
+    assert_eq!(
+        members[0],
+        ("schema".to_string(), Json::from("mdd-artifact/1"))
+    );
     assert_eq!(members.len(), 1 + obs::NUM_COUNTERS);
-    let hops = members.iter().find(|(k, _)| k == "token_hops").map(|(_, v)| v);
-    assert_eq!(hops.and_then(Json::as_u64), Some(report.get(CounterId::TokenHops)));
+    let hops = members
+        .iter()
+        .find(|(k, _)| k == "token_hops")
+        .map(|(_, v)| v);
+    assert_eq!(
+        hops.and_then(Json::as_u64),
+        Some(report.get(CounterId::TokenHops))
+    );
 
     // Tear-down returns the layer to its inert state.
     obs::uninstall().expect("was installed");

@@ -24,13 +24,7 @@ fn arb_pattern() -> impl Strategy<Value = usize> {
     0usize..5
 }
 
-fn build(
-    scheme: Scheme,
-    pat_idx: usize,
-    vcs: u8,
-    load: f64,
-    seed: u64,
-) -> Option<Simulator> {
+fn build(scheme: Scheme, pat_idx: usize, vcs: u8, load: f64, seed: u64) -> Option<Simulator> {
     let pattern = PatternSpec::all_paper_patterns().swap_remove(pat_idx);
     let mut cfg = SimConfig::paper_default(scheme, pattern, vcs, load);
     cfg.radix = vec![4, 4];

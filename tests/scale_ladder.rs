@@ -197,11 +197,18 @@ fn golden_16x16_results_are_bit_identical() {
             .unwrap_or_else(|| panic!("no golden row for {name}"));
         assert_eq!(r.throughput.to_bits(), g.throughput, "{name}.throughput");
         assert_eq!(r.avg_latency.to_bits(), g.avg_latency, "{name}.avg_latency");
-        assert_eq!(r.messages_delivered, g.messages_delivered, "{name}.messages");
+        assert_eq!(
+            r.messages_delivered, g.messages_delivered,
+            "{name}.messages"
+        );
         assert_eq!(r.transactions, g.transactions, "{name}.transactions");
         assert_eq!(r.deadlocks, g.deadlocks, "{name}.deadlocks");
         assert_eq!(r.generated, g.generated, "{name}.generated");
-        assert_eq!(r.vc_util_mean.to_bits(), g.vc_util_mean, "{name}.vc_util_mean");
+        assert_eq!(
+            r.vc_util_mean.to_bits(),
+            g.vc_util_mean,
+            "{name}.vc_util_mean"
+        );
     }
 }
 

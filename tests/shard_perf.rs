@@ -23,12 +23,8 @@ use std::time::Instant;
 /// The benchmark rung: PR on a saturated 64×64 torus, heavy enough that
 /// per-cycle network work dominates the barrier overhead.
 fn rung_cfg(shards: u32) -> SimConfig {
-    let mut cfg = SimConfig::paper_default(
-        Scheme::ProgressiveRecovery,
-        PatternSpec::pat271(),
-        4,
-        0.30,
-    );
+    let mut cfg =
+        SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.30);
     cfg.radix = vec![64, 64];
     cfg.shards = shards;
     cfg.warmup = 200;
@@ -64,8 +60,14 @@ fn four_shards_halve_the_run_wall_time() {
     let _ = timed_run(2);
     let (t1, bits1) = timed_run(1);
     let (t4, bits4) = timed_run(4);
-    assert_eq!(bits1, bits4, "results must be bit-identical across shard counts");
-    eprintln!("shard_perf: shards=1 {t1:.3}s, shards=4 {t4:.3}s ({:.2}x)", t1 / t4);
+    assert_eq!(
+        bits1, bits4,
+        "results must be bit-identical across shard counts"
+    );
+    eprintln!(
+        "shard_perf: shards=1 {t1:.3}s, shards=4 {t4:.3}s ({:.2}x)",
+        t1 / t4
+    );
     assert!(
         t4 <= t1 * 0.5,
         "64x64 saturated run on 4 shards took {t4:.3}s, more than half of \

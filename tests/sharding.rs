@@ -122,7 +122,8 @@ proptest! {
 /// shards, a mid-word final range) are valid degenerate plans.
 #[test]
 fn awkward_shard_counts_are_bit_identical() {
-    let mut cfg = SimConfig::small_test(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.40);
+    let mut cfg =
+        SimConfig::small_test(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.40);
     cfg.seed = 99;
     let reference = run_at(cfg.clone(), 1);
     // 4×4 torus = 16 routers = a fraction of one wake-set word: every
@@ -146,12 +147,8 @@ fn awkward_shard_counts_are_bit_identical() {
 /// mutations, lane transfers and wake-alls interleave identically.
 #[test]
 fn shard_twin_64x64_pr_episode() {
-    let mut cfg = SimConfig::paper_default(
-        Scheme::ProgressiveRecovery,
-        PatternSpec::pat271(),
-        4,
-        0.85,
-    );
+    let mut cfg =
+        SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.85);
     cfg.radix = vec![64, 64];
     // The token tours 8192 stops, so only captures near its origin can
     // happen inside a short window — park the hotspot there.
@@ -182,7 +179,11 @@ fn shard_twin_64x64_pr_episode() {
             "64x64 PR episode at shards={shards} diverged"
         );
         assert_eq!(
-            (reference.deadlocks, reference.rescues, reference.router_rescues),
+            (
+                reference.deadlocks,
+                reference.rescues,
+                reference.router_rescues
+            ),
             (twin.deadlocks, twin.rescues, twin.router_rescues),
             "recovery capture schedule diverged at shards={shards}"
         );
@@ -195,12 +196,8 @@ fn shard_twin_64x64_pr_episode() {
 #[test]
 fn shard_counters_separate_one_and_two_shards() {
     let _layer = OBS_LAYER.write().unwrap_or_else(PoisonError::into_inner);
-    let mut cfg = SimConfig::paper_default(
-        Scheme::ProgressiveRecovery,
-        PatternSpec::pat271(),
-        4,
-        0.25,
-    );
+    let mut cfg =
+        SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.25);
     cfg.radix = vec![16, 16];
     cfg.warmup = 100;
     cfg.measure = 300;
@@ -222,6 +219,9 @@ fn shard_counters_separate_one_and_two_shards() {
         "one shard must see no mailbox flits and no barrier waits"
     );
     let (mailbox, waits) = shard_counters(2);
-    assert!(mailbox > 0, "two shards on 16x16 must exchange mailbox flits");
+    assert!(
+        mailbox > 0,
+        "two shards on 16x16 must exchange mailbox flits"
+    );
     assert!(waits > 0, "two shards must join at the cycle barrier");
 }

@@ -132,10 +132,18 @@ fn stalled_router_counts_every_stalled_head_every_cycle() {
     for _ in 0..K {
         let before = vc_stalls();
         step(&mut net, &mut cycle);
-        assert_eq!(vc_stalls() - before, 2, "two stalled heads at cycle {cycle}");
+        assert_eq!(
+            vc_stalls() - before,
+            2,
+            "two stalled heads at cycle {cycle}"
+        );
         assert_eq!(waiting_heads(&net), 2);
         assert_eq!(net.flits_in_network(), 4);
-        assert_eq!(net.active_routers(), 1, "router 1 holds flits, so it stays awake");
+        assert_eq!(
+            net.active_routers(),
+            1,
+            "router 1 holds flits, so it stays awake"
+        );
     }
 
     // A's tail crosses router 1 and frees the VC only as it leaves, so
@@ -150,7 +158,11 @@ fn stalled_router_counts_every_stalled_head_every_cycle() {
             assert_eq!(vc_stalls() - before, 1, "one stalled head at cycle {cycle}");
             break;
         }
-        assert_eq!(vc_stalls() - before, 2, "two stalled heads at cycle {cycle}");
+        assert_eq!(
+            vc_stalls() - before,
+            2,
+            "two stalled heads at cycle {cycle}"
+        );
         assert!(cycle < K + 200, "the tail must reach router 1");
     }
 
