@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Local CI gate: build, test (incl. doctests), docs with warnings denied,
-# and clippy when the component is installed. Mirrors what changes are
-# held to — run it before sending a PR.
+# Local CI gate: format check, build, test (incl. doctests), docs with
+# warnings denied, and clippy when the component is installed. Mirrors
+# what changes are held to — run it before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release

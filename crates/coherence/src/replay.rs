@@ -77,14 +77,6 @@ impl TraceReplayTraffic {
     pub fn remaining_events(&self) -> usize {
         self.log.len() - self.next_event
     }
-
-    /// Convenience: record a fresh trace for `app` and wrap it for replay.
-    pub fn from_app(app: &AppModel, nprocs: u32, horizon: u64, seed: u64) -> Self {
-        let log = record_app_trace(app, nprocs, horizon, seed);
-        let mut s = Self::new(log, nprocs, seed);
-        s.engine = CoherenceEngine::new(nprocs, 0.05, seed).with_writeback_rate(app.writeback_rate);
-        s
-    }
 }
 
 impl TrafficSource for TraceReplayTraffic {

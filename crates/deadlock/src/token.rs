@@ -58,12 +58,6 @@ impl CirculatingToken {
         }
     }
 
-    /// Override the watchdog regeneration time-out (builder style).
-    pub fn with_regen_timeout(mut self, cycles: u64) -> Self {
-        self.regen_timeout = cycles.max(1);
-        self
-    }
-
     /// Fault injection: the token's control packet is lost in transit.
     /// Only a circulating token can be lost — during a rescue episode it
     /// travels with the rescued message under the lane's stronger

@@ -72,15 +72,6 @@ impl Engine {
         Engine::builder().cache_dir(dir).build()
     }
 
-    /// An engine around an already opened cache, on its own pool of one
-    /// worker per available core.
-    pub fn with_cache(cache: ResultCache) -> Self {
-        Engine::builder()
-            .cache(cache)
-            .build()
-            .expect("engine around an opened cache cannot fail")
-    }
-
     /// Start configuring an engine (worker count, cache location).
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
@@ -603,15 +594,6 @@ impl SweepReport {
         self.outcomes
             .iter()
             .filter_map(|o| o.result.as_ref().ok())
-            .collect()
-    }
-
-    /// The successful results by value, in job order (for call sites
-    /// that do not inspect per-point errors).
-    pub fn into_results(self) -> Vec<SimResult> {
-        self.outcomes
-            .into_iter()
-            .filter_map(|o| o.result.ok())
             .collect()
     }
 

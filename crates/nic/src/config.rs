@@ -20,31 +20,13 @@ pub struct NicConfig {
     pub detect_threshold: u64,
     /// Message-queue organization.
     pub queue_org: QueueOrg,
-    /// Preallocate an input-queue slot for the terminating reply of every
-    /// outstanding request, guaranteeing replies always sink (used by SA,
-    /// DR and the per-type "QA" configurations; off for PR's shared
-    /// queues, where reply coupling is part of the modelled behaviour).
-    pub preallocate_replies: bool,
-    /// Additionally preallocate input-queue slots for *non-terminating*
-    /// replies expected back mid-chain (the FRP a home receives after
-    /// forwarding), keeping the shared reply network deadlock-free under
-    /// deflective recovery — the Origin2000's second avoidance technique.
-    pub preallocate_return_replies: bool,
-}
-
-impl NicConfig {
-    /// The paper's defaults (Table 2 / Section 4.1) with a given queue
-    /// organization; reply preallocation follows the organization (shared
-    /// queues cannot meaningfully preallocate).
-    pub fn paper_default(queue_org: QueueOrg) -> Self {
-        NicConfig {
-            queue_capacity: 16,
-            service_time: 40,
-            mshr_limit: 16,
-            detect_threshold: 25,
-            queue_org,
-            preallocate_replies: queue_org != QueueOrg::Shared,
-            preallocate_return_replies: false,
-        }
-    }
+    /// Preallocate input-queue slots for replies, the Origin2000's
+    /// reply-network guarantee: a slot for the terminating reply of every
+    /// outstanding request, earmarked at issue, and a slot for every
+    /// non-terminating reply expected back mid-chain (the FRP a home
+    /// receives after forwarding), earmarked when the memory controller
+    /// starts the forwarding service. Only deflective recovery sets it:
+    /// SA drains each type in its own partition and PR deliberately
+    /// shares everything.
+    pub preallocate: bool,
 }

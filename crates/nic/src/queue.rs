@@ -60,6 +60,12 @@ impl MsgQueue {
         self.q.len() as u32 + self.inflight + self.earmarked
     }
 
+    /// Uncommitted slots: how many more messages could be admitted.
+    #[inline]
+    pub fn free(&self) -> u32 {
+        self.cap.saturating_sub(self.committed())
+    }
+
     /// True if a *new* (non-earmarked) message could be admitted.
     #[inline]
     pub fn has_space(&self) -> bool {
@@ -73,21 +79,15 @@ impl MsgQueue {
         !self.has_space()
     }
 
-    /// Reserve one slot for an incoming/forthcoming message. Returns false
-    /// if no space.
-    pub fn reserve(&mut self) -> bool {
-        if self.has_space() {
-            self.inflight += 1;
+    /// Reserve `n` slots for incoming/forthcoming messages, all or none.
+    /// Returns false (reserving nothing) if fewer than `n` are free.
+    pub fn reserve(&mut self, n: u32) -> bool {
+        if self.free() >= n {
+            self.inflight += n;
             true
         } else {
             false
         }
-    }
-
-    /// Release a reservation without materializing a message.
-    pub fn unreserve(&mut self) {
-        debug_assert!(self.inflight > 0);
-        self.inflight -= 1;
     }
 
     /// Materialize a previously reserved message at the tail.

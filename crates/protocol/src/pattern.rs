@@ -65,6 +65,19 @@ impl PatternSpec {
         }
     }
 
+    /// The Table 3 pattern a command-line name selects: `pat100`,
+    /// `pat721`, `pat451`, `pat271` or `pat280`.
+    pub fn from_cli_name(name: &str) -> Option<Self> {
+        Some(match name {
+            "pat100" => Self::pat100(),
+            "pat721" => Self::pat721(),
+            "pat451" => Self::pat451(),
+            "pat271" => Self::pat271(),
+            "pat280" => Self::pat280(),
+            _ => return None,
+        })
+    }
+
     /// PAT100: chain length 2 always (pure request/reply). Representative
     /// of message-passing systems and of the first three Splash-2
     /// applications (chain length 2 for 95–99% of transactions).

@@ -27,6 +27,17 @@ pub enum QueueOrg {
 }
 
 impl QueueOrg {
+    /// The organization a command-line name selects: `shared`, `pernet`
+    /// or `pertype`.
+    pub fn from_cli_name(name: &str) -> Option<QueueOrg> {
+        match name {
+            "shared" => Some(QueueOrg::Shared),
+            "pernet" => Some(QueueOrg::PerNetwork),
+            "pertype" => Some(QueueOrg::PerType),
+            _ => None,
+        }
+    }
+
     /// Number of queue pairs under this organization for `protocol`.
     pub fn queue_count(self, protocol: &ProtocolSpec) -> usize {
         match self {

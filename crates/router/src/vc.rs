@@ -102,12 +102,6 @@ impl<'a> VcRef<'a> {
         self.route().is_none() && self.front().is_some_and(|f| f.is_head())
     }
 
-    /// Packet id of the front flit, if any.
-    #[inline]
-    pub fn front_packet(&self) -> Option<MsgHandle> {
-        self.front().map(|f| f.msg)
-    }
-
     /// First cycle at which the front flit failed to advance; `None` while
     /// it is making progress.
     #[inline]

@@ -22,6 +22,21 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// The scheme a command-line name selects: `sa`, `sa+`, `dr` or `pr`.
+    pub fn from_cli_name(name: &str) -> Option<Scheme> {
+        Some(match name {
+            "sa" => Scheme::StrictAvoidance {
+                shared_adaptive: false,
+            },
+            "sa+" => Scheme::StrictAvoidance {
+                shared_adaptive: true,
+            },
+            "dr" => Scheme::DeflectiveRecovery,
+            "pr" => Scheme::ProgressiveRecovery,
+            _ => return None,
+        })
+    }
+
     /// Short label used in result tables ("SA", "SA+", "DR", "PR").
     pub fn label(&self) -> &'static str {
         match self {

@@ -91,12 +91,6 @@ impl Topology {
         self.kind
     }
 
-    /// True if wraparound links exist.
-    #[inline]
-    pub fn has_wrap(&self) -> bool {
-        self.kind == TopologyKind::Torus
-    }
-
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {
