@@ -150,9 +150,11 @@ wait "$DAEMON_PID" || {
 trap 'rm -rf "$CACHE_DIR" "$DAEMON_DIR"' EXIT
 
 echo "==> static verifier smoke (mddsim --verify)"
+# The release binary is invoked directly (built above), so the stage
+# times the verifier rather than cargo.
 verify_one() { # scheme vcs expected_verdict
     local out
-    out=$(cargo run -q -p mdd-bench --release --bin mddsim -- \
+    out=$(./target/release/mddsim \
         --verify --scheme "$1" --pattern pat271 --vcs "$2" --radix 8x8) || true
     echo "$out" | grep -q "verdict: $3" || {
         echo "verify smoke: $1 vcs=$2 expected $3, got:"; echo "$out"; exit 1; }
@@ -162,7 +164,7 @@ verify_one dr 8 RecoverableCycles
 verify_one pr 4 RecoverableCycles
 # One VC short of SA's budget must be rejected outright (exit status 3).
 set +e
-unsafe_out=$(cargo run -q -p mdd-bench --release --bin mddsim -- \
+unsafe_out=$(./target/release/mddsim \
     --verify --scheme sa --pattern pat271 --vcs 7 --radix 8x8)
 unsafe_status=$?
 set -e

@@ -35,7 +35,7 @@
 //! along the failed link's own dimension (`mdd_verify::fault_orbit_key`)
 //! and re-verifies one representative per orbit on the engine pool; in
 //! debug builds every replicated point is cross-checked against a full
-//! incremental re-verdict on topologies small enough to afford it.
+//! re-verdict on topologies small enough to afford it.
 
 use mdd_bench::cli::{die, usage, BenchCli};
 use mdd_core::{PatternSpec, Scheme, SimConfig};

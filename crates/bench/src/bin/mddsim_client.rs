@@ -19,15 +19,11 @@
 //! Defaults mirror `mddsim`: scheme `pr`, pattern `pat271`, 4 VCs on an
 //! 8x8 torus.
 
+use mdd_bench::cli::die;
 use mdd_engine::proto::{Event, Request, SweepSpec};
 use mdd_engine::DEFAULT_SOCKET;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -46,7 +46,7 @@ fn topology_of(cfg: &SimConfig) -> Topology {
 }
 
 /// Bundle `cfg` into the analysis engine's owned [`AnalysisConfig`] —
-/// the entry point for incremental re-verdicts and fault-frontier
+/// the entry point for fault re-verdicts and fault-frontier
 /// sweeps over a simulator configuration. Fails exactly when
 /// [`verify_config`] would (infeasible VC budget for the scheme).
 pub fn analysis_config(cfg: &SimConfig) -> Result<AnalysisConfig, SchemeConfigError> {
@@ -82,9 +82,7 @@ pub fn min_safe_vcs(cfg: &SimConfig) -> MinVcReport {
 fn verify_with_map(cfg: &SimConfig, map: VcMap) -> Verdict {
     let topo = topology_of(cfg);
     let routing = SchemeRouting::new(map);
-    // Quotiented entry point: identical to `verify` at the paper's sizes
-    // (the fold is the identity up to radix 9), sub-second at 64×64+.
-    mdd_verify::verify_quotiented(&VerifyInput {
+    mdd_verify::verify(&VerifyInput {
         topo: &topo,
         scheme: cfg.scheme,
         routing: &routing,

@@ -206,11 +206,9 @@ impl Nic {
         &self.cfg
     }
 
-    fn in_idx(&self, t: MsgType) -> usize {
-        self.cfg.queue_org.queue_index(self.pattern.protocol(), t)
-    }
-
-    fn out_idx(&self, t: MsgType) -> usize {
+    /// The queue pair type `t` uses: input and output queues share one
+    /// index map.
+    fn queue_idx(&self, t: MsgType) -> usize {
         self.cfg.queue_org.queue_index(self.pattern.protocol(), t)
     }
 
@@ -264,7 +262,7 @@ impl Nic {
     /// request, or a non-terminating reply returning mid-chain), otherwise
     /// a free one.
     fn reserve_input(&mut self, msg: &Message) -> Option<usize> {
-        let qi = self.in_idx(msg.mtype);
+        let qi = self.queue_idx(msg.mtype);
         let proto = self.pattern.protocol();
         let earmarked = self.cfg.preallocate
             && if proto.is_terminating(msg.mtype) {
@@ -288,7 +286,7 @@ impl Nic {
             self.backoff_inbox.push_back(h);
             return;
         }
-        let qi = self.in_idx(msg.mtype);
+        let qi = self.queue_idx(msg.mtype);
         self.in_q[qi].push_reserved(h);
     }
 
@@ -303,12 +301,12 @@ impl Nic {
         if self.mshrs_in_use >= self.cfg.mshr_limit {
             return false;
         }
-        if !self.out_q[self.out_idx(first_type)].has_space() {
+        if !self.out_q[self.queue_idx(first_type)].has_space() {
             return false;
         }
         if self.cfg.preallocate {
             let term = self.pattern.protocol().terminating_type();
-            if !self.in_q[self.in_idx(term)].has_space() {
+            if !self.in_q[self.queue_idx(term)].has_space() {
                 return false;
             }
         }
@@ -324,11 +322,11 @@ impl Nic {
         self.mshrs_in_use += 1;
         if self.cfg.preallocate {
             let term = self.pattern.protocol().terminating_type();
-            let qi = self.in_idx(term);
+            let qi = self.queue_idx(term);
             let ok = self.in_q[qi].earmark();
             debug_assert!(ok, "can_issue_request guaranteed earmark space");
         }
-        let oq = self.out_idx(mtype);
+        let oq = self.queue_idx(mtype);
         self.out_q[oq]
             .push_new(h)
             .expect("can_issue_request guaranteed output space");
@@ -441,7 +439,7 @@ impl Nic {
     /// without bound).
     fn reissue_pending(&mut self, store: &MessageStore) {
         while let Some(&h) = self.pending_reissue.front() {
-            let oq = self.out_idx(store.get(h).mtype);
+            let oq = self.queue_idx(store.get(h).mtype);
             if !self.out_q[oq].has_space() {
                 break;
             }
@@ -475,7 +473,7 @@ impl Nic {
                     let (oq, slots) = out_reserved.expect("normal service reserved output");
                     debug_assert_eq!(slots as usize, subs.len());
                     for sub in subs {
-                        debug_assert_eq!(oq, self.out_idx(store.get(sub).mtype));
+                        debug_assert_eq!(oq, self.queue_idx(store.get(sub).mtype));
                         self.out_q[oq].push_reserved(sub);
                     }
                 }
@@ -527,7 +525,7 @@ impl Nic {
                 ServicePlan::Sink => continue, // drained before the MC
                 ServicePlan::JoinIntermediate => None,
                 ServicePlan::Generate { sub, fanout } => {
-                    let oq = self.out_idx(sub);
+                    let oq = self.queue_idx(sub);
                     let ok = self.out_q[oq].reserve(fanout);
                     debug_assert!(ok, "head_blocker found output room");
                     if let Some(rq) = self.return_earmark(m) {
@@ -619,7 +617,7 @@ impl Nic {
         }
         let ret_type = shape.mtype(pos + 2);
         if m.resolve_target(shape.target(pos + 2)) == self.id {
-            Some(self.in_idx(ret_type))
+            Some(self.queue_idx(ret_type))
         } else {
             None
         }
@@ -638,7 +636,7 @@ impl Nic {
         let ServicePlan::Generate { sub, fanout } = self.peek_plan(m) else {
             return None; // sinkable and join-intermediate heads never wait
         };
-        let free = self.out_q[self.out_idx(sub)].free();
+        let free = self.out_q[self.queue_idx(sub)].free();
         if free < fanout {
             return Some(Blocker::Output {
                 sub,
@@ -785,7 +783,7 @@ impl Nic {
         else {
             return false;
         };
-        let bq = self.out_idx(bkf);
+        let bq = self.queue_idx(bkf);
         if !self.out_q[bq].has_space() {
             return false; // reply output full; replies drain, so retry later
         }
@@ -917,7 +915,7 @@ impl Nic {
         h: MsgHandle,
         store: &MessageStore,
     ) -> Result<(), MsgHandle> {
-        let oq = self.out_idx(store.get(h).mtype);
+        let oq = self.queue_idx(store.get(h).mtype);
         self.out_q[oq].push_new(h)
     }
 

@@ -114,9 +114,11 @@ pub enum CounterId {
     /// (full topology size minus the folded representative's size, per
     /// quotiented verification).
     VerifyOrbitReduction,
-    /// Dependency-graph segments the incremental fault re-verifier reused
-    /// from the base analysis instead of rebuilding (one per clean
-    /// (message type, destination) sweep).
+    /// Dependency-graph segments a fault re-verdict reused from the base
+    /// analysis. Nothing writes it any more: every re-verdict builds its
+    /// whole graph, so it reads 0, and with it the benchmark's
+    /// `verify.incremental_hit_frac`. Kept only because the benchmark
+    /// names it; due for deletion at its next revision.
     AnalyzeIncrementalHits,
     /// Fault points assigned a verdict by a fault-frontier sweep.
     FaultPointsClassified,

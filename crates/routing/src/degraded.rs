@@ -16,9 +16,7 @@
 //!   BFS distances equal minimal-hop distances, so the productive
 //!   directions coincide, and the escape choice (first productive
 //!   direction in dimension order, ties toward `Plus`) reproduces
-//!   dimension-order routing's `dor_direction` exactly. This is what lets
-//!   the incremental verifier reuse unaffected dependency-graph segments
-//!   byte-for-byte.
+//!   dimension-order routing's `dor_direction` exactly.
 //! * **No candidates when stranded.** A packet at a router with no live
 //!   path to its destination gets an *empty* candidate set rather than a
 //!   panic; the verifier turns such stranded occupants into an `Unsafe`

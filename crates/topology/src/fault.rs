@@ -3,7 +3,7 @@
 //! A [`FaultSet`] is a sparse delta over a base [`Topology`]: a bitset of
 //! failed unidirectional inter-router links plus a bitset of failed
 //! routers. The base topology object is never mutated — every consumer
-//! (degraded routing, the incremental verifier) interprets the pair
+//! (degraded routing, the verifier) interprets the pair
 //! `(topology, faults)` together, which is what makes fault sweeps cheap:
 //! one immutable topology, hundreds of tiny deltas.
 //!

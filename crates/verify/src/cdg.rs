@@ -18,10 +18,10 @@
 //!
 //! Construction is *segmented*: each (type, destination) sweep produces an
 //! independent [`Segment`] with local class ids, and [`assemble`]
-//! concatenates segments into a [`StaticCdg`]. Segments are the unit of
-//! incremental reuse — a fault set that provably cannot change a
-//! destination's candidate structure lets the incremental verifier splice
-//! the base segment in byte-for-byte (see `crate::incremental`).
+//! concatenates segments into a [`StaticCdg`]. [`cdg`] is the one builder
+//! every analysis uses — pristine or degraded, full or folded topology;
+//! `crate::incremental::verify_faulted` keeps its own underived loop as
+//! the reference it is checked against.
 //!
 //! Deflective-recovery preallocation is modelled faithfully: message
 //! types whose every chain occurrence is covered by an input-queue
@@ -83,15 +83,14 @@ pub(crate) enum ClassKind {
 ///
 /// Candidates and memberships are stored flat (CSR for the candidates,
 /// class-sorted pairs for the memberships), per-class sorted and
-/// deduplicated by [`Segment::finalize`]. Flat storage keeps the segment
-/// cache allocation-light and makes [`assemble`] a pure concatenation —
-/// the assembly used to clone one `Vec` per class and dominated the
-/// degraded re-verdict wall time once a few hundred thousand classes were
-/// live.
+/// deduplicated by [`Segment::finalize`]. Flat storage keeps segments
+/// allocation-light and makes [`assemble`] a pure concatenation — one
+/// `Vec` per class dominated the degraded re-verdict wall time once a
+/// few hundred thousand classes were live.
 ///
-/// Equality is derived and byte-exact, which is what the incremental
-/// verifier's debug cross-check leans on: a reused segment must be
-/// *identical* to what a from-scratch degraded build would have produced.
+/// Equality is derived and byte-exact: a retyped segment
+/// ([`retype_segment`]) must be *identical* to what a from-scratch build
+/// of its type would have produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Segment {
     /// Class descriptors, by local class id.
@@ -338,6 +337,92 @@ fn scratch_packet(t: MsgType) -> (MessageStore, PacketState) {
     (store, pkt)
 }
 
+/// The static CDG of `input` over `routing`: every (net type,
+/// destination) packet segment, type-major, then the endpoint segment,
+/// assembled. `routing` is the scheme's base function for a pristine
+/// analysis or a fault-steered `DegradedRouting` under `faults`.
+///
+/// A type routing-interchangeable with an earlier one
+/// ([`interchangeable_earlier_type`]) skips its BFS: each of its segments
+/// is the earlier type's, retyped ([`retype_segment`]). This is the only
+/// construction the analyses run; `verify_faulted` builds every segment
+/// underived and the agreement tests hold the two equal.
+pub(crate) fn cdg<'a>(
+    input: &VerifyInput<'a>,
+    routing: &dyn Routing,
+    faults: Option<&FaultSet>,
+) -> StaticCdg<'a> {
+    let layout = crate::layout_for(input);
+    let types = net_types(input);
+    let guaranteed = guaranteed_ejection(input);
+    let nnics = input.topo.num_nics() as usize;
+    let mut packet: Vec<Segment> = Vec::with_capacity(types.len() * nnics);
+    for (ti, &t) in types.iter().enumerate() {
+        let twin = interchangeable_earlier_type(input, &types[..ti], t, &guaranteed);
+        for (di, dst) in input.topo.nics().enumerate() {
+            let seg = match twin {
+                Some((t0i, t0)) => retype_segment(
+                    &packet[t0i * nnics + di],
+                    t,
+                    eject_patch(input, &layout, t0, t, dst),
+                ),
+                None => packet_segment(
+                    input,
+                    routing,
+                    &layout,
+                    t,
+                    dst,
+                    guaranteed[t.index()],
+                    faults,
+                ),
+            };
+            packet.push(seg);
+        }
+    }
+    let endpoint = endpoint_segment(input, &layout, faults);
+    assemble(input, packet.iter().chain(std::iter::once(&endpoint)))
+}
+
+/// The earliest already-built net type whose packet segments can stand in
+/// for `t`'s via [`retype_segment`]: identical [`mdd_routing::TypeVcs`]
+/// (the BFS visits the same states and emits the same candidate VCs, both
+/// pristine and degraded — `DegradedRouting` consults only the type's VC
+/// set) and identical guaranteed-ejection status (same sink structure).
+/// Under PR's uniform fully adaptive map every type collapses onto the
+/// first; partitioned maps (SA, DR) never match.
+fn interchangeable_earlier_type(
+    input: &VerifyInput<'_>,
+    earlier: &[MsgType],
+    t: MsgType,
+    guaranteed: &[bool],
+) -> Option<(usize, MsgType)> {
+    let map = input.routing.map();
+    earlier.iter().copied().enumerate().find(|&(_, t0)| {
+        guaranteed[t0.index()] == guaranteed[t.index()] && *map.for_type(t0) == *map.for_type(t)
+    })
+}
+
+/// The ejection-wait vertex substitution between two interchangeable
+/// types' segments for `dst` (`None` when the queue organization maps
+/// both types to the same destination input queue).
+fn eject_patch(
+    input: &VerifyInput<'_>,
+    layout: &ResourceLayout,
+    t0: MsgType,
+    t: MsgType,
+    dst: NicId,
+) -> Option<(u32, u32)> {
+    let proto = input.pattern.protocol();
+    let q0 = input.queue_org.queue_index(proto, t0);
+    let q1 = input.queue_org.queue_index(proto, t);
+    (q0 != q1).then(|| {
+        (
+            layout.in_queue_vertex(dst, q0),
+            layout.in_queue_vertex(dst, q1),
+        )
+    })
+}
+
 /// Router-VC classes for one (message type, destination NIC): the BFS per
 /// `(router, dateline mask)` state driving `routing`'s real candidate
 /// function. `routing` is the scheme's base function for a pristine
@@ -349,7 +434,6 @@ fn scratch_packet(t: MsgType) -> (MessageStore, PacketState) {
 /// candidate set comes back *empty* (stranded mid-route by the fault set)
 /// is kept as a non-sink class with no candidates — the classifier turns
 /// it into an `Unsafe` verdict.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn packet_segment(
     input: &VerifyInput<'_>,
     routing: &dyn Routing,
@@ -358,7 +442,6 @@ pub(crate) fn packet_segment(
     dst: NicId,
     guaranteed_t: bool,
     faults: Option<&FaultSet>,
-    size_hint: Option<&Segment>,
 ) -> Segment {
     let topo = input.topo;
     let proto = input.pattern.protocol();
@@ -368,14 +451,6 @@ pub(crate) fn packet_segment(
     let mut seg = Segment::default();
     if faults.is_some_and(|f| f.router_down(dst_router)) {
         return seg;
-    }
-    // A degraded rebuild lands within a few classes of the base segment
-    // it replaces; reserving the base's sizes up front removes the growth
-    // reallocations that otherwise dominate a full-sweep rebuild.
-    if let Some(h) = size_hint {
-        seg.kind.reserve(h.kind.len() + 8);
-        seg.sink.reserve(h.sink.len() + 8);
-        seg.membership.reserve(h.membership.len() + 16);
     }
 
     let (_store, mut pkt) = scratch_packet(t);
@@ -396,10 +471,15 @@ pub(crate) fn packet_segment(
         1
     };
     let mut state_class: Vec<u32> = vec![u32::MAX; nr * masks];
+    // One class per BFS state at most; reserving that bound (and a
+    // small multiple for the edge lists) saves the growth reallocations
+    // that cost an 8×8 frontier sweep about a tenth of its time.
+    seg.kind.reserve(nr * masks);
+    seg.sink.reserve(nr * masks);
+    seg.membership.reserve(2 * nr * masks);
     let mut stack: Vec<(NodeId, u8)> = Vec::new();
     let mut rc_buf: Vec<RouteCandidate> = Vec::new();
-    let mut cand_pairs: Vec<(u32, u32)> =
-        Vec::with_capacity(size_hint.map_or(0, |h| h.cands.len() + 16));
+    let mut cand_pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * nr * masks);
 
     // Seed: injections from every other endpoint, occupying the
     // local-port VCs the routing function admits at injection.
@@ -636,12 +716,11 @@ pub(crate) fn assemble<'a, 'i>(
 /// candidate VCs) and identical guaranteed-ejection status. The derived
 /// segment differs from `seg` only in the type recorded in its class
 /// descriptors and — when `eject` is `Some((old, new))` — in the
-/// destination input-queue vertex its ejection classes wait on. The
-/// incremental verifier uses this to skip the second BFS per destination
-/// under PR's uniform fully adaptive map; `verify_faulted` never does, so
-/// the debug cross-checks validate every derivation against an honest
-/// from-scratch build.
-pub(crate) fn retype_segment(seg: &Segment, to_t: MsgType, eject: Option<(u32, u32)>) -> Segment {
+/// destination input-queue vertex its ejection classes wait on. [`cdg`]
+/// uses this to skip the second BFS per destination under PR's uniform
+/// fully adaptive map; `verify_faulted` never does, so the agreement
+/// checks validate every derivation against an honest from-scratch build.
+fn retype_segment(seg: &Segment, to_t: MsgType, eject: Option<(u32, u32)>) -> Segment {
     let mut out = seg.clone();
     for k in &mut out.kind {
         if let ClassKind::Packet { mtype, .. } = k {

@@ -10,11 +10,9 @@
 //! ## Fault-orbit memoization
 //!
 //! A full single-link sweep of a 16×16 torus is 512 degraded re-verdicts;
-//! at ~1 s per from-scratch 16×16 build that is far outside interactive
-//! budgets, and (on even-radix tori) the incremental segment reuse of
-//! `crate::incremental` cannot help — every link is minimally productive
-//! toward every destination. What *does* collapse the sweep is the same
-//! symmetry the PR 8 orbit quotient exploits, applied to fault points:
+//! at ~1 s per 16×16 build that is far outside interactive budgets. What
+//! collapses the sweep is the same symmetry the orbit quotient of
+//! [`verify`](crate::verify) exploits, applied to fault points:
 //! torus routing is translation-equivariant up to dateline relabeling, so
 //! two fault sets related by a torus translation produce isomorphic
 //! degraded dependency structures and identical verdict ranks. Fault
@@ -22,11 +20,11 @@
 //! one representative per orbit is re-verified; a 512-point single-link
 //! sweep costs `dims` representative verdicts.
 //!
-//! The guardrails mirror PR 8: in debug builds every memoized replication
-//! (on topologies small enough to afford it) is re-derived individually
-//! and must agree, and meshes — which have no translation symmetry — get
-//! per-point keys, i.e. no memoization at all (there the incremental
-//! segment reuse carries the cost instead). A frontier report therefore
+//! The guardrails mirror the orbit quotient's: in debug builds every
+//! memoized replication (on topologies small enough to afford it) is
+//! re-derived individually and must agree, and meshes — which have no
+//! translation symmetry — get per-point keys, i.e. no memoization at
+//! all. A frontier report therefore
 //! *claims* exactly what was computed: every point's verdict equals the
 //! representative's, which equals a from-scratch degraded analysis in
 //! every cross-checked build.
@@ -107,7 +105,7 @@ impl FrontierReport {
     /// assembly point shared by the sequential sweep below and the
     /// engine's pool-parallel sweep. In debug builds on topologies with
     /// ≤ 64 routers, every point's rank is re-derived by the full
-    /// incremental re-verdict (itself cross-checked from scratch) and
+    /// re-verdict (itself cross-checked from scratch) and
     /// must agree — the guardrail that keeps orbit memoization honest.
     pub fn assemble(
         base: &BaseAnalysis,

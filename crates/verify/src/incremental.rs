@@ -1,52 +1,26 @@
-//! Incremental re-verdicts over degraded topologies.
+//! Re-verdicts over degraded topologies.
 //!
-//! A fault set is a *delta* over the base topology, and most of the
-//! static CDG does not depend on the faulted channels: the per-(message
-//! type, destination) packet segments (`cdg::Segment`) are independent
-//! constructions, and a segment whose destination provably cannot observe
-//! the fault set is **byte-identical** between the base and the degraded
-//! analysis. [`BaseAnalysis`] therefore caches the base segments once and
-//! [`BaseAnalysis::reverify`] rebuilds only the dirty ones with the
-//! fault-steered [`DegradedRouting`], splicing clean base segments in
-//! unchanged (counted by `analyze_incremental_hits`).
+//! A fault set is a *delta* over the base topology. [`BaseAnalysis`]
+//! holds one configuration and its pristine verdict;
+//! [`BaseAnalysis::reverify`] classifies the configuration with a fault
+//! set applied by building the degraded CDG with the same builder as the
+//! pristine analysis (`cdg::cdg`), over the fault-steered
+//! [`DegradedRouting`](mdd_routing::DegradedRouting).
 //!
-//! ## When is a destination clean?
-//!
-//! A destination router `r` is clean under fault set `F` when:
-//!
-//! 1. no router failed (a dead endpoint changes seeding everywhere);
-//! 2. the degraded BFS distance field to `r` equals the closed-form
-//!    minimal distance at *every* router (no detours toward `r`); and
-//! 3. no failed directed link is minimally productive toward `r` (no
-//!    router near the fault loses a candidate toward `r`).
-//!
-//! Under 1–3, [`DegradedRouting`] emits exactly the base
-//! `SchemeRouting`'s candidate vector at every state of `r`'s sweep
-//! (strictly-distance-decreasing directions coincide with minimal
-//! directions, and the degraded escape — first productive direction in
-//! dimension order, `Plus` on ties — reproduces `dor_direction`), so the
-//! segment a fresh degraded build would produce is the cached one. The
-//! debug build re-derives every degraded analysis from scratch and
-//! asserts full verdict *and witness* equality (the same guardrail
-//! pattern as the orbit quotient's cross-check).
-//!
-//! Note the honest failure mode of this cleanness rule: on meshes and
-//! even-radix tori every link is minimally productive toward every
-//! destination in one of its two directions (on a mesh trivially; on an
-//! even torus because wrap distances never tie strictly), so a link fault
-//! dirties *all* segments and the incremental path degrades gracefully to
-//! a from-scratch degraded build. Odd-radix tori, whose wrap ties leave
-//! whole coordinate slabs minimally indifferent to a given link, see real
-//! reuse. The fault-frontier sweep (`crate::frontier`) layers a second,
-//! orthogonal reduction (fault-orbit memoization along the failed link's
-//! dimension) on top to keep full sweeps fast either way.
+//! [`verify_faulted`] is the reference: it builds every segment from
+//! scratch and never derives one type's segments from another's. Debug
+//! builds cross-check every `reverify` against it (verdict *and*
+//! rendered witness), and `tests/incremental_agreement.rs` holds the two
+//! equal in every build, the empty fault set included. The fault-frontier
+//! sweep (`crate::frontier`) keeps full sweeps fast with fault-orbit
+//! memoization on top.
 
-use crate::cdg::{self, Segment};
+use crate::cdg;
 use crate::{classify_graph, layout_for, Verdict, VerifyInput};
-use mdd_obs::{counter_add, CounterId};
-use mdd_protocol::{MsgType, PatternSpec, QueueOrg};
-use mdd_routing::{Scheme, SchemeRouting};
-use mdd_topology::{Direction, FaultSet, NodeId, Topology};
+use mdd_protocol::{PatternSpec, QueueOrg};
+use mdd_router::Routing;
+use mdd_routing::{DegradedRouting, Scheme, SchemeRouting};
+use mdd_topology::{FaultSet, Topology};
 
 /// An owned configuration for the analysis engine: everything
 /// [`VerifyInput`] borrows, in one movable bundle (the engine and CLI
@@ -101,68 +75,20 @@ impl AnalysisConfig {
     }
 }
 
-/// A fully-built base analysis: the pristine verdict plus the cached
-/// segments incremental re-verdicts splice from.
+/// A configuration and its pristine verdict, the base that fault sets
+/// are re-verdicted against.
 #[derive(Debug)]
 pub struct BaseAnalysis {
     cfg: AnalysisConfig,
     base_verdict: Verdict,
-    net_types: Vec<MsgType>,
-    guaranteed: Vec<bool>,
-    /// Packet segments, indexed `type_index * num_nics + dst.index()`.
-    packet: Vec<Segment>,
-    /// Endpoint segment (carries the deflection-credit overlay).
-    endpoint: Segment,
 }
 
 impl BaseAnalysis {
-    /// Build the base analysis: one full enumeration, after which every
-    /// [`BaseAnalysis::reverify`] call pays only for what a fault set
-    /// actually perturbs.
+    /// Classify the pristine configuration by full enumeration.
     pub fn analyze(cfg: AnalysisConfig) -> BaseAnalysis {
-        let (net_types, guaranteed, packet, endpoint, base_verdict) = {
-            let input = cfg.input();
-            let layout = layout_for(&input);
-            let net_types = cdg::net_types(&input);
-            let guaranteed = cdg::guaranteed_ejection(&input);
-            let nnics = input.topo.num_nics() as usize;
-            let mut packet: Vec<Segment> = Vec::with_capacity(net_types.len() * nnics);
-            for (ti, &t) in net_types.iter().enumerate() {
-                let twin = interchangeable_earlier_type(&input, &net_types[..ti], t, &guaranteed);
-                for (di, dst) in input.topo.nics().enumerate() {
-                    let seg = match twin {
-                        Some((t0i, t0)) => cdg::retype_segment(
-                            &packet[t0i * nnics + di],
-                            t,
-                            eject_patch(&input, &layout, t0, t, dst),
-                        ),
-                        None => cdg::packet_segment(
-                            &input,
-                            input.routing,
-                            &layout,
-                            t,
-                            dst,
-                            guaranteed[t.index()],
-                            None,
-                            None,
-                        ),
-                    };
-                    packet.push(seg);
-                }
-            }
-            let endpoint = cdg::endpoint_segment(&input, &layout, None);
-            let graph = cdg::assemble(&input, packet.iter().chain(std::iter::once(&endpoint)));
-            let base_verdict = classify_graph(&input, input.topo, None, &graph);
-            (net_types, guaranteed, packet, endpoint, base_verdict)
-        };
-        BaseAnalysis {
-            cfg,
-            base_verdict,
-            net_types,
-            guaranteed,
-            packet,
-            endpoint,
-        }
+        let input = cfg.input();
+        let base_verdict = crate::classify(&input, input.topo);
+        BaseAnalysis { cfg, base_verdict }
     }
 
     /// The configuration this analysis was built for.
@@ -175,89 +101,15 @@ impl BaseAnalysis {
         &self.base_verdict
     }
 
-    /// Splice the degraded segment set: rebuild the dirty packet
-    /// segments over the fault-steered routing, keep the clean ones as
-    /// `None` (use the cached base segment), and bump
-    /// `analyze_incremental_hits` for every reuse.
-    fn rebuild_dirty(&self, faults: &FaultSet, fields: &[Vec<u32>]) -> Vec<Option<Segment>> {
-        let input = self.cfg.input();
-        let topo = &self.cfg.topo;
-        let layout = layout_for(&input);
-        let degraded = mdd_routing::DegradedRouting::new(&self.cfg.routing, faults, fields);
-        let nnics = topo.num_nics() as usize;
-        let mut reused = 0u64;
-        let mut rebuilt: Vec<Option<Segment>> = Vec::with_capacity(self.packet.len());
-        let mut dst_router_clean: Vec<Option<bool>> = vec![None; topo.num_routers() as usize];
-        for (ti, &t) in self.net_types.iter().enumerate() {
-            let twin =
-                interchangeable_earlier_type(&input, &self.net_types[..ti], t, &self.guaranteed);
-            for (di, dst) in topo.nics().enumerate() {
-                let r = topo.nic_router(dst);
-                let clean = *dst_router_clean[r.index()]
-                    .get_or_insert_with(|| dst_clean(topo, faults, &fields[r.index()], r));
-                if clean {
-                    reused += 1;
-                    rebuilt.push(None);
-                    continue;
-                }
-                // A dirty destination is dirty for every type, so an
-                // interchangeable earlier type's rebuilt segment is
-                // always present to derive from.
-                let seg = match twin {
-                    Some((t0i, t0)) => cdg::retype_segment(
-                        rebuilt[t0i * nnics + di]
-                            .as_ref()
-                            .expect("dst cleanliness is type-independent"),
-                        t,
-                        eject_patch(&input, &layout, t0, t, dst),
-                    ),
-                    None => cdg::packet_segment(
-                        &input,
-                        &degraded,
-                        &layout,
-                        t,
-                        dst,
-                        self.guaranteed[t.index()],
-                        Some(faults),
-                        Some(&self.packet[ti * nnics + di]),
-                    ),
-                };
-                rebuilt.push(Some(seg));
-            }
-        }
-        if faults.num_failed_routers() == 0 {
-            reused += 1;
-        }
-        counter_add(CounterId::AnalyzeIncrementalHits, reused);
-        rebuilt
+    /// The CDG of the configuration with `faults` applied, routed by the
+    /// fault-steered [`DegradedRouting`].
+    fn degraded_cdg(&self, faults: &FaultSet) -> cdg::StaticCdg<'_> {
+        let fields = faults.distance_fields(&self.cfg.topo);
+        let degraded = DegradedRouting::new(&self.cfg.routing, faults, &fields);
+        cdg::cdg(&self.cfg.input(), &degraded, Some(faults))
     }
 
-    /// Assemble the degraded CDG from the spliced segment set produced by
-    /// [`BaseAnalysis::rebuild_dirty`] (deflection-credit overlay edges
-    /// ride along in the graph's `deflection_extra`).
-    fn assemble_degraded<'s>(
-        &'s self,
-        input: &VerifyInput<'s>,
-        faults: &FaultSet,
-        rebuilt: &[Option<Segment>],
-    ) -> cdg::StaticCdg<'s> {
-        let ep = if faults.num_failed_routers() == 0 {
-            self.endpoint.clone()
-        } else {
-            let layout = layout_for(input);
-            cdg::endpoint_segment(input, &layout, Some(faults))
-        };
-        let segs = self
-            .packet
-            .iter()
-            .zip(rebuilt)
-            .map(|(base, re)| re.as_ref().unwrap_or(base));
-        let all: Vec<&Segment> = segs.chain(std::iter::once(&ep)).collect();
-        cdg::assemble(input, all)
-    }
-
-    /// Re-classify the configuration with `faults` applied, reusing every
-    /// base segment the fault set provably cannot have changed. In debug
+    /// Re-classify the configuration with `faults` applied. In debug
     /// builds (≤ 256 routers) the result is cross-checked for full
     /// verdict and witness equality against [`verify_faulted`]'s
     /// from-scratch degraded build.
@@ -267,9 +119,7 @@ impl BaseAnalysis {
         }
         let input = self.cfg.input();
         let topo = &self.cfg.topo;
-        let fields = faults.distance_fields(topo);
-        let rebuilt = self.rebuild_dirty(faults, &fields);
-        let graph = self.assemble_degraded(&input, faults, &rebuilt);
+        let graph = self.degraded_cdg(faults);
         let verdict = classify_graph(&input, topo, Some(faults), &graph);
         drop(graph);
 
@@ -279,7 +129,7 @@ impl BaseAnalysis {
             assert_eq!(
                 (verdict.name(), verdict.witness().map(|w| &w.rendered)),
                 (scratch.name(), scratch.witness().map(|w| &w.rendered)),
-                "incremental re-verdict diverged from from-scratch degraded analysis for {}",
+                "re-verdict diverged from the from-scratch degraded analysis for {}",
                 faults.label(),
             );
         }
@@ -293,8 +143,6 @@ impl BaseAnalysis {
     /// fault by the caller; everything computed here is
     /// translation-equivariant.
     pub fn reverify_outcome(&self, faults: &FaultSet) -> FaultOutcome {
-        let input = self.cfg.input();
-        let topo = &self.cfg.topo;
         if faults.is_empty() {
             return match self.base_verdict.rank() {
                 2 => FaultOutcome::AllSafe,
@@ -304,9 +152,7 @@ impl BaseAnalysis {
                 },
             };
         }
-        let fields = faults.distance_fields(topo);
-        let rebuilt = self.rebuild_dirty(faults, &fields);
-        let graph = self.assemble_degraded(&input, faults, &rebuilt);
+        let graph = self.degraded_cdg(faults);
         if crate::strand_witness(&graph).is_some() {
             return FaultOutcome::Stranded;
         }
@@ -340,101 +186,35 @@ pub enum FaultOutcome {
     },
 }
 
-/// The earliest already-built net type whose packet segments can stand in
-/// for `t`'s via [`cdg::retype_segment`]: identical [`mdd_routing::TypeVcs`]
-/// (the BFS visits the same states and emits the same candidate VCs, both
-/// pristine and degraded — `DegradedRouting` consults only the type's VC
-/// set) and identical guaranteed-ejection status (same sink structure).
-/// Under PR's uniform fully adaptive map every type collapses onto the
-/// first; partitioned maps (SA, DR) never match.
-fn interchangeable_earlier_type(
-    input: &VerifyInput<'_>,
-    earlier: &[MsgType],
-    t: MsgType,
-    guaranteed: &[bool],
-) -> Option<(usize, MsgType)> {
-    let map = input.routing.map();
-    earlier.iter().copied().enumerate().find(|&(_, t0)| {
-        guaranteed[t0.index()] == guaranteed[t.index()] && *map.for_type(t0) == *map.for_type(t)
-    })
-}
-
-/// The ejection-wait vertex substitution between two interchangeable
-/// types' segments for `dst` (`None` when the queue organization maps
-/// both types to the same destination input queue).
-fn eject_patch(
-    input: &VerifyInput<'_>,
-    layout: &mdd_deadlock::ResourceLayout,
-    t0: MsgType,
-    t: MsgType,
-    dst: mdd_topology::NicId,
-) -> Option<(u32, u32)> {
-    let proto = input.pattern.protocol();
-    let q0 = input.queue_org.queue_index(proto, t0);
-    let q1 = input.queue_org.queue_index(proto, t);
-    (q0 != q1).then(|| {
-        (
-            layout.in_queue_vertex(dst, q0),
-            layout.in_queue_vertex(dst, q1),
-        )
-    })
-}
-
-/// Is destination router `r` provably unaffected by `faults`? See the
-/// module docs for the three conditions and why they make the cached
-/// base segment byte-identical to a fresh degraded build.
-fn dst_clean(topo: &Topology, faults: &FaultSet, field: &[u32], r: NodeId) -> bool {
-    if faults.num_failed_routers() > 0 {
-        return false;
-    }
-    if topo
-        .routers()
-        .any(|n| field[n.index()] != topo.distance(n, r))
-    {
-        return false;
-    }
-    // A directed link (a -> b) participates in minimal routing toward `r`
-    // exactly when stepping to `b` decreases the (per-dimension
-    // decomposable) minimal distance.
-    let productive_toward = |a: NodeId, d: usize, dir: Direction| -> bool {
-        match topo.neighbor(a, d, dir) {
-            Some(b) => topo.distance(b, r) < topo.distance(a, r),
-            None => false,
-        }
-    };
-    !faults.failed_links().iter().any(|&(u, d, dir)| {
-        let v = topo
-            .neighbor(u, d, dir)
-            .expect("failed links exist in the topology");
-        productive_toward(u, d, dir) || productive_toward(v, d, dir.opposite())
-    })
-}
-
 /// From-scratch static classification of `input` with `faults` applied:
-/// every segment is rebuilt over the fault-steered routing. This is the
-/// oracle the incremental path is cross-checked against; it is also the
-/// entry point when no [`BaseAnalysis`] is worth amortizing.
+/// every segment is built over the fault-steered routing (the scheme's
+/// own routing for an empty set), none derived from another. This is the
+/// oracle the segment builder's retype derivation is checked against,
+/// pristine and degraded.
 pub fn verify_faulted(input: &VerifyInput<'_>, faults: &FaultSet) -> Verdict {
-    if faults.is_empty() {
-        return crate::verify(input);
-    }
     let topo = input.topo;
     let layout = layout_for(input);
     let fields = faults.distance_fields(topo);
-    let degraded = mdd_routing::DegradedRouting::new(input.routing, faults, &fields);
+    let degraded = DegradedRouting::new(input.routing, faults, &fields);
+    // An empty set routes by the scheme's own function, as the pristine
+    // analysis does.
+    let routing: &dyn Routing = if faults.is_empty() {
+        input.routing
+    } else {
+        &degraded
+    };
     let guaranteed = cdg::guaranteed_ejection(input);
     let mut packet = Vec::new();
     for t in cdg::net_types(input) {
         for dst in topo.nics() {
             packet.push(cdg::packet_segment(
                 input,
-                &degraded,
+                routing,
                 &layout,
                 t,
                 dst,
                 guaranteed[t.index()],
                 Some(faults),
-                None,
             ));
         }
     }

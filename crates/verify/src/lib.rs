@@ -178,14 +178,10 @@ impl fmt::Display for Verdict {
 /// when cycles remain — judges them against the scheme's drain
 /// mechanism. Bumps the `verify_proven_free` / `verify_unsafe`
 /// observability counters for the terminal verdicts.
-pub fn verify(input: &VerifyInput<'_>) -> Verdict {
-    classify(input, input.topo)
-}
-
-/// Statically classify a configuration via the torus orbit quotient.
 ///
-/// Torus routing here is *vertex-transitive*: the candidate set a scheme
-/// offers depends only on the offset to the destination (via
+/// Large tori are classified through their orbit quotient. Torus routing
+/// here is *vertex-transitive*: the candidate set a scheme offers depends
+/// only on the offset to the destination (via
 /// [`MinimalHops`](mdd_topology::MinimalHops)), the packet's
 /// dateline-crossing mask, and the message type — never on absolute
 /// coordinates. Two torus configurations that agree per dimension on (a)
@@ -194,22 +190,24 @@ pub fn verify(input: &VerifyInput<'_>) -> Verdict {
 /// with identical local dependency structure, and the escape-peel verdict
 /// is a property of that structure, not of the router count. So instead
 /// of enumerating every `(router, dateline-mask)` state of a 64×64 torus
-/// (~hundreds of millions of occupant classes), fold each dimension's
-/// radix down to the smallest radix with the same parity (capped at 8/9),
-/// verify the folded representative exhaustively, and replicate its
-/// verdict.
+/// (~hundreds of millions of occupant classes), each dimension's radix is
+/// folded down to the smallest radix with the same parity (capped at
+/// 8/9), the folded representative is verified exhaustively, and its
+/// verdict is replicated. The fold is the identity on radix ≤ 9 and on
+/// meshes.
 ///
 /// Two soundness guards:
 /// - the progressive-recovery ring coverage check runs against the *full*
 ///   topology (it is O(routers), cheap at any size, and genuinely
 ///   size-dependent);
-/// - in debug builds, configurations small enough to enumerate fully
-///   (≤ 256 routers) are cross-checked against [`verify`] and must agree.
+/// - in debug builds, folded configurations small enough to enumerate
+///   fully (≤ 256 routers) are cross-checked against the full enumeration
+///   and must agree.
 ///
 /// Non-torus (mesh) topologies are not vertex-transitive — boundary
-/// routers see different candidate sets — so they fall back to the full
-/// enumeration unchanged.
-pub fn verify_quotiented(input: &VerifyInput<'_>) -> Verdict {
+/// routers see different candidate sets — so they are enumerated in
+/// full.
+pub fn verify(input: &VerifyInput<'_>) -> Verdict {
     let topo = input.topo;
     let folded_radix: Vec<u32> = (0..topo.dims())
         .map(|d| fold_radix(topo.radix(d)))
@@ -259,46 +257,23 @@ fn fold_radix(k: u32) -> u32 {
     }
 }
 
-/// The classification body shared by [`verify`] (ring checked on the
-/// input topology) and [`verify_quotiented`] (CDG built on the folded
-/// representative, ring checked on the full topology). Packet segments
-/// are built once and shared between the base and the deflection-credited
-/// graph (the credit only changes endpoint classes).
+/// Full enumeration of `input`'s pristine CDG, with the ring checked on
+/// `ring_topo`: the body of [`verify`] on the input or folded topology,
+/// and the reference its orbit quotient is checked against.
 fn classify(input: &VerifyInput<'_>, ring_topo: &Topology) -> Verdict {
-    let layout = layout_for(input);
-    let guaranteed = cdg::guaranteed_ejection(input);
-    let packet: Vec<cdg::Segment> = cdg::net_types(input)
-        .into_iter()
-        .flat_map(|t| {
-            input
-                .topo
-                .nics()
-                .map(move |dst| (t, dst))
-                .collect::<Vec<_>>()
-        })
-        .map(|(t, dst)| {
-            cdg::packet_segment(
-                input,
-                input.routing,
-                &layout,
-                t,
-                dst,
-                guaranteed[t.index()],
-                None,
-                None,
-            )
-        })
-        .collect();
-    let endpoint = cdg::endpoint_segment(input, &layout, None);
-    let graph = cdg::assemble(input, packet.iter().chain(std::iter::once(&endpoint)));
-    classify_graph(input, ring_topo, None, &graph)
+    classify_graph(
+        input,
+        ring_topo,
+        None,
+        &cdg::cdg(input, input.routing, None),
+    )
 }
 
 /// Classify an assembled CDG: the shared verdict logic for the pristine
-/// path ([`classify`]) and the degraded paths (`incremental`). Deflective
-/// recovery's credited pass re-peels the *same* graph with its
-/// `deflection_extra` OR-wait overlay instead of assembling a second
-/// copy.
+/// path ([`classify`]) and the degraded ones (`BaseAnalysis`,
+/// `verify_faulted`). Deflective recovery's credited pass re-peels the
+/// *same* graph with its `deflection_extra` OR-wait overlay instead of
+/// assembling a second copy.
 fn classify_graph(
     input: &VerifyInput<'_>,
     ring_topo: &Topology,

@@ -2,7 +2,7 @@
 //!
 //! The verifier answers "is this configuration safe?"; synthesis inverts
 //! the question into "what is the *cheapest* safe configuration?" by
-//! probing [`verify_quotiented`](crate::verify_quotiented) over the VC
+//! probing [`verify`](crate::verify) over the VC
 //! budget. Verdict rank is monotone in the budget for the paper's schemes
 //! (more virtual channels only ever add escape/adaptive structure), so a
 //! binary search finds the frontier in `O(log max)` probes — but because
@@ -11,7 +11,7 @@
 //! found (the candidate must be safe and its predecessor unsafe) and
 //! falls back to a linear scan when the probes turn out non-monotone.
 
-use crate::{verify_quotiented, Verdict, VerifyInput};
+use crate::{verify, Verdict, VerifyInput};
 use mdd_protocol::{PatternSpec, QueueOrg};
 use mdd_routing::{Scheme, SchemeRouting, VcMap};
 use mdd_topology::{Topology, TopologyKind};
@@ -55,7 +55,7 @@ fn probe(
         pattern,
         queue_org,
     };
-    verify_quotiented(&input)
+    verify(&input)
 }
 
 /// Find the smallest VC count in `1..=max_vcs` whose static verdict is

@@ -1,4 +1,4 @@
-use crate::{verify, verify_quotiented, VerifyInput};
+use crate::{classify, verify, VerifyInput};
 use mdd_protocol::PatternSpec;
 use mdd_routing::{Scheme, SchemeRouting, VcMap};
 use mdd_topology::{Topology, TopologyKind};
@@ -45,6 +45,11 @@ impl Fixture {
             self.pattern.clone(),
             self.scheme.default_queue_org(),
         ))
+    }
+
+    /// The full enumeration of the pristine CDG, unfolded.
+    fn full(&self) -> crate::Verdict {
+        classify(&self.input(), &self.topo)
     }
 
     fn input(&self) -> VerifyInput<'_> {
@@ -179,8 +184,8 @@ fn verify_agreement_quotient_matches_full_enumeration() {
     for radix in [&[8u32, 8][..], &[16, 16][..]] {
         for &(scheme, vcs) in cases {
             let fx = Fixture::torus(radix, scheme, PatternSpec::pat271(), vcs);
-            let full = verify(&fx.input());
-            let quot = verify_quotiented(&fx.input());
+            let full = fx.full();
+            let quot = verify(&fx.input());
             assert_eq!(
                 quot.name(),
                 full.name(),
@@ -198,21 +203,21 @@ fn quotiented_verifier_classifies_64x64_fast() {
     // only O(N) work left is progressive recovery's ring-coverage tour.
     let t0 = std::time::Instant::now();
     let fx = Fixture::torus(&[64, 64], SA, PatternSpec::pat271(), 8);
-    assert!(verify_quotiented(&fx.input()).is_proven_free());
+    assert!(verify(&fx.input()).is_proven_free());
     let fx = Fixture::torus(
         &[64, 64],
         Scheme::DeflectiveRecovery,
         PatternSpec::pat271(),
         8,
     );
-    assert_eq!(verify_quotiented(&fx.input()).name(), "RecoverableCycles");
+    assert_eq!(verify(&fx.input()).name(), "RecoverableCycles");
     let fx = Fixture::torus(
         &[64, 64],
         Scheme::ProgressiveRecovery,
         PatternSpec::pat271(),
         4,
     );
-    assert_eq!(verify_quotiented(&fx.input()).name(), "RecoverableCycles");
+    assert_eq!(verify(&fx.input()).name(), "RecoverableCycles");
     assert!(
         t0.elapsed() < std::time::Duration::from_secs(1),
         "64×64 ladder verification took {:?}",
@@ -225,10 +230,10 @@ fn quotiented_verifier_handles_3d_and_odd_radices() {
     // 8×8×8 folds to itself (radix ≤ 9 is kept verbatim) and must still
     // classify; an odd oversized radix folds to 9, keeping tie-freedom.
     let fx = Fixture::torus(&[8, 8, 8], SA, PatternSpec::pat271(), 8);
-    assert!(verify_quotiented(&fx.input()).is_proven_free());
+    assert!(verify(&fx.input()).is_proven_free());
     let fx = Fixture::torus(&[15, 15], SA, PatternSpec::pat271(), 8);
-    let v = verify_quotiented(&fx.input());
-    assert_eq!(v.name(), verify(&fx.input()).name());
+    let v = verify(&fx.input());
+    assert_eq!(v.name(), fx.full().name());
 }
 
 #[test]
@@ -259,14 +264,14 @@ fn timing_full_16x16() {
     ] {
         let fx = Fixture::torus(&[16, 16], scheme, PatternSpec::pat271(), vcs);
         let t0 = std::time::Instant::now();
-        let v = verify(&fx.input());
+        let v = fx.full();
         println!(
             "{scheme:?} vcs{vcs} 16x16 full: {:?} -> {}",
             t0.elapsed(),
             v.name()
         );
         let t0 = std::time::Instant::now();
-        let v = verify(&fx.input());
+        let v = fx.full();
         println!(
             "{scheme:?} vcs{vcs} 16x16 full(2): {:?} -> {}",
             t0.elapsed(),
@@ -331,7 +336,7 @@ fn orbit_invariance_experiment() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-aware incremental analysis
+// Fault-aware analysis
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -365,30 +370,6 @@ fn reverify_matches_from_scratch_on_torus_faults() {
 }
 
 #[test]
-fn incremental_reuse_bumps_counter() {
-    // Only an odd-radix torus has destinations toward which a failed
-    // link is minimally unproductive in *both* directions (wrap ties):
-    // column x=3 of a 5x5 torus for a link at x=0. Meshes and even-radix
-    // tori have no such destinations, so their link faults rebuild
-    // everything (the documented graceful degradation).
-    use mdd_obs::{counters_snapshot, CounterId};
-    use mdd_topology::{Direction, FaultSet, NodeId};
-    mdd_obs::install(0);
-    let fx = Fixture::torus(&[5, 5], SA, PatternSpec::pat100(), 4);
-    let base = fx.base();
-    let mut f = FaultSet::new(&fx.topo);
-    f.fail_link(&fx.topo, NodeId(0), 0, Direction::Plus);
-    let before = counters_snapshot().get(CounterId::AnalyzeIncrementalHits);
-    let _ = base.reverify(&f);
-    let after = counters_snapshot().get(CounterId::AnalyzeIncrementalHits);
-    assert!(
-        after > before + 1,
-        "expected packet-segment reuse beyond the endpoint segment ({before} -> {after})"
-    );
-    mdd_obs::uninstall();
-}
-
-#[test]
 fn isolated_router_strands_all_schemes() {
     // Cut both links of a 2x2 mesh corner: traffic to that endpoint is
     // undeliverable, which is Unsafe under every scheme (no drain
@@ -416,14 +397,14 @@ fn isolated_router_strands_all_schemes() {
 
 #[test]
 fn quotient_mesh_fallback_agrees_with_full_enumeration() {
-    // Satellite: non-torus input must take the full-enumeration route in
-    // verify_quotiented and agree with verify() exactly — even at sizes
-    // where a torus would have been folded.
+    // Non-torus input must take the full-enumeration route in verify()
+    // and agree with it exactly — even at sizes where a torus would have
+    // been folded.
     for radix in [[4u32, 4], [12, 4]] {
         for (scheme, vcs) in [(SA, 8), (Scheme::DeflectiveRecovery, 4)] {
             let fx = Fixture::mesh(&radix, scheme, PatternSpec::pat271(), vcs);
-            let quotiented = verify_quotiented(&fx.input());
-            let full = verify(&fx.input());
+            let quotiented = verify(&fx.input());
+            let full = fx.full();
             assert_eq!(quotiented.name(), full.name(), "{scheme:?} mesh {radix:?}");
             assert_eq!(
                 quotiented.witness().map(|w| &w.rendered),

@@ -1,13 +1,13 @@
-//! Incremental re-verdicts agree with from-scratch degraded analysis.
+//! Re-verdicts agree with the from-scratch oracle.
 //!
-//! The acceptance property for the incremental analyzer: for any
-//! configuration and any fault set, [`BaseAnalysis::reverify`] (which
-//! splices cached clean segments around rebuilt dirty ones, and derives
+//! The acceptance property for the analyzer: for any configuration and
+//! any fault set, the empty set included, [`BaseAnalysis::reverify`]
+//! (which builds the CDG with the one segment builder, deriving
 //! routing-interchangeable message types by relabeling) must produce the
 //! same verdict *and the same rendered witness* as [`verify_faulted`],
-//! which rebuilds every segment of the degraded CDG from scratch and
-//! never derives anything. `verify_faulted` is the honest oracle; any
-//! splice, orbit, dateline-mask, or retype bug shows up here.
+//! which builds every segment from scratch and never derives anything.
+//! `verify_faulted` is the honest oracle; any orbit, dateline-mask, or
+//! retype bug shows up here, on the pristine path as on degraded ones.
 //!
 //! Configurations deliberately include infeasible VC budgets (via
 //! [`VcMap::build_degraded`], e.g. SA at 2 VCs), because the fault
@@ -36,9 +36,7 @@ fn topology(idx: usize) -> Topology {
     match idx {
         0 => Topology::new(TopologyKind::Torus, &[4, 4], 1),
         1 => Topology::new(TopologyKind::Mesh, &[4, 4], 1),
-        // Odd radix: minimal paths are unique in each dimension, so some
-        // destinations stay clean under a link fault and reverify really
-        // splices cached segments instead of rebuilding everything.
+        // Odd radix: no minimal-offset ties, unlike the even radices.
         2 => Topology::new(TopologyKind::Torus, &[5, 5], 1),
         _ => Topology::new(TopologyKind::Torus, &[8, 8], 1),
     }
@@ -146,8 +144,33 @@ proptest! {
     }
 }
 
+/// The empty fault set on every configuration the proptest draws from:
+/// `reverify` then returns the pristine verdict, whose graph the one
+/// segment builder derives by retyping, and `verify_faulted` must
+/// reproduce it from scratch. Exhaustive because sampling misses the few
+/// configurations where a wrongly retyped ejection vertex changes the
+/// verdict (SA at 2 VCs under per-type queues, where the degraded map
+/// merges the types).
+#[test]
+fn empty_fault_set_matches_from_scratch_on_every_config() {
+    for topo_idx in 0..4 {
+        for scheme_idx in 0..4 {
+            for vcs in [2u8, 4, 8] {
+                for pat_idx in 0..2 {
+                    for org_idx in 0..3 {
+                        let cfg = config(topo_idx, scheme_idx, vcs, pat_idx, org_idx);
+                        let base = BaseAnalysis::analyze(cfg.clone());
+                        assert_agreement(&cfg, &base, &FaultSet::new(cfg.topo())).unwrap();
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The 16x16 requirement, pinned deterministically: one base analysis,
-/// re-verdicted under a link fault, a router fault, and a compound fault.
+/// re-verdicted under no fault, a link fault, a router fault, and a
+/// compound fault.
 /// At 256 routers the debug-build internal cross-check inside `reverify`
 /// fires too, so in debug each fault is checked twice against the oracle.
 #[test]
@@ -175,7 +198,9 @@ fn sixteen_by_sixteen_reverify_matches_from_scratch() {
     compound.fail_link(cfg.topo(), NodeId(0), 0, Direction::Minus);
     compound.fail_router(cfg.topo(), NodeId(129));
 
-    for faults in [&link, &router, &compound] {
+    let empty = FaultSet::new(cfg.topo());
+
+    for faults in [&empty, &link, &router, &compound] {
         let incremental = base.reverify(faults);
         let scratch = verify_faulted(&cfg.input(), faults);
         assert_eq!(

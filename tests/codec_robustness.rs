@@ -1,12 +1,14 @@
 //! Malformed input through the JSON codec yields a typed error, never a
 //! panic: protocol lines, cache lines and trace lines, cut short or with
-//! one byte replaced, and nesting deep enough to overflow a recursive
-//! parser.
+//! one byte replaced, nesting deep enough to overflow a recursive parser,
+//! and arbitrary bytes (also through the `--topo` parser).
 
 use mdd_sim::engine::proto::{Request, SweepSpec};
 use mdd_sim::engine::{decode_line, encode_line};
 use mdd_sim::obs::{sink, Event, Json};
-use mdd_sim::prelude::SimResult;
+use mdd_sim::prelude::{SimConfig, SimResult};
+use mdd_sim::topology::MAX_DIMS;
+use proptest::prelude::*;
 
 fn cache_line() -> String {
     let r = SimResult {
@@ -138,4 +140,38 @@ fn million_deep_nesting_is_an_error_not_a_stack_overflow() {
     })
     .join()
     .expect("deep nesting must not crash the parser");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes (lossily decoded, as a line read off a socket or a
+    /// file would be) are rejected or yield a value that survives a
+    /// round trip; no parser panics.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_parser(
+        text in proptest::collection::vec(0u16..256, 0..512)
+            .prop_map(|v| v.into_iter().map(|b| b as u8).collect::<Vec<u8>>())
+            .prop_map(|b| String::from_utf8_lossy(&b).into_owned()),
+    ) {
+        if let Some(v) = Json::parse(&text) {
+            prop_assert_eq!(Json::parse(&v.render()), Some(v));
+        }
+        if let Some((key, label, r)) = decode_line(&text) {
+            let line = encode_line(&key, &label, &r);
+            prop_assert_eq!(decode_line(&line).map(|(k, l, _)| (k, l)), Some((key, label)));
+        }
+        if let Ok(req) = Request::decode(&text) {
+            prop_assert!(Request::decode(&req.encode()).is_ok());
+        }
+        if let Ok(events) = sink::parse_trace_jsonl(&text) {
+            let mut buf = Vec::new();
+            sink::write_trace_jsonl(&mut buf, &events).unwrap();
+            prop_assert!(sink::parse_trace_jsonl(&String::from_utf8(buf).unwrap()).is_ok());
+        }
+        if let Ok(radix) = SimConfig::parse_topo(&text) {
+            prop_assert!(!radix.is_empty() && radix.len() <= MAX_DIMS);
+            prop_assert!(radix.iter().all(|&k| k >= 2), "{:?}", radix);
+        }
+    }
 }
