@@ -261,11 +261,11 @@ bench_floor() { # workload floor
 # ladder8: the figure-sweep shape, 9 SA/DR/PR points on 8x8 (~90k median).
 bench_floor ladder8 68000
 # big64: the busy 64x64 rung, where the fused router pass carries the cost
-# (1,774 median since the flat router state).
-bench_floor big64 1330
+# (2,087 median since the compact router state).
+bench_floor big64 1565
 # sparse64: the 64x64 size-ladder rung, where the wake sets and traffic
-# carry the cost (117.6k median).
-bench_floor sparse64 88000
+# carry the cost (137.6k median since the compact router state).
+bench_floor sparse64 103200
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets"

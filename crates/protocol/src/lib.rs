@@ -30,7 +30,7 @@ pub use message::{IdAlloc, Message, MessageId, TransactionId};
 pub use pattern::{PatternSpec, ShapeId};
 pub use queue_org::QueueOrg;
 pub use shape::{HopTarget, TransactionShape};
-pub use spec::ProtocolSpec;
+pub use spec::{ProtocolError, ProtocolSpec};
 pub use store::{MessageStore, MsgHandle};
 pub use types::{MsgKind, MsgType, MsgTypeSpec};
 

@@ -2,6 +2,72 @@
 //! partial order between them.
 
 use crate::types::{MsgKind, MsgType, MsgTypeSpec};
+use std::fmt;
+
+/// Why a protocol description is invalid ([`ProtocolSpec::validate`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ProtocolError {
+    /// The protocol has no message types.
+    NoTypes,
+    /// The protocol does not have exactly one terminating type.
+    Terminators(usize),
+    /// A terminating type generates subordinates.
+    TerminatingGenerates(&'static str),
+    /// A non-terminating type has no subordinates, so its chains never
+    /// end.
+    DeadEnd(&'static str),
+    /// A dependency or the backoff type names a type index past the type
+    /// list.
+    UnknownType(usize),
+    /// The dependency relation has a cycle.
+    Cyclic,
+    /// The backoff type is not a reply.
+    BackoffNotReply,
+    /// The backoff type is terminating (it must generate the deflected
+    /// request).
+    BackoffTerminating,
+    /// A message type's length is outside `1..=u16::MAX` flits: a flit
+    /// numbers itself within its packet in 16 bits.
+    Length {
+        /// The type's mnemonic.
+        name: &'static str,
+        /// Its declared length in flits.
+        flits: u32,
+    },
+}
+
+impl fmt::Display for ProtocolError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ProtocolError::NoTypes => write!(f, "protocol has no message types"),
+            ProtocolError::Terminators(n) => write!(
+                f,
+                "protocol must have exactly one terminating type, not {n}"
+            ),
+            ProtocolError::TerminatingGenerates(name) => {
+                write!(f, "terminating type {name} must not generate subordinates")
+            }
+            ProtocolError::DeadEnd(name) => write!(
+                f,
+                "non-terminating type {name} has no subordinates; its chains never end"
+            ),
+            ProtocolError::UnknownType(i) => write!(f, "type index {i} is past the type list"),
+            ProtocolError::Cyclic => write!(f, "dependency relation is cyclic"),
+            ProtocolError::BackoffNotReply => write!(f, "backoff type must be a reply"),
+            ProtocolError::BackoffTerminating => write!(
+                f,
+                "backoff type must be non-terminating (it generates the deflected request)"
+            ),
+            ProtocolError::Length { name, flits } => write!(
+                f,
+                "type {name} is {flits} flits long; lengths must lie in 1..={}",
+                u16::MAX
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ProtocolError {}
 
 /// A communication protocol: message types plus the direct dependency
 /// relation `mi ≺ mj` ("a node receiving `mi` may generate `mj`").
@@ -31,16 +97,41 @@ pub struct ProtocolSpec {
 
 impl ProtocolSpec {
     /// Build a protocol from parts. Panics if the description is invalid
-    /// (see [`ProtocolSpec::validate`]).
+    /// (see [`ProtocolSpec::try_new`]).
     pub fn new(
         name: &'static str,
         types: Vec<MsgTypeSpec>,
         deps: &[(usize, usize)],
         backoff: Option<MsgType>,
     ) -> Self {
-        let mut subordinates = vec![Vec::new(); types.len()];
+        Self::try_new(name, types, deps, backoff).expect("invalid protocol description")
+    }
+
+    /// Build a protocol from parts, or say why the description is invalid
+    /// (see [`ProtocolSpec::validate`]).
+    ///
+    /// ```
+    /// use mdd_protocol::{MsgTypeSpec, ProtocolError, ProtocolSpec};
+    /// let huge = MsgTypeSpec::reply("RP").terminating().with_length(70_000);
+    /// let err = ProtocolSpec::try_new("big", vec![MsgTypeSpec::request("RQ"), huge], &[(0, 1)], None);
+    /// assert_eq!(err.unwrap_err(), ProtocolError::Length { name: "RP", flits: 70_000 });
+    /// ```
+    pub fn try_new(
+        name: &'static str,
+        types: Vec<MsgTypeSpec>,
+        deps: &[(usize, usize)],
+        backoff: Option<MsgType>,
+    ) -> Result<Self, ProtocolError> {
+        let n = types.len();
+        let mut subordinates = vec![Vec::new(); n];
         for &(a, b) in deps {
+            if let Some(&bad) = [a, b].iter().find(|&&i| i >= n) {
+                return Err(ProtocolError::UnknownType(bad));
+            }
             subordinates[a].push(MsgType(b as u8));
+        }
+        if let Some(b) = backoff.filter(|b| b.index() >= n) {
+            return Err(ProtocolError::UnknownType(b.index()));
         }
         let spec = ProtocolSpec {
             name,
@@ -48,8 +139,8 @@ impl ProtocolSpec {
             subordinates,
             backoff,
         };
-        spec.validate().expect("invalid protocol description");
-        spec
+        spec.validate()?;
+        Ok(spec)
     }
 
     /// A plain two-type request/reply protocol — message-passing style, or
@@ -298,34 +389,31 @@ impl ProtocolSpec {
             .expect("validated protocols have a terminating type")
     }
 
-    /// Check structural invariants; returns a description of the first
-    /// violation found.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Check structural invariants; returns the first violation found.
+    pub fn validate(&self) -> Result<(), ProtocolError> {
         let n = self.types.len();
         if n == 0 {
-            return Err("protocol has no message types".into());
+            return Err(ProtocolError::NoTypes);
         }
-        if self.types.iter().filter(|t| t.terminating).count() != 1 {
-            return Err("protocol must have exactly one terminating type".into());
+        let terminators = self.types.iter().filter(|t| t.terminating).count();
+        if terminators != 1 {
+            return Err(ProtocolError::Terminators(terminators));
+        }
+        for t in &self.types {
+            if !(1..=u32::from(u16::MAX)).contains(&t.length_flits) {
+                return Err(ProtocolError::Length {
+                    name: t.name,
+                    flits: t.length_flits,
+                });
+            }
         }
         for (i, subs) in self.subordinates.iter().enumerate() {
             let t = MsgType(i as u8);
             if self.is_terminating(t) && !subs.is_empty() {
-                return Err(format!(
-                    "terminating type {} must not generate subordinates",
-                    self.types[i].name
-                ));
+                return Err(ProtocolError::TerminatingGenerates(self.types[i].name));
             }
             if !self.is_terminating(t) && subs.is_empty() {
-                return Err(format!(
-                    "non-terminating type {} has no subordinates; its chains never end",
-                    self.types[i].name
-                ));
-            }
-            for &s in subs {
-                if s.index() >= n {
-                    return Err("dependency references unknown type".into());
-                }
+                return Err(ProtocolError::DeadEnd(self.types[i].name));
             }
         }
         // Acyclicity by DFS coloring.
@@ -354,18 +442,15 @@ impl ProtocolSpec {
         let mut color = vec![Color::White; n];
         for t in 0..n {
             if color[t] == Color::White && !dfs(self, t, &mut color) {
-                return Err("dependency relation is cyclic".into());
+                return Err(ProtocolError::Cyclic);
             }
         }
         if let Some(b) = self.backoff {
             if self.kind(b) != MsgKind::Reply {
-                return Err("backoff type must be a reply".into());
+                return Err(ProtocolError::BackoffNotReply);
             }
             if self.is_terminating(b) {
-                return Err(
-                    "backoff type must be non-terminating (it generates the deflected request)"
-                        .into(),
-                );
+                return Err(ProtocolError::BackoffTerminating);
             }
         }
         Ok(())

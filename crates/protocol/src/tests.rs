@@ -346,3 +346,55 @@ fn dot_export_well_formed() {
         "backoff marked"
     );
 }
+
+#[test]
+fn validation_rejects_lengths_outside_sixteen_bits() {
+    let build = |flits: u32| {
+        ProtocolSpec::try_new(
+            "len",
+            vec![
+                MsgTypeSpec::request("RQ"),
+                MsgTypeSpec::reply("RP").terminating().with_length(flits),
+            ],
+            &[(0, 1)],
+            None,
+        )
+    };
+    let max = u32::from(u16::MAX);
+    assert_eq!(
+        build(max).expect("u16::MAX flits fit").length(MsgType(1)),
+        max
+    );
+    for flits in [0, max + 1, u32::MAX] {
+        assert_eq!(
+            build(flits).unwrap_err(),
+            ProtocolError::Length { name: "RP", flits },
+            "{flits} flits"
+        );
+    }
+    let r = std::panic::catch_unwind(|| build(max + 1).map(|_| ()).map_err(|e| e.to_string()));
+    assert!(r
+        .expect("try_new does not panic")
+        .unwrap_err()
+        .contains("65536 flits"));
+}
+
+#[test]
+fn validation_rejects_unknown_type_indices() {
+    let types = || {
+        vec![
+            MsgTypeSpec::request("RQ"),
+            MsgTypeSpec::reply("RP").terminating(),
+        ]
+    };
+    let err = |deps: &[(usize, usize)], backoff| {
+        ProtocolSpec::try_new("idx", types(), deps, backoff).unwrap_err()
+    };
+    assert_eq!(err(&[(0, 1), (2, 1)], None), ProtocolError::UnknownType(2));
+    // 256 would wrap to type 0 if it reached the `u8` index.
+    assert_eq!(err(&[(0, 256)], None), ProtocolError::UnknownType(256));
+    assert_eq!(
+        err(&[(0, 1)], Some(MsgType(7))),
+        ProtocolError::UnknownType(7)
+    );
+}

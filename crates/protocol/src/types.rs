@@ -46,7 +46,7 @@ pub struct MsgTypeSpec {
     /// is ever generated from them). Every dependency chain ends in a
     /// terminating type.
     pub terminating: bool,
-    /// Message length in flits.
+    /// Message length in flits, `1..=u16::MAX` in a valid protocol.
     pub length_flits: u32,
 }
 

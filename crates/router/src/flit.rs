@@ -11,11 +11,17 @@ use mdd_topology::{NicId, NodeId};
 pub struct Flit {
     /// Handle of the packet this flit belongs to.
     pub msg: MsgHandle,
-    /// Sequence number within the packet (0 = head).
-    pub seq: u32,
+    /// Sequence number within the packet (0 = head). Message types are
+    /// at most `u16::MAX` flits long (`mdd_protocol::ProtocolSpec::try_new`
+    /// rejects longer ones), so a flit is 8 bytes in release builds.
+    pub seq: u16,
     /// True for the final flit.
     pub is_tail: bool,
 }
+
+// Flit storage is the largest router-state array (DESIGN.md §13.1).
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<Flit>() == 8);
 
 impl Flit {
     /// True for the routing (first) flit.

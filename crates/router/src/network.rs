@@ -171,6 +171,11 @@ pub struct Network {
     /// Per NIC: `(router index, flat slot base)` of its injection port —
     /// the per-flit injection path resolves no topology arithmetic.
     nic_slot: Vec<(u32, u16)>,
+    /// Per slot: its switch-request chain entry, the slot's input port in
+    /// the high byte and the slot index in the low byte (see
+    /// [`PassScratch::req_head`]) — identical for every router, so the
+    /// fused pass divides nothing.
+    chain: Vec<u16>,
     /// Activity wake-set: one bit per router due for processing at the
     /// next [`Network::step`]. A router is woken by flit arrival, credit
     /// return, local injection, or a recovery-lane extraction, and
@@ -223,6 +228,9 @@ impl Network {
                 (router.0, (port.index() * vcs as usize) as u16)
             })
             .collect();
+        let chain = (0..state.slots)
+            .map(|s| ((s / vcs as usize) << 8 | s) as u16)
+            .collect();
         Network {
             topo,
             vcs,
@@ -233,6 +241,7 @@ impl Network {
             net_port,
             links,
             nic_slot,
+            chain,
             active_bits: vec![0; n.div_ceil(64)],
             worklist: Vec::with_capacity(n),
             cur_mask: vec![0; n.div_ceil(64)],
@@ -393,6 +402,9 @@ impl Network {
     /// across `plan.shards()` scoped worker threads — bit-identical at
     /// any shard count.
     ///
+    /// Panics unless `cycle < u32::MAX`: the blocked timers hold cycles
+    /// in 32 bits with `u32::MAX` as their "not blocked" sentinel.
+    ///
     /// Only routers on the wake-list are processed; the rest hold no
     /// flits (checked by a dense sweep in debug builds), every phase is a
     /// no-op on them, and skipping changes nothing observable. The worklist is
@@ -417,6 +429,10 @@ impl Network {
         plan: &ShardPlan,
         ejs: impl IntoIterator<Item = E>,
     ) {
+        assert!(
+            cycle < u64::from(NOT_BLOCKED),
+            "cycle {cycle} past the 32-bit blocked-timer range"
+        );
         let n = self.router_flits.len();
         assert_eq!(
             plan.num_routers() as usize,
@@ -503,6 +519,7 @@ impl Network {
             buf_depth,
             net_port,
             links,
+            chain,
             packets,
             counters,
             cur_mask,
@@ -520,6 +537,7 @@ impl Network {
                 buf_depth: *buf_depth,
                 net_port,
                 links,
+                chain,
                 packets,
                 cur_mask,
                 plan,
@@ -583,7 +601,7 @@ impl Network {
                             let r = router as usize;
                             let g = r * st.slots + slot as usize;
                             st.out_credits[g] += 1;
-                            debug_assert!(st.out_credits[g] <= *buf_depth);
+                            debug_assert!(u32::from(st.out_credits[g]) <= *buf_depth);
                             set_wake(active_bits, 0, r);
                         }
                         CrossEffect::Arrival { router, slot, flit } => {
@@ -592,7 +610,7 @@ impl Network {
                             let g = r * st.slots + slot;
                             if cur_mask[r >> 6] >> (r & 63) & 1 == 1 && st.blocked[g] == NOT_BLOCKED
                             {
-                                st.blocked[g] = cycle;
+                                st.blocked[g] = cycle as u32;
                             }
                             router_flits[r] += 1;
                             set_wake(active_bits, 0, r);
@@ -697,7 +715,7 @@ impl Network {
             let f = st.flit_at(g, 0);
             if f.is_head()
                 && st.blocked[g] != NOT_BLOCKED
-                && now.saturating_sub(st.blocked[g]) >= threshold
+                && now.saturating_sub(u64::from(st.blocked[g])) >= threshold
             {
                 out.push((node, f.msg));
             }
@@ -779,8 +797,8 @@ impl Network {
                 if net_port[p] {
                     let up = links.nbr[r * ports + p] as usize;
                     let up_g = up * s.slots + links.opp[p] as usize * nvcs + slot % nvcs;
-                    s.out_credits[up_g] += run_len as u32;
-                    debug_assert!(s.out_credits[up_g] <= *buf_depth);
+                    s.out_credits[up_g] += run_len as u16;
+                    debug_assert!(u32::from(s.out_credits[up_g]) <= *buf_depth);
                     set_wake(active_bits, 0, up);
                 }
             }
@@ -816,8 +834,10 @@ impl Network {
 
     /// Busy-cycle counter of one output virtual channel (network ports).
     pub fn vc_busy(&self, node: NodeId, port: PortId, vc: u8) -> u64 {
-        self.state.vc_busy
-            [node.index() * self.state.slots + port.index() * self.vcs as usize + vc as usize]
+        u64::from(
+            self.state.vc_busy
+                [node.index() * self.state.slots + port.index() * self.vcs as usize + vc as usize],
+        )
     }
 
     /// Utilization statistics over all *network* virtual channels after
@@ -1030,6 +1050,7 @@ struct StepShared<'a> {
     buf_depth: u32,
     net_port: &'a [bool],
     links: &'a Links,
+    chain: &'a [u16],
     packets: &'a PacketTable,
     cur_mask: &'a [u64],
     plan: &'a ShardPlan,
@@ -1055,15 +1076,21 @@ impl<E: EjectControl> ShardTask<'_, E> {
     /// One shard's whole cycle: a fused pass per woken router (phases 1,
     /// 2 and the blocked-timer marking), then the traversal phase over
     /// the shard's moves.
+    ///
+    /// The VC-allocation scan of every router starts at slot
+    /// `cycle % slots`: the dense schedule advanced each router's rotation
+    /// by one every cycle from zero, so that is the offset it had reached
+    /// whether or not the router was processed in between.
     fn run(mut self, sh: &StepShared<'_>, cycle: u64, routing: &dyn Routing) {
         let mut ps = PassScratch {
             req_head: [u16::MAX; 64],
             req_next: [u16::MAX; 128],
             obs: ObsDeltas::default(),
         };
+        let start = (cycle % self.st.slots as u64) as usize;
         for wi in 0..self.worklist.len() {
             let r = self.worklist[wi] as usize;
-            self.router_pass(sh, r, cycle, routing, &mut ps);
+            self.router_pass(sh, r, cycle, start, routing, &mut ps);
         }
         self.apply_moves(sh, cycle, &mut ps.obs);
         self.sc.obs = ps.obs;
@@ -1098,6 +1125,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
         sh: &StepShared<'_>,
         r: usize,
         cycle: u64,
+        start: usize,
         routing: &dyn Routing,
         ps: &mut PassScratch,
     ) {
@@ -1124,15 +1152,13 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 obs,
             } = ps;
             let st = &mut self.st;
-            let hdr = &mut st.hdr[li];
+            let hdr = &st.hdr[li];
             let blocked = &mut st.blocked[slots.clone()];
             let route_port = &st.route_port[slots.clone()];
             let stall_epoch = &st.stall_epoch[slots.clone()];
             let head = &st.head[slots.clone()];
             let bufs = &st.bufs[base * depth..(base + total) * depth];
-            hdr.sync_rr_alloc(cycle);
             debug_assert!(st.ports <= 64);
-            let start = hdr.rr_alloc as usize % total;
             // Visit occupied slots in the dense scan's rotated order
             // (`start..total` then `0..start`, ascending within each half).
             // Slots the dense scan would have acted on all hold a flit, so
@@ -1157,7 +1183,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 // slot not already blocked starts its timer this cycle; the
                 // traversal phase re-derives the mark for slots that move.
                 if blocked[idx] == NOT_BLOCKED {
-                    blocked[idx] = cycle;
+                    blocked[idx] = cycle as u32;
                 }
                 // Phase 2 (gather): a routed slot with a buffered flit
                 // stands as a switch requester for its output port.
@@ -1165,7 +1191,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 if q != NO_ROUTE {
                     port_mask |= 1 << q;
                     req_next[idx] = req_head[q as usize];
-                    req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
+                    req_head[q as usize] = sh.chain[idx];
                 } else if bufs[idx * depth + head[idx] as usize].is_head() {
                     // Phase 1: route computation & VC allocation.
                     if stall_epoch[idx] == hdr.alloc_epoch {
@@ -1180,8 +1206,6 @@ impl<E: EjectControl> ShardTask<'_, E> {
                     }
                 }
             }
-            hdr.rr_alloc = hdr.rr_alloc.wrapping_add(1);
-            hdr.rr_cycle = cycle + 1;
         }
         // Phase 1, deferred: full allocation attempts for the (rare)
         // non-memoized waiting heads. Deferral is exact: allocation only
@@ -1203,7 +1227,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 debug_assert_ne!(q, NO_ROUTE);
                 port_mask |= 1 << q;
                 ps.req_next[idx] = ps.req_head[q as usize];
-                ps.req_head[q as usize] = ((idx / nvcs) << 8) as u16 | idx as u16;
+                ps.req_head[q as usize] = sh.chain[idx];
             } else {
                 ps.obs.stalls += 1;
             }
@@ -1228,7 +1252,8 @@ impl<E: EjectControl> ShardTask<'_, E> {
             while port_mask != 0 {
                 let q = port_mask.trailing_zeros() as usize;
                 port_mask &= port_mask - 1;
-                let rr = rr_out[q] as usize % total;
+                let rr = rr_out[q] as usize;
+                debug_assert!(rr < total);
                 let is_net = sh.net_port[q];
                 let mut best: Option<(usize, usize, usize)> = None;
                 let mut contenders = 0u32;
@@ -1257,11 +1282,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 }
                 if let Some((_, idx, p)) = best {
                     in_used |= 1 << p;
-                    rr_out[q] = if idx + 1 == total {
-                        0
-                    } else {
-                        (idx + 1) as u32
-                    };
+                    rr_out[q] = if idx + 1 == total { 0 } else { (idx + 1) as u8 };
                     // Burst count: a packet-body flit granted at a port
                     // with one contender continues a wormhole stream. It
                     // was arbitrated like any other requester; the
@@ -1399,7 +1420,11 @@ impl<E: EjectControl> ShardTask<'_, E> {
             let in_slot = in_port as usize * nvcs + in_vc as usize;
             let in_g = li * slots + in_slot;
             let flit = st.pop_flit(li, in_slot);
-            st.blocked[in_g] = if st.len[in_g] > 0 { cycle } else { NOT_BLOCKED };
+            st.blocked[in_g] = if st.len[in_g] > 0 {
+                cycle as u32
+            } else {
+                NOT_BLOCKED
+            };
             if flit.is_tail {
                 st.route_port[in_g] = NO_ROUTE;
             }
@@ -1414,7 +1439,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 if (lo..hi).contains(&upu) {
                     let up_g = (upu - lo) * slots + up_slot;
                     st.out_credits[up_g] += 1;
-                    debug_assert!(st.out_credits[up_g] <= sh.buf_depth);
+                    debug_assert!(u32::from(st.out_credits[up_g]) <= sh.buf_depth);
                     set_wake(active_bits, word_base, upu);
                 } else {
                     mail[sh.plan.shard_of(up)].push(CrossEffect::Credit {
@@ -1454,7 +1479,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                     if sh.cur_mask[down >> 6] >> (down & 63) & 1 == 1
                         && st.blocked[down_g] == NOT_BLOCKED
                     {
-                        st.blocked[down_g] = cycle;
+                        st.blocked[down_g] = cycle as u32;
                     }
                     router_flits[down - lo] += 1;
                     set_wake(active_bits, word_base, down);
@@ -1671,8 +1696,7 @@ mod shadow {
             for &r in &net.worklist {
                 let r = r as usize;
                 let node = NodeId(r as u32);
-                st.hdr[r].sync_rr_alloc(cycle);
-                let start = st.hdr[r].rr_alloc as usize % total;
+                let start = (cycle % total as u64) as usize;
                 let occ = st.hdr[r].in_occ;
                 let low = occ & ((1u128 << start) - 1);
                 let mut high = occ ^ low;
@@ -1727,9 +1751,6 @@ mod shadow {
                         }
                     }
                 }
-                let hdr = &mut st.hdr[r];
-                hdr.rr_alloc = hdr.rr_alloc.wrapping_add(1);
-                hdr.rr_cycle = cycle + 1;
             }
         }
 
@@ -1775,7 +1796,7 @@ mod shadow {
                     }
                     if let Some((_, idx, ov)) = best {
                         in_used[idx / nvcs] = true;
-                        st.rr_out[r * ports + q] = ((idx + 1) % total) as u32;
+                        st.rr_out[r * ports + q] = ((idx + 1) % total) as u8;
                         self.moves.push(Move {
                             router: r as u32,
                             in_port: (idx / nvcs) as u8,
@@ -1866,7 +1887,7 @@ mod shadow {
                     let g = r * st.slots + occ.trailing_zeros() as usize;
                     occ &= occ - 1;
                     if st.blocked[g] == NOT_BLOCKED {
-                        st.blocked[g] = cycle;
+                        st.blocked[g] = cycle as u32;
                     }
                 }
             }
@@ -1911,14 +1932,6 @@ mod shadow {
                 assert_eq!(
                     ha.out_owned, hb.out_owned,
                     "shadow: router {r} ownership at {cycle}"
-                );
-                assert_eq!(
-                    ha.rr_alloc, hb.rr_alloc,
-                    "shadow: router {r} rr_alloc at {cycle}"
-                );
-                assert_eq!(
-                    ha.rr_cycle, hb.rr_cycle,
-                    "shadow: router {r} rr_cycle at {cycle}"
                 );
                 let mut owned = ha.out_owned;
                 while owned != 0 {

@@ -1,10 +1,13 @@
 //! Router state, flat across the whole network: one array per per-VC
-//! field, one array of per-port arbitration pointers and one cache-line
+//! field, one array of per-port arbitration pointers and one 48-byte
 //! header per router.
 //!
 //! Router `r`'s flat slot `s = port * vcs + vc` lives at index
 //! `r * slots + s` of every per-slot array, its output port `p`'s
 //! round-robin pointer at `r * ports + p`, and its scalars in header `r`.
+//! Every field is as narrow as its values allow (DESIGN.md §13.1 lists
+//! each width, its bound and where the bound is enforced), so a 20-slot
+//! router with 2-flit buffers takes 853 bytes in release builds.
 //! Each pipeline sweep (occupancy walk, route gather, credit check,
 //! blocked-timer mark) therefore touches one contiguous array per field,
 //! neighbouring routers sit next to each other, and a shard's router range
@@ -24,10 +27,13 @@ use std::mem::size_of;
 
 /// `route_port` sentinel: no route allocated.
 pub(crate) const NO_ROUTE: u8 = u8::MAX;
-/// `blocked` sentinel: the slot's front flit is not (yet) blocked.
-pub(crate) const NOT_BLOCKED: u64 = u64::MAX;
-/// `stall_epoch` sentinel: no memoized allocation stall.
-pub(crate) const EPOCH_NONE: u64 = u64::MAX;
+/// `blocked` sentinel: the slot's front flit is not (yet) blocked. No
+/// cycle reaches it: [`crate::Network::step_sharded`] asserts
+/// `cycle < u32::MAX`.
+pub(crate) const NOT_BLOCKED: u32 = u32::MAX;
+/// `stall_epoch` sentinel: no memoized allocation stall. The epoch
+/// increment skips it ([`StateMut::release_out`]).
+pub(crate) const EPOCH_NONE: u32 = u32::MAX;
 
 /// A ring index `x` with `x < 2 * depth`, reduced into `0..depth`
 /// without a division.
@@ -40,9 +46,9 @@ fn wrap(x: usize, depth: usize) -> usize {
     }
 }
 
-/// The per-router scalars, packed into one cache line so the fused pass
-/// loads a router's masks and clocks with a single line fill.
-#[repr(C, align(64))]
+/// The per-router scalars: two slot masks and the allocation epoch, 48
+/// bytes with the masks' 16-byte alignment.
+#[repr(C, align(16))]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Header {
     /// Occupancy bitmask over input-VC slots: bit `s` is set iff slot `s`
@@ -57,31 +63,7 @@ pub(crate) struct Header {
     pub(crate) out_owned: u128,
     /// Bumped every time an output VC owner is released (tail passage,
     /// extraction). Validity clock for `stall_epoch`.
-    pub(crate) alloc_epoch: u64,
-    /// First cycle whose `rr_alloc` advancement has not yet been applied.
-    /// The dense scan bumped `rr_alloc` once per cycle for every router;
-    /// the activity-driven scan instead catches a woken router up lazily
-    /// ([`Header::sync_rr_alloc`]) so its rotation offset is bit-identical
-    /// to what the dense schedule would have produced.
-    pub(crate) rr_cycle: u64,
-    /// Rotation offset for the VC-allocation scan, advanced every cycle to
-    /// avoid structural starvation.
-    pub(crate) rr_alloc: u32,
-}
-
-impl Header {
-    /// Apply the per-cycle `rr_alloc` advancement for every cycle since
-    /// this router was last processed, up to (but not including) `cycle`.
-    /// Call before reading `rr_alloc` in the allocation phase; follow with
-    /// the regular end-of-cycle increment.
-    #[inline]
-    pub(crate) fn sync_rr_alloc(&mut self, cycle: u64) {
-        let lag = cycle.saturating_sub(self.rr_cycle);
-        if lag > 0 {
-            self.rr_alloc = self.rr_alloc.wrapping_add(lag as u32);
-            self.rr_cycle = cycle;
-        }
-    }
+    pub(crate) alloc_epoch: u32,
 }
 
 /// The state of every router in the network, structure-of-arrays.
@@ -100,26 +82,28 @@ pub(crate) struct RouterState {
     pub(crate) route_vc: Vec<u8>,
     /// First cycle the front flit failed to advance ([`NOT_BLOCKED`] =
     /// making progress). Drives the deadlock-detection timers.
-    pub(crate) blocked: Vec<u64>,
+    pub(crate) blocked: Vec<u32>,
     /// Allocation-stall memo: the router's [`Header::alloc_epoch`] at
     /// which this slot's head last found every candidate output VC owned.
     /// While the epoch still matches, the whole candidate recomputation is
     /// skipped — no output VC on this router has been released since, so
     /// the stall outcome is unchanged by construction. Invalidated
     /// ([`EPOCH_NONE`]) whenever the slot's front flit changes.
-    pub(crate) stall_epoch: Vec<u64>,
+    pub(crate) stall_epoch: Vec<u32>,
     /// Owner of each output VC — valid only where the router's
     /// [`Header::out_owned`] has the bit set (placeholder handles
     /// elsewhere).
     pub(crate) out_owner: Vec<MsgHandle>,
-    /// Credits (free downstream buffer slots) per output VC.
-    pub(crate) out_credits: Vec<u32>,
+    /// Credits (free downstream buffer slots) per output VC, at most the
+    /// buffer depth.
+    pub(crate) out_credits: Vec<u16>,
     /// Busy cycles per output VC slot (network ports only are ever
-    /// incremented).
-    pub(crate) vc_busy: Vec<u64>,
+    /// incremented); at most the cycle count.
+    pub(crate) vc_busy: Vec<u32>,
     /// Round-robin pointer per `(router, output port)`, rotating
-    /// switch-allocation priority over `(input port, vc)` requesters.
-    pub(crate) rr_out: Vec<u32>,
+    /// switch-allocation priority over `(input port, vc)` requesters:
+    /// the slot after the last grant, always `< slots`.
+    pub(crate) rr_out: Vec<u8>,
     /// Per-router scalars.
     pub(crate) hdr: Vec<Header>,
     /// VC slots per router (`ports * vcs`).
@@ -162,7 +146,7 @@ impl RouterState {
             blocked: vec![NOT_BLOCKED; n],
             stall_epoch: vec![EPOCH_NONE; n],
             out_owner: vec![MsgHandle::dangling(); n],
-            out_credits: vec![buf_depth; n],
+            out_credits: vec![buf_depth as u16; n],
             vc_busy: vec![0; n],
             rr_out: vec![0; routers * ports],
             hdr: vec![Header::default(); routers],
@@ -180,12 +164,12 @@ impl RouterState {
             + self.len.len() * size_of::<u16>()
             + self.route_port.len()
             + self.route_vc.len()
-            + self.blocked.len() * size_of::<u64>()
-            + self.stall_epoch.len() * size_of::<u64>()
+            + self.blocked.len() * size_of::<u32>()
+            + self.stall_epoch.len() * size_of::<u32>()
             + self.out_owner.len() * size_of::<MsgHandle>()
-            + self.out_credits.len() * size_of::<u32>()
-            + self.vc_busy.len() * size_of::<u64>()
-            + self.rr_out.len() * size_of::<u32>()
+            + self.out_credits.len() * size_of::<u16>()
+            + self.vc_busy.len() * size_of::<u32>()
+            + self.rr_out.len()
             + self.hdr.len() * size_of::<Header>()) as u64
     }
 
@@ -237,12 +221,12 @@ pub(crate) struct StateMut<'a> {
     pub(crate) len: &'a mut [u16],
     pub(crate) route_port: &'a mut [u8],
     pub(crate) route_vc: &'a mut [u8],
-    pub(crate) blocked: &'a mut [u64],
-    pub(crate) stall_epoch: &'a mut [u64],
+    pub(crate) blocked: &'a mut [u32],
+    pub(crate) stall_epoch: &'a mut [u32],
     pub(crate) out_owner: &'a mut [MsgHandle],
-    pub(crate) out_credits: &'a mut [u32],
-    pub(crate) vc_busy: &'a mut [u64],
-    pub(crate) rr_out: &'a mut [u32],
+    pub(crate) out_credits: &'a mut [u16],
+    pub(crate) vc_busy: &'a mut [u32],
+    pub(crate) rr_out: &'a mut [u8],
     pub(crate) hdr: &'a mut [Header],
     pub(crate) slots: usize,
     pub(crate) ports: usize,
@@ -366,11 +350,23 @@ impl<'a> StateMut<'a> {
     /// a freed output VC is the only event that can turn a previously
     /// stalled allocation into a success, so every memoized stall on this
     /// router expires here.
+    ///
+    /// The epoch is 32 bits and wraps, skipping [`EPOCH_NONE`]. Wrap-around
+    /// cannot alias a stale memo: a memo lives only while its slot holds
+    /// flits, a router holding flits stays on the wake set, and the fused
+    /// pass re-checks every memo on every cycle, re-arming it at the
+    /// current epoch after each full attempt. Between two checks a router
+    /// releases each output VC at most once (owning it again takes a
+    /// pass), so the epoch advances by at most `slots ≤ 128` — far fewer
+    /// than the 2³² − 1 releases a repeated value needs.
     #[inline]
     pub(crate) fn release_out(&mut self, r: usize, s: usize) {
         let hdr = &mut self.hdr[r];
         hdr.out_owned &= !(1 << s);
-        hdr.alloc_epoch += 1;
+        hdr.alloc_epoch = hdr.alloc_epoch.wrapping_add(1);
+        if hdr.alloc_epoch == EPOCH_NONE {
+            hdr.alloc_epoch = 0;
+        }
     }
 }
 
@@ -469,7 +465,7 @@ impl<'a> Router<'a> {
             } else {
                 Some(self.st.out_owner[g])
             },
-            credits: self.st.out_credits[g],
+            credits: u32::from(self.st.out_credits[g]),
         }
     }
 

@@ -91,7 +91,7 @@ fn run(
                     0,
                     Flit {
                         msg: *h,
-                        seq: *sent,
+                        seq: *sent as u16,
                         is_tail: *sent + 1 == m.length_flits,
                     },
                 );
@@ -218,6 +218,41 @@ fn ejection_gating_blocks_then_drains() {
     assert!(cycles > 120, "packet cannot finish before the gate opens");
 }
 
+/// The blocked timers hold cycles in 32 bits: the last cycle below the
+/// sentinel still times a stalled head, and the step refuses any later one.
+#[test]
+fn blocked_timer_holds_the_last_32_bit_cycle() {
+    let mut net = torus44();
+    let mut store = MessageStore::new();
+    let h = store.insert(msg(1, 3, 3, 4));
+    net.begin_packet(h, store.get(h), 0);
+    let head = Flit {
+        msg: h,
+        seq: 0,
+        is_tail: false,
+    };
+    assert!(net.inject_flit(NicId(3), 0, head));
+    let mut ej = GateUntil {
+        open_at: u64::MAX,
+        inner: AcceptAll::default(),
+    };
+    let last = u64::from(u32::MAX) - 1;
+    net.step(last, &TestDor, &mut ej);
+    let since: Vec<u64> = net
+        .router(NodeId(3))
+        .iter_vcs()
+        .filter_map(|(_, _, vc)| vc.blocked_since())
+        .collect();
+    assert_eq!(since, [last], "the refused head times from the last cycle");
+}
+
+#[test]
+#[should_panic(expected = "32-bit blocked-timer range")]
+fn step_rejects_cycles_past_the_blocked_timer_range() {
+    let mut net = torus44();
+    net.step(u64::from(u32::MAX), &TestDor, &mut AcceptAll::default());
+}
+
 #[test]
 fn blocked_heads_flagged_after_threshold() {
     let mut net = torus44();
@@ -278,7 +313,7 @@ fn extraction_reclaims_buffers_and_restores_credits() {
     // Long packet wedges across several routers against a closed gate.
     let h = store.insert(msg(1, 0, 2, 12));
     net.begin_packet(h, store.get(h), 0);
-    let mut sent = 0u32;
+    let mut sent = 0u16;
     for cycle in 0..60 {
         if sent < 12
             && net.injection_free(NicId(0), 0) > 0
@@ -386,7 +421,7 @@ fn dateline_bits_set_on_wrap() {
     // 0 -> 3 in dim 0: minimal route is Minus through the wraparound.
     let h = store.insert(msg(1, 0, 3, 6));
     net.begin_packet(h, store.get(h), 0);
-    let mut sent = 0u32;
+    let mut sent = 0u16;
     let mut saw_crossed = false;
     for cycle in 0..100 {
         if sent < 6
@@ -533,7 +568,7 @@ mod stress {
                     let Some((h, sent)) = q.first_mut() else { continue };
                     let m = store.get(*h);
                     if net.injection_free(m.src, 0) > 0 {
-                        let f = Flit { msg: *h, seq: *sent,
+                        let f = Flit { msg: *h, seq: *sent as u16,
                                        is_tail: *sent + 1 == m.length_flits };
                         if net.inject_flit(m.src, 0, f) {
                             *sent += 1;
@@ -626,7 +661,7 @@ mod sharded {
                 if net.injection_free(m.src, 0) > 0 {
                     let f = Flit {
                         msg: *h,
-                        seq: *sent,
+                        seq: *sent as u16,
                         is_tail: *sent + 1 == m.length_flits,
                     };
                     if net.inject_flit(m.src, 0, f) {

@@ -108,7 +108,7 @@ impl<'a> VcRef<'a> {
     pub fn blocked_since(&self) -> Option<u64> {
         match self.router.st.blocked[self.slot] {
             NOT_BLOCKED => None,
-            t => Some(t),
+            t => Some(u64::from(t)),
         }
     }
 

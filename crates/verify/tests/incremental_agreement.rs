@@ -153,19 +153,42 @@ proptest! {
 /// merges the types).
 #[test]
 fn empty_fault_set_matches_from_scratch_on_every_config() {
-    for topo_idx in 0..4 {
-        for scheme_idx in 0..4 {
-            for vcs in [2u8, 4, 8] {
-                for pat_idx in 0..2 {
-                    for org_idx in 0..3 {
-                        let cfg = config(topo_idx, scheme_idx, vcs, pat_idx, org_idx);
-                        let base = BaseAnalysis::analyze(cfg.clone());
-                        assert_agreement(&cfg, &base, &FaultSet::new(cfg.topo())).unwrap();
-                    }
-                }
-            }
-        }
+    for cfg in every_config() {
+        let base = BaseAnalysis::analyze(cfg.clone());
+        assert_agreement(&cfg, &base, &FaultSet::new(cfg.topo())).unwrap();
     }
+}
+
+/// The degraded path on every configuration: one fixed link fault and one
+/// fixed router fault, each re-verdicted over `DegradedRouting` and
+/// checked against the oracle. Exhaustive for the same reason as the
+/// empty-set test: the sampled proptest rarely draws the configurations
+/// where a retype bug shows.
+#[test]
+fn single_link_and_router_faults_match_from_scratch_on_every_config() {
+    for cfg in every_config() {
+        let base = BaseAnalysis::analyze(cfg.clone());
+        // Router 1's `Plus` link in dimension 0 and router 5 exist on
+        // every grid topology, the 4×4 mesh included.
+        let link = fault_set(cfg.topo(), &[(1, 0, 0)], None);
+        let router = fault_set(cfg.topo(), &[], Some(5));
+        assert_agreement(&cfg, &base, &link).unwrap();
+        assert_agreement(&cfg, &base, &router).unwrap();
+    }
+}
+
+/// Every configuration the proptest draws from: 4 topologies × 4
+/// schemes × 3 VC budgets × 2 patterns × 3 queue organizations = 288.
+fn every_config() -> impl Iterator<Item = AnalysisConfig> {
+    (0..4).flat_map(|topo_idx| {
+        (0..4).flat_map(move |scheme_idx| {
+            [2u8, 4, 8].into_iter().flat_map(move |vcs| {
+                (0..2).flat_map(move |pat_idx| {
+                    (0..3).map(move |org_idx| config(topo_idx, scheme_idx, vcs, pat_idx, org_idx))
+                })
+            })
+        })
+    })
 }
 
 /// The 16x16 requirement, pinned deterministically: one base analysis,

@@ -292,12 +292,12 @@ fn flat_router_state_is_resident_and_pristine_at_64x64() {
     );
     let slots = ports * vcs;
     // Per slot: `depth` flits, head and len (u16), route port and VC
-    // (u8), blocked and stall epoch (u64), owner handle, credits (u32),
-    // busy counter (u64); per port a u32 round-robin pointer; per router
-    // one 64-byte header.
+    // (u8), blocked and stall epoch (u32), owner handle, credits (u16),
+    // busy counter (u32); per port a u8 round-robin pointer; per router
+    // one 48-byte header.
     let per_slot =
-        depth * size_of::<Flit>() + 2 + 2 + 1 + 1 + 8 + 8 + size_of::<MsgHandle>() + 4 + 8;
-    let closed_form = (routers * (slots * per_slot + ports * 4 + 64)) as u64;
+        depth * size_of::<Flit>() + 2 + 2 + 1 + 1 + 4 + 4 + size_of::<MsgHandle>() + 2 + 4;
+    let closed_form = (routers * (slots * per_slot + ports + 48)) as u64;
     assert_eq!(net.routers_materialized(), routers as u64);
     assert_eq!(net.router_state_bytes(), closed_form);
     for node in net.topo().routers() {
