@@ -36,9 +36,6 @@ struct Frame {
     /// Subordinates still to deliver from this holder (handles into the
     /// simulation's message store).
     pending: VecDeque<MsgHandle>,
-    /// True while this holder's memory controller is producing
-    /// subordinates.
-    waiting_mc: bool,
 }
 
 #[derive(Debug)]
@@ -131,6 +128,8 @@ pub struct PrRecovery {
     blocked_scratch: Vec<(NodeId, MsgHandle)>,
     /// Token laps already published to the observability counters.
     laps_noted: u64,
+    /// NICs the current [`PrRecovery::step`] acted on, in action order.
+    touched: Vec<NicId>,
 }
 
 impl PrRecovery {
@@ -159,6 +158,7 @@ impl PrRecovery {
             episode_log: Vec::new(),
             blocked_scratch: Vec::new(),
             laps_noted: 0,
+            touched: Vec::new(),
         }
     }
 
@@ -205,7 +205,9 @@ impl PrRecovery {
         self.lane.busy()
     }
 
-    /// Advance the recovery machinery one cycle.
+    /// Advance the recovery machinery one cycle. Returns the NICs it
+    /// acted on (possibly with repeats): each may have new work, so the
+    /// caller must wake it.
     pub fn step(
         &mut self,
         net: &mut Network,
@@ -213,10 +215,11 @@ impl PrRecovery {
         topo: &Topology,
         cycle: u64,
         store: &mut MessageStore,
-    ) {
+    ) -> &[NicId] {
+        self.touched.clear();
         if self.episode.is_some() {
             self.episode_step(nics, topo, cycle, store);
-            return;
+            return &self.touched;
         }
         debug_assert_ne!(
             self.token.state(),
@@ -224,7 +227,7 @@ impl PrRecovery {
             "no episode implies the token is circulating or lost"
         );
         let Some(stop) = self.token.advance(&self.ring, cycle) else {
-            return;
+            return &self.touched;
         };
         mdd_obs::counter_add(CounterId::TokenHops, 1);
         if self.token.laps > self.laps_noted {
@@ -239,8 +242,10 @@ impl PrRecovery {
                     at_nic: true,
                 });
                 if nics[n.index()].detection_fired(cycle) && !nics[n.index()].rescue_busy() {
-                    let Some(head) = nics[n.index()].begin_rescue_from_input(cycle, store) else {
-                        return;
+                    let Some(head) =
+                        touch(nics, &mut self.touched, n).begin_rescue_from_input(cycle, store)
+                    else {
+                        return &self.touched;
                     };
                     self.token.capture();
                     self.nic_captures += 1;
@@ -260,7 +265,6 @@ impl PrRecovery {
                             router: topo.nic_router(n),
                             nic: Some(n),
                             pending: VecDeque::new(),
-                            waiting_mc: true,
                         }],
                         phase: Phase::WaitMc,
                         started_at: cycle,
@@ -296,7 +300,7 @@ impl PrRecovery {
                         m.rescued = true;
                         (m.id.0, m.src)
                     };
-                    nics[src.index()].abort_injection(h);
+                    touch(nics, &mut self.touched, src).abort_injection(h);
                     self.token.capture();
                     self.router_captures += 1;
                     self.episodes_started += 1;
@@ -326,7 +330,6 @@ impl PrRecovery {
                             router: r,
                             nic: None,
                             pending: VecDeque::new(),
-                            waiting_mc: false,
                         }],
                         phase: Phase::Transfer,
                         started_at: cycle,
@@ -337,6 +340,7 @@ impl PrRecovery {
                 }
             }
         }
+        &self.touched
     }
 
     fn finish_episode(&mut self, cycle: u64) {
@@ -379,10 +383,9 @@ impl PrRecovery {
                 Phase::WaitMc => {
                     let top = ep.stack.last_mut().expect("WaitMc frame");
                     let n = top.nic.expect("WaitMc frames belong to NICs");
-                    match nics[n.index()].take_rescue_output() {
+                    match touch(nics, &mut self.touched, n).take_rescue_output() {
                         Some(subs) => {
                             top.pending.extend(subs);
-                            top.waiting_mc = false;
                             ep.phase = Phase::Dispatch;
                         }
                         None => return,
@@ -403,7 +406,8 @@ impl PrRecovery {
                     };
                     let dst_router = topo.nic_router(dst);
                     let terminating = self.pattern.protocol().is_terminating(mtype);
-                    match nics[dst.index()].try_deposit_input(msg, store) {
+                    let nic = touch(nics, &mut self.touched, dst);
+                    match nic.try_deposit_input(msg, store) {
                         Ok(()) => {
                             let back = ep.stack.last().expect("sender frame").router;
                             ep.phase = Phase::TokenDelay {
@@ -415,20 +419,19 @@ impl PrRecovery {
                             if terminating {
                                 // Sunk directly by the MC via preemption
                                 // (Appendix Case 2).
-                                nics[dst.index()].sink_terminating(msg, cycle, store);
+                                nic.sink_terminating(msg, cycle, store);
                                 let back = ep.stack.last().expect("sender frame").router;
                                 ep.phase = Phase::TokenDelay {
                                     until: cycle + self.lane.control_delay(dst_router, back),
                                 };
                                 return;
                             }
-                            match nics[dst.index()].rescue_process(msg) {
+                            match nic.rescue_process(msg) {
                                 RescueOutcome::Scheduled => {
                                     ep.stack.push(Frame {
                                         router: dst_router,
                                         nic: Some(dst),
                                         pending: VecDeque::new(),
-                                        waiting_mc: true,
                                     });
                                     ep.max_depth = ep.max_depth.max(ep.stack.len() as u32);
                                     ep.phase = Phase::WaitMc;
@@ -456,10 +459,6 @@ impl PrRecovery {
                         self.finish_episode(cycle);
                         return;
                     };
-                    if top.waiting_mc {
-                        ep.phase = Phase::WaitMc;
-                        continue;
-                    }
                     match top.pending.pop_front() {
                         Some(m) => {
                             // Appendix Case 1: deposit locally when the
@@ -469,7 +468,9 @@ impl PrRecovery {
                                 .expect("router frames never have pending subordinates");
                             ep.messages_moved += 1;
                             mdd_obs::counter_add(CounterId::MessagesRescued, 1);
-                            match nics[holder.index()].try_deposit_output(m, store) {
+                            match touch(nics, &mut self.touched, holder)
+                                .try_deposit_output(m, store)
+                            {
                                 // Deposited: fall through to the next
                                 // dispatch iteration.
                                 Ok(()) => {}
@@ -512,4 +513,11 @@ impl PrRecovery {
             }
         }
     }
+}
+
+/// The orchestrator's only way to act on a NIC: record it in `touched`
+/// (the caller wakes it) and hand out the NIC.
+fn touch<'a>(nics: &'a mut [Nic], touched: &mut Vec<NicId>, n: NicId) -> &'a mut Nic {
+    touched.push(n);
+    &mut nics[n.index()]
 }

@@ -23,20 +23,13 @@ pub(crate) struct NicSchedule {
 }
 
 impl NicSchedule {
-    /// A schedule over `n` NICs, all due at cycle 0 (everything awake —
-    /// the state the dense scan starts from).
+    /// A schedule over `n` NICs, all inert: a NIC with nothing queued
+    /// has nothing to tick until an event (request issue first) wakes it.
     pub fn new(n: usize) -> Self {
-        let mut s = NicSchedule {
-            next: vec![0; n],
+        NicSchedule {
+            next: vec![u64::MAX; n],
             bits: vec![0; n.div_ceil(64)],
-        };
-        s.wake_all(0);
-        s
-    }
-
-    /// NICs covered by the schedule.
-    pub fn len(&self) -> usize {
-        self.next.len()
+        }
     }
 
     /// Set NIC `i`'s next due cycle, maintaining the bitmap.
@@ -50,16 +43,14 @@ impl NicSchedule {
         }
     }
 
-    /// Make every NIC due at `cycle` (a PR rescue episode may have mutated
-    /// any NIC, so the whole array wakes).
-    pub fn wake_all(&mut self, cycle: u64) {
-        let n = self.len();
-        self.next.fill(cycle);
-        self.bits.fill(u64::MAX);
-        if !n.is_multiple_of(64) {
-            let w = self.bits.len() - 1;
-            self.bits[w] = (1u64 << (n % 64)) - 1;
+    /// Make NIC `i` due at `cycle`; true if it was not due already (so a
+    /// due set collected earlier in the cycle lacks it).
+    pub fn wake(&mut self, i: usize, cycle: u64) -> bool {
+        let woke = self.next[i] > cycle;
+        if woke {
+            self.set(i, cycle);
         }
+        woke
     }
 
     /// Collect every NIC due at or before `cycle`, ascending, into `out`
@@ -84,23 +75,18 @@ mod tests {
     use super::NicSchedule;
 
     #[test]
-    fn starts_all_due() {
+    fn starts_inert() {
         let s = NicSchedule::new(130);
         let mut due = Vec::new();
-        s.due_into(0, &mut due);
-        assert_eq!(due, (0..130).collect::<Vec<_>>());
+        s.due_into(u64::MAX - 1, &mut due);
+        assert!(due.is_empty(), "no NIC is due before an event wakes it");
     }
 
     #[test]
     fn set_and_clear_track_the_flat_array() {
         let n = 200;
         let mut s = NicSchedule::new(n);
-        for i in 0..n {
-            s.set(i, u64::MAX);
-        }
         let mut due = Vec::new();
-        s.due_into(u64::MAX - 1, &mut due);
-        assert!(due.is_empty(), "inert NICs are never due");
         s.set(137, 42);
         s.set(3, 7);
         s.set(199, 42);
@@ -113,19 +99,9 @@ mod tests {
         s.set(3, u64::MAX);
         s.due_into(u64::MAX - 1, &mut due);
         assert_eq!(due, vec![137, 199]);
-    }
-
-    #[test]
-    fn wake_all_restores_full_occupancy() {
-        let mut s = NicSchedule::new(70);
-        for i in 0..70 {
-            s.set(i, u64::MAX);
-        }
-        s.wake_all(9);
-        let mut due = Vec::new();
-        s.due_into(8, &mut due);
-        assert!(due.is_empty(), "woken NICs are due at 9, not before");
-        s.due_into(9, &mut due);
-        assert_eq!(due, (0..70).collect::<Vec<_>>());
+        assert!(s.wake(3, 50), "an inert NIC wakes");
+        assert!(!s.wake(137, 50), "a NIC due at 42 is due at 50 already");
+        s.due_into(50, &mut due);
+        assert_eq!(due, vec![3, 137, 199]);
     }
 }

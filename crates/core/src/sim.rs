@@ -27,13 +27,14 @@ pub struct Simulator {
     cycle: u64,
     generation: bool,
     /// Idle-skip schedule: per NIC, the next cycle its endpoint/injection
-    /// ticks must execute. `u64::MAX` marks a fully inert NIC; request
-    /// issue, packet delivery and recovery activity rewind the entry so
-    /// the NIC resumes ticking. While an entry exceeds the current cycle,
-    /// both of that NIC's ticks are provably no-ops, so skipping them is
-    /// bit-exact. An occupancy bitmap over the scheduled entries keeps
-    /// the per-cycle walk to one word per 64 NICs plus the scheduled
-    /// NICs' deadlines.
+    /// ticks must execute. `u64::MAX` marks a fully inert NIC (every NIC
+    /// starts so); every event that gives a NIC work — request issue,
+    /// packet delivery, a PR orchestrator action on it — rewinds the
+    /// entry so the NIC resumes ticking. While an entry exceeds the
+    /// current cycle, both of that NIC's ticks are provably no-ops, so
+    /// skipping them is bit-exact. An occupancy bitmap over the scheduled
+    /// entries keeps the per-cycle walk to one word per 64 NICs plus the
+    /// scheduled NICs' deadlines.
     nic_sched: NicSchedule,
     /// Router-range partition for the network phase (`cfg.shards`
     /// shards; one runs on the calling thread). Results are bit-identical
@@ -288,36 +289,27 @@ impl Simulator {
             }
         }
         self.src_scratch = srcs;
-        // A PR rescue episode drives NIC state from the orchestrator
-        // (deposits, MC preemptions), so idle-skip is suspended for its
-        // duration: episodes are rare and short, the dense ticks there
-        // are exactly what the pre-activity-scheduling code did.
-        let episode_before = self
-            .recovery
-            .as_ref()
-            .is_some_and(PrRecovery::episode_active);
-        // 3. Endpoint work. Skipped NICs have no queued messages and no
-        // due memory-controller completion, making `tick` a no-op.
-        let skipped = if episode_before {
-            for i in 0..self.nics.len() {
-                self.nics[i].tick(c, &mut self.ids, &mut self.store);
-            }
-            0
-        } else {
-            let mut due = std::mem::take(&mut self.due_scratch);
-            self.nic_sched.due_into(c, &mut due);
-            for &i in &due {
-                self.nics[i as usize].tick(c, &mut self.ids, &mut self.store);
-            }
-            let skipped = (self.nics.len() - due.len()) as u64;
-            self.due_scratch = due;
-            skipped
-        };
-        mdd_obs::counter_add(mdd_obs::CounterId::NicTicksSkipped, skipped);
-        // 4. Scheme actions.
+        // 3. Endpoint work on the NICs due this cycle. A NIC off the due
+        // set has no queued work and no due memory-controller completion,
+        // so both of its ticks are no-ops (asserted in debug builds).
+        let mut due = std::mem::take(&mut self.due_scratch);
+        self.nic_sched.due_into(c, &mut due);
+        #[cfg(debug_assertions)]
+        self.skipped_nic_check(c, &due);
+        for &i in &due {
+            self.nics[i as usize].tick(c, &mut self.ids, &mut self.store);
+        }
+        mdd_obs::counter_add(
+            mdd_obs::CounterId::NicTicksSkipped,
+            (self.nics.len() - due.len()) as u64,
+        );
+        // 4. Scheme actions. A fired detector implies a full input queue,
+        // so only due NICs can deflect. The PR orchestrator reports every
+        // NIC it acted on; each wakes, and joins this cycle's injection.
         match self.cfg.scheme {
             Scheme::DeflectiveRecovery => {
-                for nic in &mut self.nics {
+                for &i in &due {
+                    let nic = &mut self.nics[i as usize];
                     if nic.detection_fired(c) {
                         nic.try_deflect(c, &mut self.ids, &mut self.store);
                     }
@@ -325,37 +317,25 @@ impl Simulator {
             }
             Scheme::ProgressiveRecovery => {
                 let rec = self.recovery.as_mut().expect("PR has recovery state");
-                rec.step(
+                let touched = rec.step(
                     &mut self.net,
                     &mut self.nics,
                     &self.topo,
                     c,
                     &mut self.store,
                 );
+                let mut woke = false;
+                for n in touched {
+                    woke |= self.nic_sched.wake(n.index(), c);
+                }
+                if woke {
+                    self.nic_sched.due_into(c, &mut due);
+                }
             }
             Scheme::StrictAvoidance { .. } => {}
         }
-        // An episode that was (or just became) active may have mutated
-        // any NIC: wake the whole array for injection this cycle and a
-        // dense tick next cycle; the per-NIC schedules rebuild below.
-        let episode_after = episode_before
-            || self
-                .recovery
-                .as_ref()
-                .is_some_and(PrRecovery::episode_active);
-        if episode_after {
-            self.nic_sched.wake_all(c);
-        }
         // 5. Injection, then rebuild each executed NIC's schedule from
-        // its post-cycle state. Nothing between the endpoint collection
-        // and here touches the schedule (request issue precedes it;
-        // deliveries happen in the network phase below) unless an episode
-        // woke the whole array, so the endpoint due set is reused
-        // verbatim in the common case.
-        let mut due = std::mem::take(&mut self.due_scratch);
-        if episode_after {
-            self.nic_sched.due_into(c, &mut due);
-        }
+        // its post-cycle state.
         for &i in &due {
             let i = i as usize;
             self.nics[i].injection_tick(&mut self.net, &self.routing, c, &self.store);
@@ -402,6 +382,24 @@ impl Simulator {
         // `ProvenFree` must never reach an oracle-confirmed deadlock.
         #[cfg(debug_assertions)]
         self.debug_check_certified_free(c);
+    }
+
+    /// Debug-build idle-skip check, the NIC counterpart of the network's
+    /// skipped-router check: every NIC outside this cycle's due set
+    /// (ascending) must be inert at `c` — nothing queued and no
+    /// memory-controller completion due — or some event gave it work
+    /// without waking it.
+    #[cfg(debug_assertions)]
+    fn skipped_nic_check(&self, c: u64, due: &[u32]) {
+        let mut due = due.iter().peekable();
+        for (i, nic) in self.nics.iter().enumerate() {
+            if due.next_if_eq(&&(i as u32)).is_none() {
+                assert!(
+                    nic.next_tick_cycle(c) > c,
+                    "NIC {i} skipped at cycle {c} with work to do (missing wake)"
+                );
+            }
+        }
     }
 
     /// Debug-build agreement check between the static verifier and the

@@ -63,7 +63,7 @@ mod error;
 mod job;
 pub mod proto;
 
-pub use cache::{ResultCache, CACHE_SHARDS};
+pub use cache::ResultCache;
 pub use codec::{decode_line, encode_line, CACHE_LINE_VERSION};
 pub use engine::{Canceller, Engine, EngineBuilder, JobHandle, PointOutcome, SweepReport};
 pub use error::{PointError, PointFailure};

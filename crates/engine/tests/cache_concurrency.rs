@@ -1,7 +1,7 @@
 //! Cross-handle cache safety: two independently opened caches (the
 //! in-process stand-in for two engine *processes*) appending to the same
-//! shard directory must never corrupt or drop a completed point, and a
-//! tail left unterminated by a crash must be repaired without eating a
+//! cache file must never corrupt or drop a completed point, and a tail
+//! left unterminated by a crash must be repaired without eating a
 //! neighbour's line.
 
 mod common;
@@ -11,20 +11,14 @@ use mdd_engine::{Engine, Job, ResultCache};
 use std::io::Write;
 use std::sync::Arc;
 
-/// Two handles, one directory, every key in the *same* shard (all keys
-/// start with 'a'), interleaved appends from two threads. Nothing may be
-/// lost: the shard file is append-only and each put is one write of a
-/// complete line.
+/// Two handles, one directory, interleaved appends from two threads to
+/// its one cache file. Nothing may be lost: the file is append-only and
+/// each put is one write of a complete line.
 #[test]
-fn two_writers_on_one_shard_drop_nothing() {
-    let tmp = TempDir::new("shard-race");
+fn two_writers_on_one_file_drop_nothing() {
+    let tmp = TempDir::new("file-race");
     let a = Arc::new(ResultCache::open(tmp.path()).expect("open first handle"));
     let b = Arc::new(ResultCache::open(tmp.path()).expect("open second handle"));
-    assert_eq!(
-        a.shard_file("a000"),
-        b.shard_file("afff"),
-        "test premise: every key lands in one shard file"
-    );
 
     const PER_WRITER: usize = 200;
     let writers: Vec<_> = [(Arc::clone(&a), 0), (Arc::clone(&b), PER_WRITER)]
@@ -55,22 +49,21 @@ fn two_writers_on_one_shard_drop_nothing() {
 }
 
 /// A crashed writer leaves an unterminated tail; a second live handle on
-/// the same directory keeps appending. The repair (under the shard lock,
-/// append-only) must terminate the torn line without touching complete
+/// the same directory keeps appending. The repair (at open, append-only)
+/// must terminate the torn line without touching complete
 /// ones, and the torn line alone may be lost.
 #[test]
 fn tail_repair_under_concurrent_appends_keeps_complete_points() {
-    let tmp = TempDir::new("shard-repair");
+    let tmp = TempDir::new("file-repair");
     let survivor = ResultCache::open(tmp.path()).expect("open survivor");
     survivor.put("a001", "PR", &fake_result(0.1)).expect("put");
 
-    // Simulate another process crashing mid-append to the same shard.
-    let shard = survivor.shard_file("a001");
+    // Simulate another process crashing mid-append to the same file.
     {
         let mut f = std::fs::OpenOptions::new()
             .append(true)
-            .open(&shard)
-            .expect("open shard for torn write");
+            .open(tmp.path().join("cache.jsonl"))
+            .expect("open cache file for torn write");
         f.write_all(b"{\"v\":1,\"key\":\"a002\",\"la")
             .expect("torn write");
     }

@@ -101,18 +101,13 @@ fn resume_after_partial_failure_replays_survivors_from_cache() {
 #[test]
 fn cache_skips_corrupt_lines_and_keeps_valid_ones() {
     let tmp = TempDir::new("corrupt");
-    // Both keys start with 'a', so they share one shard file — the one
-    // this test corrupts.
     {
         let cache = ResultCache::open(tmp.path()).unwrap();
         cache.put("aaaa", "PR", &fake_result(0.1)).unwrap();
         cache.put("abbb", "PR", &fake_result(0.2)).unwrap();
     }
     // Simulate a crash mid-append plus unrelated garbage.
-    let file = {
-        let cache = ResultCache::open(tmp.path()).unwrap();
-        cache.shard_file("aaaa")
-    };
+    let file = tmp.path().join("cache.jsonl");
     let mut text = std::fs::read_to_string(&file).unwrap();
     text.insert_str(0, "not json\n");
     text.push_str("{\"v\":1,\"key\":\"truncated");
@@ -129,4 +124,34 @@ fn cache_skips_corrupt_lines_and_keeps_valid_ones() {
     let cache = ResultCache::open(tmp.path()).unwrap();
     assert_eq!(cache.len(), 3);
     assert!(cache.get("accc").is_some());
+}
+
+/// A cache written in the earlier sixteen-file layout keeps hitting: every
+/// `*.jsonl` in the directory is read, and new points go to `cache.jsonl`.
+#[test]
+fn shard_files_of_the_old_layout_keep_hitting() {
+    let tmp = TempDir::new("old-layout");
+    {
+        let cache = ResultCache::open(tmp.path()).unwrap();
+        cache.put("a123", "PR", &fake_result(0.1)).unwrap();
+        cache.put("f456", "PR", &fake_result(0.2)).unwrap();
+    }
+    std::fs::rename(
+        tmp.path().join("cache.jsonl"),
+        tmp.path().join("shard-a.jsonl"),
+    )
+    .unwrap();
+    std::fs::write(tmp.path().join("notes.txt"), "not a cache file\n").unwrap();
+
+    let cache = ResultCache::open(tmp.path()).unwrap();
+    assert_eq!(cache.len(), 2);
+    assert_eq!(cache.get("f456").unwrap().applied_load, 0.2);
+    cache.put("b789", "PR", &fake_result(0.3)).unwrap();
+    let appended = std::fs::read_to_string(tmp.path().join("cache.jsonl")).unwrap();
+    assert_eq!(
+        appended.lines().count(),
+        1,
+        "only the new point is appended"
+    );
+    assert_eq!(ResultCache::open(tmp.path()).unwrap().len(), 3);
 }
