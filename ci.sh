@@ -78,18 +78,22 @@ echo "==> --shards equivalence (one run bit-identical across shard counts)"
 # the comparison MUST bypass the cache or the second run would be served
 # from the first's entries and the check would be vacuous.
 # 16x16 (four wake-set words), so shard boundaries fall inside the torus
-# and cross-shard mailbox traffic is actually exercised.
-shards_sweep() { # n
+# and cross-shard mailbox traffic is actually exercised. The second pair
+# runs two NICs per router, so each shard's NIC slice spans
+# (hi - lo) x bristle NICs.
+shards_sweep() { # n bristle
     cargo run -q -p mdd-bench --release --bin mddsim -- \
-        --scheme pr --pattern pat271 --vcs 4 --radix 16x16 \
+        --scheme pr --pattern pat271 --vcs 4 --radix 16x16 --bristle "$2" \
         --sweep 0.10:0.30:3 --warmup 100 --measure 300 \
         --no-cache --shards "$1" 2>/dev/null
 }
-shards1=$(shards_sweep 1)
-shards4=$(shards_sweep 4)
-[ "$shards1" = "$shards4" ] || {
-    echo "shards equivalence: --shards 1 and --shards 4 disagree:"
-    diff <(echo "$shards1") <(echo "$shards4") || true; exit 1; }
+for bristle in 1 2; do
+    shards1=$(shards_sweep 1 "$bristle")
+    shards4=$(shards_sweep 4 "$bristle")
+    [ "$shards1" = "$shards4" ] || {
+        echo "shards equivalence (bristle $bristle): --shards 1 and --shards 4 disagree:"
+        diff <(echo "$shards1") <(echo "$shards4") || true; exit 1; }
+done
 # --shards 0 must be rejected at the flag, like --jobs 0.
 set +e
 cargo run -q -p mdd-bench --release --bin mddsim -- \

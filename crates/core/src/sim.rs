@@ -41,9 +41,6 @@ pub struct Simulator {
     /// at any count — the plan only changes which thread executes each
     /// router.
     shard_plan: ShardPlan,
-    /// Per shard: NICs whose idle-skip entry a packet delivery zeroed
-    /// during the network phase, applied after it in shard order.
-    shard_wakes: Vec<Vec<u32>>,
     /// Scratch for draining the schedule's due set without holding a
     /// borrow across the tick calls.
     due_scratch: Vec<u32>,
@@ -60,6 +57,10 @@ pub struct Simulator {
     /// (throttles the CWG oracle to once per detection window).
     #[cfg(debug_assertions)]
     next_certified_check: u64,
+    /// Debug-build scratch: every NIC's [`nic_work`] before the PR
+    /// orchestrator's step, for [`check_touch_list`].
+    #[cfg(debug_assertions)]
+    nic_work_before: Vec<(usize, u32, u32)>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -159,7 +160,6 @@ impl Simulator {
         };
         let num_nics = nics.len();
         let shard_plan = ShardPlan::new(topo.num_routers(), cfg.shards);
-        let shard_wakes = vec![Vec::new(); shard_plan.shards()];
         Simulator {
             cfg,
             topo,
@@ -174,7 +174,6 @@ impl Simulator {
             generation: true,
             nic_sched: NicSchedule::new(num_nics),
             shard_plan,
-            shard_wakes,
             due_scratch: Vec::new(),
             src_scratch: Vec::new(),
             cwg_checks: 0,
@@ -183,6 +182,8 @@ impl Simulator {
             certified_free: None,
             #[cfg(debug_assertions)]
             next_certified_check: 0,
+            #[cfg(debug_assertions)]
+            nic_work_before: Vec::new(),
         }
     }
 
@@ -316,6 +317,11 @@ impl Simulator {
                 }
             }
             Scheme::ProgressiveRecovery => {
+                #[cfg(debug_assertions)]
+                {
+                    self.nic_work_before.clear();
+                    self.nic_work_before.extend(self.nics.iter().map(nic_work));
+                }
                 let rec = self.recovery.as_mut().expect("PR has recovery state");
                 let touched = rec.step(
                     &mut self.net,
@@ -324,6 +330,8 @@ impl Simulator {
                     c,
                     &mut self.store,
                 );
+                #[cfg(debug_assertions)]
+                check_touch_list(&self.nics, &self.nic_work_before, touched, c);
                 let mut woke = false;
                 for n in touched {
                     woke |= self.nic_sched.wake(n.index(), c);
@@ -343,23 +351,23 @@ impl Simulator {
         }
         self.due_scratch = due;
         // 6. Network cycle. Each shard gets exclusive ownership of its
-        // router range's NICs; schedule wakes from packet deliveries are
-        // deferred into per-shard lists and applied here in shard order
-        // (nothing reads the schedule during the network phase and
-        // `set(i, 0)` is order-insensitive across distinct NICs).
+        // router range's NICs for admission. A delivered packet is a new
+        // message queued at its NIC: the NIC wakes for the next cycle.
+        // Queueing after the step is exact: a delivered message fills the
+        // slot its admission reserved, so no admission answer depends on
+        // when it is queued.
         let ejs = NicShard::split(
             &self.store,
             &mut self.nics,
             &self.shard_plan,
             self.cfg.bristle,
-            &mut self.shard_wakes,
         );
         self.net
             .step_sharded(c, &self.routing, &self.shard_plan, ejs);
-        for wakes in &mut self.shard_wakes {
-            for i in wakes.drain(..) {
-                self.nic_sched.set(i as usize, 0);
-            }
+        for &(nic, h) in self.net.delivered() {
+            let i = nic.index();
+            self.nics[i].on_packet(h, self.store.get(h));
+            self.nic_sched.wake(i, c + 1);
         }
         self.cycle += 1;
         // Periodic observability gauges (cheap: one enabled check per
@@ -549,5 +557,29 @@ impl Simulator {
     /// Total messages the traffic source has generated.
     pub fn generated(&self) -> u64 {
         self.traffic.generated()
+    }
+}
+
+/// The NIC state a PR orchestrator action can change: buffered
+/// messages, deadlock-buffer occupancy and outstanding transactions.
+#[cfg(debug_assertions)]
+fn nic_work(nic: &Nic) -> (usize, u32, u32) {
+    (
+        nic.buffered_messages(),
+        nic.dmb_occupancy(),
+        nic.outstanding(),
+    )
+}
+
+/// Debug-build check on the PR orchestrator's touch list: every NIC whose
+/// [`nic_work`] changed during [`PrRecovery::step`] must be among the NICs
+/// the step reported, or it would miss its wake.
+#[cfg(debug_assertions)]
+fn check_touch_list(nics: &[Nic], before: &[(usize, u32, u32)], touched: &[NicId], c: u64) {
+    for (i, (nic, &was)) in nics.iter().zip(before).enumerate() {
+        assert!(
+            nic_work(nic) == was || touched.contains(&NicId(i as u32)),
+            "PR recovery changed NIC {i} at cycle {c} without reporting it (missing wake)"
+        );
     }
 }

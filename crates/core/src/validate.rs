@@ -151,7 +151,6 @@ pub fn build_waitfor_graph(sim: &Simulator) -> WaitForGraph {
                             dst: head.dst,
                             dst_router: topo.nic_router(head.dst),
                             crossed_dateline: 0,
-                            injected_at: 0,
                         };
                         let mut vcs_buf = Vec::new();
                         sim.routing().injection_vcs(&pkt, &mut vcs_buf);

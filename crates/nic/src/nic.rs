@@ -235,7 +235,8 @@ impl Nic {
     }
 
     // ------------------------------------------------------------------
-    // Ejection side (driven by the network's EjectControl).
+    // Ejection side: admission is asked by the network step; the
+    // simulator hands over each packet the step delivered.
     // ------------------------------------------------------------------
 
     /// May packet `msg` begin ejecting here? Reserves a queue slot on
@@ -264,15 +265,10 @@ impl Nic {
         (earmarked && self.in_q[qi].claim_earmark() || self.in_q[qi].reserve(1)).then_some(qi)
     }
 
-    /// One non-tail flit arrived.
-    pub fn on_flit(&mut self) {
-        self.stats.flits_delivered += 1;
-    }
-
-    /// The tail flit arrived: enqueue the complete message (`msg` is `h`
-    /// resolved by the caller).
+    /// The packet's tail ejected here: enqueue the complete message into
+    /// the slot [`Nic::can_accept`] reserved for it (`msg` is `h` resolved
+    /// by the caller).
     pub fn on_packet(&mut self, h: MsgHandle, msg: &Message) {
-        self.stats.flits_delivered += 1;
         if msg.is_backoff {
             self.backoff_inbox.push_back(h);
             return;
@@ -359,7 +355,7 @@ impl Nic {
                 if m.is_backoff {
                     self.resume_backoff(&m, cycle, ids, store);
                 } else {
-                    self.complete_transaction(&m, cycle);
+                    self.complete_transaction(&m);
                 }
             }
         }
@@ -392,7 +388,7 @@ impl Nic {
         self.pending_reissue.extend(subs);
     }
 
-    fn complete_transaction(&mut self, m: &Message, cycle: u64) {
+    fn complete_transaction(&mut self, m: &Message) {
         debug_assert_eq!(
             m.requester, self.id,
             "terminating replies sink at the requester"
@@ -401,7 +397,6 @@ impl Nic {
         self.mshrs_in_use -= 1;
         if self.measuring {
             self.stats.transactions_completed += 1;
-            self.stats.txn_latency.add((cycle - m.created) as f64);
         }
     }
 
@@ -917,7 +912,7 @@ impl Nic {
         let msg = store.remove(h);
         debug_assert!(self.pattern.protocol().is_terminating(msg.mtype));
         self.note_consumed(&msg, cycle);
-        self.complete_transaction(&msg, cycle);
+        self.complete_transaction(&msg);
     }
 
     // ------------------------------------------------------------------
@@ -1028,7 +1023,6 @@ impl Nic {
                     dst: head.dst,
                     dst_router: net.topo().nic_router(head.dst),
                     crossed_dateline: 0,
-                    injected_at: cycle,
                 };
                 self.inject_vcs.clear();
                 routing.injection_vcs(&pkt, &mut self.inject_vcs);
@@ -1051,7 +1045,7 @@ impl Nic {
                 msg: head.id.0,
                 mtype: head.mtype.0,
             });
-            net.begin_packet(h, head, cycle);
+            net.begin_packet(h, head);
             self.active_inject[v as usize] = Some(ActiveInjection {
                 msg: h,
                 len: u16::try_from(head.length_flits)
@@ -1079,7 +1073,6 @@ impl Nic {
             };
             let ok = net.inject_flit(self.id, v as u8, flit);
             debug_assert!(ok, "free slots checked");
-            self.stats.flits_injected += 1;
             let done = flit.is_tail;
             let from_queue = act.from_queue;
             let h = act.msg;

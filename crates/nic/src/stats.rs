@@ -9,14 +9,8 @@ pub struct NicStats {
     pub msg_latency: OnlineStats,
     /// Streaming latency quantiles (p50/p95/p99) for the same samples.
     pub msg_latency_quantiles: LatencyQuantiles,
-    /// Latency of terminating replies only (transaction completions).
-    pub txn_latency: OnlineStats,
     /// Messages consumed at this NIC (sunk or serviced).
     pub messages_consumed: u64,
-    /// Flits this NIC injected into the network.
-    pub flits_injected: u64,
-    /// Flits delivered to this NIC.
-    pub flits_delivered: u64,
     /// Transactions completed with this NIC as requester.
     pub transactions_completed: u64,
     /// Potential message-dependent deadlocks detected here.
@@ -39,10 +33,7 @@ impl NicStats {
         if other.msg_latency_quantiles.count() > self.msg_latency_quantiles.count() {
             self.msg_latency_quantiles = other.msg_latency_quantiles.clone();
         }
-        self.txn_latency.merge(&other.txn_latency);
         self.messages_consumed += other.messages_consumed;
-        self.flits_injected += other.flits_injected;
-        self.flits_delivered += other.flits_delivered;
         self.transactions_completed += other.transactions_completed;
         self.deadlocks_detected += other.deadlocks_detected;
         self.deflections += other.deflections;

@@ -371,7 +371,7 @@ fn injection_streams_one_flit_per_cycle() {
     let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
     let mut net = Network::new(topo, 2, 2);
     let mut nic = Nic::new(NicId(0), cfg(QueueOrg::Shared), pat(), 2);
-    let mut ej = AcceptAll::default();
+    let mut delivered = 0;
     // Two requests queued for injection.
     issue(&mut nic, &mut store, request(1, 0, 5));
     // Second transaction is allowed (mshr_limit = 2).
@@ -379,10 +379,11 @@ fn injection_streams_one_flit_per_cycle() {
     issue(&mut nic, &mut store, request(2, 0, 6));
     for c in 0..120 {
         nic.injection_tick(&mut net, &Dor, c, &store);
-        net.step(c, &Dor, &mut ej);
+        net.step(c, &Dor, &mut AcceptAll);
+        delivered += net.delivered().len();
     }
-    assert_eq!(ej.delivered.len(), 2, "both requests traverse the network");
-    assert_eq!(nic.stats.flits_injected, 8, "two 4-flit packets");
+    assert_eq!(delivered, 2, "both requests traverse the network");
+    assert_eq!(net.counters().flits_injected, 8, "two 4-flit packets");
     assert_eq!(nic.buffered_messages(), 0);
 }
 

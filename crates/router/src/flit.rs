@@ -51,9 +51,6 @@ pub struct PacketState {
     /// flit has traversed the wraparound link of dimension `d`. Determines
     /// the escape-channel class under dimension-order routing.
     pub crossed_dateline: u8,
-    /// Cycle the head flit entered the network (for network-latency
-    /// accounting).
-    pub injected_at: u64,
 }
 
 /// Registry of in-flight packets: a slab indexed by the message handle's

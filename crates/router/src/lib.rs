@@ -21,9 +21,11 @@
 //!   blocked packet onto the dedicated recovery lane.
 //!
 //! Routing policy is pluggable via the [`Routing`] trait (implementations
-//! live in `mdd-routing`); endpoint behaviour is pluggable via
-//! [`EjectControl`] (implemented by `mdd-nic`'s NIC array in the simulator
-//! and by lightweight stubs in this crate's tests).
+//! live in `mdd-routing`). Endpoint admission is pluggable via
+//! [`EjectControl`] (implemented over `mdd-nic`'s NIC array in the
+//! simulator and by lightweight stubs in this crate's tests); it is the
+//! network's only call into the endpoints. Each step hands back the
+//! packets whose tails ejected as data, through [`Network::delivered`].
 
 #![warn(missing_docs)]
 

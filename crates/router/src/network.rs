@@ -70,8 +70,6 @@ pub struct ExtractedPacket {
     pub head_router: NodeId,
     /// Flits reclaimed from network buffers.
     pub flits_in_network: u32,
-    /// Original injection cycle.
-    pub injected_at: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -195,6 +193,10 @@ pub struct Network {
     /// quiescence check and the blocked-head sweep's empty-router
     /// early-out.
     router_flits: Vec<u32>,
+    /// Packets whose tail flit ejected during the last step, as
+    /// `(destination NIC, message)` in move order — see
+    /// [`Network::delivered`].
+    delivered: Vec<(NicId, MsgHandle)>,
     /// Per-shard scratch for [`Network::step_sharded`] (sized to the
     /// plan on first use): candidate/move buffers, switch-request chains,
     /// outgoing mailboxes and per-cycle deltas, kept across cycles so the
@@ -246,6 +248,7 @@ impl Network {
             worklist: Vec::with_capacity(n),
             cur_mask: vec![0; n.div_ceil(64)],
             router_flits: vec![0; n],
+            delivered: Vec::new(),
             shard_scratch: Vec::new(),
             unit_plan: Arc::new(ShardPlan::new(n as u32, 1)),
             #[cfg(debug_assertions)]
@@ -322,6 +325,16 @@ impl Network {
         &self.packets
     }
 
+    /// The packets whose tail flit ejected during the last step, as
+    /// `(destination NIC, message)`, in move order (routers ascending) —
+    /// the same at any shard count. The network has removed them from its
+    /// packet table; handing each message to its endpoint is the caller's
+    /// job. Cleared at the start of each step, valid until the next one.
+    #[inline]
+    pub fn delivered(&self) -> &[(NicId, MsgHandle)] {
+        &self.delivered
+    }
+
     /// Total flits currently buffered in the network. O(routers): sums the
     /// per-router occupancy counters instead of walking every VC buffer.
     pub fn flits_in_network(&self) -> u64 {
@@ -331,7 +344,7 @@ impl Network {
     /// Register a packet about to be injected by `msg.src`'s NIC. The
     /// message stays in the store; routing-relevant fields are cached in
     /// the packet table entry.
-    pub fn begin_packet(&mut self, h: MsgHandle, msg: &Message, now: u64) {
+    pub fn begin_packet(&mut self, h: MsgHandle, msg: &Message) {
         let dst_router = self.topo.nic_router(msg.dst);
         self.packets.insert(PacketState {
             msg: h,
@@ -340,7 +353,6 @@ impl Network {
             dst: msg.dst,
             dst_router,
             crossed_dateline: 0,
-            injected_at: now,
         });
         self.counters.packets_injected += 1;
     }
@@ -387,9 +399,9 @@ impl Network {
         true
     }
 
-    /// Advance the network one cycle on the calling thread, with `ej` as
-    /// the endpoint controller: [`Network::step_sharded`] over a one-shard
-    /// plan.
+    /// Advance the network one cycle on the calling thread, with `ej`
+    /// answering ejection admission: [`Network::step_sharded`] over a
+    /// one-shard plan.
     pub fn step<E>(&mut self, cycle: u64, routing: &(dyn Routing + Sync), ej: &mut E)
     where
         E: EjectControl + Send + ?Sized,
@@ -416,12 +428,14 @@ impl Network {
     /// router range (credit returns, flit arrivals, wakes) are buffered
     /// into per-(src, dst) mailboxes and drained at the cycle barrier in
     /// fixed (src, dst) order, and packet-table mutations are deferred
-    /// the same way. `ejs` yields one endpoint controller per shard, in
-    /// shard order; ejection for a router always lands in its owning
-    /// shard's controller, so controllers never race. Debug builds
-    /// re-execute the cycle with the phased reference pipeline on a
-    /// snapshot and compare the end states, with the per-shard endpoint
-    /// logs merged in the reference's call order.
+    /// the same way; a tail's ejection is one of them, so the barrier
+    /// builds [`Network::delivered`] in move order. `ejs` yields one
+    /// admission controller per shard, in shard order; admission for a
+    /// router is always asked of its owning shard's controller, so
+    /// controllers never race. Debug builds re-execute the cycle with the
+    /// phased reference pipeline on a snapshot and compare the end states
+    /// and delivery lists, replaying the per-shard admission answers in
+    /// shard order.
     pub fn step_sharded<E: EjectControl + Send>(
         &mut self,
         cycle: u64,
@@ -440,6 +454,7 @@ impl Network {
             "shard plan covers a different network"
         );
         self.drain_wake_set();
+        self.delivered.clear();
         mdd_obs::counter_add(
             CounterId::RouterTicksSkipped,
             (n - self.worklist.len()) as u64,
@@ -455,17 +470,10 @@ impl Network {
             let mut recs: Vec<shadow::ShardRecordEj<E>> =
                 ejs.into_iter().map(shadow::ShardRecordEj::new).collect();
             self.run_shards(cycle, routing, plan, recs.iter_mut());
-            // Merge the per-shard endpoint logs into the reference's
-            // order: every allocation pass precedes every traversal in
-            // the reference, and shards are ascending contiguous router
-            // ranges — so all accepts in shard order, then all
-            // deliveries in shard order, is exactly its call sequence.
-            scratch.ej_log.clear();
+            // Shards are ascending contiguous router ranges, so their
+            // admission logs in shard order are the reference's call order.
             for rec in &recs {
                 scratch.ej_log.extend_from_slice(&rec.accepts);
-            }
-            for rec in &recs {
-                scratch.ej_log.extend_from_slice(&rec.delivers);
             }
             scratch.run_reference_and_compare(self, cycle, routing);
             self.shadow = scratch;
@@ -527,6 +535,7 @@ impl Network {
             router_flits,
             active_bits,
             worklist,
+            delivered,
             shard_scratch,
             ..
         } = self;
@@ -588,7 +597,8 @@ impl Network {
         // effect touches a distinct (router, slot) cell this cycle, so
         // the order is belt-and-braces determinism, not a correctness
         // requirement. Packet-table events follow in (shard, move) order
-        // — the traversal's own mutation order.
+        // — the traversal's own mutation order, so deliveries are listed
+        // in move order.
         let mut obs = ObsDeltas::default();
         let mut mailbox_effects = 0u64;
         let mut st = state.view();
@@ -624,9 +634,10 @@ impl Network {
                         Some(st) => st.crossed_dateline |= mask,
                         None => debug_assert!(false, "dateline hop by unregistered packet"),
                     },
-                    PkEvent::Delivered { msg } => {
+                    PkEvent::Delivered { nic, msg } => {
                         let st = packets.remove(msg);
                         debug_assert!(st.is_some(), "delivered packet must be registered");
+                        delivered.push((nic, msg));
                     }
                 }
             }
@@ -827,7 +838,6 @@ impl Network {
         Some(ExtractedPacket {
             head_router: head_router.unwrap_or(src_router),
             flits_in_network: flits_removed,
-            injected_at: st.injected_at,
             msg: st.msg,
         })
     }
@@ -991,8 +1001,9 @@ enum PkEvent {
     /// A head flit crossed a dateline link: OR `mask` into the packet's
     /// `crossed_dateline` bits.
     Dateline { msg: MsgHandle, mask: u8 },
-    /// A tail flit ejected: remove the packet from the table.
-    Delivered { msg: MsgHandle },
+    /// A tail flit ejected at `nic`: remove the packet from the table and
+    /// list it in [`Network::delivered`].
+    Delivered { nic: NicId, msg: MsgHandle },
 }
 
 /// Per-shard reusable scratch plus the per-cycle deltas a shard hands
@@ -1058,7 +1069,7 @@ struct StepShared<'a> {
 
 /// One shard's mutable view of the network: disjoint slices of every
 /// per-router array (router indices offset by `lo`, wake words by
-/// `word_base`), its slice of the ascending worklist, its endpoint
+/// `word_base`), its slice of the ascending worklist, its admission
 /// controller and its scratch.
 struct ShardTask<'a, E> {
     lo: u32,
@@ -1372,7 +1383,8 @@ impl<E: EjectControl> ShardTask<'_, E> {
     /// table-driven. Effects inside the shard's router range apply
     /// directly; credit returns and flit arrivals for another shard's
     /// routers go to that shard's mailbox, and packet-table mutations are
-    /// recorded as [`PkEvent`]s — both applied at the barrier.
+    /// recorded as [`PkEvent`]s — both applied at the barrier. An ejected
+    /// tail is one such event: the traversal calls no endpoint.
     ///
     /// Also re-derives the blocked-timer marks the fused pre-marking could
     /// not know yet: a popped slot restarts (still occupied) or clears
@@ -1394,7 +1406,6 @@ impl<E: EjectControl> ShardTask<'_, E> {
             router_flits,
             active_bits,
             word_base,
-            ej,
             sc,
             ..
         } = self;
@@ -1494,15 +1505,8 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 let nic = NicId(nic_of[r * ports + out_port as usize]);
                 debug_assert!(nic.0 != u32::MAX, "output is network or local");
                 if flit.is_tail {
-                    let st = sh
-                        .packets
-                        .get(flit.msg)
-                        .expect("delivered packet must be registered");
                     counters.packets_delivered += 1;
-                    ej.deliver_packet(nic, st.msg, st.injected_at, cycle);
-                    pk.push(PkEvent::Delivered { msg: flit.msg });
-                } else {
-                    ej.deliver_flit(nic, flit.msg, cycle);
+                    pk.push(PkEvent::Delivered { nic, msg: flit.msg });
                 }
                 counters.flits_delivered += 1;
             }
@@ -1515,45 +1519,30 @@ impl<E: EjectControl> ShardTask<'_, E> {
 
 /// Debug-build shadow machinery: every [`Network::step_sharded`] cycle is
 /// re-executed by a literal four-phase reference pipeline on a pre-cycle
-/// snapshot, with endpoint interactions recorded during the real (fused)
-/// pass and replayed to the reference; the two end states must match
-/// array by array. This checks the fused pass, the stall memo, the blocked-timer
-/// patch rules and the link tables against the phased semantics every
-/// single cycle of every debug run.
+/// snapshot, with admission answers recorded during the real (fused)
+/// pass and replayed to the reference; the two end states and delivery
+/// lists must match. This checks the fused pass, the stall memo, the
+/// blocked-timer patch rules, the link tables and the barrier's delivery
+/// order against the phased semantics every single cycle of every debug
+/// run.
 #[cfg(debug_assertions)]
 mod shadow {
     use super::*;
 
-    /// One recorded endpoint interaction of the real pass.
+    /// One recorded admission question of the real pass and its answer.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(super) enum EjEvent {
-        Accept {
-            nic: NicId,
-            msg: MsgHandle,
-            ok: bool,
-        },
-        Flit {
-            nic: NicId,
-            msg: MsgHandle,
-        },
-        Packet {
-            nic: NicId,
-            msg: MsgHandle,
-            injected_at: u64,
-        },
+    pub(super) struct Accept {
+        nic: NicId,
+        msg: MsgHandle,
+        ok: bool,
     }
 
-    /// Per-shard endpoint recorder wrapping the real [`EjectControl`].
-    /// `can_accept` events and delivery events are kept in separate
-    /// logs: each shard runs its allocation passes before its traversal,
-    /// so the global reference order is all accepts (shard order ==
-    /// router-ascending) followed by all deliveries (same) —
-    /// [`Network::step_sharded`] concatenates the logs accordingly before
-    /// replaying the reference.
+    /// Per-shard recorder wrapping the real [`EjectControl`]. Each shard
+    /// asks in router-ascending order, so the logs concatenated in shard
+    /// order are the reference's call sequence.
     pub(super) struct ShardRecordEj<E> {
         inner: E,
-        pub(super) accepts: Vec<EjEvent>,
-        pub(super) delivers: Vec<EjEvent>,
+        pub(super) accepts: Vec<Accept>,
     }
 
     impl<E: EjectControl> ShardRecordEj<E> {
@@ -1561,7 +1550,6 @@ mod shadow {
             ShardRecordEj {
                 inner,
                 accepts: Vec::new(),
-                delivers: Vec::new(),
             }
         }
     }
@@ -1569,27 +1557,15 @@ mod shadow {
     impl<E: EjectControl> EjectControl for ShardRecordEj<E> {
         fn can_accept(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) -> bool {
             let ok = self.inner.can_accept(nic, msg, cycle);
-            self.accepts.push(EjEvent::Accept { nic, msg, ok });
+            self.accepts.push(Accept { nic, msg, ok });
             ok
-        }
-        fn deliver_flit(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) {
-            self.delivers.push(EjEvent::Flit { nic, msg });
-            self.inner.deliver_flit(nic, msg, cycle);
-        }
-        fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, injected_at: u64, cycle: u64) {
-            self.delivers.push(EjEvent::Packet {
-                nic,
-                msg,
-                injected_at,
-            });
-            self.inner.deliver_packet(nic, msg, injected_at, cycle);
         }
     }
 
     /// Replays a recorded log to the reference pipeline, asserting the
     /// call sequences are identical.
     struct ReplayEj<'a> {
-        log: &'a [EjEvent],
+        log: &'a [Accept],
         pos: usize,
     }
 
@@ -1598,34 +1574,12 @@ mod shadow {
             let ev = self.log.get(self.pos).copied();
             self.pos += 1;
             match ev {
-                Some(EjEvent::Accept { nic: n, msg: m, ok }) if n == nic && m == msg => ok,
+                Some(Accept { nic: n, msg: m, ok }) if n == nic && m == msg => ok,
                 other => panic!(
                     "shadow: reference asked can_accept({nic:?}, {msg:?}) but the \
                      real pass recorded {other:?}"
                 ),
             }
-        }
-        fn deliver_flit(&mut self, nic: NicId, msg: MsgHandle, _cycle: u64) {
-            let ev = self.log.get(self.pos).copied();
-            self.pos += 1;
-            assert_eq!(
-                ev,
-                Some(EjEvent::Flit { nic, msg }),
-                "shadow: flit delivery sequences diverged"
-            );
-        }
-        fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, injected_at: u64, _cycle: u64) {
-            let ev = self.log.get(self.pos).copied();
-            self.pos += 1;
-            assert_eq!(
-                ev,
-                Some(EjEvent::Packet {
-                    nic,
-                    msg,
-                    injected_at
-                }),
-                "shadow: packet delivery sequences diverged"
-            );
         }
     }
 
@@ -1638,7 +1592,8 @@ mod shadow {
         counters: NetworkCounters,
         router_flits: Vec<u32>,
         active_bits: Vec<u64>,
-        pub(super) ej_log: Vec<EjEvent>,
+        delivered: Vec<(NicId, MsgHandle)>,
+        pub(super) ej_log: Vec<Accept>,
         cand: Vec<RouteCandidate>,
         moves: Vec<Move>,
     }
@@ -1653,6 +1608,7 @@ mod shadow {
             self.counters = net.counters;
             self.router_flits.clone_from(&net.router_flits);
             self.active_bits.clone_from(&net.active_bits);
+            self.delivered.clear();
             self.ej_log.clear();
         }
 
@@ -1669,12 +1625,12 @@ mod shadow {
             let mut ej = ReplayEj { log: &log, pos: 0 };
             self.ref_alloc_phase(net, cycle, routing, &mut ej);
             self.ref_switch_phase(net);
-            self.ref_apply_moves(net, cycle, &mut ej);
+            self.ref_apply_moves(net);
             self.ref_blocked_sweep(net, cycle);
             assert_eq!(
                 ej.pos,
                 log.len(),
-                "shadow: the fused pass performed more endpoint calls than the reference"
+                "shadow: the fused pass asked more admissions than the reference"
             );
             self.ej_log = log;
             self.compare(net, cycle);
@@ -1810,8 +1766,9 @@ mod shadow {
         }
 
         /// Reference phase 3: link traversal via direct topology queries
-        /// (independently validating the link tables).
-        fn ref_apply_moves(&mut self, net: &Network, cycle: u64, ej: &mut dyn EjectControl) {
+        /// (independently validating the link tables), listing each
+        /// ejected tail as it moves.
+        fn ref_apply_moves(&mut self, net: &Network) {
             let nvcs = net.vcs as usize;
             let mut st = self.state.view();
             let total = st.slots;
@@ -1867,9 +1824,7 @@ mod shadow {
                     if flit.is_tail {
                         let st = self.packets.remove(flit.msg).expect("registered packet");
                         self.counters.packets_delivered += 1;
-                        ej.deliver_packet(nic, st.msg, st.injected_at, cycle);
-                    } else {
-                        ej.deliver_flit(nic, flit.msg, cycle);
+                        self.delivered.push((nic, st.msg));
                     }
                     self.counters.flits_delivered += 1;
                 }
@@ -1913,6 +1868,10 @@ mod shadow {
             assert!(
                 self.packets == net.packets,
                 "shadow: packet tables diverged at {cycle}"
+            );
+            assert_eq!(
+                self.delivered, net.delivered,
+                "shadow: delivery lists diverged at {cycle}"
             );
             let (a, b) = (&self.state, &net.state);
             let (slots, ports) = (a.slots, a.ports);

@@ -60,22 +60,25 @@ fn msg(id: u64, src: u32, dst: u32, len: u32) -> Message {
     }
 }
 
-/// Drive `net` until idle or `max` cycles. Each source NIC injects its
-/// messages serially (one packet at a time on VC 0, as a real NIC does —
-/// flits of distinct packets must never interleave within one VC).
+/// Drive `net` until idle or `max` cycles; returns the cycles run and
+/// every delivery, in order. Each source NIC injects its messages serially
+/// (one packet at a time on VC 0, as a real NIC does — flits of distinct
+/// packets must never interleave within one VC). After every step, each
+/// packet the step delivered must have left the network whole.
 fn run(
     net: &mut Network,
     store: &mut MessageStore,
     msgs: Vec<Message>,
     ej: &mut (dyn EjectControl + Send),
     max: u64,
-) -> u64 {
+) -> (u64, Vec<(NicId, MsgHandle)>) {
     use std::collections::HashMap;
     let mut per_nic: HashMap<u32, Vec<(MsgHandle, u32)>> = HashMap::new();
+    let mut delivered = Vec::new();
     for m in msgs {
         let src = m.src;
         let h = store.insert(m);
-        net.begin_packet(h, store.get(h), 0);
+        net.begin_packet(h, store.get(h));
         per_nic.entry(src.0).or_default().push((h, 0));
     }
     let mut cycle = 0;
@@ -104,13 +107,32 @@ fn run(
             }
         }
         net.step(cycle, &TestDor, ej);
+        assert_left_whole(net, cycle);
+        delivered.extend_from_slice(net.delivered());
         cycle += 1;
         let all_sent = per_nic.values().all(Vec::is_empty);
         if all_sent && net.flits_in_network() == 0 {
             break;
         }
     }
-    cycle
+    (cycle, delivered)
+}
+
+/// No flit of a packet whose tail ejected in the last step remains in any
+/// router buffer: a packet's flits leave in order, tail last.
+fn assert_left_whole(net: &Network, cycle: u64) {
+    for &(nic, h) in net.delivered() {
+        for node in net.topo().routers() {
+            for (port, vc, buf) in net.router(node).iter_vcs() {
+                let stray = (0..buf.len() as usize).any(|k| buf.get(k).is_some_and(|f| f.msg == h));
+                assert!(
+                    !stray,
+                    "{h:?} delivered to {nic:?} at {cycle} but a flit remains at \
+                     {node} port {port:?} vc {vc}"
+                );
+            }
+        }
+    }
 }
 
 fn torus44() -> Network {
@@ -121,11 +143,10 @@ fn torus44() -> Network {
 fn single_packet_delivered_to_correct_nic() {
     let mut net = torus44();
     let mut store = MessageStore::new();
-    let mut ej = AcceptAll::default();
     let m = msg(1, 0, 5, 4);
-    let cycles = run(&mut net, &mut store, vec![m], &mut ej, 200);
-    assert_eq!(ej.delivered.len(), 1);
-    let (nic, h, _) = ej.delivered[0];
+    let (cycles, delivered) = run(&mut net, &mut store, vec![m], &mut AcceptAll, 200);
+    assert_eq!(delivered.len(), 1);
+    let (nic, h) = delivered[0];
     assert_eq!(nic, NicId(5));
     assert_eq!(store.get(h).id, MessageId(1));
     assert!(
@@ -144,9 +165,8 @@ fn latency_scales_with_distance_plus_length() {
     let topo = Topology::new(TopologyKind::Torus, &[8, 8], 1);
     let mut net = Network::new(topo, 2, 2);
     let mut store = MessageStore::new();
-    let mut ej = AcceptAll::default();
     let m = msg(1, 0, 3, 20); // 3 hops in dim 0
-    let cycles = run(&mut net, &mut store, vec![m], &mut ej, 400);
+    let (cycles, _) = run(&mut net, &mut store, vec![m], &mut AcceptAll, 400);
     // Lower bound: 20 flits serialized + 3 hops.
     assert!(cycles >= 23, "impossibly fast: {cycles}");
     assert!(cycles <= 60, "idle-network delivery too slow: {cycles}");
@@ -156,7 +176,6 @@ fn latency_scales_with_distance_plus_length() {
 fn many_packets_conserved_and_delivered() {
     let mut net = torus44();
     let mut store = MessageStore::new();
-    let mut ej = AcceptAll::default();
     let msgs: Vec<Message> = (0..32)
         .map(|i| {
             msg(
@@ -168,8 +187,8 @@ fn many_packets_conserved_and_delivered() {
         })
         .collect();
     let total_flits: u64 = msgs.iter().map(|m| m.length_flits as u64).sum();
-    run(&mut net, &mut store, msgs, &mut ej, 5_000);
-    assert_eq!(ej.delivered.len(), 32, "all packets must arrive");
+    let (_, delivered) = run(&mut net, &mut store, msgs, &mut AcceptAll, 5_000);
+    assert_eq!(delivered.len(), 32, "all packets must arrive");
     assert_eq!(net.counters().flits_delivered, total_flits);
     assert_eq!(net.counters().flits_injected, total_flits);
     assert_eq!(net.flits_in_network(), 0);
@@ -181,27 +200,25 @@ fn self_delivery_via_local_port() {
     // ejects without using network links.
     let mut net = torus44();
     let mut store = MessageStore::new();
-    let mut ej = AcceptAll::default();
-    run(&mut net, &mut store, vec![msg(1, 3, 3, 4)], &mut ej, 100);
-    assert_eq!(ej.delivered.len(), 1);
+    let (_, delivered) = run(
+        &mut net,
+        &mut store,
+        vec![msg(1, 3, 3, 4)],
+        &mut AcceptAll,
+        100,
+    );
+    assert_eq!(delivered.len(), 1);
 }
 
 /// Ejection refusal backpressures into the network and the head is flagged
 /// as blocked; releasing the gate drains everything.
 struct GateUntil {
     open_at: u64,
-    inner: AcceptAll,
 }
 
 impl EjectControl for GateUntil {
     fn can_accept(&mut self, _nic: NicId, _msg: MsgHandle, cycle: u64) -> bool {
         cycle >= self.open_at
-    }
-    fn deliver_flit(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) {
-        self.inner.deliver_flit(nic, msg, cycle);
-    }
-    fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, injected_at: u64, cycle: u64) {
-        self.inner.deliver_packet(nic, msg, injected_at, cycle);
     }
 }
 
@@ -209,12 +226,9 @@ impl EjectControl for GateUntil {
 fn ejection_gating_blocks_then_drains() {
     let mut net = torus44();
     let mut store = MessageStore::new();
-    let mut ej = GateUntil {
-        open_at: 120,
-        inner: AcceptAll::default(),
-    };
-    let cycles = run(&mut net, &mut store, vec![msg(1, 0, 5, 4)], &mut ej, 500);
-    assert_eq!(ej.inner.delivered.len(), 1);
+    let mut ej = GateUntil { open_at: 120 };
+    let (cycles, delivered) = run(&mut net, &mut store, vec![msg(1, 0, 5, 4)], &mut ej, 500);
+    assert_eq!(delivered.len(), 1);
     assert!(cycles > 120, "packet cannot finish before the gate opens");
 }
 
@@ -225,17 +239,14 @@ fn blocked_timer_holds_the_last_32_bit_cycle() {
     let mut net = torus44();
     let mut store = MessageStore::new();
     let h = store.insert(msg(1, 3, 3, 4));
-    net.begin_packet(h, store.get(h), 0);
+    net.begin_packet(h, store.get(h));
     let head = Flit {
         msg: h,
         seq: 0,
         is_tail: false,
     };
     assert!(net.inject_flit(NicId(3), 0, head));
-    let mut ej = GateUntil {
-        open_at: u64::MAX,
-        inner: AcceptAll::default(),
-    };
+    let mut ej = GateUntil { open_at: u64::MAX };
     let last = u64::from(u32::MAX) - 1;
     net.step(last, &TestDor, &mut ej);
     let since: Vec<u64> = net
@@ -250,19 +261,16 @@ fn blocked_timer_holds_the_last_32_bit_cycle() {
 #[should_panic(expected = "32-bit blocked-timer range")]
 fn step_rejects_cycles_past_the_blocked_timer_range() {
     let mut net = torus44();
-    net.step(u64::from(u32::MAX), &TestDor, &mut AcceptAll::default());
+    net.step(u64::from(u32::MAX), &TestDor, &mut AcceptAll);
 }
 
 #[test]
 fn blocked_heads_flagged_after_threshold() {
     let mut net = torus44();
     let mut store = MessageStore::new();
-    let mut ej = GateUntil {
-        open_at: u64::MAX,
-        inner: AcceptAll::default(),
-    };
+    let mut ej = GateUntil { open_at: u64::MAX };
     let h = store.insert(msg(1, 0, 5, 4));
-    net.begin_packet(h, store.get(h), 0);
+    net.begin_packet(h, store.get(h));
     let mut sent = 0;
     for cycle in 0..100 {
         if sent < 4 && net.injection_free(NicId(0), 0) > 0 {
@@ -306,13 +314,10 @@ fn blocked_heads_flagged_after_threshold() {
 fn extraction_reclaims_buffers_and_restores_credits() {
     let mut net = torus44();
     let mut store = MessageStore::new();
-    let mut ej = GateUntil {
-        open_at: u64::MAX,
-        inner: AcceptAll::default(),
-    };
+    let mut ej = GateUntil { open_at: u64::MAX };
     // Long packet wedges across several routers against a closed gate.
     let h = store.insert(msg(1, 0, 2, 12));
-    net.begin_packet(h, store.get(h), 0);
+    net.begin_packet(h, store.get(h));
     let mut sent = 0u16;
     for cycle in 0..60 {
         if sent < 12
@@ -342,19 +347,14 @@ fn extraction_reclaims_buffers_and_restores_credits() {
     assert!(net.packets().is_empty());
     // The network must be fully usable afterwards: run fresh traffic
     // through the same links and VCs.
-    let mut ej2 = AcceptAll::default();
-    run(
+    let (_, delivered) = run(
         &mut net,
         &mut store,
         vec![msg(2, 0, 2, 12), msg(3, 1, 2, 4)],
-        &mut ej2,
+        &mut AcceptAll,
         500,
     );
-    assert_eq!(
-        ej2.delivered.len(),
-        2,
-        "network must be clean after extraction"
-    );
+    assert_eq!(delivered.len(), 2, "network must be clean after extraction");
 }
 
 #[test]
@@ -373,11 +373,10 @@ fn wormhole_vc_exclusivity() {
     // corruption).
     let mut net = torus44();
     let mut store = MessageStore::new();
-    let mut ej = AcceptAll::default();
     let a = msg(1, 0, 2, 16);
     let b = msg(2, 4, 2, 16); // different row, same destination column
-    run(&mut net, &mut store, vec![a, b], &mut ej, 2_000);
-    assert_eq!(ej.delivered.len(), 2);
+    let (_, delivered) = run(&mut net, &mut store, vec![a, b], &mut AcceptAll, 2_000);
+    assert_eq!(delivered.len(), 2);
 }
 
 #[test]
@@ -386,7 +385,7 @@ fn injection_vc_idle_tracks_tails() {
     let mut store = MessageStore::new();
     assert!(net.injection_vc_idle(NicId(0), 0));
     let h = store.insert(msg(1, 0, 5, 2));
-    net.begin_packet(h, store.get(h), 0);
+    net.begin_packet(h, store.get(h));
     net.inject_flit(
         NicId(0),
         0,
@@ -417,11 +416,11 @@ fn dateline_bits_set_on_wrap() {
     let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
     let mut net = Network::new(topo, 2, 2);
     let mut store = MessageStore::new();
-    let mut ej = AcceptAll::default();
     // 0 -> 3 in dim 0: minimal route is Minus through the wraparound.
     let h = store.insert(msg(1, 0, 3, 6));
-    net.begin_packet(h, store.get(h), 0);
+    net.begin_packet(h, store.get(h));
     let mut sent = 0u16;
+    let mut delivered = 0;
     let mut saw_crossed = false;
     for cycle in 0..100 {
         if sent < 6
@@ -438,12 +437,13 @@ fn dateline_bits_set_on_wrap() {
         {
             sent += 1;
         }
-        net.step(cycle, &TestDor, &mut ej);
+        net.step(cycle, &TestDor, &mut AcceptAll);
+        delivered += net.delivered().len();
         if let Some(pkt) = net.packets().get(h) {
             saw_crossed |= pkt.crossed_dateline & 1 != 0;
         }
     }
-    assert_eq!(ej.delivered.len(), 1);
+    assert_eq!(delivered, 1);
     assert!(
         saw_crossed,
         "wraparound traversal must set the dateline bit"
@@ -458,33 +458,12 @@ mod stress {
     use super::*;
     use proptest::prelude::*;
 
-    /// Random many-packet workloads on random torus sizes: every packet is
-    /// delivered exactly once to the right NIC, flits are conserved, and
-    /// each packet's flits arrive in order (wormhole never interleaves or
-    /// reorders a packet's own flits).
-    #[derive(Default)]
-    struct OrderCheck {
-        body_flits: std::collections::HashMap<u32, u32>,
-        delivered: Vec<(NicId, MsgHandle, u32)>,
-    }
-
-    impl EjectControl for OrderCheck {
-        fn can_accept(&mut self, _n: NicId, _m: MsgHandle, _c: u64) -> bool {
-            true
-        }
-        fn deliver_flit(&mut self, _n: NicId, msg: MsgHandle, _c: u64) {
-            // deliver_flit carries non-tail flits; just count — the tail
-            // check (count must equal len-1 at tail) happens post-run.
-            *self.body_flits.entry(msg.slot()).or_insert(0) += 1;
-        }
-        fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, _i: u64, _c: u64) {
-            let body = self.body_flits.remove(&msg.slot()).unwrap_or(0);
-            self.delivered.push((nic, msg, body));
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
+        /// Random many-packet workloads on random torus sizes: every
+        /// packet is delivered exactly once to the right NIC, flits are
+        /// conserved, and no flit of a packet outlives its tail's
+        /// ejection (checked after every step by `run`).
         #[test]
         fn random_traffic_conserved(k in 2u32..6,
                                     n_msgs in 1usize..40,
@@ -512,20 +491,14 @@ mod stress {
             let total_flits: u64 = msgs.iter().map(|m| m.length_flits as u64).sum();
             let expect: Vec<(u32, u64)> =
                 msgs.iter().map(|m| (m.dst.0, m.id.0)).collect();
-            let mut ej = OrderCheck::default();
-            run(&mut net, &mut store, msgs, &mut ej, 60_000);
-            for (_, h, body) in &ej.delivered {
-                prop_assert_eq!(body + 1, store.get(*h).length_flits,
-                                "flit count mismatch at some tail");
-            }
-            prop_assert_eq!(ej.delivered.len(), n_msgs, "every packet delivered");
+            let (_, delivered) = run(&mut net, &mut store, msgs, &mut AcceptAll, 60_000);
+            prop_assert_eq!(delivered.len(), n_msgs, "every packet delivered");
             prop_assert_eq!(net.counters().flits_delivered, total_flits);
             prop_assert_eq!(net.flits_in_network(), 0);
             // Delivered to the right NICs (as multiset).
-            let mut got: Vec<(u32, u64)> = ej
-                .delivered
+            let mut got: Vec<(u32, u64)> = delivered
                 .iter()
-                .map(|(nic, h, _)| (nic.0, store.get(*h).id.0))
+                .map(|(nic, h)| (nic.0, store.get(*h).id.0))
                 .collect();
             let mut want = expect;
             got.sort_unstable();
@@ -559,10 +532,9 @@ mod stress {
             for m in msgs {
                 let src = m.src;
                 let h = store.insert(m);
-                net.begin_packet(h, store.get(h), 0);
+                net.begin_packet(h, store.get(h));
                 per_nic.entry(src.0).or_default().push((h, 0));
             }
-            let mut ej = AcceptAll::default();
             for cycle in 0..400u64 {
                 for q in per_nic.values_mut() {
                     let Some((h, sent)) = q.first_mut() else { continue };
@@ -576,7 +548,7 @@ mod stress {
                         }
                     }
                 }
-                net.step(cycle, &TestDor, &mut ej);
+                net.step(cycle, &TestDor, &mut AcceptAll);
                 if cycle % 37 == 0 {
                     for node in net.topo().routers() {
                         let router = net.router(node);
@@ -629,8 +601,9 @@ mod sharded {
     }
 
     /// End-state twin: the same workload driven through `step_sharded`
-    /// at 2 and 4 shards finishes with counters, deliveries and residual
-    /// network state identical to the one-shard run. (Debug
+    /// at 2 and 4 shards finishes with counters, residual network state
+    /// and the delivery list — cycle by cycle, in order — identical to the
+    /// one-shard run. (Debug
     /// builds additionally shadow-check every sharded cycle against the
     /// phased reference pass, so a mid-run divergence panics long before
     /// this final comparison.)
@@ -643,12 +616,12 @@ mod sharded {
     ) -> (Vec<(u32, u64, u64)>, u64) {
         use std::collections::HashMap;
         let plan = ShardPlan::new(net.topo().num_routers(), shards);
-        let mut ejs: Vec<AcceptAll> = (0..plan.shards()).map(|_| AcceptAll::default()).collect();
+        let mut delivered = Vec::new();
         let mut per_nic: HashMap<u32, Vec<(MsgHandle, u32)>> = HashMap::new();
         for m in msgs {
             let src = m.src;
             let h = store.insert(m);
-            net.begin_packet(h, store.get(h), 0);
+            net.begin_packet(h, store.get(h));
             per_nic.entry(src.0).or_default().push((h, 0));
         }
         let mut cycle = 0;
@@ -672,18 +645,17 @@ mod sharded {
                     }
                 }
             }
-            net.step_sharded(cycle, &TestDor, &plan, &mut ejs);
+            net.step_sharded(cycle, &TestDor, &plan, vec![AcceptAll; plan.shards()]);
+            delivered.extend(
+                net.delivered()
+                    .iter()
+                    .map(|&(nic, h)| (nic.0, store.get(h).id.0, cycle)),
+            );
             cycle += 1;
             if per_nic.values().all(Vec::is_empty) && net.flits_in_network() == 0 {
                 break;
             }
         }
-        let mut delivered: Vec<(u32, u64, u64)> = ejs
-            .iter()
-            .flat_map(|e| e.delivered.iter())
-            .map(|&(nic, h, c)| (nic.0, store.get(h).id.0, c))
-            .collect();
-        delivered.sort_unstable();
         (delivered, cycle)
     }
 

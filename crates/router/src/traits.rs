@@ -54,57 +54,39 @@ pub trait Routing {
     }
 }
 
-/// Endpoint-side hooks invoked by [`crate::Network::step`].
+/// Endpoint admission, asked by [`crate::Network::step`].
 ///
-/// Ejection is a two-step contract: `can_accept` is asked when a packet's
-/// head flit requests the local output port — returning `true` must
-/// *reserve* whatever endpoint resources guarantee the rest of the packet
-/// can drain (a message-queue slot plus a reassembly buffer). Subsequent
-/// flits are delivered unconditionally; the tail arrives via
-/// `deliver_packet`.
+/// Admission is the one endpoint decision inside a network cycle:
+/// `can_accept` is asked when a packet's head flit requests the local
+/// output port, and returning `true` must *reserve* whatever endpoint
+/// resources guarantee the rest of the packet can drain (a message-queue
+/// slot plus a reassembly buffer). The admitted packet's flits then drain
+/// unconditionally, and the step reports every packet whose tail ejected
+/// through [`crate::Network::delivered`] — a delivery is data handed back
+/// to the caller, not a call into the endpoint.
 ///
-/// All hooks receive the message *handle*; implementations resolve it
+/// The hook receives the message *handle*; implementations resolve it
 /// against the simulation's `MessageStore` when they need message fields.
 /// Ownership of the message never moves — it stays in the store.
 pub trait EjectControl {
     /// May packet `msg` begin ejecting at `nic`? Must reserve resources on
     /// success. May be re-asked on later cycles after refusal.
     fn can_accept(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) -> bool;
-
-    /// Deliver one non-tail flit of `msg` to `nic`.
-    fn deliver_flit(&mut self, nic: NicId, msg: MsgHandle, cycle: u64);
-
-    /// Deliver the tail flit: the packet is complete. `injected_at` is the
-    /// cycle its head entered the network.
-    fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, injected_at: u64, cycle: u64);
 }
 
 impl<T: EjectControl + ?Sized> EjectControl for &mut T {
     fn can_accept(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) -> bool {
         (**self).can_accept(nic, msg, cycle)
     }
-    fn deliver_flit(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) {
-        (**self).deliver_flit(nic, msg, cycle);
-    }
-    fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, injected_at: u64, cycle: u64) {
-        (**self).deliver_packet(nic, msg, injected_at, cycle);
-    }
 }
 
 /// An [`EjectControl`] that accepts everything, for tests and drain-only
 /// scenarios.
-#[derive(Default, Debug)]
-pub struct AcceptAll {
-    /// Complete packets delivered, in arrival order.
-    pub delivered: Vec<(NicId, MsgHandle, u64)>,
-}
+#[derive(Clone, Copy, Debug)]
+pub struct AcceptAll;
 
 impl EjectControl for AcceptAll {
     fn can_accept(&mut self, _nic: NicId, _msg: MsgHandle, _cycle: u64) -> bool {
         true
-    }
-    fn deliver_flit(&mut self, _nic: NicId, _msg: MsgHandle, _cycle: u64) {}
-    fn deliver_packet(&mut self, nic: NicId, msg: MsgHandle, _injected_at: u64, cycle: u64) {
-        self.delivered.push((nic, msg, cycle));
     }
 }

@@ -43,7 +43,6 @@ fn pkt(mtype: u8, src: u32, dst: u32, crossed: u8) -> PacketState {
         dst: NicId(dst),
         dst_router: NodeId(dst),
         crossed_dateline: crossed,
-        injected_at: 0,
     }
 }
 

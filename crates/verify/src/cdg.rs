@@ -332,7 +332,6 @@ fn scratch_packet(t: MsgType) -> (MessageStore, PacketState) {
         dst: NicId(0),
         dst_router: NodeId(0),
         crossed_dateline: 0,
-        injected_at: 0,
     };
     (store, pkt)
 }

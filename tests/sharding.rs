@@ -4,9 +4,10 @@
 //!
 //! Sharding partitions the per-cycle network phase across scoped worker
 //! threads; everything that could reorder (cross-shard flit arrivals,
-//! credit returns, router wakes, packet-table mutations, endpoint
-//! deliveries, schedule rewinds) is buffered and drained in a fixed
-//! order at the cycle barrier. These twins are the end-to-end guardrail
+//! credit returns, router wakes, packet-table mutations and with them the
+//! list of delivered packets) is buffered and drained in a fixed order at
+//! the cycle barrier, and the simulator queues the deliveries at their
+//! NICs after the step. These twins are the end-to-end guardrail
 //! for that protocol; debug builds additionally shadow-check every
 //! sharded network cycle against the phased reference pipeline, so a
 //! mid-run divergence panics at the offending cycle rather than
@@ -102,14 +103,18 @@ proptest! {
 
     /// 16×16 twins: shard boundaries now fall inside the torus (the wake
     /// set spans four words), so cross-shard mailbox traffic is dense.
+    /// At bristle 2 each shard's NIC slice is two NICs per router of its
+    /// range, so the endpoint split is checked beyond one NIC per router.
     #[test]
     fn shard_twins_16x16(
         scheme_idx in 0usize..3,
+        bristle in 1u32..3,
         seed in 0u64..10_000,
     ) {
         let (scheme, pattern, vcs) = scheme_case(scheme_idx);
         let mut cfg = SimConfig::paper_default(scheme, pattern, vcs, 0.25);
         cfg.radix = vec![16, 16];
+        cfg.bristle = bristle;
         cfg.warmup = 100;
         cfg.measure = 500;
         cfg.service_time = 10;
@@ -144,7 +149,7 @@ fn awkward_shard_counts_are_bit_identical() {
 /// recovery capture schedule (detections, router captures, endpoint
 /// rescues) must match the one-shard run exactly — episodes run on the
 /// coordinating thread between sharded network cycles, so their NIC
-/// mutations, lane transfers and wake-alls interleave identically.
+/// mutations, lane transfers and NIC wakes interleave identically.
 #[test]
 fn shard_twin_64x64_pr_episode() {
     let mut cfg =
