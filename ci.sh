@@ -72,43 +72,23 @@ set -e
 [ "$jobs0_status" -eq 2 ] || {
     echo "jobs equivalence: --jobs 0 should exit 2, got $jobs0_status"; exit 1; }
 
-echo "==> --shards equivalence (one run bit-identical across shard counts)"
-# Unlike --jobs (which farms out whole points), --shards parallelizes
-# inside a single run — and the cache key deliberately ignores it, so
-# the comparison MUST bypass the cache or the second run would be served
-# from the first's entries and the check would be vacuous.
-# 16x16 (four wake-set words), so shard boundaries fall inside the torus
-# and cross-shard mailbox traffic is actually exercised. The second pair
-# runs two NICs per router, so each shard's NIC slice spans
-# (hi - lo) x bristle NICs.
-shards_sweep() { # n bristle
-    cargo run -q -p mdd-bench --release --bin mddsim -- \
-        --scheme pr --pattern pat271 --vcs 4 --radix 16x16 --bristle "$2" \
-        --sweep 0.10:0.30:3 --warmup 100 --measure 300 \
-        --no-cache --shards "$1" 2>/dev/null
-}
-for bristle in 1 2; do
-    shards1=$(shards_sweep 1 "$bristle")
-    shards4=$(shards_sweep 4 "$bristle")
-    [ "$shards1" = "$shards4" ] || {
-        echo "shards equivalence (bristle $bristle): --shards 1 and --shards 4 disagree:"
-        diff <(echo "$shards1") <(echo "$shards4") || true; exit 1; }
+echo "==> unknown flags are usage errors (exit 2, naming the flag)"
+# A flag no binary declares must stop the run, not fall back to a
+# default: --shards is gone, and --laod is a misspelt --load.
+for bad in "--shards 2" "--laod 0.9"; do
+    set +e
+    # shellcheck disable=SC2086
+    bad_err=$(./target/release/mddsim --radix 4x4 --warmup 100 --measure 300 $bad 2>&1 >/dev/null)
+    bad_status=$?
+    set -e
+    [ "$bad_status" -eq 2 ] || {
+        echo "unknown flags: mddsim $bad should exit 2, got $bad_status"; exit 1; }
+    echo "$bad_err" | grep -q -- "unknown flag ${bad%% *}" || {
+        echo "unknown flags: mddsim $bad should name the flag, said:"; echo "$bad_err"; exit 1; }
 done
-# --shards 0 must be rejected at the flag, like --jobs 0.
-set +e
-cargo run -q -p mdd-bench --release --bin mddsim -- \
-    --scheme pr --pattern pat271 --vcs 4 --radix 16x16 \
-    --sweep 0.10:0.30:3 --warmup 100 --measure 300 --shards 0 >/dev/null 2>&1
-shards0_status=$?
-set -e
-[ "$shards0_status" -eq 2 ] || {
-    echo "shards equivalence: --shards 0 should exit 2, got $shards0_status"; exit 1; }
 
 echo "==> pool scaling perf gate (2-3 cores: jobs=2 >= 1.3x jobs=1; 4+ cores: jobs=4 <= 0.5x; skips on 1 core)"
 cargo test -q -p mdd-engine --release --test perf -- --ignored
-
-echo "==> shard scaling perf gate (self-skips below 4 cores)"
-cargo test -q -p mdd-sim --release --test shard_perf -- --ignored
 
 echo "==> mddsimd sweep service smoke"
 DAEMON_DIR=$(mktemp -d)

@@ -6,12 +6,20 @@
 //! Writes `<out>/traces/<app>.trace` in the line format
 //! `cycle proc addr r|w`.
 
-use mdd_bench::cli::BenchCli;
+use mdd_bench::cli::{usage, BenchCli, Flags};
 use mdd_coherence::record_app_trace;
 use mdd_traffic::AppModel;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(Flags {
+        switches: &[],
+        options: &["--horizon"],
+        positional: 0,
+    });
+    if cli.flag("--help") || cli.flag("-h") {
+        println!("{}", usage(include_str!("gen_traces.rs")));
+        return;
+    }
     let horizon: u64 = cli.parse_value("--horizon", 60_000);
     let dir = cli.out_dir.join("traces");
     std::fs::create_dir_all(&dir).expect("create traces directory");

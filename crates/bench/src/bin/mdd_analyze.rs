@@ -37,7 +37,7 @@
 //! debug builds every replicated point is cross-checked against a full
 //! re-verdict on topologies small enough to afford it.
 
-use mdd_bench::cli::{die, usage, BenchCli};
+use mdd_bench::cli::{die, usage, BenchCli, Flags};
 use mdd_core::{PatternSpec, Scheme, SimConfig};
 use mdd_obs::Json;
 use mdd_stats::Table;
@@ -191,7 +191,11 @@ fn min_vc(cli: &BenchCli) {
 }
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(Flags {
+        switches: &["--verdicts", "--frontier", "--min-vc"],
+        options: &["--topo", "--pattern", "--doubles", "--seed"],
+        positional: 0,
+    });
     if cli.flag("--help") || cli.flag("-h") {
         println!("{}", usage(include_str!("mdd_analyze.rs")));
         return;

@@ -30,13 +30,17 @@
 //! result cache; the trace-driven figures (fig6, table1,
 //! deadlock_freq_trace) run outside it.
 
-use mdd_bench::cli::{die, usage, BenchCli};
+use mdd_bench::cli::{die, usage, BenchCli, Flags};
 use mdd_bench::{figures, FIGURES};
 
 fn main() {
-    let cli = BenchCli::parse();
-    let name = std::env::args().nth(1).unwrap_or_default();
-    if name == "--help" || name == "-h" || name.is_empty() {
+    let cli = BenchCli::parse(Flags {
+        switches: &[],
+        options: &[],
+        positional: 1,
+    });
+    let name = cli.positional().first().map_or("", String::as_str);
+    if cli.flag("--help") || cli.flag("-h") || name.is_empty() {
         println!("{}", usage(include_str!("mdd_figures.rs")));
         return;
     }

@@ -45,10 +45,6 @@
 //!
 //! ```text
 //! --jobs N                     cap simulation worker threads
-//! --shards N                   execution shards inside each run [1]
-//!                              (bit-identical results at any N; use
-//!                              --jobs for across-point parallelism and
-//!                              --shards to speed up one big run)
 //! --no-cache                   disable the persistent result cache
 //! --cache-dir DIR              cache location [results/cache]
 //! ```
@@ -72,7 +68,7 @@
 //! points_completed, points_cached, points_failed, point_wall_micros)
 //! appear in the same snapshot.
 
-use mdd_bench::cli::{usage, BenchCli};
+use mdd_bench::cli::{usage, BenchCli, Flags};
 use mdd_core::{default_loads, PatternSpec, QueueOrg, Scheme, SimConfig};
 use mdd_stats::{render_bnf, Table};
 
@@ -108,8 +104,31 @@ fn write_obs_outputs(counters_out: Option<&str>, trace_out: Option<&str>) {
     }
 }
 
+/// The flags documented above, beyond the engine flags.
+const FLAGS: Flags = Flags {
+    switches: &["--plot", "--verify", "--analyze"],
+    options: &[
+        "--scheme",
+        "--pattern",
+        "--vcs",
+        "--load",
+        "--sweep",
+        "--radix",
+        "--topo",
+        "--bristle",
+        "--queue-org",
+        "--warmup",
+        "--measure",
+        "--seed",
+        "--counters-out",
+        "--trace-out",
+        "--trace-cap",
+    ],
+    positional: 0,
+};
+
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(FLAGS);
     if cli.flag("--help") || cli.flag("-h") {
         println!("{}", usage(include_str!("mddsim.rs")));
         return;
@@ -146,7 +165,6 @@ fn main() {
             cli.parse_value("--measure", 30_000),
         )
         .seed(cli.parse_value("--seed", 0x5eed))
-        .shards(cli.shards)
         .queue_org(queue_org);
     if cli.flag("--verify") || cli.flag("--analyze") {
         // Static verification mode: classify, print, exit — no simulation.

@@ -5,7 +5,7 @@
 //!               [--scheme sa|sa+|dr|pr] [--pattern pat100|pat721|pat451|pat271|pat280]
 //!               [--vcs N] [--radix AxB | --topo AxB[xC]] [--bristle N]
 //!               [--queue-org shared|pernet|pertype]
-//!               [--warmup N] [--measure N] [--seed N] [--shards N]
+//!               [--warmup N] [--measure N] [--seed N]
 //! mddsim-client [--socket PATH] status
 //! mddsim-client [--socket PATH] cancel JOB
 //! mddsim-client [--socket PATH] shutdown
@@ -19,32 +19,50 @@
 //! Defaults mirror `mddsim`: scheme `pr`, pattern `pat271`, 4 VCs on an
 //! 8x8 torus.
 
-use mdd_bench::cli::die;
+use mdd_bench::cli::{die, usage, Args, Flags};
 use mdd_engine::proto::{Event, Request, SweepSpec};
 use mdd_engine::DEFAULT_SOCKET;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let socket = value("--socket").unwrap_or_else(|| DEFAULT_SOCKET.to_string());
-    let mut positional = args.iter().enumerate().filter(|(i, a)| {
-        !a.starts_with("--") && !matches!(i.checked_sub(1).and_then(|p| args.get(p)), Some(prev) if prev.starts_with("--"))
-    });
-    let command = positional.next().map_or_else(
-        || die("missing command (submit | status | cancel JOB | shutdown)"),
-        |(_, a)| a.clone(),
-    );
-    let operand = positional.next().map(|(_, a)| a.clone());
+/// The flags documented above: every option takes a value, and the
+/// command takes at most one operand.
+const FLAGS: Flags = Flags {
+    switches: &[],
+    options: &[
+        "--socket",
+        "--sweep",
+        "--label",
+        "--scheme",
+        "--pattern",
+        "--vcs",
+        "--radix",
+        "--topo",
+        "--bristle",
+        "--queue-org",
+        "--warmup",
+        "--measure",
+        "--seed",
+    ],
+    positional: 2,
+};
 
-    let request = match command.as_str() {
-        "submit" => Request::Submit(spec_from_flags(&value)),
+fn main() {
+    let args =
+        Args::parse(std::env::args().skip(1).collect(), &[FLAGS]).unwrap_or_else(|e| die(&e));
+    if args.flag("--help") || args.flag("-h") {
+        println!("{}", usage(include_str!("mddsim_client.rs")));
+        return;
+    }
+    let socket = args.value("--socket").unwrap_or(DEFAULT_SOCKET).to_string();
+    let (command, operand) = match args.positional() {
+        [] => die("missing command (submit | status | cancel JOB | shutdown)"),
+        [command] => (command.as_str(), None),
+        [command, operand, ..] => (command.as_str(), Some(operand)),
+    };
+
+    let request = match command {
+        "submit" => Request::Submit(spec_from_flags(&args)),
         "status" => Request::Status,
         "cancel" => Request::Cancel {
             job: operand
@@ -158,7 +176,8 @@ fn main() {
     }
 }
 
-fn spec_from_flags(value: &dyn Fn(&str) -> Option<String>) -> SweepSpec {
+fn spec_from_flags(args: &Args) -> SweepSpec {
+    let value = |name: &str| args.value(name).map(str::to_string);
     let mut spec = SweepSpec::default();
     let sweep = value("--sweep").unwrap_or_else(|| die("submit wants --sweep LO:HI:N"));
     let parts: Vec<&str> = sweep.split(':').collect();
@@ -204,13 +223,6 @@ fn spec_from_flags(value: &dyn Fn(&str) -> Option<String>) -> SweepSpec {
     }
     if let Some(v) = value("--seed") {
         spec.seed = v.parse().unwrap_or_else(|_| die("bad --seed"));
-    }
-    if let Some(v) = value("--shards") {
-        spec.shards = match v.parse() {
-            Ok(0) => die("--shards needs at least one shard (got 0)"),
-            Ok(n) => n,
-            Err(_) => die("bad --shards"),
-        };
     }
     spec
 }

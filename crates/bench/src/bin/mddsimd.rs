@@ -23,7 +23,7 @@
 //! cancelled; `shutdown` lets in-flight jobs finish streaming, then the
 //! daemon removes its socket and exits 0.
 
-use mdd_bench::cli::{die, BenchCli};
+use mdd_bench::cli::{die, usage, BenchCli, Flags};
 use mdd_engine::proto::{Event, JobStatus, Request};
 use mdd_engine::{Canceller, Engine, PointOutcome};
 use std::io::{BufRead, BufReader, Write};
@@ -69,7 +69,15 @@ struct Daemon {
 }
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(Flags {
+        switches: &[],
+        options: &["--socket"],
+        positional: 0,
+    });
+    if cli.flag("--help") || cli.flag("-h") {
+        println!("{}", usage(include_str!("mddsimd.rs")));
+        return;
+    }
     let socket = PathBuf::from(cli.value("--socket").unwrap_or(mdd_engine::DEFAULT_SOCKET));
     remove_stale_socket(&socket);
     let engine = cli.engine();

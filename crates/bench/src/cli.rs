@@ -1,6 +1,9 @@
 //! Shared command-line handling for the binaries in `src/bin/`.
 //!
-//! Every binary accepts the same base flags:
+//! Each binary declares the flags it takes as [`Flags`], and [`Args`]
+//! checks an argument list against them: a flag nobody declared is a
+//! usage error (exit status 2, naming the flag), never silently ignored.
+//! Every experiment binary also accepts the base flags of [`BenchCli`]:
 //!
 //! ```text
 //! --smoke            smallest scale (smoke-test windows, 3 load points);
@@ -10,13 +13,11 @@
 //! --out DIR          results directory [results]
 //! --jobs N           simulation worker threads, N >= 1
 //!                    [default: machine parallelism]
-//! --shards N         execution shards inside each single run, N >= 1
-//!                    (bit-identical results at any N) [default: 1]
 //! --no-cache         disable the persistent result cache
 //! --cache-dir DIR    cache location [<out>/cache]
 //! ```
 //!
-//! plus binary-specific flags reachable through [`BenchCli::flag`] /
+//! Binary-specific flags are read through [`BenchCli::flag`] /
 //! [`BenchCli::value`] / [`BenchCli::parse_value`]. [`BenchCli::engine`]
 //! turns the cache/jobs flags into a configured [`Engine`].
 
@@ -25,93 +26,68 @@ use mdd_engine::Engine;
 use mdd_obs::{Json, ARTIFACT_SCHEMA};
 use std::path::PathBuf;
 
-/// Parsed common flags plus the raw argument list for per-binary extras.
-#[derive(Clone, Debug)]
-pub struct BenchCli {
-    args: Vec<String>,
-    /// Experiment scale selected by `--smoke` / `--fast` (full otherwise).
-    pub scale: RunScale,
-    /// Results directory (`--out`, default `results`).
-    pub out_dir: PathBuf,
-    /// Worker-thread count (`--jobs`; `None` = machine parallelism).
-    /// `--jobs 0` is rejected at parse time — there is no pool to run on.
-    pub jobs: Option<usize>,
-    /// Execution shards inside each single run (`--shards`, default 1).
-    /// `--shards 0` is rejected at parse time, mirroring `--jobs 0`
-    /// (and [`ConfigError::ZeroShards`] guards hand-built configs).
-    /// Orthogonal to `--jobs`: jobs parallelize *across* sweep points,
-    /// shards parallelize *inside* one run, bit-identically.
-    ///
-    /// [`ConfigError::ZeroShards`]: mdd_core::ConfigError::ZeroShards
-    pub shards: u32,
-    /// True when `--no-cache` was given.
-    pub no_cache: bool,
-    /// Result-cache directory (`--cache-dir`, default `<out>/cache`).
-    pub cache_dir: PathBuf,
+/// The flags a binary takes: bare switches, options followed by a
+/// value, and how many positional arguments. `--help` and `-h` are
+/// always accepted.
+#[derive(Clone, Copy, Debug)]
+pub struct Flags {
+    /// Bare switches, e.g. `--plot`.
+    pub switches: &'static [&'static str],
+    /// Options that take the next argument as their value, e.g. `--load`.
+    pub options: &'static [&'static str],
+    /// Positional arguments accepted, at most.
+    pub positional: usize,
 }
 
-impl BenchCli {
-    /// Parse the process arguments.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1).collect())
-    }
+/// An argument list checked against the [`Flags`] of a binary.
+#[derive(Clone, Debug, Default)]
+pub struct Args {
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
+    positional: Vec<String>,
+}
 
-    /// Parse an explicit argument list (for tests).
-    pub fn from_args(args: Vec<String>) -> Self {
-        let flag = |name: &str| args.iter().any(|a| a == name);
-        let value = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-        };
-        let scale = if flag("--smoke") {
-            RunScale::smoke()
-        } else if flag("--fast") {
-            RunScale::fast()
-        } else {
-            RunScale::full()
-        };
-        let out_dir = PathBuf::from(value("--out").unwrap_or_else(|| "results".into()));
-        let jobs = value("--jobs").map(|v| match v.parse() {
-            Ok(0) => die(
-                "--jobs needs at least one worker (got 0); omit the flag for the machine default",
-            ),
-            Ok(n) => n,
-            Err(_) => die(&format!("bad --jobs: {v}")),
-        });
-        let shards = value("--shards").map_or(1, |v| match v.parse() {
-            Ok(0) => die("--shards needs at least one shard (got 0); omit the flag for the sequential default"),
-            Ok(n) => n,
-            Err(_) => die(&format!("bad --shards: {v}")),
-        });
-        let cache_dir = value("--cache-dir").map_or_else(|| out_dir.join("cache"), PathBuf::from);
-        BenchCli {
-            scale,
-            out_dir,
-            jobs,
-            shards,
-            no_cache: flag("--no-cache"),
-            cache_dir,
-            args,
+impl Args {
+    /// Check `args` against the union of `flags`. Fails on a flag none of
+    /// them declares, an option missing its value, or a positional
+    /// argument beyond the declared count.
+    pub fn parse(args: Vec<String>, flags: &[Flags]) -> Result<Self, String> {
+        let mut out = Args::default();
+        let mut it = args.into_iter();
+        while let Some(a) = it.next() {
+            if flags.iter().any(|f| f.options.contains(&a.as_str())) {
+                let v = it.next().ok_or_else(|| format!("{a} wants a value"))?;
+                out.values.push((a, v));
+            } else if a == "--help"
+                || a == "-h"
+                || flags.iter().any(|f| f.switches.contains(&a.as_str()))
+            {
+                out.switches.push(a);
+            } else if a.starts_with('-') {
+                return Err(format!("unknown flag {a} (see --help)"));
+            } else if out.positional.len() < flags.iter().map(|f| f.positional).sum() {
+                out.positional.push(a);
+            } else {
+                return Err(format!("unexpected argument {a} (see --help)"));
+            }
         }
+        Ok(out)
     }
 
     /// True when the bare flag `name` is present.
     pub fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+        self.switches.iter().any(|a| a == name)
     }
 
-    /// The argument following `name`, if any.
+    /// The value given to option `name`, if any.
     pub fn value(&self, name: &str) -> Option<&str> {
-        self.args
+        self.values
             .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
     }
 
-    /// Parse the argument following `name`, exiting with a message on a
+    /// Parse the value of option `name`, exiting with a message on a
     /// malformed value; `default` when absent.
     pub fn parse_value<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.value(name) {
@@ -120,6 +96,97 @@ impl BenchCli {
                 .parse()
                 .unwrap_or_else(|_| die(&format!("bad value for {name}: {v}"))),
         }
+    }
+
+    /// The positional arguments, in order.
+    pub fn positional(&self) -> &[String] {
+        &self.positional
+    }
+}
+
+/// The base flags plus a binary's own, parsed.
+#[derive(Clone, Debug)]
+pub struct BenchCli {
+    args: Args,
+    /// Experiment scale selected by `--smoke` / `--fast` (full otherwise).
+    pub scale: RunScale,
+    /// Results directory (`--out`, default `results`).
+    pub out_dir: PathBuf,
+    /// Worker-thread count (`--jobs`; `None` = machine parallelism).
+    /// `--jobs 0` is rejected at parse time — there is no pool to run on.
+    pub jobs: Option<usize>,
+    /// True when `--no-cache` was given.
+    pub no_cache: bool,
+    /// Result-cache directory (`--cache-dir`, default `<out>/cache`).
+    pub cache_dir: PathBuf,
+}
+
+impl BenchCli {
+    /// The flags every experiment binary accepts.
+    pub const BASE: Flags = Flags {
+        switches: &["--smoke", "--fast", "--no-cache"],
+        options: &["--out", "--jobs", "--cache-dir"],
+        positional: 0,
+    };
+
+    /// Parse the process arguments against the base flags plus `flags`,
+    /// exiting with status 2 on a usage error.
+    pub fn parse(flags: Flags) -> Self {
+        Self::from_args(std::env::args().skip(1).collect(), flags).unwrap_or_else(|e| die(&e))
+    }
+
+    /// Parse an explicit argument list against the base flags plus
+    /// `flags`.
+    pub fn from_args(args: Vec<String>, flags: Flags) -> Result<Self, String> {
+        let args = Args::parse(args, &[Self::BASE, flags])?;
+        let scale = if args.flag("--smoke") {
+            RunScale::smoke()
+        } else if args.flag("--fast") {
+            RunScale::fast()
+        } else {
+            RunScale::full()
+        };
+        let out_dir = PathBuf::from(args.value("--out").unwrap_or("results"));
+        let jobs = match args.value("--jobs") {
+            None => None,
+            Some(v) => match v.parse() {
+                Ok(0) => return Err("--jobs needs at least one worker (got 0); omit the flag for the machine default".into()),
+                Ok(n) => Some(n),
+                Err(_) => return Err(format!("bad --jobs: {v}")),
+            },
+        };
+        let cache_dir = args
+            .value("--cache-dir")
+            .map_or_else(|| out_dir.join("cache"), PathBuf::from);
+        Ok(BenchCli {
+            scale,
+            out_dir,
+            jobs,
+            no_cache: args.flag("--no-cache"),
+            cache_dir,
+            args,
+        })
+    }
+
+    /// True when the bare flag `name` is present.
+    pub fn flag(&self, name: &str) -> bool {
+        self.args.flag(name)
+    }
+
+    /// The value given to option `name`, if any.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.args.value(name)
+    }
+
+    /// Parse the value of option `name`, exiting with a message on a
+    /// malformed value; `default` when absent.
+    pub fn parse_value<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.args.parse_value(name, default)
+    }
+
+    /// The positional arguments, in order.
+    pub fn positional(&self) -> &[String] {
+        self.args.positional()
     }
 
     /// An [`Engine`] honoring `--jobs`, `--no-cache` and `--cache-dir`.
@@ -185,4 +252,41 @@ pub fn usage(source: &str) -> String {
 pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{BenchCli, Flags};
+
+    const SIM: Flags = Flags {
+        switches: &["--plot"],
+        options: &["--load", "--scheme"],
+        positional: 0,
+    };
+
+    fn parse(args: &[&str]) -> Result<BenchCli, String> {
+        BenchCli::from_args(args.iter().map(ToString::to_string).collect(), SIM)
+    }
+
+    #[test]
+    fn declared_and_base_flags_parse() {
+        let cli = parse(&["--load", "-0.5", "--plot", "--jobs", "2", "--no-cache"]).unwrap();
+        assert_eq!(cli.value("--load"), Some("-0.5"));
+        assert!(cli.flag("--plot") && cli.no_cache);
+        assert_eq!(cli.jobs, Some(2));
+        assert_eq!(cli.value("--scheme"), None);
+        assert!(parse(&["-h"]).unwrap().flag("-h"));
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_arguments_are_rejected_by_name() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        assert_eq!(err(&["--laod", "0.9"]), "unknown flag --laod (see --help)");
+        // A flag another binary declares is still unknown here.
+        assert_eq!(err(&["--verify"]), "unknown flag --verify (see --help)");
+        assert_eq!(err(&["0.9"]), "unexpected argument 0.9 (see --help)");
+        assert_eq!(err(&["--load"]), "--load wants a value");
+        assert!(err(&["--jobs", "0"]).starts_with("--jobs needs at least one worker"));
+        assert_eq!(err(&["--jobs", "x"]), "bad --jobs: x");
+    }
 }

@@ -14,7 +14,7 @@
 
 use crate::config::SimConfig;
 use mdd_protocol::{PatternSpec, QueueOrg};
-use mdd_routing::{Scheme, SchemeConfigError, VcMap};
+use mdd_routing::{Scheme, SchemeConfigError};
 use mdd_traffic::DestPattern;
 use std::sync::Arc;
 
@@ -70,8 +70,6 @@ pub enum ConfigError {
     /// Zero endpoint detection time-out: the detector would declare every
     /// waiting message deadlocked on its first blocked cycle.
     ZeroDetectThreshold,
-    /// Zero execution shards — at least one thread must run the network.
-    ZeroShards,
     /// Applied load is negative, NaN or infinite.
     InvalidLoad {
         /// The offending value.
@@ -126,7 +124,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroDetectThreshold => {
                 write!(f, "detection time-out must be at least 1 cycle")
             }
-            ConfigError::ZeroShards => write!(f, "at least 1 execution shard required"),
             ConfigError::InvalidLoad { load } => {
                 write!(f, "applied load {load} is not a finite non-negative number")
             }
@@ -214,14 +211,10 @@ impl SimConfig {
         if self.detect_threshold == 0 {
             return Err(ConfigError::ZeroDetectThreshold);
         }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
         if !self.load.is_finite() || self.load < 0.0 {
             return Err(ConfigError::InvalidLoad { load: self.load });
         }
-        let escape = if self.mesh { 1 } else { 2 };
-        VcMap::build(self.scheme, self.pattern.protocol(), self.vcs, escape)?;
+        self.vc_map()?;
         Ok(())
     }
 
@@ -428,11 +421,6 @@ impl SimConfigBuilder {
     setter!(
         /// Observability gauge-sampling period.
         obs_sample_every: u64
-    );
-    setter!(
-        /// Execution shards for the per-cycle network phase (results are
-        /// bit-identical at any count; excluded from the cache key).
-        shards: u32
     );
 
     /// Set both simulation windows (warmup, then measured cycles) in one

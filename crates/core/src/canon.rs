@@ -11,9 +11,8 @@
 //! pattern, timing parameters, seed, windows, load and the CWG oracle
 //! period — and deliberately excludes `obs_sample_every`, which only
 //! controls observability gauge sampling and cannot affect a
-//! [`SimResult`](crate::SimResult)'s measured fields, and `shards`,
-//! which picks an execution strategy whose results are bit-identical at
-//! any shard count (so cached points are valid across shard settings).
+//! [`SimResult`](crate::SimResult)'s measured fields, and the inert
+//! `shards`, which nothing reads.
 //!
 //! The encoding is a fixed-order `key=value` line list: construction
 //! order of the config (builder setter order, struct literal order)

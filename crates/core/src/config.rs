@@ -1,8 +1,9 @@
 //! Simulation configuration and results.
 
 use mdd_protocol::{PatternSpec, QueueOrg};
-use mdd_routing::Scheme;
+use mdd_routing::{Scheme, SchemeConfigError, VcMap};
 use mdd_stats::BnfPoint;
+use mdd_topology::{Topology, TopologyKind};
 use mdd_traffic::DestPattern;
 use std::sync::Arc;
 
@@ -74,10 +75,9 @@ pub struct SimConfig {
     /// Only active while the global `mdd-obs` layer is installed; event
     /// tracing and monotonic counters are unaffected by it.
     pub obs_sample_every: u64,
-    /// Execution shards for the network phase of each cycle (default 1:
-    /// the whole step on the calling thread). Results are bit-identical at any shard count —
-    /// sharding is an execution strategy, not a model parameter — so this
-    /// field is deliberately *excluded* from
+    /// Inert: nothing reads it, and the network step always runs on the
+    /// calling thread. Kept only because the frozen benchmark names it
+    /// (it writes this field); excluded from
     /// [`SimConfig::canonical_string`] and the result-cache key.
     pub shards: u32,
 }
@@ -145,6 +145,50 @@ impl SimConfig {
     /// The effective queue organization (override or scheme default).
     pub fn effective_queue_org(&self) -> QueueOrg {
         self.queue_org.unwrap_or(self.scheme.default_queue_org())
+    }
+
+    /// The topology this configuration describes — the one place that
+    /// maps `mesh` to a topology kind.
+    pub(crate) fn topology(&self) -> Topology {
+        let kind = if self.mesh {
+            TopologyKind::Mesh
+        } else {
+            TopologyKind::Torus
+        };
+        Topology::new(kind, &self.radix, self.bristle)
+    }
+
+    /// The scheme's VC map for this protocol and VC budget, or the error
+    /// that makes the configuration infeasible (too few VCs and the like).
+    pub(crate) fn vc_map(&self) -> Result<VcMap, SchemeConfigError> {
+        VcMap::build(
+            self.scheme,
+            self.pattern.protocol(),
+            self.vcs,
+            self.escape_classes(),
+        )
+    }
+
+    /// The best-effort *degraded* VC map ([`VcMap::build_degraded`] —
+    /// merged partitions, truncated escape sets), built even when the
+    /// scheme's VC budget is infeasible for the protocol.
+    pub(crate) fn degraded_vc_map(&self) -> VcMap {
+        VcMap::build_degraded(
+            self.scheme,
+            self.pattern.protocol(),
+            self.vcs,
+            self.escape_classes(),
+        )
+    }
+
+    /// Escape classes the topology needs: one on a mesh, two (the
+    /// dateline classes) on a torus.
+    fn escape_classes(&self) -> usize {
+        if self.mesh {
+            1
+        } else {
+            2
+        }
     }
 
     /// Total processing nodes.

@@ -25,7 +25,6 @@
 mod builder;
 mod canon;
 mod config;
-mod endpoint;
 mod preflight;
 mod recovery;
 mod schedule;

@@ -11,15 +11,12 @@
 
 use crate::config::SimConfig;
 use mdd_routing::{SchemeConfigError, SchemeRouting, VcMap};
-use mdd_topology::{Topology, TopologyKind};
 use mdd_verify::{AnalysisConfig, MinVcReport, Verdict, VerifyInput};
 
 /// Statically classify `cfg`, or fail with the same feasibility error the
 /// simulator constructor would raise (too few VCs and the like).
 pub fn verify_config(cfg: &SimConfig) -> Result<Verdict, SchemeConfigError> {
-    let escape = if cfg.mesh { 1 } else { 2 };
-    let map = VcMap::build(cfg.scheme, cfg.pattern.protocol(), cfg.vcs, escape)?;
-    Ok(verify_with_map(cfg, map))
+    Ok(verify_with_map(cfg, cfg.vc_map()?))
 }
 
 /// Statically classify `cfg` even when it is infeasible for the scheme:
@@ -28,21 +25,7 @@ pub fn verify_config(cfg: &SimConfig) -> Result<Verdict, SchemeConfigError> {
 /// sets), so the verdict explains with a concrete cycle witness what
 /// would go wrong on the hardware the configuration actually describes.
 pub fn verify_config_degraded(cfg: &SimConfig) -> Verdict {
-    let escape = if cfg.mesh { 1 } else { 2 };
-    let map = VcMap::build_degraded(cfg.scheme, cfg.pattern.protocol(), cfg.vcs, escape);
-    verify_with_map(cfg, map)
-}
-
-/// The topology `Simulator::new` would construct for `cfg`.
-///
-/// [`Simulator::new`]: crate::Simulator::new
-fn topology_of(cfg: &SimConfig) -> Topology {
-    let kind = if cfg.mesh {
-        TopologyKind::Mesh
-    } else {
-        TopologyKind::Torus
-    };
-    Topology::new(kind, &cfg.radix, cfg.bristle)
+    verify_with_map(cfg, cfg.degraded_vc_map())
 }
 
 /// Bundle `cfg` into the analysis engine's owned [`AnalysisConfig`] —
@@ -50,12 +33,10 @@ fn topology_of(cfg: &SimConfig) -> Topology {
 /// sweeps over a simulator configuration. Fails exactly when
 /// [`verify_config`] would (infeasible VC budget for the scheme).
 pub fn analysis_config(cfg: &SimConfig) -> Result<AnalysisConfig, SchemeConfigError> {
-    let escape = if cfg.mesh { 1 } else { 2 };
-    let map = VcMap::build(cfg.scheme, cfg.pattern.protocol(), cfg.vcs, escape)?;
     Ok(AnalysisConfig::new(
-        topology_of(cfg),
+        cfg.topology(),
         cfg.scheme,
-        SchemeRouting::new(map),
+        SchemeRouting::new(cfg.vc_map()?),
         (*cfg.pattern).clone(),
         cfg.effective_queue_org(),
     ))
@@ -71,7 +52,7 @@ pub fn min_safe_vcs(cfg: &SimConfig) -> MinVcReport {
     let ports = 2 * cfg.radix.len() + cfg.bristle as usize;
     let max = (128 / ports).min(u8::MAX as usize) as u8;
     mdd_verify::min_safe_vcs(
-        &topology_of(cfg),
+        &cfg.topology(),
         cfg.scheme,
         &cfg.pattern,
         cfg.effective_queue_org(),
@@ -80,7 +61,7 @@ pub fn min_safe_vcs(cfg: &SimConfig) -> MinVcReport {
 }
 
 fn verify_with_map(cfg: &SimConfig, map: VcMap) -> Verdict {
-    let topo = topology_of(cfg);
+    let topo = cfg.topology();
     let routing = SchemeRouting::new(map);
     mdd_verify::verify(&VerifyInput {
         topo: &topo,

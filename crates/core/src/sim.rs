@@ -1,14 +1,13 @@
 //! The cycle-accurate simulator.
 
 use crate::config::{SimConfig, SimResult};
-use crate::endpoint::NicShard;
 use crate::recovery::PrRecovery;
 use crate::schedule::NicSchedule;
 use mdd_nic::{Nic, NicConfig, NicStats};
-use mdd_protocol::{IdAlloc, MessageStore};
-use mdd_router::{Network, ShardPlan};
+use mdd_protocol::{IdAlloc, MessageStore, MsgHandle};
+use mdd_router::{EjectControl, Network};
 use mdd_routing::{Scheme, SchemeConfigError, SchemeRouting, VcMap};
-use mdd_topology::{NicId, Topology, TopologyKind};
+use mdd_topology::{NicId, Topology};
 use mdd_traffic::{SyntheticTraffic, TrafficSource};
 
 /// One fully wired simulation instance.
@@ -36,11 +35,6 @@ pub struct Simulator {
     /// entries keeps the per-cycle walk to one word per 64 NICs plus the
     /// scheduled NICs' deadlines.
     nic_sched: NicSchedule,
-    /// Router-range partition for the network phase (`cfg.shards`
-    /// shards; one runs on the calling thread). Results are bit-identical
-    /// at any count — the plan only changes which thread executes each
-    /// router.
-    shard_plan: ShardPlan,
     /// Scratch for draining the schedule's due set without holding a
     /// borrow across the tick calls.
     due_scratch: Vec<u32>,
@@ -99,8 +93,7 @@ impl Simulator {
         cfg: SimConfig,
         traffic: Box<dyn TrafficSource>,
     ) -> Result<Self, SchemeConfigError> {
-        let escape = if cfg.mesh { 1 } else { 2 };
-        let map = VcMap::build(cfg.scheme, cfg.pattern.protocol(), cfg.vcs, escape)?;
+        let map = cfg.vc_map()?;
         Ok(Self::assemble(cfg, traffic, map))
     }
 
@@ -113,19 +106,13 @@ impl Simulator {
     /// configurations the verifier rejects genuinely deadlock.
     pub fn with_degraded_vcs(cfg: SimConfig) -> Self {
         let traffic = Self::synthetic_traffic(&cfg);
-        let escape = if cfg.mesh { 1 } else { 2 };
-        let map = VcMap::build_degraded(cfg.scheme, cfg.pattern.protocol(), cfg.vcs, escape);
+        let map = cfg.degraded_vc_map();
         Self::assemble(cfg, traffic, map)
     }
 
     /// Wire every component around an already-built VC map.
     fn assemble(cfg: SimConfig, traffic: Box<dyn TrafficSource>, map: VcMap) -> Self {
-        let kind = if cfg.mesh {
-            TopologyKind::Mesh
-        } else {
-            TopologyKind::Torus
-        };
-        let topo = Topology::new(kind, &cfg.radix, cfg.bristle);
+        let topo = cfg.topology();
         let routing = SchemeRouting::new(map);
         let net = Network::new(topo.clone(), cfg.vcs, cfg.flit_buf);
         let org = cfg.effective_queue_org();
@@ -159,7 +146,6 @@ impl Simulator {
             _ => None,
         };
         let num_nics = nics.len();
-        let shard_plan = ShardPlan::new(topo.num_routers(), cfg.shards);
         Simulator {
             cfg,
             topo,
@@ -173,7 +159,6 @@ impl Simulator {
             cycle: 0,
             generation: true,
             nic_sched: NicSchedule::new(num_nics),
-            shard_plan,
             due_scratch: Vec::new(),
             src_scratch: Vec::new(),
             cwg_checks: 0,
@@ -350,20 +335,16 @@ impl Simulator {
             self.nic_sched.set(i, self.nics[i].next_tick_cycle(c + 1));
         }
         self.due_scratch = due;
-        // 6. Network cycle. Each shard gets exclusive ownership of its
-        // router range's NICs for admission. A delivered packet is a new
-        // message queued at its NIC: the NIC wakes for the next cycle.
-        // Queueing after the step is exact: a delivered message fills the
-        // slot its admission reserved, so no admission answer depends on
-        // when it is queued.
-        let ejs = NicShard::split(
-            &self.store,
-            &mut self.nics,
-            &self.shard_plan,
-            self.cfg.bristle,
-        );
-        self.net
-            .step_sharded(c, &self.routing, &self.shard_plan, ejs);
+        // 6. Network cycle, with the NICs answering admission. A delivered
+        // packet is a new message queued at its NIC: the NIC wakes for the
+        // next cycle. Queueing after the step is exact: a delivered
+        // message fills the slot its admission reserved, so no admission
+        // answer depends on when it is queued.
+        let mut admission = Admission {
+            store: &self.store,
+            nics: &mut self.nics,
+        };
+        self.net.step(c, &self.routing, &mut admission);
         for &(nic, h) in self.net.delivered() {
             let i = nic.index();
             self.nics[i].on_packet(h, self.store.get(h));
@@ -460,7 +441,6 @@ impl Simulator {
         if let Some(rec) = &self.recovery {
             mdd_obs::gauge_set(CounterId::DbLaneOccupancy, rec.lane_busy() as u64);
         }
-        mdd_obs::gauge_set(CounterId::ShardsActive, self.shard_plan.shards() as u64);
     }
 
     /// Run `n` cycles.
@@ -547,9 +527,7 @@ impl Simulator {
 
     /// Aggregate NIC statistics, merged in linear NIC order. The Welford
     /// merge is not associative in floating point, so aggregation always
-    /// goes through [`NicStats::merge_all`]'s ordered seam — never
-    /// through per-shard partials — keeping results bit-identical at any
-    /// shard count.
+    /// goes through [`NicStats::merge_all`]'s ordered seam.
     pub fn aggregate_stats(&self) -> NicStats {
         NicStats::merge_all(self.nics.iter().map(|n| &n.stats))
     }
@@ -557,6 +535,21 @@ impl Simulator {
     /// Total messages the traffic source has generated.
     pub fn generated(&self) -> u64 {
         self.traffic.generated()
+    }
+}
+
+/// The NIC array as the network's [`EjectControl`]. Admission is the
+/// only call the network makes into the endpoints: the packets a step
+/// delivered come back as [`Network::delivered`], and the simulator
+/// queues them after the step.
+struct Admission<'a> {
+    store: &'a MessageStore,
+    nics: &'a mut [Nic],
+}
+
+impl EjectControl for Admission<'_> {
+    fn can_accept(&mut self, nic: NicId, msg: MsgHandle, _cycle: u64) -> bool {
+        self.nics[nic.index()].can_accept(self.store.get(msg))
     }
 }
 

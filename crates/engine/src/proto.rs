@@ -116,10 +116,6 @@ pub struct SweepSpec {
     pub measure: u64,
     /// Base seed (decorrelated per point exactly as local sweeps are).
     pub seed: u64,
-    /// Execution shards inside each point's run (default 1). Results are
-    /// bit-identical at any value, and the field stays out of the result
-    /// cache key, so it only trades threads for wall-clock.
-    pub shards: u32,
     /// Applied loads, one point each.
     pub loads: Vec<f64>,
 }
@@ -137,7 +133,6 @@ impl Default for SweepSpec {
             warmup: 10_000,
             measure: 30_000,
             seed: 0x5eed,
-            shards: 1,
             loads: Vec::new(),
         }
     }
@@ -179,7 +174,6 @@ impl SweepSpec {
             .queue_org(queue_org)
             .windows(self.warmup, self.measure)
             .seed(self.seed)
-            .shards(self.shards)
             .build()
             .map_err(|e| format!("infeasible configuration: {e}"))?;
         Ok(Job::points(&base, &self.loads, &self.label))
@@ -205,11 +199,6 @@ impl SweepSpec {
         ];
         if let Some(org) = &self.queue_org {
             fields.push(("queue_org".to_string(), Json::Str(org.clone())));
-        }
-        // Encoded only when non-default so pre-sharding peers (and
-        // transcript fixtures) see byte-identical submit lines.
-        if self.shards != 1 {
-            fields.push(("shards".to_string(), Json::Int(u64::from(self.shards))));
         }
         fields.extend([
             ("warmup".to_string(), Json::Int(self.warmup)),
@@ -247,7 +236,6 @@ impl SweepSpec {
             warmup: field(j, "warmup", Json::as_int)?.unwrap_or(d.warmup),
             measure: field(j, "measure", Json::as_int)?.unwrap_or(d.measure),
             seed: field(j, "seed", Json::as_int)?.unwrap_or(d.seed),
-            shards: field(j, "shards", Json::as_int)?.unwrap_or(d.shards),
             loads,
         })
     }

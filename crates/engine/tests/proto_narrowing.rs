@@ -21,10 +21,7 @@ fn spec(fields: &str) -> SweepSpec {
 fn missing_fields_take_their_defaults() {
     let d = SweepSpec::default();
     let s = spec("");
-    assert_eq!(
-        (s.vcs, s.radix, s.bristle, s.shards),
-        (d.vcs, d.radix, d.bristle, d.shards)
-    );
+    assert_eq!((s.vcs, s.radix, s.bristle), (d.vcs, d.radix, d.bristle));
 }
 
 #[test]
@@ -42,12 +39,12 @@ fn bristle_out_of_u32_range_is_an_error_not_truncated() {
     );
 }
 
+/// Submit lines from clients that still send the retired `shards` key
+/// decode as if it were absent: unknown keys are ignored.
 #[test]
-fn shards_out_of_u32_range_is_an_error_not_truncated() {
-    assert_eq!(
-        submit(r#","shards":4294967298"#),
-        Err("submit: bad shards".to_string())
-    );
+fn retired_shards_key_is_ignored() {
+    assert_eq!(spec(r#","shards":4"#), spec(""));
+    assert_eq!(spec(r#","shards":4294967298"#), spec(""));
 }
 
 #[test]

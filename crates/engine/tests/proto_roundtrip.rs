@@ -22,7 +22,6 @@ fn requests_round_trip() {
         warmup: 500,
         measure: 1_500,
         seed: 77,
-        shards: 4,
         loads: vec![0.05, 0.1 + 0.2, 0.15],
     };
     for request in [

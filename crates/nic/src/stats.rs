@@ -46,10 +46,9 @@ impl NicStats {
     /// The Welford merge inside [`OnlineStats`] is exact but *not
     /// associative in floating point*: merging A into B then C gives a
     /// bit-different mean/M2 than merging (A,B) and (B,C) partials. Any
-    /// whole-network aggregation that must be reproducible regardless of
-    /// how NICs were partitioned (e.g. across execution shards) therefore
-    /// goes through this single seam with the NICs in linear index order,
-    /// never through pre-reduced per-partition partials.
+    /// whole-network aggregation that must be reproducible therefore goes
+    /// through this single seam with the NICs in linear index order, never
+    /// through pre-reduced partials.
     pub fn merge_all<'a>(parts: impl IntoIterator<Item = &'a NicStats>) -> NicStats {
         let mut agg = NicStats::default();
         for p in parts {

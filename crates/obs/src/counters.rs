@@ -122,22 +122,20 @@ pub enum CounterId {
     AnalyzeIncrementalHits,
     /// Fault points assigned a verdict by a fault-frontier sweep.
     FaultPointsClassified,
-    /// Cross-shard effects (flit link transfers, credit returns, wakes)
-    /// buffered into mailboxes by sharded network execution and applied
-    /// at the cycle barrier. High values relative to `flits_routed` mean
-    /// the shard cut crosses hot links.
+    /// Always 0: the network step runs on one thread and buffers no
+    /// cross-thread effects. Kept only because the frozen benchmark names
+    /// it (its `shard.mailbox_per_flit`); due for deletion at its next
+    /// revision.
     ShardMailboxFlits,
-    /// Cycle-barrier joins performed by the sharded network step (one per
-    /// spawned worker per sharded cycle) — with wall-clock timing, the
-    /// denominator of barrier-imbalance diagnostics.
+    /// Always 0: the network step runs on one thread and joins no
+    /// barrier. Kept only because the frozen benchmark names it (its
+    /// `shard.barrier_waits_per_cycle`); due for deletion at its next
+    /// revision.
     ShardBarrierWaits,
-    /// Gauge: shards the network step is partitioned into at the last
-    /// sample (1 = the whole step on the calling thread).
-    ShardsActive,
 }
 
 /// Number of registered counters and gauges.
-pub const NUM_COUNTERS: usize = 42;
+pub const NUM_COUNTERS: usize = 41;
 
 impl CounterId {
     /// Every counter and gauge, in index order.
@@ -183,7 +181,6 @@ impl CounterId {
         CounterId::FaultPointsClassified,
         CounterId::ShardMailboxFlits,
         CounterId::ShardBarrierWaits,
-        CounterId::ShardsActive,
     ];
 
     /// The stable snake_case name used by every sink format.
@@ -230,7 +227,6 @@ impl CounterId {
             CounterId::FaultPointsClassified => "fault_points_classified",
             CounterId::ShardMailboxFlits => "shard_mailbox_flits",
             CounterId::ShardBarrierWaits => "shard_barrier_waits",
-            CounterId::ShardsActive => "shards_active",
         }
     }
 
@@ -249,7 +245,6 @@ impl CounterId {
                 | CounterId::JobsInFlight
                 | CounterId::RoutersMaterialized
                 | CounterId::RouterStateBytes
-                | CounterId::ShardsActive
         )
     }
 }

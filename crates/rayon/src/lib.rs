@@ -1,14 +1,11 @@
 //! In-tree parallel primitives for the simulator. The package is named
 //! `rayon` because the benchmark's frozen lockfile lists it under that
-//! name; it does not mirror that crate's API. It offers two things:
-//!
-//! * [`ThreadPool`] — a persistent pool of worker threads taking
-//!   `'static` tasks from one FIFO queue, the substrate of the
-//!   `mdd-engine` streaming scheduler and the `mddsimd` sweep service.
-//!   A sweep point runs for milliseconds to seconds, so one queue of
-//!   whole points is all the scheduling a sweep needs.
-//! * [`scope_map`] — a gang of scoped threads, one per item, for the
-//!   sharded network cycle.
+//! name; it does not mirror that crate's API. It offers one thing:
+//! [`ThreadPool`], a persistent pool of worker threads taking `'static`
+//! tasks from one FIFO queue, the substrate of the `mdd-engine`
+//! streaming scheduler and the `mddsimd` sweep service. A sweep point
+//! runs for milliseconds to seconds, so one queue of whole points is all
+//! the scheduling a sweep needs.
 //!
 //! ```
 //! let pool = rayon::ThreadPool::new(2);
@@ -178,46 +175,9 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Run `f` once per item of `work` on scoped threads, returning the
-/// results in input order.
-///
-/// One thread per item (minus one: the first item runs on the calling
-/// thread) — the shape wanted by gang-scheduled phases such as the
-/// sharded network cycle, where each item *is* one shard and the caller
-/// provides the partition. A single item runs inline with no thread
-/// scope at all, and `work` is consumed lazily on the calling thread, so
-/// that case allocates nothing. Items may borrow from the caller's stack
-/// (`std::thread::scope` underneath). A panic in any task propagates to
-/// the caller after the scope joins.
-pub fn scope_map<C: Send, T: Send>(
-    work: impl IntoIterator<Item = C>,
-    f: impl Fn(C) -> T + Sync,
-) -> Vec<T> {
-    let mut work = work.into_iter();
-    let Some(first) = work.next() else {
-        return Vec::new();
-    };
-    let Some(second) = work.next() else {
-        return vec![f(first)];
-    };
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = std::iter::once(second)
-            .chain(work)
-            .map(|c| scope.spawn(move || f(c)))
-            .collect();
-        let mut out = Vec::with_capacity(handles.len() + 1);
-        out.push(f(first));
-        for h in handles {
-            out.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::{scope_map, ThreadPool};
+    use crate::ThreadPool;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -319,31 +279,5 @@ mod tests {
             assert_eq!(got, round);
         }
         drop(pool);
-    }
-
-    #[test]
-    fn scope_map_keeps_order_runs_one_item_inline_and_propagates_panics() {
-        let squares = scope_map(0..6u64, |x| x * x);
-        assert_eq!(squares, vec![0, 1, 4, 9, 16, 25]);
-        assert!(scope_map(Vec::<u8>::new(), |x| x).is_empty());
-
-        let caller = std::thread::current().id();
-        assert_eq!(
-            scope_map([()], |()| std::thread::current().id()),
-            vec![caller]
-        );
-
-        let panicked = std::panic::catch_unwind(|| {
-            scope_map(0..3u32, |i| {
-                assert!(i != 2, "item {i} failed");
-                i
-            })
-        });
-        let payload = panicked.expect_err("a panic in a non-first item reaches the caller");
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .unwrap_or_default();
-        assert!(msg.contains("item 2 failed"), "payload: {msg:?}");
     }
 }

@@ -36,7 +36,7 @@ mod traits;
 mod vc;
 
 pub use flit::{Flit, PacketState, PacketTable};
-pub use network::{ExtractedPacket, Network, NetworkCounters, ShardPlan};
+pub use network::{ExtractedPacket, Network, NetworkCounters};
 pub use router::Router;
 pub use traits::{AcceptAll, EjectControl, RouteCandidate, Routing};
 pub use vc::{OutVc, VcRef};

@@ -16,33 +16,24 @@
 //! start-of-cycle state, so a flit advances at most one hop per cycle.
 //!
 //! Mechanically, phases 1, 2 and 4 are *fused* into one pass over each
-//! woken router's occupancy bitmask (`ShardTask::router_pass`), and
-//! phase 3 applies the granted moves afterwards. The fusion is exact
-//! because phase-1/2 mutations are router-local (routes, output-VC
-//! ownership), credits are only mutated in phase 3, and switch grants pick
-//! the minimum round-robin rank — a function of the request *set*, not of
-//! the order requests were gathered in. The blocked-timer outcome of the
-//! trailing sweep is reproduced by marking occupied slots before moves and
-//! patching the moved/arrived slots during phase 3 (see
-//! `ShardTask::apply_moves`). In debug builds every cycle is re-executed
-//! by a literal four-phase reference implementation on a snapshot and the
-//! two end states are compared array by array.
-//!
-//! ## One pipeline, any number of shards
-//!
-//! There is one implementation of that pass. [`Network::step_sharded`]
-//! runs it over the router ranges of a [`ShardPlan`], one shard per
-//! worker thread; [`Network::step`] is the one-shard case on the calling
-//! thread, where every credit, arrival and wake lands inside the shard
-//! and the cross-shard mailboxes stay empty.
+//! woken router's occupancy bitmask (`Cycle::router_pass`), and phase 3
+//! applies the granted moves afterwards (`Cycle::apply_moves`). The
+//! fusion is exact because phase-1/2 mutations are router-local (routes,
+//! output-VC ownership), credits are only mutated in phase 3, and switch
+//! grants pick the minimum round-robin rank — a function of the request
+//! *set*, not of the order requests were gathered in. The blocked-timer
+//! outcome of the trailing sweep is reproduced by marking occupied slots
+//! before moves and patching the moved/arrived slots during phase 3. In
+//! debug builds every cycle is re-executed by a literal four-phase
+//! reference implementation on a snapshot and the two end states are
+//! compared array by array.
 
 use crate::flit::{Flit, PacketState, PacketTable};
-use crate::router::{split_off, Router, RouterState, StateMut, NOT_BLOCKED, NO_ROUTE};
+use crate::router::{Router, RouterState, StateMut, NOT_BLOCKED, NO_ROUTE};
 use crate::traits::{EjectControl, RouteCandidate, Routing};
 use mdd_obs::CounterId;
 use mdd_protocol::{Message, MsgHandle};
 use mdd_topology::{NicId, NodeId, PortId, Topology};
-use std::sync::Arc;
 
 /// Aggregate transport counters.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -143,11 +134,10 @@ impl Links {
     }
 }
 
-/// Put router `r` on a wake-set: its bit in `bits`, whose first word is
-/// global word `word_base`.
+/// Put router `r` on the wake-set `bits`.
 #[inline]
-fn set_wake(bits: &mut [u64], word_base: usize, r: usize) {
-    bits[(r >> 6) - word_base] |= 1 << (r & 63);
+fn set_wake(bits: &mut [u64], r: usize) {
+    bits[r >> 6] |= 1 << (r & 63);
 }
 
 /// The full network of wormhole routers.
@@ -197,14 +187,11 @@ pub struct Network {
     /// `(destination NIC, message)` in move order — see
     /// [`Network::delivered`].
     delivered: Vec<(NicId, MsgHandle)>,
-    /// Per-shard scratch for [`Network::step_sharded`] (sized to the
-    /// plan on first use): candidate/move buffers, switch-request chains,
-    /// outgoing mailboxes and per-cycle deltas, kept across cycles so the
-    /// steady state allocates nothing.
-    shard_scratch: Vec<ShardScratch>,
-    /// The one-shard plan [`Network::step`] runs under (shared, so the
-    /// step can borrow it alongside `&mut self`).
-    unit_plan: Arc<ShardPlan>,
+    /// Step scratch, kept across cycles so the steady state allocates
+    /// nothing: one head's route candidates, and this cycle's granted
+    /// moves.
+    cand: Vec<RouteCandidate>,
+    moves: Vec<Move>,
     #[cfg(debug_assertions)]
     shadow: shadow::Scratch,
 }
@@ -249,8 +236,8 @@ impl Network {
             cur_mask: vec![0; n.div_ceil(64)],
             router_flits: vec![0; n],
             delivered: Vec::new(),
-            shard_scratch: Vec::new(),
-            unit_plan: Arc::new(ShardPlan::new(n as u32, 1)),
+            cand: Vec::new(),
+            moves: Vec::new(),
             #[cfg(debug_assertions)]
             shadow: shadow::Scratch::default(),
         }
@@ -259,7 +246,7 @@ impl Network {
     /// Put router `r` on the wake-set for the next step.
     #[inline]
     fn wake(&mut self, r: usize) {
-        set_wake(&mut self.active_bits, 0, r);
+        set_wake(&mut self.active_bits, r);
     }
 
     /// Routers currently on the wake-set (the ones the next step will
@@ -326,10 +313,10 @@ impl Network {
     }
 
     /// The packets whose tail flit ejected during the last step, as
-    /// `(destination NIC, message)`, in move order (routers ascending) —
-    /// the same at any shard count. The network has removed them from its
-    /// packet table; handing each message to its endpoint is the caller's
-    /// job. Cleared at the start of each step, valid until the next one.
+    /// `(destination NIC, message)`, in move order (routers ascending).
+    /// The network has removed them from its packet table; handing each
+    /// message to its endpoint is the caller's job. Cleared at the start
+    /// of each step, valid until the next one.
     #[inline]
     pub fn delivered(&self) -> &[(NicId, MsgHandle)] {
         &self.delivered
@@ -399,20 +386,8 @@ impl Network {
         true
     }
 
-    /// Advance the network one cycle on the calling thread, with `ej`
-    /// answering ejection admission: [`Network::step_sharded`] over a
-    /// one-shard plan.
-    pub fn step<E>(&mut self, cycle: u64, routing: &(dyn Routing + Sync), ej: &mut E)
-    where
-        E: EjectControl + Send + ?Sized,
-    {
-        let plan = Arc::clone(&self.unit_plan);
-        self.step_sharded(cycle, routing, &plan, std::iter::once(ej));
-    }
-
-    /// Advance the network one cycle with the per-cycle work partitioned
-    /// across `plan.shards()` scoped worker threads — bit-identical at
-    /// any shard count.
+    /// Advance the network one cycle, with `ej` answering ejection
+    /// admission.
     ///
     /// Panics unless `cycle < u32::MAX`: the blocked timers hold cycles
     /// in 32 bits with `u32::MAX` as their "not blocked" sentinel.
@@ -423,36 +398,24 @@ impl Network {
     /// ascending so grant and move ordering match the dense 0..N scan
     /// bit-exactly.
     ///
-    /// Each shard runs the fused pass over its slice of the worklist,
-    /// then applies its own moves; effects landing in another shard's
-    /// router range (credit returns, flit arrivals, wakes) are buffered
-    /// into per-(src, dst) mailboxes and drained at the cycle barrier in
-    /// fixed (src, dst) order, and packet-table mutations are deferred
-    /// the same way; a tail's ejection is one of them, so the barrier
-    /// builds [`Network::delivered`] in move order. `ejs` yields one
-    /// admission controller per shard, in shard order; admission for a
-    /// router is always asked of its owning shard's controller, so
-    /// controllers never race. Debug builds re-execute the cycle with the
-    /// phased reference pipeline on a snapshot and compare the end states
-    /// and delivery lists, replaying the per-shard admission answers in
-    /// shard order.
-    pub fn step_sharded<E: EjectControl + Send>(
+    /// Every woken router's fused pass runs before any move applies, so
+    /// all of them see start-of-cycle credits and the start-of-cycle
+    /// packet table; the moves then apply in order, and a tail's ejection
+    /// lists its packet in [`Network::delivered`]. Debug builds re-execute
+    /// the cycle with the phased reference pipeline on a snapshot and
+    /// compare the end states and delivery lists, replaying the recorded
+    /// admission answers.
+    pub fn step<E: EjectControl + ?Sized>(
         &mut self,
         cycle: u64,
-        routing: &(dyn Routing + Sync),
-        plan: &ShardPlan,
-        ejs: impl IntoIterator<Item = E>,
+        routing: &dyn Routing,
+        ej: &mut E,
     ) {
         assert!(
             cycle < u64::from(NOT_BLOCKED),
             "cycle {cycle} past the 32-bit blocked-timer range"
         );
         let n = self.router_flits.len();
-        assert_eq!(
-            plan.num_routers() as usize,
-            n,
-            "shard plan covers a different network"
-        );
         self.drain_wake_set();
         self.delivered.clear();
         mdd_obs::counter_add(
@@ -461,20 +424,17 @@ impl Network {
         );
         mdd_obs::counter_add(CounterId::FusedPassRouters, self.worklist.len() as u64);
         #[cfg(not(debug_assertions))]
-        self.run_shards(cycle, routing, plan, ejs);
+        self.run(cycle, routing, ej);
         #[cfg(debug_assertions)]
         {
             self.skipped_router_check(cycle);
             let mut scratch = std::mem::take(&mut self.shadow);
             scratch.snapshot(self);
-            let mut recs: Vec<shadow::ShardRecordEj<E>> =
-                ejs.into_iter().map(shadow::ShardRecordEj::new).collect();
-            self.run_shards(cycle, routing, plan, recs.iter_mut());
-            // Shards are ascending contiguous router ranges, so their
-            // admission logs in shard order are the reference's call order.
-            for rec in &recs {
-                scratch.ej_log.extend_from_slice(&rec.accepts);
-            }
+            let mut rec = shadow::RecordEj {
+                inner: ej,
+                log: &mut scratch.ej_log,
+            };
+            self.run(cycle, routing, &mut rec);
             scratch.run_reference_and_compare(self, cycle, routing);
             self.shadow = scratch;
         }
@@ -509,18 +469,10 @@ impl Network {
         }
     }
 
-    /// The parallel phase plus barrier drain of one cycle.
-    fn run_shards<E: EjectControl + Send>(
-        &mut self,
-        cycle: u64,
-        routing: &(dyn Routing + Sync),
-        plan: &ShardPlan,
-        ejs: impl IntoIterator<Item = E>,
-    ) {
-        let nshards = plan.shards();
-        if self.shard_scratch.len() != nshards {
-            self.shard_scratch = (0..nshards).map(|_| ShardScratch::new(nshards)).collect();
-        }
+    /// The fused passes and the traversal of one cycle, with the
+    /// observability deltas published once at the end — the hot loops
+    /// stay free of shared-counter traffic.
+    fn run<E: EjectControl + ?Sized>(&mut self, cycle: u64, routing: &dyn Routing, ej: &mut E) {
         let Network {
             topo,
             vcs,
@@ -536,128 +488,35 @@ impl Network {
             active_bits,
             worklist,
             delivered,
-            shard_scratch,
+            cand,
+            moves,
             ..
         } = self;
-        {
-            let shared = StepShared {
-                topo,
-                vcs: *vcs,
-                buf_depth: *buf_depth,
-                net_port,
-                links,
-                chain,
-                packets,
-                cur_mask,
-                plan,
-            };
-            // Split every per-router array into the shards' disjoint
-            // ranges, lazily: the one-shard case runs inline on this
-            // thread without collecting anything.
-            let mut st = state.view();
-            let mut router_flits: &mut [u32] = router_flits;
-            let mut bits: &mut [u64] = active_bits;
-            let mut worklist: &[u32] = worklist;
-            let mut ejs = ejs.into_iter();
-            let total_words = bits.len();
-            let mut word_lo = 0usize;
-            let tasks = shard_scratch.iter_mut().enumerate().map(|(s, sc)| {
-                let (lo, hi) = plan.range(s);
-                let cnt = (hi - lo) as usize;
-                // Interior bounds are either stride-aligned (whole words)
-                // or clamped to `num_routers` mid-word; in the clamped
-                // case every later shard is empty, so the covering word
-                // belongs to this shard and rounding *up* is safe.
-                let word_hi = if s + 1 == nshards {
-                    total_words
-                } else {
-                    (hi as usize).div_ceil(64).min(total_words)
-                };
-                let words = word_hi - word_lo;
-                let split = worklist.partition_point(|&r| r < hi);
-                let (wl, rest) = worklist.split_at(split);
-                worklist = rest;
-                let task = ShardTask {
-                    lo,
-                    hi,
-                    word_base: word_lo,
-                    st: st.split_off(cnt),
-                    router_flits: split_off(&mut router_flits, cnt),
-                    active_bits: split_off(&mut bits, words),
-                    worklist: wl,
-                    ej: ejs.next().expect("one endpoint controller per shard"),
-                    sc,
-                };
-                word_lo = word_hi;
-                task
-            });
-            rayon::scope_map(tasks, |t| t.run(&shared, cycle, routing));
+        let shared = StepShared {
+            topo,
+            vcs: *vcs,
+            buf_depth: *buf_depth,
+            net_port,
+            links,
+            chain,
+            cur_mask,
+        };
+        let obs = Cycle {
+            st: state.view(),
+            router_flits,
+            active_bits,
+            packets,
+            delivered,
+            counters,
+            cand,
+            moves,
+            ej,
         }
-        // Barrier. Mailboxes drain in fixed (src, dst) order; every
-        // effect touches a distinct (router, slot) cell this cycle, so
-        // the order is belt-and-braces determinism, not a correctness
-        // requirement. Packet-table events follow in (shard, move) order
-        // — the traversal's own mutation order, so deliveries are listed
-        // in move order.
-        let mut obs = ObsDeltas::default();
-        let mut mailbox_effects = 0u64;
-        let mut st = state.view();
-        for sc in shard_scratch.iter_mut() {
-            for mail in &mut sc.mail {
-                mailbox_effects += mail.len() as u64;
-                for eff in mail.drain(..) {
-                    match eff {
-                        CrossEffect::Credit { router, slot } => {
-                            let r = router as usize;
-                            let g = r * st.slots + slot as usize;
-                            st.out_credits[g] += 1;
-                            debug_assert!(u32::from(st.out_credits[g]) <= *buf_depth);
-                            set_wake(active_bits, 0, r);
-                        }
-                        CrossEffect::Arrival { router, slot, flit } => {
-                            let (r, slot) = (router as usize, slot as usize);
-                            st.push_flit(r, slot, flit);
-                            let g = r * st.slots + slot;
-                            if cur_mask[r >> 6] >> (r & 63) & 1 == 1 && st.blocked[g] == NOT_BLOCKED
-                            {
-                                st.blocked[g] = cycle as u32;
-                            }
-                            router_flits[r] += 1;
-                            set_wake(active_bits, 0, r);
-                        }
-                    }
-                }
-            }
-            for ev in sc.pk.drain(..) {
-                match ev {
-                    PkEvent::Dateline { msg, mask } => match packets.get_mut(msg) {
-                        Some(st) => st.crossed_dateline |= mask,
-                        None => debug_assert!(false, "dateline hop by unregistered packet"),
-                    },
-                    PkEvent::Delivered { nic, msg } => {
-                        let st = packets.remove(msg);
-                        debug_assert!(st.is_some(), "delivered packet must be registered");
-                        delivered.push((nic, msg));
-                    }
-                }
-            }
-            // Per-shard deltas merge here, published once — the hot
-            // loops stay free of shared-counter traffic.
-            let c = std::mem::take(&mut sc.counters);
-            counters.flits_moved += c.flits_moved;
-            counters.flits_delivered += c.flits_delivered;
-            counters.packets_delivered += c.packets_delivered;
-            obs.merge(std::mem::take(&mut sc.obs));
-        }
+        .run(&shared, worklist, cycle, routing);
         mdd_obs::counter_add(CounterId::FlitsRouted, obs.routed);
         mdd_obs::counter_add(CounterId::VcAllocs, obs.allocs);
         mdd_obs::counter_add(CounterId::VcStalls, obs.stalls);
         mdd_obs::counter_add(CounterId::LinkBurstFlits, obs.burst_flits);
-        mdd_obs::counter_add(CounterId::ShardMailboxFlits, mailbox_effects);
-        mdd_obs::counter_add(
-            CounterId::ShardBarrierWaits,
-            (nshards as u64).saturating_sub(1),
-        );
     }
 
     /// Debug-only: every router the activity scheduler is about to skip
@@ -810,7 +669,7 @@ impl Network {
                     let up_g = up * s.slots + links.opp[p] as usize * nvcs + slot % nvcs;
                     s.out_credits[up_g] += run_len as u16;
                     debug_assert!(u32::from(s.out_credits[up_g]) <= *buf_depth);
-                    set_wake(active_bits, 0, up);
+                    set_wake(active_bits, up);
                 }
             }
             *flits -= removed_here;
@@ -830,7 +689,7 @@ impl Network {
             // A rescue mutates router state out of band; wake everything
             // it touched so remaining traffic reschedules.
             if removed_here > 0 || released {
-                set_wake(active_bits, 0, r);
+                set_wake(active_bits, r);
             }
         }
         mdd_obs::counter_add(CounterId::LinkBurstFlits, burst_flits);
@@ -889,156 +748,9 @@ struct ObsDeltas {
     routed: u64,
 }
 
-impl ObsDeltas {
-    fn merge(&mut self, o: ObsDeltas) {
-        self.allocs += o.allocs;
-        self.stalls += o.stalls;
-        self.burst_flits += o.burst_flits;
-        self.routed += o.routed;
-    }
-}
-
-/// Partition of the router index space into contiguous shard ranges for
-/// [`Network::step_sharded`].
-///
-/// Every interior boundary is a multiple of 64 (a whole wake-set word),
-/// so the per-shard `active_bits` slices never share a word and shards
-/// can set wake bits for their own routers without synchronization. On
-/// networks smaller than `shards * 64` routers, trailing shards own
-/// empty ranges — degenerate but valid (their workers return
-/// immediately), so shard-count-invariance tests cover small topologies
-/// too.
-#[derive(Clone, Debug)]
-pub struct ShardPlan {
-    /// `shards + 1` range boundaries: shard `s` owns `[bounds[s],
-    /// bounds[s+1])`.
-    bounds: Vec<u32>,
-    /// Uniform shard width in routers (a multiple of 64); the last shard
-    /// absorbs the remainder.
-    stride: u32,
-}
-
-impl ShardPlan {
-    /// Split `num_routers` routers into `shards` contiguous ranges of
-    /// whole wake-set words.
-    pub fn new(num_routers: u32, shards: u32) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        let words = (num_routers as usize).div_ceil(64);
-        let wps = words.div_ceil(shards as usize).max(1);
-        let stride = (wps * 64) as u32;
-        let bounds = (0..=shards as u64)
-            .map(|s| (s * u64::from(stride)).min(u64::from(num_routers)) as u32)
-            .collect();
-        ShardPlan { bounds, stride }
-    }
-
-    /// Number of shards (trailing ones may own empty ranges on small
-    /// networks).
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Router range `[lo, hi)` owned by shard `s`.
-    #[inline]
-    pub fn range(&self, s: usize) -> (u32, u32) {
-        (self.bounds[s], self.bounds[s + 1])
-    }
-
-    /// The shard owning router `r`.
-    #[inline]
-    pub fn shard_of(&self, r: u32) -> usize {
-        ((r / self.stride) as usize).min(self.shards() - 1)
-    }
-
-    /// Total routers covered (== the network's router count).
-    #[inline]
-    pub fn num_routers(&self) -> u32 {
-        self.bounds[self.shards()]
-    }
-}
-
-/// One cross-shard side effect of a granted move, buffered into the
-/// destination shard's mailbox during the parallel phase and applied by
-/// the coordinator at the cycle barrier. Each `(router, slot)` cell
-/// receives at most one credit and at most one arrival per cycle (one
-/// grant per output port, 1:1 link wiring), so in-cycle effects touch
-/// disjoint state and deferred application converges to the same
-/// physical representation a single shard produces; the
-/// fixed (src, dst) drain order makes the schedule deterministic
-/// independent of worker timing.
-#[derive(Clone, Copy, Debug)]
-enum CrossEffect {
-    /// Credit return to an upstream router owned by another shard (plus
-    /// the implied wake).
-    Credit {
-        /// Upstream router (global index).
-        router: u32,
-        /// Its flat output-VC slot.
-        slot: u16,
-    },
-    /// Flit arrival at a downstream router owned by another shard (plus
-    /// the implied wake and arrival-side blocked mark).
-    Arrival {
-        /// Downstream router (global index).
-        router: u32,
-        /// Its flat input-VC slot.
-        slot: u16,
-        /// The flit traversing the link.
-        flit: Flit,
-    },
-}
-
-/// Deferred [`PacketTable`] mutation recorded by a shard (the table is
-/// shared read-only during the parallel phase so every shard's
-/// allocation pass observes start-of-cycle routing state, exactly as
-/// the phased reference's all-passes-before-all-applies does).
-/// Applied at the barrier in (shard, move) order — which, because
-/// shards are ascending contiguous ranges and each shard's move list is
-/// router-ascending, is a single shard's traversal order.
-#[derive(Clone, Copy, Debug)]
-enum PkEvent {
-    /// A head flit crossed a dateline link: OR `mask` into the packet's
-    /// `crossed_dateline` bits.
-    Dateline { msg: MsgHandle, mask: u8 },
-    /// A tail flit ejected at `nic`: remove the packet from the table and
-    /// list it in [`Network::delivered`].
-    Delivered { nic: NicId, msg: MsgHandle },
-}
-
-/// Per-shard reusable scratch plus the per-cycle deltas a shard hands
-/// back to the coordinator at the barrier.
-#[derive(Debug)]
-struct ShardScratch {
-    cand: Vec<RouteCandidate>,
-    moves: Vec<Move>,
-    /// Outgoing mailboxes, indexed by destination shard.
-    mail: Vec<Vec<CrossEffect>>,
-    /// Deferred packet-table events, in move order.
-    pk: Vec<PkEvent>,
-    /// This cycle's transport-counter delta.
-    counters: NetworkCounters,
-    /// This cycle's observability delta.
-    obs: ObsDeltas,
-}
-
-impl ShardScratch {
-    fn new(shards: usize) -> Self {
-        ShardScratch {
-            cand: Vec::with_capacity(64),
-            moves: Vec::with_capacity(256),
-            mail: (0..shards).map(|_| Vec::new()).collect(),
-            pk: Vec::new(),
-            counters: NetworkCounters::default(),
-            obs: ObsDeltas::default(),
-        }
-    }
-}
-
-/// Scratch of one shard's fused passes, on the stack of
-/// [`ShardTask::run`] so the hot loops see it as unaliased by router
-/// state: the switch-allocation request chains and the observability
-/// deltas.
+/// Scratch of one cycle's fused passes, on the stack of [`Cycle::run`]
+/// so the hot loops see it as unaliased by router state: the
+/// switch-allocation request chains and the observability deltas.
 struct PassScratch {
     /// Per-port request-chain heads (`u16::MAX` = empty) and per-slot
     /// next links. An entry packs the requester's input port in its high
@@ -1051,10 +763,8 @@ struct PassScratch {
     obs: ObsDeltas,
 }
 
-/// Read-only network state shared by every shard during the parallel
-/// phase. `packets` and `cur_mask` are frozen for the whole phase:
-/// packet-table mutations are deferred as [`PkEvent`]s and the arrival
-/// mask was fully built by the wake-set drain.
+/// The network state a cycle only reads. `cur_mask` is frozen for the
+/// whole cycle: the wake-set drain built it.
 struct StepShared<'a> {
     topo: &'a Topology,
     vcs: u8,
@@ -1062,57 +772,57 @@ struct StepShared<'a> {
     net_port: &'a [bool],
     links: &'a Links,
     chain: &'a [u16],
-    packets: &'a PacketTable,
     cur_mask: &'a [u64],
-    plan: &'a ShardPlan,
 }
 
-/// One shard's mutable view of the network: disjoint slices of every
-/// per-router array (router indices offset by `lo`, wake words by
-/// `word_base`), its slice of the ascending worklist, its admission
-/// controller and its scratch.
-struct ShardTask<'a, E> {
-    lo: u32,
-    hi: u32,
-    word_base: usize,
+/// One cycle's mutable view of the network: every per-router array, the
+/// packet table, the delivery list and counters, the step scratch and
+/// the admission controller.
+struct Cycle<'a, E: ?Sized> {
     st: StateMut<'a>,
     router_flits: &'a mut [u32],
     active_bits: &'a mut [u64],
-    worklist: &'a [u32],
-    ej: E,
-    sc: &'a mut ShardScratch,
+    packets: &'a mut PacketTable,
+    delivered: &'a mut Vec<(NicId, MsgHandle)>,
+    counters: &'a mut NetworkCounters,
+    cand: &'a mut Vec<RouteCandidate>,
+    moves: &'a mut Vec<Move>,
+    ej: &'a mut E,
 }
 
-impl<E: EjectControl> ShardTask<'_, E> {
-    /// One shard's whole cycle: a fused pass per woken router (phases 1,
-    /// 2 and the blocked-timer marking), then the traversal phase over
-    /// the shard's moves.
+impl<E: EjectControl + ?Sized> Cycle<'_, E> {
+    /// The whole cycle: a fused pass per woken router in `worklist`
+    /// (phases 1, 2 and the blocked-timer marking), then the traversal
+    /// phase over the granted moves. Returns the observability deltas.
     ///
     /// The VC-allocation scan of every router starts at slot
     /// `cycle % slots`: the dense schedule advanced each router's rotation
     /// by one every cycle from zero, so that is the offset it had reached
     /// whether or not the router was processed in between.
-    fn run(mut self, sh: &StepShared<'_>, cycle: u64, routing: &dyn Routing) {
+    fn run(
+        mut self,
+        sh: &StepShared<'_>,
+        worklist: &[u32],
+        cycle: u64,
+        routing: &dyn Routing,
+    ) -> ObsDeltas {
         let mut ps = PassScratch {
             req_head: [u16::MAX; 64],
             req_next: [u16::MAX; 128],
             obs: ObsDeltas::default(),
         };
         let start = (cycle % self.st.slots as u64) as usize;
-        for wi in 0..self.worklist.len() {
-            let r = self.worklist[wi] as usize;
-            self.router_pass(sh, r, cycle, start, routing, &mut ps);
+        for &r in worklist {
+            self.router_pass(sh, r as usize, cycle, start, routing, &mut ps);
         }
         self.apply_moves(sh, cycle, &mut ps.obs);
-        self.sc.obs = ps.obs;
+        ps.obs
     }
 
     /// One router's fused pass: a single rotated walk over its occupancy
     /// bitmask performs route computation / VC allocation for waiting
     /// heads, blocked-timer pre-marking, and switch-request gathering;
-    /// per-port round-robin grants follow. Slices are addressed by
-    /// `li = r - lo`; the rr hint and the emitted moves keep global
-    /// coordinates, so no decision depends on the shard layout.
+    /// per-port round-robin grants follow.
     ///
     /// ### Ordering contract (why this equals the phased pipeline)
     ///
@@ -1126,11 +836,10 @@ impl<E: EjectControl> ShardTask<'_, E> {
     ///   (rotated here, ascending in the phased reference) is immaterial.
     /// * Credits are only mutated by the traversal phase, which runs after
     ///   every router's fused pass — all grant decisions see
-    ///   start-of-cycle credits. Cross-shard credits land at the barrier,
-    ///   after every shard's pass.
+    ///   start-of-cycle credits.
     /// * Moves are emitted per router in ascending-output-port order, so
-    ///   the global move list (shards are ascending ranges) matches the
-    ///   phased switch sweep exactly.
+    ///   the move list (routers ascending) matches the phased switch
+    ///   sweep exactly.
     fn router_pass(
         &mut self,
         sh: &StepShared<'_>,
@@ -1140,12 +849,11 @@ impl<E: EjectControl> ShardTask<'_, E> {
         routing: &dyn Routing,
         ps: &mut PassScratch,
     ) {
-        let li = r - self.lo as usize;
         let nvcs = sh.vcs as usize;
         let total = self.st.slots;
         let depth = self.st.depth;
         // This router's window of every per-slot array.
-        let base = li * total;
+        let base = r * total;
         let slots = base..base + total;
         // Per-port singly linked request chains (see
         // [`PassScratch::req_head`]; both `< 128`, so `u16::MAX` stays a
@@ -1163,7 +871,7 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 obs,
             } = ps;
             let st = &mut self.st;
-            let hdr = &st.hdr[li];
+            let hdr = &st.hdr[r];
             let blocked = &mut st.blocked[slots.clone()];
             let route_port = &st.route_port[slots.clone()];
             let stall_epoch = &st.stall_epoch[slots.clone()];
@@ -1251,10 +959,10 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 req_next,
                 obs,
             } = ps;
-            let moves = &mut self.sc.moves;
+            let moves = &mut *self.moves;
             let st = &mut self.st;
             let ports = st.ports;
-            let rr_out = &mut st.rr_out[li * ports..(li + 1) * ports];
+            let rr_out = &mut st.rr_out[r * ports..(r + 1) * ports];
             let out_credits = &st.out_credits[slots.clone()];
             let route_vc = &st.route_vc[slots.clone()];
             let head = &st.head[slots];
@@ -1314,8 +1022,8 @@ impl<E: EjectControl> ShardTask<'_, E> {
     }
 
     /// Full route-computation + VC-allocation attempt for the head `h` at
-    /// `(r, idx)` — the non-memoized path. Reads the shared
-    /// start-of-cycle packet table; every mutation stays on router `r`
+    /// `(r, idx)` — the non-memoized path. Reads the start-of-cycle
+    /// packet table; every mutation stays on router `r`
     /// (a head's candidates are output VCs of the router it waits at).
     /// Returns whether a route was granted.
     fn alloc_slot(
@@ -1327,26 +1035,25 @@ impl<E: EjectControl> ShardTask<'_, E> {
         cycle: u64,
         routing: &dyn Routing,
     ) -> bool {
-        let li = r - self.lo as usize;
-        let g = li * self.st.slots + idx;
+        let g = r * self.st.slots + idx;
         let node = NodeId(r as u32);
         let nvcs = sh.vcs as usize;
-        let Some(pkt) = sh.packets.get(h).copied() else {
+        let Some(pkt) = self.packets.get(h).copied() else {
             debug_assert!(false, "flit in network without a registered packet");
             return true;
         };
-        self.sc.cand.clear();
+        self.cand.clear();
         let hint = cycle
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((r as u64) << 8)
             .wrapping_add(idx as u64);
-        routing.candidates(sh.topo, node, &pkt, hint, &mut self.sc.cand);
+        routing.candidates(sh.topo, node, &pkt, hint, self.cand);
         debug_assert!(
-            !self.sc.cand.is_empty(),
+            !self.cand.is_empty(),
             "routing function returned no candidates for {h:?} at {node}"
         );
-        for ci in 0..self.sc.cand.len() {
-            let c = self.sc.cand[ci];
+        for ci in 0..self.cand.len() {
+            let c = self.cand[ci];
             if let Some(local) = sh.topo.port_local_index(c.port) {
                 debug_assert_eq!(
                     node, pkt.dst_router,
@@ -1360,8 +1067,8 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 }
             } else {
                 let out_slot = c.port.index() * nvcs + c.vc as usize;
-                if self.st.out_free(li, out_slot) {
-                    self.st.own_out(li, out_slot, h);
+                if self.st.out_free(r, out_slot) {
+                    self.st.own_out(r, out_slot, h);
                     self.st.route_port[g] = c.port.0;
                     self.st.route_vc[g] = c.vc;
                     return true;
@@ -1374,17 +1081,15 @@ impl<E: EjectControl> ShardTask<'_, E> {
             // are exempt: their stall is an ejection refusal, and
             // `can_accept` both has side effects and depends on NIC state
             // this router cannot version.
-            self.st.stall_epoch[g] = self.st.hdr[li].alloc_epoch;
+            self.st.stall_epoch[g] = self.st.hdr[r].alloc_epoch;
         }
         false
     }
 
-    /// Phase 3: apply the shard's granted moves (link traversal),
-    /// table-driven. Effects inside the shard's router range apply
-    /// directly; credit returns and flit arrivals for another shard's
-    /// routers go to that shard's mailbox, and packet-table mutations are
-    /// recorded as [`PkEvent`]s — both applied at the barrier. An ejected
-    /// tail is one such event: the traversal calls no endpoint.
+    /// Phase 3: apply the granted moves (link traversal), table-driven,
+    /// in move order: credits, arrivals, wakes, dateline marks, and each
+    /// ejected tail's removal from the packet table and listing in the
+    /// delivery list. The traversal calls no endpoint.
     ///
     /// Also re-derives the blocked-timer marks the fused pre-marking could
     /// not know yet: a popped slot restarts (still occupied) or clears
@@ -1393,7 +1098,6 @@ impl<E: EjectControl> ShardTask<'_, E> {
     /// pipeline's trailing sweep would have left.
     fn apply_moves(&mut self, sh: &StepShared<'_>, cycle: u64, obs: &mut ObsDeltas) {
         let nvcs = sh.vcs as usize;
-        let (lo, hi) = (self.lo as usize, self.hi as usize);
         // Disjoint borrows, rebound as plain slices, so the per-move work
         // indexes each array directly with no header reloads; wakes are
         // inlined as the bit-sets they are.
@@ -1401,20 +1105,17 @@ impl<E: EjectControl> ShardTask<'_, E> {
         let ports = links.ports;
         let (nbr, opp) = (&links.nbr[..], &links.opp[..]);
         let (dateline, nic_of) = (&links.dateline[..], &links.nic[..]);
-        let ShardTask {
+        let Cycle {
             st,
             router_flits,
             active_bits,
-            word_base,
-            sc,
+            packets,
+            delivered,
+            moves,
             ..
         } = self;
-        let ShardScratch {
-            moves, mail, pk, ..
-        } = &mut **sc;
         let router_flits: &mut [u32] = router_flits;
         let active_bits: &mut [u64] = active_bits;
-        let word_base = *word_base;
         let slots = st.slots;
         let mut counters = NetworkCounters::default();
         obs.routed += moves.len() as u64;
@@ -1427,10 +1128,9 @@ impl<E: EjectControl> ShardTask<'_, E> {
                 out_vc,
             } = *mv;
             let r = r as usize;
-            let li = r - lo;
             let in_slot = in_port as usize * nvcs + in_vc as usize;
-            let in_g = li * slots + in_slot;
-            let flit = st.pop_flit(li, in_slot);
+            let in_g = r * slots + in_slot;
+            let flit = st.pop_flit(r, in_slot);
             st.blocked[in_g] = if st.len[in_g] > 0 {
                 cycle as u32
             } else {
@@ -1439,41 +1139,37 @@ impl<E: EjectControl> ShardTask<'_, E> {
             if flit.is_tail {
                 st.route_port[in_g] = NO_ROUTE;
             }
-            router_flits[li] -= 1;
+            router_flits[r] -= 1;
             // Return a credit upstream (network inputs only; NICs poll
             // injection space directly). The credit is an event for the
             // upstream router: wake it so it can use the freed slot.
             let up = nbr[r * ports + in_port as usize];
             if up != u32::MAX {
-                let upu = up as usize;
-                let up_slot = opp[in_port as usize] as usize * nvcs + in_vc as usize;
-                if (lo..hi).contains(&upu) {
-                    let up_g = (upu - lo) * slots + up_slot;
-                    st.out_credits[up_g] += 1;
-                    debug_assert!(u32::from(st.out_credits[up_g]) <= sh.buf_depth);
-                    set_wake(active_bits, word_base, upu);
-                } else {
-                    mail[sh.plan.shard_of(up)].push(CrossEffect::Credit {
-                        router: up,
-                        slot: up_slot as u16,
-                    });
-                }
+                let up = up as usize;
+                let up_g = up * slots + opp[in_port as usize] as usize * nvcs + in_vc as usize;
+                st.out_credits[up_g] += 1;
+                debug_assert!(u32::from(st.out_credits[up_g]) <= sh.buf_depth);
+                set_wake(active_bits, up);
             }
             if sh.net_port[out_port as usize] {
                 let out_slot = out_port as usize * nvcs + out_vc as usize;
-                let out_g = li * slots + out_slot;
+                let out_g = r * slots + out_slot;
                 st.vc_busy[out_g] += 1;
                 debug_assert!(st.out_credits[out_g] > 0);
                 st.out_credits[out_g] -= 1;
                 if flit.is_tail {
-                    st.release_out(li, out_slot);
+                    st.release_out(r, out_slot);
                 }
+                // A head crossing a dateline marks its packet. The table
+                // is written only here, after every fused pass has read
+                // it; the packet is still registered, since its tail is
+                // behind this head and cannot eject before it.
                 let dl = dateline[r * ports + out_port as usize];
                 if dl != 0 && flit.is_head() {
-                    pk.push(PkEvent::Dateline {
-                        msg: flit.msg,
-                        mask: dl,
-                    });
+                    match packets.get_mut(flit.msg) {
+                        Some(p) => p.crossed_dateline |= dl,
+                        None => debug_assert!(false, "dateline hop by unregistered packet"),
+                    }
                 }
                 let down = nbr[r * ports + out_port as usize] as usize;
                 debug_assert!(
@@ -1481,50 +1177,46 @@ impl<E: EjectControl> ShardTask<'_, E> {
                     "allocated output implies the link exists"
                 );
                 let down_slot = opp[out_port as usize] as usize * nvcs + out_vc as usize;
-                if (lo..hi).contains(&down) {
-                    st.push_flit(down - lo, down_slot, flit);
-                    // Arrival mark: the trailing sweep of the phased
-                    // pipeline would see this flit (post-move occupancy)
-                    // at any router it covers this cycle.
-                    let down_g = (down - lo) * slots + down_slot;
-                    if sh.cur_mask[down >> 6] >> (down & 63) & 1 == 1
-                        && st.blocked[down_g] == NOT_BLOCKED
-                    {
-                        st.blocked[down_g] = cycle as u32;
-                    }
-                    router_flits[down - lo] += 1;
-                    set_wake(active_bits, word_base, down);
-                } else {
-                    mail[sh.plan.shard_of(down as u32)].push(CrossEffect::Arrival {
-                        router: down as u32,
-                        slot: down_slot as u16,
-                        flit,
-                    });
+                st.push_flit(down, down_slot, flit);
+                // Arrival mark: the trailing sweep of the phased pipeline
+                // would see this flit (post-move occupancy) at any router
+                // it covers this cycle.
+                let down_g = down * slots + down_slot;
+                if sh.cur_mask[down >> 6] >> (down & 63) & 1 == 1
+                    && st.blocked[down_g] == NOT_BLOCKED
+                {
+                    st.blocked[down_g] = cycle as u32;
                 }
+                router_flits[down] += 1;
+                set_wake(active_bits, down);
             } else {
                 let nic = NicId(nic_of[r * ports + out_port as usize]);
                 debug_assert!(nic.0 != u32::MAX, "output is network or local");
                 if flit.is_tail {
                     counters.packets_delivered += 1;
-                    pk.push(PkEvent::Delivered { nic, msg: flit.msg });
+                    let p = packets.remove(flit.msg);
+                    debug_assert!(p.is_some(), "delivered packet must be registered");
+                    delivered.push((nic, flit.msg));
                 }
                 counters.flits_delivered += 1;
             }
             counters.flits_moved += 1;
         }
         moves.clear();
-        sc.counters = counters;
+        self.counters.flits_moved += counters.flits_moved;
+        self.counters.flits_delivered += counters.flits_delivered;
+        self.counters.packets_delivered += counters.packets_delivered;
     }
 }
 
-/// Debug-build shadow machinery: every [`Network::step_sharded`] cycle is
+/// Debug-build shadow machinery: every [`Network::step`] cycle is
 /// re-executed by a literal four-phase reference pipeline on a pre-cycle
 /// snapshot, with admission answers recorded during the real (fused)
 /// pass and replayed to the reference; the two end states and delivery
 /// lists must match. This checks the fused pass, the stall memo, the
-/// blocked-timer patch rules, the link tables and the barrier's delivery
-/// order against the phased semantics every single cycle of every debug
-/// run.
+/// blocked-timer patch rules, the link tables and the traversal's
+/// packet-table writes against the phased semantics every single cycle
+/// of every debug run.
 #[cfg(debug_assertions)]
 mod shadow {
     use super::*;
@@ -1537,27 +1229,17 @@ mod shadow {
         ok: bool,
     }
 
-    /// Per-shard recorder wrapping the real [`EjectControl`]. Each shard
-    /// asks in router-ascending order, so the logs concatenated in shard
-    /// order are the reference's call sequence.
-    pub(super) struct ShardRecordEj<E> {
-        inner: E,
-        pub(super) accepts: Vec<Accept>,
+    /// Recorder wrapping the real [`EjectControl`]: logs every question
+    /// and answer, in the real pass's call order.
+    pub(super) struct RecordEj<'a, E: ?Sized> {
+        pub(super) inner: &'a mut E,
+        pub(super) log: &'a mut Vec<Accept>,
     }
 
-    impl<E: EjectControl> ShardRecordEj<E> {
-        pub(super) fn new(inner: E) -> Self {
-            ShardRecordEj {
-                inner,
-                accepts: Vec::new(),
-            }
-        }
-    }
-
-    impl<E: EjectControl> EjectControl for ShardRecordEj<E> {
+    impl<E: EjectControl + ?Sized> EjectControl for RecordEj<'_, E> {
         fn can_accept(&mut self, nic: NicId, msg: MsgHandle, cycle: u64) -> bool {
             let ok = self.inner.can_accept(nic, msg, cycle);
-            self.accepts.push(Accept { nic, msg, ok });
+            self.log.push(Accept { nic, msg, ok });
             ok
         }
     }

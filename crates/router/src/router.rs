@@ -10,14 +10,13 @@
 //! router with 2-flit buffers takes 853 bytes in release builds.
 //! Each pipeline sweep (occupancy walk, route gather, credit check,
 //! blocked-timer mark) therefore touches one contiguous array per field,
-//! neighbouring routers sit next to each other, and a shard's router range
-//! is one sub-slice of every array. Flit storage is one flat ring
+//! and neighbouring routers sit next to each other. Flit storage is one flat ring
 //! (`depth` entries per slot), so block operations — burst extraction
 //! runs, the debug shadow snapshot — are plain `memcpy`-shaped moves.
 //!
-//! [`RouterState`] owns the arrays; [`StateMut`] is a mutable window over
-//! a contiguous router range (a shard's, or the whole network) and carries
-//! every mutation; [`Router`] is the public read view of one router.
+//! [`RouterState`] owns the arrays; [`StateMut`] is a mutable view of
+//! them that carries every mutation; [`Router`] is the public read view
+//! of one router.
 
 use crate::flit::Flit;
 use crate::vc::{OutVc, VcRef};
@@ -28,7 +27,7 @@ use std::mem::size_of;
 /// `route_port` sentinel: no route allocated.
 pub(crate) const NO_ROUTE: u8 = u8::MAX;
 /// `blocked` sentinel: the slot's front flit is not (yet) blocked. No
-/// cycle reaches it: [`crate::Network::step_sharded`] asserts
+/// cycle reaches it: [`crate::Network::step`] asserts
 /// `cycle < u32::MAX`.
 pub(crate) const NOT_BLOCKED: u32 = u32::MAX;
 /// `stall_epoch` sentinel: no memoized allocation stall. The epoch
@@ -181,7 +180,7 @@ impl RouterState {
         self.bufs[g * self.depth + wrap(self.head[g] as usize + k, self.depth)]
     }
 
-    /// A mutable window over every router.
+    /// A mutable view of every router.
     #[inline]
     pub(crate) fn view(&mut self) -> StateMut<'_> {
         StateMut {
@@ -204,16 +203,13 @@ impl RouterState {
     }
 }
 
-/// Split the first `n` elements off `rest`, advancing it past them.
-pub(crate) fn split_off<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-    let (head, tail) = std::mem::take(rest).split_at_mut(n);
-    *rest = tail;
-    head
-}
-
-/// A mutable window over a contiguous router range of [`RouterState`]:
-/// the same arrays, sub-sliced, with router indices relative to the
-/// range start. Every mutation of router state goes through here.
+/// A mutable view of every [`RouterState`] array, borrowed field by
+/// field so a pass can hold several at once. Every mutation of router
+/// state goes through here. The view's slices sit inline in the step's
+/// working set, so the hot loops index them without reloading the
+/// `Vec` headers through a `&mut RouterState`; passing that reference
+/// instead measured 0.96× big64 `work_per_s` (EXPERIMENTS.md, "One
+/// network step, measured").
 #[derive(Debug)]
 pub(crate) struct StateMut<'a> {
     pub(crate) bufs: &'a mut [Flit],
@@ -234,28 +230,6 @@ pub(crate) struct StateMut<'a> {
 }
 
 impl<'a> StateMut<'a> {
-    /// Split the first `n` routers off this window, which keeps the rest.
-    pub(crate) fn split_off(&mut self, n: usize) -> StateMut<'a> {
-        let s = n * self.slots;
-        StateMut {
-            bufs: split_off(&mut self.bufs, s * self.depth),
-            head: split_off(&mut self.head, s),
-            len: split_off(&mut self.len, s),
-            route_port: split_off(&mut self.route_port, s),
-            route_vc: split_off(&mut self.route_vc, s),
-            blocked: split_off(&mut self.blocked, s),
-            stall_epoch: split_off(&mut self.stall_epoch, s),
-            out_owner: split_off(&mut self.out_owner, s),
-            out_credits: split_off(&mut self.out_credits, s),
-            vc_busy: split_off(&mut self.vc_busy, s),
-            rr_out: split_off(&mut self.rr_out, n * self.ports),
-            hdr: split_off(&mut self.hdr, n),
-            slots: self.slots,
-            ports: self.ports,
-            depth: self.depth,
-        }
-    }
-
     /// Append an arriving flit to router `r`'s slot `s`. Panics on
     /// overflow — credits must prevent this. Marks occupancy and, when the
     /// buffer was empty (the flit becomes the front), invalidates the

@@ -564,143 +564,3 @@ mod stress {
         }
     }
 }
-
-mod sharded {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// The plan partitions `[0, n)` into contiguous, word-aligned ranges
-    /// that cover every router exactly once, at any shard count —
-    /// including counts exceeding the wake-set word count, where trailing
-    /// shards degenerate to empty ranges.
-    #[test]
-    fn shard_plan_partitions_exactly() {
-        for n in [1u32, 63, 64, 65, 256, 300, 4096] {
-            for shards in [1u32, 2, 3, 4, 7, 16, 64] {
-                let plan = ShardPlan::new(n, shards);
-                assert_eq!(plan.shards(), shards as usize);
-                assert_eq!(plan.num_routers(), n, "n={n} shards={shards}");
-                let mut covered = 0u32;
-                for s in 0..plan.shards() {
-                    let (lo, hi) = plan.range(s);
-                    assert_eq!(lo, covered, "ranges must be contiguous");
-                    assert!(hi >= lo);
-                    // Interior boundaries land on wake-set word edges so a
-                    // shard's active_bits slice is whole words.
-                    if hi < n {
-                        assert_eq!(hi % 64, 0, "n={n} shards={shards} s={s}");
-                    }
-                    for r in lo..hi {
-                        assert_eq!(plan.shard_of(r), s, "router {r}");
-                    }
-                    covered = hi;
-                }
-                assert_eq!(covered, n, "every router covered");
-            }
-        }
-    }
-
-    /// End-state twin: the same workload driven through `step_sharded`
-    /// at 2 and 4 shards finishes with counters, residual network state
-    /// and the delivery list — cycle by cycle, in order — identical to the
-    /// one-shard run. (Debug
-    /// builds additionally shadow-check every sharded cycle against the
-    /// phased reference pass, so a mid-run divergence panics long before
-    /// this final comparison.)
-    fn run_sharded(
-        net: &mut Network,
-        store: &mut MessageStore,
-        msgs: Vec<Message>,
-        shards: u32,
-        max: u64,
-    ) -> (Vec<(u32, u64, u64)>, u64) {
-        use std::collections::HashMap;
-        let plan = ShardPlan::new(net.topo().num_routers(), shards);
-        let mut delivered = Vec::new();
-        let mut per_nic: HashMap<u32, Vec<(MsgHandle, u32)>> = HashMap::new();
-        for m in msgs {
-            let src = m.src;
-            let h = store.insert(m);
-            net.begin_packet(h, store.get(h));
-            per_nic.entry(src.0).or_default().push((h, 0));
-        }
-        let mut cycle = 0;
-        while cycle < max {
-            for queue in per_nic.values_mut() {
-                let Some((h, sent)) = queue.first_mut() else {
-                    continue;
-                };
-                let m = store.get(*h);
-                if net.injection_free(m.src, 0) > 0 {
-                    let f = Flit {
-                        msg: *h,
-                        seq: *sent as u16,
-                        is_tail: *sent + 1 == m.length_flits,
-                    };
-                    if net.inject_flit(m.src, 0, f) {
-                        *sent += 1;
-                        if *sent == m.length_flits {
-                            queue.remove(0);
-                        }
-                    }
-                }
-            }
-            net.step_sharded(cycle, &TestDor, &plan, vec![AcceptAll; plan.shards()]);
-            delivered.extend(
-                net.delivered()
-                    .iter()
-                    .map(|&(nic, h)| (nic.0, store.get(h).id.0, cycle)),
-            );
-            cycle += 1;
-            if per_nic.values().all(Vec::is_empty) && net.flits_in_network() == 0 {
-                break;
-            }
-        }
-        (delivered, cycle)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-        #[test]
-        fn sharded_step_matches_one_shard(k in 3u32..9,
-                                          n_msgs in 1usize..48,
-                                          seed in 0u64..10_000) {
-            let topo = Topology::new(TopologyKind::Torus, &[k, k], 1);
-            let n = topo.num_nics();
-            let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(3);
-            let mut rnd = move |m: u32| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((x >> 33) as u32) % m
-            };
-            let msgs: Vec<Message> = (0..n_msgs)
-                .map(|i| {
-                    let src = rnd(n);
-                    let mut dst = rnd(n);
-                    if dst == src {
-                        dst = (dst + 1) % n;
-                    }
-                    msg(i as u64, src, dst, 1 + rnd(20))
-                })
-                .collect();
-
-            // One-shard reference: the same pass with no cross-shard
-            // traffic.
-            let mut ref_net = Network::new(topo.clone(), 2, 2);
-            let mut ref_store = MessageStore::new();
-            let (ref_delivered, ref_cycles) =
-                run_sharded(&mut ref_net, &mut ref_store, msgs.clone(), 1, 60_000);
-            let rc = ref_net.counters();
-
-            for shards in [2u32, 4] {
-                let mut net = Network::new(topo.clone(), 2, 2);
-                let mut store = MessageStore::new();
-                let (delivered, cycles) =
-                    run_sharded(&mut net, &mut store, msgs.clone(), shards, 60_000);
-                prop_assert_eq!(cycles, ref_cycles, "wall clock at {} shards", shards);
-                prop_assert_eq!(&delivered, &ref_delivered, "deliveries at {} shards", shards);
-                prop_assert_eq!(net.counters(), rc, "counters at {} shards", shards);
-                prop_assert_eq!(net.flits_in_network(), 0);
-            }
-        }
-    }
-}

@@ -126,8 +126,8 @@ fn observability_knob_does_not_change_hash() {
     assert_eq!(reference.content_hash(), mutated.content_hash());
 }
 
-/// `shards` picks an execution strategy with bit-identical results at
-/// any count, so cached points must be shared across shard settings.
+/// `shards` is inert (kept only because the frozen benchmark writes it),
+/// so it must not split the cache.
 #[test]
 fn shard_count_does_not_change_hash() {
     let reference = base();

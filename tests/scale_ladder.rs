@@ -218,8 +218,8 @@ fn golden_16x16_results_are_bit_identical() {
 
 /// Run `cfg` for `cycles` cycles under the activity scheduler; in debug
 /// builds every cycle passes the dense shadow check (same contract as
-/// `tests/activity.rs`, here at 16×16 where the shard-sized state slices
-/// and the wake set span several words).
+/// `tests/activity.rs`, here at 16×16 where the wake set spans several
+/// words).
 fn run_scheduled(mut cfg: SimConfig, cycles: u64) -> Simulator {
     cfg.warmup = 0;
     cfg.measure = 0;
@@ -241,6 +241,70 @@ fn twin_schedules_agree_at_16x16() {
     let mut cfg = cfg16(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 0.10);
     cfg.seed = 163;
     run_scheduled(cfg, 800);
+}
+
+/// Two NICs per router: PR and DR pass the per-cycle shadow check at
+/// 16×16 with every router's local ports doubled, and deliver.
+#[test]
+fn bristle_2_schedules_agree_at_16x16() {
+    for (scheme, seed) in [
+        (Scheme::ProgressiveRecovery, 165),
+        (Scheme::DeflectiveRecovery, 166),
+    ] {
+        let mut cfg = cfg16(scheme, PatternSpec::pat271(), 0.25);
+        cfg.bristle = 2;
+        cfg.seed = seed;
+        let sim = run_scheduled(cfg, 600);
+        assert_eq!(sim.nics().len(), 512);
+        assert!(
+            sim.network().counters().packets_delivered > 0,
+            "{scheme:?} at bristle 2 delivered nothing"
+        );
+    }
+}
+
+/// 64×64 progressive-recovery episodes on the biggest ladder rung, every
+/// cycle shadow-checked in debug builds. A saturating hotspot near the
+/// token's starting stop drives endpoint detections, and the token's
+/// first capture starts an episode: at a router (a blocked head past the
+/// router time-out) with the hotspot at node 8, at the hotspot's NIC (an
+/// endpoint rescue) with it at node 0 behind two-message queues. An
+/// episode's lane tour spans all 4,096 routers and lasts about 4,100
+/// cycles, so a short window sees one capture per run.
+#[test]
+fn pr_hotspot_episodes_at_64x64() {
+    let run = |node: u32, queue_capacity: u32, measure: u64| {
+        let mut cfg =
+            SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.85);
+        cfg.radix = vec![64, 64];
+        cfg.dest = DestPattern::Hotspot {
+            node,
+            permille: 300,
+        };
+        cfg.queue_capacity = queue_capacity;
+        cfg.service_time = 10;
+        cfg.warmup = 0;
+        cfg.measure = measure;
+        cfg.sparse_arrivals = true;
+        cfg.seed = 0x64;
+        Simulator::new(cfg).expect("feasible config").run()
+    };
+    let router = run(8, 4, 400);
+    assert!(
+        router.deadlocks > 0 && router.router_rescues > 0,
+        "hotspot at node 8 must trigger detections and a router capture \
+         (got {} and {}; retune the config)",
+        router.deadlocks,
+        router.router_rescues
+    );
+    let endpoint = run(0, 2, 300);
+    assert!(
+        endpoint.deadlocks > 0 && endpoint.rescues > 0,
+        "hotspot at node 0 must trigger detections and an endpoint rescue \
+         (got {} and {}; retune the config)",
+        endpoint.deadlocks,
+        endpoint.rescues
+    );
 }
 
 /// The sparse geometric arrival mode passes the per-cycle shadow check
