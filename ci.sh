@@ -74,8 +74,9 @@ set -e
 
 echo "==> unknown flags are usage errors (exit 2, naming the flag)"
 # A flag no binary declares must stop the run, not fall back to a
-# default: --shards is gone, and --laod is a misspelt --load.
-for bad in "--shards 2" "--laod 0.9"; do
+# default: --shards and the --topo alias of --radix are gone, and --laod
+# is a misspelt --load.
+for bad in "--shards 2" "--laod 0.9" "--topo 4x4"; do
     set +e
     # shellcheck disable=SC2086
     bad_err=$(./target/release/mddsim --radix 4x4 --warmup 100 --measure 300 $bad 2>&1 >/dev/null)
@@ -86,6 +87,16 @@ for bad in "--shards 2" "--laod 0.9"; do
     echo "$bad_err" | grep -q -- "unknown flag ${bad%% *}" || {
         echo "unknown flags: mddsim $bad should name the flag, said:"; echo "$bad_err"; exit 1; }
 done
+# The client reads the same run flags, so it rejects --topo the same way
+# (before it ever reaches for a daemon).
+set +e
+bad_err=$(./target/release/mddsim-client submit --sweep 0.05:0.15:3 --topo 4x4 2>&1 >/dev/null)
+bad_status=$?
+set -e
+[ "$bad_status" -eq 2 ] || {
+    echo "unknown flags: mddsim-client --topo should exit 2, got $bad_status"; exit 1; }
+echo "$bad_err" | grep -q -- "unknown flag --topo" || {
+    echo "unknown flags: mddsim-client --topo should name the flag, said:"; echo "$bad_err"; exit 1; }
 
 echo "==> pool scaling perf gate (2-3 cores: jobs=2 >= 1.3x jobs=1; 4+ cores: jobs=4 <= 0.5x; skips on 1 core)"
 cargo test -q -p mdd-engine --release --test perf -- --ignored
@@ -207,7 +218,7 @@ verify_big() { # scheme vcs expected_verdict
     local out t0 t1
     t0=$(date +%s%N)
     out=$(./target/release/mddsim \
-        --verify --scheme "$1" --pattern pat271 --vcs "$2" --topo 64x64) || true
+        --verify --scheme "$1" --pattern pat271 --vcs "$2" --radix 64x64) || true
     t1=$(date +%s%N)
     echo "$out" | grep -q "verdict: $3" || {
         echo "scaling smoke: $1 vcs=$2 at 64x64 expected $3, got:"; echo "$out"; exit 1; }
@@ -219,9 +230,9 @@ verify_big() { # scheme vcs expected_verdict
 verify_big sa 8 ProvenFree
 verify_big dr 8 RecoverableCycles
 verify_big pr 4 RecoverableCycles
-# One short 64x64 simulation point through the --topo preset path.
+# One short 64x64 simulation point through the --radix preset path.
 scale_out=$(./target/release/mddsim \
-    --scheme pr --pattern pat100 --vcs 4 --topo 64x64 \
+    --scheme pr --pattern pat100 --vcs 4 --radix 64x64 \
     --load 0.005 --warmup 100 --measure 200 --no-cache)
 echo "$scale_out" | grep -q "throughput" || {
     echo "scaling smoke: 64x64 sweep point produced no result:"

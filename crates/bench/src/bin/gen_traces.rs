@@ -11,16 +11,16 @@ use mdd_coherence::record_app_trace;
 use mdd_traffic::AppModel;
 
 fn main() {
-    let cli = BenchCli::parse(Flags {
+    let cli = BenchCli::parse(&[Flags {
         switches: &[],
         options: &["--horizon"],
         positional: 0,
-    });
-    if cli.flag("--help") || cli.flag("-h") {
+    }]);
+    if cli.args.flag("--help") || cli.args.flag("-h") {
         println!("{}", usage(include_str!("gen_traces.rs")));
         return;
     }
-    let horizon: u64 = cli.parse_value("--horizon", 60_000);
+    let horizon: u64 = cli.args.parse_value("--horizon", 60_000);
     let dir = cli.out_dir.join("traces");
     std::fs::create_dir_all(&dir).expect("create traces directory");
     for app in AppModel::all() {

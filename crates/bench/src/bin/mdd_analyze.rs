@@ -22,7 +22,7 @@
 //! Options:
 //!
 //! ```text
-//! --topo KxK[xK...]   restrict --frontier / --min-vc to one topology
+//! --radix KxK[xK...]  restrict --frontier / --min-vc to one topology
 //!                     [frontier: 8x8 and 16x16; min-vc: 8x8]
 //! --pattern NAME      pattern for --min-vc [pat271]
 //! --doubles N         add N sampled double-link fault points [0]
@@ -67,12 +67,9 @@ fn cfg_fields(scheme: &str, pattern: &str, vcs: u8, topo: &str) -> Vec<(String, 
 fn sim_cfg(scheme: &str, pattern: &str, vcs: u8, topo: &str) -> SimConfig {
     let radix =
         SimConfig::parse_topo(topo).unwrap_or_else(|e| die(&format!("bad topology spec: {e}")));
-    SimConfig::builder()
-        .scheme(scheme_of(scheme))
-        .pattern(pattern_of(pattern))
-        .vcs(vcs)
-        .radix(&radix)
-        .build_unchecked()
+    let mut cfg = SimConfig::paper_default(scheme_of(scheme), pattern_of(pattern), vcs, 0.0);
+    cfg.radix = radix;
+    cfg
 }
 
 /// The golden verdict matrix: every scheme at the paper's interesting VC
@@ -83,7 +80,7 @@ fn verdicts(cli: &BenchCli) {
     let mut rows = Vec::new();
     let mut table = Table::new(vec!["scheme", "pattern", "vcs", "topo", "verdict"]);
     for topo in ["4x4", "8x8", "16x16"] {
-        for scheme in ["sa", "sa+", "dr", "pr"] {
+        for scheme in Scheme::ALL.map(Scheme::cli_name) {
             for pattern in ["pat100", "pat271"] {
                 for vcs in [2u8, 4, 8] {
                     let cfg = sim_cfg(scheme, pattern, vcs, topo);
@@ -117,9 +114,9 @@ const FRONTIER_CONFIGS: &[(&str, u8)] = &[("sa", 8), ("dr", 4), ("pr", 4)];
 
 fn frontier(cli: &BenchCli) {
     let engine = cli.engine();
-    let doubles: usize = cli.parse_value("--doubles", 0);
-    let seed: u64 = cli.parse_value("--seed", 42);
-    let topos: Vec<&str> = match cli.value("--topo") {
+    let doubles: usize = cli.args.parse_value("--doubles", 0);
+    let seed: u64 = cli.args.parse_value("--seed", 42);
+    let topos: Vec<&str> = match cli.args.value("--radix") {
         Some(t) => vec![t],
         None => vec!["8x8", "16x16"],
     };
@@ -154,8 +151,8 @@ fn frontier(cli: &BenchCli) {
 }
 
 fn min_vc(cli: &BenchCli) {
-    let topo = cli.value("--topo").unwrap_or("8x8");
-    let pattern = cli.value("--pattern").unwrap_or("pat271");
+    let topo = cli.args.value("--radix").unwrap_or("8x8");
+    let pattern = cli.args.value("--pattern").unwrap_or("pat271");
     let mut table = Table::new(vec![
         "scheme",
         "pattern",
@@ -164,7 +161,7 @@ fn min_vc(cli: &BenchCli) {
         "verdict",
         "probes",
     ]);
-    for scheme in ["sa", "sa+", "dr", "pr"] {
+    for scheme in Scheme::ALL.map(Scheme::cli_name) {
         let cfg = sim_cfg(scheme, pattern, 4, topo);
         let report = mdd_core::min_safe_vcs(&cfg);
         table.row(vec![
@@ -191,19 +188,19 @@ fn min_vc(cli: &BenchCli) {
 }
 
 fn main() {
-    let cli = BenchCli::parse(Flags {
+    let cli = BenchCli::parse(&[Flags {
         switches: &["--verdicts", "--frontier", "--min-vc"],
-        options: &["--topo", "--pattern", "--doubles", "--seed"],
+        options: &["--radix", "--pattern", "--doubles", "--seed"],
         positional: 0,
-    });
-    if cli.flag("--help") || cli.flag("-h") {
+    }]);
+    if cli.args.flag("--help") || cli.args.flag("-h") {
         println!("{}", usage(include_str!("mdd_analyze.rs")));
         return;
     }
     let modes = [
-        cli.flag("--verdicts"),
-        cli.flag("--frontier"),
-        cli.flag("--min-vc"),
+        cli.args.flag("--verdicts"),
+        cli.args.flag("--frontier"),
+        cli.args.flag("--min-vc"),
     ];
     match modes {
         [true, false, false] => verdicts(&cli),

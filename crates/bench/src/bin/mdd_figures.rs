@@ -34,13 +34,13 @@ use mdd_bench::cli::{die, usage, BenchCli, Flags};
 use mdd_bench::{figures, FIGURES};
 
 fn main() {
-    let cli = BenchCli::parse(Flags {
+    let cli = BenchCli::parse(&[Flags {
         switches: &[],
         options: &[],
         positional: 1,
-    });
-    let name = cli.positional().first().map_or("", String::as_str);
-    if cli.flag("--help") || cli.flag("-h") || name.is_empty() {
+    }]);
+    let name = cli.args.positional().first().map_or("", String::as_str);
+    if cli.args.flag("--help") || cli.args.flag("-h") || name.is_empty() {
         println!("{}", usage(include_str!("mdd_figures.rs")));
         return;
     }

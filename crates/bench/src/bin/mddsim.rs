@@ -16,10 +16,8 @@
 //! --vcs N                      [4]
 //! --load F                     [0.2]   (ignored with --sweep)
 //! --sweep LO:HI:N              run a Burton-Normal-Form sweep
-//! --radix KxK[xK...]           [8x8]
-//! --topo KxK[xK...]            alias of --radix: the scale-ladder preset
-//!                              grammar (8x8, 16x16, 64x64, 8x8x8), parsed
-//!                              and bounds-checked by SimConfig::parse_topo
+//! --radix KxK[xK...]           [8x8]  (the scale-ladder rungs: 8x8,
+//!                              16x16, 64x64, 8x8x8)
 //! --bristle N                  [1]
 //! --queue-org shared|pernet|pertype   [scheme default]
 //! --warmup N / --measure N     [10000 / 30000]
@@ -68,8 +66,7 @@
 //! points_completed, points_cached, points_failed, point_wall_micros)
 //! appear in the same snapshot.
 
-use mdd_bench::cli::{usage, BenchCli, Flags};
-use mdd_core::{default_loads, PatternSpec, QueueOrg, Scheme, SimConfig};
+use mdd_bench::cli::{run_spec, usage, BenchCli, Flags, RUN_FLAGS};
 use mdd_stats::{render_bnf, Table};
 
 fn die(msg: &str) -> ! {
@@ -104,96 +101,54 @@ fn write_obs_outputs(counters_out: Option<&str>, trace_out: Option<&str>) {
     }
 }
 
-/// The flags documented above, beyond the engine flags.
+/// The flags documented above, beyond the run flags and the engine
+/// flags.
 const FLAGS: Flags = Flags {
     switches: &["--plot", "--verify", "--analyze"],
-    options: &[
-        "--scheme",
-        "--pattern",
-        "--vcs",
-        "--load",
-        "--sweep",
-        "--radix",
-        "--topo",
-        "--bristle",
-        "--queue-org",
-        "--warmup",
-        "--measure",
-        "--seed",
-        "--counters-out",
-        "--trace-out",
-        "--trace-cap",
-    ],
+    options: &["--load", "--counters-out", "--trace-out", "--trace-cap"],
     positional: 0,
 };
 
 fn main() {
-    let cli = BenchCli::parse(FLAGS);
-    if cli.flag("--help") || cli.flag("-h") {
+    let cli = BenchCli::parse(&[RUN_FLAGS, FLAGS]);
+    let args = &cli.args;
+    if args.flag("--help") || args.flag("-h") {
         println!("{}", usage(include_str!("mddsim.rs")));
         return;
     }
-    let scheme_name = cli.value("--scheme").unwrap_or("pr");
-    let scheme = Scheme::from_cli_name(scheme_name)
-        .unwrap_or_else(|| die(&format!("unknown scheme {scheme_name}")));
-    let pattern_name = cli.value("--pattern").unwrap_or("pat271");
-    let pattern = PatternSpec::from_cli_name(pattern_name)
-        .unwrap_or_else(|| die(&format!("unknown pattern {pattern_name}")));
-    let vcs: u8 = cli.parse_value("--vcs", 4);
-    let load: f64 = cli.parse_value("--load", 0.2);
-    if cli.value("--radix").is_some() && cli.value("--topo").is_some() {
-        die("--radix and --topo are aliases; give only one");
+    let mut spec = run_spec(args).unwrap_or_else(|e| die(&e));
+    let load: f64 = args.parse_value("--load", 0.2);
+    let sweep = !spec.loads.is_empty();
+    if !sweep {
+        spec.loads = vec![load];
     }
-    let radix: Vec<u32> = match cli.value("--topo").or_else(|| cli.value("--radix")) {
-        None => vec![8, 8],
-        Some(s) => {
-            SimConfig::parse_topo(s).unwrap_or_else(|e| die(&format!("bad topology spec: {e}")))
-        }
-    };
-    let queue_org = cli.value("--queue-org").map(|name| {
-        QueueOrg::from_cli_name(name).unwrap_or_else(|| die(&format!("unknown queue org {name}")))
-    });
-    let builder = SimConfig::builder()
-        .scheme(scheme)
-        .pattern(pattern)
-        .vcs(vcs)
-        .load(load)
-        .radix(&radix)
-        .bristle(cli.parse_value("--bristle", 1))
-        .windows(
-            cli.parse_value("--warmup", 10_000),
-            cli.parse_value("--measure", 30_000),
-        )
-        .seed(cli.parse_value("--seed", 0x5eed))
-        .queue_org(queue_org);
-    if cli.flag("--verify") || cli.flag("--analyze") {
+    let counters_out = args.value("--counters-out");
+    if args.flag("--verify") || args.flag("--analyze") {
         // Static verification mode: classify, print, exit — no simulation.
         // Deliberately skips feasibility validation so infeasible VC
         // budgets can be explained via the degraded map.
-        let cfg = builder.build_unchecked();
-        let counters_out = cli.value("--counters-out").map(str::to_string);
+        let cfg = spec.base_config().unwrap_or_else(|e| die(&e));
         if counters_out.is_some() {
-            mdd_obs::install(cli.parse_value("--trace-cap", 1 << 20));
+            mdd_obs::install(args.parse_value("--trace-cap", 1 << 20));
         }
         let verdict = mdd_core::verify_config(&cfg).unwrap_or_else(|e| {
             eprintln!("mddsim: {e}; verifying the degraded channel map it would force");
             mdd_core::verify_config_degraded(&cfg)
         });
+        let radix: Vec<String> = cfg.radix.iter().map(u32::to_string).collect();
         println!(
             "config: scheme {} pattern {} vcs {} radix {} queue-org {:?}",
-            scheme.label(),
-            cli.value("--pattern").unwrap_or("pat271"),
-            vcs,
-            cli.value("--topo")
-                .or_else(|| cli.value("--radix"))
-                .unwrap_or("8x8"),
+            cfg.scheme.label(),
+            spec.pattern,
+            cfg.vcs,
+            radix.join("x"),
             cfg.effective_queue_org(),
         );
         println!("verdict: {}", verdict.name());
         if let Some(w) = verdict.witness() {
             println!("witness cycle:\n{w}");
         }
-        if cli.flag("--analyze") {
+        if args.flag("--analyze") {
             // Minimal-VC synthesis: how cheap could this scheme get (or,
             // when unsafe, how many VCs would fix it).
             let report = mdd_core::min_safe_vcs(&cfg);
@@ -208,31 +163,20 @@ fn main() {
                 .collect();
             println!("probes: {}", trail.join(" "));
         }
-        write_obs_outputs(counters_out.as_deref(), None);
+        write_obs_outputs(counters_out, None);
         std::process::exit(if verdict.is_unsafe() { 3 } else { 0 });
     }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| die(&format!("infeasible configuration: {e}")));
-    let counters_out = cli.value("--counters-out").map(str::to_string);
-    let trace_out = cli.value("--trace-out").map(str::to_string);
+    let jobs = spec.jobs().unwrap_or_else(|e| die(&e));
+    let trace_out = args.value("--trace-out");
     if counters_out.is_some() || trace_out.is_some() {
-        mdd_obs::install(cli.parse_value("--trace-cap", 1 << 20));
+        mdd_obs::install(args.parse_value("--trace-cap", 1 << 20));
     }
     let engine = cli.engine();
 
-    if let Some(sweep) = cli.value("--sweep") {
-        let parts: Vec<&str> = sweep.split(':').collect();
-        if parts.len() != 3 {
-            die("--sweep wants LO:HI:N");
-        }
-        let lo: f64 = parts[0].parse().unwrap_or_else(|_| die("bad sweep lo"));
-        let hi: f64 = parts[1].parse().unwrap_or_else(|_| die("bad sweep hi"));
-        let n: usize = parts[2].parse().unwrap_or_else(|_| die("bad sweep n"));
-        let loads = default_loads(lo, hi, n);
+    if sweep {
         // Stream points as they complete (progress on stderr), then
         // assemble the deterministically ordered report.
-        let mut handle = engine.submit_sweep(&cfg, &loads, scheme.label());
+        let mut handle = engine.submit(jobs);
         while let Some(outcome) = handle.recv() {
             eprintln!(
                 "mddsim: point {}/{} done (load {:.3}{})",
@@ -267,8 +211,8 @@ fn main() {
             ]);
         }
         print!("{}", t.render());
-        let curve = report.curve(scheme.label());
-        if cli.flag("--plot") {
+        let curve = report.curve(&spec.label);
+        if args.flag("--plot") {
             println!();
             print!("{}", render_bnf(std::slice::from_ref(&curve), 64, 18));
         }
@@ -278,7 +222,7 @@ fn main() {
             curve.saturation_throughput()
         );
     } else {
-        let report = engine.submit_sweep(&cfg, &[load], scheme.label()).wait();
+        let report = engine.submit(jobs).wait();
         let outcome = report.outcomes.first().expect("one job was scheduled");
         let r = match &outcome.result {
             Ok(r) => r,
@@ -287,7 +231,7 @@ fn main() {
         println!(
             "scheme {} | load {:.3} -> throughput {:.4} flits/node/cycle, \
              latency {:.1} cycles{}",
-            scheme.label(),
+            spec.label,
             r.applied_load,
             r.throughput,
             r.avg_latency,
@@ -317,5 +261,5 @@ fn main() {
             );
         }
     }
-    write_obs_outputs(counters_out.as_deref(), trace_out.as_deref());
+    write_obs_outputs(counters_out, trace_out);
 }

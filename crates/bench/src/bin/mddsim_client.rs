@@ -3,7 +3,7 @@
 //! ```text
 //! mddsim-client [--socket PATH] submit --sweep LO:HI:N [--label L]
 //!               [--scheme sa|sa+|dr|pr] [--pattern pat100|pat721|pat451|pat271|pat280]
-//!               [--vcs N] [--radix AxB | --topo AxB[xC]] [--bristle N]
+//!               [--vcs N] [--radix KxK[xK...]] [--bristle N]
 //!               [--queue-org shared|pernet|pertype]
 //!               [--warmup N] [--measure N] [--seed N]
 //! mddsim-client [--socket PATH] status
@@ -16,40 +16,26 @@
 //! (`N points: X simulated, Y cached`). Exits 1 if any point failed,
 //! 2 on usage errors, 3 if the daemon cannot be reached.
 //!
-//! Defaults mirror `mddsim`: scheme `pr`, pattern `pat271`, 4 VCs on an
-//! 8x8 torus.
+//! The run flags are `mddsim`'s, read by the same parser, with the same
+//! defaults: scheme `pr`, pattern `pat271`, 4 VCs on an 8x8 torus.
 
-use mdd_bench::cli::{die, usage, Args, Flags};
+use mdd_bench::cli::{die, run_spec, usage, Args, Flags, RUN_FLAGS};
 use mdd_engine::proto::{Event, Request, SweepSpec};
 use mdd_engine::DEFAULT_SOCKET;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 
-/// The flags documented above: every option takes a value, and the
-/// command takes at most one operand.
+/// The flags documented above beyond the run flags: every option takes
+/// a value, and the command takes at most one operand.
 const FLAGS: Flags = Flags {
     switches: &[],
-    options: &[
-        "--socket",
-        "--sweep",
-        "--label",
-        "--scheme",
-        "--pattern",
-        "--vcs",
-        "--radix",
-        "--topo",
-        "--bristle",
-        "--queue-org",
-        "--warmup",
-        "--measure",
-        "--seed",
-    ],
+    options: &["--socket", "--label"],
     positional: 2,
 };
 
 fn main() {
-    let args =
-        Args::parse(std::env::args().skip(1).collect(), &[FLAGS]).unwrap_or_else(|e| die(&e));
+    let args = Args::parse(std::env::args().skip(1).collect(), &[RUN_FLAGS, FLAGS])
+        .unwrap_or_else(|e| die(&e));
     if args.flag("--help") || args.flag("-h") {
         println!("{}", usage(include_str!("mddsim_client.rs")));
         return;
@@ -62,7 +48,7 @@ fn main() {
     };
 
     let request = match command {
-        "submit" => Request::Submit(spec_from_flags(&args)),
+        "submit" => Request::Submit(submit_spec(&args)),
         "status" => Request::Status,
         "cancel" => Request::Cancel {
             job: operand
@@ -176,53 +162,15 @@ fn main() {
     }
 }
 
-fn spec_from_flags(args: &Args) -> SweepSpec {
-    let value = |name: &str| args.value(name).map(str::to_string);
-    let mut spec = SweepSpec::default();
-    let sweep = value("--sweep").unwrap_or_else(|| die("submit wants --sweep LO:HI:N"));
-    let parts: Vec<&str> = sweep.split(':').collect();
-    if parts.len() != 3 {
-        die("--sweep wants LO:HI:N");
+/// The sweep a `submit` asks for: the run flags, which must include
+/// `--sweep`, under `--label` when given.
+fn submit_spec(args: &Args) -> SweepSpec {
+    let mut spec = run_spec(args).unwrap_or_else(|e| die(&e));
+    if spec.loads.is_empty() {
+        die("submit wants --sweep LO:HI:N");
     }
-    let lo: f64 = parts[0].parse().unwrap_or_else(|_| die("bad sweep lo"));
-    let hi: f64 = parts[1].parse().unwrap_or_else(|_| die("bad sweep hi"));
-    let n: usize = parts[2].parse().unwrap_or_else(|_| die("bad sweep n"));
-    spec.loads = mdd_core::default_loads(lo, hi, n);
-    if let Some(v) = value("--scheme") {
-        spec.scheme = v;
-    }
-    if let Some(v) = value("--pattern") {
-        spec.pattern = v;
-    }
-    if let Some(v) = value("--label") {
-        spec.label = v;
-    } else {
-        spec.label = spec.scheme.to_uppercase();
-    }
-    if let Some(v) = value("--vcs") {
-        spec.vcs = v.parse().unwrap_or_else(|_| die("bad --vcs"));
-    }
-    if value("--radix").is_some() && value("--topo").is_some() {
-        die("--radix and --topo are aliases; give only one");
-    }
-    if let Some(v) = value("--topo").or_else(|| value("--radix")) {
-        spec.radix = mdd_core::SimConfig::parse_topo(&v)
-            .unwrap_or_else(|e| die(&format!("bad topology spec: {e}")));
-    }
-    if let Some(v) = value("--bristle") {
-        spec.bristle = v.parse().unwrap_or_else(|_| die("bad --bristle"));
-    }
-    if let Some(v) = value("--queue-org") {
-        spec.queue_org = Some(v);
-    }
-    if let Some(v) = value("--warmup") {
-        spec.warmup = v.parse().unwrap_or_else(|_| die("bad --warmup"));
-    }
-    if let Some(v) = value("--measure") {
-        spec.measure = v.parse().unwrap_or_else(|_| die("bad --measure"));
-    }
-    if let Some(v) = value("--seed") {
-        spec.seed = v.parse().unwrap_or_else(|_| die("bad --seed"));
+    if let Some(label) = args.value("--label") {
+        spec.label = label.to_string();
     }
     spec
 }

@@ -69,16 +69,20 @@ struct Daemon {
 }
 
 fn main() {
-    let cli = BenchCli::parse(Flags {
+    let cli = BenchCli::parse(&[Flags {
         switches: &[],
         options: &["--socket"],
         positional: 0,
-    });
-    if cli.flag("--help") || cli.flag("-h") {
+    }]);
+    if cli.args.flag("--help") || cli.args.flag("-h") {
         println!("{}", usage(include_str!("mddsimd.rs")));
         return;
     }
-    let socket = PathBuf::from(cli.value("--socket").unwrap_or(mdd_engine::DEFAULT_SOCKET));
+    let socket = PathBuf::from(
+        cli.args
+            .value("--socket")
+            .unwrap_or(mdd_engine::DEFAULT_SOCKET),
+    );
     remove_stale_socket(&socket);
     let engine = cli.engine();
     let listener = UnixListener::bind(&socket)

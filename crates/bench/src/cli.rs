@@ -17,14 +17,18 @@
 //! --cache-dir DIR    cache location [<out>/cache]
 //! ```
 //!
-//! Binary-specific flags are read through [`BenchCli::flag`] /
-//! [`BenchCli::value`] / [`BenchCli::parse_value`]. [`BenchCli::engine`]
-//! turns the cache/jobs flags into a configured [`Engine`].
+//! Binary-specific flags are read through [`BenchCli::args`].
+//! [`BenchCli::engine`] turns the cache/jobs flags into a configured
+//! [`Engine`]. The flags that describe a run ([`RUN_FLAGS`]) are read by
+//! one function, [`run_spec`], for both `mddsim` and `mddsim-client`.
 
 use crate::experiments::RunScale;
+use mdd_core::SimConfig;
+use mdd_engine::proto::SweepSpec;
 use mdd_engine::Engine;
 use mdd_obs::{Json, ARTIFACT_SCHEMA};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// The flags a binary takes: bare switches, options followed by a
 /// value, and how many positional arguments. `--help` and `-h` are
@@ -89,13 +93,20 @@ impl Args {
 
     /// Parse the value of option `name`, exiting with a message on a
     /// malformed value; `default` when absent.
-    pub fn parse_value<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.value(name) {
-            None => default,
-            Some(v) => v
+    pub fn parse_value<T: FromStr>(&self, name: &str, default: T) -> T {
+        let mut value = default;
+        self.assign(name, &mut value).unwrap_or_else(|e| die(&e));
+        value
+    }
+
+    /// Overwrite `field` with the parsed value of option `name`, if given.
+    fn assign<T: FromStr>(&self, name: &str, field: &mut T) -> Result<(), String> {
+        if let Some(v) = self.value(name) {
+            *field = v
                 .parse()
-                .unwrap_or_else(|_| die(&format!("bad value for {name}: {v}"))),
+                .map_err(|_| format!("bad value for {name}: {v}"))?;
         }
+        Ok(())
     }
 
     /// The positional arguments, in order.
@@ -104,10 +115,65 @@ impl Args {
     }
 }
 
+/// The flags that describe a run, shared by `mddsim` and
+/// `mddsim-client submit` (`mddsim --help` lists them with their
+/// defaults, which are [`SweepSpec::default`]'s).
+pub const RUN_FLAGS: Flags = Flags {
+    switches: &[],
+    options: &[
+        "--scheme",
+        "--pattern",
+        "--vcs",
+        "--radix",
+        "--bristle",
+        "--queue-org",
+        "--warmup",
+        "--measure",
+        "--seed",
+        "--sweep",
+    ],
+    positional: 0,
+};
+
+/// Read the [`RUN_FLAGS`] in `args` into a [`SweepSpec`]: each flag given
+/// replaces its field of [`SweepSpec::default`], the label is the
+/// upper-cased scheme name, and the loads are `--sweep`'s (none without
+/// it). Names are checked later, by [`SweepSpec::base_config`].
+pub fn run_spec(args: &Args) -> Result<SweepSpec, String> {
+    let mut spec = SweepSpec::default();
+    if let Some(v) = args.value("--scheme") {
+        spec.scheme = v.to_string();
+    }
+    if let Some(v) = args.value("--pattern") {
+        spec.pattern = v.to_string();
+    }
+    spec.label = spec.scheme.to_uppercase();
+    args.assign("--vcs", &mut spec.vcs)?;
+    if let Some(v) = args.value("--radix") {
+        spec.radix = SimConfig::parse_topo(v).map_err(|e| format!("bad topology spec: {e}"))?;
+    }
+    args.assign("--bristle", &mut spec.bristle)?;
+    spec.queue_org = args.value("--queue-org").map(str::to_string);
+    args.assign("--warmup", &mut spec.warmup)?;
+    args.assign("--measure", &mut spec.measure)?;
+    args.assign("--seed", &mut spec.seed)?;
+    if let Some(sweep) = args.value("--sweep") {
+        let [lo, hi, n] = sweep.split(':').collect::<Vec<_>>()[..] else {
+            return Err("--sweep wants LO:HI:N".to_string());
+        };
+        let lo: f64 = lo.parse().map_err(|_| "bad sweep lo")?;
+        let hi: f64 = hi.parse().map_err(|_| "bad sweep hi")?;
+        let n: usize = n.parse().map_err(|_| "bad sweep n")?;
+        spec.loads = mdd_core::default_loads(lo, hi, n);
+    }
+    Ok(spec)
+}
+
 /// The base flags plus a binary's own, parsed.
 #[derive(Clone, Debug)]
 pub struct BenchCli {
-    args: Args,
+    /// The whole argument list, for the binary's own flags.
+    pub args: Args,
     /// Experiment scale selected by `--smoke` / `--fast` (full otherwise).
     pub scale: RunScale,
     /// Results directory (`--out`, default `results`).
@@ -131,14 +197,14 @@ impl BenchCli {
 
     /// Parse the process arguments against the base flags plus `flags`,
     /// exiting with status 2 on a usage error.
-    pub fn parse(flags: Flags) -> Self {
+    pub fn parse(flags: &[Flags]) -> Self {
         Self::from_args(std::env::args().skip(1).collect(), flags).unwrap_or_else(|e| die(&e))
     }
 
     /// Parse an explicit argument list against the base flags plus
     /// `flags`.
-    pub fn from_args(args: Vec<String>, flags: Flags) -> Result<Self, String> {
-        let args = Args::parse(args, &[Self::BASE, flags])?;
+    pub fn from_args(args: Vec<String>, flags: &[Flags]) -> Result<Self, String> {
+        let args = Args::parse(args, &[&[Self::BASE], flags].concat())?;
         let scale = if args.flag("--smoke") {
             RunScale::smoke()
         } else if args.flag("--fast") {
@@ -166,27 +232,6 @@ impl BenchCli {
             cache_dir,
             args,
         })
-    }
-
-    /// True when the bare flag `name` is present.
-    pub fn flag(&self, name: &str) -> bool {
-        self.args.flag(name)
-    }
-
-    /// The value given to option `name`, if any.
-    pub fn value(&self, name: &str) -> Option<&str> {
-        self.args.value(name)
-    }
-
-    /// Parse the value of option `name`, exiting with a message on a
-    /// malformed value; `default` when absent.
-    pub fn parse_value<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.args.parse_value(name, default)
-    }
-
-    /// The positional arguments, in order.
-    pub fn positional(&self) -> &[String] {
-        self.args.positional()
     }
 
     /// An [`Engine`] honoring `--jobs`, `--no-cache` and `--cache-dir`.
@@ -256,7 +301,8 @@ pub fn die(msg: &str) -> ! {
 
 #[cfg(test)]
 mod tests {
-    use super::{BenchCli, Flags};
+    use super::{run_spec, Args, BenchCli, Flags, RUN_FLAGS};
+    use mdd_engine::proto::SweepSpec;
 
     const SIM: Flags = Flags {
         switches: &["--plot"],
@@ -265,17 +311,17 @@ mod tests {
     };
 
     fn parse(args: &[&str]) -> Result<BenchCli, String> {
-        BenchCli::from_args(args.iter().map(ToString::to_string).collect(), SIM)
+        BenchCli::from_args(args.iter().map(ToString::to_string).collect(), &[SIM])
     }
 
     #[test]
     fn declared_and_base_flags_parse() {
         let cli = parse(&["--load", "-0.5", "--plot", "--jobs", "2", "--no-cache"]).unwrap();
-        assert_eq!(cli.value("--load"), Some("-0.5"));
-        assert!(cli.flag("--plot") && cli.no_cache);
+        assert_eq!(cli.args.value("--load"), Some("-0.5"));
+        assert!(cli.args.flag("--plot") && cli.no_cache);
         assert_eq!(cli.jobs, Some(2));
-        assert_eq!(cli.value("--scheme"), None);
-        assert!(parse(&["-h"]).unwrap().flag("-h"));
+        assert_eq!(cli.args.value("--scheme"), None);
+        assert!(parse(&["-h"]).unwrap().args.flag("-h"));
     }
 
     #[test]
@@ -288,5 +334,84 @@ mod tests {
         assert_eq!(err(&["--load"]), "--load wants a value");
         assert!(err(&["--jobs", "0"]).starts_with("--jobs needs at least one worker"));
         assert_eq!(err(&["--jobs", "x"]), "bad --jobs: x");
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
+    }
+
+    /// An `mddsim` argument list and the matching `mddsim-client submit`
+    /// list, each parsed against its binary's flag set, read into one
+    /// spec and one batch of job keys.
+    #[test]
+    fn mddsim_and_client_flags_read_into_one_spec() {
+        let run = [
+            "--scheme",
+            "dr",
+            "--pattern",
+            "pat721",
+            "--vcs",
+            "8",
+            "--radix",
+            "4x4",
+            "--bristle",
+            "2",
+            "--queue-org",
+            "pertype",
+            "--warmup",
+            "100",
+            "--measure",
+            "300",
+            "--seed",
+            "7",
+            "--sweep",
+            "0.05:0.30:6",
+        ];
+        let mddsim = BenchCli::from_args(
+            strings(&[&run[..], &["--plot", "--jobs", "1", "--load", "0.2"]].concat()),
+            &[
+                RUN_FLAGS,
+                Flags {
+                    switches: &["--plot"],
+                    options: &["--load"],
+                    positional: 0,
+                },
+            ],
+        )
+        .unwrap();
+        let client = Args::parse(
+            strings(&[&["--socket", "/tmp/s", "submit"][..], &run].concat()),
+            &[
+                RUN_FLAGS,
+                Flags {
+                    switches: &[],
+                    options: &["--socket", "--label"],
+                    positional: 2,
+                },
+            ],
+        )
+        .unwrap();
+        let (a, b) = (run_spec(&mddsim.args).unwrap(), run_spec(&client).unwrap());
+        assert_eq!(a, b);
+        assert_eq!(a.label, "DR");
+        assert_eq!((a.vcs, &a.radix[..], a.loads.len()), (8, &[4, 4][..], 6));
+        let keys = |s: &SweepSpec| -> Vec<String> {
+            s.jobs().unwrap().iter().map(mdd_engine::Job::key).collect()
+        };
+        assert_eq!(keys(&a), keys(&b));
+        // No run flag at all is the default spec, loads aside.
+        let none = run_spec(&Args::parse(Vec::new(), &[RUN_FLAGS]).unwrap()).unwrap();
+        assert_eq!(none, SweepSpec::default());
+    }
+
+    #[test]
+    fn malformed_run_flags_are_errors() {
+        let err = |args: &[&str]| {
+            run_spec(&Args::parse(strings(args), &[RUN_FLAGS]).unwrap()).unwrap_err()
+        };
+        assert_eq!(err(&["--vcs", "x"]), "bad value for --vcs: x");
+        assert_eq!(err(&["--sweep", "0.1:0.2"]), "--sweep wants LO:HI:N");
+        assert_eq!(err(&["--sweep", "a:0.2:3"]), "bad sweep lo");
+        assert!(err(&["--radix", "8x"]).starts_with("bad topology spec"));
     }
 }

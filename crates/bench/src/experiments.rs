@@ -291,17 +291,20 @@ fn run(
 /// pool), `DR` or `PR`; a `-QA` suffix (per-type message queues, see
 /// [`bnf_figure`]) names the same scheme.
 fn scheme_of(label: &str) -> Scheme {
-    match label.trim_end_matches("-QA") {
-        "SA" => Scheme::StrictAvoidance {
-            shared_adaptive: false,
-        },
-        "SA+" => Scheme::StrictAvoidance {
-            shared_adaptive: true,
-        },
-        "DR" => Scheme::DeflectiveRecovery,
-        "PR" => Scheme::ProgressiveRecovery,
-        other => unreachable!("no scheme for curve label {other}"),
-    }
+    let name = label.trim_end_matches("-QA");
+    Scheme::ALL
+        .into_iter()
+        .find(|s| s.label() == name)
+        .unwrap_or_else(|| unreachable!("no scheme for curve label {label}"))
+}
+
+/// The paper's 8×8 machine for `label`'s scheme on `pattern` with `vcs`
+/// VCs, over `scale`'s windows, at load 0.
+fn scaled(label: &str, pattern: PatternSpec, vcs: u8, scale: RunScale) -> SimConfig {
+    let mut cfg = SimConfig::paper_default(scheme_of(label), pattern, vcs, 0.0);
+    cfg.warmup = scale.warmup;
+    cfg.measure = scale.measure;
+    cfg
 }
 
 /// One BNF panel: the pattern, its curve labels, the top applied load.
@@ -323,24 +326,16 @@ fn bnf_figure(
         let loads = mdd_core::default_loads(0.05, max_load, scale.load_points);
         let mut curves = Vec::new();
         for &label in labels {
-            let cfg = match SimConfig::builder()
-                .scheme(scheme_of(label))
-                .pattern(pattern.clone())
-                .vcs(vcs)
-                .queue_org(label.ends_with("-QA").then_some(QueueOrg::PerType))
-                .windows(scale.warmup, scale.measure)
-                .build()
-            {
-                Ok(cfg) => cfg,
-                Err(err) => {
-                    eprintln!(
-                        "{}: skipping {label} on {}: {err}",
-                        fig.name,
-                        pattern.name()
-                    );
-                    continue;
-                }
-            };
+            let mut cfg = scaled(label, pattern.clone(), vcs, scale);
+            cfg.queue_org = label.ends_with("-QA").then_some(QueueOrg::PerType);
+            if let Err(err) = cfg.validate() {
+                eprintln!(
+                    "{}: skipping {label} on {}: {err}",
+                    fig.name,
+                    pattern.name()
+                );
+                continue;
+            }
             let report = engine.submit_sweep(&cfg, &loads, label).wait();
             for (job, r) in fig.tally(&report) {
                 let p = r.bnf_point();
@@ -452,13 +447,8 @@ fn ablation_sa_shared(engine: &Engine, scale: RunScale) -> Figure {
     let loads = mdd_core::default_loads(0.05, 0.50, scale.load_points);
     for vcs in [8u8, 16] {
         for label in ["SA", "SA+"] {
-            let cfg = SimConfig::builder()
-                .scheme(scheme_of(label))
-                .pattern(PatternSpec::pat271())
-                .vcs(vcs)
-                .windows(scale.warmup, scale.measure)
-                .build()
-                .expect("feasible at 8+ VCs");
+            let cfg = scaled(label, PatternSpec::pat271(), vcs, scale);
+            cfg.validate().expect("feasible at 8+ VCs");
             let report = engine.submit_sweep(&cfg, &loads, label).wait();
             for (job, r) in fig.tally(&report) {
                 fig.rows.push(row([
@@ -476,7 +466,7 @@ fn ablation_sa_shared(engine: &Engine, scale: RunScale) -> Figure {
 }
 
 /// The PR/PAT271/4-VC points of a recovery-path ablation: `knob` applies
-/// one setting to the builder, each setting runs at loads 0.30 and 0.38,
+/// one setting to the config, each setting runs at loads 0.30 and 0.38,
 /// and `key` names the setting's column.
 fn pr_ablation(
     mut fig: Figure,
@@ -484,19 +474,14 @@ fn pr_ablation(
     scale: RunScale,
     key: &str,
     settings: &[u64],
-    knob: fn(mdd_core::SimConfigBuilder, u64) -> mdd_core::SimConfigBuilder,
+    knob: fn(&mut SimConfig, u64),
 ) -> Figure {
     let mut jobs = Vec::new();
     for &setting in settings {
         for load in [0.30, 0.38] {
-            let builder = SimConfig::builder()
-                .scheme(Scheme::ProgressiveRecovery)
-                .pattern(PatternSpec::pat271())
-                .vcs(4)
-                .windows(scale.warmup, scale.measure);
-            let cfg = knob(builder, setting)
-                .build()
-                .expect("PR always configurable");
+            let mut cfg = scaled("PR", PatternSpec::pat271(), 4, scale);
+            knob(&mut cfg, setting);
+            cfg.validate().expect("PR always configurable");
             jobs.push(Job::new(
                 jobs.len(),
                 format!("{key}={setting}"),
@@ -535,7 +520,7 @@ fn ablation_threshold(engine: &Engine, scale: RunScale) -> Figure {
         scale,
         "threshold",
         &[10, 25, 50, 100, 200],
-        mdd_core::SimConfigBuilder::detect_threshold,
+        |cfg, t| cfg.detect_threshold = t,
     )
 }
 
@@ -551,8 +536,9 @@ fn ablation_token(engine: &Engine, scale: RunScale) -> Figure {
         "Paper §3: the token can be multiplexed over ordinary network \
          bandwidth.",
     );
-    pr_ablation(fig, engine, scale, "hop", &[1, 2, 4], |b, hop| {
-        b.token_hop(hop).lane_hop(hop)
+    pr_ablation(fig, engine, scale, "hop", &[1, 2, 4], |cfg, hop| {
+        cfg.token_hop = hop;
+        cfg.lane_hop = hop;
     })
 }
 
@@ -571,13 +557,8 @@ fn utilization(engine: &Engine, scale: RunScale) -> Figure {
     let mut jobs = Vec::new();
     for vcs in [8u8, 16] {
         for label in ["SA", "SA+", "DR", "PR"] {
-            let cfg = SimConfig::builder()
-                .scheme(scheme_of(label))
-                .pattern(PatternSpec::pat721())
-                .vcs(vcs)
-                .windows(scale.warmup, scale.measure)
-                .build()
-                .expect("feasible at 8+ VCs");
+            let cfg = scaled(label, PatternSpec::pat721(), vcs, scale);
+            cfg.validate().expect("feasible at 8+ VCs");
             jobs.push(Job::new(jobs.len(), label, cfg.at_load(0.25)));
         }
     }
@@ -607,16 +588,11 @@ fn deadlock_freq_synthetic(engine: &Engine, scale: RunScale) -> Figure {
          occur only once the network is driven into deep saturation.",
     );
     let loads = mdd_core::default_loads(0.05, 0.50, scale.load_points.max(6));
-    let cfg = SimConfig::builder()
-        .scheme(Scheme::ProgressiveRecovery)
-        .pattern(PatternSpec::pat271())
-        .vcs(4)
-        .windows(scale.warmup, scale.measure)
-        // Cross-check the threshold detector against the CWG oracle
-        // every 50 cycles, as FlexSim does (Section 4.1).
-        .cwg_interval(Some(50))
-        .build()
-        .expect("PR always configurable");
+    let mut cfg = scaled("PR", PatternSpec::pat271(), 4, scale);
+    // Cross-check the threshold detector against the CWG oracle every 50
+    // cycles, as FlexSim does (Section 4.1).
+    cfg.cwg_interval = Some(50);
+    cfg.validate().expect("PR always configurable");
     let report = engine.submit_sweep(&cfg, &loads, "PR").wait();
     for (job, r) in fig.tally(&report) {
         fig.rows.push(row([

@@ -14,14 +14,12 @@
 //! [`SimResult`](crate::SimResult)'s measured fields, and the inert
 //! `shards`, which nothing reads.
 //!
-//! The encoding is a fixed-order `key=value` line list: construction
-//! order of the config (builder setter order, struct literal order)
-//! cannot influence it, and floats are written in Rust's shortest
+//! The encoding is a fixed-order `key=value` line list: the order in
+//! which a config's fields were assigned cannot influence it, and floats are written in Rust's shortest
 //! round-trip form so equal values always encode identically.
 
 use crate::config::SimConfig;
-use mdd_protocol::{MsgKind, PatternSpec, ProtocolSpec, QueueOrg};
-use mdd_routing::Scheme;
+use mdd_protocol::{MsgKind, PatternSpec, ProtocolSpec};
 use mdd_traffic::DestPattern;
 use std::fmt::Write as _;
 
@@ -47,12 +45,8 @@ impl SimConfig {
         let _ = writeln!(s, "bristle={}", self.bristle);
         let _ = writeln!(s, "vcs={}", self.vcs);
         let _ = writeln!(s, "flit_buf={}", self.flit_buf);
-        let _ = writeln!(s, "scheme={}", canon_scheme(self.scheme));
-        let _ = writeln!(
-            s,
-            "queue_org={}",
-            canon_queue_org(self.effective_queue_org())
-        );
+        let _ = writeln!(s, "scheme={}", self.scheme.cli_name());
+        let _ = writeln!(s, "queue_org={}", self.effective_queue_org().cli_name());
         let _ = writeln!(s, "pattern={}", canon_pattern(&self.pattern));
         let _ = writeln!(s, "queue_capacity={}", self.queue_capacity);
         let _ = writeln!(s, "service_time={}", self.service_time);
@@ -101,27 +95,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn canon_scheme(s: Scheme) -> &'static str {
-    match s {
-        Scheme::StrictAvoidance {
-            shared_adaptive: false,
-        } => "sa",
-        Scheme::StrictAvoidance {
-            shared_adaptive: true,
-        } => "sa+",
-        Scheme::DeflectiveRecovery => "dr",
-        Scheme::ProgressiveRecovery => "pr",
-    }
-}
-
-fn canon_queue_org(org: QueueOrg) -> &'static str {
-    match org {
-        QueueOrg::Shared => "shared",
-        QueueOrg::PerNetwork => "pernet",
-        QueueOrg::PerType => "pertype",
-    }
 }
 
 fn canon_dest(d: DestPattern) -> String {

@@ -195,6 +195,256 @@ impl SimConfig {
     pub fn num_nodes(&self) -> u32 {
         self.radix.iter().product::<u32>() * self.bristle
     }
+
+    /// Check every structural invariant plus scheme feasibility (the same
+    /// `VcMap` probe the simulator constructor runs), without building a
+    /// network. `Ok(())` guarantees [`Simulator::new`] will not fail on
+    /// this configuration. A run is described by [`SimConfig::paper_default`],
+    /// field assignment, and this check:
+    ///
+    /// ```
+    /// use mdd_core::{PatternSpec, Scheme, SimConfig};
+    ///
+    /// let mut cfg =
+    ///     SimConfig::paper_default(Scheme::DeflectiveRecovery, PatternSpec::pat721(), 8, 0.30);
+    /// cfg.radix = vec![4, 4];
+    /// assert!(cfg.validate().is_ok());
+    ///
+    /// // SA needs E_m * 2 = 8 VCs for a chain-4 protocol on a torus:
+    /// cfg.scheme = Scheme::StrictAvoidance { shared_adaptive: false };
+    /// cfg.vcs = 4;
+    /// assert!(cfg.validate().unwrap_err().to_string().contains("virtual channels"));
+    /// ```
+    ///
+    /// [`Simulator::new`]: crate::Simulator::new
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.radix.is_empty() {
+            return Err(ConfigError::EmptyRadix);
+        }
+        if self.radix.len() > mdd_topology::MAX_DIMS {
+            return Err(ConfigError::TooManyDimensions {
+                dims: self.radix.len(),
+            });
+        }
+        if let Some((dim, &radix)) = self.radix.iter().enumerate().find(|(_, &k)| k < 2) {
+            return Err(ConfigError::RadixTooSmall { dim, radix });
+        }
+        if self.bristle == 0 {
+            return Err(ConfigError::ZeroBristle);
+        }
+        if self.vcs == 0 {
+            return Err(ConfigError::ZeroVirtualChannels);
+        }
+        let ports = 2 * self.radix.len() + self.bristle as usize;
+        let slots = ports * self.vcs as usize;
+        if slots > 128 {
+            return Err(ConfigError::VcBudgetTooLarge {
+                ports,
+                vcs: self.vcs,
+                slots,
+            });
+        }
+        if self.flit_buf == 0 {
+            return Err(ConfigError::ZeroFlitBuffers);
+        }
+        if self.flit_buf > u32::from(u16::MAX) {
+            return Err(ConfigError::FlitBufTooLarge {
+                flit_buf: self.flit_buf,
+            });
+        }
+        if self.queue_capacity == 0 {
+            return Err(ConfigError::ZeroQueueCapacity);
+        }
+        if self.mshr_limit == 0 {
+            return Err(ConfigError::ZeroMshrLimit);
+        }
+        if self.detect_threshold == 0 {
+            return Err(ConfigError::ZeroDetectThreshold);
+        }
+        if self.token_hop == 0 {
+            return Err(ConfigError::ZeroTokenHop);
+        }
+        if self.lane_hop == 0 {
+            return Err(ConfigError::ZeroLaneHop);
+        }
+        if !self.load.is_finite() || self.load < 0.0 {
+            return Err(ConfigError::InvalidLoad { load: self.load });
+        }
+        self.vc_map()?;
+        Ok(())
+    }
+
+    /// Parse a `KxK[xK...]` topology spec (the `--radix` grammar) into a
+    /// per-dimension radix vector, applying the same bounds [`SimConfig::validate`] enforces so a bad spec fails at the
+    /// flag instead of deep in construction.
+    ///
+    /// ```
+    /// use mdd_core::SimConfig;
+    /// assert_eq!(SimConfig::parse_topo("64x64").unwrap(), vec![64, 64]);
+    /// assert_eq!(SimConfig::parse_topo("8x8x8").unwrap(), vec![8, 8, 8]);
+    /// assert!(SimConfig::parse_topo("8x").is_err());
+    /// assert!(SimConfig::parse_topo("8x8x8x8x8").is_err());
+    /// ```
+    pub fn parse_topo(spec: &str) -> Result<Vec<u32>, ConfigError> {
+        let bad = || ConfigError::InvalidTopology {
+            spec: spec.to_string(),
+        };
+        let radix: Vec<u32> = spec
+            .split('x')
+            .map(|part| part.parse::<u32>().map_err(|_| bad()))
+            .collect::<Result<_, _>>()?;
+        if radix.is_empty() || radix.iter().any(|&k| k < 2) {
+            return Err(bad());
+        }
+        if radix.len() > mdd_topology::MAX_DIMS {
+            return Err(ConfigError::TooManyDimensions { dims: radix.len() });
+        }
+        Ok(radix)
+    }
+
+    /// The scale-ladder rungs exercised end-to-end by the tests and CI:
+    /// the paper's 8×8 baseline, 16×16, 64×64, and a 3D 8×8×8 torus.
+    pub fn scale_ladder() -> [&'static [u32]; 4] {
+        [&[8, 8], &[16, 16], &[64, 64], &[8, 8, 8]]
+    }
+}
+
+/// Why a [`SimConfig`] cannot describe a runnable simulation.
+#[derive(Clone, PartialEq, Debug)]
+pub enum ConfigError {
+    /// The radix vector is empty (a network needs at least one dimension).
+    EmptyRadix,
+    /// A per-dimension radix below 2 (dimension index, offending value).
+    RadixTooSmall {
+        /// Which dimension.
+        dim: usize,
+        /// The radix given for it.
+        radix: u32,
+    },
+    /// More dimensions than the hop-geometry tables support
+    /// ([`MAX_DIMS`](mdd_topology::MAX_DIMS)).
+    TooManyDimensions {
+        /// The number of dimensions requested.
+        dims: usize,
+    },
+    /// The port·VC product exceeds the 128-slot occupancy masks: router
+    /// input occupancy and output ownership are `u128` bitmasks indexed
+    /// by `port * vcs + vc`, so `(2·dims + bristle) · vcs` must fit in
+    /// 128 bits. Before this check, an oversized combination died on a
+    /// debug assert deep in the fused pipeline pass (or silently
+    /// truncated in release builds).
+    VcBudgetTooLarge {
+        /// Ports per router (`2·dims + bristle`).
+        ports: usize,
+        /// Virtual channels per physical link.
+        vcs: u8,
+        /// The resulting slot count (`ports · vcs`).
+        slots: usize,
+    },
+    /// A `--radix` specification that does not parse as
+    /// `KxK[xK...]` with positive integer radices.
+    InvalidTopology {
+        /// The offending specification string.
+        spec: String,
+    },
+    /// Zero NICs per router.
+    ZeroBristle,
+    /// Zero virtual channels per physical link.
+    ZeroVirtualChannels,
+    /// Zero flit buffers per virtual channel.
+    ZeroFlitBuffers,
+    /// More flit buffers per virtual channel than the router's 16-bit
+    /// buffer indices address (65,535).
+    FlitBufTooLarge {
+        /// The offending depth.
+        flit_buf: u32,
+    },
+    /// Zero-capacity endpoint message queues.
+    ZeroQueueCapacity,
+    /// Zero outstanding-transaction (MSHR) limit — no node could ever
+    /// issue a request.
+    ZeroMshrLimit,
+    /// Zero endpoint detection time-out: the detector would declare every
+    /// waiting message deadlocked on its first blocked cycle.
+    ZeroDetectThreshold,
+    /// Zero cycles per token tour hop: the PR token would never move.
+    ZeroTokenHop,
+    /// Zero cycles per recovery-lane hop: a rescued message would arrive
+    /// before it left.
+    ZeroLaneHop,
+    /// Applied load is negative, NaN or infinite.
+    InvalidLoad {
+        /// The offending value.
+        load: f64,
+    },
+    /// The scheme cannot be configured with the requested virtual
+    /// channels for this protocol/topology (the paper's infeasible
+    /// figure cells, e.g. SA on a chain-4 protocol with 4 VCs).
+    Scheme(SchemeConfigError),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::EmptyRadix => write!(f, "radix vector is empty"),
+            ConfigError::RadixTooSmall { dim, radix } => {
+                write!(f, "radix {radix} in dimension {dim} (minimum is 2)")
+            }
+            ConfigError::TooManyDimensions { dims } => write!(
+                f,
+                "{dims} dimensions exceed the supported maximum of {}",
+                mdd_topology::MAX_DIMS
+            ),
+            ConfigError::VcBudgetTooLarge { ports, vcs, slots } => write!(
+                f,
+                "{ports} ports x {vcs} VCs = {slots} slots exceed the 128-bit \
+                 router occupancy masks"
+            ),
+            ConfigError::InvalidTopology { spec } => {
+                write!(
+                    f,
+                    "invalid topology spec {spec:?} (expected KxK[xK...], radices >= 2)"
+                )
+            }
+            ConfigError::ZeroBristle => write!(f, "bristle factor must be at least 1"),
+            ConfigError::ZeroVirtualChannels => write!(f, "at least 1 virtual channel required"),
+            ConfigError::ZeroFlitBuffers => write!(f, "at least 1 flit buffer per VC required"),
+            ConfigError::FlitBufTooLarge { flit_buf } => {
+                write!(
+                    f,
+                    "{flit_buf} flit buffers per VC exceed the maximum of 65535"
+                )
+            }
+            ConfigError::ZeroQueueCapacity => write!(f, "endpoint queue capacity must be nonzero"),
+            ConfigError::ZeroMshrLimit => write!(f, "MSHR limit must be nonzero"),
+            ConfigError::ZeroDetectThreshold => {
+                write!(f, "detection time-out must be at least 1 cycle")
+            }
+            ConfigError::ZeroTokenHop => write!(f, "token hop time must be at least 1 cycle"),
+            ConfigError::ZeroLaneHop => {
+                write!(f, "recovery-lane hop time must be at least 1 cycle")
+            }
+            ConfigError::InvalidLoad { load } => {
+                write!(f, "applied load {load} is not a finite non-negative number")
+            }
+            ConfigError::Scheme(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ConfigError::Scheme(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<SchemeConfigError> for ConfigError {
+    fn from(e: SchemeConfigError) -> Self {
+        ConfigError::Scheme(e)
+    }
 }
 
 /// Measured outcome of one simulation run (one point of a BNF curve).

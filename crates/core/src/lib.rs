@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-mod builder;
 mod canon;
 mod config;
 mod preflight;
@@ -32,16 +31,15 @@ mod sim;
 mod sweep;
 mod validate;
 
-pub use builder::{ConfigError, SimConfigBuilder};
-pub use config::{SimConfig, SimResult};
+pub use config::{ConfigError, SimConfig, SimResult};
 pub use preflight::{analysis_config, min_safe_vcs, verify_config, verify_config_degraded};
 pub use recovery::{EpisodeOrigin, EpisodeRecord, PrRecovery};
 pub use sim::Simulator;
 pub use sweep::{default_loads, run_point};
 pub use validate::{build_waitfor_graph, deadlock_witness};
 
-// Static verification verdicts surface through the builder's strict mode
-// and the engine pre-flight; re-export the types so `mdd-core` callers
+// Static verification verdicts surface through `verify_config` and the
+// engine pre-flight; re-export the types so `mdd-core` callers
 // can match on them without naming `mdd-verify` directly.
 pub use mdd_verify::{CycleWitness, Verdict};
 

@@ -3,11 +3,10 @@
 //! Thin adapters from the simulator's configuration surface to
 //! `mdd-verify`'s [`VerifyInput`]: they construct the same topology and
 //! routing function `Simulator::new` would, then run the static analysis
-//! — no simulator, no traffic. Used by the builder's strict mode
-//! ([`SimConfigBuilder::verify`]), by the experiment engine's per-point
-//! pre-flight, and by `mddsim --verify`.
-//!
-//! [`SimConfigBuilder::verify`]: crate::SimConfigBuilder::verify
+//! — no simulator, no traffic. Used by the experiment engine's
+//! per-point pre-flight and by `mddsim --verify`; a caller that wants to
+//! refuse statically unsafe configurations checks
+//! [`Verdict::is_unsafe`] on [`verify_config`]'s answer.
 
 use crate::config::SimConfig;
 use mdd_routing::{SchemeConfigError, SchemeRouting, VcMap};

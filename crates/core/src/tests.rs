@@ -426,3 +426,247 @@ fn episode_log_records_rescues() {
         "an overdriven 4x4 PR network must have needed rescues"
     );
 }
+
+// ---------------------------------------------------------------------
+// `validate` is the only gate: `Ok` must mean `Simulator::new` succeeds.
+// ---------------------------------------------------------------------
+
+mod validate_gate {
+    use crate::*;
+    use proptest::prelude::*;
+
+    /// Small valid field values (radices of at most 4, so every accepted
+    /// network is cheap to build), then `broken < 15` plants one value
+    /// `validate` must reject: a zero, a NaN or negative load, an empty,
+    /// 5-dimension or radix-1 topology, an oversize slot budget or buffer
+    /// depth. Scheme feasibility varies on its own with the VC count.
+    fn arb_config() -> impl Strategy<Value = (SimConfig, usize)> {
+        let net = (
+            proptest::collection::vec(2u32..5, 1..4),
+            0u8..2,
+            1u32..3,
+            1u8..9,
+            prop_oneof![1u32..4, 65_533u32..65_536],
+        );
+        let endpoint = (1u32..5, 1u32..5, 1u64..40, 1u64..4, 1u64..4);
+        let run = (0usize..4, 0usize..3, 0usize..3, 0.0f64..1.0, 0usize..20);
+        (net, endpoint, run).prop_map(
+            |(
+                (radix, mesh, bristle, vcs, flit_buf),
+                (queue_capacity, mshr_limit, detect_threshold, token_hop, lane_hop),
+                (scheme, pattern, org, load, broken),
+            )| {
+                let pattern = [
+                    PatternSpec::pat100(),
+                    PatternSpec::pat271(),
+                    PatternSpec::pat280(),
+                ][pattern]
+                    .clone();
+                let mut cfg = SimConfig::paper_default(Scheme::ALL[scheme], pattern, vcs, load);
+                cfg.radix = radix;
+                cfg.mesh = mesh == 1;
+                cfg.bristle = bristle;
+                cfg.flit_buf = flit_buf;
+                cfg.queue_org = [None, Some(QueueOrg::Shared), Some(QueueOrg::PerType)][org];
+                cfg.queue_capacity = queue_capacity;
+                cfg.mshr_limit = mshr_limit;
+                cfg.detect_threshold = detect_threshold;
+                cfg.token_hop = token_hop;
+                cfg.lane_hop = lane_hop;
+                match broken {
+                    0 => cfg.radix = Vec::new(),
+                    1 => cfg.radix = vec![2; 5],
+                    2 => cfg.radix[0] = 1,
+                    3 => cfg.bristle = 0,
+                    4 => cfg.vcs = 0,
+                    5 => cfg.vcs = 43, // at least 3 ports: over 128 slots
+                    6 => cfg.flit_buf = 0,
+                    7 => cfg.flit_buf = 65_536,
+                    8 => cfg.queue_capacity = 0,
+                    9 => cfg.mshr_limit = 0,
+                    10 => cfg.detect_threshold = 0,
+                    11 => cfg.token_hop = 0,
+                    12 => cfg.lane_hop = 0,
+                    13 => cfg.load = f64::NAN,
+                    14 => cfg.load = -0.5,
+                    _ => {}
+                }
+                (cfg, broken)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `validate` never panics, rejects every planted value, and
+        /// whatever it accepts the simulator constructor accepts too.
+        #[test]
+        fn validate_ok_implies_simulator_builds((cfg, broken) in arb_config()) {
+            let verdict = cfg.validate();
+            prop_assert!(broken >= 15 || verdict.is_err(), "accepted broken {cfg:?}");
+            if verdict.is_ok() {
+                let built = std::panic::catch_unwind(|| Simulator::new(cfg.clone()).is_ok());
+                prop_assert!(matches!(built, Ok(true)), "validate accepted {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn hop_times_and_buffer_depth_are_typed_errors() {
+        let pr =
+            || SimConfig::small_test(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.1);
+        let mut cfg = pr();
+        cfg.token_hop = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroTokenHop));
+        let mut cfg = pr();
+        cfg.lane_hop = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroLaneHop));
+        let mut cfg = pr();
+        cfg.flit_buf = 65_536;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::FlitBufTooLarge { flit_buf: 65_536 })
+        );
+        cfg.flit_buf = 65_535;
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+}
+
+// ---------------------------------------------------------------------
+// A hand-built PR episode: a local deposit after a lane round trip.
+// ---------------------------------------------------------------------
+
+mod dispatch_deposit {
+    use crate::*;
+    use mdd_protocol::{IdAlloc, Message, MessageStore, MsgHandle, MsgType, ShapeId};
+    use mdd_topology::NicId;
+    use mdd_traffic::TrafficSource;
+    use std::collections::VecDeque;
+
+    /// Requests issued at fixed cycles, nothing else.
+    struct Script {
+        /// `(cycle, message)`, in cycle order; ids are assigned on issue.
+        events: VecDeque<(u64, Message)>,
+        pending: Vec<VecDeque<MsgHandle>>,
+        generated: u64,
+    }
+
+    impl TrafficSource for Script {
+        fn tick(&mut self, cycle: u64, ids: &mut IdAlloc, store: &mut MessageStore) {
+            while self.events.front().is_some_and(|(c, _)| *c == cycle) {
+                let (_, mut m) = self.events.pop_front().expect("checked");
+                m.id = ids.next_msg();
+                m.txn = ids.next_txn();
+                m.created = cycle;
+                let src = m.src.index();
+                self.pending[src].push_back(store.insert(m));
+                self.generated += 1;
+            }
+        }
+        fn pending_head(&self, nic: NicId) -> Option<MsgHandle> {
+            self.pending[nic.index()].front().copied()
+        }
+        fn pop_pending(&mut self, nic: NicId) -> Option<MsgHandle> {
+            self.pending[nic.index()].pop_front()
+        }
+        fn backlog(&self) -> usize {
+            self.pending.iter().map(VecDeque::len).sum()
+        }
+        fn generated(&self) -> u64 {
+            self.generated
+        }
+    }
+
+    /// An original request (`RQ`, chain position 0) of `shape`.
+    fn request(shape: u16, src: u32, home: u32, sharers: u64) -> Message {
+        Message {
+            id: mdd_protocol::MessageId(0),
+            txn: mdd_protocol::TransactionId(0),
+            mtype: MsgType(0),
+            shape: ShapeId(shape),
+            chain_pos: 0,
+            src: NicId(src),
+            dst: NicId(home),
+            requester: NicId(src),
+            home: NicId(home),
+            owner: NicId(home),
+            length_flits: 4,
+            created: 0,
+            is_backoff: false,
+            rescued: false,
+            sharers,
+        }
+    }
+
+    /// A 20-flit terminating reply from `nic` to itself: it cannot eject
+    /// while `nic`'s input queue is full, so it holds an output slot.
+    fn self_reply(nic: u32) -> Message {
+        Message {
+            mtype: MsgType(3),
+            chain_pos: 1,
+            dst: NicId(nic),
+            length_flits: 20,
+            ..request(0, nic, nic, 0)
+        }
+    }
+
+    /// The one dispatch the PR orchestrator makes in a step that has not
+    /// otherwise acted on the holder: a multicast rescue whose first
+    /// subordinate finds the holder's output queue full and crosses the
+    /// lane, after which a later subordinate is deposited locally. Debug
+    /// builds check every step's touch list (`check_touch_list`), so a
+    /// deposit that skipped `touch` would fail here.
+    #[test]
+    fn holder_deposits_locally_after_a_lane_round_trip() {
+        const H: usize = 5;
+        let mut cfg = SimConfig::paper_default(
+            Scheme::ProgressiveRecovery,
+            mdd_coherence::CoherenceEngine::msi_pattern(),
+            4,
+            0.0,
+        );
+        cfg.radix = vec![4, 4];
+        cfg.queue_capacity = 2;
+        cfg.service_time = 10;
+        cfg.detect_threshold = 5;
+        let events = vec![
+            // An invalidation to three sharers: H can never find output
+            // room for all three copies.
+            (1, request(1, 0, H as u32, 1 << 10 | 1 << 11 | 1 << 15)),
+            // Fills H's input queue behind it.
+            (20, request(0, 1, H as u32, 0)),
+            // Fill H's output queue and stay there until the rescue
+            // frees an input slot, so the detector fires.
+            (30, self_reply(H as u32)),
+            (31, self_reply(H as u32)),
+        ];
+        let script = Script {
+            events: events.into(),
+            pending: vec![VecDeque::new(); 16],
+            generated: 0,
+        };
+        let mut sim = Simulator::with_traffic(cfg, Box::new(script)).unwrap();
+        let mut picked_up = false;
+        while sim.recovery().unwrap().episodes_completed == 0 {
+            assert!(sim.cycle() < 1_000, "no rescue episode completed");
+            let before = sim.nics()[H].dmb_occupancy();
+            sim.step();
+            let nic = &sim.nics()[H];
+            if before > 0 && nic.dmb_occupancy() == 0 {
+                // The orchestrator took the three copies this step with
+                // H's output queue full: the first crossed the lane.
+                assert_eq!(nic.out_queue(0).free(), 0);
+                picked_up = true;
+            }
+        }
+        let rec = sim.recovery().unwrap();
+        let episode = rec.episode_log()[0];
+        assert!(picked_up);
+        assert_eq!(episode.origin, EpisodeOrigin::Nic(NicId(H as u32)));
+        // Three copies moved, two over the lane: the other one was
+        // deposited at H after the first one's round trip.
+        assert_eq!((episode.messages_moved, rec.lane_transfers()), (3, 2));
+        assert!(sim.drain(10_000));
+    }
+}

@@ -37,13 +37,11 @@
 //! use mdd_engine::Engine;
 //! use mdd_core::{PatternSpec, Scheme, SimConfig};
 //!
-//! let base = SimConfig::builder()
-//!     .scheme(Scheme::ProgressiveRecovery)
-//!     .pattern(PatternSpec::pat271())
-//!     .radix(&[4, 4])
-//!     .windows(200, 400)
-//!     .build()
-//!     .unwrap();
+//! let mut base = SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.0);
+//! base.radix = vec![4, 4];
+//! base.warmup = 200;
+//! base.measure = 400;
+//! base.validate().unwrap();
 //! let engine = Engine::new(); // or Engine::with_cache_dir("results/cache")
 //! let mut handle = engine.submit_sweep(&base, &[0.1, 0.2], "PR");
 //! while let Some(outcome) = handle.recv() {

@@ -91,9 +91,10 @@ impl Request {
     }
 }
 
-/// A load sweep as it rides the wire: the same parameters
-/// `SimConfig::builder` takes locally, expanded server-side into the
-/// identical [`Job`] batch via [`SweepSpec::jobs`].
+/// A load sweep: the run parameters the `mddsim` flags and the wire
+/// carry, mapped onto a [`SimConfig`] by [`SweepSpec::base_config`] and
+/// expanded into the identical [`Job`] batch by [`SweepSpec::jobs`],
+/// locally or server-side.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepSpec {
     /// Curve label the points report under.
@@ -121,18 +122,22 @@ pub struct SweepSpec {
 }
 
 impl Default for SweepSpec {
+    /// PR on PAT271 with 4 VCs; every other number is
+    /// [`SimConfig::paper_default`]'s.
     fn default() -> Self {
+        let scheme = Scheme::ProgressiveRecovery;
+        let cfg = SimConfig::paper_default(scheme, PatternSpec::pat271(), 4, 0.0);
         SweepSpec {
-            label: "PR".to_string(),
-            scheme: "pr".to_string(),
+            label: scheme.label().to_string(),
+            scheme: scheme.cli_name().to_string(),
             pattern: "pat271".to_string(),
-            vcs: 4,
-            radix: vec![8, 8],
-            bristle: 1,
+            vcs: cfg.vcs,
+            radix: cfg.radix,
+            bristle: cfg.bristle,
             queue_org: None,
-            warmup: 10_000,
-            measure: 30_000,
-            seed: 0x5eed,
+            warmup: cfg.warmup,
+            measure: cfg.measure,
+            seed: cfg.seed,
             loads: Vec::new(),
         }
     }
@@ -151,32 +156,41 @@ impl SweepSpec {
             .ok_or_else(|| format!("unknown pattern {:?}", self.pattern))
     }
 
-    /// Expand into the exact job batch a local `Engine::submit` caller
-    /// would build: a validated base config swept over `loads` with the
-    /// standard per-point seed decorrelation.
-    pub fn jobs(&self) -> Result<Vec<Job>, String> {
-        if self.loads.is_empty() {
-            return Err("submit: empty load list".to_string());
-        }
-        let queue_org = match self.queue_org.as_deref() {
+    /// The base configuration this spec describes: the paper's defaults
+    /// with the spec's fields assigned, load 0. Unvalidated, so a static
+    /// check can explain an infeasible VC budget; only an unknown name
+    /// fails.
+    pub fn base_config(&self) -> Result<SimConfig, String> {
+        let mut cfg = SimConfig::paper_default(self.scheme()?, self.pattern()?, self.vcs, 0.0);
+        cfg.radix.clone_from(&self.radix);
+        cfg.bristle = self.bristle;
+        cfg.queue_org = match self.queue_org.as_deref() {
             None => None,
             Some(name) => Some(
                 QueueOrg::from_cli_name(name)
                     .ok_or_else(|| format!("unknown queue org {name:?}"))?,
             ),
         };
-        let base: SimConfig = SimConfig::builder()
-            .scheme(self.scheme()?)
-            .pattern(self.pattern()?)
-            .vcs(self.vcs)
-            .radix(&self.radix)
-            .bristle(self.bristle)
-            .queue_org(queue_org)
-            .windows(self.warmup, self.measure)
-            .seed(self.seed)
-            .build()
-            .map_err(|e| format!("infeasible configuration: {e}"))?;
-        Ok(Job::points(&base, &self.loads, &self.label))
+        cfg.warmup = self.warmup;
+        cfg.measure = self.measure;
+        cfg.seed = self.seed;
+        Ok(cfg)
+    }
+
+    /// Expand into the exact job batch a local `Engine::submit` caller
+    /// would build: [`SweepSpec::base_config`] swept over `loads` with the
+    /// standard per-point seed decorrelation, every point validated.
+    pub fn jobs(&self) -> Result<Vec<Job>, String> {
+        if self.loads.is_empty() {
+            return Err("submit: empty load list".to_string());
+        }
+        let jobs = Job::points(&self.base_config()?, &self.loads, &self.label);
+        for job in &jobs {
+            job.cfg
+                .validate()
+                .map_err(|e| format!("infeasible configuration: {e}"))?;
+        }
+        Ok(jobs)
     }
 
     fn to_json(&self) -> Json {

@@ -33,13 +33,14 @@ impl Drop for TempDir {
 /// A configuration small enough that real simulation points finish in
 /// well under a second.
 pub fn small_cfg() -> SimConfig {
-    SimConfig::builder()
-        .scheme(Scheme::ProgressiveRecovery)
-        .pattern(PatternSpec::pat271())
-        .radix(&[4, 4])
-        .windows(100, 300)
-        .build()
-        .expect("PR on a 4x4 torus is always feasible")
+    let mut cfg =
+        SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.0);
+    cfg.radix = vec![4, 4];
+    cfg.warmup = 100;
+    cfg.measure = 300;
+    cfg.validate()
+        .expect("PR on a 4x4 torus is always feasible");
+    cfg
 }
 
 /// A synthetic result for tests that never run the simulator.

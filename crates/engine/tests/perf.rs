@@ -29,13 +29,17 @@ const MIN_TWO_WORKER_SPEEDUP: f64 = 1.3;
 /// A config heavy enough (8x8 torus, longer windows) that per-point
 /// simulation dominates scheduling overhead in release builds.
 fn perf_cfg() -> mdd_core::SimConfig {
-    mdd_core::SimConfig::builder()
-        .scheme(mdd_core::Scheme::ProgressiveRecovery)
-        .pattern(mdd_core::PatternSpec::pat271())
-        .radix(&[8, 8])
-        .windows(1_000, 4_000)
-        .build()
-        .expect("PR on an 8x8 torus is always feasible")
+    let mut cfg = mdd_core::SimConfig::paper_default(
+        mdd_core::Scheme::ProgressiveRecovery,
+        mdd_core::PatternSpec::pat271(),
+        4,
+        0.0,
+    );
+    cfg.warmup = 1_000;
+    cfg.measure = 4_000;
+    cfg.validate()
+        .expect("PR on an 8x8 torus is always feasible");
+    cfg
 }
 
 fn timed_sweep(workers: usize) -> (f64, Vec<u64>) {

@@ -121,15 +121,17 @@ fn submit_spec_expands_to_the_local_job_batch() {
     assert_eq!(jobs.len(), 2);
     // Same parameters built locally produce the same cache keys — the
     // daemon and a local sweep share cache entries.
-    let base = mdd_core::SimConfig::builder()
-        .scheme(mdd_core::Scheme::ProgressiveRecovery)
-        .pattern(mdd_core::PatternSpec::pat271())
-        .vcs(4)
-        .radix(&[4, 4])
-        .windows(100, 300)
-        .seed(0x5eed)
-        .build()
-        .expect("feasible");
+    let mut base = mdd_core::SimConfig::paper_default(
+        mdd_core::Scheme::ProgressiveRecovery,
+        mdd_core::PatternSpec::pat271(),
+        4,
+        0.0,
+    );
+    base.radix = vec![4, 4];
+    base.warmup = 100;
+    base.measure = 300;
+    base.seed = 0x5eed;
+    base.validate().expect("feasible");
     let local = Job::points(&base, &[0.05, 0.10], "PR");
     for (remote, local) in jobs.iter().zip(&local) {
         assert_eq!(remote.key(), local.key());
@@ -150,6 +152,14 @@ fn submit_spec_expands_to_the_local_job_batch() {
         ..SweepSpec::default()
     };
     assert!(bad.jobs().is_err(), "SA with one VC is infeasible");
+    let negative = SweepSpec {
+        loads: vec![0.05, -0.1],
+        ..SweepSpec::default()
+    };
+    assert!(
+        negative.jobs().unwrap_err().contains("applied load -0.1"),
+        "every point's load is validated"
+    );
 }
 
 #[test]

@@ -27,15 +27,23 @@ pub enum QueueOrg {
 }
 
 impl QueueOrg {
-    /// The organization a command-line name selects: `shared`, `pernet`
-    /// or `pertype`.
-    pub fn from_cli_name(name: &str) -> Option<QueueOrg> {
-        match name {
-            "shared" => Some(QueueOrg::Shared),
-            "pernet" => Some(QueueOrg::PerNetwork),
-            "pertype" => Some(QueueOrg::PerType),
-            _ => None,
+    /// Every organization: shared, per network, per type.
+    pub const ALL: [QueueOrg; 3] = [QueueOrg::Shared, QueueOrg::PerNetwork, QueueOrg::PerType];
+
+    /// The organization's command-line name: `shared`, `pernet` or
+    /// `pertype` (also its name in canonical config strings).
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            QueueOrg::Shared => "shared",
+            QueueOrg::PerNetwork => "pernet",
+            QueueOrg::PerType => "pertype",
         }
+    }
+
+    /// The organization a command-line name selects (the inverse of
+    /// [`QueueOrg::cli_name`]).
+    pub fn from_cli_name(name: &str) -> Option<QueueOrg> {
+        QueueOrg::ALL.into_iter().find(|o| o.cli_name() == name)
     }
 
     /// Number of queue pairs under this organization for `protocol`.

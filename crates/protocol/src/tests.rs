@@ -398,3 +398,16 @@ fn validation_rejects_unknown_type_indices() {
         ProtocolError::UnknownType(7)
     );
 }
+
+/// `cli_name` and `from_cli_name` are one table read both ways, and the
+/// names are pinned: they are also the canonical-config spelling that
+/// every committed result key hashes.
+#[test]
+fn queue_org_cli_names_round_trip() {
+    let names: Vec<&str> = QueueOrg::ALL.iter().map(|o| o.cli_name()).collect();
+    assert_eq!(names, ["shared", "pernet", "pertype"]);
+    for o in QueueOrg::ALL {
+        assert_eq!(QueueOrg::from_cli_name(o.cli_name()), Some(o));
+    }
+    assert_eq!(QueueOrg::from_cli_name("per-type"), None);
+}

@@ -22,19 +22,37 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// The scheme a command-line name selects: `sa`, `sa+`, `dr` or `pr`.
-    pub fn from_cli_name(name: &str) -> Option<Scheme> {
-        Some(match name {
-            "sa" => Scheme::StrictAvoidance {
+    /// Every scheme, in table order (SA, SA+, DR, PR).
+    pub const ALL: [Scheme; 4] = [
+        Scheme::StrictAvoidance {
+            shared_adaptive: false,
+        },
+        Scheme::StrictAvoidance {
+            shared_adaptive: true,
+        },
+        Scheme::DeflectiveRecovery,
+        Scheme::ProgressiveRecovery,
+    ];
+
+    /// The scheme's command-line name: `sa`, `sa+`, `dr` or `pr` (also
+    /// its name in canonical config strings).
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            Scheme::StrictAvoidance {
                 shared_adaptive: false,
-            },
-            "sa+" => Scheme::StrictAvoidance {
+            } => "sa",
+            Scheme::StrictAvoidance {
                 shared_adaptive: true,
-            },
-            "dr" => Scheme::DeflectiveRecovery,
-            "pr" => Scheme::ProgressiveRecovery,
-            _ => return None,
-        })
+            } => "sa+",
+            Scheme::DeflectiveRecovery => "dr",
+            Scheme::ProgressiveRecovery => "pr",
+        }
+    }
+
+    /// The scheme a command-line name selects (the inverse of
+    /// [`Scheme::cli_name`]).
+    pub fn from_cli_name(name: &str) -> Option<Scheme> {
+        Scheme::ALL.into_iter().find(|s| s.cli_name() == name)
     }
 
     /// Short label used in result tables ("SA", "SA+", "DR", "PR").

@@ -383,3 +383,16 @@ fn candidates_never_point_off_mesh() {
         }
     }
 }
+
+/// `cli_name` and `from_cli_name` are one table read both ways, and the
+/// names are pinned: they are also the canonical-config spelling that
+/// every committed result key hashes.
+#[test]
+fn scheme_cli_names_round_trip() {
+    let names: Vec<&str> = Scheme::ALL.iter().map(|s| s.cli_name()).collect();
+    assert_eq!(names, ["sa", "sa+", "dr", "pr"]);
+    for s in Scheme::ALL {
+        assert_eq!(Scheme::from_cli_name(s.cli_name()), Some(s));
+    }
+    assert_eq!(Scheme::from_cli_name("SA"), None);
+}

@@ -26,14 +26,15 @@ fn main() {
         let traffic = CoherentTraffic::new(app, 16, horizon, 42);
         // Applied load stays 0: traffic comes from the application
         // model, not the synthetic open-loop knob.
-        let cfg = SimConfig::builder()
-            .scheme(Scheme::ProgressiveRecovery)
-            .pattern(CoherenceEngine::msi_pattern())
-            .vcs(4)
-            .radix(&[4, 4])
-            .windows(0, horizon)
-            .build()
-            .expect("feasible configuration");
+        let mut cfg = SimConfig::paper_default(
+            Scheme::ProgressiveRecovery,
+            CoherenceEngine::msi_pattern(),
+            4,
+            0.0,
+        );
+        cfg.radix = vec![4, 4];
+        cfg.warmup = 0;
+        cfg.measure = horizon;
         let mut sim =
             Simulator::with_traffic(cfg, Box::new(traffic)).expect("feasible configuration");
         sim.set_measuring(true);

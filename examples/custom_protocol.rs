@@ -85,17 +85,10 @@ fn main() {
         Scheme::ProgressiveRecovery,
     ] {
         for load in [0.10, 0.25] {
-            let cfg = SimConfig::builder()
-                .scheme(scheme)
-                .pattern(pattern.clone())
-                .vcs(vcs)
-                .load(load)
-                .windows(3_000, 8_000)
-                .build()
-                .expect("8 VCs suffice");
-            let r = Simulator::new(cfg)
-                .expect("builder already validated")
-                .run();
+            let mut cfg = SimConfig::paper_default(scheme, pattern.clone(), vcs, load);
+            cfg.warmup = 3_000;
+            cfg.measure = 8_000;
+            let r = Simulator::new(cfg).expect("8 VCs suffice").run();
             table.row(vec![
                 scheme.label().to_string(),
                 format!("{load:.2}"),

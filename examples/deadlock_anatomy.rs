@@ -8,19 +8,16 @@
 use mdd_sim::prelude::*;
 
 fn main() {
-    let cfg = SimConfig::builder()
-        .scheme(Scheme::ProgressiveRecovery)
-        .pattern(PatternSpec::pat271())
-        .vcs(2) // deliberately scarce
-        .load(1.5)
-        .radix(&[2, 2])
-        .queue_capacity(4) // tiny queues make coupling immediate
-        .service_time(20)
-        .windows(0, 0)
-        .build()
-        .expect("PR is always configurable");
+    // Two VCs (deliberately scarce) at load 1.5 on a 2x2 torus.
+    let mut cfg =
+        SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 2, 1.5);
+    cfg.radix = vec![2, 2];
+    cfg.queue_capacity = 4; // tiny queues make coupling immediate
+    cfg.service_time = 20;
+    cfg.warmup = 0;
+    cfg.measure = 0;
 
-    let mut sim = Simulator::new(cfg).expect("builder already validated");
+    let mut sim = Simulator::new(cfg).expect("PR is always configurable");
     sim.set_measuring(true);
     println!("2x2 torus, 2 VCs, 4-message queues, PAT271 at 1.5 flits/node/cycle\n");
 

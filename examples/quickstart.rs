@@ -28,15 +28,10 @@ fn main() {
         Scheme::DeflectiveRecovery,
         Scheme::ProgressiveRecovery,
     ] {
-        let cfg = SimConfig::builder()
-            .scheme(scheme)
-            .pattern(PatternSpec::pat271())
-            .vcs(vcs)
-            .load(load)
-            .windows(5_000, 15_000)
-            .build()
-            .expect("feasible configuration");
-        let mut sim = Simulator::new(cfg).expect("builder already validated");
+        let mut cfg = SimConfig::paper_default(scheme, PatternSpec::pat271(), vcs, load);
+        cfg.warmup = 5_000;
+        cfg.measure = 15_000;
+        let mut sim = Simulator::new(cfg).expect("feasible configuration");
         let r = sim.run();
         table.row(vec![
             scheme.label().to_string(),

@@ -25,16 +25,13 @@ fn main() {
         Scheme::DeflectiveRecovery,
         Scheme::ProgressiveRecovery,
     ] {
-        // The builder runs the scheme feasibility probe up front, so an
+        let mut cfg = SimConfig::paper_default(scheme, pattern.clone(), vcs, 0.0);
+        cfg.warmup = 4_000;
+        cfg.measure = 10_000;
+        // `validate` runs the scheme feasibility probe up front, so an
         // impossible combination surfaces here, not mid-sweep.
-        match SimConfig::builder()
-            .scheme(scheme)
-            .pattern(pattern.clone())
-            .vcs(vcs)
-            .windows(4_000, 10_000)
-            .build()
-        {
-            Ok(cfg) => {
+        match cfg.validate() {
+            Ok(()) => {
                 let report = Engine::new()
                     .submit_sweep(&cfg, &loads, scheme.label())
                     .wait();

@@ -28,14 +28,15 @@ fn main() {
 
     // Replay through the full simulator.
     let replay = TraceReplayTraffic::new(loaded, 16, 7);
-    let cfg = SimConfig::builder()
-        .scheme(Scheme::ProgressiveRecovery)
-        .pattern(CoherenceEngine::msi_pattern())
-        .vcs(4)
-        .radix(&[4, 4])
-        .windows(0, horizon)
-        .build()
-        .expect("configurable");
+    let mut cfg = SimConfig::paper_default(
+        Scheme::ProgressiveRecovery,
+        CoherenceEngine::msi_pattern(),
+        4,
+        0.0,
+    );
+    cfg.radix = vec![4, 4];
+    cfg.warmup = 0;
+    cfg.measure = horizon;
     let mut sim = Simulator::with_traffic(cfg, Box::new(replay)).expect("configurable");
     sim.set_measuring(true);
     sim.run_cycles(horizon);

@@ -78,8 +78,8 @@ pub mod prelude {
     pub use mdd_core::{
         build_waitfor_graph, deadlock_witness, default_loads, run_point, verify_config,
         verify_config_degraded, BnfCurve, BnfPoint, ConfigError, CycleWitness, PatternSpec,
-        ProtocolSpec, QueueOrg, Scheme, SchemeConfigError, SimConfig, SimConfigBuilder, SimResult,
-        Simulator, Verdict,
+        ProtocolSpec, QueueOrg, Scheme, SchemeConfigError, SimConfig, SimResult, Simulator,
+        Verdict,
     };
     pub use mdd_engine::{Engine, Job, PointError, PointFailure, SweepReport};
     pub use mdd_obs::{CounterId, Event as ObsEvent, ObsReport};

@@ -1,7 +1,7 @@
 //! Malformed input through the JSON codec yields a typed error, never a
 //! panic: protocol lines, cache lines and trace lines, cut short or with
 //! one byte replaced, nesting deep enough to overflow a recursive parser,
-//! and arbitrary bytes (also through the `--topo` parser).
+//! and arbitrary bytes (also through the `--radix` parser).
 
 use mdd_sim::engine::proto::{Request, SweepSpec};
 use mdd_sim::engine::{decode_line, encode_line};

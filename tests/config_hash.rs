@@ -60,9 +60,9 @@ const NUM_FIELDS: usize = 21;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The hash is a pure function of the field values: applying the
-    /// builder setters in a different order, or cloning, cannot change
-    /// the canonical form or the key.
+    /// The hash is a pure function of the field values: passing a field
+    /// to `paper_default` or assigning it afterwards, in any order, or
+    /// cloning, cannot change the canonical form or the key.
     #[test]
     fn hash_stable_under_construction_order(
         scheme in arb_scheme(),
@@ -70,18 +70,13 @@ proptest! {
         seed in 0u64..10_000,
         load in 0.0f64..0.9,
     ) {
-        let a = SimConfig::builder()
-            .scheme(scheme)
-            .vcs(vcs)
-            .seed(seed)
-            .load(load)
-            .build_unchecked();
-        let b = SimConfig::builder()
-            .load(load)
-            .seed(seed)
-            .vcs(vcs)
-            .scheme(scheme)
-            .build_unchecked();
+        let mut a = SimConfig::paper_default(scheme, PatternSpec::pat271(), vcs, load);
+        a.seed = seed;
+        let mut b = base();
+        b.load = load;
+        b.seed = seed;
+        b.vcs = vcs;
+        b.scheme = scheme;
         prop_assert_eq!(a.canonical_string(), b.canonical_string());
         prop_assert_eq!(a.content_hash_hex(), b.content_hash_hex());
         let c = a.clone();

@@ -17,14 +17,11 @@ fn curve(
     org: Option<QueueOrg>,
     max_load: f64,
 ) -> BnfCurve {
-    let cfg = SimConfig::builder()
-        .scheme(scheme)
-        .pattern(pattern)
-        .vcs(vcs)
-        .queue_org(org)
-        .windows(2_000, 5_000)
-        .build()
-        .expect("feasible");
+    let mut cfg = SimConfig::paper_default(scheme, pattern, vcs, 0.0);
+    cfg.queue_org = org;
+    cfg.warmup = 2_000;
+    cfg.measure = 5_000;
+    cfg.validate().expect("feasible");
     let loads = default_loads(0.10, max_load, 4);
     let label = org.map_or_else(
         || scheme.label().to_string(),

@@ -37,14 +37,10 @@ fn ladder_presets_build() {
             .map(u32::to_string)
             .collect::<Vec<_>>()
             .join("x");
-        let cfg = SimConfig::builder()
-            .topo(&spec)
-            .unwrap_or_else(|e| panic!("{spec}: {e}"))
-            .scheme(Scheme::ProgressiveRecovery)
-            .pattern(PatternSpec::pat100())
-            .load(0.01)
-            .build()
-            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let mut cfg =
+            SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat100(), 4, 0.01);
+        cfg.radix = SimConfig::parse_topo(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        cfg.validate().unwrap_or_else(|e| panic!("{spec}: {e}"));
         assert_eq!(cfg.radix, rung);
         let sim = Simulator::new(cfg).expect("ladder rung is feasible");
         let routers: u64 = rung.iter().map(|&k| u64::from(k)).product();
@@ -54,25 +50,20 @@ fn ladder_presets_build() {
 
 /// The port·VC budget check: the 128-bit occupancy masks bound
 /// `(2·dims + bristle) · vcs`, and crossing the bound is a typed error
-/// at `build()`, not a panic in the pipeline.
+/// from `validate()`, not a panic in the pipeline.
 #[test]
 fn vc_budget_is_validated_against_mask_width() {
+    let pr = |radix: &[u32], vcs: u8| {
+        let mut cfg =
+            SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), vcs, 0.1);
+        cfg.radix = radix.to_vec();
+        cfg
+    };
     // 4 dims + bristle 1 = 9 ports; 14 VCs = 126 slots still fits...
-    let ok = SimConfig::builder()
-        .radix(&[4, 4, 4, 4])
-        .scheme(Scheme::ProgressiveRecovery)
-        .vcs(14)
-        .load(0.1)
-        .build();
+    let ok = pr(&[4, 4, 4, 4], 14).validate();
     assert!(ok.is_ok(), "126 slots must fit the u128 masks: {ok:?}");
     // ...15 VCs = 135 slots does not.
-    let err = SimConfig::builder()
-        .radix(&[4, 4, 4, 4])
-        .scheme(Scheme::ProgressiveRecovery)
-        .vcs(15)
-        .load(0.1)
-        .build()
-        .unwrap_err();
+    let err = pr(&[4, 4, 4, 4], 15).validate().unwrap_err();
     match err {
         ConfigError::VcBudgetTooLarge { ports, vcs, slots } => {
             assert_eq!((ports, vcs, slots), (9, 15, 135));
@@ -81,7 +72,7 @@ fn vc_budget_is_validated_against_mask_width() {
     }
     // Too many dimensions is its own typed error, from both entry points.
     assert!(matches!(
-        SimConfig::builder().radix(&[2; 5]).build().unwrap_err(),
+        pr(&[2; 5], 4).validate().unwrap_err(),
         ConfigError::TooManyDimensions { dims: 5 }
     ));
     assert!(matches!(
