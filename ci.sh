@@ -180,8 +180,10 @@ diff -u results/verdicts.json "$GOLDEN_DIR/verdicts.json" || {
 echo "==> golden fault frontier (mdd-analyze --frontier is bit-for-bit reproducible)"
 # The committed command: every single-link fault plus 32 sampled
 # double-link faults, SA/DR/PR on 8x8 and 16x16, through the engine pool.
-frontier_out=$(./target/release/mdd-analyze --frontier --doubles 32 --out "$GOLDEN_DIR")
-echo "$frontier_out" | grep '^frontier: ' | sed 's/^/    /'
+# Two workers: the 10 s budget below was set for a two-worker pool (one
+# worker takes 10-12 s on the 16x16 PR sweep).
+frontier_out=$(./target/release/mdd-analyze --frontier --doubles 32 --jobs 2 --out "$GOLDEN_DIR")
+echo "$frontier_out" | grep '^frontier: ' | sed "s/^/    [nproc $(nproc)] /"
 diff -u results/fault_frontier.json "$GOLDEN_DIR/fault_frontier.json" || {
     echo "golden frontier: results/fault_frontier.json drifted from the analyzer;"
     echo "rerun ./target/release/mdd-analyze --frontier --doubles 32 --out results and commit"

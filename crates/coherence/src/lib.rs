@@ -24,12 +24,10 @@
 
 mod directory;
 mod engine;
-mod replay;
 mod traffic;
 
 pub use directory::{BlockState, Directory, LineState, TxnClass};
 pub use engine::{CoherenceEngine, CoherentAccess};
-pub use replay::{record_app_trace, TraceReplayTraffic};
 pub use traffic::CoherentTraffic;
 
 #[cfg(test)]

@@ -167,52 +167,3 @@ fn eviction_model_regenerates_traffic() {
         "no eviction: single cold miss then silent hits"
     );
 }
-
-#[test]
-fn trace_record_and_replay_is_deterministic() {
-    use mdd_traffic::TrafficSource;
-    let app = AppModel::radix();
-    let log = record_app_trace(&app, 16, 5_000, 11);
-    assert!(log.len() > 100, "radix generates plenty of accesses");
-    // Events are time-ordered within the horizon.
-    assert!(log.events().windows(2).all(|w| w[0].cycle <= w[1].cycle));
-    assert!(log.events().iter().all(|e| e.cycle < 5_000 && e.proc < 16));
-
-    // Two replays of the same trace produce identical transaction streams.
-    let run = |_: ()| {
-        let mut replay = TraceReplayTraffic::new(log.clone(), 16, 11);
-        let mut ids = IdAlloc::new();
-        let mut store = mdd_protocol::MessageStore::new();
-        let mut issued = Vec::new();
-        for c in 0..5_000u64 {
-            replay.tick(c, &mut ids, &mut store);
-            for p in 0..16 {
-                while let Some(h) = replay.pop_pending(mdd_topology::NicId(p)) {
-                    let m = store.remove(h);
-                    issued.push((m.src.0, m.dst.0, m.shape.0));
-                }
-            }
-        }
-        assert_eq!(replay.remaining_events(), 0);
-        issued
-    };
-    assert_eq!(run(()), run(()));
-}
-
-#[test]
-fn replay_roundtrips_through_the_text_format() {
-    use mdd_traffic::{TraceLog, TrafficSource};
-    let app = AppModel::water();
-    let log = record_app_trace(&app, 16, 2_000, 5);
-    let mut buf = Vec::new();
-    log.save(&mut buf).unwrap();
-    let loaded = TraceLog::load(std::io::BufReader::new(&buf[..])).unwrap();
-    assert_eq!(loaded.events(), log.events());
-    let mut replay = TraceReplayTraffic::new(loaded, 16, 5);
-    let mut ids = IdAlloc::new();
-    let mut store = mdd_protocol::MessageStore::new();
-    for c in 0..2_000u64 {
-        replay.tick(c, &mut ids, &mut store);
-    }
-    assert!(replay.generated() > 0, "water traces cause transactions");
-}

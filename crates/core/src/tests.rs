@@ -373,6 +373,42 @@ fn cwg_oracle_counts_checks() {
     );
 }
 
+/// The oracle's endpoint edges are the NIC's own rule
+/// (`Nic::head_blocker`): a deflective-recovery head that cannot start
+/// for want of a return-reply earmark waits, in the CWG, on the input
+/// queue it must earmark a slot in.
+#[test]
+fn cwg_earmark_wait_is_an_input_queue_edge() {
+    use mdd_nic::Blocker;
+    let cfg = small(Scheme::DeflectiveRecovery, PatternSpec::pat271(), 4, 0.6);
+    let mut sim = Simulator::new(cfg).unwrap();
+    let layout = crate::validate::resource_layout(&sim);
+    for _ in 0..20_000 {
+        sim.run_cycles(1);
+        let earmark_wait = sim.nics().iter().find_map(|nic| {
+            (0..nic.num_queues()).find_map(|q| match nic.head_blocker(q, sim.store()) {
+                Some(Blocker::Earmark { rq }) => Some((nic.id(), q, rq)),
+                _ => None,
+            })
+        });
+        if let Some((nic, q, rq)) = earmark_wait {
+            let g = build_waitfor_graph(&sim);
+            assert!(
+                g.has_edge(
+                    layout.in_queue_vertex(nic, q),
+                    layout.in_queue_vertex(nic, rq)
+                ),
+                "NIC {} input queue {q} waits on an earmark in queue {rq} at cycle {}, \
+                 but the CWG has no edge between them",
+                nic.index(),
+                sim.cycle()
+            );
+            return;
+        }
+    }
+    panic!("no head waited on a return-reply earmark in 20,000 cycles");
+}
+
 /// The paper's Section 4.3.2 mechanism, quantified: strict avoidance's
 /// per-type partitioning uses the virtual channels far less evenly than
 /// PR's fully shared routing at the same load.

@@ -17,14 +17,23 @@
 //! * a routed input VC waits on its allocated downstream VC; an unrouted
 //!   head waits on every routing candidate (downstream VCs, or the
 //!   destination NIC input queue for local candidates);
-//! * an input queue whose head is non-terminating waits on the output
-//!   queue of the head's subordinate type (terminating heads sink, so
-//!   such queues get no out-edge);
+//! * an input queue waits on what [`mdd_nic::Nic::head_blocker`] says
+//!   its head waits on, the one rule that memory-controller service, the
+//!   detectors, deflection and rescue also read: the output queue of the
+//!   head's subordinate type ([`Blocker::Output`]), or the input queue in
+//!   which its returning reply must earmark a slot ([`Blocker::Earmark`]).
+//!   A head that can start, or that sinks, gets no out-edge (backoff
+//!   replies never enter an input queue: they sink at ejection). An input
+//!   queue holding only earmarks has no head and so stays an escape,
+//!   though it waits on the transactions that hold the earmarks: an
+//!   under-approximation, never a false deadlock (the edge to the
+//!   earmark-holding transaction is ROADMAP item 1's);
 //! * an output queue with a head waits on the injection VC it is bound to
 //!   (if packetization started) or on every injection VC its head may use.
 
 use crate::sim::Simulator;
 use mdd_deadlock::{Resource, ResourceLayout, WaitForGraph};
+use mdd_nic::Blocker;
 use mdd_router::{RouteCandidate, Routing};
 use mdd_topology::PortId;
 
@@ -107,29 +116,15 @@ pub fn build_waitfor_graph(sim: &Simulator) -> WaitForGraph {
     for nic in nics {
         let nid = nic.id();
         for q in 0..nq {
-            // Input queue head waits on the subordinate's output queue.
-            if let Some(&h) = nic.in_queue(q).front() {
-                let head = store.get(h);
-                let shape = pattern.shape(head.shape);
-                let pos = head.chain_pos as usize;
-                // Sinkable heads and multicast join replies drain without
-                // output-queue space (conservatively treated as escapes;
-                // the final branch of a join does need space, so this can
-                // only under-approximate — never a false deadlock).
-                let sinkable =
-                    proto.is_terminating(head.mtype) || head.is_backoff || shape.is_join_reply(pos);
-                if !sinkable && !shape.is_last(pos) {
-                    let sub = shape.mtype(pos + 1);
-                    let oq = org.queue_index(proto, sub);
-                    // Only a full output queue blocks the memory
-                    // controller; otherwise the head will be serviced.
-                    if nic.out_queue(oq).is_full() {
-                        g.add_edge(
-                            layout.in_queue_vertex(nid, q),
-                            layout.out_queue_vertex(nid, oq),
-                        );
+            // Input queue head waits on what keeps it from starting.
+            if let Some(blocker) = nic.head_blocker(q, store) {
+                let to = match blocker {
+                    Blocker::Output { sub, .. } => {
+                        layout.out_queue_vertex(nid, org.queue_index(proto, sub))
                     }
-                }
+                    Blocker::Earmark { rq } => layout.in_queue_vertex(nid, rq),
+                };
+                g.add_edge(layout.in_queue_vertex(nid, q), to);
             }
             // Output queue head waits on injection VCs.
             if let Some(&h) = nic.out_queue(q).front() {

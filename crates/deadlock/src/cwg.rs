@@ -61,6 +61,11 @@ impl WaitForGraph {
         self.edges += 1;
     }
 
+    /// True if the arc `a → b` was added.
+    pub fn has_edge(&self, a: u32, b: u32) -> bool {
+        self.adj[a as usize].contains(&b)
+    }
+
     /// Strongly connected components (Tarjan, iterative), in reverse
     /// topological order.
     pub fn sccs(&self) -> Vec<Vec<u32>> {

@@ -172,10 +172,10 @@ impl Engine {
     /// base analysis once, group the fault points by
     /// [`fault_orbit_key`], re-verify one representative per orbit as a
     /// pool task, and replicate each orbit's outcome to its members in
-    /// the original enumeration order. Equivalent to
-    /// [`mdd_verify::classify_fault_points`] (both funnel through
-    /// [`FrontierReport::assemble`] and its debug cross-check), with the
-    /// per-orbit re-verdicts running in parallel.
+    /// the original enumeration order. The report is assembled by
+    /// [`FrontierReport::assemble`], whose debug cross-check re-derives
+    /// every point's rank on small topologies; it is the same at any
+    /// worker count.
     pub fn fault_frontier(&self, cfg: AnalysisConfig, faults: Vec<FaultSet>) -> FrontierReport {
         let base = Arc::new(BaseAnalysis::analyze(cfg));
         let mut keys: Vec<String> = Vec::new();

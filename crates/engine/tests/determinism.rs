@@ -116,34 +116,31 @@ fn cached_and_simulated_points_interleave_without_reordering_the_curve() {
     assert_eq!(curve_bits(&reference), curve_bits(&report));
 }
 
-/// The pool-parallel fault frontier must classify exactly like the
-/// sequential sweep in `mdd-verify`, point for point, at any worker
-/// count — orbit grouping plus parallel re-verdicts is a pure
-/// performance transformation.
+/// The pool-parallel fault frontier must classify identically, point
+/// for point, at one worker and at four: orbit grouping plus parallel
+/// re-verdicts is a pure performance transformation.
 #[test]
-fn fault_frontier_matches_sequential_classification() {
-    use mdd_verify::{classify_fault_points, single_link_faults, BaseAnalysis};
+fn fault_frontier_is_identical_at_any_worker_count() {
+    use mdd_verify::single_link_faults;
 
     let analysis = mdd_core::analysis_config(&small_cfg()).expect("small_cfg is feasible");
     let faults = single_link_faults(analysis.topo());
-
-    let sequential = {
-        let base = BaseAnalysis::analyze(analysis.clone());
-        classify_fault_points(&base, faults.clone())
+    let frontier_at = |workers: usize| {
+        let engine = Engine::builder().jobs(workers).build().expect("engine");
+        engine.fault_frontier(analysis.clone(), faults.clone())
     };
 
-    for workers in [1, 4] {
-        let engine = Engine::builder().jobs(workers).build().expect("engine");
-        let pooled = engine.fault_frontier(analysis.clone(), faults.clone());
-        assert_eq!(pooled.base_verdict, sequential.base_verdict);
-        assert_eq!(pooled.preserving, sequential.preserving);
-        assert_eq!(pooled.degrading, sequential.degrading);
-        assert_eq!(pooled.points.len(), sequential.points.len());
-        for (p, s) in pooled.points.iter().zip(&sequential.points) {
-            assert_eq!(
-                (p.label.as_str(), p.verdict, p.rank),
-                (s.label.as_str(), s.verdict, s.rank)
-            );
-        }
+    let serial = frontier_at(1);
+    let pooled = frontier_at(4);
+    assert_eq!(serial.points.len(), faults.len());
+    assert_eq!(pooled.base_verdict, serial.base_verdict);
+    assert_eq!(pooled.preserving, serial.preserving);
+    assert_eq!(pooled.degrading, serial.degrading);
+    assert_eq!(pooled.points.len(), serial.points.len());
+    for (p, s) in pooled.points.iter().zip(&serial.points) {
+        assert_eq!(
+            (p.label.as_str(), p.verdict, p.rank),
+            (s.label.as_str(), s.verdict, s.rank)
+        );
     }
 }

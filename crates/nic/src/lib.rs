@@ -31,7 +31,7 @@ mod queue;
 mod stats;
 
 pub use config::NicConfig;
-pub use nic::{Mc, Nic, RescueOutcome, ServicePlan};
+pub use nic::{Blocker, Mc, Nic, RescueOutcome, ServicePlan};
 pub use queue::MsgQueue;
 pub use stats::NicStats;
 

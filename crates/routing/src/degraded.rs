@@ -105,7 +105,7 @@ impl Routing for DegradedRouting<'_> {
                 let Some(nbr) = topo.neighbor(node, d, dir) else {
                     continue;
                 };
-                if self.faults.router_down(nbr) || dist[nbr.index()] >= here {
+                if dist[nbr.index()] >= here {
                     continue;
                 }
                 dirs[ndirs] = (topo.port(d, dir), d, dir);

@@ -1,18 +1,15 @@
 //! Fault sets: degraded-topology deltas for the static analyzer.
 //!
 //! A [`FaultSet`] is a sparse delta over a base [`Topology`]: a bitset of
-//! failed unidirectional inter-router links plus a bitset of failed
-//! routers. The base topology object is never mutated — every consumer
-//! (degraded routing, the verifier) interprets the pair
-//! `(topology, faults)` together, which is what makes fault sweeps cheap:
-//! one immutable topology, hundreds of tiny deltas.
+//! failed unidirectional inter-router links. The base topology object is
+//! never mutated — every consumer (degraded routing, the verifier)
+//! interprets the pair `(topology, faults)` together, which is what makes
+//! fault sweeps cheap: one immutable topology, hundreds of tiny deltas.
 //!
 //! Conventions:
 //! * links fail **bidirectionally**: [`FaultSet::fail_link`] takes one
 //!   directed end `(node, dim, dir)` and downs both directions of the
 //!   physical channel;
-//! * a failed router downs every link incident to it, and its NICs
-//!   neither generate nor receive traffic;
 //! * [`FaultSet::distance_field`] is the degraded-topology BFS distance
 //!   to a destination router ([`UNREACHABLE`] when disconnected) — the
 //!   geometry that degraded routing steers by.
@@ -22,10 +19,10 @@ use crate::geometry::Direction;
 use crate::torus::Topology;
 
 /// Distance-field value for a router that cannot reach the destination
-/// over the degraded topology (also assigned to failed routers).
+/// over the degraded topology.
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// A set of failed links and routers over a base [`Topology`].
+/// A set of failed links over a base [`Topology`].
 ///
 /// ```
 /// use mdd_topology::{Direction, FaultSet, NodeId, Topology, TopologyKind};
@@ -43,12 +40,8 @@ pub struct FaultSet {
     net_ports: usize,
     /// Bitset over `node * net_ports + port`: failed directed links.
     links: Vec<u64>,
-    /// Bitset over routers: failed routers.
-    routers: Vec<u64>,
-    /// Failed directed links, in failure order (for labels and dirtiness).
+    /// Failed links, in failure order (for labels and orbit keys).
     failed_links: Vec<(NodeId, usize, Direction)>,
-    /// Failed routers, in failure order.
-    failed_routers: Vec<NodeId>,
 }
 
 impl FaultSet {
@@ -59,27 +52,19 @@ impl FaultSet {
         FaultSet {
             net_ports,
             links: vec![0; nbits.div_ceil(64)],
-            routers: vec![0; (topo.num_routers() as usize).div_ceil(64)],
             failed_links: Vec::new(),
-            failed_routers: Vec::new(),
         }
     }
 
     /// True when nothing has failed: the degraded topology *is* the base
     /// topology, and every consumer short-circuits to the base behavior.
     pub fn is_empty(&self) -> bool {
-        self.failed_links.is_empty() && self.failed_routers.is_empty()
+        self.failed_links.is_empty()
     }
 
-    /// Number of failed bidirectional links (router-incident downs not
-    /// included — see [`FaultSet::num_failed_routers`]).
+    /// Number of failed bidirectional links.
     pub fn num_failed_links(&self) -> usize {
         self.failed_links.len()
-    }
-
-    /// Number of failed routers.
-    pub fn num_failed_routers(&self) -> usize {
-        self.failed_routers.len()
     }
 
     fn link_bit(&self, node: NodeId, d: usize, dir: Direction) -> usize {
@@ -107,79 +92,44 @@ impl FaultSet {
         self.failed_links.push((node, d, dir));
     }
 
-    /// Fail router `node`: the router itself plus every incident link.
-    pub fn fail_router(&mut self, topo: &Topology, node: NodeId) {
-        if self.router_down(node) {
-            return;
-        }
-        self.routers[node.index() / 64] |= 1 << (node.index() % 64);
-        self.failed_routers.push(node);
-        for d in 0..topo.dims() {
-            for dir in [Direction::Plus, Direction::Minus] {
-                if let Some(peer) = topo.neighbor(node, d, dir) {
-                    // Mark both directed ends down without recording a
-                    // separate link fault (the router fault subsumes it).
-                    self.set_link_bit(node, d, dir);
-                    self.set_link_bit(peer, d, dir.opposite());
-                }
-            }
-        }
-    }
-
     /// True when the directed link leaving `node` in `dir` along `d` is
-    /// down (either failed directly or incident to a failed router).
+    /// down.
     #[inline]
     pub fn link_down(&self, node: NodeId, d: usize, dir: Direction) -> bool {
         let b = self.link_bit(node, d, dir);
         (self.links[b / 64] >> (b % 64)) & 1 == 1
     }
 
-    /// True when router `node` has failed.
-    #[inline]
-    pub fn router_down(&self, node: NodeId) -> bool {
-        (self.routers[node.index() / 64] >> (node.index() % 64)) & 1 == 1
-    }
-
-    /// The directly failed links, in failure order (one entry per
+    /// The failed links, in failure order (one entry per
     /// bidirectional channel, as passed to [`FaultSet::fail_link`]).
     pub fn failed_links(&self) -> &[(NodeId, usize, Direction)] {
         &self.failed_links
     }
 
-    /// The failed routers, in failure order.
-    pub fn failed_routers(&self) -> &[NodeId] {
-        &self.failed_routers
-    }
-
-    /// A short stable label for reports: `link r12+d0 | router r3`,
-    /// `+`-joined for compound fault sets, `none` when empty.
+    /// A short stable label for reports: `link r12+d0`, `+`-joined for
+    /// compound fault sets, `none` when empty.
     pub fn label(&self) -> String {
         if self.is_empty() {
             return "none".to_string();
         }
-        let mut parts: Vec<String> = self
-            .failed_routers
+        let parts: Vec<String> = self
+            .failed_links
             .iter()
-            .map(|r| format!("router r{}", r.index()))
+            .map(|&(n, d, dir)| {
+                let sign = if dir == Direction::Plus { '+' } else { '-' };
+                format!("link r{}{}d{}", n.index(), sign, d)
+            })
             .collect();
-        parts.extend(self.failed_links.iter().map(|&(n, d, dir)| {
-            let sign = if dir == Direction::Plus { '+' } else { '-' };
-            format!("link r{}{}d{}", n.index(), sign, d)
-        }));
         parts.join(" + ")
     }
 
     /// BFS hop distances to `dst` over the degraded topology: entry `n`
     /// is the minimum number of live hops from router `n` to `dst`, or
-    /// [`UNREACHABLE`] when no live path exists (failed routers
-    /// included). With an empty fault set this equals
+    /// [`UNREACHABLE`] when no live path exists. With an empty fault set this equals
     /// [`Topology::distance`] everywhere.
     pub fn distance_field(&self, topo: &Topology, dst: NodeId) -> Vec<u32> {
         let nr = topo.num_routers() as usize;
         let mut dist = vec![UNREACHABLE; nr];
-        if self.router_down(dst) {
-            return dist;
-        }
         dist[dst.index()] = 0;
         let mut frontier = vec![dst];
         let mut next = Vec::new();
@@ -194,10 +144,7 @@ impl FaultSet {
                         let Some(y) = topo.neighbor(x, d, dir) else {
                             continue;
                         };
-                        if dist[y.index()] != UNREACHABLE
-                            || self.router_down(y)
-                            || self.link_down(y, d, dir.opposite())
-                        {
+                        if dist[y.index()] != UNREACHABLE || self.link_down(y, d, dir.opposite()) {
                             continue;
                         }
                         dist[y.index()] = hops;

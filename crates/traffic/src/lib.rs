@@ -17,12 +17,10 @@
 mod apps;
 mod source;
 mod synthetic;
-mod trace;
 
 pub use apps::{AppModel, AppPhase};
 pub use source::TrafficSource;
 pub use synthetic::{DestPattern, SyntheticTraffic};
-pub use trace::{TraceEvent, TraceLog};
 
 #[cfg(test)]
 mod tests;

@@ -177,33 +177,3 @@ fn app_access_streams_are_deterministic_and_partitioned() {
         }
     }
 }
-
-#[test]
-fn trace_roundtrip() {
-    let mut log = TraceLog::new();
-    for i in 0..50u64 {
-        log.push(TraceEvent {
-            cycle: i * 3,
-            proc: (i % 16) as u32,
-            addr: i * 7,
-            write: i % 2 == 0,
-        });
-    }
-    let mut buf = Vec::new();
-    log.save(&mut buf).unwrap();
-    let loaded = TraceLog::load(std::io::BufReader::new(&buf[..])).unwrap();
-    assert_eq!(loaded.events(), log.events());
-}
-
-#[test]
-fn trace_parser_rejects_garbage() {
-    let bad = b"12 3 4 x\n" as &[u8];
-    assert!(TraceLog::load(std::io::BufReader::new(bad)).is_err());
-    let short = b"12 3\n" as &[u8];
-    assert!(TraceLog::load(std::io::BufReader::new(short)).is_err());
-    let ok = b"# comment\n\n12 3 4 w\n" as &[u8];
-    assert_eq!(
-        TraceLog::load(std::io::BufReader::new(ok)).unwrap().len(),
-        1
-    );
-}

@@ -113,21 +113,17 @@ pub(crate) fn peel_with(cdg: &StaticCdg<'_>, extra: &[(u32, u32)]) -> PeelOutcom
     }
 }
 
-/// Extract a minimal cycle witness from the unsafe residue of `outcome`.
+/// Extract a minimal cycle witness from the unsafe residue of `outcome`,
+/// the result of [`peel_with`] over the same `extra` OR-wait edges: they
+/// must shape the residual graph too, or the cycle shown could be one the
+/// overlaid peel already discharged.
 ///
 /// The residual graph keeps only unsafe vertices; each unsafe class
 /// contributes arcs from every vertex it can occupy to each of its (still
 /// unsafe) candidates. The first cyclic SCC yields a simple cycle, which
 /// is rendered through the shared [`ResourceLayout`] trace format with
 /// one occupant note per resource.
-pub(crate) fn witness(cdg: &StaticCdg<'_>, outcome: &PeelOutcome) -> Option<CycleWitness> {
-    witness_with(cdg, outcome, &[])
-}
-
-/// Witness extraction over the residue of [`peel_with`]: the same extra
-/// OR-wait edges must shape the residual graph, or the cycle shown could
-/// be one the overlaid peel already discharged.
-pub(crate) fn witness_with(
+pub(crate) fn witness(
     cdg: &StaticCdg<'_>,
     outcome: &PeelOutcome,
     extra: &[(u32, u32)],

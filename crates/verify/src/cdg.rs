@@ -38,7 +38,7 @@ use mdd_protocol::{
 };
 use mdd_router::{PacketState, RouteCandidate, Routing};
 use mdd_routing::Scheme;
-use mdd_topology::{FaultSet, NicId, NodeId};
+use mdd_topology::{NicId, NodeId};
 
 /// One way a resource vertex can be occupied, for witness rendering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -339,18 +339,14 @@ fn scratch_packet(t: MsgType) -> (MessageStore, PacketState) {
 /// The static CDG of `input` over `routing`: every (net type,
 /// destination) packet segment, type-major, then the endpoint segment,
 /// assembled. `routing` is the scheme's base function for a pristine
-/// analysis or a fault-steered `DegradedRouting` under `faults`.
+/// analysis or a fault-steered `DegradedRouting` for a degraded one.
 ///
 /// A type routing-interchangeable with an earlier one
 /// ([`interchangeable_earlier_type`]) skips its BFS: each of its segments
 /// is the earlier type's, retyped ([`retype_segment`]). This is the only
 /// construction the analyses run; `verify_faulted` builds every segment
 /// underived and the agreement tests hold the two equal.
-pub(crate) fn cdg<'a>(
-    input: &VerifyInput<'a>,
-    routing: &dyn Routing,
-    faults: Option<&FaultSet>,
-) -> StaticCdg<'a> {
+pub(crate) fn cdg<'a>(input: &VerifyInput<'a>, routing: &dyn Routing) -> StaticCdg<'a> {
     let layout = crate::layout_for(input);
     let types = net_types(input);
     let guaranteed = guaranteed_ejection(input);
@@ -365,20 +361,12 @@ pub(crate) fn cdg<'a>(
                     t,
                     eject_patch(input, &layout, t0, t, dst),
                 ),
-                None => packet_segment(
-                    input,
-                    routing,
-                    &layout,
-                    t,
-                    dst,
-                    guaranteed[t.index()],
-                    faults,
-                ),
+                None => packet_segment(input, routing, &layout, t, dst, guaranteed[t.index()]),
             };
             packet.push(seg);
         }
     }
-    let endpoint = endpoint_segment(input, &layout, faults);
+    let endpoint = endpoint_segment(input, &layout);
     assemble(input, packet.iter().chain(std::iter::once(&endpoint)))
 }
 
@@ -427,12 +415,9 @@ fn eject_patch(
 /// function. `routing` is the scheme's base function for a pristine
 /// analysis, or a fault-steered `DegradedRouting` for a degraded one.
 ///
-/// Under faults, endpoints on failed routers neither generate nor receive
-/// traffic: a destination on a failed router yields an empty segment, and
-/// sources on failed routers are not seeded. A reachable state whose
-/// candidate set comes back *empty* (stranded mid-route by the fault set)
-/// is kept as a non-sink class with no candidates — the classifier turns
-/// it into an `Unsafe` verdict.
+/// A reachable state whose candidate set comes back *empty* (stranded
+/// mid-route by the fault set) is kept as a non-sink class with no
+/// candidates — the classifier turns it into an `Unsafe` verdict.
 pub(crate) fn packet_segment(
     input: &VerifyInput<'_>,
     routing: &dyn Routing,
@@ -440,7 +425,6 @@ pub(crate) fn packet_segment(
     t: MsgType,
     dst: NicId,
     guaranteed_t: bool,
-    faults: Option<&FaultSet>,
 ) -> Segment {
     let topo = input.topo;
     let proto = input.pattern.protocol();
@@ -448,9 +432,6 @@ pub(crate) fn packet_segment(
     let qi = input.queue_org.queue_index(proto, t);
     let dst_router = topo.nic_router(dst);
     let mut seg = Segment::default();
-    if faults.is_some_and(|f| f.router_down(dst_router)) {
-        return seg;
-    }
 
     let (_store, mut pkt) = scratch_packet(t);
     let mut inj_buf: Vec<u8> = Vec::new();
@@ -487,9 +468,6 @@ pub(crate) fn packet_segment(
             continue;
         }
         let r = topo.nic_router(src);
-        if faults.is_some_and(|f| f.router_down(r)) {
-            continue;
-        }
         let c = intern_state(&mut state_class, &mut stack, &mut seg, masks, r, 0, t, dst);
         let lp = topo.local_port(topo.nic_local_index(src));
         for &v in &inj_buf {
@@ -545,15 +523,9 @@ pub(crate) fn packet_segment(
 
 /// Endpoint classes: the paper's `≺` edges (chain heads in input queues
 /// waiting on their subordinate's output queue, plus DR's earmark
-/// AND-waits) followed by output-queue injection waits. Endpoints on
-/// failed routers are skipped — they neither serve nor generate traffic.
-/// Deflective recovery's credit edges are returned alongside as the
+/// AND-waits) followed by output-queue injection waits. Deflective recovery's credit edges are returned alongside as the
 /// segment's `deflection_extra` overlay rather than baked into `cands`.
-pub(crate) fn endpoint_segment(
-    input: &VerifyInput<'_>,
-    layout: &ResourceLayout,
-    faults: Option<&FaultSet>,
-) -> Segment {
+pub(crate) fn endpoint_segment(input: &VerifyInput<'_>, layout: &ResourceLayout) -> Segment {
     let topo = input.topo;
     let proto = input.pattern.protocol();
     let org = input.queue_org;
@@ -561,7 +533,6 @@ pub(crate) fn endpoint_segment(
     let bkf = proto.backoff_type();
     let mut seg = Segment::default();
     let mut cand_pairs: Vec<(u32, u32)> = Vec::new();
-    let nic_down = |nic: NicId| faults.is_some_and(|f| f.router_down(topo.nic_router(nic)));
 
     // --- Endpoint input-queue classes. A non-terminating, non-final head
     // --- waits on its subordinate's output queue; terminating heads sink
@@ -578,9 +549,6 @@ pub(crate) fn endpoint_segment(
             let sub_q = org.queue_index(proto, sub);
             let deflectable = dr && proto.kind(sub) == MsgKind::Request;
             for nic in topo.nics() {
-                if nic_down(nic) {
-                    continue;
-                }
                 let vtx = layout.in_queue_vertex(nic, qi);
                 let c = seg.push_class(ClassKind::InHead { shape: sid, pos });
                 cand_pairs.push((c, layout.out_queue_vertex(nic, sub_q)));
@@ -616,9 +584,6 @@ pub(crate) fn endpoint_segment(
         input.routing.injection_vcs(&pkt, &mut inj_buf);
         let oq = org.queue_index(proto, t);
         for nic in topo.nics() {
-            if nic_down(nic) {
-                continue;
-            }
             let r = topo.nic_router(nic);
             let lp = topo.local_port(topo.nic_local_index(nic));
             let vtx = layout.out_queue_vertex(nic, oq);

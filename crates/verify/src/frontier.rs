@@ -1,7 +1,7 @@
 //! Fault-frontier sweeps: a scheme's static robustness margin.
 //!
 //! For a base configuration and a set of fault points (single failed
-//! links, sampled double links, failed routers), classify each point as
+//! links, sampled double links), classify each point as
 //! *verdict-preserving* (the degraded verdict keeps the base verdict's
 //! rank) or *verdict-degrading* (the rank drops — e.g. `ProvenFree` →
 //! `Unsafe`). The aggregate is the configuration's fault frontier: how
@@ -31,7 +31,6 @@
 
 use crate::incremental::{BaseAnalysis, FaultOutcome};
 use mdd_obs::{counter_add, CounterId, Json};
-use mdd_routing::Scheme;
 use mdd_topology::{Direction, FaultSet, NodeId, Topology, TopologyKind};
 
 /// Whether a fault point keeps or lowers the base verdict's rank.
@@ -72,23 +71,6 @@ pub struct FrontierReport {
     pub degrading: usize,
 }
 
-/// Resolve one fault's verdict rank from its orbit-memoized graph
-/// outcome plus the position-dependent mechanism checks — exactly the
-/// branch structure of the full classifier, minus witness construction.
-pub fn fault_rank(base: &BaseAnalysis, fault: &FaultSet, outcome: FaultOutcome) -> u8 {
-    match outcome {
-        FaultOutcome::Stranded => 0,
-        FaultOutcome::AllSafe => 2,
-        FaultOutcome::Residue { deflectable } => match base.config().scheme() {
-            Scheme::StrictAvoidance { .. } => 0,
-            Scheme::DeflectiveRecovery => u8::from(deflectable),
-            Scheme::ProgressiveRecovery => {
-                u8::from(crate::pr_ring_intact(base.config().topo(), Some(fault)))
-            }
-        },
-    }
-}
-
 /// The verdict name corresponding to a rank (the frontier never carries
 /// witnesses, so the rank determines the name).
 fn rank_name(rank: u8) -> &'static str {
@@ -101,12 +83,13 @@ fn rank_name(rank: u8) -> &'static str {
 
 impl FrontierReport {
     /// Assemble a report from evaluated `(fault, outcome)` pairs and bump
-    /// the `fault_points_classified` counter. This is the single
-    /// assembly point shared by the sequential sweep below and the
-    /// engine's pool-parallel sweep. In debug builds on topologies with
-    /// ≤ 64 routers, every point's rank is re-derived by the full
-    /// re-verdict (itself cross-checked from scratch) and
-    /// must agree — the guardrail that keeps orbit memoization honest.
+    /// the `fault_points_classified` counter: the assembly step of the
+    /// engine's pool-parallel sweep. Each point's rank is its outcome
+    /// judged by [`FaultOutcome::rank`] with its own ring check. In debug
+    /// builds on topologies with ≤ 64 routers, every point's rank is
+    /// re-derived by the full re-verdict (itself cross-checked from
+    /// scratch) and must agree — the guardrail that keeps orbit
+    /// memoization honest.
     pub fn assemble(
         base: &BaseAnalysis,
         evaluated: Vec<(FaultSet, FaultOutcome)>,
@@ -119,10 +102,13 @@ impl FrontierReport {
             preserving: 0,
             degrading: 0,
         };
+        let cfg = base.config();
         for (fault, outcome) in evaluated {
-            let rank = fault_rank(base, &fault, outcome);
+            let rank = outcome.rank(cfg.scheme(), || {
+                crate::pr_ring_intact(cfg.topo(), Some(&fault))
+            });
             #[cfg(debug_assertions)]
-            if base.config().topo().num_routers() <= 64 {
+            if cfg.topo().num_routers() <= 64 {
                 let full = base.reverify(&fault);
                 assert_eq!(
                     (full.rank(), full.name()),
@@ -195,18 +181,17 @@ fn translate_along(topo: &Topology, node: NodeId, d: usize, t: u32) -> NodeId {
 
 /// The orbit key of a fault set under the symmetry the degraded analysis
 /// actually has: translation along the failed links' own dimension. For a
-/// torus fault set whose failed links all lie in one dimension `d` (and
-/// no failed routers), the key is the lexicographically smallest
-/// rendering over all `radix(d)` slides along `d`. Everything else —
-/// meshes, router faults, links spanning several dimensions — is its own
-/// orbit (`FaultSet::label`): full translation is *not* used because the
-/// dateline-classed escape VCs make the outcome depend on the fault's
-/// position relative to the datelines of every other dimension.
+/// torus fault set whose failed links all lie in one dimension `d`, the
+/// key is the lexicographically smallest rendering over all `radix(d)`
+/// slides along `d`. Everything else — meshes, links spanning several
+/// dimensions — is its own orbit (`FaultSet::label`): full translation
+/// is *not* used because the dateline-classed escape VCs make the
+/// outcome depend on the fault's position relative to the datelines of
+/// every other dimension.
 pub fn fault_orbit_key(topo: &Topology, fault: &FaultSet) -> String {
     let links = fault.failed_links();
     if topo.kind() != TopologyKind::Torus
         || links.is_empty()
-        || fault.num_failed_routers() > 0
         || links.iter().any(|&(_, d, _)| d != links[0].1)
     {
         return fault.label();
@@ -228,30 +213,6 @@ pub fn fault_orbit_key(topo: &Topology, fault: &FaultSet) -> String {
         }
     }
     best.expect("non-empty link set yields a key")
-}
-
-/// Sequentially classify `faults` against `base`, memoizing graph
-/// outcomes by fault orbit ([`fault_orbit_key`]) and resolving the
-/// position-dependent mechanism checks per fault. The engine's
-/// pool-parallel sweep performs the same grouping with one pool task per
-/// orbit representative; both paths funnel through
-/// [`FrontierReport::assemble`] and its debug cross-check.
-pub fn classify_fault_points(base: &BaseAnalysis, faults: Vec<FaultSet>) -> FrontierReport {
-    let mut memo: Vec<(String, FaultOutcome)> = Vec::new();
-    let mut evaluated: Vec<(FaultSet, FaultOutcome)> = Vec::with_capacity(faults.len());
-    for fault in faults {
-        let key = fault_orbit_key(base.config().topo(), &fault);
-        let outcome = match memo.iter().find(|(k, _)| *k == key) {
-            Some(&(_, o)) => o,
-            None => {
-                let o = base.reverify_outcome(&fault);
-                memo.push((key, o));
-                o
-            }
-        };
-        evaluated.push((fault, outcome));
-    }
-    FrontierReport::assemble(base, evaluated)
 }
 
 /// Deterministically sample `count` distinct double-link fault sets from

@@ -106,7 +106,7 @@ impl BaseAnalysis {
     fn degraded_cdg(&self, faults: &FaultSet) -> cdg::StaticCdg<'_> {
         let fields = faults.distance_fields(&self.cfg.topo);
         let degraded = DegradedRouting::new(&self.cfg.routing, faults, &fields);
-        cdg::cdg(&self.cfg.input(), &degraded, Some(faults))
+        cdg::cdg(&self.cfg.input(), &degraded)
     }
 
     /// Re-classify the configuration with `faults` applied. In debug
@@ -119,9 +119,7 @@ impl BaseAnalysis {
         }
         let input = self.cfg.input();
         let topo = &self.cfg.topo;
-        let graph = self.degraded_cdg(faults);
-        let verdict = classify_graph(&input, topo, Some(faults), &graph);
-        drop(graph);
+        let verdict = classify_graph(&input, topo, Some(faults), &self.degraded_cdg(faults));
 
         #[cfg(debug_assertions)]
         if topo.num_routers() <= 256 {
@@ -139,30 +137,11 @@ impl BaseAnalysis {
     /// The mechanism-independent graph outcome of the degraded analysis,
     /// *without* witness construction — the fast path the fault-frontier
     /// sweep memoizes per fault orbit. The position-dependent mechanism
-    /// checks (progressive recovery's ring liveness) are applied per
-    /// fault by the caller; everything computed here is
+    /// check (progressive recovery's ring liveness) is applied per fault
+    /// by [`FaultOutcome::rank`]; everything computed here is
     /// translation-equivariant.
     pub fn reverify_outcome(&self, faults: &FaultSet) -> FaultOutcome {
-        if faults.is_empty() {
-            return match self.base_verdict.rank() {
-                2 => FaultOutcome::AllSafe,
-                _ => FaultOutcome::Residue {
-                    deflectable: self.base_verdict.rank() == 1
-                        && matches!(self.cfg.scheme, Scheme::DeflectiveRecovery),
-                },
-            };
-        }
-        let graph = self.degraded_cdg(faults);
-        if crate::strand_witness(&graph).is_some() {
-            return FaultOutcome::Stranded;
-        }
-        if crate::analyze::peel(&graph).all_safe {
-            return FaultOutcome::AllSafe;
-        }
-        let deflectable = matches!(self.cfg.scheme, Scheme::DeflectiveRecovery)
-            && self.cfg.pattern.protocol().backoff_type().is_some()
-            && crate::analyze::peel_with(&graph, &graph.deflection_extra).all_safe;
-        FaultOutcome::Residue { deflectable }
+        crate::graph_outcome(&self.cfg.input(), &self.degraded_cdg(faults)).0
     }
 }
 
@@ -184,6 +163,28 @@ pub enum FaultOutcome {
         /// reply.
         deflectable: bool,
     },
+}
+
+impl FaultOutcome {
+    /// The verdict rank ([`Verdict::rank`]) this outcome earns under
+    /// `scheme`: the one rank decision, read by the full classifier and
+    /// the fault-frontier sweep alike. Strict avoidance has no drain
+    /// mechanism, so a residue is fatal; deflective recovery drains it
+    /// when every cycle is deflectable; progressive recovery drains any
+    /// blocked resource its token can reach, so it asks `ring_intact`
+    /// (the recovery ring tours every router and NIC, and under faults
+    /// its lane is still walkable).
+    pub fn rank(self, scheme: Scheme, ring_intact: impl FnOnce() -> bool) -> u8 {
+        match self {
+            FaultOutcome::Stranded => 0,
+            FaultOutcome::AllSafe => 2,
+            FaultOutcome::Residue { deflectable } => match scheme {
+                Scheme::StrictAvoidance { .. } => 0,
+                Scheme::DeflectiveRecovery => u8::from(deflectable),
+                Scheme::ProgressiveRecovery => u8::from(ring_intact()),
+            },
+        }
+    }
 }
 
 /// From-scratch static classification of `input` with `faults` applied:
@@ -214,11 +215,10 @@ pub fn verify_faulted(input: &VerifyInput<'_>, faults: &FaultSet) -> Verdict {
                 t,
                 dst,
                 guaranteed[t.index()],
-                Some(faults),
             ));
         }
     }
-    let ep = cdg::endpoint_segment(input, &layout, Some(faults));
+    let ep = cdg::endpoint_segment(input, &layout);
     let graph = cdg::assemble(input, packet.iter().chain(std::iter::once(&ep)));
     classify_graph(input, topo, Some(faults), &graph)
 }

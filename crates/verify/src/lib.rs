@@ -54,8 +54,7 @@ use mdd_routing::{Scheme, SchemeRouting};
 use mdd_topology::{Direction, RecoveryRing, Topology, TopologyKind, UNREACHABLE};
 
 pub use frontier::{
-    classify_fault_points, fault_orbit_key, fault_rank, sampled_double_link_faults, FaultClass,
-    FaultPoint, FrontierReport,
+    fault_orbit_key, sampled_double_link_faults, FaultClass, FaultPoint, FrontierReport,
 };
 pub use incremental::{verify_faulted, AnalysisConfig, BaseAnalysis, FaultOutcome};
 pub use synthesis::{min_safe_vcs, MinVcReport};
@@ -261,86 +260,84 @@ fn fold_radix(k: u32) -> u32 {
 /// `ring_topo`: the body of [`verify`] on the input or folded topology,
 /// and the reference its orbit quotient is checked against.
 fn classify(input: &VerifyInput<'_>, ring_topo: &Topology) -> Verdict {
-    classify_graph(
-        input,
-        ring_topo,
-        None,
-        &cdg::cdg(input, input.routing, None),
-    )
+    classify_graph(input, ring_topo, None, &cdg::cdg(input, input.routing))
 }
 
-/// Classify an assembled CDG: the shared verdict logic for the pristine
-/// path ([`classify`]) and the degraded ones (`BaseAnalysis`,
-/// `verify_faulted`). Deflective recovery's credited pass re-peels the
-/// *same* graph with its `deflection_extra` OR-wait overlay instead of
-/// assembling a second copy.
+/// Classify an assembled CDG: the one verdict for the pristine path
+/// ([`classify`]) and the degraded ones (`BaseAnalysis`,
+/// `verify_faulted`). The rank is [`graph_outcome`] judged by
+/// [`FaultOutcome::rank`], the same decision the fault-frontier sweep
+/// makes without a witness; this adds only the witness.
 fn classify_graph(
     input: &VerifyInput<'_>,
     ring_topo: &Topology,
     faults: Option<&FaultSet>,
     graph: &cdg::StaticCdg<'_>,
 ) -> Verdict {
-    // A stranded occupant — a non-sink class that can hold a resource but
-    // has *no* admissible wait candidate — wedges its channel permanently
-    // regardless of scheme: no drain mechanism can conjure a live route.
-    // (Only degraded topologies produce these; a pristine routing function
-    // always offers at least the escape channel.)
-    if let Some(witness) = strand_witness(graph) {
+    let (outcome, residue) = graph_outcome(input, graph);
+    let witness = match outcome {
+        FaultOutcome::AllSafe => {
+            counter_add(CounterId::VerifyProvenFree, 1);
+            return Verdict::ProvenFree;
+        }
+        FaultOutcome::Stranded => strand_witness(graph),
+        FaultOutcome::Residue { .. } => {
+            residue.and_then(|(peel, overlay)| analyze::witness(graph, &peel, overlay))
+        }
+    }
+    .expect("a strand-free unsafe residue always contains a cycle");
+    if outcome.rank(input.scheme, || pr_ring_intact(ring_topo, faults)) == 1 {
+        Verdict::RecoverableCycles { witness }
+    } else {
         counter_add(CounterId::VerifyUnsafe, 1);
-        return Verdict::Unsafe { witness };
+        Verdict::Unsafe { witness }
+    }
+}
+
+/// The residue a witness cycle is drawn from: the last peel that left
+/// vertices unsafe and the OR-wait overlay it ran with.
+type Residue<'g> = (analyze::PeelOutcome, &'g [(u32, u32)]);
+
+/// What the dependency graph itself says, before a scheme's drain
+/// mechanism is consulted, plus the residue of a [`FaultOutcome::Residue`].
+///
+/// A stranded occupant — a non-sink class that can hold a resource but
+/// has *no* admissible wait candidate — wedges its channel permanently
+/// regardless of scheme: no drain mechanism can conjure a live route.
+/// (Only degraded topologies produce these; a pristine routing function
+/// always offers at least the escape channel.) Otherwise the escape peel
+/// decides, and under deflective recovery with a backoff type a second
+/// peel credits backoff-reply convertibility: a blocked head whose
+/// subordinate is a *request* may instead be deflected into a backoff
+/// reply, so it alternatively waits on the backoff type's output queue
+/// (which drains through the statically safe reply network). The credited
+/// pass re-peels the *same* graph with its `deflection_extra` overlay
+/// instead of assembling a second copy.
+fn graph_outcome<'g>(
+    input: &VerifyInput<'_>,
+    graph: &'g cdg::StaticCdg<'_>,
+) -> (FaultOutcome, Option<Residue<'g>>) {
+    if strand_witness(graph).is_some() {
+        return (FaultOutcome::Stranded, None);
     }
     let peel = analyze::peel(graph);
     if peel.all_safe {
-        counter_add(CounterId::VerifyProvenFree, 1);
-        return Verdict::ProvenFree;
+        return (FaultOutcome::AllSafe, None);
     }
-    let witness = analyze::witness(graph, &peel)
-        .expect("a strand-free unsafe residue always contains a cycle");
-
-    match input.scheme {
-        Scheme::StrictAvoidance { .. } => {
-            // Avoidance has no drain mechanism: a residual cycle is fatal.
-            counter_add(CounterId::VerifyUnsafe, 1);
-            Verdict::Unsafe { witness }
-        }
-        Scheme::DeflectiveRecovery => {
-            let proto = input.pattern.protocol();
-            if proto.backoff_type().is_none() {
-                // Nothing to convert blocked requests into: cycles stand.
-                counter_add(CounterId::VerifyUnsafe, 1);
-                return Verdict::Unsafe { witness };
-            }
-            // Re-run the peel crediting backoff-reply convertibility: a
-            // blocked head whose subordinate is a *request* may instead be
-            // deflected into a backoff reply, so it alternatively waits on
-            // the backoff type's output queue (which drains through the
-            // statically safe reply network). If everything now peels,
-            // every residual cycle of the base graph is deflectable.
-            let peel2 = analyze::peel_with(graph, &graph.deflection_extra);
-            if peel2.all_safe {
-                Verdict::RecoverableCycles { witness }
-            } else {
-                let witness = analyze::witness_with(graph, &peel2, &graph.deflection_extra)
-                    .expect("a strand-free unsafe residue always contains a cycle");
-                counter_add(CounterId::VerifyUnsafe, 1);
-                Verdict::Unsafe { witness }
-            }
-        }
-        Scheme::ProgressiveRecovery => {
-            // Extended Disha Sequential drains any blocked resource the
-            // circulating token can reach: check the recovery ring tours
-            // every router *and* every NIC (the paper's extension), so
-            // both routing- and message-dependent cycles are rescuable
-            // over the exclusive lane. Under faults the lane must also
-            // still be walkable: see [`pr_ring_intact`].
-            if pr_ring_intact(ring_topo, faults) {
-                Verdict::RecoverableCycles { witness }
-            } else {
-                counter_add(CounterId::VerifyUnsafe, 1);
-                Verdict::Unsafe { witness }
-            }
+    let credited = matches!(input.scheme, Scheme::DeflectiveRecovery)
+        && input.pattern.protocol().backoff_type().is_some();
+    if credited {
+        let overlay = graph.deflection_extra.as_slice();
+        let credited_peel = analyze::peel_with(graph, overlay);
+        if !credited_peel.all_safe {
+            let residue = (credited_peel, overlay);
+            return (FaultOutcome::Residue { deflectable: false }, Some(residue));
         }
     }
+    let outcome = FaultOutcome::Residue {
+        deflectable: credited,
+    };
+    (outcome, Some((peel, &[])))
 }
 
 /// Find a stranded occupant class: non-sink, occupiable, with an empty
@@ -367,7 +364,7 @@ fn strand_witness(graph: &cdg::StaticCdg<'_>) -> Option<CycleWitness> {
 /// of the snake order must still be joined: physically adjacent pairs by
 /// their own live link (the lane VC rides that exact channel), the
 /// closing wrap-around pair by any live path (the token is re-homed over
-/// the network). A failed router always breaks the tour.
+/// the network).
 fn pr_ring_intact(ring_topo: &Topology, faults: Option<&FaultSet>) -> bool {
     let ring = RecoveryRing::new(ring_topo);
     let routers_covered = ring.len() == ring_topo.num_routers() as usize;
@@ -378,9 +375,6 @@ fn pr_ring_intact(ring_topo: &Topology, faults: Option<&FaultSet>) -> bool {
     let Some(f) = faults else { return true };
     if f.is_empty() {
         return true;
-    }
-    if f.num_failed_routers() > 0 {
-        return false;
     }
     let n = ring.len();
     for i in 0..n {

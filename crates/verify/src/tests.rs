@@ -352,14 +352,12 @@ fn reverify_matches_from_scratch_on_torus_faults() {
     ] {
         let fx = Fixture::torus(&[4, 4], scheme, PatternSpec::pat271(), vcs);
         let base = fx.base();
-        // Single link, double link, router fault.
+        // Single link, double link.
         let mut single = FaultSet::new(&fx.topo);
         single.fail_link(&fx.topo, mdd_topology::NodeId(5), 0, Direction::Plus);
         let mut double = single.clone();
         double.fail_link(&fx.topo, mdd_topology::NodeId(10), 1, Direction::Minus);
-        let mut router = FaultSet::new(&fx.topo);
-        router.fail_router(&fx.topo, mdd_topology::NodeId(7));
-        for f in [&single, &double, &router] {
+        for f in [&single, &double] {
             let v = base.reverify(f);
             assert_eq!(v.name(), crate::verify_faulted(&fx.input(), f).name());
         }
@@ -412,74 +410,6 @@ fn quotient_mesh_fallback_agrees_with_full_enumeration() {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Fault frontier
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sa_frontier_finds_degrading_faults() {
-    use mdd_topology::single_link_faults;
-    let fx = Fixture::torus(&[4, 4], SA, PatternSpec::pat271(), 8);
-    let base = fx.base();
-    assert!(base.base_verdict().is_proven_free());
-    let report = crate::classify_fault_points(&base, single_link_faults(&fx.topo));
-    assert_eq!(report.points.len(), 32);
-    assert_eq!(report.base_verdict, "ProvenFree");
-    assert!(
-        report.degrading >= 1,
-        "crippling a ProvenFree SA config must degrade somewhere"
-    );
-    assert_eq!(report.preserving + report.degrading, report.points.len());
-    let json = report.to_json(Vec::new());
-    let points = json.get("points").and_then(mdd_obs::Json::as_arr).unwrap();
-    assert_eq!(points.len(), report.points.len());
-    let degrading = json.get("degrading").and_then(mdd_obs::Json::as_u64);
-    assert_eq!(degrading, Some(report.degrading as u64));
-}
-
-#[test]
-fn pr_frontier_ring_faults_are_position_dependent() {
-    // PR's recovery-lane check is the one *position-dependent* mechanism
-    // check: wrap-around links sit off the boustrophedon snake and keep
-    // the lane walkable, while in-row links break it. The orbit
-    // memoization must therefore split on ring liveness — this is what
-    // the debug cross-check in FrontierReport::assemble enforces.
-    use mdd_topology::single_link_faults;
-    let fx = Fixture::torus(
-        &[4, 4],
-        Scheme::ProgressiveRecovery,
-        PatternSpec::pat271(),
-        4,
-    );
-    let base = fx.base();
-    let report = crate::classify_fault_points(&base, single_link_faults(&fx.topo));
-    assert!(report.degrading >= 1);
-    assert!(
-        report.preserving >= 1,
-        "off-snake wrap links must preserve PR's verdict"
-    );
-}
-
-#[test]
-fn double_link_sampling_is_deterministic_and_classifiable() {
-    let fx = Fixture::torus(&[4, 4], SA, PatternSpec::pat271(), 8);
-    let base = fx.base();
-    let a = crate::sampled_double_link_faults(&fx.topo, 5, 42);
-    let b = crate::sampled_double_link_faults(&fx.topo, 5, 42);
-    assert_eq!(a.len(), 5);
-    assert_eq!(
-        a.iter()
-            .map(mdd_topology::FaultSet::label)
-            .collect::<Vec<_>>(),
-        b.iter()
-            .map(mdd_topology::FaultSet::label)
-            .collect::<Vec<_>>(),
-    );
-    assert!(a.iter().all(|f| f.num_failed_links() == 2));
-    let report = crate::classify_fault_points(&base, a);
-    assert_eq!(report.points.len(), 5);
 }
 
 // ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ fn config(
     )
 }
 
-fn fault_set(topo: &Topology, links: &[(usize, usize, usize)], router: Option<usize>) -> FaultSet {
+fn fault_set(topo: &Topology, links: &[(usize, usize, usize)]) -> FaultSet {
     let nr = topo.num_routers() as usize;
     let mut f = FaultSet::new(topo);
     for &(node, d, dir_bit) in links {
@@ -84,9 +84,6 @@ fn fault_set(topo: &Topology, links: &[(usize, usize, usize)], router: Option<us
             Direction::Minus
         };
         f.fail_link(topo, NodeId((node % nr) as u32), d % topo.dims(), dir);
-    }
-    if let Some(r) = router {
-        f.fail_router(topo, NodeId((r % nr) as u32));
     }
     f
 }
@@ -133,12 +130,10 @@ proptest! {
         pat_idx in 0usize..2,
         org_idx in 0usize..3,
         links in proptest::collection::vec((0usize..64, 0usize..2, 0usize..2), 0..3),
-        router in 0usize..64,
-        fail_a_router in 0usize..2,
     ) {
         let vcs = [2u8, 4, 8][vcs_idx];
         let cfg = config(topo_idx, scheme_idx, vcs, pat_idx, org_idx);
-        let faults = fault_set(cfg.topo(), &links, (fail_a_router == 1).then_some(router));
+        let faults = fault_set(cfg.topo(), &links);
         let base = BaseAnalysis::analyze(cfg.clone());
         assert_agreement(&cfg, &base, &faults)?;
     }
@@ -159,21 +154,18 @@ fn empty_fault_set_matches_from_scratch_on_every_config() {
     }
 }
 
-/// The degraded path on every configuration: one fixed link fault and one
-/// fixed router fault, each re-verdicted over `DegradedRouting` and
-/// checked against the oracle. Exhaustive for the same reason as the
-/// empty-set test: the sampled proptest rarely draws the configurations
-/// where a retype bug shows.
+/// The degraded path on every configuration: one fixed link fault,
+/// re-verdicted over `DegradedRouting` and checked against the oracle.
+/// Exhaustive for the same reason as the empty-set test: the sampled
+/// proptest rarely draws the configurations where a retype bug shows.
 #[test]
-fn single_link_and_router_faults_match_from_scratch_on_every_config() {
+fn single_link_fault_matches_from_scratch_on_every_config() {
     for cfg in every_config() {
         let base = BaseAnalysis::analyze(cfg.clone());
-        // Router 1's `Plus` link in dimension 0 and router 5 exist on
-        // every grid topology, the 4×4 mesh included.
-        let link = fault_set(cfg.topo(), &[(1, 0, 0)], None);
-        let router = fault_set(cfg.topo(), &[], Some(5));
+        // Router 1's `Plus` link in dimension 0 exists on every grid
+        // topology, the 4×4 mesh included.
+        let link = fault_set(cfg.topo(), &[(1, 0, 0)]);
         assert_agreement(&cfg, &base, &link).unwrap();
-        assert_agreement(&cfg, &base, &router).unwrap();
     }
 }
 
@@ -192,8 +184,8 @@ fn every_config() -> impl Iterator<Item = AnalysisConfig> {
 }
 
 /// The 16x16 requirement, pinned deterministically: one base analysis,
-/// re-verdicted under no fault, a link fault, a router fault, and a
-/// compound fault.
+/// re-verdicted under no fault, a link fault, and a compound fault of
+/// two links in different dimensions.
 /// At 256 routers the debug-build internal cross-check inside `reverify`
 /// fires too, so in debug each fault is checked twice against the oracle.
 #[test]
@@ -215,15 +207,13 @@ fn sixteen_by_sixteen_reverify_matches_from_scratch() {
 
     let mut link = FaultSet::new(cfg.topo());
     link.fail_link(cfg.topo(), NodeId(37), 1, Direction::Plus);
-    let mut router = FaultSet::new(cfg.topo());
-    router.fail_router(cfg.topo(), NodeId(200));
     let mut compound = FaultSet::new(cfg.topo());
     compound.fail_link(cfg.topo(), NodeId(0), 0, Direction::Minus);
-    compound.fail_router(cfg.topo(), NodeId(129));
+    compound.fail_link(cfg.topo(), NodeId(129), 1, Direction::Plus);
 
     let empty = FaultSet::new(cfg.topo());
 
-    for faults in [&empty, &link, &router, &compound] {
+    for faults in [&empty, &link, &compound] {
         let incremental = base.reverify(faults);
         let scratch = verify_faulted(&cfg.input(), faults);
         assert_eq!(
