@@ -98,6 +98,23 @@ set -e
 echo "$bad_err" | grep -q -- "unknown flag --topo" || {
     echo "unknown flags: mddsim-client --topo should name the flag, said:"; echo "$bad_err"; exit 1; }
 
+echo "==> malformed topology specs are usage errors (exit 2, naming the spec)"
+# 70000x70000 overflows the 32-bit node ids: every binary that reads
+# --radix must reject it at the flag, not panic building the torus.
+for cmd in "mddsim --radix 70000x70000" "mddsim --verify --radix 70000x70000" \
+    "mddsim-client submit --sweep 0.05:0.15:3 --radix 70000x70000" \
+    "mdd-analyze --min-vc --radix 70000x70000"; do
+    set +e
+    # shellcheck disable=SC2086
+    bad_err=$(./target/release/$cmd 2>&1 >/dev/null)
+    bad_status=$?
+    set -e
+    [ "$bad_status" -eq 2 ] || {
+        echo "malformed topology: $cmd should exit 2, got $bad_status"; exit 1; }
+    echo "$bad_err" | grep -q -- "70000x70000" || {
+        echo "malformed topology: $cmd should name the spec, said:"; echo "$bad_err"; exit 1; }
+done
+
 echo "==> pool scaling perf gate (2-3 cores: jobs=2 >= 1.3x jobs=1; 4+ cores: jobs=4 <= 0.5x; skips on 1 core)"
 cargo test -q -p mdd-engine --release --test perf -- --ignored
 

@@ -30,7 +30,8 @@
 //!                              Exit status 0 unless the verdict is
 //!                              Unsafe (then 3). A VC budget infeasible
 //!                              for the scheme is verified against the
-//!                              degraded map it would force.
+//!                              degraded map it would force; any other
+//!                              invalid configuration exits 2.
 //! --analyze                    like --verify, plus the minimal-VC
 //!                              synthesis diagnostic: prints the smallest
 //!                              per-link VC budget that makes the scheme
@@ -125,9 +126,11 @@ fn main() {
     let counters_out = args.value("--counters-out");
     if args.flag("--verify") || args.flag("--analyze") {
         // Static verification mode: classify, print, exit — no simulation.
-        // Deliberately skips feasibility validation so infeasible VC
-        // budgets can be explained via the degraded map.
+        // Every structural check runs; only scheme feasibility is skipped,
+        // so infeasible VC budgets can be explained via the degraded map.
         let cfg = spec.base_config().unwrap_or_else(|e| die(&e));
+        cfg.validate_structure()
+            .unwrap_or_else(|e| die(&format!("infeasible configuration: {e}")));
         if counters_out.is_some() {
             mdd_obs::install(args.parse_value("--trace-cap", 1 << 20));
         }

@@ -112,3 +112,33 @@ fn analyze_reports_the_minimal_safe_budget_with_the_same_exit_contract() {
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
     assert!(stdout(&out).contains("min safe VCs: 1"), "{}", stdout(&out));
 }
+
+/// A structurally invalid configuration is a usage error (exit 2 naming
+/// the fault), never a panic, in the static modes as in the simulation:
+/// only scheme feasibility is left to the degraded-map fallback.
+#[test]
+fn malformed_configurations_exit_two_in_every_mode() {
+    for ([radix, bristle, vcs], expected) in [
+        (["4x4", "0", "4"], "bristle factor must be at least 1"),
+        (["4x4", "1", "0"], "at least 1 virtual channel"),
+        (["70000x70000", "1", "4"], "70000x70000"),
+    ] {
+        for mode in [&["--verify"][..], &["--analyze"], &["--load", "0.1"]] {
+            let mut args = mode.to_vec();
+            args.extend(["--scheme", "pr", "--radix", radix, "--bristle", bristle]);
+            args.extend([
+                "--vcs",
+                vcs,
+                "--warmup",
+                "0",
+                "--measure",
+                "10",
+                "--no-cache",
+            ]);
+            let out = mddsim(&args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(err.contains(expected), "{args:?}: {err}");
+        }
+    }
+}

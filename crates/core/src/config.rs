@@ -3,7 +3,7 @@
 use mdd_protocol::{PatternSpec, QueueOrg};
 use mdd_routing::{Scheme, SchemeConfigError, VcMap};
 use mdd_stats::BnfPoint;
-use mdd_topology::{Topology, TopologyKind};
+use mdd_topology::Topology;
 use mdd_traffic::DestPattern;
 use std::sync::Arc;
 
@@ -13,8 +13,6 @@ use std::sync::Arc;
 pub struct SimConfig {
     /// Per-dimension radices of the k-ary n-cube (default `[8, 8]`).
     pub radix: Vec<u32>,
-    /// Mesh instead of torus (default false — the paper uses tori).
-    pub mesh: bool,
     /// NICs per router (bristling factor; default 1).
     pub bristle: u32,
     /// Virtual channels per physical link (default 4).
@@ -88,7 +86,6 @@ impl SimConfig {
     pub fn paper_default(scheme: Scheme, pattern: PatternSpec, vcs: u8, load: f64) -> Self {
         SimConfig {
             radix: vec![8, 8],
-            mesh: false,
             bristle: 1,
             vcs,
             flit_buf: 2,
@@ -147,48 +144,22 @@ impl SimConfig {
         self.queue_org.unwrap_or(self.scheme.default_queue_org())
     }
 
-    /// The topology this configuration describes — the one place that
-    /// maps `mesh` to a topology kind.
+    /// The torus this configuration describes.
     pub(crate) fn topology(&self) -> Topology {
-        let kind = if self.mesh {
-            TopologyKind::Mesh
-        } else {
-            TopologyKind::Torus
-        };
-        Topology::new(kind, &self.radix, self.bristle)
+        Topology::new(&self.radix, self.bristle)
     }
 
     /// The scheme's VC map for this protocol and VC budget, or the error
     /// that makes the configuration infeasible (too few VCs and the like).
     pub(crate) fn vc_map(&self) -> Result<VcMap, SchemeConfigError> {
-        VcMap::build(
-            self.scheme,
-            self.pattern.protocol(),
-            self.vcs,
-            self.escape_classes(),
-        )
+        VcMap::build(self.scheme, self.pattern.protocol(), self.vcs)
     }
 
     /// The best-effort *degraded* VC map ([`VcMap::build_degraded`] —
     /// merged partitions, truncated escape sets), built even when the
     /// scheme's VC budget is infeasible for the protocol.
     pub(crate) fn degraded_vc_map(&self) -> VcMap {
-        VcMap::build_degraded(
-            self.scheme,
-            self.pattern.protocol(),
-            self.vcs,
-            self.escape_classes(),
-        )
-    }
-
-    /// Escape classes the topology needs: one on a mesh, two (the
-    /// dateline classes) on a torus.
-    fn escape_classes(&self) -> usize {
-        if self.mesh {
-            1
-        } else {
-            2
-        }
+        VcMap::build_degraded(self.scheme, self.pattern.protocol(), self.vcs)
     }
 
     /// Total processing nodes.
@@ -218,6 +189,17 @@ impl SimConfig {
     ///
     /// [`Simulator::new`]: crate::Simulator::new
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.validate_structure()?;
+        self.vc_map()?;
+        Ok(())
+    }
+
+    /// Every check of [`SimConfig::validate`] except scheme feasibility:
+    /// `Ok(())` guarantees the topology, router and endpoints can be
+    /// built, while the VC budget may still be too small for the scheme.
+    /// The static verifier runs this alone, so that it can explain an
+    /// infeasible budget through the degraded channel map.
+    pub fn validate_structure(&self) -> Result<(), ConfigError> {
         if self.radix.is_empty() {
             return Err(ConfigError::EmptyRadix);
         }
@@ -231,6 +213,12 @@ impl SimConfig {
         }
         if self.bristle == 0 {
             return Err(ConfigError::ZeroBristle);
+        }
+        if node_count(&self.radix, self.bristle).is_none() {
+            return Err(ConfigError::TooManyNodes {
+                spec: topo_spec(&self.radix),
+                bristle: self.bristle,
+            });
         }
         if self.vcs == 0 {
             return Err(ConfigError::ZeroVirtualChannels);
@@ -270,7 +258,6 @@ impl SimConfig {
         if !self.load.is_finite() || self.load < 0.0 {
             return Err(ConfigError::InvalidLoad { load: self.load });
         }
-        self.vc_map()?;
         Ok(())
     }
 
@@ -284,6 +271,7 @@ impl SimConfig {
     /// assert_eq!(SimConfig::parse_topo("8x8x8").unwrap(), vec![8, 8, 8]);
     /// assert!(SimConfig::parse_topo("8x").is_err());
     /// assert!(SimConfig::parse_topo("8x8x8x8x8").is_err());
+    /// assert!(SimConfig::parse_topo("70000x70000").is_err(), "node ids are 32-bit");
     /// ```
     pub fn parse_topo(spec: &str) -> Result<Vec<u32>, ConfigError> {
         let bad = || ConfigError::InvalidTopology {
@@ -299,6 +287,12 @@ impl SimConfig {
         if radix.len() > mdd_topology::MAX_DIMS {
             return Err(ConfigError::TooManyDimensions { dims: radix.len() });
         }
+        if node_count(&radix, 1).is_none() {
+            return Err(ConfigError::TooManyNodes {
+                spec: spec.to_string(),
+                bristle: 1,
+            });
+        }
         Ok(radix)
     }
 
@@ -307,6 +301,21 @@ impl SimConfig {
     pub fn scale_ladder() -> [&'static [u32]; 4] {
         [&[8, 8], &[16, 16], &[64, 64], &[8, 8, 8]]
     }
+}
+
+/// NICs in a torus of `radix` with `bristle` NICs per router, or `None`
+/// when they overflow the 32-bit node ids.
+fn node_count(radix: &[u32], bristle: u32) -> Option<u32> {
+    radix.iter().try_fold(bristle, |n, &k| n.checked_mul(k))
+}
+
+/// `radix` in the `KxK[xK...]` grammar of [`SimConfig::parse_topo`].
+pub(crate) fn topo_spec(radix: &[u32]) -> String {
+    radix
+        .iter()
+        .map(u32::to_string)
+        .collect::<Vec<_>>()
+        .join("x")
 }
 
 /// Why a [`SimConfig`] cannot describe a runnable simulation.
@@ -349,6 +358,13 @@ pub enum ConfigError {
     },
     /// Zero NICs per router.
     ZeroBristle,
+    /// More NICs (routers × bristle) than 32-bit node ids address.
+    TooManyNodes {
+        /// The per-dimension radices, as `KxK[xK...]`.
+        spec: String,
+        /// NICs per router.
+        bristle: u32,
+    },
     /// Zero virtual channels per physical link.
     ZeroVirtualChannels,
     /// Zero flit buffers per virtual channel.
@@ -407,6 +423,12 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroBristle => write!(f, "bristle factor must be at least 1"),
+            ConfigError::TooManyNodes { spec, bristle } => write!(
+                f,
+                "topology {spec} with {bristle} NIC(s) per router has more than {} nodes, \
+                 the 32-bit node id limit",
+                u32::MAX
+            ),
             ConfigError::ZeroVirtualChannels => write!(f, "at least 1 virtual channel required"),
             ConfigError::ZeroFlitBuffers => write!(f, "at least 1 flit buffer per VC required"),
             ConfigError::FlitBufTooLarge { flit_buf } => {

@@ -49,7 +49,7 @@ pub use mdd_verify::{CycleWitness, Verdict};
 pub use mdd_protocol::{PatternSpec, ProtocolSpec, QueueOrg};
 pub use mdd_routing::{Scheme, SchemeConfigError};
 pub use mdd_stats::{BnfCurve, BnfPoint};
-pub use mdd_topology::{Topology, TopologyKind};
+pub use mdd_topology::Topology;
 pub use mdd_traffic::DestPattern;
 
 #[cfg(test)]

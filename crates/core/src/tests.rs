@@ -289,15 +289,6 @@ fn bristled_torus_runs() {
 }
 
 #[test]
-fn mesh_topology_runs() {
-    let mut cfg = small(SA, PatternSpec::pat100(), 2, 0.05);
-    cfg.mesh = true;
-    cfg.vcs = 2; // E_r = 1 on a mesh: 2 types x 1 escape
-    let r = Simulator::new(cfg).unwrap().run();
-    assert!(r.transactions > 20);
-}
-
-#[test]
 fn mc_utilization_bounded() {
     let mut sim = Simulator::new(small(
         Scheme::ProgressiveRecovery,
@@ -472,23 +463,23 @@ mod validate_gate {
     use proptest::prelude::*;
 
     /// Small valid field values (radices of at most 4, so every accepted
-    /// network is cheap to build), then `broken < 15` plants one value
+    /// network is cheap to build), then `broken < 16` plants one value
     /// `validate` must reject: a zero, a NaN or negative load, an empty,
-    /// 5-dimension or radix-1 topology, an oversize slot budget or buffer
-    /// depth. Scheme feasibility varies on its own with the VC count.
+    /// 5-dimension, radix-1 or 32-bit-overflowing topology, an oversize
+    /// slot budget or buffer depth. Scheme feasibility varies on its own
+    /// with the VC count.
     fn arb_config() -> impl Strategy<Value = (SimConfig, usize)> {
         let net = (
             proptest::collection::vec(2u32..5, 1..4),
-            0u8..2,
             1u32..3,
             1u8..9,
             prop_oneof![1u32..4, 65_533u32..65_536],
         );
         let endpoint = (1u32..5, 1u32..5, 1u64..40, 1u64..4, 1u64..4);
-        let run = (0usize..4, 0usize..3, 0usize..3, 0.0f64..1.0, 0usize..20);
+        let run = (0usize..4, 0usize..3, 0usize..3, 0.0f64..1.0, 0usize..21);
         (net, endpoint, run).prop_map(
             |(
-                (radix, mesh, bristle, vcs, flit_buf),
+                (radix, bristle, vcs, flit_buf),
                 (queue_capacity, mshr_limit, detect_threshold, token_hop, lane_hop),
                 (scheme, pattern, org, load, broken),
             )| {
@@ -500,7 +491,6 @@ mod validate_gate {
                     .clone();
                 let mut cfg = SimConfig::paper_default(Scheme::ALL[scheme], pattern, vcs, load);
                 cfg.radix = radix;
-                cfg.mesh = mesh == 1;
                 cfg.bristle = bristle;
                 cfg.flit_buf = flit_buf;
                 cfg.queue_org = [None, Some(QueueOrg::Shared), Some(QueueOrg::PerType)][org];
@@ -525,6 +515,7 @@ mod validate_gate {
                     12 => cfg.lane_hop = 0,
                     13 => cfg.load = f64::NAN,
                     14 => cfg.load = -0.5,
+                    15 => cfg.radix = vec![70_000, 70_000],
                     _ => {}
                 }
                 (cfg, broken)
@@ -540,7 +531,7 @@ mod validate_gate {
         #[test]
         fn validate_ok_implies_simulator_builds((cfg, broken) in arb_config()) {
             let verdict = cfg.validate();
-            prop_assert!(broken >= 15 || verdict.is_err(), "accepted broken {cfg:?}");
+            prop_assert!(broken >= 16 || verdict.is_err(), "accepted broken {cfg:?}");
             if verdict.is_ok() {
                 let built = std::panic::catch_unwind(|| Simulator::new(cfg.clone()).is_ok());
                 prop_assert!(matches!(built, Ok(true)), "validate accepted {cfg:?}");
@@ -566,6 +557,52 @@ mod validate_gate {
         );
         cfg.flit_buf = 65_535;
         assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    /// A node count past the 32-bit ids and an oversized slot budget are
+    /// structural errors, reported by `validate_structure` (what
+    /// `mddsim --verify` runs) before any topology is built; an
+    /// infeasible VC budget is not.
+    #[test]
+    fn node_overflow_and_slot_budget_are_structural_errors() {
+        let pr =
+            || SimConfig::small_test(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.1);
+        let mut cfg = pr();
+        cfg.radix = vec![70_000, 70_000];
+        let overflow = Err(ConfigError::TooManyNodes {
+            spec: "70000x70000".into(),
+            bristle: 1,
+        });
+        assert_eq!(cfg.validate_structure(), overflow);
+        assert_eq!(cfg.validate(), overflow);
+        // 2^31 routers fit; two NICs each do not.
+        cfg.radix = vec![65_536, 32_768];
+        cfg.bristle = 2;
+        assert!(matches!(
+            cfg.validate_structure(),
+            Err(ConfigError::TooManyNodes { bristle: 2, .. })
+        ));
+        let mut cfg = pr();
+        cfg.radix = vec![4; 4];
+        cfg.bristle = 60;
+        assert_eq!(
+            cfg.validate_structure(),
+            Err(ConfigError::VcBudgetTooLarge {
+                ports: 68,
+                vcs: 4,
+                slots: 272
+            })
+        );
+        let mut cfg = pr();
+        cfg.scheme = Scheme::StrictAvoidance {
+            shared_adaptive: false,
+        };
+        assert!(matches!(cfg.validate(), Err(ConfigError::Scheme(_))));
+        assert_eq!(cfg.validate_structure(), Ok(()));
+        assert!(SimConfig::parse_topo("70000x70000")
+            .unwrap_err()
+            .to_string()
+            .contains("70000x70000"));
     }
 }
 

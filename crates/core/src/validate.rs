@@ -75,7 +75,7 @@ pub fn build_waitfor_graph(sim: &Simulator) -> WaitForGraph {
                 };
                 let add_target = |g: &mut WaitForGraph, port: PortId, ovc: u8| {
                     if let Some((d, dir)) = topo.port_dim_dir(port) {
-                        let down = topo.neighbor(node, d, dir).expect("link exists");
+                        let down = topo.neighbor(node, d, dir);
                         let dport = topo.port(d, dir.opposite());
                         g.add_edge(src_vertex, layout.vc_vertex(down, dport, ovc));
                     } else {

@@ -2,10 +2,10 @@
 
 use crate::*;
 use mdd_protocol::{Message, MessageId, MessageStore, MsgType, ShapeId, TransactionId};
-use mdd_topology::{NicId, NodeId, RecoveryRing, Topology, TopologyKind, TourStop};
+use mdd_topology::{NicId, NodeId, RecoveryRing, Topology, TourStop};
 
 fn ring44() -> RecoveryRing {
-    RecoveryRing::new(&Topology::new(TopologyKind::Torus, &[4, 4], 1))
+    RecoveryRing::new(&Topology::new(&[4, 4], 1))
 }
 
 fn msg(id: u64, len: u32) -> Message {
@@ -179,7 +179,7 @@ fn control_delay_is_ring_distance() {
 
 #[test]
 fn token_tours_all_stops() {
-    let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
+    let topo = Topology::new(&[4, 4], 1);
     let ring = RecoveryRing::new(&topo);
     let mut token = CirculatingToken::new(&ring, 1);
     let mut routers_seen = 0;
@@ -199,7 +199,7 @@ fn token_tours_all_stops() {
 
 #[test]
 fn token_hop_cycles_throttle_movement() {
-    let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
+    let topo = Topology::new(&[4, 4], 1);
     let ring = RecoveryRing::new(&topo);
     let mut token = CirculatingToken::new(&ring, 4);
     let mut moves = 0;
@@ -213,7 +213,7 @@ fn token_hop_cycles_throttle_movement() {
 
 #[test]
 fn captured_token_does_not_circulate() {
-    let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
+    let topo = Topology::new(&[4, 4], 1);
     let ring = RecoveryRing::new(&topo);
     let mut token = CirculatingToken::new(&ring, 1);
     token.advance(&ring, 0);

@@ -488,10 +488,9 @@ fn sample_pool_gauges(pool: &rayon::ThreadPool) {
 /// [`SimConfig::at_load`] share the allocation.
 fn verify_key(cfg: &SimConfig) -> String {
     format!(
-        "{:p}|{:?}|{}|{}|{}|{:?}|{:?}",
+        "{:p}|{:?}|{}|{}|{:?}|{:?}",
         std::sync::Arc::as_ptr(&cfg.pattern),
         cfg.radix,
-        cfg.mesh,
         cfg.bristle,
         cfg.vcs,
         cfg.scheme,

@@ -335,7 +335,7 @@ fn sink_terminating_via_preemption() {
 #[test]
 fn injection_streams_one_flit_per_cycle() {
     use mdd_router::{AcceptAll, Network, PacketState, RouteCandidate, Routing};
-    use mdd_topology::{MinimalHops, NodeId, Topology, TopologyKind};
+    use mdd_topology::{MinimalHops, NodeId, Topology};
 
     struct Dor;
     impl Routing for Dor {
@@ -368,7 +368,7 @@ fn injection_streams_one_flit_per_cycle() {
     }
 
     let mut store = MessageStore::new();
-    let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
+    let topo = Topology::new(&[4, 4], 1);
     let mut net = Network::new(topo, 2, 2);
     let mut nic = Nic::new(NicId(0), cfg(QueueOrg::Shared), pat(), 2);
     let mut delivered = 0;
@@ -390,7 +390,7 @@ fn injection_streams_one_flit_per_cycle() {
 #[test]
 fn abort_injection_removes_active_head() {
     use mdd_router::{Network, PacketState, RouteCandidate, Routing};
-    use mdd_topology::{NodeId, Topology, TopologyKind};
+    use mdd_topology::{NodeId, Topology};
     struct Stub;
     impl Routing for Stub {
         fn candidates(
@@ -411,7 +411,7 @@ fn abort_injection_removes_active_head() {
         }
     }
     let mut store = MessageStore::new();
-    let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
+    let topo = Topology::new(&[4, 4], 1);
     let mut net = Network::new(topo, 2, 2);
     let mut nic = Nic::new(NicId(0), cfg(QueueOrg::Shared), pat(), 2);
     let h = issue(&mut nic, &mut store, request(1, 0, 5));

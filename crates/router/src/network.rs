@@ -80,8 +80,7 @@ struct Links {
     ports: usize,
     /// Per `(router, port)`: the router on the other end of this port's
     /// link — the downstream router when used as an output, the upstream
-    /// router when used as an input. `u32::MAX` for local ports and absent
-    /// mesh boundary links.
+    /// router when used as an input. `u32::MAX` for local ports.
     nbr: Vec<u32>,
     /// Per port: the opposite-direction port index (the paired port at the
     /// neighbor, identical for every router). `u8::MAX` for local ports.
@@ -112,9 +111,7 @@ impl Links {
                     links.opp[p] = topo.port(d, dir.opposite()).0;
                     for r in 0..n {
                         let node = NodeId(r as u32);
-                        if let Some(nb) = topo.neighbor(node, d, dir) {
-                            links.nbr[r * ports + p] = nb.0;
-                        }
+                        links.nbr[r * ports + p] = topo.neighbor(node, d, dir).0;
                         if topo.crosses_dateline(node, d, dir) {
                             links.dateline[r * ports + p] = 1 << d;
                         }
@@ -718,8 +715,7 @@ impl Network {
             return (0.0, 0.0, 0.0);
         }
         // One scan of the flat busy array in (router, port, vc) order,
-        // over the links that exist: local ports and a mesh's missing
-        // boundary links have no neighbour.
+        // over the network ports: local ports have no neighbour.
         let nvcs = self.vcs as usize;
         let vals: Vec<f64> = (0..self.links.nbr.len())
             .filter(|&rp| self.links.nbr[rp] != u32::MAX)
@@ -1172,10 +1168,6 @@ impl<E: EjectControl + ?Sized> Cycle<'_, E> {
                     }
                 }
                 let down = nbr[r * ports + out_port as usize] as usize;
-                debug_assert!(
-                    down != u32::MAX as usize,
-                    "allocated output implies the link exists"
-                );
                 let down_slot = opp[out_port as usize] as usize * nvcs + out_vc as usize;
                 st.push_flit(down, down_slot, flit);
                 // Arrival mark: the trailing sweep of the phased pipeline
@@ -1472,7 +1464,7 @@ mod shadow {
                 }
                 self.router_flits[r] -= 1;
                 if let Some((d, dir)) = net.topo.port_dim_dir(PortId(in_port)) {
-                    let up = net.topo.neighbor(node, d, dir).expect("input link exists");
+                    let up = net.topo.neighbor(node, d, dir);
                     let upport = net.topo.port(d, dir.opposite());
                     let up_slot = upport.index() * nvcs + in_vc as usize;
                     st.out_credits[up.index() * total + up_slot] += 1;
@@ -1491,10 +1483,7 @@ mod shadow {
                             st.crossed_dateline |= 1 << d2;
                         }
                     }
-                    let down = net
-                        .topo
-                        .neighbor(node, d2, dir2)
-                        .expect("output link exists");
+                    let down = net.topo.neighbor(node, d2, dir2);
                     let dport = net.topo.port(d2, dir2.opposite());
                     let down_slot = dport.index() * nvcs + out_vc as usize;
                     st.push_flit(down.index(), down_slot, flit);

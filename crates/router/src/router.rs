@@ -350,9 +350,9 @@ impl<'a> StateMut<'a> {
 ///
 /// ```
 /// use mdd_router::Network;
-/// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
+/// use mdd_topology::{NodeId, PortId, Topology};
 ///
-/// let net = Network::new(Topology::new(TopologyKind::Torus, &[4, 4], 1), 2, 2);
+/// let net = Network::new(Topology::new(&[4, 4], 1), 2, 2);
 /// let r = net.router(NodeId(0));
 /// assert_eq!(r.ports(), 5);
 /// assert_eq!(r.vcs(), 2);
@@ -408,8 +408,8 @@ impl<'a> Router<'a> {
     ///
     /// ```
     /// use mdd_router::Network;
-    /// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
-    /// let net = Network::new(Topology::new(TopologyKind::Torus, &[4, 4], 1), 2, 2);
+    /// use mdd_topology::{NodeId, PortId, Topology};
+    /// let net = Network::new(Topology::new(&[4, 4], 1), 2, 2);
     /// let r = net.router(NodeId(5));
     /// assert!(r.vc(PortId(2), 0).front().is_none());
     /// assert_eq!(r.vc(PortId(2), 0).blocked_for(100), 0);
@@ -423,8 +423,8 @@ impl<'a> Router<'a> {
     ///
     /// ```
     /// use mdd_router::Network;
-    /// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
-    /// let net = Network::new(Topology::new(TopologyKind::Torus, &[4, 4], 1), 2, 2);
+    /// use mdd_topology::{NodeId, PortId, Topology};
+    /// let net = Network::new(Topology::new(&[4, 4], 1), 2, 2);
     /// let r = net.router(NodeId(5));
     /// let out = r.out_vc(PortId(1), 1);
     /// assert!(out.is_free());                  // no wormhole holds it yet
@@ -456,9 +456,9 @@ impl<'a> Router<'a> {
     ///
     /// ```
     /// use mdd_router::Network;
-    /// use mdd_topology::{NodeId, Topology, TopologyKind};
+    /// use mdd_topology::{NodeId, Topology};
     /// // A 1-D ring: 2 network ports + 1 local port, 4 VCs each.
-    /// let net = Network::new(Topology::new(TopologyKind::Torus, &[4], 1), 4, 2);
+    /// let net = Network::new(Topology::new(&[4], 1), 4, 2);
     /// let r = net.router(NodeId(0));
     /// assert_eq!(r.iter_vcs().count(), 3 * 4); // every (port, vc) slot
     /// assert!(r.iter_vcs().all(|(_, _, vc)| vc.is_empty()));

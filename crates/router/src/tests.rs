@@ -2,7 +2,7 @@
 
 use crate::*;
 use mdd_protocol::{Message, MessageId, MessageStore, MsgHandle, MsgType, ShapeId, TransactionId};
-use mdd_topology::{MinimalHops, NicId, NodeId, Topology, TopologyKind};
+use mdd_topology::{MinimalHops, NicId, NodeId, Topology};
 
 /// Minimal dimension-order routing with dateline classes on VCs {0,1},
 /// enough to exercise the transport machinery.
@@ -136,7 +136,7 @@ fn assert_left_whole(net: &Network, cycle: u64) {
 }
 
 fn torus44() -> Network {
-    Network::new(Topology::new(TopologyKind::Torus, &[4, 4], 1), 2, 2)
+    Network::new(Topology::new(&[4, 4], 1), 2, 2)
 }
 
 #[test]
@@ -162,7 +162,7 @@ fn single_packet_delivered_to_correct_nic() {
 fn latency_scales_with_distance_plus_length() {
     // On an idle network, tail delivery time ≈ injection + per-hop routing
     // pipeline + streaming of the remaining flits.
-    let topo = Topology::new(TopologyKind::Torus, &[8, 8], 1);
+    let topo = Topology::new(&[8, 8], 1);
     let mut net = Network::new(topo, 2, 2);
     let mut store = MessageStore::new();
     let m = msg(1, 0, 3, 20); // 3 hops in dim 0
@@ -413,7 +413,7 @@ fn injection_vc_idle_tracks_tails() {
 
 #[test]
 fn dateline_bits_set_on_wrap() {
-    let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
+    let topo = Topology::new(&[4, 4], 1);
     let mut net = Network::new(topo, 2, 2);
     let mut store = MessageStore::new();
     // 0 -> 3 in dim 0: minimal route is Minus through the wraparound.
@@ -468,7 +468,7 @@ mod stress {
         fn random_traffic_conserved(k in 2u32..6,
                                     n_msgs in 1usize..40,
                                     seed in 0u64..10_000) {
-            let topo = Topology::new(TopologyKind::Torus, &[k, k], 1);
+            let topo = Topology::new(&[k, k], 1);
             let n = topo.num_nics();
             let mut net = Network::new(topo, 2, 2);
             let mut store = MessageStore::new();
@@ -510,7 +510,7 @@ mod stress {
         /// sampled mid-flight under random load.
         #[test]
         fn credit_and_ownership_invariants(seed in 0u64..5_000) {
-            let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
+            let topo = Topology::new(&[4, 4], 1);
             let mut net = Network::new(topo, 2, 2);
             let mut store = MessageStore::new();
             let mut x = seed.wrapping_add(7);

@@ -15,8 +15,8 @@ use mdd_topology::PortId;
 ///
 /// ```
 /// use mdd_router::Network;
-/// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
-/// let net = Network::new(Topology::new(TopologyKind::Torus, &[4], 1), 4, 2);
+/// use mdd_topology::{NodeId, PortId, Topology};
+/// let net = Network::new(Topology::new(&[4], 1), 4, 2);
 /// let vc = net.router(NodeId(2)).vc(PortId(1), 2);
 /// assert!(vc.is_empty());
 /// assert!(!vc.awaiting_route()); // empty: nothing to route

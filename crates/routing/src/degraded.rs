@@ -102,10 +102,7 @@ impl Routing for DegradedRouting<'_> {
                 if self.faults.link_down(node, d, dir) {
                     continue;
                 }
-                let Some(nbr) = topo.neighbor(node, d, dir) else {
-                    continue;
-                };
-                if dist[nbr.index()] >= here {
+                if dist[topo.neighbor(node, d, dir).index()] >= here {
                     continue;
                 }
                 dirs[ndirs] = (topo.port(d, dir), d, dir);

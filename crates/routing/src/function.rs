@@ -66,8 +66,6 @@ impl Routing for SchemeRouting {
             debug_assert!(2 * topo.dims() <= dirs.len());
             for d in 0..topo.dims() {
                 for dir in mh.dim(d).productive() {
-                    // On a mesh the productive link always exists (minimal
-                    // geometry); on a torus all links exist.
                     dirs[ndirs] = topo.port(d, dir);
                     ndirs += 1;
                 }
@@ -116,7 +114,8 @@ impl Routing for SchemeRouting {
 
     /// The dateline mask is consulted exactly when the type has more than
     /// one dateline-classed escape channel (see `candidates`); fully
-    /// adaptive maps (PR) and single-escape maps (meshes) never read it.
+    /// adaptive maps (PR) and the single-escape sets of degraded maps
+    /// ([`VcMap::build_degraded`]) never read it.
     fn dateline_sensitive(&self, mtype: mdd_protocol::MsgType) -> bool {
         self.map.for_type(mtype).escape.len() > 1
     }

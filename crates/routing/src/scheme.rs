@@ -2,6 +2,11 @@
 
 use mdd_protocol::{ProtocolSpec, QueueOrg};
 
+/// `E_r`: the escape channels a torus needs against routing-dependent
+/// deadlock — one per dateline class of dimension-order routing (Dally &
+/// Seitz).
+pub(crate) const ESCAPE_CLASSES: usize = 2;
+
 /// Which message-dependent deadlock handling technique a simulation uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scheme {
@@ -88,12 +93,11 @@ impl Scheme {
 
     /// The minimum number of virtual channels per physical link required
     /// to configure the scheme for `protocol` (`E_m` for SA, `2·E_r` for
-    /// DR, 1 for PR), with `escape_size` = `E_r` (2 on a torus, 1 on a
-    /// mesh).
-    pub fn min_vcs(&self, protocol: &ProtocolSpec, escape_size: usize) -> usize {
+    /// DR, 1 for PR), with `E_r` = 2 dateline escape classes.
+    pub fn min_vcs(&self, protocol: &ProtocolSpec) -> usize {
         match self {
-            Scheme::StrictAvoidance { .. } => protocol.num_partition_types() * escape_size,
-            Scheme::DeflectiveRecovery => 2 * escape_size,
+            Scheme::StrictAvoidance { .. } => protocol.num_partition_types() * ESCAPE_CLASSES,
+            Scheme::DeflectiveRecovery => 2 * ESCAPE_CLASSES,
             Scheme::ProgressiveRecovery => 1,
         }
     }

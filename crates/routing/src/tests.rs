@@ -6,7 +6,7 @@ use mdd_protocol::{
     Message, MessageId, MessageStore, MsgType, ProtocolSpec, ShapeId, TransactionId,
 };
 use mdd_router::{PacketState, RouteCandidate, Routing};
-use mdd_topology::{NicId, NodeId, Topology, TopologyKind};
+use mdd_topology::{NicId, NodeId, Topology};
 
 const SA: Scheme = Scheme::StrictAvoidance {
     shared_adaptive: false,
@@ -51,20 +51,20 @@ fn sa_infeasible_with_4_vcs_and_chain_4() {
     // Figure 8 omits SA for all patterns except PAT100 at 4 VCs.
     let p = ProtocolSpec::s1_generic();
     assert!(matches!(
-        VcMap::build(SA, &p, 4, 2),
+        VcMap::build(SA, &p, 4),
         Err(SchemeConfigError::TooFewVirtualChannels {
             needed: 8,
             available: 4
         })
     ));
     // PAT100's two-type protocol is feasible at 4 VCs.
-    assert!(VcMap::build(SA, &ProtocolSpec::two_type(), 4, 2).is_ok());
+    assert!(VcMap::build(SA, &ProtocolSpec::two_type(), 4).is_ok());
 }
 
 #[test]
 fn dr_feasible_with_4_vcs() {
     let p = ProtocolSpec::s1_generic();
-    let map = VcMap::build(Scheme::DeflectiveRecovery, &p, 4, 2).unwrap();
+    let map = VcMap::build(Scheme::DeflectiveRecovery, &p, 4).unwrap();
     // 2 VCs per network, all escape: DOR-only, availability 1.
     for t in p.msg_types() {
         let tv = map.for_type(t);
@@ -84,13 +84,13 @@ fn dr_feasible_with_4_vcs() {
 #[test]
 fn paper_availability_8_vcs() {
     let p4 = ProtocolSpec::s1_generic();
-    let map = VcMap::build(SA, &p4, 8, 2).unwrap();
+    let map = VcMap::build(SA, &p4, 8).unwrap();
     assert_eq!(map.for_type(MsgType(0)).paper_availability(), 1);
 
     let p2 = ProtocolSpec::two_type();
-    let map = VcMap::build(SA, &p2, 8, 2).unwrap();
+    let map = VcMap::build(SA, &p2, 8).unwrap();
     assert_eq!(map.for_type(MsgType(0)).paper_availability(), 3);
-    let map = VcMap::build(SAP, &p2, 8, 2).unwrap();
+    let map = VcMap::build(SAP, &p2, 8).unwrap();
     assert_eq!(map.for_type(MsgType(0)).paper_availability(), 5);
 }
 
@@ -100,13 +100,13 @@ fn paper_availability_8_vcs() {
 #[test]
 fn paper_availability_16_vcs() {
     let p = ProtocolSpec::s1_generic();
-    let sa = VcMap::build(SA, &p, 16, 2).unwrap();
+    let sa = VcMap::build(SA, &p, 16).unwrap();
     assert_eq!(sa.for_type(MsgType(0)).paper_availability(), 3);
-    let sap = VcMap::build(SAP, &p, 16, 2).unwrap();
+    let sap = VcMap::build(SAP, &p, 16).unwrap();
     assert_eq!(sap.for_type(MsgType(0)).paper_availability(), 9);
-    let dr = VcMap::build(Scheme::DeflectiveRecovery, &p, 16, 2).unwrap();
+    let dr = VcMap::build(Scheme::DeflectiveRecovery, &p, 16).unwrap();
     assert_eq!(dr.for_type(MsgType(0)).paper_availability(), 7);
-    let pr = VcMap::build(Scheme::ProgressiveRecovery, &p, 16, 2).unwrap();
+    let pr = VcMap::build(Scheme::ProgressiveRecovery, &p, 16).unwrap();
     assert_eq!(pr.for_type(MsgType(0)).paper_availability(), 16);
     assert!(pr.for_type(MsgType(0)).escape.is_empty());
 }
@@ -114,7 +114,7 @@ fn paper_availability_16_vcs() {
 #[test]
 fn sa_partitions_are_disjoint_and_cover() {
     let p = ProtocolSpec::s1_generic();
-    let map = VcMap::build(SA, &p, 16, 2).unwrap();
+    let map = VcMap::build(SA, &p, 16).unwrap();
     let mut used = [false; 16];
     for t in p.msg_types() {
         if Some(t) == p.backoff_type() {
@@ -134,7 +134,7 @@ fn sa_partitions_are_disjoint_and_cover() {
 #[test]
 fn shared_adaptive_pool_is_common() {
     let p = ProtocolSpec::s1_generic();
-    let map = VcMap::build(SAP, &p, 16, 2).unwrap();
+    let map = VcMap::build(SAP, &p, 16).unwrap();
     let pool = &map.for_type(MsgType(0)).adaptive;
     assert_eq!(pool.len(), 16 - 4 * 2);
     for t in p.msg_types() {
@@ -163,7 +163,7 @@ fn dr_split_rejects_single_kind_protocols() {
     // Both types are requests: the reply network would be empty... but the
     // terminating type here is Request-kind, so the split is degenerate.
     assert!(matches!(
-        VcMap::build(Scheme::DeflectiveRecovery, &p, 8, 2),
+        VcMap::build(Scheme::DeflectiveRecovery, &p, 8),
         Err(SchemeConfigError::DegenerateNetworkSplit)
     ));
 }
@@ -201,9 +201,9 @@ fn candidates(
 
 #[test]
 fn pr_offers_all_vcs_in_all_productive_directions() {
-    let topo = Topology::new(TopologyKind::Torus, &[8, 8], 1);
+    let topo = Topology::new(&[8, 8], 1);
     let proto = ProtocolSpec::s1_generic();
-    let map = VcMap::build(Scheme::ProgressiveRecovery, &proto, 4, 2).unwrap();
+    let map = VcMap::build(Scheme::ProgressiveRecovery, &proto, 4).unwrap();
     let routing = SchemeRouting::new(map);
     // From router 0 to router 27 = (3, 3): Plus in both dims.
     let p = pkt(0, 0, 27, 0);
@@ -216,9 +216,9 @@ fn pr_offers_all_vcs_in_all_productive_directions() {
 
 #[test]
 fn sa_dor_only_uses_escape_class_by_dateline() {
-    let topo = Topology::new(TopologyKind::Torus, &[8, 8], 1);
+    let topo = Topology::new(&[8, 8], 1);
     let proto = ProtocolSpec::two_type();
-    let map = VcMap::build(SA, &proto, 4, 2).unwrap();
+    let map = VcMap::build(SA, &proto, 4).unwrap();
     let routing = SchemeRouting::new(map.clone());
     // Type 0 owns VCs {0,1} (escape only): DOR.
     let p0 = pkt(0, 0, 3, 0);
@@ -237,9 +237,9 @@ fn sa_dor_only_uses_escape_class_by_dateline() {
 
 #[test]
 fn duato_orders_adaptive_before_escape() {
-    let topo = Topology::new(TopologyKind::Torus, &[8, 8], 1);
+    let topo = Topology::new(&[8, 8], 1);
     let proto = ProtocolSpec::two_type();
-    let map = VcMap::build(SA, &proto, 8, 2).unwrap(); // 4 per type: 2 escape + 2 adaptive
+    let map = VcMap::build(SA, &proto, 8).unwrap(); // 4 per type: 2 escape + 2 adaptive
     let routing = SchemeRouting::new(map.clone());
     let p = pkt(0, 0, 9, 0); // (1,1): both dims productive
     let c = candidates(&routing, &topo, 0, &p);
@@ -254,9 +254,9 @@ fn duato_orders_adaptive_before_escape() {
 
 #[test]
 fn destination_router_routes_to_local_port() {
-    let topo = Topology::new(TopologyKind::Torus, &[4, 4], 2);
+    let topo = Topology::new(&[4, 4], 2);
     let proto = ProtocolSpec::s1_generic();
-    let map = VcMap::build(Scheme::ProgressiveRecovery, &proto, 4, 2).unwrap();
+    let map = VcMap::build(Scheme::ProgressiveRecovery, &proto, 4).unwrap();
     let routing = SchemeRouting::new(map);
     // NIC 7 lives on router 3, local index 1.
     let p = pkt(0, 0, 7, 0);
@@ -270,7 +270,7 @@ fn destination_router_routes_to_local_port() {
 #[test]
 fn injection_vcs_respect_partitions() {
     let proto = ProtocolSpec::s1_generic();
-    let map = VcMap::build(SA, &proto, 16, 2).unwrap();
+    let map = VcMap::build(SA, &proto, 16).unwrap();
     let routing = SchemeRouting::new(map.clone());
     let p = pkt(1, 0, 5, 0); // FRQ: partition 1 owns VCs 4..8
     let mut vcs = Vec::new();
@@ -290,9 +290,9 @@ fn injection_vcs_respect_partitions() {
 
 #[test]
 fn rotation_hint_rotates_adaptive_candidates() {
-    let topo = Topology::new(TopologyKind::Torus, &[8, 8], 1);
+    let topo = Topology::new(&[8, 8], 1);
     let proto = ProtocolSpec::s1_generic();
-    let map = VcMap::build(Scheme::ProgressiveRecovery, &proto, 4, 2).unwrap();
+    let map = VcMap::build(Scheme::ProgressiveRecovery, &proto, 4).unwrap();
     let routing = SchemeRouting::new(map);
     let p = pkt(0, 0, 27, 0);
     let mut a = Vec::new();
@@ -314,74 +314,31 @@ fn rotation_hint_rotates_adaptive_candidates() {
 fn min_vcs_matches_paper_formulas() {
     let p = ProtocolSpec::s1_generic();
     // E_m = L * E_r with L=4 partition types, E_r=2.
-    assert_eq!(SA.min_vcs(&p, 2), 8);
-    assert_eq!(Scheme::DeflectiveRecovery.min_vcs(&p, 2), 4);
-    assert_eq!(Scheme::ProgressiveRecovery.min_vcs(&p, 2), 1);
-    // Mesh: E_r = 1.
-    assert_eq!(SA.min_vcs(&p, 1), 4);
+    assert_eq!(SA.min_vcs(&p), 8);
+    assert_eq!(Scheme::DeflectiveRecovery.min_vcs(&p), 4);
+    assert_eq!(Scheme::ProgressiveRecovery.min_vcs(&p), 1);
     // Origin2000: three partitions (BRP shares TRP's).
     let o = ProtocolSpec::origin2000();
-    assert_eq!(SA.min_vcs(&o, 2), 6);
-}
-
-// ---------------------------------------------------------------------
-// Mesh configurations (E_r = 1: no datelines needed).
-// ---------------------------------------------------------------------
-
-#[test]
-fn mesh_needs_single_escape_channel() {
-    let p = ProtocolSpec::s1_generic();
-    // SA on a mesh: 4 partitions x 1 escape = 4 VCs suffice.
-    let map = VcMap::build(SA, &p, 4, 1).unwrap();
-    for t in p.msg_types() {
-        let tv = map.for_type(t);
-        assert_eq!(tv.escape.len(), 1);
-        assert_eq!(tv.adaptive.len(), 0);
-    }
-    assert!(VcMap::build(SA, &p, 3, 1).is_err(), "below E_m");
-    // DR on a mesh: 2 x 1.
-    assert!(VcMap::build(Scheme::DeflectiveRecovery, &p, 2, 1).is_ok());
+    assert_eq!(SA.min_vcs(&o), 6);
 }
 
 #[test]
-fn mesh_escape_ignores_dateline_class() {
-    let topo = Topology::new(TopologyKind::Mesh, &[4, 4], 1);
+fn truncated_escape_ignores_dateline_class() {
+    let topo = Topology::new(&[4, 4], 1);
     let proto = ProtocolSpec::two_type();
-    let map = VcMap::build(SA, &proto, 2, 1).unwrap();
+    // Three VCs over two partitions: the reply partition keeps one VC,
+    // so its escape set is truncated to a single class.
+    let map = VcMap::build_degraded(SA, &proto, 3);
+    assert_eq!(map.for_type(MsgType(1)).escape.len(), 1);
     let routing = SchemeRouting::new(map.clone());
-    // Even with a (bogus) crossed-dateline bit set, a single-entry escape
-    // set always uses class 0.
-    let p = pkt(0, 0, 3, 0b11);
+    // Even with both crossed-dateline bits set, a single-entry escape
+    // set always uses class 0, and the mask is never consulted.
+    let p = pkt(1, 0, 3, 0b11);
     let c = candidates(&routing, &topo, 0, &p);
     assert_eq!(c.len(), 1);
-    assert_eq!(c[0].vc, map.for_type(MsgType(0)).escape[0]);
-}
-
-#[test]
-fn candidates_never_point_off_mesh() {
-    let topo = Topology::new(TopologyKind::Mesh, &[4, 4], 1);
-    let proto = ProtocolSpec::s1_generic();
-    let map = VcMap::build(Scheme::ProgressiveRecovery, &proto, 4, 1).unwrap();
-    let routing = SchemeRouting::new(map);
-    for src in 0..16u32 {
-        for dst in 0..16u32 {
-            if src == dst {
-                continue;
-            }
-            let p = pkt(0, src, dst, 0);
-            let mut out = Vec::new();
-            routing.candidates(&topo, NodeId(src), &p, 0, &mut out);
-            assert!(!out.is_empty());
-            for c in &out {
-                if let Some((d, dir)) = topo.port_dim_dir(c.port) {
-                    assert!(
-                        topo.neighbor(NodeId(src), d, dir).is_some(),
-                        "candidate across a nonexistent mesh boundary link"
-                    );
-                }
-            }
-        }
-    }
+    assert_eq!(c[0].vc, map.for_type(MsgType(1)).escape[0]);
+    assert!(!routing.dateline_sensitive(MsgType(1)));
+    assert!(routing.dateline_sensitive(MsgType(0)));
 }
 
 /// `cli_name` and `from_cli_name` are one table read both ways, and the

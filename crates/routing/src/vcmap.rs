@@ -1,7 +1,7 @@
 //! Virtual-channel resource maps: which VCs each message type may use, and
 //! in which role (dateline-class escape vs fully adaptive).
 
-use crate::scheme::{Scheme, SchemeConfigError};
+use crate::scheme::{Scheme, SchemeConfigError, ESCAPE_CLASSES};
 use mdd_protocol::{MsgKind, MsgType, ProtocolSpec};
 
 /// The VC set available to one message type.
@@ -9,7 +9,8 @@ use mdd_protocol::{MsgKind, MsgType, ProtocolSpec};
 pub struct TypeVcs {
     /// Escape VC per dateline class (`escape[c]` is the dimension-order
     /// escape channel used after `c` dateline crossings in the current
-    /// dimension). Length `E_r`: 2 on a torus, 1 on a mesh. Empty for PR.
+    /// dimension). Length `E_r` = 2, or 1 in a degraded map whose
+    /// partition is too small for both classes. Empty for PR.
     pub escape: Vec<u8>,
     /// Fully adaptive VCs, usable in any minimal direction.
     pub adaptive: Vec<u8>,
@@ -41,21 +42,18 @@ impl TypeVcs {
 pub struct VcMap {
     per_type: Vec<TypeVcs>,
     num_vcs: u8,
-    escape_size: usize,
 }
 
 impl VcMap {
-    /// Build the map for `scheme` over `num_vcs` virtual channels.
-    /// `escape_size` is `E_r`: 2 for tori (dateline classes), 1 for
-    /// meshes.
+    /// Build the map for `scheme` over `num_vcs` virtual channels, each
+    /// escape set holding the torus's `E_r` = 2 dateline classes.
     pub fn build(
         scheme: Scheme,
         protocol: &ProtocolSpec,
         num_vcs: u8,
-        escape_size: usize,
     ) -> Result<VcMap, SchemeConfigError> {
         let c = num_vcs as usize;
-        let need = scheme.min_vcs(protocol, escape_size);
+        let need = scheme.min_vcs(protocol);
         if c < need {
             return Err(SchemeConfigError::TooFewVirtualChannels {
                 needed: need,
@@ -78,9 +76,7 @@ impl VcMap {
                 shared_adaptive: false,
             } => {
                 let parts = protocol.num_partition_types();
-                Self::partitioned(protocol, parts, c, escape_size, |t| {
-                    protocol.sa_partition(t)
-                })
+                Self::partitioned(protocol, parts, c, |t| protocol.sa_partition(t))
             }
             Scheme::StrictAvoidance {
                 shared_adaptive: true,
@@ -88,13 +84,13 @@ impl VcMap {
                 // Escape sets are per type; everything above P*E_r is a
                 // common adaptive pool shared by all message types [21].
                 let parts = protocol.num_partition_types();
-                let shared: Vec<u8> = ((parts * escape_size) as u8..num_vcs).collect();
+                let shared: Vec<u8> = ((parts * ESCAPE_CLASSES) as u8..num_vcs).collect();
                 protocol
                     .msg_types()
                     .map(|t| {
                         let p = protocol.sa_partition(t);
-                        let escape: Vec<u8> = (0..escape_size)
-                            .map(|e| (p * escape_size + e) as u8)
+                        let escape: Vec<u8> = (0..ESCAPE_CLASSES)
+                            .map(|e| (p * ESCAPE_CLASSES + e) as u8)
                             .collect();
                         TypeVcs {
                             escape,
@@ -113,21 +109,17 @@ impl VcMap {
                 if !has_req || !has_rep {
                     return Err(SchemeConfigError::DegenerateNetworkSplit);
                 }
-                Self::partitioned(protocol, 2, c, escape_size, |t| protocol.dr_network(t))
+                Self::partitioned(protocol, 2, c, |t| protocol.dr_network(t))
             }
         };
-        Ok(VcMap {
-            per_type,
-            num_vcs,
-            escape_size,
-        })
+        Ok(VcMap { per_type, num_vcs })
     }
 
     /// Build the map the scheme would be forced into with fewer virtual
     /// channels than [`VcMap::build`] accepts: partitions are merged when
     /// there are fewer VCs than partitions (types mapped modulo the
-    /// partition count) and a partition smaller than `escape_size` keeps a
-    /// *truncated* escape set (losing dateline classes).
+    /// partition count) and a partition smaller than `E_r` keeps a
+    /// *truncated* escape set (losing a dateline class).
     ///
     /// The result deliberately violates the scheme's deadlock-freedom
     /// prerequisites — types share resource partitions across `≺` levels
@@ -138,14 +130,9 @@ impl VcMap {
     /// used by a validated simulation.
     ///
     /// Panics if `num_vcs` is zero.
-    pub fn build_degraded(
-        scheme: Scheme,
-        protocol: &ProtocolSpec,
-        num_vcs: u8,
-        escape_size: usize,
-    ) -> VcMap {
+    pub fn build_degraded(scheme: Scheme, protocol: &ProtocolSpec, num_vcs: u8) -> VcMap {
         assert!(num_vcs > 0, "a network needs at least one virtual channel");
-        if let Ok(map) = Self::build(scheme, protocol, num_vcs, escape_size) {
+        if let Ok(map) = Self::build(scheme, protocol, num_vcs) {
             return map;
         }
         let c = num_vcs as usize;
@@ -159,30 +146,21 @@ impl VcMap {
             // PR is feasible at any c >= 1; `build` above already handled it.
             Scheme::ProgressiveRecovery => unreachable!("PR accepts any vc count"),
             Scheme::StrictAvoidance { .. } => {
-                Self::degraded_partitioned(protocol, parts, c, escape_size, |t| {
-                    protocol.sa_partition(t) % parts
-                })
+                Self::degraded_partitioned(protocol, parts, c, |t| protocol.sa_partition(t) % parts)
             }
             Scheme::DeflectiveRecovery => {
-                Self::degraded_partitioned(protocol, parts, c, escape_size, |t| {
-                    protocol.dr_network(t) % parts
-                })
+                Self::degraded_partitioned(protocol, parts, c, |t| protocol.dr_network(t) % parts)
             }
         };
-        VcMap {
-            per_type,
-            num_vcs,
-            escape_size,
-        }
+        VcMap { per_type, num_vcs }
     }
 
     /// Like [`VcMap::partitioned`], but tolerates partitions smaller than
-    /// `escape_size` by truncating their escape sets.
+    /// `E_r` by truncating their escape sets.
     fn degraded_partitioned(
         protocol: &ProtocolSpec,
         parts: usize,
         c: usize,
-        escape_size: usize,
         part_of: impl Fn(MsgType) -> usize,
     ) -> Vec<TypeVcs> {
         let base = c / parts;
@@ -195,7 +173,7 @@ impl VcMap {
                 let p = part_of(t);
                 let s = start(p);
                 let n = size(p);
-                let e = escape_size.min(n);
+                let e = ESCAPE_CLASSES.min(n);
                 TypeVcs {
                     escape: (s..s + e).map(|v| v as u8).collect(),
                     adaptive: (s + e..s + n).map(|v| v as u8).collect(),
@@ -205,13 +183,12 @@ impl VcMap {
     }
 
     /// Divide `c` VCs into `parts` contiguous partitions (distributing any
-    /// remainder to the lowest partitions), each with `escape_size` escape
+    /// remainder to the lowest partitions), each with `E_r` escape
     /// channels first and adaptive channels after.
     fn partitioned(
         protocol: &ProtocolSpec,
         parts: usize,
         c: usize,
-        escape_size: usize,
         part_of: impl Fn(MsgType) -> usize,
     ) -> Vec<TypeVcs> {
         let base = c / parts;
@@ -225,10 +202,10 @@ impl VcMap {
                 let p = part_of(t);
                 let s = start(p);
                 let n = size(p);
-                debug_assert!(n >= escape_size, "feasibility checked by caller");
+                debug_assert!(n >= ESCAPE_CLASSES, "feasibility checked by caller");
                 TypeVcs {
-                    escape: (s..s + escape_size).map(|v| v as u8).collect(),
-                    adaptive: (s + escape_size..s + n).map(|v| v as u8).collect(),
+                    escape: (s..s + ESCAPE_CLASSES).map(|v| v as u8).collect(),
+                    adaptive: (s + ESCAPE_CLASSES..s + n).map(|v| v as u8).collect(),
                 }
             })
             .collect()
@@ -244,11 +221,5 @@ impl VcMap {
     #[inline]
     pub fn num_vcs(&self) -> u8 {
         self.num_vcs
-    }
-
-    /// `E_r`: escape channels required against routing-dependent deadlock.
-    #[inline]
-    pub fn escape_size(&self) -> usize {
-        self.escape_size
     }
 }

@@ -25,8 +25,8 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// A set of failed links over a base [`Topology`].
 ///
 /// ```
-/// use mdd_topology::{Direction, FaultSet, NodeId, Topology, TopologyKind};
-/// let topo = Topology::new(TopologyKind::Torus, &[4, 4], 1);
+/// use mdd_topology::{Direction, FaultSet, NodeId, Topology};
+/// let topo = Topology::new(&[4, 4], 1);
 /// let mut f = FaultSet::new(&topo);
 /// assert!(f.is_empty());
 /// f.fail_link(&topo, NodeId(0), 0, Direction::Plus);
@@ -78,17 +78,13 @@ impl FaultSet {
     }
 
     /// Fail the physical channel leaving `node` in direction `dir` along
-    /// dimension `d` — both directions go down. No-op on a mesh boundary
-    /// where the link does not exist.
+    /// dimension `d` — both directions go down.
     pub fn fail_link(&mut self, topo: &Topology, node: NodeId, d: usize, dir: Direction) {
-        let Some(peer) = topo.neighbor(node, d, dir) else {
-            return;
-        };
         if self.link_down(node, d, dir) {
             return;
         }
         self.set_link_bit(node, d, dir);
-        self.set_link_bit(peer, d, dir.opposite());
+        self.set_link_bit(topo.neighbor(node, d, dir), d, dir.opposite());
         self.failed_links.push((node, d, dir));
     }
 
@@ -141,9 +137,7 @@ impl FaultSet {
                 // reaches `x` over its own directed link `(y, d, !dir)`.
                 for d in 0..topo.dims() {
                     for dir in [Direction::Plus, Direction::Minus] {
-                        let Some(y) = topo.neighbor(x, d, dir) else {
-                            continue;
-                        };
+                        let y = topo.neighbor(x, d, dir);
                         if dist[y.index()] != UNREACHABLE || self.link_down(y, d, dir.opposite()) {
                             continue;
                         }
@@ -170,15 +164,11 @@ impl FaultSet {
 /// Every single-bidirectional-link fault of `topo`, one [`FaultSet`] per
 /// physical channel. Channels are enumerated canonically as `(node, d,
 /// Plus)` — each bidirectional channel has exactly one positive-direction
-/// end, so this covers all of them exactly once (mesh boundaries simply
-/// lack the corresponding entries).
+/// end, so this covers all of them exactly once.
 pub fn single_link_faults(topo: &Topology) -> Vec<FaultSet> {
     let mut out = Vec::new();
     for node in topo.routers() {
         for d in 0..topo.dims() {
-            if topo.neighbor(node, d, Direction::Plus).is_none() {
-                continue;
-            }
             let mut f = FaultSet::new(topo);
             f.fail_link(topo, node, d, Direction::Plus);
             out.push(f);

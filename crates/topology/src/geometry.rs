@@ -2,7 +2,7 @@
 //! handling on even-radix tori.
 
 use crate::coord::NodeId;
-use crate::torus::{Topology, TopologyKind};
+use crate::torus::Topology;
 
 /// Direction of travel along one dimension.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -68,7 +68,7 @@ impl HopGeometry {
     }
 }
 
-/// Maximum supported torus/mesh dimensionality. Inline storage in
+/// Maximum supported torus dimensionality. Inline storage in
 /// [`MinimalHops`] keeps the per-hop routing geometry allocation-free —
 /// it is rebuilt on every route-computation attempt.
 pub const MAX_DIMS: usize = 4;
@@ -152,40 +152,23 @@ pub fn hop_geometry(topo: &Topology, src: NodeId, dst: NodeId, d: usize) -> HopG
             minus: None,
         };
     }
-    match topo.kind() {
-        TopologyKind::Torus => {
-            let fwd = (cd + k - cs) % k; // hops going Plus
-            let bwd = k - fwd; // hops going Minus
-            if fwd < bwd {
-                HopGeometry {
-                    plus: Some(fwd),
-                    minus: None,
-                }
-            } else if bwd < fwd {
-                HopGeometry {
-                    plus: None,
-                    minus: Some(bwd),
-                }
-            } else {
-                // Even radix, exactly half-way: both directions are minimal.
-                HopGeometry {
-                    plus: Some(fwd),
-                    minus: Some(bwd),
-                }
-            }
+    let fwd = (cd + k - cs) % k; // hops going Plus
+    let bwd = k - fwd; // hops going Minus
+    if fwd < bwd {
+        HopGeometry {
+            plus: Some(fwd),
+            minus: None,
         }
-        TopologyKind::Mesh => {
-            if cd > cs {
-                HopGeometry {
-                    plus: Some(cd - cs),
-                    minus: None,
-                }
-            } else {
-                HopGeometry {
-                    plus: None,
-                    minus: Some(cs - cd),
-                }
-            }
+    } else if bwd < fwd {
+        HopGeometry {
+            plus: None,
+            minus: Some(bwd),
+        }
+    } else {
+        // Even radix, exactly half-way: both directions are minimal.
+        HopGeometry {
+            plus: Some(fwd),
+            minus: Some(bwd),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! # mdd-topology
 //!
 //! Topology substrate for the message-dependent deadlock simulation
-//! workspace: k-ary n-cube networks (tori and meshes), node/port addressing,
+//! workspace: k-ary n-cube tori, node/port addressing,
 //! bristling (multiple network interfaces per router), minimal-routing
 //! geometry with dateline bookkeeping, and the Hamiltonian-style ring used
 //! by the Disha token tour and recovery lane.
@@ -24,19 +24,17 @@
 
 #![warn(missing_docs)]
 
-mod capacity;
 mod coord;
 mod fault;
 mod geometry;
 mod ring;
 mod torus;
 
-pub use capacity::CapacityReport;
 pub use coord::{Coord, NicId, NodeId};
 pub use fault::{single_link_faults, FaultSet, UNREACHABLE};
 pub use geometry::{Direction, HopGeometry, MinimalHops, MAX_DIMS};
 pub use ring::{RecoveryRing, TourStop};
-pub use torus::{PortId, Topology, TopologyKind};
+pub use torus::{PortId, Topology};
 
 #[cfg(test)]
 mod tests;

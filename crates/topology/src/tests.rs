@@ -3,7 +3,7 @@
 use crate::*;
 
 fn torus88() -> Topology {
-    Topology::new(TopologyKind::Torus, &[8, 8], 1)
+    Topology::new(&[8, 8], 1)
 }
 
 #[test]
@@ -12,12 +12,11 @@ fn paper_default_is_8x8_torus() {
     assert_eq!(t.num_routers(), 64);
     assert_eq!(t.num_nics(), 64);
     assert_eq!(t.dims(), 2);
-    assert_eq!(t.kind(), TopologyKind::Torus);
 }
 
 #[test]
 fn coord_roundtrip() {
-    let t = Topology::new(TopologyKind::Torus, &[4, 3, 2], 1);
+    let t = Topology::new(&[4, 3, 2], 1);
     assert_eq!(t.num_routers(), 24);
     for node in t.routers() {
         let c = t.coord(node);
@@ -34,35 +33,12 @@ fn neighbor_symmetry_torus() {
     for node in t.routers() {
         for d in 0..t.dims() {
             for dir in [Direction::Plus, Direction::Minus] {
-                let n = t.neighbor(node, d, dir).unwrap();
-                let back = t.neighbor(n, d, dir.opposite()).unwrap();
+                let n = t.neighbor(node, d, dir);
+                let back = t.neighbor(n, d, dir.opposite());
                 assert_eq!(back, node, "neighbor relation must be symmetric");
             }
         }
     }
-}
-
-#[test]
-fn mesh_boundaries_have_no_neighbors() {
-    let t = Topology::new(TopologyKind::Mesh, &[4, 4], 1);
-    let origin = t.node(&Coord(vec![0, 0]));
-    assert_eq!(t.neighbor(origin, 0, Direction::Minus), None);
-    assert_eq!(t.neighbor(origin, 1, Direction::Minus), None);
-    assert!(t.neighbor(origin, 0, Direction::Plus).is_some());
-    let corner = t.node(&Coord(vec![3, 3]));
-    assert_eq!(t.neighbor(corner, 0, Direction::Plus), None);
-    assert_eq!(t.neighbor(corner, 1, Direction::Plus), None);
-}
-
-#[test]
-fn torus_link_count() {
-    let t = torus88();
-    // 64 routers * 2 dims * 2 dirs unidirectional links.
-    assert_eq!(t.num_links(), 64 * 4);
-    let m = Topology::new(TopologyKind::Mesh, &[4, 4], 1);
-    // Mesh: per dim, 3 bidirectional links per row * 4 rows * 2 dims,
-    // counted unidirectionally (* 2).
-    assert_eq!(m.num_links(), 3 * 4 * 2 * 2);
 }
 
 #[test]
@@ -75,15 +51,11 @@ fn dateline_only_at_wrap() {
             assert_eq!(t.crosses_dateline(node, d, Direction::Minus), c == 0);
         }
     }
-    let m = Topology::new(TopologyKind::Mesh, &[4, 4], 1);
-    for node in m.routers() {
-        assert!(!m.crosses_dateline(node, 0, Direction::Plus));
-    }
 }
 
 #[test]
 fn bristling_nic_mapping() {
-    let t = Topology::new(TopologyKind::Torus, &[2, 4], 4);
+    let t = Topology::new(&[2, 4], 4);
     assert_eq!(t.num_routers(), 8);
     assert_eq!(t.num_nics(), 32);
     for nic in t.nics() {
@@ -151,7 +123,7 @@ fn even_radix_halfway_both_productive() {
 #[test]
 fn ring_visits_every_router_once() {
     for radix in [[4u32, 4], [8, 8], [2, 4]] {
-        let t = Topology::new(TopologyKind::Torus, &radix, 1);
+        let t = Topology::new(&radix, 1);
         let ring = RecoveryRing::new(&t);
         assert_eq!(ring.len(), t.num_routers() as usize);
         let mut seen = vec![false; t.num_routers() as usize];
@@ -192,7 +164,7 @@ fn ring_distance_is_forward_steps() {
 
 #[test]
 fn tour_interleaves_nics() {
-    let t = Topology::new(TopologyKind::Torus, &[2, 2], 2);
+    let t = Topology::new(&[2, 2], 2);
     let ring = RecoveryRing::new(&t);
     assert_eq!(ring.tour_len(), 4 * 3);
     // Stops per router: router itself, then NIC 0, then NIC 1.
@@ -220,12 +192,8 @@ mod properties {
     use proptest::prelude::*;
 
     fn arb_topo() -> impl Strategy<Value = Topology> {
-        (
-            prop_oneof![Just(TopologyKind::Torus), Just(TopologyKind::Mesh)],
-            proptest::collection::vec(2u32..9, 1..4),
-            1u32..4,
-        )
-            .prop_map(|(kind, radix, b)| Topology::new(kind, &radix, b))
+        (proptest::collection::vec(2u32..9, 1..4), 1u32..4)
+            .prop_map(|(radix, b)| Topology::new(&radix, b))
     }
 
     proptest! {
@@ -260,7 +228,7 @@ mod properties {
                 if mh.arrived() { break; }
                 let d = mh.first_unaligned().unwrap();
                 let dir = mh.dim(d).dor_direction().unwrap();
-                cur = topo.neighbor(cur, d, dir).expect("minimal direction must exist");
+                cur = topo.neighbor(cur, d, dir);
                 steps += 1;
                 prop_assert!(steps <= topo.distance(src, dst),
                     "DOR walk exceeded the minimal distance");
@@ -277,7 +245,7 @@ mod properties {
             let mh = MinimalHops::new(&topo, src, dst);
             for d in 0..topo.dims() {
                 for dir in mh.dim(d).productive() {
-                    let next = topo.neighbor(src, d, dir).expect("productive link exists");
+                    let next = topo.neighbor(src, d, dir);
                     prop_assert_eq!(topo.distance(next, dst) + 1, topo.distance(src, dst));
                 }
             }
@@ -302,61 +270,4 @@ mod properties {
             prop_assert!(nic_seen.iter().all(|&c| c == 1));
         }
     }
-}
-
-#[test]
-fn average_distance_matches_exhaustive() {
-    for (kind, radix) in [
-        (TopologyKind::Torus, vec![8u32, 8]),
-        (TopologyKind::Torus, vec![4, 4]),
-        (TopologyKind::Torus, vec![2, 4]),
-        (TopologyKind::Mesh, vec![4, 4]),
-        (TopologyKind::Mesh, vec![3, 5]),
-        (TopologyKind::Torus, vec![4, 4, 4]),
-    ] {
-        let t = Topology::new(kind, &radix, 1);
-        let closed = t.average_distance();
-        let exact = t.average_distance_exhaustive();
-        assert!(
-            (closed - exact).abs() < 1e-9,
-            "{kind:?} {radix:?}: closed {closed} vs exhaustive {exact}"
-        );
-    }
-}
-
-#[test]
-fn capacity_8x8_torus() {
-    let t = Topology::paper_default();
-    let cap = t.capacity();
-    // 8-ring mean ring distance over distinct pairs: (sum over deltas
-    // 1..7 of min(d, 8-d)) / 7 = 16/7 per dimension... doubled for 2D and
-    // rescaled; the closed form is validated against the exhaustive count
-    // above, so here just sanity-check the well-known figures.
-    assert!((cap.avg_distance - 4.0 * 64.0 / 63.0).abs() < 1e-9);
-    assert_eq!(cap.bisection_channels, 8 * 2 * 2);
-    assert!((cap.bisection_bound - 1.0).abs() < 1e-9, "2*32/64 = 1.0");
-    // Link bound: 256 links / (64 nodes * ~4.06 hops) ≈ 0.984 — the two
-    // bounds nearly coincide on a square torus.
-    let expect_link = 256.0 / (64.0 * cap.avg_distance);
-    assert!((cap.link_bound - expect_link).abs() < 1e-9);
-    assert!((cap.throughput_bound() - cap.bisection_bound.min(cap.link_bound)).abs() < 1e-12);
-    assert!(cap.throughput_bound() > 0.95 && cap.throughput_bound() <= 1.0);
-}
-
-#[test]
-fn mesh_capacity_is_lower() {
-    let torus = Topology::new(TopologyKind::Torus, &[8, 8], 1);
-    let mesh = Topology::new(TopologyKind::Mesh, &[8, 8], 1);
-    assert!(mesh.average_distance() > torus.average_distance());
-    assert!(mesh.capacity().throughput_bound() < torus.capacity().throughput_bound());
-}
-
-#[test]
-fn bristling_divides_per_node_capacity() {
-    let flat = Topology::new(TopologyKind::Torus, &[4, 4], 1);
-    let bristled = Topology::new(TopologyKind::Torus, &[2, 2], 4);
-    assert_eq!(flat.num_nics(), bristled.num_nics());
-    // Same endpoints, quarter the routers: per-node capacity drops, which
-    // is why Section 4.2.2 bristles the network to raise relative load.
-    assert!(bristled.capacity().throughput_bound() < flat.capacity().throughput_bound());
 }

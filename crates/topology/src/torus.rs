@@ -1,20 +1,9 @@
-//! The k-ary n-cube topology (torus or mesh) with bristling.
+//! The bidirectional k-ary n-cube torus with bristling: every dimension
+//! has wraparound links, as in every network the paper simulates
+//! (Table 2).
 
 use crate::coord::{Coord, NicId, NodeId};
 use crate::geometry::Direction;
-
-/// Whether wraparound links exist.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TopologyKind {
-    /// Bidirectional torus: every dimension has wraparound links. This is
-    /// what the paper simulates (Table 2).
-    Torus,
-    /// Mesh: no wraparound links; boundary routers simply lack the
-    /// corresponding ports. Provided for completeness and for testing
-    /// routing functions whose escape requirements differ (a mesh needs
-    /// only one escape channel class for dimension-order routing).
-    Mesh,
-}
 
 /// A router port. Ports `2d` / `2d+1` are the positive / negative direction
 /// of dimension `d`; ports `2n..2n+b` attach the router's `b` local NICs.
@@ -29,21 +18,20 @@ impl PortId {
     }
 }
 
-/// A k-ary n-cube (torus or mesh) with a configurable bristling factor.
+/// A bidirectional k-ary n-cube torus with a configurable bristling factor.
 ///
 /// The radix may differ per dimension, which is how the paper's bristled
 /// 2x4 and 2x2 networks are expressed.
 ///
 /// ```
-/// use mdd_topology::{Topology, TopologyKind, NodeId};
-/// let t = Topology::new(TopologyKind::Torus, &[4, 4], 2);
+/// use mdd_topology::{Topology, NodeId};
+/// let t = Topology::new(&[4, 4], 2);
 /// assert_eq!(t.num_routers(), 16);
 /// assert_eq!(t.num_nics(), 32);
 /// assert_eq!(t.distance(NodeId(0), NodeId(3)), 1, "wraparound shortcut");
 /// ```
 #[derive(Clone, Debug)]
 pub struct Topology {
-    kind: TopologyKind,
     radix: Vec<u32>,
     bristle: u32,
     num_routers: u32,
@@ -57,7 +45,7 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if `radix` is empty, any radix is < 2, or `bristle` is 0.
-    pub fn new(kind: TopologyKind, radix: &[u32], bristle: u32) -> Self {
+    pub fn new(radix: &[u32], bristle: u32) -> Self {
         assert!(!radix.is_empty(), "topology needs at least one dimension");
         assert!(
             radix.iter().all(|&k| k >= 2),
@@ -71,7 +59,6 @@ impl Topology {
             acc = acc.checked_mul(k).expect("router count overflow");
         }
         Topology {
-            kind,
             radix: radix.to_vec(),
             bristle,
             num_routers: acc,
@@ -82,13 +69,7 @@ impl Topology {
     /// Convenience constructor for the paper's default 8x8 bidirectional
     /// torus with bristling factor 1 (Table 2).
     pub fn paper_default() -> Self {
-        Topology::new(TopologyKind::Torus, &[8, 8], 1)
-    }
-
-    /// The topology kind (torus or mesh).
-    #[inline]
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
+        Topology::new(&[8, 8], 1)
     }
 
     /// Number of dimensions.
@@ -122,8 +103,7 @@ impl Topology {
     }
 
     /// Number of network (inter-router) ports on each router: two per
-    /// dimension. On a mesh, boundary routers have some of these ports
-    /// unconnected (see [`Topology::neighbor`]).
+    /// dimension, every one of them linked.
     #[inline]
     pub fn network_ports(&self) -> usize {
         2 * self.dims()
@@ -206,29 +186,17 @@ impl Topology {
         (node.0 / self.stride[d]) % self.radix[d]
     }
 
-    /// The neighbor of `node` in direction `dir` along dimension `d`, or
-    /// `None` if the link does not exist (mesh boundary).
-    pub fn neighbor(&self, node: NodeId, d: usize, dir: Direction) -> Option<NodeId> {
+    /// The neighbor of `node` in direction `dir` along dimension `d`
+    /// (across the wraparound link at the dateline).
+    pub fn neighbor(&self, node: NodeId, d: usize, dir: Direction) -> NodeId {
         let k = self.radix[d];
         let c = self.coord_along(node, d);
-        let nc = match (dir, self.kind) {
-            (Direction::Plus, TopologyKind::Torus) => (c + 1) % k,
-            (Direction::Minus, TopologyKind::Torus) => (c + k - 1) % k,
-            (Direction::Plus, TopologyKind::Mesh) => {
-                if c + 1 >= k {
-                    return None;
-                }
-                c + 1
-            }
-            (Direction::Minus, TopologyKind::Mesh) => {
-                if c == 0 {
-                    return None;
-                }
-                c - 1
-            }
+        let nc = match dir {
+            Direction::Plus => (c + 1) % k,
+            Direction::Minus => (c + k - 1) % k,
         };
         let delta = (nc as i64 - c as i64) * self.stride[d] as i64;
-        Some(NodeId((node.0 as i64 + delta) as u32))
+        NodeId((node.0 as i64 + delta) as u32)
     }
 
     /// True if travelling from `node` in direction `dir` along dimension `d`
@@ -237,9 +205,6 @@ impl Topology {
     /// (Dally & Seitz).
     #[inline]
     pub fn crosses_dateline(&self, node: NodeId, d: usize, dir: Direction) -> bool {
-        if self.kind != TopologyKind::Torus {
-            return false;
-        }
         let c = self.coord_along(node, d);
         match dir {
             Direction::Plus => c == self.radix[d] - 1,
@@ -276,21 +241,6 @@ impl Topology {
         (0..self.num_nics()).map(NicId)
     }
 
-    /// Total number of unidirectional inter-router links.
-    pub fn num_links(&self) -> usize {
-        let mut count = 0;
-        for node in self.routers() {
-            for d in 0..self.dims() {
-                for dir in [Direction::Plus, Direction::Minus] {
-                    if self.neighbor(node, d, dir).is_some() {
-                        count += 1;
-                    }
-                }
-            }
-        }
-        count
-    }
-
     /// Minimal hop distance between two routers.
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
         let mut dist = 0;
@@ -299,10 +249,7 @@ impl Topology {
             let ca = self.coord_along(a, d);
             let cb = self.coord_along(b, d);
             let fwd = (cb + k - ca) % k;
-            dist += match self.kind {
-                TopologyKind::Torus => fwd.min(k - fwd),
-                TopologyKind::Mesh => ca.abs_diff(cb),
-            };
+            dist += fwd.min(k - fwd);
         }
         dist
     }

@@ -9,17 +9,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Destination selection for original requests (the home node of the
-/// transaction). The paper evaluates `Random` (Table 2); the others are
-/// standard stress patterns provided for wider exploration.
+/// transaction). The paper evaluates `Random` (Table 2); `Neighbor`
+/// drives the scale ladder and `Hotspot` the 64×64 rescue-episode tests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DestPattern {
     /// Uniform random over all other nodes.
     Random,
-    /// Bit-complement of the source index.
-    BitComplement,
-    /// Transpose: node `i` sends to `(i * k + i / k) mod N` style partner
-    /// (matrix-transpose permutation over a square node grid).
-    Transpose,
     /// Ring successor in NIC index order (`src + 1 mod N`): a
     /// locality-preserving permutation whose hop count stays constant as
     /// the network scales — the scale ladder's fixed-per-node-activity
@@ -226,25 +221,6 @@ impl SyntheticTraffic {
                     d += 1;
                 }
                 NicId(d)
-            }
-            DestPattern::BitComplement => {
-                let bits = 32 - (n - 1).leading_zeros();
-                let d = (!src.0) & ((1 << bits) - 1);
-                NicId(if d == src.0 || d >= n {
-                    (src.0 + 1) % n
-                } else {
-                    d
-                })
-            }
-            DestPattern::Transpose => {
-                let k = (n as f64).sqrt() as u32;
-                let (x, y) = (src.0 % k, src.0 / k);
-                let d = x * k + y;
-                NicId(if d == src.0 || d >= n {
-                    (src.0 + 1) % n
-                } else {
-                    d
-                })
             }
             DestPattern::Neighbor => NicId((src.0 + 1) % n),
             DestPattern::Hotspot { node, permille } => {

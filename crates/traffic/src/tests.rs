@@ -69,8 +69,7 @@ fn dest_patterns_never_self_address() {
     let mut ids = IdAlloc::new();
     for dest in [
         DestPattern::Random,
-        DestPattern::BitComplement,
-        DestPattern::Transpose,
+        DestPattern::Neighbor,
         DestPattern::Hotspot {
             node: 3,
             permille: 300,

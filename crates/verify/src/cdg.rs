@@ -441,10 +441,10 @@ pub(crate) fn packet_segment(
 
     let nr = topo.num_routers() as usize;
     // When the routing function can never consult the dateline mask for
-    // this type (no multi-class escape set: PR's fully adaptive map, any
-    // mesh map), states differing only in mask have identical candidate
-    // structure — fold them into one class instead of sweeping `2^dims`
-    // copies of every router.
+    // this type (no multi-class escape set: PR's fully adaptive map, a
+    // degraded map's truncated escape set), states differing only in mask
+    // have identical candidate structure — fold them into one class
+    // instead of sweeping `2^dims` copies of every router.
     let masks = if routing.dateline_sensitive(t) {
         1usize << topo.dims()
     } else {
@@ -483,7 +483,7 @@ pub(crate) fn packet_segment(
         for rc in &rc_buf {
             match topo.port_dim_dir(rc.port) {
                 Some((d, dir)) => {
-                    let down = topo.neighbor(node, d, dir).expect("link exists");
+                    let down = topo.neighbor(node, d, dir);
                     let dport = topo.port(d, dir.opposite());
                     let mask2 = if masks > 1 && topo.crosses_dateline(node, d, dir) {
                         mask | (1 << d)

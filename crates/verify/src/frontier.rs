@@ -22,16 +22,16 @@
 //!
 //! The guardrails mirror the orbit quotient's: in debug builds every
 //! memoized replication (on topologies small enough to afford it) is
-//! re-derived individually and must agree, and meshes — which have no
-//! translation symmetry — get per-point keys, i.e. no memoization at
-//! all. A frontier report therefore
-//! *claims* exactly what was computed: every point's verdict equals the
-//! representative's, which equals a from-scratch degraded analysis in
-//! every cross-checked build.
+//! re-derived individually and must agree. A fault set spanning several
+//! dimensions gets a per-point key, i.e. no memoization. A frontier
+//! report therefore *claims* exactly what was computed: every point's
+//! verdict equals the representative's, which equals a from-scratch
+//! degraded analysis in every cross-checked build.
 
 use crate::incremental::{BaseAnalysis, FaultOutcome};
+use crate::Verdict;
 use mdd_obs::{counter_add, CounterId, Json};
-use mdd_topology::{Direction, FaultSet, NodeId, Topology, TopologyKind};
+use mdd_topology::{Direction, FaultSet, NodeId, Topology};
 
 /// Whether a fault point keeps or lowers the base verdict's rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,16 +71,6 @@ pub struct FrontierReport {
     pub degrading: usize,
 }
 
-/// The verdict name corresponding to a rank (the frontier never carries
-/// witnesses, so the rank determines the name).
-fn rank_name(rank: u8) -> &'static str {
-    match rank {
-        0 => "Unsafe",
-        1 => "RecoverableCycles",
-        _ => "ProvenFree",
-    }
-}
-
 impl FrontierReport {
     /// Assemble a report from evaluated `(fault, outcome)` pairs and bump
     /// the `fault_points_classified` counter: the assembly step of the
@@ -112,7 +102,7 @@ impl FrontierReport {
                 let full = base.reverify(&fault);
                 assert_eq!(
                     (full.rank(), full.name()),
-                    (rank, rank_name(rank)),
+                    (rank, Verdict::rank_name(rank)),
                     "fault-orbit outcome diverged from the full re-verdict for {}",
                     fault.label(),
                 );
@@ -128,7 +118,7 @@ impl FrontierReport {
             }
             report.points.push(FaultPoint {
                 label: fault.label(),
-                verdict: rank_name(rank),
+                verdict: Verdict::rank_name(rank),
                 rank,
                 class,
             });
@@ -183,17 +173,14 @@ fn translate_along(topo: &Topology, node: NodeId, d: usize, t: u32) -> NodeId {
 /// actually has: translation along the failed links' own dimension. For a
 /// torus fault set whose failed links all lie in one dimension `d`, the
 /// key is the lexicographically smallest rendering over all `radix(d)`
-/// slides along `d`. Everything else — meshes, links spanning several
-/// dimensions — is its own orbit (`FaultSet::label`): full translation
+/// slides along `d`. A fault set whose links span several dimensions is
+/// its own orbit (`FaultSet::label`): full translation
 /// is *not* used because the dateline-classed escape VCs make the
 /// outcome depend on the fault's position relative to the datelines of
 /// every other dimension.
 pub fn fault_orbit_key(topo: &Topology, fault: &FaultSet) -> String {
     let links = fault.failed_links();
-    if topo.kind() != TopologyKind::Torus
-        || links.is_empty()
-        || links.iter().any(|&(_, d, _)| d != links[0].1)
-    {
+    if links.is_empty() || links.iter().any(|&(_, d, _)| d != links[0].1) {
         return fault.label();
     }
     let d = links[0].1;

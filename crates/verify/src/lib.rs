@@ -51,7 +51,7 @@ use mdd_deadlock::ResourceLayout;
 use mdd_obs::{counter_add, CounterId};
 use mdd_protocol::{PatternSpec, QueueOrg};
 use mdd_routing::{Scheme, SchemeRouting};
-use mdd_topology::{Direction, RecoveryRing, Topology, TopologyKind, UNREACHABLE};
+use mdd_topology::{Direction, RecoveryRing, Topology, UNREACHABLE};
 
 pub use frontier::{
     fault_orbit_key, sampled_double_link_faults, FaultClass, FaultPoint, FrontierReport,
@@ -124,15 +124,24 @@ pub enum Verdict {
     },
 }
 
+/// The verdict names, indexed by [`Verdict::rank`]: the one table that
+/// [`Verdict::name`] and [`Verdict::rank_name`] both read.
+const NAMES_BY_RANK: [&str; 3] = ["Unsafe", "RecoverableCycles", "ProvenFree"];
+
 impl Verdict {
     /// The stable one-word name (`ProvenFree` / `RecoverableCycles` /
     /// `Unsafe`) used by CLI output and CI assertions.
     pub fn name(&self) -> &'static str {
-        match self {
-            Verdict::ProvenFree => "ProvenFree",
-            Verdict::RecoverableCycles { .. } => "RecoverableCycles",
-            Verdict::Unsafe { .. } => "Unsafe",
-        }
+        Self::rank_name(self.rank())
+    }
+
+    /// The name of the verdict of safety rank `rank` (a rank determines
+    /// the name; reports that carry no witness store only the rank).
+    ///
+    /// # Panics
+    /// Panics if `rank` is not a rank [`Verdict::rank`] returns.
+    pub fn rank_name(rank: u8) -> &'static str {
+        NAMES_BY_RANK[usize::from(rank)]
     }
 
     /// The witness cycle, when the verdict carries one.
@@ -192,8 +201,7 @@ impl fmt::Display for Verdict {
 /// (~hundreds of millions of occupant classes), each dimension's radix is
 /// folded down to the smallest radix with the same parity (capped at
 /// 8/9), the folded representative is verified exhaustively, and its
-/// verdict is replicated. The fold is the identity on radix ≤ 9 and on
-/// meshes.
+/// verdict is replicated. The fold is the identity on radix ≤ 9.
 ///
 /// Two soundness guards:
 /// - the progressive-recovery ring coverage check runs against the *full*
@@ -202,21 +210,15 @@ impl fmt::Display for Verdict {
 /// - in debug builds, folded configurations small enough to enumerate
 ///   fully (≤ 256 routers) are cross-checked against the full enumeration
 ///   and must agree.
-///
-/// Non-torus (mesh) topologies are not vertex-transitive — boundary
-/// routers see different candidate sets — so they are enumerated in
-/// full.
 pub fn verify(input: &VerifyInput<'_>) -> Verdict {
     let topo = input.topo;
     let folded_radix: Vec<u32> = (0..topo.dims())
         .map(|d| fold_radix(topo.radix(d)))
         .collect();
-    let already_small = topo.kind() != TopologyKind::Torus
-        || (0..topo.dims()).all(|d| folded_radix[d] == topo.radix(d));
-    if already_small {
+    if (0..topo.dims()).all(|d| folded_radix[d] == topo.radix(d)) {
         return classify(input, topo);
     }
-    let folded = Topology::new(TopologyKind::Torus, &folded_radix, topo.bristle());
+    let folded = Topology::new(&folded_radix, topo.bristle());
     counter_add(
         CounterId::VerifyOrbitReduction,
         u64::from(topo.num_routers() - folded.num_routers()),
@@ -383,7 +385,7 @@ fn pr_ring_intact(ring_topo: &Topology, faults: Option<&FaultSet>) -> bool {
         let mut direct = None;
         'find: for d in 0..ring_topo.dims() {
             for dir in [Direction::Plus, Direction::Minus] {
-                if ring_topo.neighbor(a, d, dir) == Some(b) {
+                if ring_topo.neighbor(a, d, dir) == b {
                     direct = Some((d, dir));
                     break 'find;
                 }

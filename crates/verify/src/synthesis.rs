@@ -14,7 +14,7 @@
 use crate::{verify, Verdict, VerifyInput};
 use mdd_protocol::{PatternSpec, QueueOrg};
 use mdd_routing::{Scheme, SchemeRouting, VcMap};
-use mdd_topology::{Topology, TopologyKind};
+use mdd_topology::Topology;
 
 /// The outcome of a minimal-VC search.
 #[derive(Clone, Debug)]
@@ -41,12 +41,7 @@ fn probe(
     queue_org: QueueOrg,
     vcs: u8,
 ) -> Verdict {
-    let escape = if topo.kind() == TopologyKind::Mesh {
-        1
-    } else {
-        2
-    };
-    let map = VcMap::build_degraded(scheme, pattern.protocol(), vcs, escape);
+    let map = VcMap::build_degraded(scheme, pattern.protocol(), vcs);
     let routing = SchemeRouting::new(map);
     let input = VerifyInput {
         topo,

@@ -15,7 +15,7 @@
 
 use mdd_protocol::{PatternSpec, QueueOrg};
 use mdd_routing::{Scheme, SchemeRouting, VcMap};
-use mdd_topology::{Direction, FaultSet, NodeId, Topology, TopologyKind};
+use mdd_topology::{Direction, FaultSet, NodeId, Topology};
 use mdd_verify::{verify_faulted, AnalysisConfig, BaseAnalysis};
 use proptest::prelude::*;
 
@@ -34,11 +34,12 @@ const QUEUE_ORGS: [QueueOrg; 3] = [QueueOrg::Shared, QueueOrg::PerNetwork, Queue
 
 fn topology(idx: usize) -> Topology {
     match idx {
-        0 => Topology::new(TopologyKind::Torus, &[4, 4], 1),
-        1 => Topology::new(TopologyKind::Mesh, &[4, 4], 1),
+        0 => Topology::new(&[4, 4], 1),
+        // The bristled shape of Section 4.2.2.
+        1 => Topology::new(&[2, 4], 2),
         // Odd radix: no minimal-offset ties, unlike the even radices.
-        2 => Topology::new(TopologyKind::Torus, &[5, 5], 1),
-        _ => Topology::new(TopologyKind::Torus, &[8, 8], 1),
+        2 => Topology::new(&[5, 5], 1),
+        _ => Topology::new(&[8, 8], 1),
     }
 }
 
@@ -56,15 +57,10 @@ fn config(
     } else {
         PatternSpec::pat271()
     };
-    let escape = if topo.kind() == TopologyKind::Mesh {
-        1
-    } else {
-        2
-    };
     // build_degraded never fails for vcs > 0: infeasible budgets get the
     // best map the budget allows, which is exactly what --verify falls
     // back to and what the fault frontier sweeps.
-    let map = VcMap::build_degraded(scheme, pattern.protocol(), vcs, escape);
+    let map = VcMap::build_degraded(scheme, pattern.protocol(), vcs);
     AnalysisConfig::new(
         topo,
         scheme,
@@ -96,11 +92,11 @@ fn assert_agreement(
     let incremental = base.reverify(faults);
     let scratch = verify_faulted(&cfg.input(), faults);
     let label = format!(
-        "scheme {:?} topo {:?} {}x{} vcs {} faults [{}]",
+        "scheme {:?} topo {}x{} bristle {} vcs {} faults [{}]",
         cfg.scheme(),
-        cfg.topo().kind(),
         cfg.topo().radix(0),
         cfg.topo().radix(1),
+        cfg.topo().bristle(),
         cfg.input().routing.map().num_vcs(),
         faults.label(),
     );
@@ -162,8 +158,8 @@ fn empty_fault_set_matches_from_scratch_on_every_config() {
 fn single_link_fault_matches_from_scratch_on_every_config() {
     for cfg in every_config() {
         let base = BaseAnalysis::analyze(cfg.clone());
-        // Router 1's `Plus` link in dimension 0 exists on every grid
-        // topology, the 4×4 mesh included.
+        // Router 1's `Plus` link in dimension 0: on the 2×4 torus it is
+        // the dimension-0 wraparound.
         let link = fault_set(cfg.topo(), &[(1, 0, 0)]);
         assert_agreement(&cfg, &base, &link).unwrap();
     }
@@ -190,12 +186,12 @@ fn every_config() -> impl Iterator<Item = AnalysisConfig> {
 /// fires too, so in debug each fault is checked twice against the oracle.
 #[test]
 fn sixteen_by_sixteen_reverify_matches_from_scratch() {
-    let topo = Topology::new(TopologyKind::Torus, &[16, 16], 1);
+    let topo = Topology::new(&[16, 16], 1);
     let scheme = Scheme::StrictAvoidance {
         shared_adaptive: false,
     };
     let pattern = PatternSpec::pat271();
-    let map = VcMap::build_degraded(scheme, pattern.protocol(), 8, 2);
+    let map = VcMap::build_degraded(scheme, pattern.protocol(), 8);
     let cfg = AnalysisConfig::new(
         topo,
         scheme,

@@ -10,7 +10,7 @@
 //!
 //! The workspace provides, as independent crates re-exported here:
 //!
-//! * [`topology`] — k-ary n-cube tori/meshes, bristling, minimal-routing
+//! * [`topology`] — k-ary n-cube tori, bristling, minimal-routing
 //!   geometry, the recovery ring;
 //! * [`protocol`] — message types, dependency chains (`m1 ≺ m2 ≺ …`),
 //!   protocol descriptions (generic/S-1, MSI, Origin2000) and the Table 3
@@ -88,6 +88,6 @@ pub mod prelude {
         TransactionShape,
     };
     pub use mdd_stats::{Histogram, OnlineStats, Table};
-    pub use mdd_topology::{NicId, NodeId, Topology, TopologyKind};
+    pub use mdd_topology::{NicId, NodeId, Topology};
     pub use mdd_traffic::{AppModel, DestPattern, SyntheticTraffic, TrafficSource};
 }

@@ -172,7 +172,7 @@ fn sa_plus_shared_adaptive_runs() {
 #[test]
 fn facade_prelude_reexports_are_usable() {
     // Types from every layer, reached through the facade alone.
-    let topo = Topology::new(TopologyKind::Torus, &[4, 4], 2);
+    let topo = Topology::new(&[4, 4], 2);
     assert_eq!(topo.num_nics(), 32);
     let proto = ProtocolSpec::origin2000();
     assert_eq!(proto.chain_length(), 3);

@@ -13,7 +13,7 @@
 use mdd_obs::CounterId;
 use mdd_protocol::{Message, MessageId, MessageStore, MsgType, ShapeId, TransactionId};
 use mdd_router::{AcceptAll, Flit, Network, PacketState, RouteCandidate, Routing};
-use mdd_topology::{MinimalHops, NicId, NodeId, Topology, TopologyKind};
+use mdd_topology::{MinimalHops, NicId, NodeId, Topology};
 
 /// Dimension-order routing on VC 0 only (the case never wraps a ring).
 struct Dor;
@@ -78,7 +78,7 @@ fn waiting_heads(net: &Network) -> usize {
 fn stalled_router_counts_every_stalled_head_every_cycle() {
     mdd_obs::install(16);
     // An 8×8 torus with two NICs per router, one VC and two-flit buffers.
-    let mut net = Network::new(Topology::new(TopologyKind::Torus, &[8, 8], 2), 1, 2);
+    let mut net = Network::new(Topology::new(&[8, 8], 2), 1, 2);
     let nics_at = |r: u32| -> Vec<NicId> {
         (0..net.topo().num_nics())
             .map(NicId)

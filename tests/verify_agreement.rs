@@ -35,7 +35,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Configurations the static verifier proves free never report a
-    /// deadlock episode in bounded simulation.
+    /// deadlock episode in bounded simulation. Pattern 5 is the MSI
+    /// multicast pattern, whose invalidation fan-out exercises the
+    /// oracle's multicast edges (partial output room, the final join).
     #[test]
     fn proven_free_never_deadlocks(
         scheme in prop_oneof![
@@ -43,12 +45,16 @@ proptest! {
             Just(Scheme::StrictAvoidance { shared_adaptive: true }),
             Just(Scheme::DeflectiveRecovery),
         ],
-        pat in 0usize..5,
+        pat in 0usize..6,
         vcs in prop_oneof![Just(4u8), Just(8)],
         load in 0.1f64..0.7,
         seed in 0u64..1000,
     ) {
-        let pattern = PatternSpec::all_paper_patterns().swap_remove(pat);
+        let pattern = if pat == 5 {
+            CoherenceEngine::msi_pattern()
+        } else {
+            PatternSpec::all_paper_patterns().swap_remove(pat)
+        };
         let cfg = oracle_config(scheme, pattern, vcs, load, seed);
         let Ok(verdict) = verify_config(&cfg) else {
             return Ok(()); // infeasible VC budget: nothing to agree on
