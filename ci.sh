@@ -72,7 +72,7 @@ set -e
 [ "$jobs0_status" -eq 2 ] || {
     echo "jobs equivalence: --jobs 0 should exit 2, got $jobs0_status"; exit 1; }
 
-echo "==> unknown flags are usage errors (exit 2, naming the flag)"
+echo "==> unknown and repeated flags are usage errors (exit 2, naming the flag)"
 # A flag no binary declares must stop the run, not fall back to a
 # default: --shards and the --topo alias of --radix are gone, and --laod
 # is a misspelt --load.
@@ -87,6 +87,17 @@ for bad in "--shards 2" "--laod 0.9" "--topo 4x4"; do
     echo "$bad_err" | grep -q -- "unknown flag ${bad%% *}" || {
         echo "unknown flags: mddsim $bad should name the flag, said:"; echo "$bad_err"; exit 1; }
 done
+# A repeated option is refused the same way, not resolved to one of its
+# values: --verify must not check the 4x4 torus and ignore the second
+# --radix.
+set +e
+bad_err=$(./target/release/mddsim --verify --radix 4x4 --warmup 100 --radix 70000x70000 2>&1 >/dev/null)
+bad_status=$?
+set -e
+[ "$bad_status" -eq 2 ] || {
+    echo "repeated flags: mddsim --radix twice should exit 2, got $bad_status"; exit 1; }
+echo "$bad_err" | grep -q -- "--radix given more than once" || {
+    echo "repeated flags: mddsim --radix twice should name the flag, said:"; echo "$bad_err"; exit 1; }
 # The client reads the same run flags, so it rejects --topo the same way
 # (before it ever reaches for a daemon).
 set +e

@@ -1,8 +1,9 @@
 //! Shared command-line handling for the binaries in `src/bin/`.
 //!
 //! Each binary declares the flags it takes as [`Flags`], and [`Args`]
-//! checks an argument list against them: a flag nobody declared is a
-//! usage error (exit status 2, naming the flag), never silently ignored.
+//! checks an argument list against them: a flag nobody declared, or an
+//! option given twice, is a usage error (exit status 2, naming the
+//! flag), never silently ignored.
 //! Every experiment binary also accepts the base flags of [`BenchCli`]:
 //!
 //! ```text
@@ -53,14 +54,17 @@ pub struct Args {
 
 impl Args {
     /// Check `args` against the union of `flags`. Fails on a flag none of
-    /// them declares, an option missing its value, or a positional
-    /// argument beyond the declared count.
+    /// them declares, an option missing its value or given twice, or a
+    /// positional argument beyond the declared count.
     pub fn parse(args: Vec<String>, flags: &[Flags]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             if flags.iter().any(|f| f.options.contains(&a.as_str())) {
                 let v = it.next().ok_or_else(|| format!("{a} wants a value"))?;
+                if out.value(&a).is_some() {
+                    return Err(format!("{a} given more than once (see --help)"));
+                }
                 out.values.push((a, v));
             } else if a == "--help"
                 || a == "-h"
@@ -334,6 +338,19 @@ mod tests {
         assert_eq!(err(&["--load"]), "--load wants a value");
         assert!(err(&["--jobs", "0"]).starts_with("--jobs needs at least one worker"));
         assert_eq!(err(&["--jobs", "x"]), "bad --jobs: x");
+    }
+
+    #[test]
+    fn a_repeated_option_is_rejected_by_name() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        assert_eq!(
+            err(&["--load", "0.2", "--plot", "--load", "0.9"]),
+            "--load given more than once (see --help)"
+        );
+        assert_eq!(
+            err(&["--jobs", "1", "--jobs", "1"]),
+            "--jobs given more than once (see --help)"
+        );
     }
 
     fn strings(args: &[&str]) -> Vec<String> {

@@ -3,6 +3,7 @@
 use crate::config::{SimConfig, SimResult};
 use crate::recovery::PrRecovery;
 use crate::schedule::NicSchedule;
+use crate::validate::Cwg;
 use mdd_nic::{Nic, NicConfig, NicStats};
 use mdd_protocol::{IdAlloc, MessageStore, MsgHandle};
 use mdd_router::{EjectControl, Network};
@@ -40,6 +41,9 @@ pub struct Simulator {
     due_scratch: Vec<u32>,
     /// Scratch for the traffic source's non-empty-queue report.
     src_scratch: Vec<NicId>,
+    /// The CWG oracle's graph and buffers, built at the first check and
+    /// refilled at every later one.
+    cwg: Option<Cwg>,
     cwg_checks: u64,
     cwg_deadlocked_checks: u64,
     /// Debug-build cross-check state: `Some(true)` once the static
@@ -161,6 +165,7 @@ impl Simulator {
             nic_sched: NicSchedule::new(num_nics),
             due_scratch: Vec::new(),
             src_scratch: Vec::new(),
+            cwg: None,
             cwg_checks: 0,
             cwg_deadlocked_checks: 0,
             #[cfg(debug_assertions)]
@@ -361,7 +366,7 @@ impl Simulator {
         if let Some(k) = self.cfg.cwg_interval {
             if self.cycle.is_multiple_of(k) {
                 self.cwg_checks += 1;
-                if crate::validate::build_waitfor_graph(self).has_deadlock() {
+                if self.oracle_deadlocked() {
                     self.cwg_deadlocked_checks += 1;
                 }
             }
@@ -371,6 +376,17 @@ impl Simulator {
         // `ProvenFree` must never reach an oracle-confirmed deadlock.
         #[cfg(debug_assertions)]
         self.debug_check_certified_free(c);
+    }
+
+    /// True if the CWG holds a knot right now: the same graph as
+    /// [`crate::build_waitfor_graph`], refilled in the simulator's own
+    /// buffers.
+    fn oracle_deadlocked(&mut self) -> bool {
+        let mut cwg = self.cwg.take().unwrap_or_else(|| Cwg::new(self));
+        cwg.fill(self);
+        let deadlocked = cwg.graph.has_deadlock();
+        self.cwg = Some(cwg);
+        deadlocked
     }
 
     /// Debug-build idle-skip check, the NIC counterpart of the network's
@@ -412,7 +428,7 @@ impl Simulator {
         if self.certified_free != Some(true) {
             return;
         }
-        if crate::validate::build_waitfor_graph(self).has_deadlock() {
+        if self.oracle_deadlocked() {
             panic!(
                 "static verifier certified this configuration ProvenFree, but the \
                  CWG oracle confirms a deadlock at cycle {}:\n{}",

@@ -135,7 +135,7 @@ fn sa_never_deadlocks_cwg_oracle() {
     for i in 0..8_000u64 {
         sim.step();
         if i % 50 == 0 {
-            let g = build_waitfor_graph(&sim);
+            let mut g = build_waitfor_graph(&sim);
             assert!(
                 !g.has_deadlock(),
                 "knot found in SA wait-for graph at cycle {i}"

@@ -45,65 +45,136 @@ pub(crate) fn resource_layout(sim: &Simulator) -> ResourceLayout {
 
 /// Build the extended CWG for the simulator's current state.
 pub fn build_waitfor_graph(sim: &Simulator) -> WaitForGraph {
-    let topo = sim.topo();
-    let net = sim.network();
-    let nics = sim.nics();
-    let store = sim.store();
-    let pattern = sim.config().pattern.clone();
-    let proto = pattern.protocol();
+    let mut cwg = Cwg::new(sim);
+    cwg.fill(sim);
+    cwg.graph
+}
 
-    let layout = resource_layout(sim);
-    let ports = topo.ports_per_router();
-    let vcs = net.vcs() as usize;
-    let nr = topo.num_routers() as usize;
-    let nq = nics[0].num_queues();
-    let mut g = WaitForGraph::new(layout.num_vertices());
-    let org = sim.config().effective_queue_org();
+/// The oracle's reusable state: the graph, its vertex layout and the
+/// routing buffers. A simulator keeps one and refills it at each check,
+/// so a check allocates nothing once the buffers have grown.
+#[derive(Debug)]
+pub(crate) struct Cwg {
+    layout: ResourceLayout,
+    pub(crate) graph: WaitForGraph,
+    cands: Vec<RouteCandidate>,
+    inj_vcs: Vec<u8>,
+}
 
-    // Router VCs.
-    let mut cands: Vec<RouteCandidate> = Vec::new();
-    for r in 0..nr {
-        let node = mdd_topology::NodeId(r as u32);
-        let router = net.router(node);
-        for p in 0..ports {
-            for v in 0..vcs {
-                let vc = router.vc(PortId(p as u8), v as u8);
-                let Some(front) = vc.front() else { continue };
-                let src_vertex = layout.vc_vertex(node, PortId(p as u8), v as u8);
-                let Some(pkt) = net.packets().get(front.msg) else {
-                    continue;
-                };
-                let add_target = |g: &mut WaitForGraph, port: PortId, ovc: u8| {
-                    if let Some((d, dir)) = topo.port_dim_dir(port) {
-                        let down = topo.neighbor(node, d, dir);
-                        let dport = topo.port(d, dir.opposite());
-                        g.add_edge(src_vertex, layout.vc_vertex(down, dport, ovc));
-                    } else {
-                        // Local port: waits on destination input queue —
-                        // only when that queue is actually full (otherwise
-                        // acceptance is imminent: progress, no wait).
-                        let local = topo.port_local_index(port).expect("local port");
-                        let nic = topo.nic_at(node, local);
-                        let qi = org.queue_index(proto, pkt.mtype);
-                        if nics[nic.index()].in_queue(qi).is_full() {
-                            g.add_edge(src_vertex, layout.in_queue_vertex(nic, qi));
-                        }
-                    }
+impl Cwg {
+    /// An empty graph over the simulator's resources.
+    pub(crate) fn new(sim: &Simulator) -> Self {
+        let layout = resource_layout(sim);
+        Cwg {
+            graph: WaitForGraph::new(layout.num_vertices()),
+            layout,
+            cands: Vec::new(),
+            inj_vcs: Vec::new(),
+        }
+    }
+
+    /// Refill the graph from the simulator's current state: O(occupied
+    /// VCs + routers + endpoint queues), visiting only the VCs that hold
+    /// a flit.
+    pub(crate) fn fill(&mut self, sim: &Simulator) {
+        let Cwg {
+            layout,
+            graph: g,
+            cands,
+            inj_vcs,
+        } = self;
+        g.clear();
+        let topo = sim.topo();
+        let net = sim.network();
+        let nics = sim.nics();
+        let store = sim.store();
+        let proto = sim.config().pattern.protocol();
+        let org = sim.config().effective_queue_org();
+
+        // Router VCs.
+        for r in 0..topo.num_routers() {
+            let node = mdd_topology::NodeId(r);
+            for (port, v, vc) in net.router(node).occupied_vcs() {
+                let from = layout.vc_vertex(node, port, v);
+                let to_vc = |port: PortId, ovc: u8| {
+                    let (down, dport) = net.downstream(node, port)?;
+                    Some(layout.vc_vertex(down, dport, ovc))
                 };
                 match vc.route() {
+                    // A granted local route has a reservation: progress is
+                    // guaranteed, no wait edge.
                     Some((op, ov)) => {
-                        // A granted local route has a reservation: progress
-                        // is guaranteed, no wait edge.
-                        if topo.port_dim_dir(op).is_some() {
-                            add_target(&mut g, op, ov);
+                        if let Some(to) = to_vc(op, ov) {
+                            g.add_edge(from, to);
                         }
                     }
                     None => {
-                        if front.is_head() {
-                            cands.clear();
-                            sim.routing().candidates(topo, node, pkt, 0, &mut cands);
-                            for c in &cands {
-                                add_target(&mut g, c.port, c.vc);
+                        let front = vc.front().expect("an occupied VC has a front flit");
+                        if !front.is_head() {
+                            continue;
+                        }
+                        let pkt = net
+                            .packets()
+                            .get(front.msg)
+                            .expect("a buffered flit's packet is registered");
+                        cands.clear();
+                        sim.routing().candidates(topo, node, pkt, 0, cands);
+                        for c in cands.iter() {
+                            if let Some(to) = to_vc(c.port, c.vc) {
+                                g.add_edge(from, to);
+                                continue;
+                            }
+                            // Local port: waits on the destination input
+                            // queue — only when that queue is actually full
+                            // (otherwise acceptance is imminent: progress,
+                            // no wait).
+                            let local = topo.port_local_index(c.port).expect("local port");
+                            let nic = topo.nic_at(node, local);
+                            let qi = org.queue_index(proto, pkt.mtype);
+                            if nics[nic.index()].in_queue(qi).is_full() {
+                                g.add_edge(from, layout.in_queue_vertex(nic, qi));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // Endpoint queues.
+        for nic in nics {
+            let nid = nic.id();
+            for q in 0..nic.num_queues() {
+                // Input queue head waits on what keeps it from starting.
+                if let Some(blocker) = nic.head_blocker(q, store) {
+                    let to = match blocker {
+                        Blocker::Output { sub, .. } => {
+                            layout.out_queue_vertex(nid, org.queue_index(proto, sub))
+                        }
+                        Blocker::Earmark { rq } => layout.in_queue_vertex(nid, rq),
+                    };
+                    g.add_edge(layout.in_queue_vertex(nid, q), to);
+                }
+                // Output queue head waits on injection VCs.
+                if let Some(&h) = nic.out_queue(q).front() {
+                    let from = layout.out_queue_vertex(nid, q);
+                    let my_router = topo.nic_router(nid);
+                    let local_port = topo.local_port(topo.nic_local_index(nid));
+                    match nic.active_injection_vc(h) {
+                        Some(v) => g.add_edge(from, layout.vc_vertex(my_router, local_port, v)),
+                        None => {
+                            let head = store.get(h);
+                            let pkt = mdd_router::PacketState {
+                                msg: h,
+                                mtype: head.mtype,
+                                src: head.src,
+                                dst: head.dst,
+                                dst_router: topo.nic_router(head.dst),
+                                crossed_dateline: 0,
+                            };
+                            inj_vcs.clear();
+                            sim.routing().injection_vcs(&pkt, inj_vcs);
+                            for &v in inj_vcs.iter() {
+                                g.add_edge(from, layout.vc_vertex(my_router, local_port, v));
                             }
                         }
                     }
@@ -111,56 +182,6 @@ pub fn build_waitfor_graph(sim: &Simulator) -> WaitForGraph {
             }
         }
     }
-
-    // Endpoint queues.
-    for nic in nics {
-        let nid = nic.id();
-        for q in 0..nq {
-            // Input queue head waits on what keeps it from starting.
-            if let Some(blocker) = nic.head_blocker(q, store) {
-                let to = match blocker {
-                    Blocker::Output { sub, .. } => {
-                        layout.out_queue_vertex(nid, org.queue_index(proto, sub))
-                    }
-                    Blocker::Earmark { rq } => layout.in_queue_vertex(nid, rq),
-                };
-                g.add_edge(layout.in_queue_vertex(nid, q), to);
-            }
-            // Output queue head waits on injection VCs.
-            if let Some(&h) = nic.out_queue(q).front() {
-                let head = store.get(h);
-                let my_router = topo.nic_router(nid);
-                let local_port = topo.local_port(topo.nic_local_index(nid));
-                match nic.active_injection_vc(h) {
-                    Some(v) => {
-                        g.add_edge(
-                            layout.out_queue_vertex(nid, q),
-                            layout.vc_vertex(my_router, local_port, v),
-                        );
-                    }
-                    None => {
-                        let pkt = mdd_router::PacketState {
-                            msg: h,
-                            mtype: head.mtype,
-                            src: head.src,
-                            dst: head.dst,
-                            dst_router: topo.nic_router(head.dst),
-                            crossed_dateline: 0,
-                        };
-                        let mut vcs_buf = Vec::new();
-                        sim.routing().injection_vcs(&pkt, &mut vcs_buf);
-                        for v in vcs_buf {
-                            g.add_edge(
-                                layout.out_queue_vertex(nid, q),
-                                layout.vc_vertex(my_router, local_port, v),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    g
 }
 
 /// If the simulator is deadlocked *right now* (the CWG holds a knot),
@@ -168,7 +189,7 @@ pub fn build_waitfor_graph(sim: &Simulator) -> WaitForGraph {
 /// annotated with the message type blocked at each resource. Uses the
 /// same [`ResourceLayout`] naming as `mdd-verify`'s static witnesses.
 pub fn deadlock_witness(sim: &Simulator) -> Option<String> {
-    let g = build_waitfor_graph(sim);
+    let mut g = build_waitfor_graph(sim);
     let knot = g.knots().into_iter().next()?;
     let cycle = g.cycle_in_component(&knot);
     if cycle.is_empty() {

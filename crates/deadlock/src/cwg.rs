@@ -7,6 +7,18 @@
 //! deadlock corresponds to a *knot*: a strongly connected component
 //! containing a cycle from which no arc escapes — every resource reachable
 //! from the component leads back into it.
+//!
+//! The graph is sized for every resource of a network but, in a live
+//! network, only a few of them wait on anything. Arcs therefore live in
+//! one array, chained per source, beside the list of vertices that have
+//! one; the search starts only at those, and its per-vertex state is
+//! reset only where it was written. A query costs O(arcs), not
+//! O(vertices), and [`WaitForGraph::clear`] readies the graph for a
+//! refill without giving up its buffers.
+
+/// No arc (the end of a chain); an unvisited vertex; a vertex whose SCC
+/// is still on the stack.
+const NONE: u32 = u32::MAX;
 
 /// A directed wait-for graph over `n` resource vertices.
 ///
@@ -18,172 +30,230 @@
 /// assert!(g.has_deadlock(), "a closed cycle is a knot");
 /// g.add_edge(1, 2); // 2 is free: an escape
 /// assert!(!g.has_deadlock());
+/// g.clear();
+/// g.add_edge(2, 2);
+/// assert_eq!(g.knots(), vec![vec![2]]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct WaitForGraph {
-    n: usize,
-    adj: Vec<Vec<u32>>,
-    edges: usize,
+    /// Per vertex: its first and last out-arc (`first` is `NONE` when it
+    /// has none, and `last` is then stale).
+    first: Vec<u32>,
+    last: Vec<u32>,
+    /// Per arc, in the order added: its target and the next arc from the
+    /// same source (`NONE` at the end of the chain).
+    arcs: Vec<(u32, u32)>,
+    /// The vertices with an out-arc.
+    sources: Vec<u32>,
+    tarjan: Tarjan,
+}
+
+/// Scratch for Tarjan's search. Between searches every `index` and `comp`
+/// entry is `NONE` and the lists are empty.
+#[derive(Clone, Debug)]
+struct Tarjan {
+    /// Per vertex: visit order, `NONE` while unvisited.
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    /// Per vertex: its SCC (the root's index) once popped, `NONE` before.
+    comp: Vec<u32>,
+    /// The vertices visited, in visit order (`index` inverted).
+    visited: Vec<u32>,
+    stack: Vec<u32>,
+    /// The DFS: `(vertex, next arc to follow)`.
+    call: Vec<(u32, u32)>,
 }
 
 impl WaitForGraph {
     /// An edgeless graph with `n` vertices.
     pub fn new(n: usize) -> Self {
         WaitForGraph {
-            n,
-            adj: vec![Vec::new(); n],
-            edges: 0,
+            first: vec![NONE; n],
+            last: vec![NONE; n],
+            arcs: Vec::new(),
+            sources: Vec::new(),
+            tarjan: Tarjan {
+                index: vec![NONE; n],
+                lowlink: vec![0; n],
+                comp: vec![NONE; n],
+                visited: Vec::new(),
+                stack: Vec::new(),
+                call: Vec::new(),
+            },
         }
     }
 
     /// Number of vertices.
     #[inline]
     pub fn len(&self) -> usize {
-        self.n
+        self.first.len()
     }
 
     /// True if the graph has no vertices.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.first.is_empty()
     }
 
     /// Number of edges added.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges
+        self.arcs.len()
     }
 
-    /// Add the wait-for arc `a → b`.
+    /// Remove every arc, keeping the vertices and the buffers' capacity.
+    /// O(vertices with an out-arc).
+    pub fn clear(&mut self) {
+        for &v in &self.sources {
+            self.first[v as usize] = NONE;
+        }
+        self.sources.clear();
+        self.arcs.clear();
+    }
+
+    /// Add the wait-for arc `a → b`. O(1) amortized.
     pub fn add_edge(&mut self, a: u32, b: u32) {
-        debug_assert!((a as usize) < self.n && (b as usize) < self.n);
-        self.adj[a as usize].push(b);
-        self.edges += 1;
+        debug_assert!((a as usize) < self.len() && (b as usize) < self.len());
+        let e = self.arcs.len() as u32;
+        self.arcs.push((b, NONE));
+        let a = a as usize;
+        if self.first[a] == NONE {
+            self.first[a] = e;
+            self.sources.push(a as u32);
+        } else {
+            self.arcs[self.last[a] as usize].1 = e;
+        }
+        self.last[a] = e;
     }
 
-    /// True if the arc `a → b` was added.
+    /// True if the arc `a → b` was added. O(out-degree of `a`).
     pub fn has_edge(&self, a: u32, b: u32) -> bool {
-        self.adj[a as usize].contains(&b)
+        out(&self.first, &self.arcs, a).any(|w| w == b)
     }
 
-    /// Strongly connected components (Tarjan, iterative), in reverse
-    /// topological order.
-    pub fn sccs(&self) -> Vec<Vec<u32>> {
-        #[derive(Clone, Copy)]
-        struct VState {
-            index: u32,
-            lowlink: u32,
-            on_stack: bool,
-            visited: bool,
+    /// Strongly connected components, in reverse topological order, each
+    /// in the order Tarjan's stack pops it; vertices without any arc come
+    /// last, one per component. O(vertices + arcs).
+    pub fn sccs(&mut self) -> Vec<Vec<u32>> {
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        self.search(false, |scc| {
+            out.push(scc.iter().rev().copied().collect());
+            false
+        });
+        let mut seen = vec![false; self.len()];
+        for &v in out.iter().flatten() {
+            seen[v as usize] = true;
         }
-        let mut st = vec![
-            VState {
-                index: 0,
-                lowlink: 0,
-                on_stack: false,
-                visited: false,
-            };
-            self.n
-        ];
-        let mut next_index = 0u32;
-        let mut stack: Vec<u32> = Vec::new();
-        let mut sccs: Vec<Vec<u32>> = Vec::new();
-        // Explicit DFS stack: (vertex, child iterator position).
-        let mut call: Vec<(u32, usize)> = Vec::new();
-        for root in 0..self.n as u32 {
-            if st[root as usize].visited {
-                continue;
-            }
-            call.push((root, 0));
-            st[root as usize].visited = true;
-            st[root as usize].index = next_index;
-            st[root as usize].lowlink = next_index;
-            next_index += 1;
-            st[root as usize].on_stack = true;
-            stack.push(root);
-            while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-                let vs = v as usize;
-                if *ci < self.adj[vs].len() {
-                    let w = self.adj[vs][*ci];
-                    *ci += 1;
-                    let ws = w as usize;
-                    if !st[ws].visited {
-                        st[ws].visited = true;
-                        st[ws].index = next_index;
-                        st[ws].lowlink = next_index;
-                        next_index += 1;
-                        st[ws].on_stack = true;
-                        stack.push(w);
-                        call.push((w, 0));
-                    } else if st[ws].on_stack {
-                        st[vs].lowlink = st[vs].lowlink.min(st[ws].index);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        let lp = st[parent as usize].lowlink.min(st[vs].lowlink);
-                        st[parent as usize].lowlink = lp;
-                    }
-                    if st[vs].lowlink == st[vs].index {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack invariant");
-                            st[w as usize].on_stack = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        sccs.push(comp);
-                    }
-                }
-            }
-        }
-        sccs
-    }
-
-    /// True if `comp` (one SCC) contains a cycle: more than one vertex, or
-    /// a self-loop.
-    fn has_cycle(&self, comp: &[u32]) -> bool {
-        comp.len() > 1 || self.adj[comp[0] as usize].contains(&comp[0])
-    }
-
-    /// Detect knots: cyclic SCCs from which no arc escapes to a vertex
-    /// outside every knot... precisely: an SCC `K` is *locally* a knot when
-    /// every arc leaving a vertex of `K` stays within `K`. Resources in
-    /// such components can never be released: they are deadlocked.
-    ///
-    /// Returns the deadlocked vertex sets (possibly empty).
-    pub fn knots(&self) -> Vec<Vec<u32>> {
-        let sccs = self.sccs();
-        let mut comp_of = vec![u32::MAX; self.n];
-        for (ci, comp) in sccs.iter().enumerate() {
-            for &v in comp {
-                comp_of[v as usize] = ci as u32;
-            }
-        }
-        let mut out = Vec::new();
-        'scc: for (ci, comp) in sccs.iter().enumerate() {
-            if !self.has_cycle(comp) {
-                continue;
-            }
-            for &v in comp {
-                for &w in &self.adj[v as usize] {
-                    if comp_of[w as usize] != ci as u32 {
-                        continue 'scc; // an escape arc exists
-                    }
-                }
-            }
-            let mut k = comp.clone();
-            k.sort_unstable();
-            out.push(k);
-        }
+        out.extend(
+            (0..self.len() as u32)
+                .filter(|&v| !seen[v as usize])
+                .map(|v| vec![v]),
+        );
         out
     }
 
-    /// Convenience: true if any knot (deadlock) exists.
-    pub fn has_deadlock(&self) -> bool {
-        !self.knots().is_empty()
+    /// The knots: the SCCs that contain a cycle (more than one vertex, or
+    /// a self-loop) and that no arc leaves. Resources in a knot can never
+    /// be released: they are deadlocked. Each knot is sorted, and the
+    /// knots come in reverse topological order (possibly none).
+    /// O(arcs + vertices with an arc).
+    pub fn knots(&mut self) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        self.search(true, |knot| {
+            let mut k = knot.to_vec();
+            k.sort_unstable();
+            out.push(k);
+            false
+        });
+        out
+    }
+
+    /// True if any knot (deadlock) exists. Stops at the first knot, and
+    /// allocates nothing once the graph has been searched at this size.
+    /// O(arcs + vertices with an arc).
+    pub fn has_deadlock(&mut self) -> bool {
+        self.search(true, |_| true)
+    }
+
+    /// Tarjan's algorithm, iterative, the one SCC routine behind
+    /// [`sccs`](Self::sccs), [`knots`](Self::knots) and
+    /// [`has_deadlock`](Self::has_deadlock). Roots are the vertices with an
+    /// out-arc, ascending: a vertex without one is a trivial SCC that can
+    /// never be in a knot, visited only when an arc reaches it. Each SCC is
+    /// handed to `on_scc` as it pops (reverse topological order) — with
+    /// `knots_only`, only if it is a knot, tested then: by that time every
+    /// vertex it reaches has its component. The search stops at the first
+    /// call that returns true, and reports whether one did. Only the
+    /// per-vertex state it wrote is reset on the way out.
+    fn search(&mut self, knots_only: bool, mut on_scc: impl FnMut(&[u32]) -> bool) -> bool {
+        let WaitForGraph {
+            first,
+            arcs,
+            sources,
+            tarjan: t,
+            ..
+        } = self;
+        sources.sort_unstable();
+        let mut stopped = false;
+        'roots: for &root in sources.iter() {
+            if t.index[root as usize] != NONE {
+                continue;
+            }
+            t.open(root, first);
+            while let Some(&(v, e)) = t.call.last() {
+                let vs = v as usize;
+                if e != NONE {
+                    let (w, next) = arcs[e as usize];
+                    t.call.last_mut().expect("frame").1 = next;
+                    let w = w as usize;
+                    if t.index[w] == NONE {
+                        t.open(w as u32, first);
+                    } else if t.comp[w] == NONE {
+                        // On the stack: in the SCC being built.
+                        t.lowlink[vs] = t.lowlink[vs].min(t.index[w]);
+                    }
+                    continue;
+                }
+                t.call.pop();
+                if let Some(&(parent, _)) = t.call.last() {
+                    let p = parent as usize;
+                    t.lowlink[p] = t.lowlink[p].min(t.lowlink[vs]);
+                }
+                if t.lowlink[vs] != t.index[vs] {
+                    continue;
+                }
+                let start = t
+                    .stack
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("root on stack");
+                let c = t.index[vs];
+                for &w in &t.stack[start..] {
+                    t.comp[w as usize] = c;
+                }
+                let scc = &t.stack[start..];
+                // A knot: the SCC has an arc (a self-loop if it is one
+                // vertex) and none leaves it.
+                let report = !knots_only
+                    || (first[vs] != NONE
+                        && scc
+                            .iter()
+                            .all(|&w| out(first, arcs, w).all(|x| t.comp[x as usize] == c)));
+                if report && on_scc(scc) {
+                    stopped = true;
+                    break 'roots;
+                }
+                t.stack.truncate(start);
+            }
+        }
+        for &v in &t.visited {
+            t.index[v as usize] = NONE;
+            t.comp[v as usize] = NONE;
+        }
+        t.visited.clear();
+        t.stack.clear();
+        t.call.clear();
+        stopped
     }
 
     /// Extract one simple cycle lying entirely inside `comp` (the vertex
@@ -195,25 +265,25 @@ impl WaitForGraph {
     /// inside the component; because every vertex of a cyclic SCC has such
     /// an arc, the walk must revisit a vertex, and the portion from the
     /// first revisit onward is a simple cycle — the witness printed for
-    /// deadlock traces.
+    /// deadlock traces. O(vertices + arcs).
     pub fn cycle_in_component(&self, comp: &[u32]) -> Vec<u32> {
         if comp.is_empty() {
             return Vec::new();
         }
         if comp.len() == 1 {
             let v = comp[0];
-            return if self.adj[v as usize].contains(&v) {
+            return if self.has_edge(v, v) {
                 vec![v]
             } else {
                 Vec::new()
             };
         }
-        let mut inside = vec![false; self.n];
+        let mut inside = vec![false; self.len()];
         for &v in comp {
             inside[v as usize] = true;
         }
         // Walk first-inside-arcs until a vertex repeats.
-        let mut seen_at = vec![usize::MAX; self.n];
+        let mut seen_at = vec![usize::MAX; self.len()];
         let mut path: Vec<u32> = Vec::new();
         let mut v = comp[0];
         loop {
@@ -222,11 +292,34 @@ impl WaitForGraph {
             }
             seen_at[v as usize] = path.len();
             path.push(v);
-            match self.adj[v as usize].iter().find(|&&w| inside[w as usize]) {
-                Some(&w) => v = w,
+            match out(&self.first, &self.arcs, v).find(|&w| inside[w as usize]) {
+                Some(w) => v = w,
                 // Unreachable for a genuine SCC; bail out defensively.
                 None => return Vec::new(),
             }
         }
     }
+}
+
+impl Tarjan {
+    /// Visit `v`: number it, push it, and open its DFS frame.
+    fn open(&mut self, v: u32, first: &[u32]) {
+        let i = self.visited.len() as u32;
+        self.index[v as usize] = i;
+        self.lowlink[v as usize] = i;
+        self.visited.push(v);
+        self.stack.push(v);
+        self.call.push((v, first[v as usize]));
+    }
+}
+
+/// The targets of `v`'s out-arcs in the order added, walking its chain
+/// (`NONE` indexes past every arc, so the walk ends there).
+fn out<'a>(first: &[u32], arcs: &'a [(u32, u32)], v: u32) -> impl Iterator<Item = u32> + 'a {
+    let mut e = first[v as usize];
+    std::iter::from_fn(move || {
+        let (w, next) = *arcs.get(e as usize)?;
+        e = next;
+        Some(w)
+    })
 }

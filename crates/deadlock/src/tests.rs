@@ -346,30 +346,136 @@ fn naive_has_deadlock(n: usize, edges: &[(u32, u32)]) -> bool {
     false
 }
 
+/// Naive reference knots: for each vertex on a cycle whose reachable set
+/// all leads back to it, that reachable set (its closed SCC), sorted;
+/// deduplicated and sorted.
+fn naive_knots(n: usize, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
+    let mut adj = vec![vec![]; n];
+    for &(a, b) in edges {
+        adj[a as usize].push(b as usize);
+    }
+    let reach = |start: usize| -> Vec<bool> {
+        let mut seen = vec![false; n];
+        let mut stack = vec![start];
+        seen[start] = true;
+        while let Some(v) = stack.pop() {
+            for &w in &adj[v] {
+                if !seen[w] {
+                    seen[w] = true;
+                    stack.push(w);
+                }
+            }
+        }
+        seen
+    };
+    let reaches: Vec<Vec<bool>> = (0..n).map(reach).collect();
+    let mut out: Vec<Vec<u32>> = (0..n)
+        .filter(|&v| adj[v].iter().any(|&w| reaches[w][v]))
+        .filter(|&v| (0..n).all(|w| !reaches[v][w] || reaches[w][v]))
+        .map(|v| (0..n as u32).filter(|&w| reaches[v][w as usize]).collect())
+        .collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
 mod oracle_properties {
     use super::*;
     use proptest::prelude::*;
 
+    /// `edges` over the first `n` of `n + isolated` vertices (so the last
+    /// `isolated` have no arc at all), with every self-loop at a vertex in
+    /// `loops` and the arcs at indices `dups` added a second time.
+    fn graph_edges(
+        n: usize,
+        edges: Vec<(u32, u32)>,
+        loops: Vec<u32>,
+        dups: Vec<usize>,
+    ) -> Vec<(u32, u32)> {
+        let mut out: Vec<(u32, u32)> = edges
+            .into_iter()
+            .map(|(a, b)| (a % n as u32, b % n as u32))
+            .collect();
+        out.extend(loops.into_iter().map(|v| (v % n as u32, v % n as u32)));
+        if !out.is_empty() {
+            let parallel: Vec<(u32, u32)> = dups.iter().map(|&i| out[i % out.len()]).collect();
+            out.extend(parallel);
+        }
+        out
+    }
+
+    fn sorted(mut knots: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+        knots.sort();
+        knots
+    }
+
     proptest! {
-        /// The fast knot detector agrees with the naive reachability-based
-        /// oracle on random graphs.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The knot detector agrees with the naive reachability oracles on
+        /// random graphs with self-loops, parallel arcs and arc-less
+        /// vertices: `has_deadlock` with the out-degree-zero reference,
+        /// and `knots()`, as a set, with the closed-reachable-set one.
         #[test]
         fn knots_match_naive_oracle(n in 1usize..14,
-                                    edges in proptest::collection::vec((0u32..14, 0u32..14), 0..40)) {
-            let edges: Vec<(u32, u32)> = edges
-                .into_iter()
-                .map(|(a, b)| (a % n as u32, b % n as u32))
-                .collect();
-            let mut g = WaitForGraph::new(n);
+                                    isolated in 0usize..4,
+                                    edges in proptest::collection::vec((0u32..14, 0u32..14), 0..40),
+                                    loops in proptest::collection::vec(0u32..14, 0..3),
+                                    dups in proptest::collection::vec(0usize..64, 0..4)) {
+            let edges = graph_edges(n, edges, loops, dups);
+            let total = n + isolated;
+            let mut g = WaitForGraph::new(total);
             for &(a, b) in &edges {
                 g.add_edge(a, b);
             }
+            let naive = super::naive_has_deadlock(total, &edges);
             prop_assert_eq!(
                 g.has_deadlock(),
-                super::naive_has_deadlock(n, &edges),
+                naive,
                 "detector disagrees with the naive oracle on {:?}",
                 edges
             );
+            let knots = sorted(g.knots());
+            prop_assert_eq!(&knots, &super::naive_knots(total, &edges), "knots of {:?}", edges);
+            prop_assert_eq!(knots.is_empty(), !naive);
+            // The SCCs still partition every vertex, isolated ones included.
+            let mut seen: Vec<u32> = g.sccs().into_iter().flatten().collect();
+            seen.sort_unstable();
+            prop_assert_eq!(seen, (0..total as u32).collect::<Vec<_>>());
+        }
+
+        /// A graph cleared and refilled answers exactly as a fresh graph
+        /// with the same arcs: `clear` leaves nothing behind, and no query
+        /// leaves search state behind either.
+        #[test]
+        fn refilled_graph_matches_fresh(n in 1usize..14,
+                                        first in proptest::collection::vec((0u32..14, 0u32..14), 0..40),
+                                        second in proptest::collection::vec((0u32..14, 0u32..14), 0..40),
+                                        loops in proptest::collection::vec(0u32..14, 0..3),
+                                        dups in proptest::collection::vec(0usize..64, 0..4)) {
+            let first = graph_edges(n, first, Vec::new(), Vec::new());
+            let second = graph_edges(n, second, loops, dups);
+            let mut reused = WaitForGraph::new(n);
+            for &(a, b) in &first {
+                reused.add_edge(a, b);
+            }
+            let _ = (reused.has_deadlock(), reused.knots(), reused.sccs());
+            reused.clear();
+            prop_assert_eq!(reused.num_edges(), 0);
+            let mut fresh = WaitForGraph::new(n);
+            for &(a, b) in &second {
+                reused.add_edge(a, b);
+                fresh.add_edge(a, b);
+            }
+            for _ in 0..2 {
+                prop_assert_eq!(reused.has_deadlock(), fresh.has_deadlock());
+                prop_assert_eq!(reused.knots(), fresh.knots());
+                prop_assert_eq!(reused.sccs(), fresh.sccs());
+                prop_assert_eq!(reused.num_edges(), fresh.num_edges());
+            }
+            for &(a, b) in &second {
+                prop_assert!(reused.has_edge(a, b));
+            }
         }
     }
 }

@@ -240,6 +240,31 @@ impl Network {
         }
     }
 
+    /// The far end of router `node`'s output `port`: the downstream router
+    /// and the input port the link enters it by, or `None` for a local
+    /// port. Read off the link table, so no topology arithmetic runs.
+    ///
+    /// ```
+    /// use mdd_router::Network;
+    /// use mdd_topology::{NodeId, PortId, Topology};
+    /// let topo = Topology::new(&[4, 3], 1);
+    /// let net = Network::new(topo.clone(), 2, 2);
+    /// for node in topo.routers() {
+    ///     for p in 0..topo.ports_per_router() {
+    ///         let port = PortId(p as u8);
+    ///         let far = topo.port_dim_dir(port).map(|(d, dir)| {
+    ///             (topo.neighbor(node, d, dir), topo.port(d, dir.opposite()))
+    ///         });
+    ///         assert_eq!(net.downstream(node, port), far);
+    ///     }
+    /// }
+    /// ```
+    #[inline]
+    pub fn downstream(&self, node: NodeId, port: PortId) -> Option<(NodeId, PortId)> {
+        let nbr = self.links.nbr[node.index() * self.links.ports + port.index()];
+        (nbr != u32::MAX).then(|| (NodeId(nbr), PortId(self.links.opp[port.index()])))
+    }
+
     /// Put router `r` on the wake-set for the next step.
     #[inline]
     fn wake(&mut self, r: usize) {

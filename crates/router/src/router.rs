@@ -475,4 +475,32 @@ impl<'a> Router<'a> {
             )
         })
     }
+
+    /// Iterate [`Router::iter_vcs`]'s items over the input VCs that hold
+    /// a flit only, in the same order, read off the occupancy mask: an
+    /// empty router costs one word test.
+    ///
+    /// ```
+    /// use mdd_router::Network;
+    /// use mdd_topology::{NodeId, Topology};
+    /// let net = Network::new(Topology::new(&[4], 1), 4, 2);
+    /// assert_eq!(net.router(NodeId(0)).occupied_vcs().count(), 0);
+    /// ```
+    pub fn occupied_vcs(&self) -> impl Iterator<Item = (PortId, u8, VcRef<'a>)> {
+        let me = *self;
+        let nvcs = self.st.vcs as usize;
+        let base = self.r * self.st.slots;
+        let mut occ = self.st.hdr[self.r].in_occ;
+        std::iter::from_fn(move || {
+            (occ != 0).then(|| {
+                let i = occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                (
+                    PortId((i / nvcs) as u8),
+                    (i % nvcs) as u8,
+                    VcRef::new(me, base + i),
+                )
+            })
+        })
+    }
 }

@@ -108,6 +108,7 @@ fn run(
         }
         net.step(cycle, &TestDor, ej);
         assert_left_whole(net, cycle);
+        assert_occupied_vcs_match(net);
         delivered.extend_from_slice(net.delivered());
         cycle += 1;
         let all_sent = per_nic.values().all(Vec::is_empty);
@@ -132,6 +133,20 @@ fn assert_left_whole(net: &Network, cycle: u64) {
                 );
             }
         }
+    }
+}
+
+/// `Router::occupied_vcs` lists exactly the non-empty VCs of
+/// `Router::iter_vcs`, in the same order.
+fn assert_occupied_vcs_match(net: &Network) {
+    for node in net.topo().routers() {
+        let r = net.router(node);
+        let occupied = r.occupied_vcs().map(|(p, v, _)| (p, v));
+        let nonempty = r
+            .iter_vcs()
+            .filter(|(_, _, buf)| !buf.is_empty())
+            .map(|(p, v, _)| (p, v));
+        assert!(occupied.eq(nonempty), "occupancy mask of {node} is stale");
     }
 }
 

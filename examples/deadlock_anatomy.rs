@@ -52,7 +52,7 @@ fn main() {
     // Ground truth: inspect the wait-for graph right now. When a knot is
     // present, print the same formatted cycle trace the static verifier
     // (`mddsim --verify`) produces for unsafe configurations.
-    let g = build_waitfor_graph(&sim);
+    let mut g = build_waitfor_graph(&sim);
     println!(
         "\nwait-for graph: {} vertices, {} edges, knots present: {}",
         g.len(),

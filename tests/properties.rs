@@ -98,7 +98,7 @@ proptest! {
         };
         for _ in 0..8 {
             sim.run_cycles(400);
-            let g = build_waitfor_graph(&sim);
+            let mut g = build_waitfor_graph(&sim);
             prop_assert!(!g.has_deadlock(), "knot under strict avoidance");
         }
     }

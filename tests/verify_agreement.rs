@@ -12,6 +12,10 @@
 //!   classified `Unsafe`, and the degraded network it describes
 //!   ([`Simulator::with_degraded_vcs`]) genuinely reaches an
 //!   oracle-confirmed deadlock under load.
+//!
+//! A third test pins the oracle itself: the simulator's periodic check,
+//! which refills one graph in place, counts the same knots as the public
+//! `build_waitfor_graph` at the same cycles.
 
 use mdd_sim::prelude::*;
 use proptest::prelude::*;
@@ -113,4 +117,28 @@ fn crippled_sa_deadlocks_dynamically() {
         deadlocked,
         "statically-Unsafe degraded SA config never deadlocked in 20k cycles x 4 seeds"
     );
+}
+
+/// The simulator's periodic oracle refills one graph in its own buffers;
+/// the public `build_waitfor_graph` builds a fresh one. Stepped past
+/// saturation (8×8 PR/PAT271 at 0.55, where knots form and recovery
+/// breaks them), both must find a knot at exactly the same checks.
+#[test]
+fn periodic_oracle_matches_fresh_graphs() {
+    let mut cfg =
+        SimConfig::paper_default(Scheme::ProgressiveRecovery, PatternSpec::pat271(), 4, 0.55);
+    cfg.warmup = 0;
+    cfg.measure = 0;
+    cfg.cwg_interval = Some(50);
+    let mut sim = Simulator::new(cfg).unwrap();
+    let (mut checks, mut deadlocked) = (0u64, 0u64);
+    for _ in 0..6_000 {
+        sim.step();
+        if sim.cycle().is_multiple_of(50) {
+            checks += 1;
+            deadlocked += u64::from(build_waitfor_graph(&sim).has_deadlock());
+        }
+    }
+    assert_eq!(sim.cwg_stats(), (checks, deadlocked));
+    assert!(deadlocked > 0, "no knot in {checks} checks");
 }
