@@ -174,17 +174,24 @@ trap 'rm -rf "$CACHE_DIR" "$DAEMON_DIR"' EXIT
 
 echo "==> static verifier smoke (mddsim --verify)"
 # The release binary is invoked directly (built above), so the stage
-# times the verifier rather than cargo.
-verify_one() { # scheme vcs expected_verdict
-    local out
+# times the verifier rather than cargo. Each verdict has a 1,000 ms
+# budget; the 64x64 scaling smoke below reuses this check.
+verify_one() { # radix scheme vcs expected_verdict
+    local out t0 t1
+    t0=$(date +%s%N)
     out=$(./target/release/mddsim \
-        --verify --scheme "$1" --pattern pat271 --vcs "$2" --radix 8x8) || true
-    echo "$out" | grep -q "verdict: $3" || {
-        echo "verify smoke: $1 vcs=$2 expected $3, got:"; echo "$out"; exit 1; }
+        --verify --scheme "$2" --pattern pat271 --vcs "$3" --radix "$1") || true
+    t1=$(date +%s%N)
+    echo "$out" | grep -q "verdict: $4" || {
+        echo "verify smoke: $1 $2 vcs=$3 expected $4, got:"; echo "$out"; exit 1; }
+    local ms=$(( (t1 - t0) / 1000000 ))
+    [ "$ms" -lt 1000 ] || {
+        echo "verify smoke: $1 $2 verdict took ${ms}ms (budget 1000ms)"; exit 1; }
+    echo "    $1 $2 vcs=$3: $4 in ${ms}ms"
 }
-verify_one sa 8 ProvenFree
-verify_one dr 8 RecoverableCycles
-verify_one pr 4 RecoverableCycles
+verify_one 8x8 sa 8 ProvenFree
+verify_one 8x8 dr 8 RecoverableCycles
+verify_one 8x8 pr 4 RecoverableCycles
 # One VC short of SA's budget must be rejected outright (exit status 3).
 set +e
 unsafe_out=$(./target/release/mddsim \
@@ -242,24 +249,10 @@ done
 
 echo "==> scaling smoke (orbit-quotiented verifier at 64x64, ladder sweep point)"
 # The orbit quotient must classify a 4096-router torus interactively:
-# three verdicts in <1s each. The release binary is invoked directly
-# (already built above) so process spawn doesn't pollute the budget.
-verify_big() { # scheme vcs expected_verdict
-    local out t0 t1
-    t0=$(date +%s%N)
-    out=$(./target/release/mddsim \
-        --verify --scheme "$1" --pattern pat271 --vcs "$2" --radix 64x64) || true
-    t1=$(date +%s%N)
-    echo "$out" | grep -q "verdict: $3" || {
-        echo "scaling smoke: $1 vcs=$2 at 64x64 expected $3, got:"; echo "$out"; exit 1; }
-    local ms=$(( (t1 - t0) / 1000000 ))
-    [ "$ms" -lt 1000 ] || {
-        echo "scaling smoke: 64x64 $1 verdict took ${ms}ms (budget 1000ms)"; exit 1; }
-    echo "    64x64 $1 vcs=$2: $3 in ${ms}ms"
-}
-verify_big sa 8 ProvenFree
-verify_big dr 8 RecoverableCycles
-verify_big pr 4 RecoverableCycles
+# three verdicts in <1s each, timed by the verifier smoke's check.
+verify_one 64x64 sa 8 ProvenFree
+verify_one 64x64 dr 8 RecoverableCycles
+verify_one 64x64 pr 4 RecoverableCycles
 # One short 64x64 simulation point through the --radix preset path.
 scale_out=$(./target/release/mddsim \
     --scheme pr --pattern pat100 --vcs 4 --radix 64x64 \

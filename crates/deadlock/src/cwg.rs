@@ -128,7 +128,13 @@ impl WaitForGraph {
 
     /// True if the arc `a → b` was added. O(out-degree of `a`).
     pub fn has_edge(&self, a: u32, b: u32) -> bool {
-        out(&self.first, &self.arcs, a).any(|w| w == b)
+        self.successors(a).any(|w| w == b)
+    }
+
+    /// The targets of `v`'s out-arcs, in the order they were added (a
+    /// parallel arc appears once per copy).
+    pub fn successors(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        out(&self.first, &self.arcs, v)
     }
 
     /// Strongly connected components, in reverse topological order, each
@@ -292,7 +298,7 @@ impl WaitForGraph {
             }
             seen_at[v as usize] = path.len();
             path.push(v);
-            match out(&self.first, &self.arcs, v).find(|&w| inside[w as usize]) {
+            match self.successors(v).find(|&w| inside[w as usize]) {
                 Some(w) => v = w,
                 // Unreachable for a genuine SCC; bail out defensively.
                 None => return Vec::new(),

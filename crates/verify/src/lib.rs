@@ -32,10 +32,14 @@
 //!    with Tarjan SCC shared with the runtime detector
 //!    ([`WaitForGraph`](mdd_deadlock::WaitForGraph)) and judged against
 //!    the scheme's drain mechanism, yielding a typed [`Verdict`] with a
-//!    human-readable minimal cycle witness.
+//!    human-readable cycle witness: the first simple cycle of the first
+//!    cyclic SCC, not necessarily a shortest one.
 //!
-//! The whole analysis is a few milliseconds for the paper's 8x8 torus, so
-//! the experiment engine runs it as a pre-flight on every sweep point.
+//! On the paper's 8x8 torus at 4 VCs the whole analysis takes about
+//! 1.5 ms for SA/PAT100, 3 ms for DR/PAT271 and 9 ms for PR/PAT271
+//! (release build, medians on a 2-core x86-64 host; EXPERIMENTS.md
+//! "Static pre-flight witness, measured"), so the experiment engine runs
+//! it as a pre-flight on every sweep point.
 
 #![warn(missing_docs)]
 
@@ -119,7 +123,9 @@ pub enum Verdict {
     /// A dependency cycle exists that no configured mechanism can drain:
     /// the configuration can wedge permanently.
     Unsafe {
-        /// A minimal cycle demonstrating the problem.
+        /// A cycle demonstrating the problem: the first simple cycle of
+        /// the first cyclic SCC of the residual graph, not necessarily a
+        /// shortest one.
         witness: CycleWitness,
     },
 }

@@ -159,6 +159,230 @@ fn witness_renders_the_shared_trace_format() {
 }
 
 #[test]
+fn witnesses_are_pinned() {
+    // The exact witness each verdict path prints. Its vertex order comes
+    // from Tarjan's visit order and the first-inside-arc walk over the
+    // residual graph, so any change in that graph's arc order shows here.
+    // (The debug reverify cross-check and `tests/incremental_agreement.rs`
+    // cannot see it: both of their sides draw the witness from the same
+    // residual graph.)
+    use mdd_topology::{Direction, FaultSet, NodeId};
+    let dr = Scheme::DeflectiveRecovery;
+    let on_8x8 =
+        |scheme, vcs| verify(&Fixture::torus(&[8, 8], scheme, PatternSpec::pat271(), vcs).input());
+    // DR at 4 VCs on 4×4 loses deflection credit when one link fails.
+    let degraded = {
+        let fx = Fixture::torus(&[4, 4], dr, PatternSpec::pat271(), 4);
+        let mut f = FaultSet::new(&fx.topo);
+        f.fail_link(&fx.topo, NodeId(5), 1, Direction::Plus);
+        let base = fx.base();
+        assert_eq!(base.base_verdict().name(), "RecoverableCycles");
+        base.reverify(&f)
+    };
+    let cases: [(&str, crate::Verdict, &str, &[u32], &str); 5] = [
+        (
+            "8x8 PR vcs=4",
+            on_8x8(Scheme::ProgressiveRecovery, 4),
+            "RecoverableCycles",
+            &[24, 1282, 1283, 36, 0, 1280, 1281, 16],
+            concat!(
+                "  router 1 (1,0) port -x vc 0 [RQ to nic 1]\n",
+                "  -> nic 1 input queue 0 [head RQ -> RP]\n",
+                "  -> nic 1 output queue 0 [RQ awaiting injection vc 0]\n",
+                "  -> router 1 (1,0) port local 0 vc 0 [RQ to nic 0]\n",
+                "  -> router 0 (0,0) port +x vc 0 [RQ to nic 0]\n",
+                "  -> nic 0 input queue 0 [head RQ -> RP]\n",
+                "  -> nic 0 output queue 0 [RQ awaiting injection vc 0]\n",
+                "  -> router 0 (0,0) port local 0 vc 0 [RQ to nic 1]\n",
+                "  -> router 1 (1,0) port -x vc 0  (cycle closes)\n",
+            ),
+        ),
+        (
+            "8x8 DR vcs=4",
+            on_8x8(dr, 4),
+            "RecoverableCycles",
+            &[1280, 1282, 16, 24, 1284, 1286, 36, 0],
+            concat!(
+                "  nic 0 input queue 0 [head RQ -> FRQ]\n",
+                "  -> nic 0 output queue 0 [RQ awaiting injection vc 0]\n",
+                "  -> router 0 (0,0) port local 0 vc 0 [RQ to nic 1]\n",
+                "  -> router 1 (1,0) port -x vc 0 [RQ to nic 1]\n",
+                "  -> nic 1 input queue 0 [head RQ -> FRQ]\n",
+                "  -> nic 1 output queue 0 [RQ awaiting injection vc 0]\n",
+                "  -> router 1 (1,0) port local 0 vc 0 [RQ to nic 0]\n",
+                "  -> router 0 (0,0) port +x vc 0 [RQ to nic 0]\n",
+                "  -> nic 0 input queue 0  (cycle closes)\n",
+            ),
+        ),
+        (
+            "8x8 SA vcs=7",
+            on_8x8(SA, 7),
+            "Unsafe",
+            &[27, 307, 587, 867, 1147, 1427, 1707, 1987],
+            concat!(
+                "  router 0 (0,0) port -y vc 6 [RP to nic 8]\n",
+                "  -> router 8 (0,1) port -y vc 6 [RP to nic 16]\n",
+                "  -> router 16 (0,2) port -y vc 6 [RP to nic 24]\n",
+                "  -> router 24 (0,3) port -y vc 6 [RP to nic 32]\n",
+                "  -> router 32 (0,4) port -y vc 6 [RP to nic 40]\n",
+                "  -> router 40 (0,5) port -y vc 6 [RP to nic 0]\n",
+                "  -> router 48 (0,6) port -y vc 6 [RP to nic 0]\n",
+                "  -> router 56 (0,7) port -y vc 6 [RP to nic 0]\n",
+                "  -> router 0 (0,0) port -y vc 6  (cycle closes)\n",
+            ),
+        ),
+        (
+            // The credited peel leaves a residue, so the witness is drawn
+            // from a graph that carries the deflection overlay's arcs.
+            "8x8 DR vcs=3",
+            on_8x8(dr, 3),
+            "Unsafe",
+            &[11, 131, 251, 371, 491, 611, 731, 851],
+            concat!(
+                "  router 0 (0,0) port -y vc 2 [RP to nic 8]\n",
+                "  -> router 8 (0,1) port -y vc 2 [RP to nic 16]\n",
+                "  -> router 16 (0,2) port -y vc 2 [RP to nic 24]\n",
+                "  -> router 24 (0,3) port -y vc 2 [RP to nic 32]\n",
+                "  -> router 32 (0,4) port -y vc 2 [RP to nic 40]\n",
+                "  -> router 40 (0,5) port -y vc 2 [RP to nic 0]\n",
+                "  -> router 48 (0,6) port -y vc 2 [RP to nic 0]\n",
+                "  -> router 56 (0,7) port -y vc 2 [RP to nic 0]\n",
+                "  -> router 0 (0,0) port -y vc 2  (cycle closes)\n",
+            ),
+        ),
+        (
+            "4x4 DR vcs=4, link r5+d1 down",
+            degraded,
+            "Unsafe",
+            &[86, 174, 186, 206, 226, 166, 90, 106, 126, 146],
+            concat!(
+                "  router 4 (0,1) port -x vc 2 [RP to nic 8 (crossed dateline)]\n",
+                "  -> router 8 (0,2) port -y vc 2 [RP to nic 9]\n",
+                "  -> router 9 (1,2) port -x vc 2 [RP to nic 2]\n",
+                "  -> router 10 (2,2) port -x vc 2 [RP to nic 3]\n",
+                "  -> router 11 (3,2) port -x vc 2 [RP to nic 0]\n",
+                "  -> router 8 (0,2) port -x vc 2 [RP to nic 4 (crossed dateline)]\n",
+                "  -> router 4 (0,1) port +y vc 2 [RP to nic 5]\n",
+                "  -> router 5 (1,1) port -x vc 2 [RP to nic 2]\n",
+                "  -> router 6 (2,1) port -x vc 2 [RP to nic 3]\n",
+                "  -> router 7 (3,1) port -x vc 2 [RP to nic 0]\n",
+                "  -> router 4 (0,1) port -x vc 2  (cycle closes)\n",
+            ),
+        ),
+    ];
+    for (label, verdict, name, vertices, rendered) in cases {
+        assert_eq!(verdict.name(), name, "{label}");
+        let w = verdict
+            .witness()
+            .expect("a cyclic verdict carries a witness");
+        assert_eq!(w.vertices, vertices, "{label}");
+        assert_eq!(w.rendered, rendered, "{label}");
+    }
+}
+
+#[test]
+fn residual_graph_holds_each_distinct_arc_once_in_scan_order() {
+    use crate::analyze::residual_graph;
+    use crate::{cdg, graph_outcome};
+    use std::collections::HashSet;
+    let patterns = [
+        PatternSpec::pat100(),
+        PatternSpec::pat271(),
+        mdd_coherence::CoherenceEngine::msi_pattern(),
+    ];
+    let schemes = [SA, Scheme::DeflectiveRecovery, Scheme::ProgressiveRecovery];
+    let (mut residues, mut overlay_arcs) = (0, 0);
+    for scheme in schemes {
+        for pattern in &patterns {
+            // 3 VCs leave DR/PAT271 a residue after the credited peel, so
+            // the deflection overlay contributes arcs.
+            for vcs in [3, 4] {
+                let fx = Fixture::torus(&[4, 4], scheme, pattern.clone(), vcs);
+                let input = fx.input();
+                let graph = cdg::cdg(&input, input.routing);
+                let Some((peel, overlay)) = graph_outcome(&input, &graph).1 else {
+                    continue;
+                };
+                residues += 1;
+                let unsafe_v = |v: u32| !peel.vertex_safe[v as usize];
+                let unsafe_c = |c: u32| !peel.class_safe[c as usize];
+                // Every arc the definition yields, in the order the build
+                // scans them: sources ascending, their classes, the
+                // classes' candidates, then the overlay.
+                let mut scan: Vec<(u32, u32)> = Vec::new();
+                for v in (0..graph.num_vertices() as u32).filter(|&v| unsafe_v(v)) {
+                    for &c in graph.classes_at(v).iter().filter(|&&c| unsafe_c(c)) {
+                        scan.extend(
+                            graph
+                                .cands(c)
+                                .iter()
+                                .filter(|&&w| unsafe_v(w))
+                                .map(|&w| (v, w)),
+                        );
+                    }
+                }
+                for &(c, w) in overlay.iter().filter(|&&(c, w)| unsafe_c(c) && unsafe_v(w)) {
+                    let from = graph.members(c).iter().filter(|&&v| unsafe_v(v));
+                    overlay_arcs += from.clone().count();
+                    scan.extend(from.map(|&v| (v, w)));
+                }
+                // The same set, brute force from the classes' side.
+                let mut by_class: HashSet<(u32, u32)> = HashSet::new();
+                for c in (0..graph.num_classes() as u32).filter(|&c| unsafe_c(c)) {
+                    for &v in graph.members(c).iter().filter(|&&v| unsafe_v(v)) {
+                        for &w in graph.cands(c).iter().filter(|&&w| unsafe_v(w)) {
+                            by_class.insert((v, w));
+                        }
+                    }
+                }
+                for &(c, w) in overlay.iter().filter(|&&(c, w)| unsafe_c(c) && unsafe_v(w)) {
+                    for &v in graph.members(c).iter().filter(|&&v| unsafe_v(v)) {
+                        by_class.insert((v, w));
+                    }
+                }
+
+                let g = residual_graph(&graph, &peel, overlay);
+                let label = format!("{scheme:?} {} vcs={vcs}", pattern.name());
+                let arcs: Vec<(u32, u32)> = (0..g.len() as u32)
+                    .flat_map(|v| g.successors(v).map(move |w| (v, w)))
+                    .collect();
+                let distinct: HashSet<(u32, u32)> = arcs.iter().copied().collect();
+                assert_eq!(arcs.len(), g.num_edges(), "{label}");
+                assert_eq!(distinct.len(), arcs.len(), "{label}: a parallel arc");
+                assert_eq!(distinct, by_class, "{label}: arc set");
+                let mut seen = HashSet::new();
+                let mut first_order: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
+                for &(v, w) in &scan {
+                    if seen.insert((v, w)) {
+                        first_order[v as usize].push(w);
+                    }
+                }
+                for (v, targets) in first_order.iter().enumerate() {
+                    let got: Vec<u32> = g.successors(v as u32).collect();
+                    assert_eq!(&got, targets, "{label}: out-arcs of {v}");
+                }
+            }
+        }
+    }
+    assert!(residues >= 9, "only {residues} cases left a residue");
+    assert!(overlay_arcs > 0, "no case exercised the overlay");
+
+    // The 8×8 pre-flight graphs. With one arc per (vertex, class,
+    // candidate) triple they would hold 1,447,296 (PR) and 18,590 (DR).
+    for (scheme, arcs) in [
+        (Scheme::ProgressiveRecovery, 17_728),
+        (Scheme::DeflectiveRecovery, 1_360),
+    ] {
+        let fx = Fixture::torus(&[8, 8], scheme, PatternSpec::pat271(), 4);
+        let input = fx.input();
+        let graph = cdg::cdg(&input, input.routing);
+        let (peel, overlay) = graph_outcome(&input, &graph).1.expect("a residue");
+        let g = residual_graph(&graph, &peel, overlay);
+        assert_eq!(g.num_edges(), arcs, "8x8 {scheme:?}/PAT271 vcs=4");
+    }
+}
+
+#[test]
 fn verify_agreement_quotient_matches_full_enumeration() {
     // The orbit quotient must agree with exhaustive enumeration wherever
     // the latter is affordable: every scheme at 8×8 and 16×16. (8×8 is
