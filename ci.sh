@@ -215,8 +215,9 @@ diff -u results/verdicts.json "$GOLDEN_DIR/verdicts.json" || {
 echo "==> golden fault frontier (mdd-analyze --frontier is bit-for-bit reproducible)"
 # The committed command: every single-link fault plus 32 sampled
 # double-link faults, SA/DR/PR on 8x8 and 16x16, through the engine pool.
-# Two workers: the 10 s budget below was set for a two-worker pool (one
-# worker takes 10-12 s on the 16x16 PR sweep).
+# Two workers: the 10 s budget below was set for a two-worker pool. On a
+# 2-core host the slowest sweep, 16x16 SA, takes 3.6-4.2 s with one
+# worker and 1.7-2.6 s with two; 16x16 PR takes 2.9-3.1 s and 1.5-1.8 s.
 frontier_out=$(./target/release/mdd-analyze --frontier --doubles 32 --jobs 2 --out "$GOLDEN_DIR")
 echo "$frontier_out" | grep '^frontier: ' | sed "s/^/    [nproc $(nproc)] /"
 diff -u results/fault_frontier.json "$GOLDEN_DIR/fault_frontier.json" || {

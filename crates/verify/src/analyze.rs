@@ -126,8 +126,22 @@ pub(crate) fn peel_with(cdg: &StaticCdg<'_>, extra: &[(u32, u32)]) -> PeelOutcom
 /// overlay): a repeated arc would open no vertex in Tarjan's search and
 /// re-apply no `lowlink` minimum not already applied, so dropping it
 /// changes no SCC and no witness. O(Σ classes at a vertex × candidates)
-/// to scan; the graph holds only the distinct arcs (17,728 instead of
-/// 1,447,296 for 8×8 PR/PAT271 at 4 VCs).
+/// to scan; the graph holds only the distinct arcs (for 8×8 PR/PAT271 at
+/// 4 VCs, 17,728 arcs from 362,880 scanned triples).
+///
+/// The overlay loop adds an arc only where no unsafe class at `v`
+/// already waits on the backoff type's output queue `w`. Under shared
+/// and per-network queues one always does (the deflectable head itself,
+/// or the request-headed link of its chain whose subordinate is a
+/// reply). Under per-type queues only a chain with a request head whose
+/// subordinate is the terminating reply (the two-hop chain) supplies it.
+/// Counted on the 288-configuration agreement grid, with no fault and
+/// with one link down: 3,196 overlay arcs passed the filter, in the 50
+/// graphs whose credited peel left a residue, and none was new; every
+/// grid pattern has a two-hop chain. A pattern without one
+/// (`PatternSpec::generic_mix` with no two-hop share, DR under per-type
+/// queues, 4×4 and 8×8 at 2–8 VCs) adds 16–64 arcs per graph, so the
+/// loop stays; the residual-graph test pins such a case.
 pub(crate) fn residual_graph(
     cdg: &StaticCdg<'_>,
     outcome: &PeelOutcome,

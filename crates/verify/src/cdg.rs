@@ -19,9 +19,10 @@
 //! Construction is *segmented*: each (type, destination) sweep produces an
 //! independent [`Segment`] with local class ids, and [`assemble`]
 //! concatenates segments into a [`StaticCdg`]. [`cdg`] is the one builder
-//! every analysis uses — pristine or degraded, full or folded topology;
-//! `crate::incremental::verify_faulted` keeps its own underived loop as
-//! the reference it is checked against.
+//! every analysis uses — pristine or degraded, full or folded topology —
+//! and it leaves out the packet classes of a message type that would only
+//! copy an earlier type's; `crate::incremental::verify_faulted` keeps its
+//! own underived, unfolded loop as the reference it is checked against.
 //!
 //! Deflective-recovery preallocation is modelled faithfully: message
 //! types whose every chain occurrence is covered by an input-queue
@@ -81,12 +82,11 @@ pub(crate) enum ClassKind {
 /// ids (0-based within the segment), candidate vertices in the shared
 /// [`ResourceLayout`] numbering, and (local class, vertex) memberships.
 ///
-/// Candidates and memberships are stored flat (CSR for the candidates,
-/// class-sorted pairs for the memberships), per-class sorted and
-/// deduplicated by [`Segment::finalize`]. Flat storage keeps segments
-/// allocation-light and makes [`assemble`] a pure concatenation — one
-/// `Vec` per class dominated the degraded re-verdict wall time once a
-/// few hundred thousand classes were live.
+/// Candidates and memberships are stored flat (one CSR each), per-class
+/// sorted and deduplicated by [`Segment::finalize`]. Flat storage keeps
+/// segments allocation-light and makes [`assemble`] a pure concatenation
+/// — one `Vec` per class dominated the degraded re-verdict wall time once
+/// a few hundred thousand classes were live.
 ///
 /// Equality is derived and byte-exact: a retyped segment
 /// ([`retype_segment`]) must be *identical* to what a from-scratch build
@@ -101,8 +101,10 @@ pub(crate) struct Segment {
     pub cands_off: Vec<u32>,
     /// Flat OR-wait candidate vertices, grouped by class.
     pub cands: Vec<u32>,
-    /// (local class, vertex) occupancy pairs, sorted and deduplicated.
-    pub membership: Vec<(u32, u32)>,
+    /// CSR offsets into `members`, length `kind.len() + 1`.
+    pub members_off: Vec<u32>,
+    /// Flat vertices each class can occupy, grouped by class.
+    pub members: Vec<u32>,
     /// Deflection-credit overlay: extra `(local class, candidate vertex)`
     /// OR-wait edges the graph gains when deflective recovery is credited
     /// (a blocked head whose subordinate is a request may instead convert
@@ -118,7 +120,8 @@ impl Default for Segment {
             sink: Vec::new(),
             cands_off: vec![0],
             cands: Vec::new(),
-            membership: Vec::new(),
+            members_off: vec![0],
+            members: Vec::new(),
             deflection_extra: Vec::new(),
         }
     }
@@ -342,42 +345,60 @@ fn scratch_packet(t: MsgType) -> (MessageStore, PacketState) {
 /// analysis or a fault-steered `DegradedRouting` for a degraded one.
 ///
 /// A type routing-interchangeable with an earlier one
-/// ([`interchangeable_earlier_type`]) skips its BFS: each of its segments
-/// is the earlier type's, retyped ([`retype_segment`]). This is the only
-/// construction the analyses run; `verify_faulted` builds every segment
-/// underived and the agreement tests hold the two equal.
+/// ([`interchangeable_earlier_type`], its "twin") skips its BFS. When both
+/// types eject into the same destination queue ([`eject_patch`] is
+/// `None`), the twin contributes no segment at all: its classes would be
+/// copies of the earlier type's, with the same sink flag, candidates and
+/// members, and a copy changes no verdict or witness (DESIGN.md §16.2).
+/// A twin that ejects into a queue of its own keeps its segments, each
+/// the earlier type's, retyped ([`retype_segment`]).
+///
+/// This is the only construction the analyses run; `verify_faulted`
+/// builds every segment underived and unfolded, and the agreement tests
+/// hold the two equal.
 pub(crate) fn cdg<'a>(input: &VerifyInput<'a>, routing: &dyn Routing) -> StaticCdg<'a> {
     let layout = crate::layout_for(input);
     let types = net_types(input);
     let guaranteed = guaranteed_ejection(input);
-    let nnics = input.topo.num_nics() as usize;
-    let mut packet: Vec<Segment> = Vec::with_capacity(types.len() * nnics);
+    // `by_type[ti]`: type `ti`'s packet segments, one per destination, or
+    // none for a folded twin.
+    let mut by_type: Vec<Vec<Segment>> = Vec::with_capacity(types.len());
     for (ti, &t) in types.iter().enumerate() {
-        let twin = interchangeable_earlier_type(input, &types[..ti], t, &guaranteed);
-        for (di, dst) in input.topo.nics().enumerate() {
-            let seg = match twin {
-                Some((t0i, t0)) => retype_segment(
-                    &packet[t0i * nnics + di],
-                    t,
-                    eject_patch(input, &layout, t0, t, dst),
-                ),
-                None => packet_segment(input, routing, &layout, t, dst, guaranteed[t.index()]),
-            };
-            packet.push(seg);
-        }
+        let segs = match interchangeable_earlier_type(input, &types[..ti], t, &guaranteed) {
+            Some((t0i, t0)) => input
+                .topo
+                .nics()
+                .zip(&by_type[t0i])
+                .filter_map(|(dst, seg)| {
+                    let patch = eject_patch(input, &layout, t0, t, dst)?;
+                    Some(retype_segment(seg, t, patch))
+                })
+                .collect(),
+            None => input
+                .topo
+                .nics()
+                .map(|dst| packet_segment(input, routing, &layout, t, dst, guaranteed[t.index()]))
+                .collect(),
+        };
+        by_type.push(segs);
     }
     let endpoint = endpoint_segment(input, &layout);
-    assemble(input, packet.iter().chain(std::iter::once(&endpoint)))
+    assemble(
+        input,
+        by_type.iter().flatten().chain(std::iter::once(&endpoint)),
+    )
 }
 
 /// The earliest already-built net type whose packet segments can stand in
-/// for `t`'s via [`retype_segment`]: identical [`mdd_routing::TypeVcs`]
-/// (the BFS visits the same states and emits the same candidate VCs, both
-/// pristine and degraded — `DegradedRouting` consults only the type's VC
-/// set) and identical guaranteed-ejection status (same sink structure).
-/// Under PR's uniform fully adaptive map every type collapses onto the
-/// first; partitioned maps (SA, DR) never match.
-fn interchangeable_earlier_type(
+/// for `t`'s: identical [`mdd_routing::TypeVcs`] (the BFS visits the same
+/// states and emits the same candidate VCs, both pristine and degraded —
+/// `DegradedRouting` consults only the type's VC set) and identical
+/// guaranteed-ejection status (same sink structure). The earliest match
+/// is never itself a twin, so its segments were built. Under PR's uniform
+/// fully adaptive map every type matches the first; under DR the types
+/// of one network share a VC set (DR/PAT271 at 4 VCs pairs its requests
+/// and its replies).
+pub(crate) fn interchangeable_earlier_type(
     input: &VerifyInput<'_>,
     earlier: &[MsgType],
     t: MsgType,
@@ -389,10 +410,10 @@ fn interchangeable_earlier_type(
     })
 }
 
-/// The ejection-wait vertex substitution between two interchangeable
-/// types' segments for `dst` (`None` when the queue organization maps
-/// both types to the same destination input queue).
-fn eject_patch(
+/// The ejection-wait vertex substitution `(old, new)` between two
+/// interchangeable types' segments for `dst`; `None` when the queue
+/// organization maps both types to the same destination input queue.
+pub(crate) fn eject_patch(
     input: &VerifyInput<'_>,
     layout: &ResourceLayout,
     t0: MsgType,
@@ -456,7 +477,7 @@ pub(crate) fn packet_segment(
     // that cost an 8×8 frontier sweep about a tenth of its time.
     seg.kind.reserve(nr * masks);
     seg.sink.reserve(nr * masks);
-    seg.membership.reserve(2 * nr * masks);
+    let mut member_pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * nr * masks);
     let mut stack: Vec<(NodeId, u8)> = Vec::new();
     let mut rc_buf: Vec<RouteCandidate> = Vec::new();
     let mut cand_pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * nr * masks);
@@ -471,7 +492,7 @@ pub(crate) fn packet_segment(
         let c = intern_state(&mut state_class, &mut stack, &mut seg, masks, r, 0, t, dst);
         let lp = topo.local_port(topo.nic_local_index(src));
         for &v in &inj_buf {
-            seg.membership.push((c, layout.vc_vertex(r, lp, v)));
+            member_pairs.push((c, layout.vc_vertex(r, lp, v)));
         }
     }
 
@@ -502,7 +523,7 @@ pub(crate) fn packet_segment(
                         t,
                         dst,
                     );
-                    seg.membership.push((c2, vtx));
+                    member_pairs.push((c2, vtx));
                 }
                 None => {
                     // Ejection at the destination router: either
@@ -517,7 +538,7 @@ pub(crate) fn packet_segment(
             }
         }
     }
-    seg.finalize(cand_pairs);
+    seg.finalize(&cand_pairs, &member_pairs);
     seg
 }
 
@@ -533,6 +554,7 @@ pub(crate) fn endpoint_segment(input: &VerifyInput<'_>, layout: &ResourceLayout)
     let bkf = proto.backoff_type();
     let mut seg = Segment::default();
     let mut cand_pairs: Vec<(u32, u32)> = Vec::new();
+    let mut member_pairs: Vec<(u32, u32)> = Vec::new();
 
     // --- Endpoint input-queue classes. A non-terminating, non-final head
     // --- waits on its subordinate's output queue; terminating heads sink
@@ -558,7 +580,7 @@ pub(crate) fn endpoint_segment(input: &VerifyInput<'_>, layout: &ResourceLayout)
                             .push((c, layout.out_queue_vertex(nic, org.queue_index(proto, b))));
                     }
                 }
-                seg.membership.push((c, vtx));
+                member_pairs.push((c, vtx));
                 // Deflective recovery's return-reply earmark: servicing
                 // additionally needs a preallocatable slot in the return
                 // reply's own input queue (an AND-wait, hence a second
@@ -567,7 +589,7 @@ pub(crate) fn endpoint_segment(input: &VerifyInput<'_>, layout: &ResourceLayout)
                     let ret_q = org.queue_index(proto, shape.mtype(pos + 2));
                     let c2 = seg.push_class(ClassKind::EarmarkWait { shape: sid, pos });
                     cand_pairs.push((c2, layout.in_queue_vertex(nic, ret_q)));
-                    seg.membership.push((c2, vtx));
+                    member_pairs.push((c2, vtx));
                 }
             }
         }
@@ -590,11 +612,11 @@ pub(crate) fn endpoint_segment(input: &VerifyInput<'_>, layout: &ResourceLayout)
             for &v in &inj_buf {
                 let c = seg.push_class(ClassKind::OutHead { mtype: t, vc: v });
                 cand_pairs.push((c, layout.vc_vertex(r, lp, v)));
-                seg.membership.push((c, vtx));
+                member_pairs.push((c, vtx));
             }
         }
     }
-    seg.finalize(cand_pairs);
+    seg.finalize(&cand_pairs, &member_pairs);
     seg
 }
 
@@ -613,51 +635,45 @@ pub(crate) fn assemble<'a, 'i>(
     let segments: Vec<&Segment> = segments.into_iter().collect();
     let total_classes: usize = segments.iter().map(|s| s.kind.len()).sum();
     let total_cands: usize = segments.iter().map(|s| s.cands.len()).sum();
-    let total_members: usize = segments.iter().map(|s| s.membership.len()).sum();
+    let total_members: usize = segments.iter().map(|s| s.members.len()).sum();
     let mut kind: Vec<ClassKind> = Vec::with_capacity(total_classes);
     let mut sink: Vec<bool> = Vec::with_capacity(total_classes);
     let mut cands_off: Vec<u32> = Vec::with_capacity(total_classes + 1);
     cands_off.push(0);
     let mut cands: Vec<u32> = Vec::with_capacity(total_cands);
-    let mut membership: Vec<(u32, u32)> = Vec::with_capacity(total_members);
+    let mut members_off: Vec<u32> = Vec::with_capacity(total_classes + 1);
+    members_off.push(0);
+    let mut members: Vec<u32> = Vec::with_capacity(total_members);
     let mut deflection_extra: Vec<(u32, u32)> = Vec::new();
     for seg in segments {
         let off = kind.len() as u32;
         kind.extend_from_slice(&seg.kind);
         sink.extend_from_slice(&seg.sink);
-        let cbase = *cands_off.last().expect("offsets start at 0");
+        let cbase = cands.len() as u32;
         cands_off.extend(seg.cands_off[1..].iter().map(|&o| cbase + o));
         cands.extend_from_slice(&seg.cands);
-        // Finalized segments carry sorted, deduplicated memberships, and
-        // class ids are disjoint across segments, so plain concatenation
-        // with the offset shift keeps the global pair list class-major
-        // sorted with no duplicates.
-        membership.extend(seg.membership.iter().map(|&(c, v)| (off + c, v)));
+        let mbase = members.len() as u32;
+        members_off.extend(seg.members_off[1..].iter().map(|&o| mbase + o));
+        members.extend_from_slice(&seg.members);
         deflection_extra.extend(seg.deflection_extra.iter().map(|&(c, v)| (off + c, v)));
     }
-    debug_assert!(membership.windows(2).all(|w| w[0] < w[1]));
-    let mut members_off: Vec<u32> = vec![0; kind.len() + 1];
-    for &(c, _) in &membership {
-        members_off[c as usize + 1] += 1;
-    }
-    for i in 1..members_off.len() {
-        members_off[i] += members_off[i - 1];
-    }
-    let members: Vec<u32> = membership.iter().map(|&(_, v)| v).collect();
     let mut vclasses_off: Vec<u32> = vec![0; nv + 1];
-    for &(_, v) in &membership {
+    for &v in &members {
         vclasses_off[v as usize + 1] += 1;
     }
     for i in 1..vclasses_off.len() {
         vclasses_off[i] += vclasses_off[i - 1];
     }
-    // Filling in pair order (class-ascending) leaves each vertex's class
-    // list sorted, matching the per-class candidate ordering above.
+    // Filling in class order leaves each vertex's class list sorted, and
+    // deduplicated because each class's member list is.
     let mut fill = vclasses_off.clone();
-    let mut vclasses: Vec<u32> = vec![0; membership.len()];
-    for &(c, v) in &membership {
-        vclasses[fill[v as usize] as usize] = c;
-        fill[v as usize] += 1;
+    let mut vclasses: Vec<u32> = vec![0; members.len()];
+    for c in 0..kind.len() {
+        let (a, b) = (members_off[c] as usize, members_off[c + 1] as usize);
+        for &v in &members[a..b] {
+            vclasses[fill[v as usize] as usize] = c as u32;
+            fill[v as usize] += 1;
+        }
     }
     StaticCdg {
         layout,
@@ -679,31 +695,31 @@ pub(crate) fn assemble<'a, 'i>(
 /// `TypeVcs` (so the BFS visits the same states and emits the same
 /// candidate VCs) and identical guaranteed-ejection status. The derived
 /// segment differs from `seg` only in the type recorded in its class
-/// descriptors and — when `eject` is `Some((old, new))` — in the
-/// destination input-queue vertex its ejection classes wait on. [`cdg`]
-/// uses this to skip the second BFS per destination under PR's uniform
-/// fully adaptive map; `verify_faulted` never does, so the agreement
-/// checks validate every derivation against an honest from-scratch build.
-fn retype_segment(seg: &Segment, to_t: MsgType, eject: Option<(u32, u32)>) -> Segment {
+/// descriptors and in the destination input-queue vertex its ejection
+/// classes wait on, `eject = (old, new)`. [`cdg`] uses this for a twin
+/// type that ejects into a queue of its own; `verify_faulted` never does,
+/// so the agreement checks validate every derivation against an honest
+/// from-scratch build.
+pub(crate) fn retype_segment(
+    seg: &Segment,
+    to_t: MsgType,
+    (old_ej, new_ej): (u32, u32),
+) -> Segment {
     let mut out = seg.clone();
     for k in &mut out.kind {
         if let ClassKind::Packet { mtype, .. } = k {
             *mtype = to_t;
         }
     }
-    if let Some((old_ej, new_ej)) = eject {
-        if old_ej != new_ej {
-            for c in 0..out.kind.len() {
-                let (a, b) = (out.cands_off[c] as usize, out.cands_off[c + 1] as usize);
-                let range = &mut out.cands[a..b];
-                if let Some(slot) = range.iter_mut().find(|v| **v == old_ej) {
-                    *slot = new_ej;
-                    // Queue vertices never collide with VC vertices, so
-                    // re-sorting restores the per-class invariant without
-                    // introducing duplicates.
-                    range.sort_unstable();
-                }
-            }
+    for c in 0..out.kind.len() {
+        let (a, b) = (out.cands_off[c] as usize, out.cands_off[c + 1] as usize);
+        let range = &mut out.cands[a..b];
+        if let Some(slot) = range.iter_mut().find(|v| **v == old_ej) {
+            *slot = new_ej;
+            // Queue vertices never collide with VC vertices, so
+            // re-sorting restores the per-class invariant without
+            // introducing duplicates.
+            range.sort_unstable();
         }
     }
     out
@@ -717,23 +733,52 @@ impl Segment {
         id
     }
 
-    /// Build the candidate CSR from the `(class, vertex)` pairs
-    /// accumulated during construction and sort/dedup the membership.
-    /// Called exactly once, after the last class is pushed.
-    fn finalize(&mut self, mut cand_pairs: Vec<(u32, u32)>) {
-        cand_pairs.sort_unstable();
-        cand_pairs.dedup();
-        self.cands_off = vec![0; self.kind.len() + 1];
-        for &(c, _) in &cand_pairs {
-            self.cands_off[c as usize + 1] += 1;
-        }
-        for i in 1..self.cands_off.len() {
-            self.cands_off[i] += self.cands_off[i - 1];
-        }
-        self.cands = cand_pairs.into_iter().map(|(_, v)| v).collect();
-        self.membership.sort_unstable();
-        self.membership.dedup();
+    /// Build the candidate and membership CSRs from the `(class, vertex)`
+    /// pairs accumulated during construction. Called exactly once, after
+    /// the last class is pushed.
+    fn finalize(&mut self, cand_pairs: &[(u32, u32)], member_pairs: &[(u32, u32)]) {
+        let n = self.kind.len();
+        (self.cands_off, self.cands) = class_csr(n, cand_pairs);
+        (self.members_off, self.members) = class_csr(n, member_pairs);
     }
+}
+
+/// The CSR of `pairs` over classes `0..n`: offsets and, per class, its
+/// vertices sorted and deduplicated. A counting sort over the dense class
+/// ids, then a sort of each class's short list, in place of a comparison
+/// sort over all pairs.
+fn class_csr(n: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+    let mut off: Vec<u32> = vec![0; n + 1];
+    for &(c, _) in pairs {
+        off[c as usize + 1] += 1;
+    }
+    for i in 1..off.len() {
+        off[i] += off[i - 1];
+    }
+    let mut fill = off.clone();
+    let mut flat: Vec<u32> = vec![0; pairs.len()];
+    for &(c, v) in pairs {
+        flat[fill[c as usize] as usize] = v;
+        fill[c as usize] += 1;
+    }
+    // Sort and dedup each class's run, compacting leftwards: the write
+    // cursor never passes the start of the run being read.
+    let mut len = 0usize;
+    for c in 0..n {
+        let (a, b) = (off[c] as usize, off[c + 1] as usize);
+        flat[a..b].sort_unstable();
+        let start = len;
+        off[c] = start as u32;
+        for i in a..b {
+            if len == start || flat[len - 1] != flat[i] {
+                flat[len] = flat[i];
+                len += 1;
+            }
+        }
+    }
+    off[n] = len as u32;
+    flat.truncate(len);
+    (off, flat)
 }
 
 /// Get-or-create the packet class for BFS state `(node, mask)`; newly

@@ -7,8 +7,9 @@
 //! pristine analysis (`cdg::cdg`), over the fault-steered
 //! [`DegradedRouting`](mdd_routing::DegradedRouting).
 //!
-//! [`verify_faulted`] is the reference: it builds every segment from
-//! scratch and never derives one type's segments from another's. Debug
+//! [`verify_faulted`] is the reference: it builds every net type's
+//! segments from scratch, never deriving one type's segments from
+//! another's or folding a type out of the graph. Debug
 //! builds cross-check every `reverify` against it (verdict *and*
 //! rendered witness), and `tests/incremental_agreement.rs` holds the two
 //! equal in every build, the empty fault set included. The fault-frontier
@@ -189,9 +190,9 @@ impl FaultOutcome {
 
 /// From-scratch static classification of `input` with `faults` applied:
 /// every segment is built over the fault-steered routing (the scheme's
-/// own routing for an empty set), none derived from another. This is the
-/// oracle the segment builder's retype derivation is checked against,
-/// pristine and degraded.
+/// own routing for an empty set), none derived from another or folded
+/// out. This is the oracle the segment builder's twin fold and retype
+/// derivation are checked against, pristine and degraded.
 pub fn verify_faulted(input: &VerifyInput<'_>, faults: &FaultSet) -> Verdict {
     let topo = input.topo;
     let layout = layout_for(input);

@@ -36,10 +36,12 @@
 //!    cyclic SCC, not necessarily a shortest one.
 //!
 //! On the paper's 8x8 torus at 4 VCs the whole analysis takes about
-//! 1.5 ms for SA/PAT100, 3 ms for DR/PAT271 and 9 ms for PR/PAT271
-//! (release build, medians on a 2-core x86-64 host; EXPERIMENTS.md
-//! "Static pre-flight witness, measured"), so the experiment engine runs
-//! it as a pre-flight on every sweep point.
+//! 2.3 ms for SA/PAT100, 2.9 ms for DR/PAT271 and 5 ms for PR/PAT271
+//! (release build, medians of `verify_config` on a 2-core x86-64 host;
+//! EXPERIMENTS.md "Static pre-flight: folded types, measured"). The
+//! experiment engine runs it as a pre-flight once per distinct
+//! configuration of a batch (its `verify_key`: everything but load, seed
+//! and the simulation windows), before any point of it simulates.
 
 #![warn(missing_docs)]
 

@@ -284,6 +284,7 @@ fn witnesses_are_pinned() {
 fn residual_graph_holds_each_distinct_arc_once_in_scan_order() {
     use crate::analyze::residual_graph;
     use crate::{cdg, graph_outcome};
+    use mdd_protocol::QueueOrg;
     use std::collections::HashSet;
     let patterns = [
         PatternSpec::pat100(),
@@ -291,95 +292,281 @@ fn residual_graph_holds_each_distinct_arc_once_in_scan_order() {
         mdd_coherence::CoherenceEngine::msi_pattern(),
     ];
     let schemes = [SA, Scheme::DeflectiveRecovery, Scheme::ProgressiveRecovery];
-    let (mut residues, mut overlay_arcs) = (0, 0);
+    // 3 VCs leave DR/PAT271 a residue after the credited peel, so the
+    // deflection overlay contributes arcs. Under per-type queues a pattern
+    // with no two-hop chain has no head beside the deflectable one that
+    // waits on the backoff's output queue, so there the overlay adds arcs
+    // the main scan lacks.
+    let mut cases: Vec<(Fixture, Option<QueueOrg>)> = Vec::new();
     for scheme in schemes {
         for pattern in &patterns {
-            // 3 VCs leave DR/PAT271 a residue after the credited peel, so
-            // the deflection overlay contributes arcs.
             for vcs in [3, 4] {
-                let fx = Fixture::torus(&[4, 4], scheme, pattern.clone(), vcs);
-                let input = fx.input();
-                let graph = cdg::cdg(&input, input.routing);
-                let Some((peel, overlay)) = graph_outcome(&input, &graph).1 else {
-                    continue;
-                };
-                residues += 1;
-                let unsafe_v = |v: u32| !peel.vertex_safe[v as usize];
-                let unsafe_c = |c: u32| !peel.class_safe[c as usize];
-                // Every arc the definition yields, in the order the build
-                // scans them: sources ascending, their classes, the
-                // classes' candidates, then the overlay.
-                let mut scan: Vec<(u32, u32)> = Vec::new();
-                for v in (0..graph.num_vertices() as u32).filter(|&v| unsafe_v(v)) {
-                    for &c in graph.classes_at(v).iter().filter(|&&c| unsafe_c(c)) {
-                        scan.extend(
-                            graph
-                                .cands(c)
-                                .iter()
-                                .filter(|&&w| unsafe_v(w))
-                                .map(|&w| (v, w)),
-                        );
-                    }
-                }
-                for &(c, w) in overlay.iter().filter(|&&(c, w)| unsafe_c(c) && unsafe_v(w)) {
-                    let from = graph.members(c).iter().filter(|&&v| unsafe_v(v));
-                    overlay_arcs += from.clone().count();
-                    scan.extend(from.map(|&v| (v, w)));
-                }
-                // The same set, brute force from the classes' side.
-                let mut by_class: HashSet<(u32, u32)> = HashSet::new();
-                for c in (0..graph.num_classes() as u32).filter(|&c| unsafe_c(c)) {
-                    for &v in graph.members(c).iter().filter(|&&v| unsafe_v(v)) {
-                        for &w in graph.cands(c).iter().filter(|&&w| unsafe_v(w)) {
-                            by_class.insert((v, w));
-                        }
-                    }
-                }
-                for &(c, w) in overlay.iter().filter(|&&(c, w)| unsafe_c(c) && unsafe_v(w)) {
-                    for &v in graph.members(c).iter().filter(|&&v| unsafe_v(v)) {
-                        by_class.insert((v, w));
-                    }
-                }
-
-                let g = residual_graph(&graph, &peel, overlay);
-                let label = format!("{scheme:?} {} vcs={vcs}", pattern.name());
-                let arcs: Vec<(u32, u32)> = (0..g.len() as u32)
-                    .flat_map(|v| g.successors(v).map(move |w| (v, w)))
-                    .collect();
-                let distinct: HashSet<(u32, u32)> = arcs.iter().copied().collect();
-                assert_eq!(arcs.len(), g.num_edges(), "{label}");
-                assert_eq!(distinct.len(), arcs.len(), "{label}: a parallel arc");
-                assert_eq!(distinct, by_class, "{label}: arc set");
-                let mut seen = HashSet::new();
-                let mut first_order: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
-                for &(v, w) in &scan {
-                    if seen.insert((v, w)) {
-                        first_order[v as usize].push(w);
-                    }
-                }
-                for (v, targets) in first_order.iter().enumerate() {
-                    let got: Vec<u32> = g.successors(v as u32).collect();
-                    assert_eq!(&got, targets, "{label}: out-arcs of {v}");
-                }
+                cases.push((Fixture::torus(&[4, 4], scheme, pattern.clone(), vcs), None));
             }
         }
     }
-    assert!(residues >= 9, "only {residues} cases left a residue");
-    assert!(overlay_arcs > 0, "no case exercised the overlay");
+    let chain3 = PatternSpec::generic_mix("MIX010", 0.0, 1.0, 0.0);
+    cases.push((
+        Fixture::torus(&[4, 4], Scheme::DeflectiveRecovery, chain3, 3),
+        Some(QueueOrg::PerType),
+    ));
+    let (mut residues, mut overlay_arcs, mut overlay_only) = (0, 0, 0);
+    for (fx, org) in &cases {
+        let (scheme, pattern, vcs) = (fx.scheme, &fx.pattern, fx.routing.map().num_vcs());
+        let input = VerifyInput {
+            queue_org: org.unwrap_or(fx.input().queue_org),
+            ..fx.input()
+        };
+        let graph = cdg::cdg(&input, input.routing);
+        let Some((peel, overlay)) = graph_outcome(&input, &graph).1 else {
+            continue;
+        };
+        residues += 1;
+        let unsafe_v = |v: u32| !peel.vertex_safe[v as usize];
+        let unsafe_c = |c: u32| !peel.class_safe[c as usize];
+        // Every arc the definition yields, in the order the build
+        // scans them: sources ascending, their classes, the
+        // classes' candidates, then the overlay.
+        let mut scan: Vec<(u32, u32)> = Vec::new();
+        for v in (0..graph.num_vertices() as u32).filter(|&v| unsafe_v(v)) {
+            for &c in graph.classes_at(v).iter().filter(|&&c| unsafe_c(c)) {
+                scan.extend(
+                    graph
+                        .cands(c)
+                        .iter()
+                        .filter(|&&w| unsafe_v(w))
+                        .map(|&w| (v, w)),
+                );
+            }
+        }
+        let main: HashSet<(u32, u32)> = scan.iter().copied().collect();
+        for &(c, w) in overlay.iter().filter(|&&(c, w)| unsafe_c(c) && unsafe_v(w)) {
+            let from = graph.members(c).iter().filter(|&&v| unsafe_v(v));
+            overlay_arcs += from.clone().count();
+            overlay_only += from.clone().filter(|&&v| !main.contains(&(v, w))).count();
+            scan.extend(from.map(|&v| (v, w)));
+        }
+        // The same set, brute force from the classes' side.
+        let mut by_class: HashSet<(u32, u32)> = HashSet::new();
+        for c in (0..graph.num_classes() as u32).filter(|&c| unsafe_c(c)) {
+            for &v in graph.members(c).iter().filter(|&&v| unsafe_v(v)) {
+                for &w in graph.cands(c).iter().filter(|&&w| unsafe_v(w)) {
+                    by_class.insert((v, w));
+                }
+            }
+        }
+        for &(c, w) in overlay.iter().filter(|&&(c, w)| unsafe_c(c) && unsafe_v(w)) {
+            for &v in graph.members(c).iter().filter(|&&v| unsafe_v(v)) {
+                by_class.insert((v, w));
+            }
+        }
 
-    // The 8×8 pre-flight graphs. With one arc per (vertex, class,
-    // candidate) triple they would hold 1,447,296 (PR) and 18,590 (DR).
-    for (scheme, arcs) in [
-        (Scheme::ProgressiveRecovery, 17_728),
-        (Scheme::DeflectiveRecovery, 1_360),
+        let g = residual_graph(&graph, &peel, overlay);
+        let label = format!(
+            "{scheme:?} {} vcs={vcs} {:?}",
+            pattern.name(),
+            input.queue_org
+        );
+        let arcs: Vec<(u32, u32)> = (0..g.len() as u32)
+            .flat_map(|v| g.successors(v).map(move |w| (v, w)))
+            .collect();
+        let distinct: HashSet<(u32, u32)> = arcs.iter().copied().collect();
+        assert_eq!(arcs.len(), g.num_edges(), "{label}");
+        assert_eq!(distinct.len(), arcs.len(), "{label}: a parallel arc");
+        assert_eq!(distinct, by_class, "{label}: arc set");
+        let mut seen = HashSet::new();
+        let mut first_order: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
+        for &(v, w) in &scan {
+            if seen.insert((v, w)) {
+                first_order[v as usize].push(w);
+            }
+        }
+        for (v, targets) in first_order.iter().enumerate() {
+            let got: Vec<u32> = g.successors(v as u32).collect();
+            assert_eq!(&got, targets, "{label}: out-arcs of {v}");
+        }
+    }
+    assert!(residues >= 10, "only {residues} cases left a residue");
+    assert!(overlay_arcs > 0, "no case exercised the overlay");
+    assert!(overlay_only > 0, "the overlay added no arc of its own");
+
+    // The 8×8 pre-flight graphs: the distinct arcs, and the (vertex,
+    // class, candidate) triples the scan visits to find them. Before twin
+    // types were folded out of the graph the scan visited 1,447,296 (PR)
+    // and 18,590 (DR) triples for the same arcs.
+    for (scheme, arcs, triples) in [
+        (Scheme::ProgressiveRecovery, 17_728, 362_880),
+        (Scheme::DeflectiveRecovery, 1_360, 9_423),
     ] {
         let fx = Fixture::torus(&[8, 8], scheme, PatternSpec::pat271(), 4);
         let input = fx.input();
         let graph = cdg::cdg(&input, input.routing);
         let (peel, overlay) = graph_outcome(&input, &graph).1.expect("a residue");
         let g = residual_graph(&graph, &peel, overlay);
-        assert_eq!(g.num_edges(), arcs, "8x8 {scheme:?}/PAT271 vcs=4");
+        let label = format!("8x8 {scheme:?}/PAT271 vcs=4");
+        assert_eq!(g.num_edges(), arcs, "{label}");
+        let unsafe_v = |v: u32| !peel.vertex_safe[v as usize];
+        let visits: usize = (0..graph.num_vertices() as u32)
+            .filter(|&v| unsafe_v(v))
+            .flat_map(|v| graph.classes_at(v))
+            .filter(|&&c| !peel.class_safe[c as usize])
+            .map(|&c| graph.cands(c).iter().filter(|&&w| unsafe_v(w)).count())
+            .sum();
+        assert_eq!(visits, triples, "{label}");
     }
+}
+
+#[test]
+fn folded_pre_flight_graphs_are_pinned() {
+    // The assembled 8×8 pre-flight graphs at 4 VCs, folded by `cdg::cdg`
+    // and unfolded (every net type's packet segments built from scratch,
+    // as `verify_faulted` builds them). A twin type that ejects into its
+    // base type's queue adds no class: all 4 of PR's net types are twins
+    // of the first, and DR's requests and replies pair up.
+    use crate::cdg;
+    let count = |graph: &cdg::StaticCdg<'_>| {
+        let classes = graph.num_classes() as u32;
+        let members: usize = (0..classes).map(|c| graph.members(c).len()).sum();
+        (graph.num_classes(), members)
+    };
+    for (scheme, pattern, folded, unfolded) in [
+        (
+            Scheme::ProgressiveRecovery,
+            PatternSpec::pat271(),
+            (5_504, 50_304),
+            (17_792, 196_992),
+        ),
+        (
+            Scheme::DeflectiveRecovery,
+            PatternSpec::pat271(),
+            (11_616, 19_230),
+            (27_696, 46_731),
+        ),
+        (
+            SA,
+            PatternSpec::pat100(),
+            (10_912, 18_526),
+            (10_912, 18_526),
+        ),
+    ] {
+        let fx = Fixture::torus(&[8, 8], scheme, pattern, 4);
+        let input = fx.input();
+        let label = format!("8x8 {scheme:?}/{} vcs=4", fx.pattern.name());
+        assert_eq!(count(&cdg::cdg(&input, input.routing)), folded, "{label}");
+        let layout = crate::layout_for(&input);
+        let guaranteed = cdg::guaranteed_ejection(&input);
+        let mut segments: Vec<cdg::Segment> = Vec::new();
+        for t in cdg::net_types(&input) {
+            let g = guaranteed[t.index()];
+            let build = |dst| cdg::packet_segment(&input, &fx.routing, &layout, t, dst, g);
+            segments.extend(fx.topo.nics().map(build));
+        }
+        segments.push(cdg::endpoint_segment(&input, &layout));
+        let unfolded_graph = cdg::assemble(&input, &segments);
+        assert_eq!(count(&unfolded_graph), unfolded, "{label}");
+    }
+}
+
+#[test]
+fn twin_segments_match_their_base_but_for_labels() {
+    // The fold's premise, on every 4×4 and 8×8 configuration of the
+    // agreement grid, pristine and with one link down.
+    use mdd_protocol::QueueOrg;
+    use mdd_routing::DegradedRouting;
+    use mdd_topology::{Direction, FaultSet, NodeId};
+    let schemes = [
+        SA,
+        Scheme::StrictAvoidance {
+            shared_adaptive: true,
+        },
+        Scheme::DeflectiveRecovery,
+        Scheme::ProgressiveRecovery,
+    ];
+    let orgs = [QueueOrg::Shared, QueueOrg::PerNetwork, QueueOrg::PerType];
+    let (mut folded, mut patched) = (0, 0);
+    for radix in [[4u32, 4], [8, 8]] {
+        for scheme in schemes {
+            for vcs in [2u8, 4, 8] {
+                for pattern in [PatternSpec::pat100(), PatternSpec::pat271()] {
+                    let fx = Fixture::torus(&radix, scheme, pattern, vcs);
+                    let mut link = FaultSet::new(&fx.topo);
+                    link.fail_link(&fx.topo, NodeId(1), 0, Direction::Plus);
+                    let fields = link.distance_fields(&fx.topo);
+                    let degraded = DegradedRouting::new(&fx.routing, &link, &fields);
+                    let label = format!("{radix:?} vcs={vcs} {}", fx.pattern.name());
+                    for queue_org in orgs {
+                        let input = VerifyInput {
+                            queue_org,
+                            ..fx.input()
+                        };
+                        for (f, p) in [
+                            check_twins(&input, input.routing, &label),
+                            check_twins(&input, &degraded, &format!("{label} link down")),
+                        ] {
+                            folded += f;
+                            patched += p;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(folded > 0, "no twin ejects into its base type's queue");
+    assert!(patched > 0, "no twin ejects into a queue of its own");
+}
+
+/// For each type of `input` that `interchangeable_earlier_type` matches
+/// to a base type, builds both types' packet segments from scratch over
+/// `routing`, per destination, and checks that the twin's is the base's
+/// with only the packet labels changed or, when the twin ejects into a
+/// queue of its own, exactly the retyped segment. Returns how many
+/// segments took each branch (folded, patched).
+fn check_twins(
+    input: &VerifyInput<'_>,
+    routing: &dyn mdd_router::Routing,
+    label: &str,
+) -> (usize, usize) {
+    use crate::cdg::{self, ClassKind};
+    let layout = crate::layout_for(input);
+    let types = cdg::net_types(input);
+    let guaranteed = cdg::guaranteed_ejection(input);
+    let (mut folded, mut patched) = (0, 0);
+    for (ti, &t) in types.iter().enumerate() {
+        let Some((_, t0)) = cdg::interchangeable_earlier_type(input, &types[..ti], t, &guaranteed)
+        else {
+            continue;
+        };
+        for dst in input.topo.nics() {
+            let build = |ty: mdd_protocol::MsgType| {
+                let g = guaranteed[ty.index()];
+                cdg::packet_segment(input, routing, &layout, ty, dst, g)
+            };
+            let (base, mut twin) = (build(t0), build(t));
+            let label = format!(
+                "{label} {:?} {:?} {t0:?}/{t:?} dst {}",
+                input.scheme,
+                input.queue_org,
+                dst.index()
+            );
+            match cdg::eject_patch(input, &layout, t0, t, dst) {
+                None => {
+                    folded += 1;
+                    for k in &mut twin.kind {
+                        if let ClassKind::Packet { mtype, .. } = k {
+                            assert_eq!(*mtype, t, "{label}");
+                            *mtype = t0;
+                        }
+                    }
+                    assert_eq!(twin, base, "{label}");
+                }
+                Some(patch) => {
+                    patched += 1;
+                    assert_eq!(cdg::retype_segment(&base, t, patch), twin, "{label}");
+                }
+            }
+        }
+    }
+    (folded, patched)
 }
 
 #[test]

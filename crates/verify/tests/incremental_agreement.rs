@@ -2,12 +2,12 @@
 //!
 //! The acceptance property for the analyzer: for any configuration and
 //! any fault set, the empty set included, [`BaseAnalysis::reverify`]
-//! (which builds the CDG with the one segment builder, deriving
-//! routing-interchangeable message types by relabeling) must produce the
+//! (which builds the CDG with the one segment builder, folding out or
+//! relabeling routing-interchangeable message types) must produce the
 //! same verdict *and the same rendered witness* as [`verify_faulted`],
 //! which builds every segment from scratch and never derives anything.
-//! `verify_faulted` is the honest oracle; any orbit, dateline-mask, or
-//! retype bug shows up here, on the pristine path as on degraded ones.
+//! `verify_faulted` is the honest oracle; any orbit, dateline-mask, fold
+//! or retype bug shows up here, on the pristine path as on degraded ones.
 //!
 //! Configurations deliberately include infeasible VC budgets (via
 //! [`VcMap::build_degraded`], e.g. SA at 2 VCs), because the fault
@@ -137,7 +137,7 @@ proptest! {
 
 /// The empty fault set on every configuration the proptest draws from:
 /// `reverify` then returns the pristine verdict, whose graph the one
-/// segment builder derives by retyping, and `verify_faulted` must
+/// segment builder derives by folding and retyping, and `verify_faulted` must
 /// reproduce it from scratch. Exhaustive because sampling misses the few
 /// configurations where a wrongly retyped ejection vertex changes the
 /// verdict (SA at 2 VCs under per-type queues, where the degraded map
