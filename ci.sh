@@ -72,7 +72,7 @@ set -e
 [ "$jobs0_status" -eq 2 ] || {
     echo "jobs equivalence: --jobs 0 should exit 2, got $jobs0_status"; exit 1; }
 
-echo "==> unknown and repeated flags are usage errors (exit 2, naming the flag)"
+echo "==> unknown and repeated flags and malformed sweeps are usage errors (exit 2, naming the flag)"
 # A flag no binary declares must stop the run, not fall back to a
 # default: --shards and the --topo alias of --radix are gone, and --laod
 # is a misspelt --load.
@@ -108,6 +108,21 @@ set -e
     echo "unknown flags: mddsim-client --topo should exit 2, got $bad_status"; exit 1; }
 echo "$bad_err" | grep -q -- "unknown flag --topo" || {
     echo "unknown flags: mddsim-client --topo should name the flag, said:"; echo "$bad_err"; exit 1; }
+# A malformed --sweep range (LO not below HI, fewer than two points, a
+# NaN bound) is refused at the flag, not by a panic in the load schedule.
+for cmd in "mddsim --sweep 0.2:0.1:3" "mddsim --sweep 0.1:0.2:1" \
+    "mddsim --sweep 0.1:0.1:3" "mddsim --sweep nan:0.2:3" \
+    "mddsim-client submit --sweep 0.2:0.1:3"; do
+    set +e
+    # shellcheck disable=SC2086
+    bad_err=$(./target/release/$cmd 2>&1 >/dev/null)
+    bad_status=$?
+    set -e
+    [ "$bad_status" -eq 2 ] || {
+        echo "malformed sweep: $cmd should exit 2, got $bad_status"; exit 1; }
+    echo "$bad_err" | grep -q -- "--sweep" || {
+        echo "malformed sweep: $cmd should name --sweep, said:"; echo "$bad_err"; exit 1; }
+done
 
 echo "==> malformed topology specs are usage errors (exit 2, naming the spec)"
 # 70000x70000 overflows the 32-bit node ids: every binary that reads
@@ -277,14 +292,16 @@ bench_floor() { # workload floor
     echo "$out" | ./target/release/mdd-benchcmp floor - work_per_s "$2" || {
         echo "mddbench floor: $1 failed its floor or its pins:"; echo "$out"; exit 1; }
 }
-# ladder8: the figure-sweep shape, 9 SA/DR/PR points on 8x8 (~90k median).
-bench_floor ladder8 68000
+# Floors are 0.75x the change-side medians of the ten-pair A/B that
+# deleted the injection-VC cache (EXPERIMENTS.md, "Current numbers").
+# ladder8: the figure-sweep shape, 9 SA/DR/PR points on 8x8 (114.8k median).
+bench_floor ladder8 86100
 # big64: the busy 64x64 rung, where the fused router pass carries the cost
-# (2,087 median since the compact router state).
-bench_floor big64 1565
+# (2,311 median).
+bench_floor big64 1730
 # sparse64: the 64x64 size-ladder rung, where the wake sets and traffic
-# carry the cost (137.6k median since the compact router state).
-bench_floor sparse64 103200
+# carry the cost (149.9k median).
+bench_floor sparse64 112400
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets"

@@ -168,6 +168,9 @@ pub fn run_spec(args: &Args) -> Result<SweepSpec, String> {
         let lo: f64 = lo.parse().map_err(|_| "bad sweep lo")?;
         let hi: f64 = hi.parse().map_err(|_| "bad sweep hi")?;
         let n: usize = n.parse().map_err(|_| "bad sweep n")?;
+        if !(n >= 2 && hi > lo) {
+            return Err(format!("--sweep wants LO < HI and N >= 2, got {sweep}"));
+        }
         spec.loads = mdd_core::default_loads(lo, hi, n);
     }
     Ok(spec)
@@ -429,6 +432,12 @@ mod tests {
         assert_eq!(err(&["--vcs", "x"]), "bad value for --vcs: x");
         assert_eq!(err(&["--sweep", "0.1:0.2"]), "--sweep wants LO:HI:N");
         assert_eq!(err(&["--sweep", "a:0.2:3"]), "bad sweep lo");
+        for bad in ["0.2:0.1:3", "0.1:0.2:1", "0.1:0.1:3", "nan:0.2:3"] {
+            assert_eq!(
+                err(&["--sweep", bad]),
+                format!("--sweep wants LO < HI and N >= 2, got {bad}")
+            );
+        }
         assert!(err(&["--radix", "8x"]).starts_with("bad topology spec"));
     }
 }

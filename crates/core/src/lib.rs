@@ -35,7 +35,7 @@ pub use config::{ConfigError, SimConfig, SimResult};
 pub use preflight::{analysis_config, min_safe_vcs, verify_config, verify_config_degraded};
 pub use recovery::{EpisodeOrigin, EpisodeRecord, PrRecovery};
 pub use sim::Simulator;
-pub use sweep::{default_loads, run_point};
+pub use sweep::default_loads;
 pub use validate::{build_waitfor_graph, deadlock_witness};
 
 // Static verification verdicts surface through `verify_config` and the

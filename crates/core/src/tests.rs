@@ -212,7 +212,7 @@ fn pr_beats_dr_at_4_vcs_saturation() {
 fn throughput_tracks_load_below_saturation() {
     let base = small(Scheme::ProgressiveRecovery, PatternSpec::pat100(), 4, 0.0);
     for load in [0.05, 0.10] {
-        let r = run_point(&base, load).unwrap();
+        let r = Simulator::new(base.at_load(load)).unwrap().run();
         assert!(
             (r.throughput - load).abs() < load * 0.25,
             "delivered {:.4} vs applied {load:.4}: below saturation the \
@@ -228,7 +228,11 @@ fn sweep_produces_monotone_applied_loads() {
     let loads = default_loads(0.05, 0.25, 3);
     let results: Vec<SimResult> = loads
         .iter()
-        .map(|&l| run_point(&base, l).expect("PR is feasible"))
+        .map(|&l| {
+            Simulator::new(base.at_load(l))
+                .expect("PR is feasible")
+                .run()
+        })
         .collect();
     let curve = BnfCurve::assemble("PR", results.iter().map(SimResult::bnf_point));
     assert_eq!(curve.points.len(), 3);

@@ -65,13 +65,6 @@ impl Engine {
             .expect("uncached engine with default workers cannot fail")
     }
 
-    /// An engine backed by the cache directory `dir` (created on demand;
-    /// `results/cache/` by convention — see [`ResultCache::open`]), on
-    /// its own pool of one worker per available core.
-    pub fn with_cache_dir(dir: impl AsRef<Path>) -> io::Result<Self> {
-        Engine::builder().cache_dir(dir).build()
-    }
-
     /// Start configuring an engine (worker count, cache location).
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
@@ -227,7 +220,6 @@ impl Engine {
 pub struct EngineBuilder {
     jobs: Option<usize>,
     cache_dir: Option<PathBuf>,
-    cache: Option<ResultCache>,
 }
 
 impl EngineBuilder {
@@ -242,26 +234,17 @@ impl EngineBuilder {
     }
 
     /// Back the engine with the cache directory `dir` (created on
-    /// demand).
+    /// demand; `results/cache/` by convention — see
+    /// [`ResultCache::open`]).
     pub fn cache_dir(mut self, dir: impl AsRef<Path>) -> Self {
         self.cache_dir = Some(dir.as_ref().to_path_buf());
-        self
-    }
-
-    /// Back the engine with an already opened cache.
-    pub fn cache(mut self, cache: ResultCache) -> Self {
-        self.cache = Some(cache);
         self
     }
 
     /// Build the engine. Fails if the cache directory cannot be opened
     /// or `jobs` was `0`.
     pub fn build(self) -> io::Result<Engine> {
-        let cache = match (self.cache, self.cache_dir) {
-            (Some(cache), _) => Some(cache),
-            (None, Some(dir)) => Some(ResultCache::open(dir)?),
-            (None, None) => None,
-        };
+        let cache = self.cache_dir.map(ResultCache::open).transpose()?;
         let workers = match self.jobs {
             None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             Some(0) => {

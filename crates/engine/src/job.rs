@@ -29,8 +29,8 @@ impl Job {
         }
     }
 
-    /// The jobs of a load sweep: `base` evaluated at each load, with the
-    /// same per-point seed decorrelation `run_point` applies.
+    /// The jobs of a load sweep: `base` evaluated at each load, each seed
+    /// decorrelated per point by [`SimConfig::at_load`].
     pub fn points(base: &SimConfig, loads: &[f64], label: &str) -> Vec<Job> {
         loads
             .iter()

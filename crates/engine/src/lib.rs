@@ -21,7 +21,8 @@
 //!    poisoned point becomes a typed [`PointError`] in the stream while
 //!    every other point runs to completion. Configuration failures
 //!    surface the same way.
-//! 4. **Content-addressed caching.** With [`Engine::with_cache_dir`],
+//! 4. **Content-addressed caching.** With a cache directory
+//!    ([`EngineBuilder::cache_dir`]),
 //!    each completed point is persisted to an append-only JSONL shard
 //!    keyed by the canonical hash of its configuration. Re-running an
 //!    unchanged experiment simulates zero new points; changing any
@@ -42,7 +43,8 @@
 //! base.warmup = 200;
 //! base.measure = 400;
 //! base.validate().unwrap();
-//! let engine = Engine::new(); // or Engine::with_cache_dir("results/cache")
+//! // or Engine::builder().cache_dir("results/cache").build()?
+//! let engine = Engine::new();
 //! let mut handle = engine.submit_sweep(&base, &[0.1, 0.2], "PR");
 //! while let Some(outcome) = handle.recv() {
 //!     // Points arrive as they complete — report progress here.

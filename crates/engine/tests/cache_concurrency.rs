@@ -124,7 +124,10 @@ fn two_engines_sharing_a_directory_union_their_points() {
     }
 
     // A third engine over the same directory replays all six points.
-    let engine = Engine::with_cache_dir(tmp.path()).expect("reopen");
+    let engine = Engine::builder()
+        .cache_dir(tmp.path())
+        .build()
+        .expect("reopen");
     let all: Vec<f64> = loads_a.iter().chain(&loads_b).copied().collect();
     let report = engine
         .submit_with(Job::points(&cfg, &all, "PR"), |job: &Job| {

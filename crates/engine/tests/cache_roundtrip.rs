@@ -43,13 +43,19 @@ fn second_identical_run_simulates_nothing() {
     let cfg = small_cfg();
     let loads = [0.05, 0.10, 0.15];
 
-    let engine = Engine::with_cache_dir(tmp.path()).expect("open cache");
+    let engine = Engine::builder()
+        .cache_dir(tmp.path())
+        .build()
+        .expect("open cache");
     let first = engine.submit_sweep(&cfg, &loads, "PR").wait();
     assert_eq!(first.simulated(), 3);
     assert_eq!(first.cached(), 0);
     assert!(first.complete());
 
-    let engine = Engine::with_cache_dir(tmp.path()).expect("reopen cache");
+    let engine = Engine::builder()
+        .cache_dir(tmp.path())
+        .build()
+        .expect("reopen cache");
     let second = engine.submit_sweep(&cfg, &loads, "PR").wait();
     assert_eq!(second.simulated(), 0, "no new simulation points");
     assert_eq!(second.cached(), 3);
@@ -68,7 +74,10 @@ fn second_identical_run_simulates_nothing() {
     // A semantically different base config misses the cache.
     let mut changed = cfg.clone();
     changed.detect_threshold += 1;
-    let engine = Engine::with_cache_dir(tmp.path()).expect("reopen cache");
+    let engine = Engine::builder()
+        .cache_dir(tmp.path())
+        .build()
+        .expect("reopen cache");
     let third = engine.submit_sweep(&changed, &[0.05], "PR").wait();
     assert_eq!(third.cached(), 0);
     assert_eq!(third.simulated(), 1);

@@ -70,7 +70,10 @@ fn resume_after_partial_failure_replays_survivors_from_cache() {
     let loads = [0.10, 0.20, 0.30];
 
     // First run: the middle point dies.
-    let engine = Engine::with_cache_dir(tmp.path()).expect("open cache");
+    let engine = Engine::builder()
+        .cache_dir(tmp.path())
+        .build()
+        .expect("open cache");
     let report = engine
         .submit_with(Job::points(&small_cfg(), &loads, "PR"), |job: &Job| {
             if job.id == 1 {
@@ -84,7 +87,10 @@ fn resume_after_partial_failure_replays_survivors_from_cache() {
 
     // Second run, fresh engine over the same directory: only the failed
     // point may reach the runner — the other two must come from disk.
-    let engine = Engine::with_cache_dir(tmp.path()).expect("reopen cache");
+    let engine = Engine::builder()
+        .cache_dir(tmp.path())
+        .build()
+        .expect("reopen cache");
     let report = engine
         .submit_with(Job::points(&small_cfg(), &loads, "PR"), |job: &Job| {
             assert_eq!(job.id, 1, "cached point re-simulated");

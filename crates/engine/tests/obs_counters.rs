@@ -30,7 +30,10 @@ fn engine_counters_distinguish_simulated_cached_and_failed() {
 
     // Cold run: everything is simulated.
     let before = counters();
-    let engine = Engine::with_cache_dir(tmp.path()).expect("open cache");
+    let engine = Engine::builder()
+        .cache_dir(tmp.path())
+        .build()
+        .expect("open cache");
     let report = engine.submit_sweep(&cfg, &loads, "PR").wait();
     assert!(report.complete());
     let after = counters();
@@ -43,7 +46,10 @@ fn engine_counters_distinguish_simulated_cached_and_failed() {
     // Warm run over the same directory: zero new simulation points —
     // only the cached counter moves (and no wall time accrues).
     let before = counters();
-    let engine = Engine::with_cache_dir(tmp.path()).expect("reopen cache");
+    let engine = Engine::builder()
+        .cache_dir(tmp.path())
+        .build()
+        .expect("reopen cache");
     let report = engine.submit_sweep(&cfg, &loads, "PR").wait();
     assert!(report.complete());
     let after = counters();

@@ -149,13 +149,6 @@ pub struct Nic {
     /// Scratch for injection-VC candidate queries (kept across cycles so
     /// the injection path allocates nothing in steady state).
     inject_vcs: Vec<u8>,
-    /// Per-output-queue cache of the head's allowed injection VCs
-    /// `(head handle, VC list)`. The candidate set is a pure function of
-    /// the message, so it is recomputed only when the queue head changes
-    /// (handles are generation-tagged, so a recycled slot cannot alias a
-    /// stale entry). A waiting head is re-examined every cycle; this keeps
-    /// that poll free of message-store lookups and routing-function calls.
-    inject_cache: Vec<(MsgHandle, Vec<u8>)>,
     /// Measurement switch: latency/throughput are only recorded while true
     /// (warm-up and drain phases are excluded).
     pub measuring: bool,
@@ -187,9 +180,6 @@ impl Nic {
             joins: std::collections::HashMap::new(),
             backoff_inbox: VecDeque::new(),
             inject_vcs: Vec::new(),
-            inject_cache: (0..nq)
-                .map(|_| (MsgHandle::dangling(), Vec::new()))
-                .collect(),
             measuring: true,
             stats: NicStats::default(),
         }
@@ -1022,32 +1012,23 @@ impl Nic {
             if self.active_inject.iter().flatten().any(|a| a.msg == h) {
                 continue;
             }
-            // Allowed injection VCs for this head, recomputed only when
-            // the queue head changes (see `inject_cache`).
-            if self.inject_cache[qi].0 != h {
-                let head = store.get(h);
-                let pkt = PacketState {
-                    msg: h,
-                    mtype: head.mtype,
-                    src: head.src,
-                    dst: head.dst,
-                    dst_router: net.topo().nic_router(head.dst),
-                    crossed_dateline: 0,
-                };
-                self.inject_vcs.clear();
-                routing.injection_vcs(&pkt, &mut self.inject_vcs);
-                let (ch, cl) = &mut self.inject_cache[qi];
-                *ch = h;
-                cl.clear();
-                cl.extend_from_slice(&self.inject_vcs);
-            }
-            let chosen = self.inject_cache[qi]
-                .1
+            let head = store.get(h);
+            let pkt = PacketState {
+                msg: h,
+                mtype: head.mtype,
+                src: head.src,
+                dst: head.dst,
+                dst_router: net.topo().nic_router(head.dst),
+                crossed_dateline: 0,
+            };
+            self.inject_vcs.clear();
+            routing.injection_vcs(&pkt, &mut self.inject_vcs);
+            let chosen = self
+                .inject_vcs
                 .iter()
                 .copied()
                 .find(|&v| self.active_inject[v as usize].is_none() && free_mask >> v & 1 == 1);
             let Some(v) = chosen else { continue };
-            let head = store.get(h);
             mdd_obs::counter_add(CounterId::MsgsInjected, 1);
             mdd_obs::trace!(Event::Inject {
                 cycle,

@@ -17,7 +17,6 @@
 
 #![warn(missing_docs)]
 
-mod analysis;
 mod message;
 mod pattern;
 mod queue_org;

@@ -82,7 +82,6 @@ impl std::error::Error for ProtocolError {}
 /// assert_eq!(p.chain_length(), 4);
 /// assert!(p.may_generate(MsgType(0), MsgType(1))); // RQ ≺ FRQ
 /// assert!(p.is_terminating(p.terminating_type()));
-/// assert_eq!(p.enumerate_chains().len(), 3);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ProtocolSpec {
@@ -298,24 +297,6 @@ impl ProtocolSpec {
     /// Iterate over all message types.
     pub fn msg_types(&self) -> impl Iterator<Item = MsgType> {
         (0..self.types.len() as u8).map(MsgType)
-    }
-
-    /// All types subordinate to `t` (transitive closure of `≺`).
-    pub fn subordinate_closure(&self, t: MsgType) -> Vec<MsgType> {
-        let mut seen = vec![false; self.types.len()];
-        let mut stack = vec![t];
-        let mut out = Vec::new();
-        while let Some(cur) = stack.pop() {
-            for &s in &self.subordinates[cur.index()] {
-                if !seen[s.index()] {
-                    seen[s.index()] = true;
-                    out.push(s);
-                    stack.push(s);
-                }
-            }
-        }
-        out.sort();
-        out
     }
 
     /// The message dependency chain length `L`: the number of types on the

@@ -30,12 +30,6 @@ fn s1_generic_chain_length_is_four() {
         4,
         "backoff shares the reply partition"
     );
-    // Closure: everything is subordinate to RQ.
-    assert_eq!(
-        p.subordinate_closure(MsgType(0)),
-        vec![MsgType(1), MsgType(2), MsgType(3)]
-    );
-    assert_eq!(p.subordinate_closure(MsgType(3)), vec![]);
 }
 
 #[test]
@@ -273,78 +267,6 @@ mod properties {
             prop_assert!(proto.is_terminating(*shape.chain.last().unwrap()));
         }
     }
-}
-
-#[test]
-fn chain_enumeration_generic() {
-    let p = ProtocolSpec::s1_generic();
-    let mut chains = p.enumerate_chains();
-    chains.sort();
-    // RQ≺RP, RQ≺FRQ≺RP, RQ≺FRQ≺FRP≺RP.
-    assert_eq!(
-        chains,
-        vec![
-            vec![MsgType(0), MsgType(1), MsgType(2), MsgType(3)],
-            vec![MsgType(0), MsgType(1), MsgType(3)],
-            vec![MsgType(0), MsgType(3)],
-        ]
-    );
-    // Every chain ends terminally.
-    for c in &chains {
-        assert!(p.is_terminating(*c.last().unwrap()));
-    }
-}
-
-#[test]
-fn chain_enumeration_origin() {
-    let p = ProtocolSpec::origin2000();
-    let chains = p.enumerate_chains();
-    // Absent recovery: ORQ≺TRP and ORQ≺FRQ≺TRP only (BRP excluded).
-    assert_eq!(chains.len(), 2);
-    assert!(chains.iter().all(|c| c[0] == MsgType(0)));
-    assert!(chains.iter().all(|c| !c.contains(&MsgType(1))));
-}
-
-/// The Section 2.1 formulas, including the worked example: "a total of
-/// eight virtual channels are required ... and only one of these is
-/// potentially available to each message. If sixteen virtual channels
-/// were implemented, only three would be available".
-#[test]
-fn section_2_1_availability_formulas() {
-    let p = ProtocolSpec::s1_generic(); // L = 4
-    assert_eq!(p.min_escape_channels(2), 8);
-    assert_eq!(p.sa_availability(8, 2), Some(1));
-    assert_eq!(p.sa_availability(16, 2), Some(3));
-    assert_eq!(p.sa_availability(4, 2), None, "below E_m");
-    // "the upper limit ... is increased to 1 + (C − E_m)" [21].
-    assert_eq!(p.sa_shared_availability(16, 2), Some(9));
-    assert_eq!(p.sa_shared_availability(8, 2), Some(1));
-}
-
-#[test]
-fn dot_export_well_formed() {
-    for p in [
-        ProtocolSpec::two_type(),
-        ProtocolSpec::s1_generic(),
-        ProtocolSpec::origin2000(),
-    ] {
-        let dot = p.to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.trim_end().ends_with('}'));
-        for t in p.msg_types() {
-            assert!(dot.contains(p.spec(t).name), "{dot}");
-        }
-        // Edge count matches the dependency relation.
-        let edges = dot.matches(" -> ").count();
-        let expect: usize = p.msg_types().map(|t| p.subordinates(t).len()).sum();
-        assert_eq!(edges, expect);
-        // Terminating type rendered distinctly.
-        assert!(dot.contains("doublecircle"));
-    }
-    assert!(
-        ProtocolSpec::origin2000().to_dot().contains("diamond"),
-        "backoff marked"
-    );
 }
 
 #[test]

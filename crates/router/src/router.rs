@@ -358,7 +358,7 @@ impl<'a> StateMut<'a> {
 /// assert_eq!(r.vcs(), 2);
 /// let vc = r.vc(PortId(3), 1);
 /// assert_eq!(vc.capacity(), 2);
-/// assert_eq!(vc.free_slots(), 2);
+/// assert_eq!(vc.len(), 0);
 /// assert!(vc.front().is_none() && vc.route().is_none());
 /// let ovc = r.out_vc(PortId(3), 1);
 /// assert!(ovc.is_free());
@@ -412,7 +412,7 @@ impl<'a> Router<'a> {
     /// let net = Network::new(Topology::new(&[4, 4], 1), 2, 2);
     /// let r = net.router(NodeId(5));
     /// assert!(r.vc(PortId(2), 0).front().is_none());
-    /// assert_eq!(r.vc(PortId(2), 0).blocked_for(100), 0);
+    /// assert_eq!(r.vc(PortId(2), 0).blocked_since(), None);
     /// ```
     #[inline]
     pub fn vc(&self, port: PortId, vc: u8) -> VcRef<'a> {

@@ -20,7 +20,6 @@ use mdd_topology::PortId;
 /// let vc = net.router(NodeId(2)).vc(PortId(1), 2);
 /// assert!(vc.is_empty());
 /// assert!(!vc.awaiting_route()); // empty: nothing to route
-/// assert_eq!(vc.free_slots(), vc.capacity());
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct VcRef<'a> {
@@ -51,12 +50,6 @@ impl<'a> VcRef<'a> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.router.st.len[self.slot] == 0
-    }
-
-    /// Free buffer slots.
-    #[inline]
-    pub fn free_slots(&self) -> u32 {
-        self.capacity() - self.len()
     }
 
     /// The flit at the front, if any.
@@ -109,15 +102,6 @@ impl<'a> VcRef<'a> {
         match self.router.st.blocked[self.slot] {
             NOT_BLOCKED => None,
             t => Some(u64::from(t)),
-        }
-    }
-
-    /// Duration (in cycles, as of `now`) the front flit has been blocked.
-    #[inline]
-    pub fn blocked_for(&self, now: u64) -> u64 {
-        match self.blocked_since() {
-            Some(t) => now.saturating_sub(t),
-            None => 0,
         }
     }
 }

@@ -3,9 +3,9 @@
 //! escape candidate (Duato's protocol), or only one of the two depending on
 //! the scheme's VC map.
 
-use crate::vcmap::VcMap;
+use crate::vcmap::{TypeVcs, VcMap};
 use mdd_router::{PacketState, RouteCandidate, Routing};
-use mdd_topology::{MinimalHops, NodeId, Topology};
+use mdd_topology::{Direction, MinimalHops, NodeId, PortId, Topology, MAX_DIMS};
 
 /// Routing-function object for one scheme configuration. Implements
 /// `mdd-router`'s [`Routing`] trait:
@@ -36,6 +36,78 @@ impl SchemeRouting {
     }
 }
 
+/// Emit `pkt`'s candidates at `node`, most preferred first: at the
+/// destination router the destination NIC's local port; elsewhere every
+/// `(productive direction, adaptive VC)` pair of `tv`, rotated by
+/// `rr_hint`, then `tv`'s escape VC of the packet's dateline class on the
+/// first productive direction.
+///
+/// `productive` is called once, away from the destination, and returns
+/// the test for one hop `(dimension, direction)`. Directions are tried
+/// dimension ascending, `Plus` before `Minus`, so under minimal routing
+/// the first productive one is dimension-order routing's (the lowest
+/// unaligned dimension, ties toward `Plus`). A packet with no productive
+/// direction (stranded on a faulted topology) gets no candidate.
+#[inline]
+pub(crate) fn emit_candidates<P: Fn(usize, Direction) -> bool>(
+    topo: &Topology,
+    node: NodeId,
+    pkt: &PacketState,
+    tv: &TypeVcs,
+    rr_hint: u64,
+    out: &mut Vec<RouteCandidate>,
+    productive: impl FnOnce() -> P,
+) {
+    if node == pkt.dst_router {
+        let local = topo.nic_local_index(pkt.dst);
+        out.push(RouteCandidate {
+            port: topo.local_port(local),
+            vc: 0,
+        });
+        return;
+    }
+    let productive = productive();
+    // At most two productive directions per dimension; a fixed-size
+    // scratch keeps this allocation-free.
+    let mut dirs = [(PortId(0), 0usize); 2 * MAX_DIMS];
+    let mut ndirs = 0usize;
+    for d in 0..topo.dims() {
+        for dir in [Direction::Plus, Direction::Minus] {
+            if productive(d, dir) {
+                dirs[ndirs] = (topo.port(d, dir), d);
+                ndirs += 1;
+            }
+        }
+    }
+    let dirs = &dirs[..ndirs];
+
+    // Adaptive candidates: every productive direction x adaptive VC.
+    let n = dirs.len() * tv.adaptive.len();
+    if n > 0 {
+        let rot = (rr_hint % n as u64) as usize;
+        for i in 0..n {
+            let k = (rot + i) % n;
+            out.push(RouteCandidate {
+                port: dirs[k / tv.adaptive.len()].0,
+                vc: tv.adaptive[k % tv.adaptive.len()],
+            });
+        }
+    }
+
+    // Escape candidate: first productive direction, dateline class (a
+    // single-entry escape set has one class).
+    if let Some(&(port, d)) = dirs.first() {
+        let class = if tv.escape.len() > 1 {
+            ((pkt.crossed_dateline >> d) & 1) as usize
+        } else {
+            0
+        };
+        if let Some(&vc) = tv.escape.get(class) {
+            out.push(RouteCandidate { port, vc });
+        }
+    }
+}
+
 impl Routing for SchemeRouting {
     fn candidates(
         &self,
@@ -45,60 +117,17 @@ impl Routing for SchemeRouting {
         rr_hint: u64,
         out: &mut Vec<RouteCandidate>,
     ) {
-        if node == pkt.dst_router {
-            let local = topo.nic_local_index(pkt.dst);
-            out.push(RouteCandidate {
-                port: topo.local_port(local),
-                vc: 0,
-            });
-            return;
-        }
         let tv = self.map.for_type(pkt.mtype);
-        let mh = MinimalHops::new(topo, node, pkt.dst_router);
-
-        // Adaptive candidates: every productive direction x adaptive VC.
-        if !tv.adaptive.is_empty() {
-            // At most two productive directions per dimension under
-            // minimal routing; a fixed-size scratch keeps this
-            // allocation-free.
-            let mut dirs = [mdd_topology::PortId(0); 8];
-            let mut ndirs = 0usize;
-            debug_assert!(2 * topo.dims() <= dirs.len());
-            for d in 0..topo.dims() {
-                for dir in mh.dim(d).productive() {
-                    dirs[ndirs] = topo.port(d, dir);
-                    ndirs += 1;
+        emit_candidates(topo, node, pkt, tv, rr_hint, out, || {
+            let mh = MinimalHops::new(topo, node, pkt.dst_router);
+            move |d, dir| {
+                let g = mh.dim(d);
+                match dir {
+                    Direction::Plus => g.plus.is_some(),
+                    Direction::Minus => g.minus.is_some(),
                 }
             }
-            let dirs = &dirs[..ndirs];
-            let n = dirs.len() * tv.adaptive.len();
-            if n > 0 {
-                let rot = (rr_hint % n as u64) as usize;
-                for i in 0..n {
-                    let k = (rot + i) % n;
-                    let port = dirs[k / tv.adaptive.len()];
-                    let vc = tv.adaptive[k % tv.adaptive.len()];
-                    out.push(RouteCandidate { port, vc });
-                }
-            }
-        }
-
-        // Escape candidate: dimension-order direction, dateline class.
-        if !tv.escape.is_empty() {
-            let d = mh
-                .first_unaligned()
-                .expect("not at destination, so some dimension is unaligned");
-            let dir = mh.dim(d).dor_direction().expect("unaligned dimension");
-            let class = if tv.escape.len() > 1 {
-                ((pkt.crossed_dateline >> d) & 1) as usize
-            } else {
-                0
-            };
-            out.push(RouteCandidate {
-                port: topo.port(d, dir),
-                vc: tv.escape[class],
-            });
-        }
+        });
     }
 
     fn injection_vcs(&self, pkt: &PacketState, out: &mut Vec<u8>) {

@@ -85,12 +85,6 @@ impl Scheme {
         }
     }
 
-    /// Whether this scheme guarantees freedom from message-dependent
-    /// deadlock by construction (no detection/recovery machinery needed).
-    pub fn is_avoidance(&self) -> bool {
-        matches!(self, Scheme::StrictAvoidance { .. })
-    }
-
     /// The minimum number of virtual channels per physical link required
     /// to configure the scheme for `protocol` (`E_m` for SA, `2·E_r` for
     /// DR, 1 for PR), with `E_r` = 2 dateline escape classes.

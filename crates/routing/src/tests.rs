@@ -184,8 +184,6 @@ fn scheme_labels_and_defaults() {
         Scheme::ProgressiveRecovery.default_queue_org(),
         QueueOrg::Shared
     );
-    assert!(SA.is_avoidance());
-    assert!(!Scheme::ProgressiveRecovery.is_avoidance());
 }
 
 fn candidates(

@@ -24,11 +24,6 @@ impl TypeVcs {
         v
     }
 
-    /// Number of VCs available to the type.
-    pub fn availability(&self) -> usize {
-        self.adaptive.len() + self.escape.len()
-    }
-
     /// The paper's channel-availability measure (Section 2.1): adaptive
     /// channels plus at most one escape channel (a packet uses one dateline
     /// class at a time), i.e. `1 + (C/L − E_r)` for partitioned schemes.
@@ -146,45 +141,20 @@ impl VcMap {
             // PR is feasible at any c >= 1; `build` above already handled it.
             Scheme::ProgressiveRecovery => unreachable!("PR accepts any vc count"),
             Scheme::StrictAvoidance { .. } => {
-                Self::degraded_partitioned(protocol, parts, c, |t| protocol.sa_partition(t) % parts)
+                Self::partitioned(protocol, parts, c, |t| protocol.sa_partition(t) % parts)
             }
             Scheme::DeflectiveRecovery => {
-                Self::degraded_partitioned(protocol, parts, c, |t| protocol.dr_network(t) % parts)
+                Self::partitioned(protocol, parts, c, |t| protocol.dr_network(t) % parts)
             }
         };
         VcMap { per_type, num_vcs }
     }
 
-    /// Like [`VcMap::partitioned`], but tolerates partitions smaller than
-    /// `E_r` by truncating their escape sets.
-    fn degraded_partitioned(
-        protocol: &ProtocolSpec,
-        parts: usize,
-        c: usize,
-        part_of: impl Fn(MsgType) -> usize,
-    ) -> Vec<TypeVcs> {
-        let base = c / parts;
-        let extra = c % parts;
-        let size = |p: usize| base + usize::from(p < extra);
-        let start = |p: usize| (0..p).map(size).sum::<usize>();
-        protocol
-            .msg_types()
-            .map(|t| {
-                let p = part_of(t);
-                let s = start(p);
-                let n = size(p);
-                let e = ESCAPE_CLASSES.min(n);
-                TypeVcs {
-                    escape: (s..s + e).map(|v| v as u8).collect(),
-                    adaptive: (s + e..s + n).map(|v| v as u8).collect(),
-                }
-            })
-            .collect()
-    }
-
     /// Divide `c` VCs into `parts` contiguous partitions (distributing any
     /// remainder to the lowest partitions), each with `E_r` escape
-    /// channels first and adaptive channels after.
+    /// channels first and adaptive channels after. A partition smaller
+    /// than `E_r` (only in [`VcMap::build_degraded`]; [`VcMap::build`]
+    /// rejects such budgets) keeps a truncated escape set.
     fn partitioned(
         protocol: &ProtocolSpec,
         parts: usize,
@@ -202,10 +172,10 @@ impl VcMap {
                 let p = part_of(t);
                 let s = start(p);
                 let n = size(p);
-                debug_assert!(n >= ESCAPE_CLASSES, "feasibility checked by caller");
+                let e = ESCAPE_CLASSES.min(n);
                 TypeVcs {
-                    escape: (s..s + ESCAPE_CLASSES).map(|v| v as u8).collect(),
-                    adaptive: (s + ESCAPE_CLASSES..s + n).map(|v| v as u8).collect(),
+                    escape: (s..s + e).map(|v| v as u8).collect(),
+                    adaptive: (s + e..s + n).map(|v| v as u8).collect(),
                 }
             })
             .collect()

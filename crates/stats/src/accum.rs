@@ -77,11 +77,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

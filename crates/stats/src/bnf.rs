@@ -88,51 +88,4 @@ impl BnfCurve {
     pub fn saturation_throughput(&self) -> f64 {
         self.points.iter().map(|p| p.throughput).fold(0.0, f64::max)
     }
-
-    /// The lowest-load point whose latency exceeds `threshold` cycles, as a
-    /// proxy for the saturation load.
-    pub fn saturation_load(&self, threshold: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.latency > threshold)
-            .map(|p| p.applied_load)
-    }
-
-    /// Average latency at the largest applied load not exceeding `load`
-    /// (for comparing schemes at equal load below saturation).
-    pub fn latency_at_load(&self, load: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .rfind(|p| p.applied_load <= load + 1e-12)
-            .map(|p| p.latency)
-    }
-
-    /// Linearly interpolated latency at a given delivered throughput, if
-    /// the curve reaches it.
-    pub fn latency_at_throughput(&self, tput: f64) -> Option<f64> {
-        let mut prev: Option<&BnfPoint> = None;
-        for p in &self.points {
-            if p.throughput >= tput {
-                return Some(match prev {
-                    None => p.latency,
-                    Some(q) => {
-                        let span = p.throughput - q.throughput;
-                        if span <= 1e-12 {
-                            p.latency
-                        } else {
-                            let t = (tput - q.throughput) / span;
-                            q.latency + t * (p.latency - q.latency)
-                        }
-                    }
-                });
-            }
-            prev = Some(p);
-        }
-        None
-    }
-
-    /// Total deadlocks observed across the curve.
-    pub fn total_deadlocks(&self) -> u64 {
-        self.points.iter().map(|p| p.deadlocks).sum()
-    }
 }

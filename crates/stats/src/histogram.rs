@@ -88,30 +88,9 @@ impl Histogram {
         c as f64 / self.total as f64
     }
 
-    /// The half-open range `[lo, hi)` of bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (self.lo + i as f64 * w, self.lo + (i as f64 + 1.0) * w)
-    }
-
     /// Count of observations at or above the upper bound.
     #[inline]
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// Mean of the recorded observations approximated by bin centers.
-    pub fn approx_mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        let mut sum = 0.0;
-        for (i, &n) in self.counts.iter().enumerate() {
-            sum += n as f64 * (self.lo + (i as f64 + 0.5) * w);
-        }
-        sum += self.overflow as f64 * self.hi;
-        sum += self.underflow as f64 * self.lo;
-        sum / self.total as f64
     }
 }

@@ -11,7 +11,6 @@ fn online_stats_basic() {
     assert_eq!(s.count(), 8);
     assert!((s.mean() - 5.0).abs() < 1e-12);
     assert!((s.variance() - 4.0).abs() < 1e-12);
-    assert!((s.stddev() - 2.0).abs() < 1e-12);
     assert_eq!(s.min(), Some(2.0));
     assert_eq!(s.max(), Some(9.0));
 }
@@ -64,17 +63,6 @@ fn histogram_bins_and_fractions() {
     assert!((h.fraction(0) - 10.0 / 102.0).abs() < 1e-12);
     // fraction_below(0.5): underflow + 50 in-range observations.
     assert!((h.fraction_below(0.5) - 51.0 / 102.0).abs() < 1e-12);
-    let (lo, hi) = h.bin_range(3);
-    assert!((lo - 0.3).abs() < 1e-12 && (hi - 0.4).abs() < 1e-12);
-}
-
-#[test]
-fn histogram_approx_mean() {
-    let mut h = Histogram::new(0.0, 10.0, 100);
-    for _ in 0..1000 {
-        h.add(5.0);
-    }
-    assert!((h.approx_mean() - 5.05).abs() < 0.06);
 }
 
 #[test]
@@ -96,13 +84,6 @@ fn bnf_curve_metrics() {
         });
     }
     assert!((c.saturation_throughput() - 0.33).abs() < 1e-12);
-    assert_eq!(c.saturation_load(150.0), Some(0.4));
-    assert_eq!(c.latency_at_load(0.25), Some(60.0));
-    assert_eq!(c.latency_at_load(0.05), None);
-    assert_eq!(c.total_deadlocks(), 4, "two each at loads 0.4 and 0.5");
-    // Interpolation half-way between the first two points.
-    let lat = c.latency_at_throughput(0.15).unwrap();
-    assert!((lat - 55.0).abs() < 1e-9);
 }
 
 #[test]

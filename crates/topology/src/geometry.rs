@@ -90,7 +90,18 @@ impl MinimalHops {
             minus: None,
         }; MAX_DIMS];
         for (d, g) in per_dim.iter_mut().enumerate().take(ndims) {
-            *g = hop_geometry(topo, src, dst, d);
+            let k = topo.radix(d);
+            let cs = topo.coord_along(src, d);
+            let cd = topo.coord_along(dst, d);
+            if cs == cd {
+                continue;
+            }
+            // Hops going Plus and going Minus; both directions are minimal
+            // exactly half-way round an even-radix ring.
+            let fwd = (cd + k - cs) % k;
+            let bwd = k - fwd;
+            g.plus = (fwd <= bwd).then_some(fwd);
+            g.minus = (bwd <= fwd).then_some(bwd);
         }
         MinimalHops {
             per_dim,
@@ -138,37 +149,5 @@ impl MinimalHops {
                 (Some(p), Some(m)) => p.min(m),
             })
             .sum()
-    }
-}
-
-/// Minimal-hop geometry for a single dimension.
-pub fn hop_geometry(topo: &Topology, src: NodeId, dst: NodeId, d: usize) -> HopGeometry {
-    let k = topo.radix(d);
-    let cs = topo.coord_along(src, d);
-    let cd = topo.coord_along(dst, d);
-    if cs == cd {
-        return HopGeometry {
-            plus: None,
-            minus: None,
-        };
-    }
-    let fwd = (cd + k - cs) % k; // hops going Plus
-    let bwd = k - fwd; // hops going Minus
-    if fwd < bwd {
-        HopGeometry {
-            plus: Some(fwd),
-            minus: None,
-        }
-    } else if bwd < fwd {
-        HopGeometry {
-            plus: None,
-            minus: Some(bwd),
-        }
-    } else {
-        // Even radix, exactly half-way: both directions are minimal.
-        HopGeometry {
-            plus: Some(fwd),
-            minus: Some(bwd),
-        }
     }
 }

@@ -122,10 +122,13 @@ impl SyntheticTraffic {
 
     /// Cycles until the next arrival of one node's Bernoulli(`txn_rate`)
     /// process: a geometric waiting time (0 = fires on the very next
-    /// opportunity).
+    /// opportunity; `u64::MAX`, never due, at rate 0).
     fn sample_gap(&mut self) -> u64 {
         if self.txn_rate >= 1.0 {
             return 0;
+        }
+        if self.txn_rate <= 0.0 {
+            return u64::MAX;
         }
         let u: f64 = self.rng.random();
         // ln(1-u) ∈ (-inf, 0]; ln(1-p) < 0. u ∈ [0, 1) keeps both finite.

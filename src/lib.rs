@@ -76,7 +76,7 @@ pub use mdd_verify as verify;
 pub mod prelude {
     pub use mdd_coherence::{CoherenceEngine, CoherentTraffic, TxnClass};
     pub use mdd_core::{
-        build_waitfor_graph, deadlock_witness, default_loads, run_point, verify_config,
+        build_waitfor_graph, deadlock_witness, default_loads, verify_config,
         verify_config_degraded, BnfCurve, BnfPoint, ConfigError, CycleWitness, PatternSpec,
         ProtocolSpec, QueueOrg, Scheme, SchemeConfigError, SimConfig, SimResult, Simulator,
         Verdict,

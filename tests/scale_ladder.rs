@@ -301,23 +301,30 @@ fn pr_hotspot_episodes_at_64x64() {
 /// The sparse geometric arrival mode passes the per-cycle shadow check
 /// too (`tests/ladder_work.rs` and the `sparse64` benchmark workload run
 /// exactly this mode), and its generated count matches the Bernoulli
-/// expectation.
+/// expectation, which at load 0 is no arrival at all.
 #[test]
 fn sparse_arrivals_twin_agrees_and_hits_rate() {
-    let mut cfg = cfg16(Scheme::ProgressiveRecovery, PatternSpec::pat100(), 0.10);
-    cfg.seed = 164;
-    cfg.sparse_arrivals = true;
-    cfg.dest = DestPattern::Neighbor;
-    let sim = run_scheduled(cfg.clone(), 2_000);
-    // Rate sanity: over a long window the realized arrival count should
-    // sit near cycles·nodes·rate (loose 3-sigma-ish bounds; the point is
-    // the geometric resampling isn't off by a constant factor).
-    let expect = 2_000.0 * 256.0 * (0.10 / cfg.pattern.flits_per_txn());
-    let got = sim.generated() as f64;
-    assert!(
-        (got - expect).abs() < 4.0 * expect.sqrt() + 10.0,
-        "sparse arrivals off-rate: got {got}, expected about {expect:.0}"
-    );
+    for load in [0.10, 0.0] {
+        let mut cfg = cfg16(Scheme::ProgressiveRecovery, PatternSpec::pat100(), load);
+        cfg.seed = 164;
+        cfg.sparse_arrivals = true;
+        cfg.dest = DestPattern::Neighbor;
+        let sim = run_scheduled(cfg.clone(), 2_000);
+        if load == 0.0 {
+            assert_eq!(sim.generated(), 0, "a zero rate never arrives");
+            continue;
+        }
+        // Rate sanity: over a long window the realized arrival count
+        // should sit near cycles·nodes·rate (loose 3-sigma-ish bounds;
+        // the point is the geometric resampling isn't off by a constant
+        // factor).
+        let expect = 2_000.0 * 256.0 * (load / cfg.pattern.flits_per_txn());
+        let got = sim.generated() as f64;
+        assert!(
+            (got - expect).abs() < 4.0 * expect.sqrt() + 10.0,
+            "sparse arrivals off-rate: got {got}, expected about {expect:.0}"
+        );
+    }
 }
 
 /// 64×64 smoke: the biggest rung's flat router state has exactly the
